@@ -13,12 +13,7 @@
 //! Every measured epoch is also checked for **plan equivalence** against
 //! a from-scratch plan with the frozen thresholds pinned (quick mode:
 //! every epoch; full mode: first and last epoch — the randomized harness
-//! in `batcher-core` covers the rest). Checked epochs are additionally
-//! replayed under the single-pivot `IndexMode::Sweep` reference: the
-//! metric index accelerating the ε-graph inserts and coverage scans is
-//! exact, so forcing the sweep must reproduce the epoch bit-for-bit.
-//! The snapshot records the run's index counters (builds, pruned
-//! fraction) alongside the timings.
+//! in `batcher-core` covers the rest).
 //!
 //! Runs in quick mode (small pool, used by `cargo test` and CI smoke)
 //! and full mode (10k questions) under `cargo bench`; both write a
@@ -33,7 +28,6 @@ use batcher_core::{
     ClusteringKind, DistanceKind, ExtractorKind, PlanThresholds, PreparedPool, SelectionStrategy,
 };
 use bench::synth::{synth_pairs, Rng};
-use embed::index::{stats as index_stats, with_index_mode, IndexMode};
 use er_core::{EntityPair, LabeledPair};
 
 fn sorted_refs(live: &[(u64, EntityPair)]) -> Vec<&EntityPair> {
@@ -113,7 +107,6 @@ fn main() {
     let mut incremental_ms_total = 0.0f64;
     let mut incremental_ms_worst = 0.0f64;
     let mut checked = 0usize;
-    let idx_before = index_stats();
     for e in 0..epochs {
         let check_epoch = quick || e == 0 || e == epochs - 1;
         // The timer covers the whole epoch the serving path would pay:
@@ -143,10 +136,8 @@ fn main() {
             "a {delta}-question delta over {n_questions} must re-plan incrementally"
         );
 
-        // Plan equivalence against the pinned from-scratch plan, plus
-        // index-mode invariance: a re-plan of the same state under the
-        // single-pivot sweep reference must match the pivot table
-        // exactly (both outside the timed section).
+        // Plan equivalence against the pinned from-scratch plan
+        // (outside the timed section).
         if check_epoch {
             let stats = state.stats();
             let pinned = PlanThresholds { eps: stats.eps, cover_t: stats.cover_t };
@@ -156,14 +147,6 @@ fn main() {
             assert_eq!(
                 epoch.plan, expect,
                 "epoch {e} diverged from pinned from-scratch"
-            );
-            let replay_seed = epoch_seed ^ 0xA5A5;
-            let auto_replay = state.clone().plan(replay_seed);
-            let sweep_replay =
-                with_index_mode(IndexMode::Sweep, || state.clone().plan(replay_seed));
-            assert_eq!(
-                auto_replay, sweep_replay,
-                "epoch {e}: index mode changed the incremental plan"
             );
             checked += 1;
         }
@@ -180,16 +163,13 @@ fn main() {
     }
 
     let stats = state.stats();
-    let idx = index_stats().delta_since(&idx_before);
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"bench\": \"incremental_replanning\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"delta_per_epoch\": {},\n  \"epochs\": {},\n  \"threads\": {},\n  \"from_scratch_ms\": {:.2},\n  \"initial_full_ms\": {:.2},\n  \"incremental_avg_ms\": {:.2},\n  \"incremental_worst_ms\": {:.2},\n  \"speedup_avg\": {:.2},\n  \"speedup_worst\": {:.2},\n  \"equivalence_checked_epochs\": {},\n  \"full_plans\": {},\n  \"incremental_plans\": {},\n  \"index_builds\": {},\n  \"index_queries\": {},\n  \"index_pruned_fraction\": {:.4}\n}}\n",
+        "{{\n  \"bench\": \"incremental_replanning\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"delta_per_epoch\": {},\n  \"epochs\": {},\n  \"from_scratch_ms\": {:.2},\n  \"initial_full_ms\": {:.2},\n  \"incremental_avg_ms\": {:.2},\n  \"incremental_worst_ms\": {:.2},\n  \"speedup_avg\": {:.2},\n  \"speedup_worst\": {:.2},\n  \"equivalence_checked_epochs\": {},\n  \"full_plans\": {},\n  \"incremental_plans\": {}\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,
         delta,
         epochs,
-        threads,
         from_scratch_ms,
         initial_full_ms,
         incremental_ms,
@@ -199,9 +179,6 @@ fn main() {
         checked,
         stats.full_plans,
         stats.incremental_plans,
-        idx.builds,
-        idx.queries,
-        idx.pruned_fraction(),
     );
     let out_path = std::env::var("BENCH_INCREMENTAL_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json").to_owned()

@@ -2,16 +2,15 @@
 //!
 //! Measures one full plan pass — feature extraction → percentile
 //! threshold → DBSCAN → diversity batches → covering selection — on a
-//! synthetic workload, three ways:
+//! synthetic workload, two ways:
 //!
 //! * **scalar baseline** — an in-bench replica of the pre-kernel
 //!   pipeline: `Vec<Vec<f64>>` features, full-scan DBSCAN region
 //!   queries, full-sort percentile, per-pair `sqrt` covering sweeps, all
 //!   serial. Kept here (not in the library) so the speedup stays
 //!   measurable against the real historical path.
-//! * **kernel, serial** — `batcher_core::plan_question_batches` pinned to
-//!   one thread: isolates the contiguous-layout/kernel win.
-//! * **kernel, parallel** — the production path.
+//! * **kernel** — `batcher_core::plan_question_batches`, the production
+//!   path.
 //!
 //! Runs in quick mode (small workload, one iteration) under `cargo test`
 //! and in full mode (10k questions, best of 3) under `cargo bench`; both
@@ -21,20 +20,19 @@
 //! The snapshot also carries a **metric-index scaling curve**: the
 //! ε-graph construction (the planning bottleneck stage) on a synthetic
 //! 128-dim workload at 10k/30k/100k points (quick mode: 30k only), timed
-//! single-core under both index configurations — the `Auto` pivot table
-//! and the single-pivot `Sweep` reference — with clustering parity
-//! asserted between the two and against sampled brute-force region
-//! queries at every scale. Full mode additionally asserts the pivot
-//! table is ≥5x faster than the sweep at 100k.
+//! under both pivot budgets — the default pivot table and the
+//! single-pivot sweep reference (`PivotIndex::with_pivots(m, 1)`) — with
+//! clustering parity asserted between the two and against sampled
+//! brute-force region queries at every scale. Full mode additionally
+//! asserts the pivot table is ≥5x faster than the sweep at 100k.
 
 use std::time::Instant;
 
 use bench::synth::Rng;
-use cluster::{dbscan_matrix, DbscanParams};
-use embed::index::{build_index, stats, with_index_mode, IndexMode, MetricIndex};
+use cluster::{dbscan_matrix, dbscan_union_find, DbscanParams};
+use embed::index::stats;
 use embed::matrix::scan_rows_within;
-use embed::par::with_max_threads;
-use embed::FeatureMatrix;
+use embed::{FeatureMatrix, PivotIndex};
 
 use batcher_core::batching::{BatchingStrategy, ClusteringKind};
 use batcher_core::plan::{plan_question_batches, BatchPlanConfig};
@@ -447,35 +445,33 @@ fn synth_matrix(n: usize, seed: u64) -> FeatureMatrix {
     FeatureMatrix::from_flat(data, n, SCALE_DIM)
 }
 
-/// One scaling point: single-core ε-graph under both index modes,
-/// parity asserted (full clustering equality + sampled brute-force
-/// region queries), JSON entry returned.
+/// One scaling point: ε-graph under both pivot budgets, parity asserted
+/// (full clustering equality + sampled brute-force region queries), JSON
+/// entry returned.
 fn scaling_point(n: usize, quick: bool) -> String {
     let m = synth_matrix(n, 0xC0FFEE);
     let params = DbscanParams { eps: SCALE_EPS, min_pts: 3 };
 
     let before = stats();
     let started = Instant::now();
-    let auto_index = with_index_mode(IndexMode::Auto, || build_index(&m));
+    let auto_index = PivotIndex::build(&m);
     let build_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let started = Instant::now();
-    let auto = with_max_threads(1, || {
-        with_index_mode(IndexMode::Auto, || dbscan_matrix(&m, params))
-    });
+    let auto = dbscan_matrix(&m, params);
     let auto_ms = started.elapsed().as_secs_f64() * 1e3;
     let pruned_fraction = stats().delta_since(&before).pruned_fraction();
 
+    // The sweep is timed build included, like `dbscan_matrix` above.
     let started = Instant::now();
-    let sweep = with_max_threads(1, || {
-        with_index_mode(IndexMode::Sweep, || dbscan_matrix(&m, params))
-    });
+    let sweep_index = PivotIndex::with_pivots(&m, 1);
+    let sweep = dbscan_union_find(&sweep_index, params);
     let sweep_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Parity 1: the pivot table and the sweep reference agree exactly.
     assert_eq!(
         auto.assignment, sweep.assignment,
-        "scaling n={n}: index modes produced different clusterings"
+        "scaling n={n}: pivot budgets produced different clusterings"
     );
     // Workload sanity: the grid structure was actually recovered.
     let expect_clusters = n.div_ceil(SCALE_CLUSTER);
@@ -487,7 +483,6 @@ fn scaling_point(n: usize, quick: bool) -> String {
 
     // Parity 2: sampled brute-force region queries — both index builds
     // against the reference scan kernel, exact id sets.
-    let sweep_index = with_index_mode(IndexMode::Sweep, || build_index(&m));
     let brute_rows = if n >= 100_000 { 200 } else { 400 };
     let (mut a, mut b) = (Vec::new(), Vec::new());
     let mut rng = Rng(0xBEEF);
@@ -591,30 +586,20 @@ fn main() {
         baseline_labeled = labeled.len();
     }
 
-    // Kernel path, single-threaded (layout + kernel win only).
-    let mut kernel_serial_ms = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        let plan =
-            embed::par::with_max_threads(1, || plan_question_batches(&questions, &pool, &config));
-        kernel_serial_ms = kernel_serial_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_partition(&plan.batches, questions.len());
-    }
-
-    // Kernel path, parallel (the production configuration).
-    let mut kernel_parallel_ms = f64::INFINITY;
+    // Kernel path (the production configuration).
+    let mut kernel_ms = f64::INFINITY;
     let mut kernel_batches = 0usize;
     let mut kernel_labeled = 0usize;
     for _ in 0..iters {
         let start = Instant::now();
         let plan = plan_question_batches(&questions, &pool, &config);
-        kernel_parallel_ms = kernel_parallel_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        kernel_ms = kernel_ms.min(start.elapsed().as_secs_f64() * 1e3);
         assert_partition(&plan.batches, questions.len());
         kernel_batches = plan.len();
         kernel_labeled = plan.labeled.len();
     }
 
-    // Metric-index scaling curve (single-core, parity asserted in-bench).
+    // Metric-index scaling curve (parity asserted in-bench).
     let scales: &[usize] = if quick {
         &[30_000]
     } else {
@@ -623,18 +608,15 @@ fn main() {
     let scaling_entries: Vec<String> = scales.iter().map(|&n| scaling_point(n, quick)).collect();
     let scaling_json = scaling_entries.join(",\n    ");
 
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let speedup = baseline_ms / kernel_parallel_ms;
+    let speedup = baseline_ms / kernel_ms;
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"threads\": {},\n  \"scalar_baseline_ms\": {:.2},\n  \"kernel_serial_ms\": {:.2},\n  \"kernel_parallel_ms\": {:.2},\n  \"speedup_vs_baseline\": {:.2},\n  \"baseline_batches\": {},\n  \"baseline_labeled\": {},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"scalar_baseline_ms\": {:.2},\n  \"kernel_ms\": {:.2},\n  \"speedup_vs_baseline\": {:.2},\n  \"baseline_batches\": {},\n  \"baseline_labeled\": {},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,
         batch_size,
-        threads,
         baseline_ms,
-        kernel_serial_ms,
-        kernel_parallel_ms,
+        kernel_ms,
         speedup,
         baseline_batches,
         baseline_labeled,
@@ -648,8 +630,8 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_planning.json");
     println!("{json}");
     println!(
-        "planning {}q/{}p: baseline {baseline_ms:.1} ms, kernel serial {kernel_serial_ms:.1} ms, \
-         kernel parallel {kernel_parallel_ms:.1} ms ({speedup:.1}x) -> {out_path}",
+        "planning {}q/{}p: baseline {baseline_ms:.1} ms, kernel {kernel_ms:.1} ms \
+         ({speedup:.1}x) -> {out_path}",
         n_questions, n_pool
     );
 }

@@ -1,4 +1,5 @@
-//! Regenerates every table and figure in one pass (EXPERIMENTS.md source).
+//! Regenerates every table and figure in one pass (measured results: the
+//! README tables and `benchmark/README.md`).
 fn main() {
     let datasets = bench::all_datasets();
     bench::tables::table2(&datasets);

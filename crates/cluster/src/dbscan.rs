@@ -1,25 +1,27 @@
 //! DBSCAN (Ester et al., KDD 1996) — the paper's default question
 //! clustering algorithm.
 //!
-//! Two front ends, one semantics:
+//! One semantics, three entry points:
 //!
 //! * [`dbscan`] — the reference implementation over `&[Vec<f64>]` with a
-//!   pluggable distance function and brute-force O(n) region queries.
+//!   pluggable distance function and brute-force O(n) region queries;
+//!   the tests compare everything else against it.
 //! * [`dbscan_matrix`] — the production path over a contiguous
-//!   [`FeatureMatrix`] (Euclidean metric), with region queries served by
-//!   the shared exact metric index ([`embed::index`]): pivot-table
+//!   [`FeatureMatrix`] (Euclidean metric): an allocation-free
+//!   **union-find** ([`dbscan_union_find`]) over the symmetric pair
+//!   sweep of the exact metric index ([`embed::index`]) — pivot-table
 //!   triangle-inequality pruning in front of the same threshold-scan
-//!   kernel, so every ε-query returns the id set a brute-force scan
-//!   would. On multiple cores it materializes all region queries in
-//!   parallel shards and runs BFS expansion; on one core it runs an
-//!   allocation-free **union-find** over the index's recorded symmetric
-//!   pair sweep. All three paths produce identical clusterings (the
-//!   expansion's output is order-free — see [`dbscan_union_find`] —
-//!   which the tests pin).
+//!   kernel, so every ε-verdict is the one a brute-force scan would
+//!   reach.
+//! * [`dbscan_neighbor_lists`] / [`dbscan_from_neighbor_lists`] — the
+//!   same clustering from materialized region queries, for the
+//!   incremental planner's cached ε-graph.
+//!
+//! All of them produce identical clusterings (the expansion's output is
+//! order-free — see [`dbscan_union_find`] — which the tests pin).
 
-use embed::index::{build_index, MetricIndex, PivotIndex};
+use embed::index::PivotIndex;
 use embed::matrix::FeatureMatrix;
-use embed::par::par_map;
 
 use crate::Clustering;
 
@@ -63,57 +65,27 @@ where
 /// DBSCAN over a contiguous feature matrix under the Euclidean metric,
 /// with index-pruned region queries. Produces the same clustering as
 /// `dbscan(points, params, euclidean)` up to floating-point ties exactly
-/// on the ε boundary. The index flavor follows the calling thread's
-/// [`embed::index::IndexMode`].
+/// on the ε boundary.
 pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering {
-    let n = matrix.len();
-    assert!(n < u32::MAX as usize, "point count exceeds index width");
-    if n == 0 {
-        return Clustering { assignment: vec![], n_clusters: 0 };
-    }
-    let index = build_index(matrix);
-    if embed::par::shard_count(n, 8) > 1 {
-        // Multi-core: materialize every region query up front in parallel
-        // shards, then expand over borrowed lists. This trades memory for
-        // parallelism — with a percentile-derived ε the lists total
-        // Θ(density·n²) ids — which is the right trade for the serving
-        // layer's flush sizes; the single-core branch below stays
-        // allocation-free.
-        let lists: Vec<Vec<u32>> = par_map(n, 8, |i| {
-            let mut out = Vec::new();
-            index.within_row_into(i as u32, params.eps, false, &mut out);
-            out
-        });
-        expand_clusters(n, params.min_pts, |i| lists[i].as_slice())
-    } else {
-        // Single-thread: union-find over one symmetric pair sweep — no
-        // neighbor list is ever materialized. Produces the same labels
-        // as the expansion (see `dbscan_union_find`).
-        dbscan_union_find(&index, params)
-    }
+    dbscan_union_find(&PivotIndex::build(matrix), params)
 }
 
 /// Materializes every ε-region query of `matrix` (Euclidean metric) via
 /// the shared metric index: `lists[i]` holds the ids of all points within
 /// ε of point `i` — **including `i` itself** — ascending.
 ///
-/// This is exactly the neighbor structure the multi-core
-/// [`dbscan_matrix`] path expands over; callers that maintain the lists
-/// incrementally (the batcher's incremental planner) rebuild them here on
-/// a full re-plan and feed them back through
-/// [`dbscan_from_neighbor_lists`].
+/// Callers that maintain the lists incrementally (the batcher's
+/// incremental planner) rebuild them here on a full re-plan and feed them
+/// back through [`dbscan_from_neighbor_lists`].
 pub fn dbscan_neighbor_lists(matrix: &FeatureMatrix, eps: f64) -> Vec<Vec<u32>> {
-    let n = matrix.len();
-    assert!(n < u32::MAX as usize, "point count exceeds index width");
-    if n == 0 {
-        return Vec::new();
-    }
-    let index = build_index(matrix);
-    par_map(n, 8, |i| {
-        let mut out = Vec::new();
-        index.within_row_into(i as u32, eps, false, &mut out);
-        out
-    })
+    let index = PivotIndex::build(matrix);
+    (0..matrix.len() as u32)
+        .map(|i| {
+            let mut out = Vec::new();
+            index.within_row_into(i, eps, false, &mut out);
+            out
+        })
+        .collect()
 }
 
 /// DBSCAN expansion over pre-materialized region queries: `lists[i]` must
@@ -125,7 +97,10 @@ pub fn dbscan_from_neighbor_lists(lists: &[Vec<u32>], min_pts: usize) -> Cluster
     expand_clusters(lists.len(), min_pts, |i| lists[i].as_slice())
 }
 
-/// Union-find DBSCAN over the index's symmetric pair sweep.
+/// Union-find DBSCAN over the index's symmetric pair sweep — the indexed
+/// entry point behind [`dbscan_matrix`], public so benches can cluster
+/// over an index they built (e.g. `PivotIndex::with_pivots(m, 1)`, the
+/// single-pivot sweep reference).
 ///
 /// Equivalent to BFS expansion because the expansion's output is
 /// order-free under the hood:
@@ -143,7 +118,7 @@ pub fn dbscan_from_neighbor_lists(lists: &[Vec<u32>], min_pts: usize) -> Cluster
 /// decide core-ness, then a union/attach pass replayed from the recorded
 /// verdict bits), which costs the distance work of one symmetric sweep
 /// but touches no per-point allocation at all.
-fn dbscan_union_find(index: &PivotIndex, params: DbscanParams) -> Clustering {
+pub fn dbscan_union_find(index: &PivotIndex, params: DbscanParams) -> Clustering {
     let n = index.len();
     let min_pts = params.min_pts;
 
@@ -298,7 +273,7 @@ where
 mod tests {
     use super::*;
     use crate::euclidean;
-    use embed::index::{with_index_mode, IndexMode};
+    use proptest::prelude::*;
 
     /// Two tight blobs far apart plus one outlier.
     fn blobs() -> Vec<Vec<f64>> {
@@ -415,65 +390,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matrix_path_serial_equals_parallel() {
-        let pts = scattered(200, 6);
-        let matrix = FeatureMatrix::from_rows(pts);
-        let params = DbscanParams { eps: 0.9, min_pts: 3 };
-        let parallel = dbscan_matrix(&matrix, params);
-        let serial = embed::par::with_max_threads(1, || dbscan_matrix(&matrix, params));
-        assert_eq!(parallel, serial);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
-    #[test]
-    fn union_find_and_expansion_paths_agree() {
-        // The serial path runs union-find over the pair sweep, the
-        // multi-core path runs BFS expansion over materialized region
-        // queries; both must equal the brute-force reference exactly.
-        for (n, dim) in [(40usize, 2usize), (150, 4), (260, 7)] {
-            let pts = scattered(n, dim);
+        /// Both matrix paths — the union-find over the pair sweep and
+        /// the expansion over materialized region queries — against the
+        /// brute-force reference, on the shapes a scattered fixture never
+        /// hits: coordinates and ε are multiples of 0.5, so duplicate
+        /// rows are common and many pairs sit **exactly** at ε with
+        /// exactly representable distances (0.5 apart on an axis, 3-4-5
+        /// triangles), and `min_pts` spans everything-is-core (1),
+        /// pair-is-core (2), and nothing-is-core (n + 1).
+        #[test]
+        fn matrix_paths_match_brute_force_on_grids(
+            cells in prop::collection::vec(0u8..6, 1..120),
+            dim in 1usize..4,
+            eps_steps in 1u8..6,
+            min_pts_pick in 0usize..4,
+        ) {
+            let pts: Vec<Vec<f64>> = cells
+                .chunks_exact(dim)
+                .map(|c| c.iter().map(|&v| f64::from(v) * 0.5).collect())
+                .collect();
+            let n = pts.len();
+            let min_pts = [1, 2, 3, n + 1][min_pts_pick];
+            let params = DbscanParams { eps: f64::from(eps_steps) * 0.5, min_pts };
             let matrix = FeatureMatrix::from_rows(pts.clone());
-            for eps in [0.3, 0.9, 2.5] {
-                for min_pts in [1usize, 3, 7] {
-                    let params = DbscanParams { eps, min_pts };
-                    let brute = dbscan(&pts, params, euclidean);
-                    let serial = embed::par::with_max_threads(1, || dbscan_matrix(&matrix, params));
-                    let multi = embed::par::with_max_threads(8, || dbscan_matrix(&matrix, params));
-                    assert_eq!(
-                        brute, serial,
-                        "n={n} dim={dim} eps={eps} min_pts={min_pts} serial"
-                    );
-                    assert_eq!(
-                        brute, multi,
-                        "n={n} dim={dim} eps={eps} min_pts={min_pts} multi"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn index_modes_agree_with_brute_force() {
-        // The multi-pivot index and the single-pivot sweep reference must
-        // both reproduce the brute clustering exactly, on both the
-        // expansion and union-find branches.
-        for (n, dim) in [(150usize, 4usize), (260, 7)] {
-            let pts = scattered(n, dim);
-            let matrix = FeatureMatrix::from_rows(pts.clone());
-            for eps in [0.3, 0.9, 2.5] {
-                let params = DbscanParams { eps, min_pts: 3 };
-                let brute = dbscan(&pts, params, euclidean);
-                for mode in [IndexMode::Auto, IndexMode::Sweep] {
-                    let serial = with_index_mode(mode, || {
-                        embed::par::with_max_threads(1, || dbscan_matrix(&matrix, params))
-                    });
-                    let multi = with_index_mode(mode, || {
-                        embed::par::with_max_threads(8, || dbscan_matrix(&matrix, params))
-                    });
-                    assert_eq!(brute, serial, "n={n} dim={dim} eps={eps} {mode:?} serial");
-                    assert_eq!(brute, multi, "n={n} dim={dim} eps={eps} {mode:?} multi");
-                }
-            }
+            let brute = dbscan(&pts, params, euclidean);
+            prop_assert_eq!(&dbscan_matrix(&matrix, params), &brute);
+            let lists = dbscan_neighbor_lists(&matrix, params.eps);
+            prop_assert_eq!(&dbscan_from_neighbor_lists(&lists, min_pts), &brute);
         }
     }
 }

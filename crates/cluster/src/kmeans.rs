@@ -4,13 +4,11 @@
 //! ([`kmeans_matrix`]): the Lloyd assignment step — the O(n·k·dim) hot
 //! loop — scores centroids with the dot trick
 //! (`argmin ‖x − c‖² = argmin ‖c‖² − 2·x·c`, the `‖x‖²` term being
-//! constant per point) and runs in parallel shards; the update step is a
-//! cheap serial pass so centroid sums accumulate in one fixed order and
-//! the result stays bit-identical whatever the thread count. The slice
-//! front end ([`kmeans`]) packs its input into a matrix and delegates.
+//! constant per point); the update step accumulates centroid sums in
+//! input order. The slice front end ([`kmeans`]) packs its input into a
+//! matrix and delegates.
 
 use embed::matrix::FeatureMatrix;
-use embed::par::par_map;
 use embed::vecmath::dot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,16 +59,17 @@ pub fn kmeans_matrix(matrix: &FeatureMatrix, params: KMeansParams) -> Clustering
     let mut assignment = vec![0usize; n];
 
     for _ in 0..params.max_iters {
-        // Assignment step — parallel; each point's argmin is a pure
-        // function of (row, centroids), so shard count cannot change it.
-        let new_assignment = par_map(n, 64, |i| {
-            nearest_centroid(matrix.row(i), &centroids, &cent_sq, dim)
-        });
+        // Assignment step: each point's argmin is a pure function of
+        // (row, centroids).
+        let new_assignment: Vec<usize> = matrix
+            .rows()
+            .map(|row| nearest_centroid(row, &centroids, &cent_sq, dim))
+            .collect();
         let mut changed = new_assignment != assignment;
         assignment = new_assignment;
 
-        // Update step — serial so centroid sums accumulate in input
-        // order (floating-point addition is order-sensitive).
+        // Update step: centroid sums accumulate in input order
+        // (floating-point addition is order-sensitive).
         let mut sums = vec![0.0f64; k * dim];
         let mut counts = vec![0usize; k];
         for (i, row) in matrix.rows().enumerate() {
@@ -242,15 +241,6 @@ mod tests {
         let a = kmeans(&blobs(), KMeansParams { k: 4, max_iters: 50, seed: 9 });
         let b = kmeans(&blobs(), KMeansParams { k: 4, max_iters: 50, seed: 9 });
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serial_equals_parallel() {
-        let matrix = FeatureMatrix::from_rows(blobs());
-        let params = KMeansParams { k: 5, max_iters: 40, seed: 11 };
-        let parallel = kmeans_matrix(&matrix, params);
-        let serial = embed::par::with_max_threads(1, || kmeans_matrix(&matrix, params));
-        assert_eq!(parallel, serial);
     }
 
     #[test]

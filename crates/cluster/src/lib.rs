@@ -7,8 +7,8 @@
 //!
 //! Both algorithms accept either `&[Vec<f64>]` (reference slice front
 //! ends) or a contiguous [`embed::FeatureMatrix`] ([`dbscan_matrix`],
-//! [`kmeans_matrix`] — the production kernel paths: pivot-pruned region
-//! queries, dot-trick assignment, parallel shards), and return a
+//! [`kmeans_matrix`] — the production kernel paths: a pivot-pruned pair
+//! sweep, dot-trick assignment), and return a
 //! [`Clustering`]: a cluster id per point, where DBSCAN noise points each
 //! form a singleton cluster (the batcher must still query every question,
 //! so no point may be dropped).
@@ -17,7 +17,8 @@ pub mod dbscan;
 pub mod kmeans;
 
 pub use dbscan::{
-    dbscan, dbscan_from_neighbor_lists, dbscan_matrix, dbscan_neighbor_lists, DbscanParams,
+    dbscan, dbscan_from_neighbor_lists, dbscan_matrix, dbscan_neighbor_lists, dbscan_union_find,
+    DbscanParams,
 };
 pub use kmeans::{kmeans, kmeans_matrix, KMeansParams};
 

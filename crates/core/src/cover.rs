@@ -192,26 +192,26 @@ pub fn greedy_unit_cover(n_elements: usize, coverage: &[Vec<u32>]) -> Vec<usize>
 /// a small set covering every coverable question, found greedily with unit
 /// weights.
 ///
-/// Coverage lists are built in parallel shards over the pool (`Sync`
-/// bound); each demo's list depends only on that demo, so shard count
-/// cannot change the result. The kernel-backed covering path in
-/// [`crate::selection`] builds its lists from one-to-many distance sweeps
-/// instead of a per-pair oracle; this entry point remains for callers
-/// with arbitrary coverage predicates.
+/// The kernel-backed covering path in [`crate::selection`] builds its
+/// lists from one-to-many distance sweeps instead of a per-pair oracle;
+/// this entry point remains for callers with arbitrary coverage
+/// predicates.
 pub fn demonstration_set_generation<F>(
     n_questions: usize,
     n_pool: usize,
     covers_question: F,
 ) -> Vec<usize>
 where
-    F: Fn(usize, usize) -> bool + Sync,
+    F: Fn(usize, usize) -> bool,
 {
-    let coverage: Vec<Vec<u32>> = embed::par::par_map(n_pool, 8, |d| {
-        (0..n_questions)
-            .filter(|&q| covers_question(d, q))
-            .map(|q| q as u32)
-            .collect()
-    });
+    let coverage: Vec<Vec<u32>> = (0..n_pool)
+        .map(|d| {
+            (0..n_questions)
+                .filter(|&q| covers_question(d, q))
+                .map(|q| q as u32)
+                .collect()
+        })
+        .collect();
     greedy_unit_cover(n_questions, &coverage)
 }
 
@@ -230,16 +230,18 @@ pub fn batch_covering<F, W>(
     tokens: W,
 ) -> Vec<usize>
 where
-    F: Fn(usize, usize) -> bool + Sync,
+    F: Fn(usize, usize) -> bool,
     W: Fn(usize) -> f64,
 {
-    // One batch is small; shards only kick in for oversized demo sets.
-    let coverage: Vec<Vec<u32>> = embed::par::par_map(demo_set.len(), 64, |i| {
-        (0..batch_len)
-            .filter(|&q| covers(demo_set[i], q))
-            .map(|q| q as u32)
-            .collect()
-    });
+    let coverage: Vec<Vec<u32>> = demo_set
+        .iter()
+        .map(|&d| {
+            (0..batch_len)
+                .filter(|&q| covers(d, q))
+                .map(|q| q as u32)
+                .collect()
+        })
+        .collect();
     greedy_weighted_cover(batch_len, &coverage, |i| tokens(demo_set[i]))
 }
 

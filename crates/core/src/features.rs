@@ -4,8 +4,7 @@
 //! [`FeatureMatrix`] (cached squared norms, batch kernels) rather than a
 //! `Vec<Vec<f64>>`: every downstream consumer — DBSCAN region queries,
 //! k-means assignment, the percentile threshold, top-k selection, the
-//! covering sweep — streams over the same buffer. Extraction itself runs
-//! in parallel shards (one pair's features never depend on another's).
+//! covering sweep — streams over the same buffer.
 //!
 //! Hot-path comparisons use **ranking distances**
 //! ([`FeatureSpace::ranking_cross_dists`]): squared Euclidean (no `sqrt`)
@@ -14,7 +13,6 @@
 //! argmins/order statistics are unchanged.
 
 use embed::matrix::FeatureMatrix;
-use embed::par::par_map;
 use embed::{Embedder, EmbedderConfig};
 use er_core::EntityPair;
 use text_sim::{jaccard_tokens, levenshtein_ratio, normalize};
@@ -70,11 +68,6 @@ impl DistanceKind {
     }
 }
 
-/// Minimum pairs per extraction shard: a structure vector costs a few µs
-/// (Levenshtein over every attribute), an embedding tens of µs — 64 per
-/// shard keeps spawn overhead under a percent.
-const EXTRACT_MIN_PER_SHARD: usize = 64;
-
 /// A materialized feature space: one vector per pair in a contiguous
 /// matrix, plus the distance function to compare them.
 #[derive(Debug, Clone)]
@@ -84,8 +77,7 @@ pub struct FeatureSpace {
 }
 
 impl FeatureSpace {
-    /// Extracts features for `pairs` with the given extractor, sharded
-    /// across threads.
+    /// Extracts features for `pairs` with the given extractor.
     ///
     /// The semantic embedder runs at 64 dimensions — enough for lexical
     /// clustering while keeping the pool×questions covering distance
@@ -94,19 +86,19 @@ impl FeatureSpace {
     where
         I: IntoIterator<Item = &'p EntityPair>,
     {
-        let pairs: Vec<&EntityPair> = pairs.into_iter().collect();
-        let rows = match extractor {
-            ExtractorKind::LevenshteinRatio => par_map(pairs.len(), EXTRACT_MIN_PER_SHARD, |i| {
-                structure_vector(pairs[i], levenshtein_ratio)
-            }),
-            ExtractorKind::Jaccard => par_map(pairs.len(), EXTRACT_MIN_PER_SHARD, |i| {
-                structure_vector(pairs[i], jaccard_tokens)
-            }),
+        let pairs = pairs.into_iter();
+        let rows: Vec<Vec<f64>> = match extractor {
+            ExtractorKind::LevenshteinRatio => pairs
+                .map(|pair| structure_vector(pair, levenshtein_ratio))
+                .collect(),
+            ExtractorKind::Jaccard => pairs
+                .map(|pair| structure_vector(pair, jaccard_tokens))
+                .collect(),
             ExtractorKind::Semantic => {
                 let embedder = Embedder::new(EmbedderConfig { dim: 64, ..Default::default() });
-                par_map(pairs.len(), EXTRACT_MIN_PER_SHARD, |i| {
-                    embedder.embed(&pairs[i].serialize())
-                })
+                pairs
+                    .map(|pair| embedder.embed(&pair.serialize()))
+                    .collect()
             }
         };
         Self { matrix: FeatureMatrix::from_rows(rows), distance }
@@ -217,21 +209,10 @@ impl FeatureSpace {
         }
         let total = n * (n - 1) / 2;
         let mut samples: Vec<f64> = if total <= max_samples {
-            // Exhaustive: row i contributes pairs (i, i+1..n); rows are
-            // computed in parallel, concatenated in row order. The
-            // percentile is an order statistic, so sample order is
-            // irrelevant anyway — this just keeps the buffer identical to
-            // the serial enumeration.
-            let row_dists = par_map(n, 8, |i| {
-                let mut row = vec![0.0f64; n - 1 - i];
-                for (slot, j) in row.iter_mut().zip(i + 1..n) {
-                    *slot = self.ranking_dist_rows(i, j);
-                }
-                row
-            });
+            // Exhaustive: row i contributes pairs (i, i+1..n).
             let mut out = Vec::with_capacity(total);
-            for row in row_dists {
-                out.extend_from_slice(&row);
+            for i in 0..n {
+                out.extend((i + 1..n).map(|j| self.ranking_dist_rows(i, j)));
             }
             out
         } else {
@@ -354,30 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn extraction_parallel_matches_serial() {
-        let ps = pairs();
-        for extractor in ExtractorKind::ALL {
-            let parallel = FeatureSpace::extract(
-                ps.iter().map(|p| &p.pair),
-                extractor,
-                DistanceKind::Euclidean,
-            );
-            let serial = embed::par::with_max_threads(1, || {
-                FeatureSpace::extract(
-                    ps.iter().map(|p| &p.pair),
-                    extractor,
-                    DistanceKind::Euclidean,
-                )
-            });
-            assert_eq!(
-                parallel.matrix(),
-                serial.matrix(),
-                "{extractor:?} extraction differs across thread counts"
-            );
-        }
-    }
-
-    #[test]
     fn matches_have_higher_structure_sims() {
         let ps = pairs();
         let space = FeatureSpace::extract(
@@ -479,11 +436,6 @@ mod tests {
         assert_eq!(
             space.distance_percentile(8.0, 1000, 9),
             space.distance_percentile(8.0, 1000, 9)
-        );
-        // And across thread counts (the exhaustive branch shards by row).
-        assert_eq!(
-            space.distance_percentile(8.0, 1_000_000, 9),
-            embed::par::with_max_threads(1, || space.distance_percentile(8.0, 1_000_000, 9))
         );
     }
 

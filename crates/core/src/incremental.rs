@@ -14,9 +14,7 @@
 //!   on a *full* plan and frozen until the next one, so incremental
 //!   epochs skip both percentile estimations;
 //! * **ε-neighbor graph** — symmetric adjacency lists under the frozen ε,
-//!   extended by one region query per insertion (dense scan for small
-//!   states, the shared exact metric index — kept in append/tombstone
-//!   lockstep with the slots — past `INSERT_INDEX_MIN`); labels are
+//!   extended by one dense region scan per insertion; labels are
 //!   recomputed per epoch by an in-place union-find pass over the cached
 //!   edges (no distance arithmetic, no allocation), reproducing
 //!   [`cluster::dbscan_matrix`]'s output exactly;
@@ -41,7 +39,6 @@
 use std::collections::HashMap;
 
 use cluster::{dbscan_from_neighbor_lists, dbscan_neighbor_lists, Clustering};
-use embed::index::{MetricIndex, PivotIndex};
 use embed::matrix::{scan_rows_within, FeatureMatrix};
 use er_core::{EntityPair, LabeledPair};
 
@@ -121,12 +118,6 @@ pub struct PlanStateStats {
 /// before the planner falls back to a full re-plan.
 pub const DEFAULT_MAX_DELTA_FRACTION: f64 = 0.2;
 
-/// Slot count below which per-insert scans stay dense: building a metric
-/// index would cost more than the linear passes it replaces. Both paths
-/// produce identical graphs (the index is exact), so this is a pure
-/// performance knob.
-const INSERT_INDEX_MIN: usize = 256;
-
 /// An incrementally maintained batch-planning state over a fixed
 /// demonstration pool. See the module docs for the design.
 #[derive(Debug, Clone)]
@@ -160,15 +151,6 @@ pub struct PlanState {
     // Coverage graph (valid while `cover_t` is Some): per pool demo, the
     // slots it covers (retired slots filtered through `active` on read).
     demo_cov: Vec<Vec<u32>>,
-
-    // Slot-space metric index mirroring `rows`/`active` exactly (built
-    // lazily on the first indexed ε-scan, appended/tombstoned in step
-    // with the slots, dropped whenever the caches stop tracking the
-    // slots — compaction or a guaranteed-full next plan).
-    slot_index: Option<PivotIndex>,
-    // Metric index over the (static, Euclidean) pool rows for coverage
-    // insertions; geometry only, so it survives threshold refreshes.
-    pool_index: Option<PivotIndex>,
 
     // Epoch accounting.
     inserted_since_plan: usize,
@@ -207,8 +189,6 @@ impl PlanState {
             adj: Vec::new(),
             deg: Vec::new(),
             demo_cov: Vec::new(),
-            slot_index: None,
-            pool_index: None,
             inserted_since_plan: 0,
             retired_since_plan: 0,
             planned_len: None,
@@ -300,37 +280,17 @@ impl PlanState {
             }
         };
 
-        // Extend the ε graph: one region query over all existing slots
+        // Extend the ε graph: one region scan over all existing slots
         // (the same inclusive ≤ ε² predicate, and the same subtraction
-        // arithmetic, as the full rebuild's region queries). Past
-        // `INSERT_INDEX_MIN` slots the query runs through a slot-space
-        // metric index that is kept in append/tombstone lockstep with
-        // the slot buffer; the index only prunes, so the hit set is
-        // bit-identical to the dense scan's.
+        // arithmetic, as the full rebuild's region queries).
         if let (Some(eps), false) = (self.eps, next_plan_is_full) {
             let mut hits: Vec<u32> = Vec::new();
-            if self.slot_index.is_some() || self.keys.len() >= INSERT_INDEX_MIN {
-                if self.slot_index.is_none() {
-                    let matrix = FeatureMatrix::from_flat(self.rows.clone(), self.keys.len(), dim);
-                    let mut index = embed::build_index(&matrix);
-                    for (k, &live) in self.active.iter().enumerate() {
-                        if !live {
-                            index.tombstone(k as u32);
-                        }
-                    }
-                    self.slot_index = Some(index);
+            let active = &self.active;
+            scan_rows_within::<false>(dim, &row, &self.rows, eps * eps, |k| {
+                if active[k] {
+                    hits.push(k as u32);
                 }
-                let index = self.slot_index.as_mut().expect("just ensured");
-                index.within_into(&row, eps, false, &mut hits);
-                index.append(&row);
-            } else {
-                let active = &self.active;
-                scan_rows_within::<false>(dim, &row, &self.rows, eps * eps, |k| {
-                    if active[k] {
-                        hits.push(k as u32);
-                    }
-                });
-            }
+            });
             for &k in &hits {
                 self.adj[k as usize].push(slot);
                 self.deg[k as usize] += 1;
@@ -338,10 +298,9 @@ impl PlanState {
             self.deg.push(hits.len() as u32);
             self.adj.push(hits);
         } else {
-            // The caches (this index included) stop tracking the slots
-            // once the next plan is known to be full; the rebuild starts
-            // from compacted rows anyway.
-            self.slot_index = None;
+            // The caches stop tracking the slots once the next plan is
+            // known to be full; the rebuild starts from compacted rows
+            // anyway.
             self.adj.push(Vec::new());
             self.deg.push(0);
         }
@@ -349,31 +308,18 @@ impl PlanState {
         // Extend the coverage graph: one scan over the (static) pool
         // under the frozen `t` (strict <, matching `compute_coverage`).
         if let (Some(t), true, false) = (self.cover_t, self.needs_cover(), next_plan_is_full) {
-            // Large Euclidean pools get a one-time metric index (pure
-            // geometry, so it never invalidates while the pool lives).
-            if self.pool_index.is_none()
-                && matches!(self.pool.space().distance_kind(), DistanceKind::Euclidean)
-                && self.pool.space().len() >= INSERT_INDEX_MIN
-            {
-                let index = embed::build_index(self.pool.space().matrix());
-                self.pool_index = Some(index);
-            }
             let pool_space = self.pool.space();
             let pool_matrix = pool_space.matrix();
             let mut covers: Vec<u32> = Vec::new();
             match pool_space.distance_kind() {
                 DistanceKind::Euclidean => {
-                    if let Some(index) = &self.pool_index {
-                        index.within_into(&row, t, true, &mut covers);
-                    } else {
-                        scan_rows_within::<true>(
-                            pool_matrix.dim(),
-                            &row,
-                            pool_matrix.flat(),
-                            t * t,
-                            |d| covers.push(d as u32),
-                        );
-                    }
+                    scan_rows_within::<true>(
+                        pool_matrix.dim(),
+                        &row,
+                        pool_matrix.flat(),
+                        t * t,
+                        |d| covers.push(d as u32),
+                    );
                 }
                 DistanceKind::Cosine => {
                     let mut buf = vec![0.0f64; pool_matrix.len()];
@@ -411,9 +357,6 @@ impl PlanState {
         let slot = slot as usize;
         self.active[slot] = false;
         self.n_active -= 1;
-        if let Some(index) = &mut self.slot_index {
-            index.tombstone(slot as u32);
-        }
         if self.eps.is_some() {
             for i in 0..self.adj[slot].len() {
                 let v = self.adj[slot][i] as usize;
@@ -525,7 +468,6 @@ impl PlanState {
         self.adj.clear();
         self.deg.clear();
         self.demo_cov.clear();
-        self.slot_index = None;
         self.eps = None;
         self.cover_t = None;
     }
@@ -888,11 +830,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_insert_path_stays_equivalent() {
-        // Big enough that both the slot index (active questions) and the
-        // pool index (coverage insertions) clear INSERT_INDEX_MIN, so
-        // the per-insert region queries actually run through the metric
-        // index — the small fixtures above stay on the dense scans.
+    fn dense_inserts_stay_equivalent_at_scale() {
+        // Hundreds of slots and pool rows, where the full plan's region
+        // queries and coverage sweep prune through the metric index
+        // while every insert extends both graphs by a dense scan — the
+        // two must still agree.
         let d = generate(DatasetKind::FodorsZagats, 5);
         let pairs = d.pairs().to_vec();
         let pool: Vec<LabeledPair> = pairs[..300].to_vec();
@@ -911,9 +853,8 @@ mod tests {
         assert_eq!(first.kind, PlanKind::Full);
 
         // Two small delta rounds: retires interleave with inserts so the
-        // lazily built slot index sees tombstones both at build time and
-        // live, then the epoch must still equal the pinned from-scratch
-        // reference.
+        // insert scans see tombstoned slots, then the epoch must still
+        // equal the pinned from-scratch reference.
         for k in [1u64, 27, 53] {
             assert!(state.retire(k));
         }

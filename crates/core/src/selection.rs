@@ -3,14 +3,11 @@
 //!
 //! The relevance-driven strategies are distance sweeps over
 //! question × pool, and run on the feature-matrix kernels: one-to-many
-//! ranking distances (squared Euclidean — no `sqrt` in any hot loop),
-//! `select_nth_unstable` top-k instead of full sorts, and one thread
-//! shard per batch ([`embed::par`]). Each batch's result is a pure
-//! function of the two spaces, so the parallel plan is bit-identical to
-//! the serial one.
+//! ranking distances (squared Euclidean — no `sqrt` in any hot loop) and
+//! `select_nth_unstable` top-k instead of full sorts. Each batch's
+//! result is a pure function of the two spaces.
 
-use embed::index::MetricIndex;
-use embed::par::par_map;
+use embed::PivotIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +88,7 @@ impl Default for SelectionParams {
 /// * `batches` — question indices per batch, from
 ///   [`crate::batching::make_batches`].
 /// * `demo_tokens(d)` — token count of pool demo `d`, the weight used by
-///   batch covering (`Sync`: batches are covered on shard threads).
+///   batch covering.
 pub fn select_demonstrations<W>(
     strategy: SelectionStrategy,
     questions: &FeatureSpace,
@@ -101,7 +98,7 @@ pub fn select_demonstrations<W>(
     demo_tokens: W,
 ) -> SelectionPlan
 where
-    W: Fn(usize) -> f64 + Sync,
+    W: Fn(usize) -> f64,
 {
     select_demonstrations_pinned(
         strategy,
@@ -129,7 +126,7 @@ pub fn select_demonstrations_pinned<W>(
     demo_tokens: W,
 ) -> SelectionPlan
 where
-    W: Fn(usize) -> f64 + Sync,
+    W: Fn(usize) -> f64,
 {
     assert!(params.k > 0, "k must be positive");
     match strategy {
@@ -205,11 +202,8 @@ fn topk_batch(
         crate::features::DistanceKind::Euclidean
     );
     let index =
-        (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| embed::build_index(pool.matrix()));
-    // One shard per batch: each batch's sweep reads shared immutable
-    // spaces and writes only its own result.
-    let per_batch: Vec<Vec<usize>> = par_map(batches.len(), 1, |bi| {
-        let batch = &batches[bi];
+        (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| PivotIndex::build(pool.matrix()));
+    let demos_for = |batch: &Vec<usize>| {
         if let Some(index) = index.as_ref().filter(|_| !batch.is_empty()) {
             // dist*(B, d) = min_q dist(q, d) (Eq. 6). The batch's top-k
             // under the min-fold is contained in the union of the
@@ -258,7 +252,8 @@ fn topk_batch(
                 best.into_iter().enumerate().map(|(d, v)| (v, d)).collect();
             top_k_indices(&mut scored, k)
         }
-    });
+    };
+    let per_batch: Vec<Vec<usize>> = batches.iter().map(demos_for).collect();
     let mut labeled: Vec<usize> = per_batch.iter().flatten().copied().collect();
     labeled.sort_unstable();
     labeled.dedup();
@@ -283,9 +278,8 @@ fn topk_question(
         crate::features::DistanceKind::Euclidean
     );
     let index =
-        (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| embed::build_index(pool.matrix()));
-    let per_batch: Vec<Vec<usize>> = par_map(batches.len(), 1, |bi| {
-        let batch = &batches[bi];
+        (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| PivotIndex::build(pool.matrix()));
+    let demos_for = |batch: &Vec<usize>| {
         // k per question so the per-batch total stays comparable to the
         // other strategies (Fig. 5 uses k = 1 at batch size 8).
         let k_q = (params.k / batch.len().max(1)).max(1).min(pool.len());
@@ -323,7 +317,8 @@ fn topk_question(
             }
         }
         demos
-    });
+    };
+    let per_batch: Vec<Vec<usize>> = batches.iter().map(demos_for).collect();
     let mut labeled: Vec<usize> = per_batch.iter().flatten().copied().collect();
     labeled.sort_unstable();
     labeled.dedup();
@@ -342,12 +337,11 @@ pub(crate) fn compute_coverage(
 ) -> Vec<Vec<u32>> {
     let t_rank = questions.ranking_threshold(t);
 
-    // Phase 1 sweep: which questions each pool demo covers, demos
-    // sharded across threads. Under the Euclidean metric each demo's
-    // scan goes through the shared metric index over the question rows:
-    // triangle-bound pruning in front of the same strict threshold
-    // kernel the dense sweep runs — and the covering threshold is a
-    // *low* percentile, so pruning is deep.
+    // Phase 1 sweep: which questions each pool demo covers. Under the
+    // Euclidean metric each demo's scan goes through the shared metric
+    // index over the question rows: triangle-bound pruning in front of
+    // the same strict threshold kernel the dense sweep runs — and the
+    // covering threshold is a *low* percentile, so pruning is deep.
     let n_q = questions.len();
     let euclidean = matches!(
         questions.distance_kind(),
@@ -358,8 +352,8 @@ pub(crate) fn compute_coverage(
         // one question row (the matrices' dimensions must line up).
         return vec![Vec::new(); pool.len()];
     }
-    let index = euclidean.then(|| embed::build_index(questions.matrix()));
-    par_map(pool.len(), 4, |d| {
+    let index = euclidean.then(|| PivotIndex::build(questions.matrix()));
+    let covered_by = |d: usize| {
         if let Some(index) = &index {
             let mut covered: Vec<u32> = Vec::new();
             index.within_into(pool.matrix().row(d), t, true, &mut covered);
@@ -374,7 +368,8 @@ pub(crate) fn compute_coverage(
                 .map(|(q, _)| q as u32)
                 .collect()
         }
-    })
+    };
+    (0..pool.len()).map(covered_by).collect()
 }
 
 /// The covering strategy downstream of coverage computation: phase-1
@@ -392,7 +387,7 @@ pub(crate) fn covering_with_coverage<W>(
     demo_tokens: W,
 ) -> SelectionPlan
 where
-    W: Fn(usize) -> f64 + Sync,
+    W: Fn(usize) -> f64,
 {
     let n_q = questions.len();
     // Phase 1 cover: one demonstration set covering all questions.
@@ -408,10 +403,8 @@ where
         }
     }
 
-    // Phase 2: per batch, the cheapest (token-weighted) covering subset —
-    // batches sharded across threads.
-    let per_batch: Vec<Vec<usize>> = par_map(batches.len(), 1, |bi| {
-        let batch = &batches[bi];
+    // Phase 2: per batch, the cheapest (token-weighted) covering subset.
+    let demos_for = |batch: &Vec<usize>| {
         let mut batch_cov: Vec<Vec<u32>> = vec![Vec::new(); demo_set.len()];
         for (qi, &q) in batch.iter().enumerate() {
             for &di in &covering_demos[q] {
@@ -442,7 +435,8 @@ where
             demos.push(demo_set[nearest]);
         }
         demos
-    });
+    };
+    let per_batch: Vec<Vec<usize>> = batches.iter().map(demos_for).collect();
     SelectionPlan { per_batch, labeled: demo_set, threshold: Some(t) }
 }
 
@@ -633,21 +627,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_equals_serial_for_all_strategies() {
-        let (q, p) = spaces();
-        for strategy in SelectionStrategy::ALL {
-            let parallel = select_demonstrations(strategy, &q, &p, &batches(), PARAMS, |_| 1.0);
-            let serial = embed::par::with_max_threads(1, || {
-                select_demonstrations(strategy, &q, &p, &batches(), PARAMS, |_| 1.0)
-            });
-            assert_eq!(
-                parallel, serial,
-                "{strategy:?} differs across thread counts"
-            );
-        }
-    }
-
     /// Deterministic clustered vectors, the shape where pruning bites.
     fn scattered(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed | 1;
@@ -667,8 +646,6 @@ mod tests {
 
     #[test]
     fn index_routed_selection_matches_dense_sweep() {
-        use embed::index::{with_index_mode, IndexMode};
-
         // Pool large enough to clear TOPK_INDEX_MIN, so the relevance
         // strategies actually take the index path; the expectations
         // below re-run the dense arithmetic by hand.
@@ -680,20 +657,6 @@ mod tests {
         );
         let batches: Vec<Vec<usize>> = (0..8).map(|b| (b * 5..(b + 1) * 5).collect()).collect();
         let params = SelectionParams { k: 7, cover_percentile: 12.0, seed: 3 };
-
-        for strategy in [
-            SelectionStrategy::TopKBatch,
-            SelectionStrategy::TopKQuestion,
-            SelectionStrategy::Covering,
-        ] {
-            let auto = with_index_mode(IndexMode::Auto, || {
-                select_demonstrations(strategy, &questions, &pool, &batches, params, |_| 1.0)
-            });
-            let sweep = with_index_mode(IndexMode::Sweep, || {
-                select_demonstrations(strategy, &questions, &pool, &batches, params, |_| 1.0)
-            });
-            assert_eq!(auto, sweep, "{strategy:?} differs across index modes");
-        }
 
         // Top-k-batch against the dense min-fold reference.
         let plan = select_demonstrations(

@@ -27,58 +27,17 @@
 //! spread), and zero-dimensional rows all build degenerate-but-correct
 //! indexes; the tests below pin each shape.
 //!
-//! **Mutability.** [`MetricIndex::append`] adds rows to an unsorted
-//! tail (pivot distances computed at append time, pruned per query);
-//! [`MetricIndex::tombstone`] hides a row from every subsequent query.
-//! This matches the slot-major cache of the incremental planner, which
-//! rebuilds the index at each full plan and appends between them.
+//! **Immutability.** An index is built once over a matrix and never
+//! changes; callers whose rows change rebuild it.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 use crate::matrix::{scan_rows_within, FeatureMatrix};
-use crate::par::par_map;
 use crate::vecmath::{dot, sq_euclidean_distance};
 
 /// Hard cap on pivots; query-side pivot distances live on the stack.
 pub const MAX_PIVOTS: usize = 8;
-
-/// Which index [`build_index`] constructs, thread-local so benches and
-/// parity tests can pin a path without threading a parameter through
-/// every planning call (the `embed::par::with_max_threads` idiom).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Multi-pivot index sized by [`auto_pivots`].
-    Auto,
-    /// Single pivot: exactly the pre-index pivot-window sweep, kept as
-    /// the reference implementation.
-    Sweep,
-}
-
-thread_local! {
-    static MODE: Cell<IndexMode> = const { Cell::new(IndexMode::Auto) };
-}
-
-/// The calling thread's current [`IndexMode`].
-pub fn index_mode() -> IndexMode {
-    MODE.with(Cell::get)
-}
-
-/// Runs `f` with the calling thread's [`IndexMode`] set to `mode`,
-/// restoring the previous mode on exit (including unwinds). Indexes are
-/// built on the planning thread, so this pins every `build_index` in
-/// `f`'s dynamic extent on this thread.
-pub fn with_index_mode<R>(mode: IndexMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(IndexMode);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE.with(|m| m.set(self.0));
-        }
-    }
-    let _restore = Restore(MODE.with(|m| m.replace(mode)));
-    f()
-}
 
 /// Pivot count heuristic: small matrices fit in the single-pivot
 /// window's cache footprint anyway, and at low dimension a full
@@ -92,14 +51,6 @@ pub fn auto_pivots(n: usize, dim: usize) -> usize {
             0..=8 => 1,
             _ => MAX_PIVOTS,
         }
-    }
-}
-
-/// Builds the index the current [`IndexMode`] calls for.
-pub fn build_index(matrix: &FeatureMatrix) -> PivotIndex {
-    match index_mode() {
-        IndexMode::Auto => PivotIndex::with_pivots(matrix, auto_pivots(matrix.len(), matrix.dim())),
-        IndexMode::Sweep => PivotIndex::with_pivots(matrix, 1),
     }
 }
 
@@ -118,8 +69,8 @@ pub struct IndexStats {
     pub builds: u64,
     /// Queries answered (radius, nearest, and pair sweeps alike).
     pub queries: u64,
-    /// Active rows (or row pairs, for sweeps) a brute-force pass would
-    /// have fully evaluated.
+    /// Rows (or row pairs, for sweeps) a brute-force pass would have
+    /// fully evaluated.
     pub candidates: u64,
     /// Of those, eliminated by the triangle bound before any full
     /// distance computation.
@@ -166,10 +117,10 @@ pub fn stats() -> IndexStats {
 /// A recorded symmetric pair sweep: one verdict bit per candidate slot
 /// in the sweep's deterministic window layout. The layout is a pure
 /// function of the index geometry and `eps` — never of pruning
-/// decisions — so pruned and tombstoned candidates simply keep their
-/// zero bit. Replaying re-derives the same windows and word-skips
-/// straight to the set bits; no distance is recomputed and no pruning
-/// check is re-evaluated.
+/// decisions — so pruned candidates simply keep their zero bit.
+/// Replaying re-derives the same windows and word-skips straight to
+/// the set bits; no distance is recomputed and no pruning check is
+/// re-evaluated.
 #[derive(Debug, Clone)]
 pub struct PairSweep {
     eps: f64,
@@ -234,20 +185,13 @@ impl PairSweep {
 /// measured worth keeping, or measured useless. A pure performance
 /// hint — extra pivots only skip verification of provably-out rows, so
 /// switching them off never changes any result, window layout, or
-/// recorded bit. Relaxed atomic; a clone restarts from the current
-/// observation.
+/// recorded bit. Relaxed atomic.
 #[derive(Debug)]
 struct GateHint(AtomicU8);
 
 const HINT_SAMPLING: u8 = 0;
 const HINT_KEEP: u8 = 1;
 const HINT_OFF: u8 = 2;
-
-impl Clone for GateHint {
-    fn clone(&self) -> Self {
-        GateHint(AtomicU8::new(self.0.load(Ordering::Relaxed)))
-    }
-}
 
 /// Samples the first [`ExtraGate::SAMPLE`] extra-pivot checks of a
 /// query or sweep and, when they reject less than 1 candidate in 16 —
@@ -306,69 +250,25 @@ impl<'a> ExtraGate<'a> {
     }
 }
 
-/// An exact metric index over feature rows. All implementations return
-/// result sets bit-identical to the brute-force reference kernels; see
-/// the module docs for the contract.
-pub trait MetricIndex: Send + Sync {
-    /// Feature dimension.
-    fn dim(&self) -> usize;
-    /// Total row slots (active + tombstoned).
-    fn len(&self) -> usize;
-    /// Rows visible to queries.
-    fn n_active(&self) -> usize;
-    /// True when no slots exist at all.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Whether slot `id` is live.
-    fn is_active(&self, id: u32) -> bool;
-    /// Appends a row, returning its slot id (`len()` before the call).
-    fn append(&mut self, row: &[f64]) -> u32;
-    /// Hides slot `id` from queries. Returns `false` when already dead.
-    fn tombstone(&mut self, id: u32) -> bool;
-    /// Active ids within `eps` of `query` (`< eps` when `strict`, else
-    /// `≤ eps`), ascending — the verdict per row is exactly
-    /// [`scan_rows_within`]'s with threshold `eps²`.
-    fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>);
-    /// [`MetricIndex::within_into`] with stored row `id` as the query
-    /// (its own id included in the result, distance 0).
-    fn within_row_into(&self, id: u32, eps: f64, strict: bool, out: &mut Vec<u32>);
-    /// The `k` active rows nearest to `query` under the dot-trick
-    /// squared distance, as `(value, id)` ascending by
-    /// `(total_cmp, id)` — exactly the head a full
-    /// `sq_dists_to_all` + partial sort would produce.
-    fn nearest_into(&self, query: &[f64], k: usize, out: &mut Vec<(f64, u32)>);
-    /// One symmetric sweep over all active pairs within `eps`
-    /// (inclusive), adding 1 to `degrees[a]`/`degrees[b]` per close
-    /// pair and recording verdicts for [`MetricIndex::replay_close_pairs`].
-    /// `degrees.len()` must equal [`MetricIndex::len`].
-    fn close_pairs(&self, eps: f64, degrees: &mut [u32]) -> PairSweep;
-    /// Re-emits every close pair `(a, b)`, `a < b` in slot terms of the
-    /// recorded stream, without recomputing any distance. The index
-    /// must be unchanged since the sweep.
-    fn replay_close_pairs(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32));
-}
-
-/// Row placement: sorted segment position, tail position, or overflow
-/// position, tagged into one word.
+/// Row placement: sorted segment position or overflow position, tagged
+/// into one word.
 const TAG_SHIFT: u32 = 30;
 const TAG_SEG: u32 = 0;
-const TAG_TAIL: u32 = 1;
-const TAG_OVER: u32 = 2;
+const TAG_OVER: u32 = 1;
 
 fn pack_loc(tag: u32, idx: usize) -> u32 {
     debug_assert!(idx < (1usize << TAG_SHIFT));
     (tag << TAG_SHIFT) | idx as u32
 }
 
-/// The pivot-table index. See the module docs for structure and
-/// guarantees; [`SweepIndex`] is the single-pivot reference
-/// configuration of this same type.
-#[derive(Debug, Clone)]
+/// The pivot-table index: an exact metric index over feature rows whose
+/// result sets are bit-identical to the brute-force reference kernels.
+/// See the module docs for structure and guarantees;
+/// `with_pivots(matrix, 1)` is the single-pivot window sweep that tests
+/// and benches use as the reference configuration.
+#[derive(Debug)]
 pub struct PivotIndex {
     dim: usize,
-    n_active: usize,
-    dead: Vec<bool>,
     loc: Vec<u32>,
 
     // Pivots (flat, `n_pivots * dim`) and the float slack padding the
@@ -387,13 +287,6 @@ pub struct PivotIndex {
     perm: Vec<f64>,
     seg_sqn: Vec<f64>,
 
-    // Appended rows with finite geometry: unsorted, pruned per query
-    // via their stored pivot distances (`tail × n_pivots`).
-    tail_ids: Vec<u32>,
-    tail_rows: Vec<f64>,
-    tail_piv: Vec<f64>,
-    tail_sqn: Vec<f64>,
-
     // Rows the triangle bound cannot cover (non-finite coordinates,
     // norms, or pivot distances; every row when `dim == 0`): always
     // verified linearly.
@@ -404,13 +297,7 @@ pub struct PivotIndex {
     // Measured usefulness of the extra-pivot checks (performance hint
     // only; see [`GateHint`]).
     extra_hint: GateHint,
-
-    // Times the tail was merged back into the sorted segment.
-    resorts: u64,
 }
-
-/// Tail length below which a re-sort is never worth the copy.
-const RESORT_MIN_TAIL: usize = 16;
 
 impl PivotIndex {
     /// Builds with [`auto_pivots`] pivots.
@@ -429,8 +316,6 @@ impl PivotIndex {
 
         let mut index = PivotIndex {
             dim,
-            n_active: n,
-            dead: vec![false; n],
             loc: vec![0; n],
             pivot_rows: Vec::new(),
             n_pivots: 0,
@@ -440,15 +325,10 @@ impl PivotIndex {
             extra: Vec::new(),
             perm: Vec::new(),
             seg_sqn: Vec::new(),
-            tail_ids: Vec::new(),
-            tail_rows: Vec::new(),
-            tail_piv: Vec::new(),
-            tail_sqn: Vec::new(),
             extra_hint: GateHint(AtomicU8::new(HINT_SAMPLING)),
             over_ids: Vec::new(),
             over_rows: Vec::new(),
             over_sqn: Vec::new(),
-            resorts: 0,
         };
 
         // Rows whose own geometry is finite are candidates for the
@@ -469,7 +349,7 @@ impl PivotIndex {
         // spread hits zero (all remaining rows coincide with a pivot).
         let mut pivot_ids: Vec<usize> = Vec::new();
         if let Some(base) = (0..n).find(|&i| finite[i]) {
-            let base_d = par_map(n, 256, |j| matrix.sq_dist_rows(base, j));
+            let base_d: Vec<f64> = (0..n).map(|j| matrix.sq_dist_rows(base, j)).collect();
             let mut p0 = base;
             let mut far = f64::NEG_INFINITY;
             for (j, &d) in base_d.iter().enumerate() {
@@ -482,7 +362,7 @@ impl PivotIndex {
             let mut min_d: Vec<f64> = vec![f64::INFINITY; n];
             while pivot_ids.len() < target {
                 let p = *pivot_ids.last().expect("at least one pivot");
-                let pd = par_map(n, 256, |j| matrix.sq_dist_rows(p, j).sqrt());
+                let pd: Vec<f64> = (0..n).map(|j| matrix.sq_dist_rows(p, j).sqrt()).collect();
                 let mut next = None;
                 let mut spread = 0.0f64;
                 for j in 0..n {
@@ -523,7 +403,7 @@ impl PivotIndex {
         // pivot overflows still cannot be windowed soundly — overflow.
         let pivot_d: Vec<Vec<f64>> = pivot_ids
             .iter()
-            .map(|&p| par_map(n, 256, |j| matrix.sq_dist_rows(p, j).sqrt()))
+            .map(|&p| (0..n).map(|j| matrix.sq_dist_rows(p, j).sqrt()).collect())
             .collect();
         let indexable: Vec<bool> = (0..n)
             .map(|j| finite[j] && pivot_d.iter().all(|pd| pd[j].is_finite()))
@@ -567,100 +447,12 @@ impl PivotIndex {
         self.n_pivots
     }
 
-    /// Times the unsorted tail has been merged back into the sorted
-    /// segment (see [`PivotIndex::resort_tail`]).
-    pub fn resorts(&self) -> u64 {
-        self.resorts
-    }
-
-    /// Current unsorted-tail length (0 right after a re-sort).
-    pub fn tail_len(&self) -> usize {
-        self.tail_ids.len()
-    }
-
-    /// Merges the unsorted tail into the sorted segment, restoring the
-    /// pivot-0 window over every appended row. The tail has no key
-    /// window — each query pays one pruning check per tail row — so
-    /// sustained append churn degrades pruning toward a linear scan of
-    /// the churned rows; the merge re-sorts everything by `(d₀, id)`
-    /// and rebuilds the gathered layouts. Dead rows are kept (their
-    /// `loc` entries stay valid and queries skip them via `dead`), and
-    /// all stored geometry is reused verbatim, so query results are
-    /// unchanged — this is purely a layout move. O(total) copies plus
-    /// the sort; amortized against the churn that triggered it.
-    fn resort_tail(&mut self) {
-        let seg = self.order.len();
-        let tail = self.tail_ids.len();
-        let total = seg + tail;
-        // (key, id, tail?, source position) for every indexed row.
-        let mut merged: Vec<(f64, u32, bool, usize)> = Vec::with_capacity(total);
-        for pos in 0..seg {
-            merged.push((self.keys[pos], self.order[pos], false, pos));
-        }
-        for ti in 0..tail {
-            merged.push((
-                self.tail_piv[ti * self.n_pivots],
-                self.tail_ids[ti],
-                true,
-                ti,
-            ));
-        }
-        merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        let mut order = Vec::with_capacity(total);
-        let mut keys = Vec::with_capacity(total);
-        let mut extra = vec![0.0f64; total * (self.n_pivots - 1)];
-        let mut perm = Vec::with_capacity(total * self.dim);
-        let mut seg_sqn = Vec::with_capacity(total);
-        for (new_pos, &(key, id, from_tail, src)) in merged.iter().enumerate() {
-            order.push(id);
-            keys.push(key);
-            for p in 1..self.n_pivots {
-                extra[(p - 1) * total + new_pos] = if from_tail {
-                    self.tail_piv[src * self.n_pivots + p]
-                } else {
-                    self.extra[(p - 1) * seg + src]
-                };
-            }
-            perm.extend_from_slice(if from_tail {
-                self.tail_row(src)
-            } else {
-                self.seg_row(src)
-            });
-            seg_sqn.push(if from_tail {
-                self.tail_sqn[src]
-            } else {
-                self.seg_sqn[src]
-            });
-            self.loc[id as usize] = pack_loc(TAG_SEG, new_pos);
-        }
-        self.order = order;
-        self.keys = keys;
-        self.extra = extra;
-        self.perm = perm;
-        self.seg_sqn = seg_sqn;
-        self.tail_ids.clear();
-        self.tail_rows.clear();
-        self.tail_piv.clear();
-        self.tail_sqn.clear();
-        // The merged keys never exceed what append already scaled the
-        // slack to, but keep the invariant explicit.
-        self.slack = self
-            .slack
-            .max(1e-9 + 1e-12 * self.keys.last().copied().unwrap_or(0.0));
-        self.resorts += 1;
-    }
-
     fn pivot_row(&self, p: usize) -> &[f64] {
         &self.pivot_rows[p * self.dim..(p + 1) * self.dim]
     }
 
     fn seg_row(&self, pos: usize) -> &[f64] {
         &self.perm[pos * self.dim..(pos + 1) * self.dim]
-    }
-
-    fn tail_row(&self, ti: usize) -> &[f64] {
-        &self.tail_rows[ti * self.dim..(ti + 1) * self.dim]
     }
 
     fn over_row(&self, oi: usize) -> &[f64] {
@@ -682,14 +474,9 @@ impl PivotIndex {
         qd
     }
 
-    /// True when any pivot proves `row` is farther than `pad` from the
-    /// query (NaN comparisons are false, so uncertain rows survive to
-    /// verification).
-    fn tail_pruned(&self, qd: &[f64; MAX_PIVOTS], ti: usize, pad: f64) -> bool {
-        let pd = &self.tail_piv[ti * self.n_pivots..(ti + 1) * self.n_pivots];
-        (0..self.n_pivots).any(|p| (qd[p] - pd[p]).abs() > pad)
-    }
-
+    /// True when any extra pivot proves sorted position `pos` is
+    /// farther than `pad` from the query (NaN comparisons are false, so
+    /// uncertain rows survive to verification).
     fn seg_pruned(&self, qd: &[f64; MAX_PIVOTS], pos: usize, pad: f64) -> bool {
         (1..self.n_pivots).any(|p| (qd[p] - self.extra_d(p, pos)).abs() > pad)
     }
@@ -706,14 +493,14 @@ impl PivotIndex {
         out: &mut Vec<u32>,
     ) -> usize {
         let t_sq = eps * eps;
-        let mut verified = 0usize;
         if self.dim == 0 {
             // All rows are empty vectors at distance 0.
             if (strict && 0.0 < t_sq) || (!strict && 0.0 <= t_sq) {
-                out.extend((0..self.dead.len() as u32).filter(|&i| !self.dead[i as usize]));
+                out.extend(0..self.len() as u32);
             }
-            return self.n_active;
+            return self.len();
         }
+        let mut verified = 0usize;
         let pad = eps + self.slack;
         let lo = self.keys.partition_point(|&v| v < qd[0] - pad);
         let hi = self.keys.partition_point(|&v| v <= qd[0] + pad);
@@ -728,16 +515,12 @@ impl PivotIndex {
         let mut gate = ExtraGate::new(self);
         let mut pos = lo;
         while pos < hi {
-            if self.dead[self.order[pos] as usize] || gate.rejects(|| self.seg_pruned(qd, pos, pad))
-            {
+            if gate.rejects(|| self.seg_pruned(qd, pos, pad)) {
                 pos += 1;
                 continue;
             }
             let mut end = pos + 1;
-            while end < hi
-                && !self.dead[self.order[end] as usize]
-                && !gate.rejects(|| self.seg_pruned(qd, end, pad))
-            {
+            while end < hi && !gate.rejects(|| self.seg_pruned(qd, end, pad)) {
                 end += 1;
             }
             verified += end - pos;
@@ -753,45 +536,7 @@ impl PivotIndex {
             }
             pos = end;
         }
-        // Tails carry no sorted window, so their pivot-0 bound is part
-        // of the per-row check (ungated); only the extras go through
-        // the gate.
-        let tail_out = |gate: &mut ExtraGate, ti: usize| {
-            let pd = &self.tail_piv[ti * self.n_pivots..(ti + 1) * self.n_pivots];
-            (qd[0] - pd[0]).abs() > pad
-                || gate.rejects(|| (1..self.n_pivots).any(|p| (qd[p] - pd[p]).abs() > pad))
-        };
-        let mut ti = 0usize;
-        let n_tail = self.tail_ids.len();
-        while ti < n_tail {
-            if self.dead[self.tail_ids[ti] as usize] || tail_out(&mut gate, ti) {
-                ti += 1;
-                continue;
-            }
-            let mut end = ti + 1;
-            while end < n_tail
-                && !self.dead[self.tail_ids[end] as usize]
-                && !tail_out(&mut gate, end)
-            {
-                end += 1;
-            }
-            verified += end - ti;
-            let run = &self.tail_rows[ti * self.dim..end * self.dim];
-            if strict {
-                scan_rows_within::<true>(self.dim, query, run, t_sq, |k| {
-                    out.push(self.tail_ids[ti + k]);
-                });
-            } else {
-                scan_rows_within::<false>(self.dim, query, run, t_sq, |k| {
-                    out.push(self.tail_ids[ti + k]);
-                });
-            }
-            ti = end;
-        }
         for (oi, &id) in self.over_ids.iter().enumerate() {
-            if self.dead[id as usize] {
-                continue;
-            }
             verified += 1;
             if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
                 out.push(id);
@@ -827,78 +572,21 @@ fn heap_push(heap: &mut Vec<(f64, u32)>, k: usize, item: (f64, u32)) {
     }
 }
 
-impl MetricIndex for PivotIndex {
-    fn dim(&self) -> usize {
-        self.dim
+impl PivotIndex {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.loc.len()
     }
 
-    fn len(&self) -> usize {
-        self.dead.len()
+    /// True when the index holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.loc.is_empty()
     }
 
-    fn n_active(&self) -> usize {
-        self.n_active
-    }
-
-    fn is_active(&self, id: u32) -> bool {
-        !self.dead[id as usize]
-    }
-
-    fn append(&mut self, row: &[f64]) -> u32 {
-        assert_eq!(row.len(), self.dim, "appended row dimension mismatch");
-        let id = u32::try_from(self.dead.len()).expect("slot count exceeds index width");
-        assert!(
-            (id as usize) < (1usize << TAG_SHIFT),
-            "row count exceeds index width"
-        );
-        self.dead.push(false);
-        self.n_active += 1;
-        let sqn = dot(row, row);
-        let mut piv = [0.0f64; MAX_PIVOTS];
-        let mut ok = self.dim > 0
-            && self.n_pivots > 0
-            && sqn.is_finite()
-            && row.iter().all(|v| v.is_finite());
-        if ok {
-            for (p, d) in piv.iter_mut().enumerate().take(self.n_pivots) {
-                *d = sq_euclidean_distance(self.pivot_row(p), row).sqrt();
-                ok &= d.is_finite();
-            }
-        }
-        if ok {
-            self.loc.push(pack_loc(TAG_TAIL, self.tail_ids.len()));
-            self.tail_ids.push(id);
-            self.tail_rows.extend_from_slice(row);
-            self.tail_piv.extend_from_slice(&piv[..self.n_pivots]);
-            self.tail_sqn.push(sqn);
-            // Appends can sit beyond the build-time key range; keep the
-            // slack scaled to the largest distance the bound compares.
-            self.slack = self.slack.max(1e-9 + 1e-12 * piv[0]);
-            // Once the tail outgrows a quarter of the sorted segment the
-            // per-query tail scan rivals the windowed one: fold it in.
-            if self.tail_ids.len() >= RESORT_MIN_TAIL && self.tail_ids.len() * 4 >= self.order.len()
-            {
-                self.resort_tail();
-            }
-        } else {
-            self.loc.push(pack_loc(TAG_OVER, self.over_ids.len()));
-            self.over_ids.push(id);
-            self.over_rows.extend_from_slice(row);
-            self.over_sqn.push(sqn);
-        }
-        id
-    }
-
-    fn tombstone(&mut self, id: u32) -> bool {
-        if self.dead[id as usize] {
-            return false;
-        }
-        self.dead[id as usize] = true;
-        self.n_active -= 1;
-        true
-    }
-
-    fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) {
+    /// Ids within `eps` of `query` (`< eps` when `strict`, else `≤ eps`),
+    /// ascending — the verdict per row is exactly [`scan_rows_within`]'s
+    /// with threshold `eps²`.
+    pub fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) {
         let start = Instant::now();
         out.clear();
         if self.dim > 0 {
@@ -907,80 +595,58 @@ impl MetricIndex for PivotIndex {
         let qd = self.query_pivot_dists(query);
         let verified = self.within_core(query, &qd, eps, strict, out);
         out.sort_unstable();
-        note_query(self.n_active, verified, start);
+        note_query(self.len(), verified, start);
     }
 
-    fn within_row_into(&self, id: u32, eps: f64, strict: bool, out: &mut Vec<u32>) {
+    /// [`PivotIndex::within_into`] with stored row `id` as the query (its
+    /// own id included in the result, distance 0).
+    pub fn within_row_into(&self, id: u32, eps: f64, strict: bool, out: &mut Vec<u32>) {
         let start = Instant::now();
         out.clear();
         let loc = self.loc[id as usize];
         let (tag, idx) = (loc >> TAG_SHIFT, (loc & ((1 << TAG_SHIFT) - 1)) as usize);
-        let verified = match tag {
+        let verified = if tag == TAG_SEG {
             // Stored pivot distances stand in for the query-side ones
             // (both sides of the bound then share one arithmetic).
-            TAG_SEG => {
-                let mut qd = [0.0f64; MAX_PIVOTS];
-                qd[0] = self.keys[idx];
-                for (p, d) in qd.iter_mut().enumerate().take(self.n_pivots).skip(1) {
-                    *d = self.extra_d(p, idx);
+            let mut qd = [0.0f64; MAX_PIVOTS];
+            qd[0] = self.keys[idx];
+            for (p, d) in qd.iter_mut().enumerate().take(self.n_pivots).skip(1) {
+                *d = self.extra_d(p, idx);
+            }
+            self.within_core(self.seg_row(idx), &qd, eps, strict, out)
+        } else if self.dim == 0 {
+            // Empty rows: the core's zero-dimensional arm reads neither
+            // the query nor the pivot distances.
+            self.within_core(&[], &[0.0; MAX_PIVOTS], eps, strict, out)
+        } else {
+            // Overflow query row: no usable pivot geometry — verify
+            // against every row (degenerate but correct).
+            let query = self.over_row(idx);
+            let t_sq = eps * eps;
+            for (pos, &cid) in self.order.iter().enumerate() {
+                if row_within(self.dim, query, self.seg_row(pos), t_sq, strict) {
+                    out.push(cid);
                 }
-                self.within_core(self.seg_row(idx), &qd, eps, strict, out)
             }
-            TAG_TAIL => {
-                let mut qd = [0.0f64; MAX_PIVOTS];
-                qd[..self.n_pivots].copy_from_slice(
-                    &self.tail_piv[idx * self.n_pivots..(idx + 1) * self.n_pivots],
-                );
-                self.within_core(self.tail_row(idx), &qd, eps, strict, out)
-            }
-            _ => {
-                // Overflow query row: no usable pivot geometry — verify
-                // against every active row (degenerate but correct).
-                let query = self.over_row(idx);
-                let t_sq = eps * eps;
-                let mut verified = 0usize;
-                if self.dim == 0 {
-                    if (strict && 0.0 < t_sq) || (!strict && 0.0 <= t_sq) {
-                        out.extend((0..self.dead.len() as u32).filter(|&i| !self.dead[i as usize]));
-                    }
-                    verified = self.n_active;
-                } else {
-                    for (pos, &cid) in self.order.iter().enumerate() {
-                        if !self.dead[cid as usize] {
-                            verified += 1;
-                            if row_within(self.dim, query, self.seg_row(pos), t_sq, strict) {
-                                out.push(cid);
-                            }
-                        }
-                    }
-                    for (ti, &cid) in self.tail_ids.iter().enumerate() {
-                        if !self.dead[cid as usize] {
-                            verified += 1;
-                            if row_within(self.dim, query, self.tail_row(ti), t_sq, strict) {
-                                out.push(cid);
-                            }
-                        }
-                    }
-                    for (oi, &cid) in self.over_ids.iter().enumerate() {
-                        if !self.dead[cid as usize] {
-                            verified += 1;
-                            if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
-                                out.push(cid);
-                            }
-                        }
-                    }
+            for (oi, &cid) in self.over_ids.iter().enumerate() {
+                if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
+                    out.push(cid);
                 }
-                verified
             }
+            self.len()
         };
         out.sort_unstable();
-        note_query(self.n_active, verified, start);
+        note_query(self.len(), verified, start);
     }
 
-    fn nearest_into(&self, query: &[f64], k: usize, out: &mut Vec<(f64, u32)>) {
+    /// The `k` rows nearest to `query` under the dot-trick squared
+    /// distance, as `(value, id)` ascending by `(total_cmp, id)` —
+    /// exactly the head a full `sq_dists_to_all` + partial sort would
+    /// produce.
+    pub fn nearest_into(&self, query: &[f64], k: usize, out: &mut Vec<(f64, u32)>) {
         let start = Instant::now();
         out.clear();
-        if k == 0 || self.n_active == 0 {
+        if k == 0 || self.is_empty() {
             return;
         }
         if self.dim > 0 {
@@ -988,38 +654,26 @@ impl MetricIndex for PivotIndex {
         }
         let x_sq = dot(query, query);
         let value = |row: &[f64], sqn: f64| (x_sq + sqn - 2.0 * dot(query, row)).max(0.0);
-        let mut verified = 0usize;
 
         // Overflow rows carry no usable bound — and a non-finite row's
         // dot-trick value can legitimately be small (`.max(0.0)` maps
         // NaN to 0), so they are always evaluated exactly, first.
+        let mut verified = self.over_ids.len();
         for (oi, &id) in self.over_ids.iter().enumerate() {
-            if !self.dead[id as usize] {
-                verified += 1;
-                heap_push(out, k, (value(self.over_row(oi), self.over_sqn[oi]), id));
-            }
+            heap_push(out, k, (value(self.over_row(oi), self.over_sqn[oi]), id));
         }
 
         if self.dim > 0 && !self.order.is_empty() {
             let qd = self.query_pivot_dists(query);
             // A query with non-finite pivot distances (NaN/inf
             // coordinates) has no usable bound in either direction:
-            // evaluate the whole segment and tail exactly instead of
-            // expanding windows around a garbage key.
+            // evaluate the whole segment exactly instead of expanding
+            // windows around a garbage key.
             if !qd[..self.n_pivots].iter().all(|v| v.is_finite()) {
                 for (pos, &id) in self.order.iter().enumerate() {
-                    if !self.dead[id as usize] {
-                        verified += 1;
-                        heap_push(out, k, (value(self.seg_row(pos), self.seg_sqn[pos]), id));
-                    }
+                    heap_push(out, k, (value(self.seg_row(pos), self.seg_sqn[pos]), id));
                 }
-                for (ti, &id) in self.tail_ids.iter().enumerate() {
-                    if !self.dead[id as usize] {
-                        verified += 1;
-                        heap_push(out, k, (value(self.tail_row(ti), self.tail_sqn[ti]), id));
-                    }
-                }
-                note_query(self.n_active, verified, start);
+                note_query(self.len(), self.len(), start);
                 return;
             }
             // Current pruning radius: the kth-best distance once the
@@ -1076,44 +730,34 @@ impl MetricIndex for PivotIndex {
                     // always takes the smaller gap next, so stop.
                     break;
                 }
-                let id = self.order[pos];
-                if self.dead[id as usize] || self.seg_pruned(&qd, pos, t) {
+                if self.seg_pruned(&qd, pos, t) {
                     continue;
                 }
                 verified += 1;
-                heap_push(out, k, (value(self.seg_row(pos), self.seg_sqn[pos]), id));
+                heap_push(
+                    out,
+                    k,
+                    (value(self.seg_row(pos), self.seg_sqn[pos]), self.order[pos]),
+                );
                 t = tau(out);
             }
-            let t = tau(out);
-            for (ti, &id) in self.tail_ids.iter().enumerate() {
-                if self.dead[id as usize] || self.tail_pruned(&qd, ti, t) {
-                    continue;
-                }
-                verified += 1;
-                heap_push(out, k, (value(self.tail_row(ti), self.tail_sqn[ti]), id));
-            }
-        } else {
-            // No indexed segment (dim 0 routes every row to overflow,
-            // handled above): evaluate any tail rows linearly too.
-            for (ti, &id) in self.tail_ids.iter().enumerate() {
-                if !self.dead[id as usize] {
-                    verified += 1;
-                    heap_push(out, k, (value(self.tail_row(ti), self.tail_sqn[ti]), id));
-                }
-            }
         }
-        note_query(self.n_active, verified, start);
+        note_query(self.len(), verified, start);
     }
 
-    fn close_pairs(&self, eps: f64, degrees: &mut [u32]) -> PairSweep {
+    /// One symmetric sweep over all pairs within `eps` (inclusive),
+    /// adding 1 to `degrees[a]`/`degrees[b]` per close pair and recording
+    /// verdicts for [`PivotIndex::replay_close_pairs`]. `degrees.len()`
+    /// must equal [`PivotIndex::len`].
+    pub fn close_pairs(&self, eps: f64, degrees: &mut [u32]) -> PairSweep {
         let start = Instant::now();
-        assert_eq!(degrees.len(), self.dead.len(), "degree buffer mismatch");
+        assert_eq!(degrees.len(), self.len(), "degree buffer mismatch");
         let mut sweep = PairSweep { eps, bits: Vec::new(), n_bits: 0, pairs: 0 };
         let verified = self.sweep_record(eps, &mut sweep, &mut |a, b| {
             degrees[a as usize] += 1;
             degrees[b as usize] += 1;
         });
-        let n = self.n_active as u64;
+        let n = self.len() as u64;
         let potential = n * n.saturating_sub(1) / 2;
         QUERIES.fetch_add(1, Ordering::Relaxed);
         CANDIDATES.fetch_add(potential, Ordering::Relaxed);
@@ -1122,18 +766,19 @@ impl MetricIndex for PivotIndex {
         sweep
     }
 
-    fn replay_close_pairs(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32)) {
+    /// Re-emits every close pair `(a, b)`, `a < b`, of the recorded
+    /// stream, without recomputing any distance. `sweep` must have been
+    /// recorded by this index.
+    pub fn replay_close_pairs(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32)) {
         let cursor = self.sweep_replay(sweep, visit);
         assert_eq!(
             cursor, sweep.n_bits,
-            "index changed since the sweep was recorded"
+            "sweep was recorded by a different index"
         );
     }
-}
 
-impl PivotIndex {
-    /// Records one symmetric sweep into `sweep`: per live left-hand
-    /// row, one bit window per candidate section (see
+    /// Records one symmetric sweep into `sweep`: per left-hand row, one
+    /// bit window per candidate section (see
     /// [`PivotIndex::sweep_replay`] for the exact layout), hits
     /// verified by the reference kernel in one streaming call per
     /// maximal run of surviving candidates. Pruning — window bounds
@@ -1152,17 +797,11 @@ impl PivotIndex {
         let mut verified = 0usize;
         if self.dim == 0 {
             // Every pair of empty rows sits at distance 0.
-            let n = self.dead.len();
+            let n = self.len();
             let hit0 = 0.0 <= t_sq;
             for a in 0..n {
-                if self.dead[a] {
-                    continue;
-                }
                 let base = sweep.open_window(n - a - 1);
                 for b in a + 1..n {
-                    if self.dead[b] {
-                        continue;
-                    }
                     verified += 1;
                     if hit0 {
                         sweep.set_hit(base + (b - a - 1));
@@ -1180,37 +819,27 @@ impl PivotIndex {
         // (symmetry covers the lower half). Surviving candidates verify
         // in maximal runs — one streaming kernel call per run over the
         // gathered contiguous rows — so when pruning barely fires the
-        // sweep keeps the full streaming arithmetic of the pre-index
-        // window scan.
+        // sweep keeps the full streaming arithmetic of a plain window
+        // scan.
         for a_pos in 0..seg {
             let a_id = self.order[a_pos];
-            if self.dead[a_id as usize] {
-                continue;
-            }
             let hi = self.keys[a_pos + 1..].partition_point(|&v| v <= self.keys[a_pos] + pad)
                 + a_pos
                 + 1;
             let base = sweep.open_window(hi - a_pos - 1);
             let a_row = self.seg_row(a_pos);
+            let pruned = |pos: usize| {
+                (1..self.n_pivots)
+                    .any(|p| (self.extra_d(p, a_pos) - self.extra_d(p, pos)).abs() > pad)
+            };
             let mut pos = a_pos + 1;
             while pos < hi {
-                if self.dead[self.order[pos] as usize]
-                    || gate.rejects(|| {
-                        (1..self.n_pivots)
-                            .any(|p| (self.extra_d(p, a_pos) - self.extra_d(p, pos)).abs() > pad)
-                    })
-                {
+                if gate.rejects(|| pruned(pos)) {
                     pos += 1;
                     continue;
                 }
                 let mut end = pos + 1;
-                while end < hi
-                    && !self.dead[self.order[end] as usize]
-                    && !gate.rejects(|| {
-                        (1..self.n_pivots)
-                            .any(|p| (self.extra_d(p, a_pos) - self.extra_d(p, end)).abs() > pad)
-                    })
-                {
+                while end < hi && !gate.rejects(|| pruned(end)) {
                     end += 1;
                 }
                 verified += end - pos;
@@ -1224,102 +853,21 @@ impl PivotIndex {
             }
         }
 
-        // Tail × segment and tail × earlier tail, pruned via stored
-        // pivot distances.
-        for (ti, &t_id) in self.tail_ids.iter().enumerate() {
-            if self.dead[t_id as usize] {
-                continue;
-            }
-            let td = &self.tail_piv[ti * self.n_pivots..(ti + 1) * self.n_pivots];
-            let lo = self.keys.partition_point(|&v| v < td[0] - pad);
-            let hi = self.keys.partition_point(|&v| v <= td[0] + pad);
-            let base = sweep.open_window(hi - lo);
-            let t_row = self.tail_row(ti);
-            let mut pos = lo;
-            while pos < hi {
-                if self.dead[self.order[pos] as usize]
-                    || gate.rejects(|| {
-                        (1..self.n_pivots).any(|p| (td[p] - self.extra_d(p, pos)).abs() > pad)
-                    })
-                {
-                    pos += 1;
-                    continue;
-                }
-                let mut end = pos + 1;
-                while end < hi
-                    && !self.dead[self.order[end] as usize]
-                    && !gate.rejects(|| {
-                        (1..self.n_pivots).any(|p| (td[p] - self.extra_d(p, end)).abs() > pad)
-                    })
-                {
-                    end += 1;
-                }
-                verified += end - pos;
-                let run = &self.perm[pos * self.dim..end * self.dim];
-                scan_rows_within::<false>(self.dim, t_row, run, t_sq, |k| {
-                    let s_id = self.order[pos + k];
-                    sweep.set_hit(base + (pos + k - lo));
-                    on_hit(s_id.min(t_id), s_id.max(t_id));
-                });
-                pos = end;
-            }
-            // Earlier tails carry no sorted window; the pivot-0 bound
-            // is part of the per-pair check (ungated).
-            let base = sweep.open_window(ti);
-            for tj in 0..ti {
-                let u_id = self.tail_ids[tj];
-                if self.dead[u_id as usize] {
-                    continue;
-                }
-                let ud = &self.tail_piv[tj * self.n_pivots..(tj + 1) * self.n_pivots];
-                if (td[0] - ud[0]).abs() > pad
-                    || gate.rejects(|| (1..self.n_pivots).any(|p| (td[p] - ud[p]).abs() > pad))
-                {
-                    continue;
-                }
-                verified += 1;
-                if row_within(self.dim, t_row, self.tail_row(tj), t_sq, false) {
-                    sweep.set_hit(base + tj);
-                    on_hit(u_id.min(t_id), u_id.max(t_id));
-                }
-            }
-        }
-
         // Overflow × everything: no bound available, verify linearly;
         // one window per section keeps the replay offset maps O(1).
         for (oi, &o_id) in self.over_ids.iter().enumerate() {
-            if self.dead[o_id as usize] {
-                continue;
-            }
             let o_row = self.over_row(oi);
             let base = sweep.open_window(seg);
             for (pos, &s_id) in self.order.iter().enumerate() {
-                if self.dead[s_id as usize] {
-                    continue;
-                }
                 verified += 1;
                 if row_within(self.dim, o_row, self.seg_row(pos), t_sq, false) {
                     sweep.set_hit(base + pos);
                     on_hit(s_id.min(o_id), s_id.max(o_id));
                 }
             }
-            let base = sweep.open_window(self.tail_ids.len());
-            for (ti, &t_id) in self.tail_ids.iter().enumerate() {
-                if self.dead[t_id as usize] {
-                    continue;
-                }
-                verified += 1;
-                if row_within(self.dim, o_row, self.tail_row(ti), t_sq, false) {
-                    sweep.set_hit(base + ti);
-                    on_hit(t_id.min(o_id), t_id.max(o_id));
-                }
-            }
             let base = sweep.open_window(oi);
             for oj in 0..oi {
                 let u_id = self.over_ids[oj];
-                if self.dead[u_id as usize] {
-                    continue;
-                }
                 verified += 1;
                 if row_within(self.dim, o_row, self.over_row(oj), t_sq, false) {
                     sweep.set_hit(base + oj);
@@ -1331,21 +879,16 @@ impl PivotIndex {
     }
 
     /// Re-derives [`PivotIndex::sweep_record`]'s window layout — per
-    /// live left-hand row: its key window (segment rows), then for
-    /// tails the segment window plus one bit per earlier tail, then
-    /// for overflow rows one bit per segment position, per tail, and
-    /// per earlier overflow (for `dim == 0`, one bit per later slot) —
-    /// and emits the recorded set bits through `visit`. No distance or
-    /// pruning work. Returns the total bits walked, which the caller
-    /// checks against the recording.
+    /// left-hand row: its key window (segment rows), then for overflow
+    /// rows one bit per segment position and per earlier overflow (for
+    /// `dim == 0`, one bit per later row) — and emits the recorded set
+    /// bits through `visit`. No distance or pruning work. Returns the
+    /// total bits walked, which the caller checks against the recording.
     fn sweep_replay(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32)) -> usize {
         let mut cursor = 0usize;
         if self.dim == 0 {
-            let n = self.dead.len();
+            let n = self.len();
             for a in 0..n {
-                if self.dead[a] {
-                    continue;
-                }
                 let len = n - a - 1;
                 sweep.visit_hits(cursor, len, &mut |off| {
                     visit(a as u32, (a + 1 + off) as u32);
@@ -1358,9 +901,6 @@ impl PivotIndex {
         let seg = self.order.len();
         for a_pos in 0..seg {
             let a_id = self.order[a_pos];
-            if self.dead[a_id as usize] {
-                continue;
-            }
             let hi = self.keys[a_pos + 1..].partition_point(|&v| v <= self.keys[a_pos] + pad)
                 + a_pos
                 + 1;
@@ -1371,39 +911,12 @@ impl PivotIndex {
             });
             cursor += len;
         }
-        for (ti, &t_id) in self.tail_ids.iter().enumerate() {
-            if self.dead[t_id as usize] {
-                continue;
-            }
-            let td0 = self.tail_piv[ti * self.n_pivots];
-            let lo = self.keys.partition_point(|&v| v < td0 - pad);
-            let hi = self.keys.partition_point(|&v| v <= td0 + pad);
-            sweep.visit_hits(cursor, hi - lo, &mut |off| {
-                let s_id = self.order[lo + off];
-                visit(s_id.min(t_id), s_id.max(t_id));
-            });
-            cursor += hi - lo;
-            sweep.visit_hits(cursor, ti, &mut |off| {
-                let u_id = self.tail_ids[off];
-                visit(u_id.min(t_id), u_id.max(t_id));
-            });
-            cursor += ti;
-        }
         for (oi, &o_id) in self.over_ids.iter().enumerate() {
-            if self.dead[o_id as usize] {
-                continue;
-            }
             sweep.visit_hits(cursor, seg, &mut |off| {
                 let s_id = self.order[off];
                 visit(s_id.min(o_id), s_id.max(o_id));
             });
             cursor += seg;
-            let n_tail = self.tail_ids.len();
-            sweep.visit_hits(cursor, n_tail, &mut |off| {
-                let t_id = self.tail_ids[off];
-                visit(t_id.min(o_id), t_id.max(o_id));
-            });
-            cursor += n_tail;
             sweep.visit_hits(cursor, oi, &mut |off| {
                 let u_id = self.over_ids[off];
                 visit(u_id.min(o_id), u_id.max(o_id));
@@ -1423,56 +936,6 @@ fn note_query(potential: usize, verified: usize, start: Instant) {
     CANDIDATES.fetch_add(potential as u64, Ordering::Relaxed);
     PRUNED.fetch_add(potential.saturating_sub(verified) as u64, Ordering::Relaxed);
     QUERY_NS.fetch_add(elapsed_ns(start), Ordering::Relaxed);
-}
-
-/// The single-pivot reference configuration — semantically the
-/// pivot-window sweep the planner used before multi-pivot pruning
-/// existed. Parity and property tests compare [`PivotIndex`] against
-/// this (and both against brute force).
-#[derive(Debug, Clone)]
-pub struct SweepIndex(PivotIndex);
-
-impl SweepIndex {
-    /// Builds the one-pivot window over `matrix`.
-    pub fn build(matrix: &FeatureMatrix) -> Self {
-        SweepIndex(PivotIndex::with_pivots(matrix, 1))
-    }
-}
-
-impl MetricIndex for SweepIndex {
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn n_active(&self) -> usize {
-        self.0.n_active()
-    }
-    fn is_active(&self, id: u32) -> bool {
-        self.0.is_active(id)
-    }
-    fn append(&mut self, row: &[f64]) -> u32 {
-        self.0.append(row)
-    }
-    fn tombstone(&mut self, id: u32) -> bool {
-        self.0.tombstone(id)
-    }
-    fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) {
-        self.0.within_into(query, eps, strict, out);
-    }
-    fn within_row_into(&self, id: u32, eps: f64, strict: bool, out: &mut Vec<u32>) {
-        self.0.within_row_into(id, eps, strict, out);
-    }
-    fn nearest_into(&self, query: &[f64], k: usize, out: &mut Vec<(f64, u32)>) {
-        self.0.nearest_into(query, k, out);
-    }
-    fn close_pairs(&self, eps: f64, degrees: &mut [u32]) -> PairSweep {
-        self.0.close_pairs(eps, degrees)
-    }
-    fn replay_close_pairs(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32)) {
-        self.0.replay_close_pairs(sweep, visit);
-    }
 }
 
 #[cfg(test)]
@@ -1518,7 +981,7 @@ mod tests {
         scored
     }
 
-    fn check_all_queries(m: &FeatureMatrix, index: &dyn MetricIndex, eps: f64) {
+    fn check_all_queries(m: &FeatureMatrix, index: &PivotIndex, eps: f64) {
         let mut got = Vec::new();
         for i in 0..m.len() {
             for strict in [false, true] {
@@ -1543,9 +1006,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reference_matches_brute_force() {
+    fn single_pivot_reference_matches_brute_force() {
         let m = scattered(70, 5, 3);
-        let index = SweepIndex::build(&m);
+        let index = PivotIndex::with_pivots(&m, 1);
         check_all_queries(&m, &index, 1.1);
     }
 
@@ -1576,119 +1039,9 @@ mod tests {
     }
 
     #[test]
-    fn append_and_tombstone_stay_exact() {
-        let m = scattered(60, 6, 5);
-        let extra = scattered(25, 6, 99);
-        let mut index = PivotIndex::with_pivots(&m, 3);
-        let mut all_rows = m.to_rows();
-        for r in extra.rows() {
-            assert_eq!(index.append(r) as usize, all_rows.len());
-            all_rows.push(r.to_vec());
-        }
-        for id in [3u32, 17, 61, 80] {
-            assert!(index.tombstone(id));
-            assert!(!index.tombstone(id));
-            assert!(!index.is_active(id));
-        }
-        let dead = [3usize, 17, 61, 80];
-        let full = FeatureMatrix::from_rows(all_rows.clone());
-        let mut got = Vec::new();
-        for (q, row) in all_rows.iter().enumerate() {
-            index.within_row_into(q as u32, 1.0, false, &mut got);
-            let expect: Vec<u32> = brute_within(&full, row, 1.0, false)
-                .into_iter()
-                .filter(|i| !dead.contains(&(*i as usize)))
-                .collect();
-            assert_eq!(got, expect, "row {q}");
-        }
-        // Pair sweep over the mutated index vs a filtered brute force.
-        let mut degrees = vec![0u32; index.len()];
-        let sweep = index.close_pairs(0.8, &mut degrees);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        index.replay_close_pairs(&sweep, &mut |a, b| pairs.push((a, b)));
-        pairs.sort_unstable();
-        let mut expect: Vec<(u32, u32)> = Vec::new();
-        for a in 0..all_rows.len() {
-            for b in a + 1..all_rows.len() {
-                if dead.contains(&a) || dead.contains(&b) {
-                    continue;
-                }
-                if row_within(full.dim(), &all_rows[a], &all_rows[b], 0.64, false) {
-                    expect.push((a as u32, b as u32));
-                }
-            }
-        }
-        assert_eq!(pairs, expect);
-        assert_eq!(index.n_active(), all_rows.len() - dead.len());
-    }
-
-    #[test]
-    fn tail_resort_fires_under_churn_and_stays_exact() {
-        let m = scattered(40, 5, 13);
-        let extra = scattered(120, 5, 101);
-        let mut index = PivotIndex::with_pivots(&m, 3);
-        let mut all_rows = m.to_rows();
-        let mut dead: Vec<usize> = Vec::new();
-        for (i, r) in extra.rows().enumerate() {
-            index.append(r);
-            all_rows.push(r.to_vec());
-            // Interleave tombstones (some landing on tail rows) so the
-            // merge must carry dead rows without dangling any loc entry.
-            if i % 7 == 3 {
-                let id = (all_rows.len() - 2) as u32;
-                if index.tombstone(id) {
-                    dead.push(id as usize);
-                }
-            }
-        }
-        // 120 appends over a 40-row segment must have folded the tail
-        // in at least once, and the tail shrinks back below threshold.
-        assert!(index.resorts() >= 1, "churn never triggered a re-sort");
-        assert!(index.tail_len() < 120);
-        let full = FeatureMatrix::from_rows(all_rows.clone());
-        let mut got = Vec::new();
-        for (q, row) in all_rows.iter().enumerate() {
-            for strict in [false, true] {
-                index.within_row_into(q as u32, 0.9, strict, &mut got);
-                let expect: Vec<u32> = brute_within(&full, row, 0.9, strict)
-                    .into_iter()
-                    .filter(|i| !dead.contains(&(*i as usize)))
-                    .collect();
-                assert_eq!(got, expect, "row {q} strict {strict}");
-            }
-        }
-        let mut near = Vec::new();
-        index.nearest_into(all_rows[0].as_slice(), 5, &mut near);
-        let expect: Vec<(f64, u32)> = brute_nearest(&full, &all_rows[0], full.len())
-            .into_iter()
-            .filter(|&(_, i)| !dead.contains(&(i as usize)))
-            .take(5)
-            .collect();
-        assert_eq!(near, expect);
-        // Pair sweep + replay on the re-sorted layout.
-        let mut degrees = vec![0u32; index.len()];
-        let sweep = index.close_pairs(0.8, &mut degrees);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        index.replay_close_pairs(&sweep, &mut |a, b| pairs.push((a, b)));
-        pairs.sort_unstable();
-        let mut expect: Vec<(u32, u32)> = Vec::new();
-        for a in 0..all_rows.len() {
-            for b in a + 1..all_rows.len() {
-                if dead.contains(&a) || dead.contains(&b) {
-                    continue;
-                }
-                if row_within(full.dim(), &all_rows[a], &all_rows[b], 0.64, false) {
-                    expect.push((a as u32, b as u32));
-                }
-            }
-        }
-        assert_eq!(pairs, expect);
-    }
-
-    #[test]
     fn empty_matrix_builds_and_answers() {
         let m = FeatureMatrix::from_rows(vec![]);
-        let index = build_index(&m);
+        let index = PivotIndex::build(&m);
         assert_eq!(index.len(), 0);
         let mut out = Vec::new();
         index.within_into(&[], 1.0, false, &mut out);
@@ -1732,7 +1085,7 @@ mod tests {
     #[test]
     fn zero_dimensional_rows() {
         let m = FeatureMatrix::from_rows(vec![vec![]; 5]);
-        let index = build_index(&m);
+        let index = PivotIndex::build(&m);
         let mut out = Vec::new();
         index.within_into(&[], 0.5, false, &mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
@@ -1764,14 +1117,6 @@ mod tests {
         let mut near = Vec::new();
         index.nearest_into(&rows[13], 4, &mut near);
         assert_eq!(near, brute_nearest(&m, &rows[13], 4));
-        // Appending a non-finite row must not disturb later queries.
-        let mut index = index;
-        index.append(&[f64::NAN; 3]);
-        let mut all = rows.clone();
-        all.push(vec![f64::NAN; 3]);
-        let full = FeatureMatrix::from_rows(all);
-        index.within_into(full.row(0), 1.3, false, &mut out);
-        assert_eq!(out, brute_within(&full, full.row(0), 1.3, false));
     }
 
     #[test]
@@ -1787,22 +1132,10 @@ mod tests {
     }
 
     #[test]
-    fn index_mode_is_scoped_and_restored() {
-        assert_eq!(index_mode(), IndexMode::Auto);
-        let m = scattered(200, 9, 1);
-        with_index_mode(IndexMode::Sweep, || {
-            assert_eq!(index_mode(), IndexMode::Sweep);
-            assert_eq!(build_index(&m).n_pivots(), 1);
-        });
-        assert_eq!(index_mode(), IndexMode::Auto);
-        assert!(build_index(&m).n_pivots() > 1);
-    }
-
-    #[test]
     fn stats_count_builds_and_pruning() {
         let before = stats();
         let m = scattered(300, 8, 77);
-        let index = build_index(&m);
+        let index = PivotIndex::build(&m);
         let mut out = Vec::new();
         for i in 0..50 {
             index.within_into(m.row(i), 0.4, false, &mut out);

@@ -16,13 +16,9 @@
 
 pub mod index;
 pub mod matrix;
-pub mod par;
 pub mod vecmath;
 
-pub use index::{
-    build_index, with_index_mode, IndexMode, IndexStats, MetricIndex, PairSweep, PivotIndex,
-    SweepIndex,
-};
+pub use index::{IndexStats, PairSweep, PivotIndex};
 pub use matrix::FeatureMatrix;
 pub use vecmath::{
     cosine_distance, cosine_similarity, dot, euclidean_distance, l2_normalize,

@@ -18,9 +18,7 @@
 //!
 //! Hot paths compare **squared** Euclidean distances (`d ↦ d²` is monotone
 //! on distances, so thresholds square once and argmins are unchanged) and
-//! only take `sqrt` on values that escape to callers. Every kernel is a
-//! pure per-element function, so sharding the output across threads
-//! ([`crate::par`]) reproduces the serial result bit for bit.
+//! only take `sqrt` on values that escape to callers.
 
 use crate::vecmath::dot;
 

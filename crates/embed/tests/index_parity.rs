@@ -4,10 +4,10 @@
 //! bit-identical `(value, id)` heads) that the reference kernels produce —
 //! on random matrices and on the adversarial shapes the planner actually
 //! sees (duplicate rows, zero-variance dimensions, near-collinear points,
-//! eps sitting exactly on a pairwise distance, append/tombstone churn).
+//! eps sitting exactly on a pairwise distance).
 
 use embed::matrix::scan_rows_within;
-use embed::{build_index, with_index_mode, FeatureMatrix, IndexMode, MetricIndex, PivotIndex};
+use embed::{FeatureMatrix, PivotIndex};
 use proptest::prelude::*;
 
 /// Chunks a flat value stream into `dim`-wide rows (dropping the ragged
@@ -16,42 +16,23 @@ fn into_rows(flat: &[f64], dim: usize) -> Vec<Vec<f64>> {
     flat.chunks_exact(dim).map(<[f64]>::to_vec).collect()
 }
 
-/// Reference region query: the scan kernel with threshold `eps²`,
-/// optionally masked to active slots. This is the exact arithmetic the
-/// index contracts to reproduce.
-fn brute_within(
-    m: &FeatureMatrix,
-    query: &[f64],
-    eps: f64,
-    strict: bool,
-    active: Option<&[bool]>,
-) -> Vec<u32> {
+/// Reference region query: the scan kernel with threshold `eps²`. This
+/// is the exact arithmetic the index contracts to reproduce.
+fn brute_within(m: &FeatureMatrix, query: &[f64], eps: f64, strict: bool) -> Vec<u32> {
     let mut out = Vec::new();
     if strict {
         scan_rows_within::<true>(m.dim(), query, m.flat(), eps * eps, |k| out.push(k as u32));
     } else {
         scan_rows_within::<false>(m.dim(), query, m.flat(), eps * eps, |k| out.push(k as u32));
     }
-    if let Some(mask) = active {
-        out.retain(|&id| mask[id as usize]);
-    }
     out
 }
 
-/// Reference top-k: full `sq_dists_to_all` + `(total_cmp, id)` sort head,
-/// optionally masked to active slots.
-fn brute_nearest(
-    m: &FeatureMatrix,
-    query: &[f64],
-    k: usize,
-    active: Option<&[bool]>,
-) -> Vec<(f64, u32)> {
+/// Reference top-k: full `sq_dists_to_all` + `(total_cmp, id)` sort head.
+fn brute_nearest(m: &FeatureMatrix, query: &[f64], k: usize) -> Vec<(f64, u32)> {
     let mut sq = vec![0.0; m.len()];
     m.sq_dists_to_all(query, &mut sq);
-    let mut pairs: Vec<(f64, u32)> = (0..m.len())
-        .filter(|&j| active.is_none_or(|a| a[j]))
-        .map(|j| (sq[j], j as u32))
-        .collect();
+    let mut pairs: Vec<(f64, u32)> = (0..m.len()).map(|j| (sq[j], j as u32)).collect();
     pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     pairs.truncate(k);
     pairs
@@ -61,23 +42,21 @@ fn brute_nearest(
 /// `nearest_into` at several k) between `index` and brute force over the
 /// matrix of all stored rows.
 fn assert_query_parity(
-    index: &dyn MetricIndex,
+    index: &PivotIndex,
     all: &FeatureMatrix,
-    active: Option<&[bool]>,
     query: &[f64],
     eps: f64,
 ) -> Result<(), String> {
     let mut got = Vec::new();
     for strict in [false, true] {
         index.within_into(query, eps, strict, &mut got);
-        let want = brute_within(all, query, eps, strict, active);
+        let want = brute_within(all, query, eps, strict);
         prop_assert_eq!(&got, &want, "within strict={} eps={}", strict, eps);
     }
-    let n_active = active.map_or(all.len(), |a| a.iter().filter(|&&x| x).count());
     let mut knn = Vec::new();
-    for k in [0usize, 1, 3, n_active + 2] {
+    for k in [0usize, 1, 3, all.len() + 2] {
         index.nearest_into(query, k, &mut knn);
-        let want = brute_nearest(all, query, k, active);
+        let want = brute_nearest(all, query, k);
         prop_assert_eq!(&knn, &want, "nearest k={}", k);
     }
     Ok(())
@@ -104,17 +83,16 @@ proptest! {
         let off_query: Vec<f64> = query.iter().map(|v| v + 0.37).collect();
         for pivots in [1usize, 2, 4, 8] {
             let index = PivotIndex::with_pivots(&m, pivots);
-            assert_query_parity(&index, &m, None, &query, eps)?;
-            assert_query_parity(&index, &m, None, &off_query, eps)?;
+            assert_query_parity(&index, &m, &query, eps)?;
+            assert_query_parity(&index, &m, &off_query, eps)?;
         }
     }
 
-    /// `IndexMode` only selects the pivot budget — `Auto` and `Sweep`
-    /// builds answer identically, and `within_row_into` (stored pivot
-    /// distances on the query side) equals `within_into` with the stored
-    /// row as an external query.
+    /// `within_row_into` (stored pivot distances on the query side)
+    /// equals `within_into` with the stored row as an external query,
+    /// under the default pivot budget and the single-pivot reference.
     #[test]
-    fn index_modes_and_row_queries_agree(
+    fn row_queries_equal_external_queries(
         flat in prop::collection::vec(-4.0f64..4.0, 12..400),
         dim in 1usize..9,
         eps in 0.05f64..3.0,
@@ -124,18 +102,16 @@ proptest! {
             return Ok(());
         }
         let m = FeatureMatrix::from_rows(rows.clone());
-        let auto = with_index_mode(IndexMode::Auto, || build_index(&m));
-        let sweep = with_index_mode(IndexMode::Sweep, || build_index(&m));
-        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-        for id in 0..rows.len() as u32 {
-            for strict in [false, true] {
-                auto.within_row_into(id, eps, strict, &mut a);
-                sweep.within_row_into(id, eps, strict, &mut b);
-                auto.within_into(&rows[id as usize], eps, strict, &mut c);
-                prop_assert_eq!(&a, &c, "row-query vs external query, id={}", id);
-                prop_assert_eq!(&b, &c, "sweep vs auto, id={}", id);
-                if !strict {
-                    prop_assert!(a.contains(&id), "self missing from own ball");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for index in [PivotIndex::build(&m), PivotIndex::with_pivots(&m, 1)] {
+            for id in 0..rows.len() as u32 {
+                for strict in [false, true] {
+                    index.within_row_into(id, eps, strict, &mut a);
+                    index.within_into(&rows[id as usize], eps, strict, &mut b);
+                    prop_assert_eq!(&a, &b, "row-query vs external query, id={}", id);
+                    if !strict {
+                        prop_assert!(a.contains(&id), "self missing from own ball");
+                    }
                 }
             }
         }
@@ -164,8 +140,8 @@ proptest! {
             let (mut strict_ids, mut loose_ids) = (Vec::new(), Vec::new());
             index.within_into(&rows[q], eps, true, &mut strict_ids);
             index.within_into(&rows[q], eps, false, &mut loose_ids);
-            prop_assert_eq!(&strict_ids, &brute_within(&m, &rows[q], eps, true, None));
-            prop_assert_eq!(&loose_ids, &brute_within(&m, &rows[q], eps, false, None));
+            prop_assert_eq!(&strict_ids, &brute_within(&m, &rows[q], eps, true));
+            prop_assert_eq!(&loose_ids, &brute_within(&m, &rows[q], eps, false));
             // The strict ball is a subset of the inclusive ball; every
             // excess id sits exactly on the boundary per the kernel.
             prop_assert!(strict_ids.iter().all(|id| loose_ids.contains(id)));
@@ -197,7 +173,7 @@ proptest! {
         let query = rows[0].clone();
         for pivots in [1usize, 4] {
             let index = PivotIndex::with_pivots(&m, pivots);
-            assert_query_parity(&index, &m, None, &query, eps)?;
+            assert_query_parity(&index, &m, &query, eps)?;
             let mut hits = Vec::new();
             index.within_into(&query, eps, false, &mut hits);
             // Clones share identical coordinates, so membership is pairwise.
@@ -233,55 +209,7 @@ proptest! {
         let query = rows[rows.len() / 2].clone();
         for pivots in [1usize, 2, 4] {
             let index = PivotIndex::with_pivots(&m, pivots);
-            assert_query_parity(&index, &m, None, &query, eps)?;
-        }
-    }
-
-    /// Random append/tombstone churn: the mutated index answers exactly
-    /// like brute force over the full row log masked by the live set.
-    #[test]
-    fn append_tombstone_churn_matches_brute(
-        flat in prop::collection::vec(-4.0f64..4.0, 24..360),
-        extra_flat in prop::collection::vec(-4.0f64..4.0, 8..200),
-        ops in prop::collection::vec(any::<u64>(), 4..48),
-        dim in 1usize..9,
-        eps in 0.1f64..2.5,
-    ) {
-        let mut rows = into_rows(&flat, dim);
-        if rows.len() < 2 {
-            return Ok(());
-        }
-        let mut extras = into_rows(&extra_flat, dim);
-        let m = FeatureMatrix::from_rows(rows.clone());
-        let mut index = build_index(&m);
-        let mut active = vec![true; rows.len()];
-        for &op in &ops {
-            if op % 3 == 0 && !extras.is_empty() {
-                let row = extras.pop().expect("checked non-empty");
-                let id = index.append(&row);
-                prop_assert_eq!(id as usize, rows.len(), "append id = prior len");
-                rows.push(row);
-                active.push(true);
-            } else {
-                let slot = (op / 3) as usize % rows.len();
-                prop_assert_eq!(index.tombstone(slot as u32), active[slot]);
-                active[slot] = false;
-            }
-        }
-        prop_assert_eq!(index.len(), rows.len());
-        prop_assert_eq!(index.n_active(), active.iter().filter(|&&a| a).count());
-        for (slot, &live) in active.iter().enumerate() {
-            prop_assert_eq!(index.is_active(slot as u32), live);
-        }
-        let all = FeatureMatrix::from_rows(rows.clone());
-        for q in [0usize, rows.len() / 2, rows.len() - 1] {
-            let query = rows[q].clone();
-            assert_query_parity(&index, &all, Some(&active), &query, eps)?;
-        }
-        if let Some(live) = active.iter().position(|&a| a) {
-            let mut got = Vec::new();
-            index.within_row_into(live as u32, eps, false, &mut got);
-            prop_assert_eq!(got, brute_within(&all, &rows[live], eps, false, Some(&active)));
+            assert_query_parity(&index, &m, &query, eps)?;
         }
     }
 }
@@ -290,15 +218,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `close_pairs` degrees and the replayed pair stream match the O(n²)
-    /// reference (scan kernel per row, inclusive threshold, a < b), with
-    /// tombstoned slots invisible — including after appends.
+    /// reference (scan kernel per row, inclusive threshold, a < b).
     #[test]
     fn close_pairs_match_pairwise_brute(
         flat in prop::collection::vec(-4.0f64..4.0, 16..320),
-        extra_flat in prop::collection::vec(-4.0f64..4.0, 0..60),
         dim in 1usize..7,
         eps in 0.2f64..2.5,
-        kill in any::<u64>(),
     ) {
         let rows = into_rows(&flat, dim);
         if rows.len() < 3 {
@@ -306,39 +231,18 @@ proptest! {
         }
         let m = FeatureMatrix::from_rows(rows.clone());
         for pivots in [1usize, 4] {
-            let mut index = PivotIndex::with_pivots(&m, pivots);
-            let mut rows = rows.clone();
-            for extra in into_rows(&extra_flat, dim) {
-                index.append(&extra);
-                rows.push(extra);
-            }
-            // Tombstone roughly a quarter of slots, xorshift-driven.
-            let mut state = kill | 1;
-            let mut active = vec![true; rows.len()];
-            for (slot, live) in active.iter_mut().enumerate() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                if state.is_multiple_of(4) {
-                    index.tombstone(slot as u32);
-                    *live = false;
-                }
-            }
-            let all = FeatureMatrix::from_rows(rows.clone());
+            let index = PivotIndex::with_pivots(&m, pivots);
             let mut degrees = vec![0u32; index.len()];
             let sweep = index.close_pairs(eps, &mut degrees);
             let mut want_pairs = Vec::new();
             let mut want_deg = vec![0u32; rows.len()];
             for i in 0..rows.len() {
-                if !active[i] {
-                    continue;
-                }
                 let mut hits = Vec::new();
-                scan_rows_within::<false>(dim, &rows[i], all.flat(), eps * eps, |k| {
+                scan_rows_within::<false>(dim, &rows[i], m.flat(), eps * eps, |k| {
                     hits.push(k);
                 });
                 for j in hits {
-                    if j > i && active[j] {
+                    if j > i {
                         want_pairs.push((i as u32, j as u32));
                         want_deg[i] += 1;
                         want_deg[j] += 1;
@@ -353,123 +257,5 @@ proptest! {
             want_pairs.sort_unstable();
             prop_assert_eq!(got_pairs, want_pairs);
         }
-    }
-}
-
-/// Append churn heavy enough to trigger the tail re-sort (the tail is
-/// folded back into the sorted segment once it outgrows a quarter of
-/// it): the merge must fire, must not leave the tail at full churn
-/// length, and parity with brute force must hold across the re-sorted
-/// layout — including tombstones landing on both segment and tail rows
-/// between merges.
-#[test]
-fn tail_resort_churn_matches_brute() {
-    let mut state = 0xC0FF_EE00_u64 | 1;
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let dim = 5;
-    let gen_row = |next: &mut dyn FnMut() -> u64| -> Vec<f64> {
-        (0..dim)
-            .map(|_| (next() % 4000) as f64 / 500.0 - 4.0)
-            .collect()
-    };
-    let mut rows: Vec<Vec<f64>> = (0..64).map(|_| gen_row(&mut next)).collect();
-    let m = FeatureMatrix::from_rows(rows.clone());
-    let mut index = PivotIndex::with_pivots(&m, 4);
-    let mut active = vec![true; rows.len()];
-    // 4× the original segment in appends, interleaved with tombstones:
-    // enough churn that the quarter-of-segment trigger must fire.
-    for i in 0..256 {
-        let row = gen_row(&mut next);
-        index.append(&row);
-        rows.push(row);
-        active.push(true);
-        if i % 5 == 2 {
-            let slot = (next() as usize) % rows.len();
-            if active[slot] {
-                index.tombstone(slot as u32);
-                active[slot] = false;
-            }
-        }
-    }
-    assert!(
-        index.resorts() >= 1,
-        "256 appends over a 64-row segment must re-sort the tail"
-    );
-    assert!(
-        index.tail_len() < 256,
-        "tail must shrink when merges fire (len {})",
-        index.tail_len()
-    );
-    let all = FeatureMatrix::from_rows(rows.clone());
-    for q in (0..rows.len()).step_by(13) {
-        for eps in [0.4, 1.3, 2.9] {
-            assert_query_parity(&index, &all, Some(&active), &rows[q], eps)
-                .unwrap_or_else(|e| panic!("q={q} eps={eps}: {e}"));
-        }
-    }
-}
-
-/// Rebuilding from scratch over the mutated row set (minus tombstones)
-/// gives the same answers as the churned index — the append/tombstone
-/// path introduces no drift relative to a fresh build.
-#[test]
-fn churned_index_equals_fresh_rebuild() {
-    let mut state = 0x5EED_1234_u64 | 1;
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let dim = 6;
-    let mut rows: Vec<Vec<f64>> = (0..300)
-        .map(|_| {
-            (0..dim)
-                .map(|_| (next() % 2000) as f64 / 250.0 - 4.0)
-                .collect()
-        })
-        .collect();
-    let m = FeatureMatrix::from_rows(rows.clone());
-    let mut churned = build_index(&m);
-    let mut active = vec![true; rows.len()];
-    for _ in 0..120 {
-        let r = next();
-        if r % 2 == 0 {
-            let row: Vec<f64> = (0..dim)
-                .map(|_| (next() % 2000) as f64 / 250.0 - 4.0)
-                .collect();
-            churned.append(&row);
-            rows.push(row);
-            active.push(true);
-        } else {
-            let slot = (r / 2) as usize % rows.len();
-            churned.tombstone(slot as u32);
-            active[slot] = false;
-        }
-    }
-    // Fresh build over the same log with the same tombstones applied.
-    let all = FeatureMatrix::from_rows(rows.clone());
-    let mut fresh = build_index(&all);
-    for (slot, &live) in active.iter().enumerate() {
-        if !live {
-            fresh.tombstone(slot as u32);
-        }
-    }
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    let (mut ka, mut kb) = (Vec::new(), Vec::new());
-    for q in (0..rows.len()).step_by(17) {
-        for eps in [0.3, 1.1, 2.7] {
-            churned.within_into(&rows[q], eps, false, &mut a);
-            fresh.within_into(&rows[q], eps, false, &mut b);
-            assert_eq!(a, b, "within parity at q={q} eps={eps}");
-        }
-        churned.nearest_into(&rows[q], 5, &mut ka);
-        fresh.nearest_into(&rows[q], 5, &mut kb);
-        assert_eq!(ka, kb, "nearest parity at q={q}");
     }
 }

@@ -1,10 +1,9 @@
 //! Property tests pinning the batch kernels to the scalar `vecmath`
-//! reference: whatever the lane split, dot trick, tiling, or sharding
-//! does internally, distances must agree with the naive formulas to
+//! reference: whatever the lane split, dot trick, or tiling does
+//! internally, distances must agree with the naive formulas to
 //! 1e-12 across dimensions and lengths.
 
 use embed::matrix::FeatureMatrix;
-use embed::par::{par_map, with_max_threads};
 use embed::{cosine_distance, dot, euclidean_distance, sq_euclidean_distance};
 use proptest::prelude::*;
 
@@ -83,26 +82,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Sharded map output is bit-identical to the serial path — the
-    /// contract the parallel planner's determinism rests on.
-    #[test]
-    fn sharded_equals_serial_bitwise(
-        flat in prop::collection::vec(-4.0f64..4.0, 8..320),
-        dim in 1usize..9,
-    ) {
-        let mut rows = into_rows(&flat, dim);
-        if rows.len() < 2 {
-            return Ok(()); // not enough rows at this dim; skip the case
-        }
-        let query = rows.pop().expect("at least two rows");
-        let m = FeatureMatrix::from_rows(rows);
-        let compute = || {
-            par_map(m.len(), 1, |j| m.sq_dist_to_row(&query, dot(&query, &query), j))
-        };
-        let parallel = compute();
-        let serial = with_max_threads(1, compute);
-        prop_assert_eq!(parallel, serial);
     }
 }

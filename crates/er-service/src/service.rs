@@ -712,9 +712,6 @@ fn stats_of(inner: &Inner) -> ServiceStats {
     let mut answer = tel.answer_cache_us.snapshot();
     answer.merge(&tel.answer_llm_us.snapshot());
     answer.merge(&tel.answer_fallback_us.snapshot());
-    // Like the recovery numbers, the index counters are process-wide
-    // (not gauge reads), so they stay visible with telemetry off.
-    let index = embed::index::stats();
     let index_query = tel.index_query_us.snapshot();
     let lock_hold = tel.planner_lock_hold_us.snapshot();
     let shed_total: u64 = inner.shards.iter().map(|s| s.tel.shed.get()).sum();
@@ -766,9 +763,9 @@ fn stats_of(inner: &Inner) -> ServiceStats {
         governor_refunds: inner.governor.refunds(),
         breaker_trips: inner.breaker.trips(),
         breaker_state: inner.breaker.state_code(),
-        index_builds: index.builds,
-        index_queries: index.queries,
-        index_pruned_bp: (index.pruned_fraction() * 10_000.0) as u64,
+        index_builds: tel.index_builds.get(),
+        index_queries: tel.index_queries.get(),
+        index_pruned_bp: tel.index_pruned_bp.get() as u64,
         index_query_p50_us: index_query.quantile(0.5),
         index_query_p99_us: index_query.quantile(0.99),
         shards: inner.config.shards as u64,
@@ -1242,9 +1239,11 @@ fn flush(
     // plan_last_us/plan_avg_us gauges keep their meaning: the planning
     // cost of this flush.
     let plan_started = Instant::now();
-    // Index counters are process-wide; deltas taken under the planner
-    // lock attribute exactly this flush's builds and queries (the index
-    // is only touched by planning, which this lock serializes).
+    // Index counters are process-wide: the delta across this flush's
+    // planning is its own builds and queries plus whatever another shard
+    // or another service in the process planned meanwhile (this lock
+    // serializes one shard's planner only). The deltas accumulate into
+    // this service's registry, which `/stats` and `/metrics` serve.
     let idx_before = embed::index::stats();
     // Apply the insertion half of the delta: brand-new questions enter
     // the plan state; duplicates of questions the planner already holds
@@ -1314,14 +1313,19 @@ fn flush(
     tel.plan_last_inserted.set(epoch.inserted as i64);
     tel.plan_last_retired.set(epoch.retired as i64);
     tel.plan_last_us.set(plan_us as i64);
-    let idx = embed::index::stats();
-    let idx_delta = idx.delta_since(&idx_before);
+    let idx_delta = embed::index::stats().delta_since(&idx_before);
     tel.index_builds.add(idx_delta.builds);
+    tel.index_queries.add(idx_delta.queries);
+    tel.index_candidates.add(idx_delta.candidates);
+    tel.index_pruned.add(idx_delta.pruned);
     if let Some(per_query_ns) = idx_delta.query_ns.checked_div(idx_delta.queries) {
         tel.index_query_us.record(per_query_ns / 1_000);
     }
-    tel.index_pruned_bp
-        .set((idx.pruned_fraction() * 10_000.0) as i64);
+    let candidates = tel.index_candidates.get();
+    if candidates > 0 {
+        let pruned_share = tel.index_pruned.get() as f64 / candidates as f64;
+        tel.index_pruned_bp.set((pruned_share * 10_000.0) as i64);
+    }
 
     for (bi, batch) in epoch.plan.batches.iter().enumerate() {
         if !urgent && batch.len() < inner.config.batch_size {

@@ -113,15 +113,17 @@ pub struct ServiceStats {
     /// Breaker state: 0 closed, 1 open, 2 half-open.
     #[serde(default)]
     pub breaker_state: u64,
-    /// Metric-index builds (ε-graph, coverage, and top-k accelerators).
-    /// Process-wide, so it stays visible with telemetry disabled.
+    /// Metric-index builds (ε-graph, coverage, and top-k accelerators)
+    /// during this service's flushes.
     #[serde(default)]
     pub index_builds: u64,
-    /// Metric-index queries answered (region, top-k, and pair sweeps).
+    /// Metric-index queries answered (region, top-k, and pair sweeps)
+    /// during this service's flushes.
     #[serde(default)]
     pub index_queries: u64,
     /// Fraction of candidate comparisons the metric index eliminated
-    /// before any full distance computation, basis points (0-10000).
+    /// before any full distance computation over this service's
+    /// flushes, basis points (0-10000).
     #[serde(default)]
     pub index_pruned_bp: u64,
     /// Median per-pass mean metric-index query latency, microseconds

@@ -50,6 +50,9 @@ pub struct Telemetry {
     pub(crate) breaker_trips: Arc<Counter>,
     pub(crate) breaker_short_circuits: Arc<Counter>,
     pub(crate) index_builds: Arc<Counter>,
+    pub(crate) index_queries: Arc<Counter>,
+    pub(crate) index_candidates: Arc<Counter>,
+    pub(crate) index_pruned: Arc<Counter>,
 
     // Gauges.
     pub(crate) queue_depth: Arc<Gauge>,
@@ -192,6 +195,21 @@ impl Telemetry {
         let index_builds = registry.counter(
             "er_index_builds_total",
             "Metric-index builds (ε-graph, coverage, and top-k accelerators).",
+            &[],
+        );
+        let index_queries = registry.counter(
+            "er_index_queries_total",
+            "Metric-index queries answered (region, top-k, and pair sweeps).",
+            &[],
+        );
+        let index_candidates = registry.counter(
+            "er_index_candidates_total",
+            "Candidate comparisons a brute-force pass would have fully evaluated for the metric-index queries answered.",
+            &[],
+        );
+        let index_pruned = registry.counter(
+            "er_index_candidates_pruned_total",
+            "Of those candidates, eliminated via the triangle bound before any full distance computation.",
             &[],
         );
 
@@ -367,6 +385,9 @@ impl Telemetry {
             breaker_trips,
             breaker_short_circuits,
             index_builds,
+            index_queries,
+            index_candidates,
+            index_pruned,
             queue_depth,
             cache_entries,
             governor_reserved_micros,

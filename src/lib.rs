@@ -17,8 +17,8 @@
 //! assert!(result.f1() > 50.0);
 //! ```
 //!
-//! See `DESIGN.md` at the repository root for the system inventory and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `DESIGN.md` at the repository root for the system inventory, and
+//! the `README.md` tables and `benchmark/README.md` for measured results.
 
 /// ER data model: records, pairs, serialization, metrics, cost accounting.
 pub use er_core;

@@ -140,6 +140,42 @@ fn cache_hits_are_identical_and_free() {
 }
 
 #[test]
+fn index_stats_count_this_service_only() {
+    let first = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
+    for question in &crafted_questions(12) {
+        first.submit(question);
+    }
+    let planned = first.stats();
+    assert!(
+        planned.index_builds > 0 && planned.index_queries > 0,
+        "planning 12 questions never touched the metric index: {planned:?}"
+    );
+    drop(first);
+
+    // The index counters underneath are process-wide; a service started
+    // later in the same process has planned nothing, so it reports none
+    // of its predecessor's (or any concurrent test's) activity.
+    let second = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
+    let fresh = second.stats();
+    assert_eq!(
+        (
+            fresh.index_builds,
+            fresh.index_queries,
+            fresh.index_pruned_bp
+        ),
+        (0, 0, 0)
+    );
+    let metrics = second.render_metrics();
+    for line in [
+        "er_index_builds_total 0",
+        "er_index_queries_total 0",
+        "er_index_candidates_pruned_bp 0",
+    ] {
+        assert!(metrics.contains(line), "missing `{line}` in:\n{metrics}");
+    }
+}
+
+#[test]
 fn duplicate_workload_costs_less_with_cache_than_without() {
     // 8 unique questions, each asked three times, sequentially (so the
     // flush-time dedupe cannot mask the cache's contribution).

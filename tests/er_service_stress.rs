@@ -70,22 +70,17 @@ fn hammer(
                 let service = Arc::clone(service);
                 let bank = Arc::clone(bank);
                 scope.spawn(move || {
-                    // Cap the kernel thread budget on this client thread:
-                    // any planning work it might run inline stays serial,
-                    // one more configuration the conservation must hold in.
-                    batcher::embed::par::with_max_threads(1 + client % 2, || {
-                        let mut out = Vec::new();
-                        for round in 0..rounds {
-                            for q in bank
-                                .iter()
-                                .skip((client + round) % clients)
-                                .step_by(clients.max(1))
-                            {
-                                out.push(service.submit(q));
-                            }
+                    let mut out = Vec::new();
+                    for round in 0..rounds {
+                        for q in bank
+                            .iter()
+                            .skip((client + round) % clients)
+                            .step_by(clients.max(1))
+                        {
+                            out.push(service.submit(q));
                         }
-                        out
-                    })
+                    }
+                    out
                 })
             })
             .collect();

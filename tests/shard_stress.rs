@@ -71,19 +71,17 @@ fn hammer(
                 let service = Arc::clone(service);
                 let bank = Arc::clone(bank);
                 scope.spawn(move || {
-                    batcher::embed::par::with_max_threads(1 + client % 2, || {
-                        let mut out = Vec::new();
-                        for round in 0..rounds {
-                            for q in bank
-                                .iter()
-                                .skip((client + round) % clients)
-                                .step_by(clients.max(1))
-                            {
-                                out.push(service.submit(q));
-                            }
+                    let mut out = Vec::new();
+                    for round in 0..rounds {
+                        for q in bank
+                            .iter()
+                            .skip((client + round) % clients)
+                            .step_by(clients.max(1))
+                        {
+                            out.push(service.submit(q));
                         }
-                        out
-                    })
+                    }
+                    out
                 })
             })
             .collect();
