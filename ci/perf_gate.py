@@ -123,6 +123,23 @@ def gate_planning(base, cur):
              f"baseline batches {cur['baseline_batches']}")
     ok(f"plan equivalence: {cur['kernel_batches']} batches both paths")
 
+    # The per-stage breakdown replays the kernel path through public
+    # functions; if its parts stop summing to the whole, a stage was
+    # added to the planner that the breakdown does not see (or the
+    # replay does work the planner no longer does).
+    stages = cur["stage_ms"]
+    expected = {"features_pool", "token_weights", "features_q", "threshold",
+                "cluster", "batching", "coverage", "cover"}
+    if set(stages) != expected:
+        fail(f"stage_ms names {sorted(stages)} != {sorted(expected)}")
+    total = sum(stages.values())
+    gap = abs(total - cur["kernel_ms"]) / cur["kernel_ms"]
+    if gap > 0.10:
+        fail(f"stages sum to {total:.2f} ms vs kernel_ms "
+             f"{cur['kernel_ms']:.2f} ms (gap {gap:.1%} > 10%)")
+    ok(f"stages sum to {total:.2f} ms of kernel_ms {cur['kernel_ms']:.2f} ms "
+       f"(gap {gap:.1%})")
+
     for point in cur.get("index_scaling", []):
         if point["index_speedup"] < 1.0:
             fail(f"metric index slower than sweep at n={point['n']}: "

@@ -10,7 +10,12 @@
 //!   serial. Kept here (not in the library) so the speedup stays
 //!   measurable against the real historical path.
 //! * **kernel** — `batcher_core::plan_question_batches`, the production
-//!   path.
+//!   path, plus a **per-stage breakdown** (`stage_ms`): the same plan
+//!   replayed stage by stage through the crates' public functions
+//!   (pool features, token weights, question features, the two
+//!   percentile thresholds, clustering, batching, the coverage sweep,
+//!   the two-phase cover), asserted equal to the plan the production
+//!   path makes and gated to sum to `kernel_ms` within 10%.
 //!
 //! Runs in quick mode (small workload, one iteration) under `cargo test`
 //! and in full mode (10k questions, best of 3) under `cargo bench`; both
@@ -34,10 +39,16 @@ use embed::index::stats;
 use embed::matrix::scan_rows_within;
 use embed::{FeatureMatrix, PivotIndex};
 
-use batcher_core::batching::{BatchingStrategy, ClusteringKind};
-use batcher_core::plan::{plan_question_batches, BatchPlanConfig};
-use batcher_core::selection::SelectionStrategy;
-use batcher_core::{DistanceKind, ExtractorKind};
+use batcher_core::batching::{
+    batches_for_clustering, cluster_questions_pinned, BatchingStrategy, ClusteringKind,
+    DBSCAN_EPS_PERCENTILE,
+};
+use batcher_core::plan::{plan_question_batches, BatchPlanConfig, QuestionBatchPlan};
+use batcher_core::selection::{
+    compute_coverage, covering_threshold, covering_with_coverage, SelectionParams,
+    SelectionStrategy,
+};
+use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace};
 use bench::synth::synth_pairs;
 use er_core::{EntityPair, LabeledPair};
 
@@ -528,6 +539,102 @@ fn scaling_point(n: usize, quick: bool) -> String {
     )
 }
 
+// ---------------------------------------------------------------------
+// Per-stage breakdown of the kernel path
+// ---------------------------------------------------------------------
+
+/// Stage names of the kernel path's breakdown, in pipeline order.
+const STAGES: [&str; 8] = [
+    "features_pool",
+    "token_weights",
+    "features_q",
+    "threshold",
+    "cluster",
+    "batching",
+    "coverage",
+    "cover",
+];
+
+/// One plan pass of the best design (diversity + covering, DBSCAN),
+/// replayed stage by stage through the crates' public functions. Returns
+/// the plan and the wall time of each of [`STAGES`], milliseconds.
+fn staged_plan(
+    questions: &[&EntityPair],
+    pool: &[&LabeledPair],
+    config: &BatchPlanConfig,
+) -> (QuestionBatchPlan, [f64; 8]) {
+    fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let value = f();
+        *slot = started.elapsed().as_secs_f64() * 1e3;
+        value
+    }
+    let mut ms = [0.0f64; 8];
+    let [features_pool, token_weights, features_q, threshold, cluster, batching, coverage, cover] =
+        &mut ms;
+
+    let pool_space = timed(features_pool, || {
+        FeatureSpace::extract(
+            pool.iter().map(|p| &p.pair),
+            config.extractor,
+            config.distance,
+        )
+    });
+    let weights: Vec<f64> = timed(token_weights, || {
+        let mut serialized = String::new();
+        pool.iter()
+            .map(|p| {
+                p.pair.serialize_into(&mut serialized);
+                llm::count_tokens(&serialized) as f64
+            })
+            .collect()
+    });
+    let q_space = timed(features_q, || {
+        FeatureSpace::extract(questions.iter().copied(), config.extractor, config.distance)
+    });
+    let params = SelectionParams {
+        k: config.k,
+        cover_percentile: config.cover_percentile,
+        seed: config.seed,
+    };
+    let (eps, t) = timed(threshold, || {
+        let eps = q_space
+            .distance_percentile(DBSCAN_EPS_PERCENTILE, 200_000, config.seed)
+            .max(1e-9);
+        (eps, covering_threshold(&q_space, params))
+    });
+    let clusters = timed(cluster, || {
+        cluster_questions_pinned(
+            &q_space,
+            config.clustering,
+            config.batch_size,
+            config.seed,
+            Some(eps),
+        )
+        .0
+    });
+    let batches = timed(batching, || {
+        batches_for_clustering(
+            q_space.len(),
+            Some(&clusters),
+            config.batching,
+            config.batch_size,
+            config.seed,
+        )
+    });
+    let covered = timed(coverage, || compute_coverage(&q_space, &pool_space, t));
+    let selection = timed(cover, || {
+        covering_with_coverage(&q_space, &pool_space, &batches, &covered, t, |d| weights[d])
+    });
+    let plan = QuestionBatchPlan {
+        batches,
+        demos_per_batch: selection.per_batch,
+        labeled: selection.labeled,
+        threshold: selection.threshold,
+    };
+    (plan, ms)
+}
+
 fn assert_partition(batches: &[Vec<usize>], n: usize) {
     let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
     seen.sort_unstable();
@@ -586,18 +693,36 @@ fn main() {
         baseline_labeled = labeled.len();
     }
 
-    // Kernel path (the production configuration).
+    // Kernel path (the production configuration) and its stage-by-stage
+    // replay: cheap next to the baseline, so best of three in both modes
+    // — the gate compares the two minima.
     let mut kernel_ms = f64::INFINITY;
+    let mut stage_ms = [f64::INFINITY; 8];
     let mut kernel_batches = 0usize;
     let mut kernel_labeled = 0usize;
-    for _ in 0..iters {
+    for _ in 0..3 {
         let start = Instant::now();
         let plan = plan_question_batches(&questions, &pool, &config);
         kernel_ms = kernel_ms.min(start.elapsed().as_secs_f64() * 1e3);
         assert_partition(&plan.batches, questions.len());
         kernel_batches = plan.len();
         kernel_labeled = plan.labeled.len();
+
+        let (staged, ms) = staged_plan(&questions, &pool, &config);
+        assert_eq!(
+            staged, plan,
+            "staged replay differs from plan_question_batches"
+        );
+        if ms.iter().sum::<f64>() < stage_ms.iter().sum::<f64>() {
+            stage_ms = ms;
+        }
     }
+    let stage_json: Vec<String> = STAGES
+        .iter()
+        .zip(stage_ms)
+        .map(|(name, ms)| format!("\"{name}\": {ms:.2}"))
+        .collect();
+    let stage_json = stage_json.join(", ");
 
     // Metric-index scaling curve (parity asserted in-bench).
     let scales: &[usize] = if quick {
@@ -610,7 +735,7 @@ fn main() {
 
     let speedup = baseline_ms / kernel_ms;
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"scalar_baseline_ms\": {:.2},\n  \"kernel_ms\": {:.2},\n  \"speedup_vs_baseline\": {:.2},\n  \"baseline_batches\": {},\n  \"baseline_labeled\": {},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"scalar_baseline_ms\": {:.2},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"speedup_vs_baseline\": {:.2},\n  \"baseline_batches\": {},\n  \"baseline_labeled\": {},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

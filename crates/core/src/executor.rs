@@ -71,11 +71,14 @@ impl<'a> Executor<'a> {
         if questions.is_empty() {
             return;
         }
+        // The rendered prompt moves into the one request this batch ever
+        // builds; a retry only re-stamps its seed and attempt number.
         let prompt = build_batch_prompt(description, demos, questions);
+        let mut request = ChatRequest::new(self.model, prompt, seed).with_trace(self.trace_id, 0);
         let mut attempt = 0u32;
         loop {
-            let request = ChatRequest::new(self.model, prompt.clone(), seed ^ u64::from(attempt))
-                .with_trace(self.trace_id, attempt);
+            request.seed = seed ^ u64::from(attempt);
+            request.attempt = attempt;
             let call_started = std::time::Instant::now();
             let result = self.api.complete(&request);
             outcome

@@ -15,7 +15,7 @@
 use embed::matrix::FeatureMatrix;
 use embed::{Embedder, EmbedderConfig};
 use er_core::EntityPair;
-use text_sim::{jaccard_tokens, levenshtein_ratio, normalize};
+use text_sim::{jaccard_tokens, levenshtein_ratio, normalize_into};
 
 /// Which feature extractor to use (Table VII's three variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,30 +78,27 @@ pub struct FeatureSpace {
 
 impl FeatureSpace {
     /// Extracts features for `pairs` with the given extractor.
-    ///
-    /// The semantic embedder runs at 64 dimensions — enough for lexical
-    /// clustering while keeping the pool×questions covering distance
-    /// sweep tractable on the largest benchmark (DBLP-Scholar).
     pub fn extract<'p, I>(pairs: I, extractor: ExtractorKind, distance: DistanceKind) -> Self
     where
         I: IntoIterator<Item = &'p EntityPair>,
     {
-        let pairs = pairs.into_iter();
-        let rows: Vec<Vec<f64>> = match extractor {
-            ExtractorKind::LevenshteinRatio => pairs
-                .map(|pair| structure_vector(pair, levenshtein_ratio))
-                .collect(),
-            ExtractorKind::Jaccard => pairs
-                .map(|pair| structure_vector(pair, jaccard_tokens))
-                .collect(),
-            ExtractorKind::Semantic => {
-                let embedder = Embedder::new(EmbedderConfig { dim: 64, ..Default::default() });
-                pairs
-                    .map(|pair| embedder.embed(&pair.serialize()))
-                    .collect()
-            }
-        };
-        Self { matrix: FeatureMatrix::from_rows(rows), distance }
+        // Rows go straight into the matrix's flat buffer, through one
+        // kernel whose scratch strings serve the whole sweep.
+        let mut pairs = pairs.into_iter();
+        let mut kernel = RowKernel::new(extractor);
+        let mut data: Vec<f64> = Vec::new();
+        let (mut rows, mut dim) = (0usize, 0usize);
+        if let Some(first) = pairs.next() {
+            kernel.push_row(first, &mut data);
+            (rows, dim) = (1, data.len());
+            data.reserve(pairs.size_hint().0 * dim);
+        }
+        for pair in pairs {
+            kernel.push_row(pair, &mut data);
+            rows += 1;
+            assert_eq!(data.len(), rows * dim, "ragged feature rows");
+        }
+        Self { matrix: FeatureMatrix::from_flat(data, rows, dim), distance }
     }
 
     /// Builds a feature space from precomputed vectors (used by tests and
@@ -259,42 +256,73 @@ impl FeatureSpace {
 }
 
 /// Extracts the feature vector of a single pair — bit-identical to the
-/// row [`FeatureSpace::extract`] produces for the same pair (every
-/// extractor is a pure per-pair function), so rows cached one at a time
-/// by the incremental planner interleave exactly with batch-extracted
-/// spaces.
+/// row [`FeatureSpace::extract`] produces for the same pair (both go
+/// through [`RowKernel::push_row`], a pure per-pair function), so rows
+/// cached one at a time by the incremental planner interleave exactly
+/// with batch-extracted spaces.
 pub(crate) fn extract_row(pair: &EntityPair, extractor: ExtractorKind) -> Vec<f64> {
-    match extractor {
-        ExtractorKind::LevenshteinRatio => structure_vector(pair, levenshtein_ratio),
-        ExtractorKind::Jaccard => structure_vector(pair, jaccard_tokens),
-        ExtractorKind::Semantic => {
-            let embedder = Embedder::new(EmbedderConfig { dim: 64, ..Default::default() });
-            embedder.embed(&pair.serialize())
-        }
-    }
+    let mut row = Vec::new();
+    RowKernel::new(extractor).push_row(pair, &mut row);
+    row
 }
 
-/// Structure-aware vector: one similarity per aligned attribute
-/// (Example 5: `v1 = [1, 0.73, 0.42]`).
-fn structure_vector<F>(pair: &EntityPair, sim: F) -> Vec<f64>
-where
-    F: Fn(&str, &str) -> f64,
-{
-    let m = pair.a().schema().arity();
-    (0..m)
-        .map(|i| {
-            let va = normalize(pair.a().value(i).unwrap_or(""));
-            let vb = normalize(pair.b().value(i).unwrap_or(""));
-            if va.is_empty() && vb.is_empty() {
+/// Dimension of the semantic extractor's embedding — enough for lexical
+/// clustering while keeping the pool×questions covering distance sweep
+/// tractable on the largest benchmark (DBLP-Scholar).
+const SEMANTIC_DIM: usize = 64;
+
+/// The per-pair feature kernel and the two scratch strings it works in,
+/// so a sweep over many pairs allocates per sweep, not per attribute:
+/// the structure-aware extractors normalize the two sides of each
+/// attribute into them; the semantic extractor serializes the pair into
+/// one and normalizes that into the other.
+struct RowKernel {
+    extractor: ExtractorKind,
+    embedder: Embedder,
+    a: String,
+    b: String,
+}
+
+impl RowKernel {
+    fn new(extractor: ExtractorKind) -> Self {
+        let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM, ..Default::default() });
+        Self { extractor, embedder, a: String::new(), b: String::new() }
+    }
+
+    /// Appends the feature row of `pair` to `out`.
+    fn push_row(&mut self, pair: &EntityPair, out: &mut Vec<f64>) {
+        match self.extractor {
+            ExtractorKind::LevenshteinRatio => self.push_structure(pair, levenshtein_ratio, out),
+            ExtractorKind::Jaccard => self.push_structure(pair, jaccard_tokens, out),
+            ExtractorKind::Semantic => {
+                pair.serialize_into(&mut self.a);
+                let at = out.len();
+                out.resize(at + SEMANTIC_DIM, 0.0);
+                self.embedder
+                    .embed_into(&self.a, &mut self.b, &mut out[at..]);
+            }
+        }
+    }
+
+    /// Structure-aware row: one similarity per aligned attribute
+    /// (Example 5: `v1 = [1, 0.73, 0.42]`).
+    fn push_structure<F>(&mut self, pair: &EntityPair, sim: F, out: &mut Vec<f64>)
+    where
+        F: Fn(&str, &str) -> f64,
+    {
+        for i in 0..pair.a().schema().arity() {
+            normalize_into(pair.a().value(i).unwrap_or(""), &mut self.a);
+            normalize_into(pair.b().value(i).unwrap_or(""), &mut self.b);
+            out.push(if self.a.is_empty() && self.b.is_empty() {
                 // Jointly missing: no evidence either way.
                 0.5
-            } else if va.is_empty() || vb.is_empty() {
+            } else if self.a.is_empty() || self.b.is_empty() {
                 0.0
             } else {
-                sim(&va, &vb)
-            }
-        })
-        .collect()
+                sim(&self.a, &self.b)
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -332,6 +360,23 @@ mod tests {
             DistanceKind::Cosine,
         );
         assert_eq!(space.vector(0).len(), 64);
+    }
+
+    #[test]
+    fn single_row_extraction_equals_the_batch_row() {
+        let ps = pairs();
+        for extractor in ExtractorKind::ALL {
+            let space = FeatureSpace::extract(
+                ps.iter().map(|p| &p.pair),
+                extractor,
+                DistanceKind::Euclidean,
+            );
+            for (i, p) in ps.iter().enumerate() {
+                let row = extract_row(&p.pair, extractor);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&row), bits(space.vector(i)), "{extractor:?} row {i}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::batching::{
 use crate::features::{DistanceKind, ExtractorKind, FeatureSpace};
 use crate::runner::RunConfig;
 use crate::selection::{
-    select_demonstrations_pinned, SelectionParams, SelectionPlan, SelectionStrategy,
+    fixed, select_demonstrations_pinned, SelectionParams, SelectionPlan, SelectionStrategy,
 };
 
 /// Configuration of one planning pass — the batching/selection slice of a
@@ -92,13 +92,45 @@ impl QuestionBatchPlan {
     }
 }
 
+/// What a planning pass reads, as a function of the design cell: the
+/// fixed strategy samples pool *indices* and random batching shuffles
+/// question *indices*, so neither reads a feature; only covering weighs
+/// demonstrations by their token count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Needs {
+    /// Pool feature vectors (every selection strategy but fixed).
+    pool_features: bool,
+    /// Per-demonstration token counts (covering's batch-cover weights).
+    token_weights: bool,
+    /// Question feature vectors (clustering, or a relevance-driven
+    /// selection).
+    question_features: bool,
+}
+
+impl Needs {
+    const ALL: Needs = Needs { pool_features: true, token_weights: true, question_features: true };
+
+    fn of(config: &BatchPlanConfig) -> Self {
+        let relevance = config.selection != SelectionStrategy::Fixed;
+        Needs {
+            pool_features: relevance,
+            token_weights: config.selection == SelectionStrategy::Covering,
+            question_features: relevance || config.batching != BatchingStrategy::Random,
+        }
+    }
+}
+
 /// A demonstration pool featurized once, for callers that plan against
 /// the same pool repeatedly (the serving layer plans on every queue
 /// flush; re-embedding a static pool each time would put O(pool) work on
 /// the dispatcher's critical path).
 #[derive(Debug, Clone)]
 pub struct PreparedPool {
-    space: FeatureSpace,
+    len: usize,
+    /// `None` only inside [`plan_question_batches`], for a design cell
+    /// that reads no pool feature.
+    space: Option<FeatureSpace>,
+    /// Empty under the same condition, for a cell that reads no weight.
     token_weights: Vec<f64>,
     extractor: ExtractorKind,
     distance: DistanceKind,
@@ -107,7 +139,9 @@ pub struct PreparedPool {
 impl PreparedPool {
     /// The pool's feature space.
     pub(crate) fn space(&self) -> &FeatureSpace {
-        &self.space
+        self.space
+            .as_ref()
+            .expect("pool features are built for every strategy that reads them")
     }
 
     /// Token counts per pool demonstration (covering weights).
@@ -128,31 +162,56 @@ impl PreparedPool {
     /// Featurizes `pool` with the given extractor/distance. Question
     /// featurization during planning uses the same pair, overriding
     /// whatever the per-call config says — the two spaces must agree.
+    ///
+    /// Eager: the result serves every strategy, so one prepared pool can
+    /// back plans of any configuration.
     pub fn prepare(
         pool: &[&LabeledPair],
         extractor: ExtractorKind,
         distance: DistanceKind,
     ) -> Self {
-        Self {
-            space: FeatureSpace::extract(pool.iter().map(|p| &p.pair), extractor, distance),
-            token_weights: pool
-                .iter()
-                .map(|p| llm::count_tokens(&p.pair.serialize()) as f64)
-                .collect(),
-            extractor,
-            distance,
-        }
+        Self::with_needs(pool, extractor, distance, Needs::ALL)
+    }
+
+    /// Builds only what `needs` names.
+    fn with_needs(
+        pool: &[&LabeledPair],
+        extractor: ExtractorKind,
+        distance: DistanceKind,
+        needs: Needs,
+    ) -> Self {
+        let space = needs
+            .pool_features
+            .then(|| FeatureSpace::extract(pool.iter().map(|p| &p.pair), extractor, distance));
+        let token_weights = if needs.token_weights {
+            pool_token_weights(pool)
+        } else {
+            Vec::new()
+        };
+        Self { len: pool.len(), space, token_weights, extractor, distance }
     }
 
     /// Number of pool demonstrations.
     pub fn len(&self) -> usize {
-        self.space.len()
+        self.len
     }
 
     /// True when the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.space.is_empty()
+        self.len == 0
     }
+}
+
+/// Prompt-token count of every pool demonstration, serialized through
+/// one reused buffer.
+fn pool_token_weights(pool: &[&LabeledPair]) -> Vec<f64> {
+    let mut serialized = String::new();
+    pool.iter()
+        .map(|p| {
+            p.pair.serialize_into(&mut serialized);
+            llm::count_tokens(&serialized) as f64
+        })
+        .collect()
 }
 
 /// Plans diversity batches and demonstration assignments for an
@@ -172,7 +231,8 @@ pub fn plan_question_batches(
     pool: &[&LabeledPair],
     config: &BatchPlanConfig,
 ) -> QuestionBatchPlan {
-    let prepared = PreparedPool::prepare(pool, config.extractor, config.distance);
+    let prepared =
+        PreparedPool::with_needs(pool, config.extractor, config.distance, Needs::of(config));
     plan_with_prepared_pool(questions, &prepared, config)
 }
 
@@ -217,10 +277,19 @@ pub fn plan_with_prepared_pool_pinned(
         };
     }
 
-    let q_space = FeatureSpace::extract(questions.iter().copied(), pool.extractor, pool.distance);
+    // Standard prompting (random batches, fixed demonstrations) reads no
+    // question feature either.
+    let q_space = Needs::of(config)
+        .question_features
+        .then(|| FeatureSpace::extract(questions.iter().copied(), pool.extractor, pool.distance));
+    let q_features = || {
+        q_space
+            .as_ref()
+            .expect("question features are built for every strategy that reads them")
+    };
     let clusters = (config.batching != BatchingStrategy::Random).then(|| {
         cluster_questions_pinned(
-            &q_space,
+            q_features(),
             config.clustering,
             config.batch_size,
             config.seed,
@@ -229,7 +298,7 @@ pub fn plan_with_prepared_pool_pinned(
         .0
     });
     let batches = batches_for_clustering(
-        q_space.len(),
+        questions.len(),
         clusters.as_ref(),
         config.batching,
         config.batch_size,
@@ -246,20 +315,23 @@ pub fn plan_with_prepared_pool_pinned(
         };
     }
 
-    let demo_tokens = |d: usize| pool.token_weights[d];
-    let SelectionPlan { per_batch, labeled, threshold } = select_demonstrations_pinned(
-        config.selection,
-        &q_space,
-        &pool.space,
-        &batches,
-        SelectionParams {
-            k: config.k,
-            cover_percentile: config.cover_percentile,
-            seed: config.seed,
-        },
-        thresholds.cover_t,
-        demo_tokens,
-    );
+    let params = SelectionParams {
+        k: config.k,
+        cover_percentile: config.cover_percentile,
+        seed: config.seed,
+    };
+    let SelectionPlan { per_batch, labeled, threshold } = match config.selection {
+        SelectionStrategy::Fixed => fixed(pool.len(), batches.len(), params),
+        relevance => select_demonstrations_pinned(
+            relevance,
+            q_features(),
+            pool.space(),
+            &batches,
+            params,
+            thresholds.cover_t,
+            |d| pool.token_weights[d],
+        ),
+    };
 
     QuestionBatchPlan { batches, demos_per_batch: per_batch, labeled, threshold }
 }
@@ -317,18 +389,77 @@ mod tests {
         assert!(!plan.labeled.is_empty());
     }
 
+    /// Demand-driven == eager: whatever `plan_question_batches` skips
+    /// building for a design cell, the plan is the one an all-needs
+    /// `PreparedPool::prepare` gives.
     #[test]
     fn prepared_pool_matches_direct_planning() {
         let (pool, questions) = fixtures();
         let q: Vec<&EntityPair> = questions.iter().map(|p| &p.pair).collect();
         let p: Vec<&LabeledPair> = pool.iter().collect();
-        let config = BatchPlanConfig::default();
-        let prepared = PreparedPool::prepare(&p, config.extractor, config.distance);
-        assert_eq!(prepared.len(), pool.len());
+        let assert_same = |pool: &[&LabeledPair], config: &BatchPlanConfig, what: &str| {
+            let prepared = PreparedPool::prepare(pool, config.extractor, config.distance);
+            assert_eq!(prepared.len(), pool.len());
+            assert_eq!(
+                plan_question_batches(&q, pool, config),
+                plan_with_prepared_pool(&q, &prepared, config),
+                "{what}: {config:?}"
+            );
+        };
+        for extractor in ExtractorKind::ALL {
+            for batching in BatchingStrategy::ALL {
+                for selection in SelectionStrategy::ALL {
+                    let config =
+                        BatchPlanConfig { batching, selection, extractor, ..Default::default() };
+                    assert_same(&p, &config, "full pool");
+                    assert_same(&[], &config, "empty pool");
+                }
+            }
+        }
+        // A pool smaller than k under the fixed strategy, and standard
+        // prompting (one question per batch).
+        let fixed = BatchPlanConfig { selection: SelectionStrategy::Fixed, ..Default::default() };
+        assert!(fixed.k > 3);
+        assert_same(&p[..3], &fixed, "pool smaller than k");
+        let standard =
+            BatchPlanConfig { batching: BatchingStrategy::Random, batch_size: 1, ..fixed };
+        assert_same(&p, &standard, "standard prompting");
+        assert_eq!(plan_question_batches(&q, &p, &standard).len(), q.len());
+    }
+
+    #[test]
+    fn needs_follow_the_design_cell() {
+        let needs = |batching, selection| {
+            Needs::of(&BatchPlanConfig { batching, selection, ..Default::default() })
+        };
+        use BatchingStrategy::{Diversity, Random};
+        use SelectionStrategy::{Covering, Fixed, TopKBatch};
+        assert_eq!(needs(Diversity, Covering), Needs::ALL);
         assert_eq!(
-            plan_question_batches(&q, &p, &config),
-            plan_with_prepared_pool(&q, &prepared, &config)
+            needs(Random, TopKBatch),
+            Needs { token_weights: false, ..Needs::ALL }
         );
+        assert_eq!(
+            needs(Diversity, Fixed),
+            Needs { pool_features: false, token_weights: false, question_features: true }
+        );
+        assert_eq!(
+            needs(Random, Fixed),
+            Needs { pool_features: false, token_weights: false, question_features: false }
+        );
+    }
+
+    #[test]
+    fn token_weights_count_the_serialized_pair() {
+        for kind in DatasetKind::ALL {
+            let d = generate(kind, 3);
+            let pool: Vec<&LabeledPair> = d.pairs().iter().collect();
+            let weights = pool_token_weights(&pool);
+            assert_eq!(weights.len(), pool.len());
+            for (p, w) in pool.iter().zip(weights) {
+                assert_eq!(w, llm::count_tokens(&p.pair.serialize()) as f64);
+            }
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ where
 {
     assert!(params.k > 0, "k must be positive");
     match strategy {
-        SelectionStrategy::Fixed => fixed(pool, batches, params),
+        SelectionStrategy::Fixed => fixed(pool.len(), batches.len(), params),
         SelectionStrategy::TopKBatch => topk_batch(questions, pool, batches, params),
         SelectionStrategy::TopKQuestion => topk_question(questions, pool, batches, params),
         SelectionStrategy::Covering => {
@@ -143,23 +143,27 @@ where
 
 /// The covering threshold `t`: the configured percentile of pairwise
 /// question distances (§VI-A: 8th percentile), floored away from zero.
-pub(crate) fn covering_threshold(questions: &FeatureSpace, params: SelectionParams) -> f64 {
+pub fn covering_threshold(questions: &FeatureSpace, params: SelectionParams) -> f64 {
     questions
         .distance_percentile(params.cover_percentile, 200_000, params.seed)
         .max(1e-9)
 }
 
-fn fixed(pool: &FeatureSpace, batches: &[Vec<usize>], params: SelectionParams) -> SelectionPlan {
+/// The fixed strategy reads no feature of either side — only how many
+/// demonstrations the pool holds and how many batches there are — so the
+/// planner calls it directly when it has featurized neither.
+pub(crate) fn fixed(pool_len: usize, n_batches: usize, params: SelectionParams) -> SelectionPlan {
+    assert!(params.k > 0, "k must be positive");
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let k = params.k.min(pool.len());
-    let mut indices: Vec<usize> = (0..pool.len()).collect();
+    let k = params.k.min(pool_len);
+    let mut indices: Vec<usize> = (0..pool_len).collect();
     // Partial Fisher-Yates: the first k slots become the sample.
     for i in 0..k {
         let j = rng.gen_range(i..indices.len());
         indices.swap(i, j);
     }
     let demos: Vec<usize> = indices[..k].to_vec();
-    SelectionPlan { per_batch: vec![demos.clone(); batches.len()], labeled: demos, threshold: None }
+    SelectionPlan { per_batch: vec![demos.clone(); n_batches], labeled: demos, threshold: None }
 }
 
 /// Pool size above which the relevance strategies route per-question
@@ -330,11 +334,7 @@ fn topk_question(
 /// greedy gains and the phase-2 inversion are both order-free, which is
 /// also what lets an incrementally maintained coverage cache substitute
 /// for this sweep.
-pub(crate) fn compute_coverage(
-    questions: &FeatureSpace,
-    pool: &FeatureSpace,
-    t: f64,
-) -> Vec<Vec<u32>> {
+pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> Vec<Vec<u32>> {
     let t_rank = questions.ranking_threshold(t);
 
     // Phase 1 sweep: which questions each pool demo covers. Under the
@@ -378,7 +378,7 @@ pub(crate) fn compute_coverage(
 /// `coverage` must satisfy the [`compute_coverage`] contract for the same
 /// `questions`/`pool`/`t` (computed fresh or maintained incrementally) —
 /// the output is a pure, order-insensitive function of it.
-pub(crate) fn covering_with_coverage<W>(
+pub fn covering_with_coverage<W>(
     questions: &FeatureSpace,
     pool: &FeatureSpace,
     batches: &[Vec<usize>],

@@ -25,7 +25,7 @@ pub use vecmath::{
     sq_euclidean_distance,
 };
 
-use text_sim::{qgrams, word_tokens};
+use text_sim::normalize_into;
 
 /// Configuration of the hashed n-gram embedder.
 #[derive(Debug, Clone)]
@@ -77,20 +77,50 @@ impl Embedder {
     /// output); cosine similarity against it is defined as 0.
     pub fn embed(&self, text: &str) -> Vec<f64> {
         let mut v = vec![0.0f64; self.config.dim];
+        self.embed_into(text, &mut String::new(), &mut v);
+        v
+    }
+
+    /// [`Embedder::embed`] into a caller-owned row: `out` (length `dim`)
+    /// is overwritten, and `norm` is the scratch buffer the text is
+    /// normalized into, so a sweep over many texts allocates nothing.
+    ///
+    /// The text is normalized once; word features are the space-separated
+    /// slices of that buffer and q-gram features its `q`-character
+    /// windows (the whole string when it has at most `q` characters) —
+    /// the same feature strings, in the same order, as
+    /// [`text_sim::word_tokens`] and [`text_sim::qgrams`] produce, hashed
+    /// in place instead of copied out one `String` each.
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == dim`.
+    pub fn embed_into(&self, text: &str, norm: &mut String, out: &mut [f64]) {
+        assert_eq!(out.len(), self.config.dim, "output row is not dim-sized");
+        out.fill(0.0);
+        normalize_into(text, norm);
         if self.config.use_words {
-            for tok in word_tokens(text) {
+            // A normalized string's only whitespace is the ASCII space.
+            for tok in norm.split_ascii_whitespace() {
                 // Whole tokens are more discriminative than their
                 // constituent grams, hence the double weight.
-                self.scatter(&mut v, &tok, 2.0);
+                self.scatter(out, tok, 2.0);
             }
         }
         if self.config.use_qgrams {
-            for g in qgrams(text, self.config.q) {
-                self.scatter(&mut v, &g, 1.0);
+            // Window `i` runs from the start of character `i` to the
+            // start of character `i + q`; the end offsets are the starts
+            // shifted by `q` characters, then the end of the string. A
+            // string of at most `q` characters has no shifted start left,
+            // so its only window is the whole string; the empty string
+            // has no start at all.
+            let q = self.config.q.max(1);
+            let starts = norm.char_indices().map(|(at, _)| at);
+            let ends = starts.clone().skip(q).chain(std::iter::once(norm.len()));
+            for (start, end) in starts.zip(ends) {
+                self.scatter(out, &norm[start..end], 1.0);
             }
         }
-        l2_normalize(&mut v);
-        v
+        l2_normalize(out);
     }
 
     /// Embeds many strings.
@@ -127,9 +157,108 @@ fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use text_sim::{qgrams, word_tokens};
 
     fn emb() -> Embedder {
         Embedder::new(EmbedderConfig::default())
+    }
+
+    /// The definition `embed_into` replaced: one owned `String` per word
+    /// token and per q-gram, scattered in that order.
+    fn embed_reference(e: &Embedder, text: &str) -> Vec<f64> {
+        let mut v = vec![0.0f64; e.config.dim];
+        if e.config.use_words {
+            for tok in word_tokens(text) {
+                e.scatter(&mut v, &tok, 2.0);
+            }
+        }
+        if e.config.use_qgrams {
+            for g in qgrams(text, e.config.q) {
+                e.scatter(&mut v, &g, 1.0);
+            }
+        }
+        l2_normalize(&mut v);
+        v
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every (dim, q, words, q-grams) shape the equivalence is claimed for.
+    fn embedder_shapes() -> Vec<Embedder> {
+        let mut shapes = Vec::new();
+        for dim in [2, 64, 256] {
+            for q in [0, 1, 3, 5] {
+                for (use_words, use_qgrams) in [(true, true), (true, false), (false, true)] {
+                    shapes.push(Embedder::new(EmbedderConfig {
+                        dim,
+                        q,
+                        use_words,
+                        use_qgrams,
+                        ..Default::default()
+                    }));
+                }
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn in_place_hashing_equals_owned_features_on_edge_strings() {
+        // Empty, punctuation-only, fewer than / exactly / one more than q
+        // characters for q = 3 and 5, multibyte characters at window edges.
+        let texts = [
+            "",
+            "?!. ,",
+            "a",
+            "ab",
+            "abc",
+            "abcd",
+            "abcde",
+            "abcdef",
+            "é",
+            "éß",
+            "éßΩ",
+            "éßΩ中",
+            "中✓中✓中✓",
+            "a b",
+            "  Title: iPhone-13, Brand: APPLE [SEP] title: iphone 13  ",
+        ];
+        for e in embedder_shapes() {
+            for text in texts {
+                assert_eq!(
+                    bits(&e.embed(text)),
+                    bits(&embed_reference(&e, text)),
+                    "{:?} on {text:?}",
+                    e.config
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary Unicode, every shape: hashing slices of the one
+        /// normalized buffer is bit-identical to hashing owned copies.
+        #[test]
+        fn in_place_hashing_equals_owned_features(text in "\\PC{0,48}") {
+            for e in embedder_shapes() {
+                prop_assert_eq!(bits(&e.embed(&text)), bits(&embed_reference(&e, &text)));
+            }
+        }
+
+        /// `embed_into` overwrites both the row and the scratch buffer.
+        #[test]
+        fn embed_into_overwrites(text in "\\PC{0,48}", dirt in "\\PC{0,48}") {
+            let e = emb();
+            let mut norm = dirt;
+            let mut row = vec![7.5f64; e.config.dim];
+            e.embed_into(&text, &mut norm, &mut row);
+            prop_assert_eq!(bits(&row), bits(&e.embed(&text)));
+        }
     }
 
     #[test]

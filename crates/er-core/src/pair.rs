@@ -91,6 +91,15 @@ impl EntityPair {
     pub fn serialize(&self) -> String {
         serialize_pair(&self.a, &self.b)
     }
+
+    /// [`EntityPair::serialize`] into a caller-owned buffer: `out` is
+    /// overwritten (previous contents discarded, capacity kept), so a
+    /// sweep that only inspects each serialization — token counting,
+    /// embedding — reuses one allocation.
+    pub fn serialize_into(&self, out: &mut String) {
+        out.clear();
+        write_pair(&self.a, &self.b, out);
+    }
 }
 
 /// A pair together with its gold label.
@@ -116,29 +125,51 @@ impl LabeledPair {
 /// paper. Missing values render as an empty string after the colon, which
 /// lets the LLM (and its simulator) observe missingness.
 pub fn serialize_record(record: &Record) -> String {
-    let mut out = String::with_capacity(64);
-    for (i, name) in record.schema().attributes().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(name);
-        out.push_str(": ");
-        out.push_str(record.value(i).unwrap_or(""));
-    }
+    let mut out = String::with_capacity(record_len(record));
+    write_record(record, &mut out);
     out
 }
 
 /// Serializes a pair per Eq. 1: `S(a)[SEP]S(b)`.
 pub fn serialize_pair(a: &Record, b: &Record) -> String {
-    let sa = serialize_record(a);
-    let sb = serialize_record(b);
-    let mut out = String::with_capacity(sa.len() + sb.len() + SEP.len() + 2);
-    out.push_str(&sa);
+    let mut out = String::with_capacity(record_len(a) + record_len(b) + SEP.len() + 2);
+    write_pair(a, b, &mut out);
+    out
+}
+
+/// Appends `S(a) [SEP] S(b)` to `out`.
+fn write_pair(a: &Record, b: &Record, out: &mut String) {
+    write_record(a, out);
     out.push(' ');
     out.push_str(SEP);
     out.push(' ');
-    out.push_str(&sb);
-    out
+    write_record(b, out);
+}
+
+/// Appends `S(record)` to `out`.
+fn write_record(record: &Record, out: &mut String) {
+    let names = record.schema().attributes();
+    for (i, (name, value)) in names.iter().zip(record.values()).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+    }
+}
+
+/// Byte length of `S(record)`, so serializations allocate exactly once.
+fn record_len(record: &Record) -> usize {
+    let names = record.schema().attributes();
+    // ": " per attribute, ", " between attributes.
+    let separators = 2 * names.len() + 2 * names.len().saturating_sub(1);
+    let text: usize = names
+        .iter()
+        .zip(record.values())
+        .map(|(name, value)| name.len() + value.len())
+        .sum();
+    separators + text
 }
 
 #[cfg(test)]
@@ -174,6 +205,61 @@ mod tests {
             p.serialize(),
             "title: iphone-13, id: 0256 [SEP] title: iphone-14, id: "
         );
+    }
+
+    #[test]
+    fn serialize_allocates_exactly_its_length() {
+        let p = pair();
+        let s = p.serialize();
+        assert_eq!(s.capacity(), s.len());
+        let r = serialize_record(p.a());
+        assert_eq!(r, "title: iphone-13, id: 0256");
+        assert_eq!(r.capacity(), r.len());
+    }
+
+    #[test]
+    fn serialize_into_overwrites_and_equals_serialize() {
+        let schema = Arc::new(Schema::new(["name", "note", "city"]).unwrap());
+        let record = |id, values: [&str; 3]| {
+            Arc::new(
+                Record::new(
+                    id,
+                    Arc::clone(&schema),
+                    values.iter().map(|v| v.to_string()).collect(),
+                )
+                .unwrap(),
+            )
+        };
+        // Missing values, non-ASCII, and a value that contains the
+        // separator itself.
+        let pairs = [
+            EntityPair::new(
+                PairId(0),
+                record(RecordId::a(0), ["Café Ünïon™", "", "Zürich"]),
+                record(RecordId::b(0), ["cafe union", "a [SEP] b", ""]),
+            )
+            .unwrap(),
+            EntityPair::new(
+                PairId(1),
+                record(RecordId::a(1), ["", "", ""]),
+                record(RecordId::b(1), ["", "", ""]),
+            )
+            .unwrap(),
+            pair(),
+        ];
+        let mut buf = String::from("left over from the previous pair");
+        for p in &pairs {
+            p.serialize_into(&mut buf);
+            assert_eq!(buf, p.serialize());
+            assert_eq!(
+                buf,
+                format!(
+                    "{} {SEP} {}",
+                    serialize_record(p.a()),
+                    serialize_record(p.b())
+                )
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Jaccard similarity over token sets (Eq. 4) and related set measures.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use crate::tokenize::word_tokens;
+use crate::normalize::{normalize, push_normalized};
 
 /// Jaccard similarity over normalized word-token sets (Eq. 4):
 /// `JAC(a, b) = |A ∩ B| / |A ∪ B|`.
@@ -10,17 +11,62 @@ use crate::tokenize::word_tokens;
 /// Two empty values are defined as identical (`1.0`); one empty and one
 /// non-empty value score `0.0`.
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    let sa: BTreeSet<String> = word_tokens(a).into_iter().collect();
-    let sb: BTreeSet<String> = word_tokens(b).into_iter().collect();
-    jaccard_sets(&sa, &sb)
+    let (sa, sb, inter) = token_set_sizes(a, b);
+    jaccard_of_counts(sa, sb, inter)
+}
+
+/// `(|A|, |B|, |A ∩ B|)` over the normalized word-token sets of `a` and
+/// `b`, through two allocations in all: both values normalize into one
+/// buffer, and one `Vec` holds both token lists as slices of it, each
+/// half sorted and deduplicated in place and then merged.
+fn token_set_sizes(a: &str, b: &str) -> (usize, usize, usize) {
+    let mut norm = String::with_capacity(a.len() + b.len());
+    push_normalized(a, &mut norm);
+    let a_len = norm.len();
+    push_normalized(b, &mut norm);
+    let (na, nb) = norm.split_at(a_len);
+    // A normalized string's only whitespace is the single ASCII space.
+    let mut tokens: Vec<&str> = na.split_ascii_whitespace().collect();
+    let a_tokens = tokens.len();
+    tokens.extend(nb.split_ascii_whitespace());
+    let (ta, tb) = tokens.split_at_mut(a_tokens);
+    let (sa, sb) = (sorted_set(ta), sorted_set(tb));
+
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < sa.len() && j < sb.len() {
+        match sa[i].cmp(sb[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (sa.len(), sb.len(), inter)
+}
+
+/// Sorts `tokens` and moves its distinct values to the front; returns
+/// that duplicate-free prefix.
+fn sorted_set<'t, 's>(tokens: &'t mut [&'s str]) -> &'t [&'s str] {
+    tokens.sort_unstable();
+    let mut len = 0;
+    for i in 0..tokens.len() {
+        if len == 0 || tokens[i] != tokens[len - 1] {
+            tokens[len] = tokens[i];
+            len += 1;
+        }
+    }
+    &tokens[..len]
 }
 
 /// Jaccard similarity over the sets of characters of the normalized
 /// strings. Useful for single-token values where word Jaccard is 0/1.
 pub fn jaccard_chars(a: &str, b: &str) -> f64 {
-    let sa: BTreeSet<char> = crate::normalize::normalize(a).chars().collect();
-    let sb: BTreeSet<char> = crate::normalize::normalize(b).chars().collect();
-    jaccard_sets(&sa, &sb)
+    let sa: BTreeSet<char> = normalize(a).chars().collect();
+    let sb: BTreeSet<char> = normalize(b).chars().collect();
+    jaccard_of_counts(sa.len(), sb.len(), sa.intersection(&sb).count())
 }
 
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over word-token sets.
@@ -28,24 +74,21 @@ pub fn jaccard_chars(a: &str, b: &str) -> f64 {
 /// Less sensitive than Jaccard to one value being a long superset of the
 /// other (common with product titles carrying extra marketing tokens).
 pub fn overlap_coefficient(a: &str, b: &str) -> f64 {
-    let sa: BTreeSet<String> = word_tokens(a).into_iter().collect();
-    let sb: BTreeSet<String> = word_tokens(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
+    let (sa, sb, inter) = token_set_sizes(a, b);
+    if sa == 0 && sb == 0 {
         return 1.0;
     }
-    let min = sa.len().min(sb.len());
+    let min = sa.min(sb);
     if min == 0 {
         return 0.0;
     }
-    sa.intersection(&sb).count() as f64 / min as f64
+    inter as f64 / min as f64
 }
 
-fn jaccard_sets<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = a.intersection(b).count();
-    let union = a.len() + b.len() - inter;
+/// `inter / union` from the two set sizes and their intersection size;
+/// two empty sets are identical.
+fn jaccard_of_counts(a: usize, b: usize, inter: usize) -> f64 {
+    let union = a + b - inter;
     if union == 0 {
         1.0
     } else {

@@ -23,7 +23,7 @@ pub use jaccard::{jaccard_chars, jaccard_tokens, overlap_coefficient};
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_ratio, normalized_levenshtein};
 pub use monge_elkan::monge_elkan;
-pub use normalize::normalize;
+pub use normalize::{normalize, normalize_into};
 pub use qgram::{qgram_cosine, qgram_profile};
 pub use tfidf::TfIdfModel;
 pub use tokenize::{qgrams, word_tokens};

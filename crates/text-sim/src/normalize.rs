@@ -8,7 +8,24 @@
 /// normalized forms makes the similarity kernels measure content rather
 /// than formatting.
 pub fn normalize(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+    let mut out = String::new();
+    normalize_into(s, &mut out);
+    out
+}
+
+/// [`normalize`] into a caller-owned buffer: `out` is overwritten (its
+/// previous contents are discarded, its capacity kept), so a sweep over
+/// many values normalizes through one allocation.
+pub fn normalize_into(s: &str, out: &mut String) {
+    out.clear();
+    push_normalized(s, out);
+}
+
+/// Appends the normalized form of `s` to `out`, leaving what `out`
+/// already holds untouched.
+pub(crate) fn push_normalized(s: &str, out: &mut String) {
+    let start = out.len();
+    out.reserve(s.len());
     let mut last_was_space = true;
     for ch in s.chars() {
         let mapped = if ch.is_alphanumeric() {
@@ -33,10 +50,9 @@ pub fn normalize(s: &str) -> String {
             }
         }
     }
-    while out.ends_with(' ') {
+    while out.len() > start && out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 #[cfg(test)]

@@ -1,10 +1,50 @@
 //! Property-based tests: metric axioms for the similarity kernels.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use text_sim::{
     jaccard_chars, jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_ratio, monge_elkan,
-    normalize, normalized_levenshtein, overlap_coefficient, qgram_cosine, word_tokens,
+    normalize, normalize_into, normalized_levenshtein, overlap_coefficient, qgram_cosine,
+    word_tokens,
 };
+
+/// Eq. 4 over owned token sets — the definition `jaccard_tokens`'
+/// sorted-slice merge replaced, kept as its reference.
+fn jaccard_tokens_reference(a: &str, b: &str) -> f64 {
+    let sa: BTreeSet<String> = word_tokens(a).into_iter().collect();
+    let sb: BTreeSet<String> = word_tokens(b).into_iter().collect();
+    if sa.is_empty() && sb.is_empty() {
+        return 1.0;
+    }
+    let inter = sa.intersection(&sb).count();
+    inter as f64 / (sa.len() + sb.len() - inter) as f64
+}
+
+#[test]
+fn jaccard_merge_equals_owned_sets_on_picked_values() {
+    let values = [
+        "",
+        "...",
+        "red apple",
+        "red red apple red",
+        "Apple, RED; apple!",
+        "pear apple red",
+        "zeta alpha zeta beta alpha",
+        "  Ünïcode™  Ça va? ça VA ",
+        "g f e d c b a a a",
+        "iPhone-13 (128GB) iphone 13",
+    ];
+    for a in values {
+        for b in values {
+            assert_eq!(
+                jaccard_tokens(a, b).to_bits(),
+                jaccard_tokens_reference(a, b).to_bits(),
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
+}
 
 fn arb_str() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9 ,.\\-]{0,24}"
@@ -69,6 +109,25 @@ proptest! {
         prop_assert_eq!(normalize(&once), once.clone());
         prop_assert!(!once.contains("  "));
         prop_assert!(!once.starts_with(' ') && !once.ends_with(' '));
+    }
+
+    /// `normalize_into` is `normalize`, whatever the buffer held before.
+    #[test]
+    fn normalize_into_overwrites(a in "\\PC{0,40}", dirt in "\\PC{0,40}") {
+        let mut buf = dirt;
+        normalize_into(&a, &mut buf);
+        prop_assert_eq!(buf, normalize(&a));
+    }
+
+    /// The merge form of Eq. 4 equals the owned-set form bit for bit —
+    /// a tiny alphabet, so tokens repeat within and across the values,
+    /// with case and punctuation left un-normalized.
+    #[test]
+    fn jaccard_merge_equals_owned_sets(a in "[abAB ,.é]{0,16}", b in "[abAB ,.é]{0,16}") {
+        prop_assert_eq!(
+            jaccard_tokens(&a, &b).to_bits(),
+            jaccard_tokens_reference(&a, &b).to_bits()
+        );
     }
 
     /// Tokenization output contains no empties and is normalization-stable.
