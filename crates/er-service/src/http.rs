@@ -1,7 +1,10 @@
 //! HTTP front end for the matching service.
 //!
 //! Built on the same request/response plumbing and bounded accept loop as
-//! the LLM loopback service (`llm_service::http` / `llm_service::serve`):
+//! the LLM loopback service (`llm_service::http` / `llm_service::serve`),
+//! so connections are persistent: a client sends its next request on the
+//! same socket, and reconnects when an idle one was closed under it (see
+//! `llm_service::serve` for the keep / idle-slice / yield lifecycle).
 //!
 //! * `POST /match` — body `{"schema": [...], "left": [...], "right": [...]}`;
 //!   answers `{"label": "matching"|"non_matching", "source":
@@ -105,9 +108,11 @@ impl MatchServer {
     /// Binds `127.0.0.1:0` and serves `service` with the given
     /// connection-pool limits.
     pub fn start(service: Arc<ErService>, options: ServeOptions) -> std::io::Result<Self> {
+        let metrics = service.telemetry().http.clone();
         let server = spawn_http_server(
             Arc::new(move |request: HttpRequest| route(&service, request)),
             options,
+            metrics,
         )?;
         Ok(Self { server })
     }

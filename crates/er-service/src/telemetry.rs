@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use llm_service::ConnMetrics;
 use obs::{Counter, Gauge, Histogram, Registry, Slo, SloStatus, TraceLog};
 
 /// Latency objective: this fraction of answers must beat the configured
@@ -84,6 +85,10 @@ pub struct Telemetry {
     pub(crate) batch_spend_micros: Arc<Histogram>,
     pub(crate) batch_prompt_tokens: Arc<Histogram>,
     pub(crate) index_query_us: Arc<Histogram>,
+
+    // Connection counters of the HTTP front end (`http_*` families),
+    // registered here so they render on this service's `/metrics`.
+    pub(crate) http: ConnMetrics,
 
     // SLO burn-rate engines (multi-window: 5m and 1h). Recording is
     // gated on the telemetry switch like every other handle.
@@ -363,6 +368,7 @@ impl Telemetry {
             "Mean metric-index query latency per planning pass (region, top-k, and pair-sweep queries folded), microseconds.",
             &[],
         );
+        let http = ConnMetrics::register(&registry);
 
         Self {
             registry,
@@ -415,6 +421,7 @@ impl Telemetry {
             batch_spend_micros,
             batch_prompt_tokens,
             index_query_us,
+            http,
             slo_latency: Slo::new("answer_latency", SLO_LATENCY_OBJECTIVE),
             slo_availability: Slo::new("availability", SLO_AVAILABILITY_OBJECTIVE),
             slo_budget: Slo::new("budget", SLO_BUDGET_OBJECTIVE),

@@ -1,13 +1,14 @@
 //! The loopback server and its HTTP client.
 
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use llm::{ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm, SimLlmConfig};
 use obs::{Counter, Histogram, Registry, TraceLog};
 
-use crate::http::{read_response, HttpRequest, HttpResponse};
-use crate::serve::{spawn_http_server, HttpServerHandle, ServeOptions};
+use crate::http::{HttpReply, HttpRequest, HttpResponse, MessageReader};
+use crate::serve::{spawn_http_server, ConnMetrics, HttpServerHandle, ServeOptions};
 use crate::wire::{
     error_to_wire, from_chat_response, to_chat_request, to_chat_response, wire_to_error, WireError,
     WireErrorBody, WireMessage, WireRequest, WireResponse,
@@ -47,6 +48,7 @@ impl LlmServer {
         let server = spawn_http_server(
             Arc::new(move |request: HttpRequest| route(request, &handler_llm, &handler_metrics)),
             self.options,
+            ConnMetrics::register(&metrics.registry),
         )?;
         Ok(RunningServer { server })
     }
@@ -291,10 +293,26 @@ impl RetryPolicy {
     }
 }
 
+/// Idle sockets one client (and its clones) keeps for reuse. Matches the
+/// servers' default worker count: more could never be served at once.
+const MAX_IDLE_SOCKETS: usize = 16;
+
 /// A [`ChatApi`] implementation speaking the wire protocol over TCP.
 ///
-/// Opens one connection per request (`Connection: close`), matching the
-/// server's lifecycle and keeping the client trivially `Send + Sync`.
+/// Connections are persistent: a socket whose reply allows it
+/// (`Content-Length` framed, no `Connection: close`) goes back to a small
+/// idle pool shared by every clone of the client, and the next call —
+/// `complete` or `trace_children`, from any thread — takes the most
+/// recently used one instead of connecting.
+///
+/// The server closes sockets that sit idle (its `io_timeout`, or earlier
+/// to free a worker), so a pooled socket may be stale. That shows as a
+/// failure before the first response byte, which cannot have been the
+/// request's fault: the exchange is redone once on a fresh connection
+/// and is not a transport retry — no [`RetryPolicy`] budget, backoff or
+/// `retries` count, and nothing the caller's circuit breaker sees. Any
+/// failure on a fresh socket, or after a response byte, is reported.
+///
 /// By default transport errors fail fast; [`HttpChatClient::with_retry`]
 /// adds capped exponential backoff under a deadline.
 #[derive(Debug, Clone)]
@@ -302,13 +320,14 @@ pub struct HttpChatClient {
     addr: std::net::SocketAddr,
     retry: RetryPolicy,
     retries: Option<Arc<Counter>>,
+    idle: Arc<Mutex<Vec<MessageReader<TcpStream>>>>,
 }
 
 impl HttpChatClient {
     /// A client for the service at `addr`, failing fast on transport
     /// errors.
     pub fn new(addr: std::net::SocketAddr) -> Self {
-        Self { addr, retry: RetryPolicy::none(), retries: None }
+        Self { addr, retry: RetryPolicy::none(), retries: None, idle: Arc::default() }
     }
 
     /// Retries transport failures per `policy`.
@@ -323,6 +342,58 @@ impl HttpChatClient {
         self
     }
 
+    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<MessageReader<TcpStream>>> {
+        // A panic elsewhere cannot leave a Vec of sockets half-updated.
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Sends `request` (a whole message, written at once) and reads the
+    /// reply, on a pooled socket when there is one.
+    fn exchange(&self, request: &[u8]) -> Result<HttpReply, LlmError> {
+        // Popped in its own statement: the pool lock must not be held
+        // across the exchange.
+        let pooled = self.idle().pop();
+        if let Some(mut conn) = pooled {
+            match Self::exchange_on(&mut conn, request) {
+                Ok(reply) => return Ok(self.check_in(conn, reply)),
+                // Stale: closed by the server while pooled. Fall through
+                // to a fresh connection.
+                Err(_) if conn.buffered() == 0 => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let stream = TcpStream::connect(self.addr)
+            .map_err(|e| LlmError::Transport(format!("connect {}: {e}", self.addr)))?;
+        // One write per request, and no waiting on the peer's delayed
+        // ACK for the next one on the same socket.
+        let _ = stream.set_nodelay(true);
+        let mut conn = MessageReader::new(stream);
+        let reply = Self::exchange_on(&mut conn, request)?;
+        Ok(self.check_in(conn, reply))
+    }
+
+    fn exchange_on(
+        conn: &mut MessageReader<TcpStream>,
+        request: &[u8],
+    ) -> Result<HttpReply, LlmError> {
+        conn.get_mut()
+            .write_all(request)
+            .map_err(|e| LlmError::Transport(format!("send: {e}")))?;
+        conn.read_response()
+            .map_err(|e| LlmError::Transport(format!("recv: {e}")))
+    }
+
+    /// Returns the socket to the pool when the reply permits reuse.
+    fn check_in(&self, conn: MessageReader<TcpStream>, reply: HttpReply) -> HttpReply {
+        if reply.keep_alive && conn.buffered() == 0 {
+            let mut idle = self.idle();
+            if idle.len() < MAX_IDLE_SOCKETS {
+                idle.push(conn);
+            }
+        }
+        reply
+    }
+
     fn attempt(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
         let wire = WireRequest {
             model: request.model.id().to_owned(),
@@ -333,8 +404,6 @@ impl HttpChatClient {
         let body = serde_json::to_vec(&wire)
             .map_err(|e| LlmError::Protocol(format!("request encoding failed: {e}")))?;
 
-        let mut stream = TcpStream::connect(self.addr)
-            .map_err(|e| LlmError::Transport(format!("connect {}: {e}", self.addr)))?;
         // Propagate the caller's trace context (W3C traceparent shape:
         // u64 trace id zero-extended to 128 bits, reused as parent span).
         let trace_headers = if request.trace_id != 0 {
@@ -345,24 +414,21 @@ impl HttpChatClient {
         } else {
             String::new()
         };
-        let header = format!(
+        // Head and body leave as one write (see `exchange`).
+        let mut message = format!(
             "POST /v1/chat/completions HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n{}Content-Length: {}\r\n\r\n",
             self.addr,
             trace_headers,
             body.len()
-        );
-        use std::io::Write;
-        stream
-            .write_all(header.as_bytes())
-            .and_then(|_| stream.write_all(&body))
-            .map_err(|e| LlmError::Transport(format!("send: {e}")))?;
+        )
+        .into_bytes();
+        message.extend_from_slice(&body);
 
-        let (status, resp_body) =
-            read_response(&mut stream).map_err(|e| LlmError::Transport(format!("recv: {e}")))?;
-        if status != 200 {
-            return Err(wire_to_error(status, &resp_body));
+        let reply = self.exchange(&message)?;
+        if reply.status != 200 {
+            return Err(wire_to_error(reply.status, &reply.body));
         }
-        let wire_resp: WireResponse = serde_json::from_slice(&resp_body)
+        let wire_resp: WireResponse = serde_json::from_slice(&reply.body)
             .map_err(|e| LlmError::Protocol(format!("response decoding failed: {e}")))?;
         to_chat_response(&wire_resp)
     }
@@ -397,25 +463,22 @@ impl ChatApi for HttpChatClient {
         if trace_id == 0 {
             return None;
         }
-        let mut stream = TcpStream::connect(self.addr).ok()?;
-        use std::io::Write;
-        write!(
-            stream,
+        let request = format!(
             "GET /trace?id={trace_id} HTTP/1.1\r\nHost: {}\r\n\r\n",
             self.addr
-        )
-        .ok()?;
-        let (status, body) = read_response(&mut stream).ok()?;
-        if status != 200 {
+        );
+        let reply = self.exchange(request.as_bytes()).ok()?;
+        if reply.status != 200 {
             return None;
         }
-        String::from_utf8(body).ok()
+        String::from_utf8(reply.body).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::read_response;
     use llm::{parse_answers, ModelKind};
 
     fn prompt() -> String {
@@ -752,14 +815,71 @@ mod tests {
         assert!(children.contains("http 429"), "{children}");
     }
 
+    fn scrape(addr: std::net::SocketAddr) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let (status, body) = read_response(&mut stream).unwrap();
+        assert_eq!(status, 200);
+        String::from_utf8(body).unwrap()
+    }
+
+    #[test]
+    fn calls_reuse_one_pooled_socket() {
+        let server = LlmServer::new().start().unwrap();
+        let client = server.client();
+        for seed in 0..5 {
+            client
+                .complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), seed).with_trace(9, 0))
+                .unwrap();
+        }
+        // The trace lookup rides the same pool.
+        assert!(client.trace_children(9).is_some());
+        let text = scrape(server.addr());
+        // One connection for the six calls, one for this scrape.
+        assert!(text.contains("http_connections_accepted_total 2"), "{text}");
+        assert!(text.contains("http_requests_served_total 6"), "{text}");
+        obs::lint(&text).expect("connection counters are valid Prometheus text");
+    }
+
+    #[test]
+    fn stale_pooled_socket_is_replaced_without_a_retry() {
+        let server = LlmServer::new()
+            .with_serve_options(ServeOptions {
+                io_timeout: std::time::Duration::from_millis(25),
+                ..ServeOptions::default()
+            })
+            .start()
+            .unwrap();
+        // Fail-fast policy: a stale socket surfacing as a transport error
+        // would fail the second call outright.
+        let retries = Arc::new(Counter::detached());
+        let client = server.client().with_retry_metrics(Arc::clone(&retries));
+        let request = ChatRequest::new(ModelKind::Gpt4, prompt(), 5);
+        client.complete(&request).unwrap();
+        // Wait until the server has closed the pooled socket for idling.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !scrape(server.addr()).contains(r#"http_idle_closes_total{reason="timeout"} 1"#) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "idle socket never closed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        client.complete(&request).unwrap();
+        assert_eq!(retries.get(), 0);
+    }
+
     #[test]
     fn server_shuts_down_on_drop() {
         let server = LlmServer::new().start().unwrap();
-        let addr = server.addr();
+        let client = server.client();
+        let request = ChatRequest::new(ModelKind::Gpt4, prompt(), 1);
+        // Leaves a socket in the client's pool.
+        client.complete(&request).unwrap();
         drop(server);
-        // Subsequent requests must fail (connection refused or reset).
-        let client = HttpChatClient::new(addr);
-        let result = client.complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), 1));
+        // Subsequent requests must fail: the pooled socket is stale and
+        // replaced silently, the fresh connect is refused (or reset).
+        let result = client.complete(&request);
         assert!(matches!(result, Err(LlmError::Transport(_))));
     }
 }
