@@ -29,71 +29,41 @@ def ok(msg):
 
 
 def gate_serving(base, cur):
-    # A `--replay-smoke` snapshot carries only the open-loop replay
-    # section; the full quick-mode snapshot carries both. Gate whatever
-    # sections are present.
-    if "telemetry_overhead_pct" in cur:
-        # Telemetry overhead is a ratio of two runs on the same machine,
-        # so it transfers across workload sizes. The committed full run
-        # holds |overhead| <= 5%; allow 10 extra points for runner noise.
-        limit = abs(base["telemetry_overhead_pct"]) + 10.0
-        got = cur["telemetry_overhead_pct"]
-        if abs(got) > limit:
-            fail(f"telemetry overhead {got:.2f}% vs committed "
-                 f"{base['telemetry_overhead_pct']:.2f}% (limit ±{limit:.2f}%)")
-        ok(f"telemetry overhead {got:.2f}% (limit ±{limit:.2f}%)")
+    # Telemetry overhead is a ratio of two runs on the same machine, so
+    # it transfers across workload sizes. The committed full run holds
+    # |overhead| <= 5%; allow 10 extra points for runner noise.
+    limit = abs(base["telemetry_overhead_pct"]) + 10.0
+    got = cur["telemetry_overhead_pct"]
+    if abs(got) > limit:
+        fail(f"telemetry overhead {got:.2f}% vs committed "
+             f"{base['telemetry_overhead_pct']:.2f}% (limit ±{limit:.2f}%)")
+    ok(f"telemetry overhead {got:.2f}% (limit ±{limit:.2f}%)")
 
-        # WAL overhead envelopes mirror the bench's own full-mode
-        # asserts, widened for CI: a regression to fsync-per-record
-        # blows far past these regardless of machine.
-        for key, limit in [("wal_batched_overhead_pct", 40.0),
-                           ("wal_always_overhead_pct", 85.0)]:
-            got = cur[key]
-            if got > limit:
-                fail(f"{key} {got:.2f}% exceeds {limit:.2f}%")
-            ok(f"{key} {got:.2f}% (limit {limit:.2f}%)")
+    # WAL overhead envelopes mirror the bench's own full-mode asserts,
+    # widened for CI: a regression to fsync-per-record blows far past
+    # these regardless of machine.
+    for key, limit in [("wal_batched_overhead_pct", 40.0),
+                       ("wal_always_overhead_pct", 85.0)]:
+        got = cur[key]
+        if got > limit:
+            fail(f"{key} {got:.2f}% exceeds {limit:.2f}%")
+        ok(f"{key} {got:.2f}% (limit {limit:.2f}%)")
 
-        # The cache-hit fast path must stay microseconds, not
-        # milliseconds.
-        got = cur["cache_hit_p50_us"]
-        if got > 1000:
-            fail(f"cache-hit p50 {got}us exceeds 1000us")
-        ok(f"cache-hit p50 {got}us")
+    # The cache-hit fast path must stay microseconds, not milliseconds.
+    got = cur["cache_hit_p50_us"]
+    if got > 1000:
+        fail(f"cache-hit p50 {got}us exceeds 1000us")
+    ok(f"cache-hit p50 {got}us")
 
-    if "replay" in cur:
-        gate_replay(base.get("replay", {}), cur["replay"])
+    gate_replay(cur["replay"])
 
 
-def gate_replay(base, cur):
-    # Shard-contention ratios: same machine, same offered load, 1 vs 8
-    # shards — the quantities are ratios, so they transfer across
-    # runner speeds. The committed full run holds >= 2x lock-hold
-    # reduction; a quick run on a noisy shared runner keeps a clear
-    # margin over "sharding does nothing" without demanding the full
-    # multiple.
-    got = cur["lock_hold_reduction_8x"]
-    if got < 1.2:
-        fail(f"planner lock-hold reduction at 8 shards {got:.2f}x fell "
-             f"below 1.2x (committed: "
-             f"{base.get('lock_hold_reduction_8x', 0):.2f}x)")
-    ok(f"lock-hold reduction at 8 shards: {got:.2f}x")
-
-    # Peak queue depth must at minimum not *grow* with shards.
-    got = cur["queue_depth_reduction_8x"]
-    if got < 1.0:
-        fail(f"peak queue depth grew with shards: reduction {got:.2f}x")
-    ok(f"queue-depth reduction at 8 shards: {got:.2f}x")
-
-    # All three steady shard points must be present and lossless —
-    # steady load is sized to admit cleanly at every shard count.
-    steady = {entry["shards"]: entry for entry in cur.get("steady", [])}
-    for shards in (1, 4, 8):
-        if shards not in steady:
-            fail(f"replay steady curve missing the {shards}-shard point")
-        if steady[shards]["shed"] != 0:
-            fail(f"steady load shed {steady[shards]['shed']} requests "
-                 f"at {shards} shards")
-    ok("steady curve present at 1/4/8 shards, zero shed")
+def gate_replay(cur):
+    # Steady load is sized to admit cleanly at the default bound.
+    steady = cur["steady"]
+    if steady["shed"] != 0:
+        fail(f"steady load shed {steady['shed']} requests")
+    ok(f"steady curve answered {steady['answered']}, zero shed")
 
     # The spike must overrun the tight admission bound (the admission
     # controller's smoke signal) without shedding everything.

@@ -13,24 +13,20 @@
 //! modes (`Batched` and `Always`) so the write-ahead log's throughput
 //! cost per policy sits next to the telemetry numbers in the snapshot.
 //!
-//! The open-loop **traffic replay** section is the sharded serving
-//! core's proof: arrivals follow a precomputed schedule (steady,
-//! diurnal, or spike curve) that does not slow down when the service
-//! does, so backpressure shows up as queue depth, shed requests and
-//! planner-lock contention instead of a politely throttled client. The
-//! same fixed offered load replays at 1, 4 and 8 shards; on a small
-//! container the headline is contention removal — planner-lock hold
-//! time and peak queue depth must fall as shards split the flush path.
+//! The open-loop **traffic replay** section covers what the end-to-end
+//! benchmark's two closed-loop clients cannot reach: arrivals follow a
+//! precomputed schedule (a steady or a spike curve) that does not slow
+//! down when the service does, so backpressure shows up as queue depth
+//! and shed requests instead of a politely throttled client. The steady
+//! curve must admit everything; the spike, against a deliberately tight
+//! admission bound, must shed some arrivals and not all.
 //!
 //! Runs in quick mode (small workload, one iteration) under `cargo
 //! test` and in full mode (best of 5) under `cargo bench`; both write a
 //! `BENCH_serving.json` snapshot (path override: `BENCH_SERVING_OUT`).
-//! `--replay-smoke` runs *only* the traffic-replay section at quick
-//! scale (the CI smoke step). Full mode asserts the instrumentation
-//! overhead stays within 5% of the uninstrumented throughput, the
-//! batched-fsync WAL within 25% of the WAL-off throughput, lock hold
-//! and peak depth strictly decreasing 1 -> 4 -> 8 shards with at least
-//! a 2x lock-hold reduction at 8, and the spike curve shedding.
+//! Full mode asserts the instrumentation overhead stays within 5% of
+//! the uninstrumented throughput, the batched-fsync WAL within 25% of
+//! the WAL-off throughput, and the two shed conditions above.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -144,27 +140,16 @@ fn run_workload(
 enum Curve {
     /// Constant arrival rate.
     Steady,
-    /// One sinusoidal day: trough at 10% of the base rate, peak at 100%.
-    Diurnal,
     /// Half the base rate, with an 8x burst through the middle tenth of
     /// the run — the shape the admission controller exists for.
     Spike,
 }
 
 impl Curve {
-    fn name(self) -> &'static str {
-        match self {
-            Curve::Steady => "steady",
-            Curve::Diurnal => "diurnal",
-            Curve::Spike => "spike",
-        }
-    }
-
     /// Instantaneous rate multiplier at normalized run position `u`.
     fn rate(self, u: f64) -> f64 {
         match self {
             Curve::Steady => 1.0,
-            Curve::Diurnal => 0.55 + 0.45 * (std::f64::consts::TAU * u).sin(),
             Curve::Spike => {
                 if (0.45..0.55).contains(&u) {
                     8.0
@@ -225,16 +210,12 @@ fn replay_bank(n: usize) -> Vec<EntityPair> {
 
 /// One open-loop replay run's result row.
 struct ReplayOutcome {
-    curve: Curve,
-    shards: usize,
     offered_qps: f64,
     achieved_qps: f64,
     answered: u64,
     shed: u64,
     answer_p50_us: u64,
     answer_p99_us: u64,
-    lock_hold_p50_us: u64,
-    lock_hold_p99_us: u64,
     queue_depth_peak: u64,
 }
 
@@ -250,12 +231,10 @@ impl ReplayOutcome {
 
     fn json(&self) -> String {
         format!(
-            "{{\"curve\": \"{}\", \"shards\": {}, \"offered_qps\": {:.0}, \
+            "{{\"offered_qps\": {:.0}, \
              \"achieved_qps\": {:.0}, \"answered\": {}, \"shed\": {}, \
              \"shed_rate_pct\": {:.2}, \"answer_p50_us\": {}, \"answer_p99_us\": {}, \
-             \"lock_hold_p50_us\": {}, \"lock_hold_p99_us\": {}, \"queue_depth_peak\": {}}}",
-            self.curve.name(),
-            self.shards,
+             \"queue_depth_peak\": {}}}",
             self.offered_qps,
             self.achieved_qps,
             self.answered,
@@ -263,16 +242,13 @@ impl ReplayOutcome {
             self.shed_rate_pct(),
             self.answer_p50_us,
             self.answer_p99_us,
-            self.lock_hold_p50_us,
-            self.lock_hold_p99_us,
             self.queue_depth_peak,
         )
     }
 }
 
 /// One offered load: the arrival count, the base inter-arrival gap the
-/// curve modulates, and the client-lane concurrency bound. Fixed across
-/// shard counts so the contention comparison is apples-to-apples.
+/// curve modulates, and the client-lane concurrency bound.
 #[derive(Clone, Copy)]
 struct ReplayLoad {
     n_arrivals: usize,
@@ -287,27 +263,15 @@ struct ReplayLoad {
 /// count, they do not retry.
 fn replay(
     curve: Curve,
-    shards: usize,
     queue_capacity: usize,
     bootstrap: &[LabeledPair],
     bank: &[EntityPair],
     load: ReplayLoad,
 ) -> ReplayOutcome {
-    // A wider coalescing window than the closed-loop sections use (5ms
-    // deadline, batches of 16): per-flush size then scales with the
-    // questions a shard accumulates, which is exactly what shard count
-    // divides — the contention signal under measurement. Identical
-    // across shard counts, so the comparison stays apples-to-apples.
     let service = Arc::new(ErService::start(
         Arc::new(SimLlm::new()),
         bootstrap.to_vec(),
-        ServiceConfig {
-            shards,
-            queue_capacity,
-            batch_size: 16,
-            flush_deadline: Duration::from_millis(5),
-            ..service_config(true)
-        },
+        ServiceConfig { queue_capacity, ..service_config(true) },
     ));
     let schedule = arrival_schedule(curve, load.n_arrivals, load.base_gap);
     let offered_qps = load.n_arrivals as f64
@@ -356,180 +320,83 @@ fn replay(
     });
     let secs = start.elapsed().as_secs_f64();
     let stats = service.stats();
-    assert_eq!(stats.shards, shards as u64);
     assert_eq!(
         stats.shed_total, shed,
         "service and bench disagree on sheds"
     );
     ReplayOutcome {
-        curve,
-        shards,
         offered_qps,
         achieved_qps: answered as f64 / secs.max(1e-9),
         answered,
         shed,
         answer_p50_us: stats.answer_p50_us,
         answer_p99_us: stats.answer_p99_us,
-        lock_hold_p50_us: stats.planner_lock_hold_p50_us,
-        lock_hold_p99_us: stats.planner_lock_hold_p99_us,
         queue_depth_peak: stats.queue_depth_peak,
     }
 }
 
-/// Runs the whole replay matrix — the steady curve at 1/4/8 shards for
-/// the contention scaling headline, then diurnal and spike at 4 shards
-/// (the spike against a deliberately tight admission bound) — and
-/// renders the snapshot's `"replay"` section.
+/// Runs the two replay passes — steady at the default admission bound,
+/// spike against a deliberately tight one — and renders the snapshot's
+/// `"replay"` section.
 fn run_replay_section(quick: bool, bootstrap: &[LabeledPair]) -> String {
-    // Full mode runs the same offered load as quick, 4x longer — on a
-    // small container, piling on client threads just adds scheduler
-    // noise to the hold-time histograms; more samples at a rate that
-    // cleanly separates the shard counts is what sharpens the
-    // percentiles. The env overrides exist for tuning the load to a
-    // specific machine without recompiling.
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let load = ReplayLoad {
-        n_arrivals: env_usize("REPLAY_ARRIVALS", if quick { 360 } else { 1440 }),
-        base_gap: Duration::from_micros(
-            env_usize("REPLAY_GAP_US", if quick { 500 } else { 400 }) as u64
-        ),
-        threads: env_usize("REPLAY_THREADS", if quick { 16 } else { 24 }),
+    // Full mode runs nearly the same offered load as quick, 4x longer —
+    // on a small container, piling on client threads just adds scheduler
+    // noise; more samples is what sharpens the percentiles.
+    let load = if quick {
+        ReplayLoad { n_arrivals: 360, base_gap: Duration::from_micros(500), threads: 16 }
+    } else {
+        ReplayLoad { n_arrivals: 1440, base_gap: Duration::from_micros(400), threads: 24 }
     };
     let bank = replay_bank(load.n_arrivals);
-    // Tight enough that the spike's 8x burst overruns it, roomy enough
-    // that steady/diurnal load admits cleanly.
+    // Tight enough that the spike overruns it, while steady load admits
+    // cleanly at the default bound.
     let spike_capacity = 4;
 
-    let steady: Vec<ReplayOutcome> = [1usize, 4, 8]
-        .iter()
-        .map(|&shards| {
-            let out = replay(
-                Curve::Steady,
-                shards,
-                ServiceConfig::default().queue_capacity,
-                bootstrap,
-                &bank,
-                load,
-            );
-            println!(
-                "replay steady x{shards}: {:.0}/{:.0} q/s achieved/offered, \
-                 lock p50/p99 {}/{} us, depth peak {}, shed {}",
-                out.achieved_qps,
-                out.offered_qps,
-                out.lock_hold_p50_us,
-                out.lock_hold_p99_us,
-                out.queue_depth_peak,
-                out.shed
-            );
-            out
-        })
-        .collect();
-    let diurnal = replay(
-        Curve::Diurnal,
-        4,
+    let steady = replay(
+        Curve::Steady,
         ServiceConfig::default().queue_capacity,
         bootstrap,
         &bank,
         load,
     );
-    let spike = replay(Curve::Spike, 4, spike_capacity, bootstrap, &bank, load);
+    let spike = replay(Curve::Spike, spike_capacity, bootstrap, &bank, load);
     println!(
-        "replay diurnal x4: {:.0} q/s, p99 {} us | spike x4 (cap {spike_capacity}): \
-         shed {} ({:.1}%)",
-        diurnal.achieved_qps,
-        diurnal.answer_p99_us,
+        "replay steady: {:.0}/{:.0} q/s achieved/offered, answer p50/p99 {}/{} us, \
+         depth peak {}, shed {} | spike (cap {spike_capacity}): shed {} ({:.1}%)",
+        steady.achieved_qps,
+        steady.offered_qps,
+        steady.answer_p50_us,
+        steady.answer_p99_us,
+        steady.queue_depth_peak,
+        steady.shed,
         spike.shed,
         spike.shed_rate_pct()
     );
 
-    // Contention-removal ratios, 1 shard vs 8 at identical offered
-    // load. Medians, not p99s: a run produces a few hundred planner
-    // flushes, so p99 is whatever the worst scheduler preemption did
-    // to one sample, while p50 is stable run to run.
-    let lock_hold_reduction_8x =
-        steady[0].lock_hold_p50_us as f64 / steady[2].lock_hold_p50_us.max(1) as f64;
-    let queue_depth_reduction_8x =
-        steady[0].queue_depth_peak as f64 / steady[2].queue_depth_peak.max(1) as f64;
-
     if !quick {
-        // The acceptance headline: splitting the flush path must shrink
-        // both contention signals monotonically, and hold-time by >= 2x
-        // at 8 shards. Absolute wall-times vary with hardware; these are
-        // ratios of same-machine runs at one offered load.
-        for pair in steady.windows(2) {
-            assert!(
-                pair[1].lock_hold_p50_us < pair[0].lock_hold_p50_us,
-                "lock hold did not fall {} -> {} shards: {} us -> {} us",
-                pair[0].shards,
-                pair[1].shards,
-                pair[0].lock_hold_p50_us,
-                pair[1].lock_hold_p50_us
-            );
-            assert!(
-                pair[1].queue_depth_peak < pair[0].queue_depth_peak,
-                "queue depth did not fall {} -> {} shards: {} -> {}",
-                pair[0].shards,
-                pair[1].shards,
-                pair[0].queue_depth_peak,
-                pair[1].queue_depth_peak
-            );
-        }
-        assert!(
-            lock_hold_reduction_8x >= 2.0,
-            "8 shards cut lock hold only {lock_hold_reduction_8x:.2}x (need >= 2x)"
-        );
+        assert_eq!(steady.shed, 0, "steady load shed");
         assert!(
             spike.shed > 0,
             "spike curve never overran the admission bound"
         );
-        assert_eq!(steady[0].shed, 0, "steady load shed at 1 shard");
+        assert!(spike.answered > 0, "spike curve shed every request");
     }
 
-    let rows: Vec<String> = steady
-        .iter()
-        .map(|o| format!("      {}", o.json()))
-        .collect();
-    format!
-        (
-        "{{\n    \"arrivals\": {},\n    \"base_gap_us\": {},\n    \"client_threads\": {},\n    \"spike_queue_capacity\": {spike_capacity},\n    \"steady\": [\n{}\n    ],\n    \"diurnal\": {},\n    \"spike\": {},\n    \"lock_hold_reduction_8x\": {:.2},\n    \"queue_depth_reduction_8x\": {:.2}\n  }}",
+    format!(
+        "{{\n    \"arrivals\": {},\n    \"base_gap_us\": {},\n    \"client_threads\": {},\n    \"spike_queue_capacity\": {spike_capacity},\n    \"steady\": {},\n    \"spike\": {}\n  }}",
         load.n_arrivals,
         load.base_gap.as_micros(),
         load.threads,
-        rows.join(",\n"),
-        diurnal.json(),
+        steady.json(),
         spike.json(),
-        lock_hold_reduction_8x,
-        queue_depth_reduction_8x,
     )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let replay_smoke = args.iter().any(|a| a == "--replay-smoke");
-    let quick =
-        replay_smoke || args.iter().any(|a| a == "--quick") || !args.iter().any(|a| a == "--bench");
+    let quick = args.iter().any(|a| a == "--quick") || !args.iter().any(|a| a == "--bench");
     let (n_questions, clients, rounds, iters) = if quick { (48, 4, 2, 1) } else { (256, 8, 6, 5) };
     let (bootstrap, bank) = fixtures(n_questions);
-
-    if replay_smoke {
-        // The CI traffic-replay smoke step: only the open-loop section,
-        // quick scale, its own snapshot document.
-        let replay_json = run_replay_section(true, &bootstrap);
-        let json = format!(
-            "{{\n  \"bench\": \"serving_traffic_replay\",\n  \"mode\": \"smoke\",\n  \"replay\": {replay_json}\n}}\n"
-        );
-        let out_path = std::env::var("BENCH_SERVING_OUT").unwrap_or_else(|_| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json").to_owned()
-        });
-        std::fs::write(&out_path, &json).expect("write replay snapshot");
-        println!("{json}");
-        return;
-    }
 
     // Interleave the configurations each iteration so machine noise hits
     // all of them equally; keep the best (highest q/s) of each.
@@ -630,9 +497,8 @@ fn main() {
         );
     }
 
-    // The open-loop traffic replay: the sharded core's contention proof,
-    // run after the closed-loop sections so their envelopes stay
-    // comparable with earlier snapshots.
+    // The open-loop traffic replay, run after the closed-loop sections so
+    // their envelopes stay comparable with earlier snapshots.
     let replay_json = run_replay_section(quick, &bootstrap);
 
     let json = format!(

@@ -12,11 +12,10 @@
 //! `get` promotes its entry to the front, inserts past capacity evict
 //! the back, and each eviction is counted (`er_cache_evictions_total`).
 //! All operations are O(1); the capacity is a hard bound, not the
-//! high-water mark the previous generational scheme allowed — which is
-//! what lets the sharded service split one budget into exact per-shard
-//! partitions. Durable replay fills through the same `insert`, so a
-//! recovered history larger than the bound retains its most recent
-//! answers, exactly as the live path would have.
+//! high-water mark the previous generational scheme allowed. Durable
+//! replay fills through the same `insert`, so a recovered history larger
+//! than the bound retains its most recent answers, exactly as the live
+//! path would have.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -97,8 +96,7 @@ pub struct AnswerCache {
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
     /// Live-entry mirror, maintained by add-deltas under the lock, so
-    /// `/stats` and `/metrics` read a plain atomic — and so shard
-    /// partitions sharing one gauge sum instead of clobbering each other.
+    /// `/stats` and `/metrics` read a plain atomic.
     entries: Arc<Gauge>,
 }
 

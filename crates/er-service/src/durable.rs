@@ -93,10 +93,10 @@ pub enum DurableRecord {
     },
     /// The reservation was released without spend (abort or drop guard).
     Refund { run: u64, id: u64, micros: i64 },
-    /// [`DurableRecord::Answer`] plus the shard that bought it. Replay
-    /// treats both identically — recovery re-routes by fingerprint
-    /// through the *current* router, so the stored shard is forensic
-    /// (which partition wrote the record), not authoritative.
+    /// [`DurableRecord::Answer`] plus the shard that bought it: what the
+    /// sharded builds (PR 8–16) journaled, still decoded because their
+    /// logs are on disk. Replay treats both shapes identically and
+    /// ignores the shard; the service now writes plain `Answer`.
     AnswerSharded {
         /// [`FINGERPRINT_VERSION`] at write time; replay skips others.
         version: u32,
@@ -349,10 +349,8 @@ pub fn replay(config: &WalConfig) -> Result<(Wal, Replay), WalError> {
                 report.runs += 1;
                 max_run = max_run.max(run);
             }
-            // Both answer shapes replay identically; the sharded record's
-            // shard id is forensic, not routing state (the service
-            // re-routes every restored answer through its current
-            // router, so restarts may change the shard count freely).
+            // Both answer shapes replay identically; the shard id of a
+            // sharded build's record is ignored.
             DurableRecord::Answer { version, fp, label, .. }
             | DurableRecord::AnswerSharded { version, fp, label, .. } => {
                 if version == FINGERPRINT_VERSION {

@@ -17,7 +17,6 @@
 //! between reserve and settle (panic, disconnect), the guard's drop
 //! refunds the projection instead of stranding budget forever.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use er_core::{CostLedger, Money, SharedCostLedger};
@@ -194,93 +193,6 @@ impl CostGovernor {
         self.reserved_gauge.set(reserved.micros());
     }
 
-    /// Like [`CostGovernor::try_reserve_guarded`], but the projection is
-    /// drawn from a shard's [`ShardLease`] first, falling back to a
-    /// global refill only when the lease runs dry — the sharded serving
-    /// core's reserve path, which keeps the global `reserved` mutex off
-    /// the per-batch critical path once leases are warm.
-    ///
-    /// With a zero-chunk lease this is byte-identical to
-    /// [`CostGovernor::try_reserve_guarded`]: every batch reserves
-    /// exactly its projection against the global pool, so quiesce-time
-    /// conservation (`remaining + spent == budget`) holds without any
-    /// lease return. A nonzero chunk trades that exactness for fewer
-    /// global lock acquisitions; surplus must then be handed back via
-    /// [`CostGovernor::return_lease`] before asserting conservation.
-    pub fn try_reserve_leased(
-        &self,
-        lease: &ShardLease,
-        projected: Money,
-    ) -> Option<ReservationGuard<'_>> {
-        if lease.chunk == Money::ZERO {
-            return self.try_reserve_guarded(projected);
-        }
-        let _timer = self.reserve_us.start_timer();
-        {
-            let mut available = crate::sync::lock(&lease.available);
-            if *available < projected {
-                // Refill: move `max(chunk, shortfall)` — clamped to the
-                // global headroom — from the unreserved pool into this
-                // lease, under the same mutex `try_reserve` serializes
-                // on, so concurrent refills can never jointly overshoot.
-                let want = {
-                    let shortfall = projected - *available;
-                    if shortfall > lease.chunk {
-                        shortfall
-                    } else {
-                        lease.chunk
-                    }
-                };
-                let mut reserved = self.lock_reserved();
-                let headroom = self.budget - self.ledger.total() - *reserved;
-                let grant = if want <= headroom { want } else { headroom };
-                if *available + grant < projected {
-                    drop(reserved);
-                    self.denials.inc();
-                    return None;
-                }
-                *reserved += grant;
-                self.reserved_gauge.set(reserved.micros());
-                drop(reserved);
-                *available += grant;
-                lease.refills.fetch_add(1, Ordering::Relaxed);
-            }
-            *available = *available - projected;
-        }
-        // The batch-granularity journal record is identical to the
-        // unleased path (lease refills are *not* journaled): replay sees
-        // the same reserve/settle pairs either way, so the recovery
-        // conservation rules need no shard awareness.
-        let id = match &self.journal {
-            Some(journal) => {
-                let id = journal.next_reservation_id();
-                journal.append(&DurableRecord::Reserve {
-                    run: journal.run(),
-                    id,
-                    micros: projected.micros(),
-                });
-                id
-            }
-            None => 0,
-        };
-        Some(ReservationGuard { governor: self, reservation: Some(Reservation { projected, id }) })
-    }
-
-    /// Returns a lease's unconsumed budget to the global pool (shutdown
-    /// and pre-conservation-assert paths for chunked leases; a no-op for
-    /// zero-chunk leases, which never hold surplus).
-    pub fn return_lease(&self, lease: &ShardLease) {
-        let surplus = {
-            let mut available = crate::sync::lock(&lease.available);
-            std::mem::replace(&mut *available, Money::ZERO)
-        };
-        if surplus > Money::ZERO {
-            let mut reserved = self.lock_reserved();
-            *reserved = *reserved - surplus;
-            self.reserved_gauge.set(reserved.micros());
-        }
-    }
-
     /// Budget not yet spent or reserved (floored at zero).
     pub fn remaining(&self) -> Money {
         let reserved = *self.lock_reserved();
@@ -335,45 +247,6 @@ impl Drop for ReservationGuard<'_> {
             self.governor.refunds.inc();
             self.governor.release(reservation);
         }
-    }
-}
-
-/// One shard's slice of the budget: projections are drawn from
-/// `available` without touching the global `reserved` mutex; when the
-/// lease runs dry it refills `chunk` at a time from the governor
-/// ([`CostGovernor::try_reserve_leased`]). Global conservation is
-/// untouched — a lease's balance *is* reserved budget, tracked under the
-/// governor's own mutex at refill time, so the invariant
-/// `ledger + reserved + in-flight ≤ budget` holds across all shards.
-///
-/// A `chunk` of [`Money::ZERO`] (the default) disables local buffering
-/// entirely: every reserve passes straight through to the governor and
-/// the lease is a transparent alias for the unsharded behavior.
-#[derive(Debug)]
-pub struct ShardLease {
-    /// Refilled-but-unconsumed budget (always zero for zero-chunk).
-    available: Mutex<Money>,
-    /// Refill granularity; `Money::ZERO` = pass-through.
-    chunk: Money,
-    /// Global refills taken, for `/stats` contention accounting.
-    refills: AtomicU64,
-}
-
-impl ShardLease {
-    /// A lease refilling `chunk` at a time ([`Money::ZERO`] =
-    /// pass-through, the exact unsharded reserve path).
-    pub fn new(chunk: Money) -> Self {
-        Self { available: Mutex::new(Money::ZERO), chunk, refills: AtomicU64::new(0) }
-    }
-
-    /// Budget currently held by this lease.
-    pub fn available(&self) -> Money {
-        *crate::sync::lock(&self.available)
-    }
-
-    /// Global refills this lease has taken.
-    pub fn refills(&self) -> u64 {
-        self.refills.load(Ordering::Relaxed)
     }
 }
 
@@ -485,103 +358,5 @@ mod tests {
         // Out-of-band spend pushes the ledger past the budget.
         g.ledger().merge(&spend(500));
         assert_eq!(g.remaining(), Money::ZERO);
-    }
-
-    #[test]
-    fn zero_chunk_lease_is_passthrough() {
-        let g = governor(1_000);
-        let lease = ShardLease::new(Money::ZERO);
-        let guard = g
-            .try_reserve_leased(&lease, Money::from_micros(600))
-            .expect("fits");
-        assert_eq!(g.remaining(), Money::from_micros(400));
-        assert_eq!(lease.available(), Money::ZERO);
-        assert_eq!(lease.refills(), 0);
-        guard.settle(&spend(500));
-        assert_eq!(g.remaining(), Money::from_micros(500));
-    }
-
-    #[test]
-    fn chunked_lease_refills_and_conserves() {
-        let g = governor(10_000);
-        let lease = ShardLease::new(Money::from_micros(1_000));
-        // First reserve pulls a whole chunk; the surplus stays leased.
-        let guard = g
-            .try_reserve_leased(&lease, Money::from_micros(300))
-            .expect("fits");
-        assert_eq!(lease.available(), Money::from_micros(700));
-        assert_eq!(lease.refills(), 1);
-        // The chunk is globally reserved, so remaining reflects it all.
-        assert_eq!(g.remaining(), Money::from_micros(9_000));
-        guard.settle(&spend(250));
-        // Settle releases the batch's projection back to the pool;
-        // the lease keeps its surplus.
-        assert_eq!(g.remaining(), Money::from_micros(9_050));
-        // Second reserve is served lease-locally: no new refill.
-        let guard2 = g
-            .try_reserve_leased(&lease, Money::from_micros(500))
-            .expect("fits");
-        assert_eq!(lease.refills(), 1);
-        assert_eq!(lease.available(), Money::from_micros(200));
-        guard2.settle(&spend(500));
-        // Returning the surplus restores exact conservation.
-        g.return_lease(&lease);
-        assert_eq!(lease.available(), Money::ZERO);
-        assert_eq!(
-            g.remaining() + g.ledger().total(),
-            Money::from_micros(10_000)
-        );
-    }
-
-    #[test]
-    fn chunked_lease_denies_past_budget() {
-        let g = governor(1_000);
-        let lease = ShardLease::new(Money::from_micros(10_000));
-        // The refill clamps to the headroom; a projection over it denies.
-        assert!(g
-            .try_reserve_leased(&lease, Money::from_micros(1_500))
-            .is_none());
-        assert_eq!(g.denials(), 1);
-        assert_eq!(lease.available(), Money::ZERO);
-        // A fitting projection drains the whole (clamped) headroom into
-        // the lease.
-        let guard = g
-            .try_reserve_leased(&lease, Money::from_micros(400))
-            .expect("fits");
-        assert_eq!(lease.available(), Money::from_micros(600));
-        assert_eq!(g.remaining(), Money::ZERO);
-        drop(guard); // refunded
-        g.return_lease(&lease);
-        assert_eq!(g.remaining(), Money::from_micros(1_000));
-    }
-
-    #[test]
-    fn concurrent_leases_never_overshoot_globally() {
-        let g = std::sync::Arc::new(governor(10_000));
-        let leases: Vec<ShardLease> = (0..4)
-            .map(|_| ShardLease::new(Money::from_micros(500)))
-            .collect();
-        std::thread::scope(|scope| {
-            for lease in &leases {
-                let g = std::sync::Arc::clone(&g);
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        if let Some(guard) = g.try_reserve_leased(lease, Money::from_micros(100)) {
-                            guard.settle(&spend(100));
-                        }
-                    }
-                });
-            }
-        });
-        for lease in &leases {
-            g.return_lease(lease);
-        }
-        let total = g.ledger().total();
-        assert!(total <= Money::from_micros(10_000), "overshot: {total}");
-        assert_eq!(
-            g.remaining() + total,
-            Money::from_micros(10_000),
-            "lease surplus leaked"
-        );
     }
 }

@@ -9,9 +9,9 @@
 //! * `POST /match` — body `{"schema": [...], "left": [...], "right": [...]}`;
 //!   answers `{"label": "matching"|"non_matching", "source":
 //!   "cache"|"llm"|"fallback", "fingerprint": "<hex>", "trace_id": n}`.
-//!   When the owning shard's admission queue is full the request is shed
-//!   with `429` + a JSON error body and a `Retry-After` header (seconds)
-//!   instead of queueing without bound.
+//!   When the coalescing queue is at its admission bound the request is
+//!   shed with `429` + a JSON error body and a `Retry-After` header
+//!   (seconds) instead of queueing without bound.
 //! * `GET /stats` — the [`ServiceStats`] snapshot as JSON.
 //! * `GET /metrics` — Prometheus text exposition of every metric family.
 //! * `GET /trace?n=K` — the `K` most recent completed lifecycle spans as
@@ -35,8 +35,7 @@ use llm_service::http::{HttpRequest, HttpResponse};
 use llm_service::serve::{spawn_http_server, HttpServerHandle, ServeOptions};
 use serde::{Deserialize, Serialize};
 
-use crate::service::{ErService, MatchDecision};
-use crate::shard::SubmitOutcome;
+use crate::service::{ErService, MatchDecision, SubmitOutcome};
 use crate::stats::ServiceStats;
 
 /// `POST /match` request body.
@@ -144,7 +143,7 @@ fn route(service: &ErService, request: HttpRequest) -> HttpResponse {
                 }
                 SubmitOutcome::Shed { retry_after_ms } => {
                     let retry_secs = retry_after_ms.div_ceil(1000).max(1);
-                    error(429, "shard queue full; retry later")
+                    error(429, "queue full; retry later")
                         .with_header("Retry-After", retry_secs.to_string())
                 }
             }

@@ -8,21 +8,20 @@
 //! records the same entity?" questions:
 //!
 //! * **Coalescing queue** ([`service`]) — in-flight questions buffer
-//!   until `batch_size` accumulate or a deadline expires, then flush as
-//!   diversity batches planned by the paper's own machinery
-//!   ([`batcher_core::plan_question_batches`]). Concurrent traffic gets
-//!   batch prompting automatically; nobody waits longer than the flush
-//!   deadline.
+//!   in one queue until `batch_size` accumulate or a deadline expires,
+//!   then flush as diversity batches planned from scratch by the paper's
+//!   own machinery ([`batcher_core::plan_with_prepared_pool`]). Full
+//!   batches go at once; a partial batch is held for the next flush.
+//!   Concurrent traffic gets batch prompting automatically; nobody waits
+//!   longer than the flush deadline.
 //! * **Answer cache** ([`cache`]) — keyed by a canonical, symmetric,
 //!   normalization-stable pair fingerprint ([`fingerprint`]); repeated
 //!   and mirrored questions never pay for a second LLM call. Bounded by
 //!   an exact LRU with counted evictions.
-//! * **Fingerprint sharding + admission control** ([`shard`]) — the
-//!   serving core splits into `ServiceConfig::shards` independent
-//!   partitions (own queue, planner, cache slice, governor lease) routed
-//!   by the answer fingerprint; bounded per-shard queues shed overload
-//!   (`try_submit` → 429 + `Retry-After` at the HTTP front end) instead
-//!   of growing without bound.
+//! * **Admission control** ([`service`]) — the queue is bounded by
+//!   `ServiceConfig::queue_capacity` and sheds overload (`try_submit` →
+//!   429 + `Retry-After` at the HTTP front end; blocking `submit` →
+//!   logistic fallback) instead of growing without bound.
 //! * **Cost governor** ([`governor`]) — worst-case cost of every batch is
 //!   reserved against a hard budget *before* the call; when the budget
 //!   runs out the service degrades to an offline-trained logistic matcher
@@ -81,7 +80,6 @@ pub mod flight;
 pub mod governor;
 pub mod http;
 pub mod service;
-pub mod shard;
 pub mod stats;
 mod sync;
 pub mod telemetry;
@@ -91,10 +89,9 @@ pub use cache::AnswerCache;
 pub use durable::{DurableLog, DurableRecord, RecoveryReport, Replay, WalConfig};
 pub use fingerprint::{pair_fingerprint, PairFingerprint, FINGERPRINT_VERSION};
 pub use flight::FlightRecorder;
-pub use governor::{CostGovernor, Reservation, ReservationGuard, ShardLease};
+pub use governor::{CostGovernor, Reservation, ReservationGuard};
 pub use http::{MatchRequestWire, MatchResponseWire, MatchServer};
-pub use service::{DecisionSource, ErService, MatchDecision, ServiceConfig};
-pub use shard::{ShardRouter, SubmitOutcome};
+pub use service::{DecisionSource, ErService, MatchDecision, ServiceConfig, SubmitOutcome};
 pub use stats::{HealthReport, ServiceStats};
 pub use telemetry::Telemetry;
 pub use wal::{FaultSchedule, SyncPolicy, WalFault};

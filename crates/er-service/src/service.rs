@@ -5,13 +5,16 @@
 //! ```text
 //! submit(pair)
 //!   ├─ answer cache hit ──────────────────────────────▶ MatchDecision (Cache)
+//!   ├─ queue at `queue_capacity` ─▶ shed (429) / local fallback
 //!   └─ miss ─▶ coalescing queue ─▶ dispatcher drain
 //!                (batch_size reached or deadline)
 //!                  ▼
 //!              worker pool
 //!                  │ plan: dedupe by fingerprint, attach to identical
-//!                  │ in-flight questions, diversity batches + demos
-//!                  │ (batcher_core::plan_with_prepared_pool)
+//!                  │ held or in-flight questions, then diversity batches
+//!                  │ + demos over everything held, from scratch
+//!                  │ (batcher_core::plan_with_prepared_pool); full
+//!                  │ batches go, a partial one is held for the next flush
 //!                  ▼
 //!              worker pool ─▶ cost governor reserve
 //!                  ├─ granted: LLM batch call ─▶ answers ─▶ cache fill
@@ -19,13 +22,17 @@
 //!                  └─ denied (budget): logistic fallback ─▶ (Fallback)
 //! ```
 //!
-//! Concurrent clients thereby get the paper's batch economics without
-//! coordinating: whoever happens to be in flight together shares one
-//! prompt's task description and demonstrations. The budget is a hard
-//! cap — when projected spend would cross it the service degrades to the
-//! offline-trained logistic matcher instead of failing requests.
+//! There is one of each: one queue, one dispatcher thread, one planner
+//! lock, one in-flight map, one answer cache, one reserve path. Concurrent
+//! clients thereby get the paper's batch economics without coordinating:
+//! whoever happens to be in flight together shares one prompt's task
+//! description and demonstrations — and the saving comes from *full*
+//! batches, which is why co-batchable traffic is never split. The budget
+//! is a hard cap — when projected spend would cross it the service
+//! degrades to the offline-trained logistic matcher instead of failing
+//! requests.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -33,10 +40,9 @@ use std::time::{Duration, Instant};
 
 use baselines::features::base_features;
 use baselines::logistic::{LogisticModel, TrainConfig};
-use batcher_core::incremental::{PlanKind, PlanState, DEFAULT_MAX_DELTA_FRACTION};
 use batcher_core::{
-    build_batch_prompt, task_description, BatchPlanConfig, DistanceKind, ExecutionOutcome,
-    Executor, ExtractorKind, PreparedPool,
+    build_batch_prompt, plan_with_prepared_pool, task_description, BatchPlanConfig, DistanceKind,
+    ExecutionOutcome, Executor, ExtractorKind, PreparedPool,
 };
 use er_core::{
     CostLedger, EntityPair, LabeledPair, MatchLabel, Money, SharedCostLedger, TokenCount,
@@ -49,11 +55,10 @@ use crate::cache::AnswerCache;
 use crate::durable::{DurableLog, DurableRecord, RecoveryReport, WalConfig};
 use crate::fingerprint::{pair_fingerprint, PairFingerprint, FINGERPRINT_VERSION};
 use crate::flight::FlightRecorder;
-use crate::governor::{CostGovernor, ShardLease};
-use crate::shard::{ShardRouter, SubmitOutcome};
+use crate::governor::CostGovernor;
 use crate::stats::{HealthReport, ServiceStats};
 use crate::sync::lock;
-use crate::telemetry::{ShardTelemetry, Telemetry};
+use crate::telemetry::Telemetry;
 
 /// Who produced a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,8 +104,9 @@ pub struct ServiceConfig {
     pub model: ModelKind,
     /// Questions per coalesced batch (the paper's `b`; §VI-A uses 8).
     pub batch_size: usize,
-    /// Maximum time a question waits for co-batched traffic before the
-    /// queue flushes a partial batch.
+    /// Maximum time a question waits for co-batched traffic — in the
+    /// queue, or held by the planner in a partial batch — before it is
+    /// dispatched in whatever batch it has.
     pub flush_deadline: Duration,
     /// Hard cap on total spend (API + labeling).
     pub budget: Money,
@@ -108,7 +114,8 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Answer-cache switch (disable to measure its savings).
     pub cache_enabled: bool,
-    /// Maximum answer-cache entries (generational eviction above this).
+    /// Maximum answer-cache entries: a hard cap, least recently used
+    /// entry evicted first (counted in `cache_evictions`).
     pub cache_capacity: usize,
     /// Executor retries per batch.
     pub max_retries: u32,
@@ -121,12 +128,6 @@ pub struct ServiceConfig {
     /// cost (the simulator's rationale lines quote question content, so
     /// an answer is bounded by the question plus this overhead).
     pub completion_allowance: u64,
-    /// Fallback threshold of the incremental planner: when the questions
-    /// inserted + retired since the last plan exceed this fraction of the
-    /// previously planned pool, the planner re-plans from scratch
-    /// (re-deriving its frozen clustering/covering thresholds) instead of
-    /// applying the delta.
-    pub max_plan_delta_fraction: f64,
     /// Telemetry switch: metrics registry + lifecycle tracing. Off, every
     /// handle is a single-branch no-op (the serving bench prices this).
     pub telemetry: bool,
@@ -150,26 +151,14 @@ pub struct ServiceConfig {
     /// keeps bundles in memory only (still fetchable at
     /// `GET /debug/bundle`).
     pub flight_dir: Option<std::path::PathBuf>,
-    /// Independent serving shards (must be a power of two). Each shard
-    /// owns its own coalescing queue, epoch-tracked incremental planner,
-    /// answer-cache partition and governor lease, keyed by the symmetric
-    /// answer fingerprint — so duplicates and mirrored pairs always land
-    /// on the owning shard and the exactly-once guarantees hold without
-    /// cross-shard coordination. `1` is the unsharded layout.
-    pub shards: usize,
-    /// Admission bound per shard: submits arriving while this many
-    /// questions are already pending on the owning shard are shed
-    /// (`try_submit` returns [`SubmitOutcome::Shed`]; the HTTP front end
-    /// maps it to `429` + `Retry-After`; blocking `submit` degrades to
-    /// the local fallback). `0` disables shedding (unbounded queues).
+    /// Admission bound: submits arriving while this many questions are
+    /// waiting in the coalescing queue (not yet drained by the
+    /// dispatcher) are shed — `try_submit` returns
+    /// [`SubmitOutcome::Shed`], which the HTTP front end maps to `429` +
+    /// `Retry-After`; blocking `submit` degrades to the local fallback.
+    /// Drained generations waiting for a worker are not counted. `0`
+    /// disables shedding (unbounded queue).
     pub queue_capacity: usize,
-    /// Governor-lease refill granularity per shard. [`Money::ZERO`]
-    /// (the default) reserves exactly per batch against the global pool
-    /// — byte-identical budget accounting to the unsharded service.
-    /// A positive chunk buffers budget shard-locally, trading exact
-    /// quiesce conservation (until the lease is returned) for fewer
-    /// global reserve-lock acquisitions under contention.
-    pub lease_chunk: Money,
 }
 
 impl Default for ServiceConfig {
@@ -186,7 +175,6 @@ impl Default for ServiceConfig {
             workers: 2,
             domain: "Product".to_owned(),
             completion_allowance: 24,
-            max_plan_delta_fraction: DEFAULT_MAX_DELTA_FRACTION,
             telemetry: true,
             trace_capacity: 1024,
             wal: None,
@@ -194,9 +182,7 @@ impl Default for ServiceConfig {
             breaker_cooldown: Duration::from_millis(250),
             slo_latency_us: 250_000,
             flight_dir: None,
-            shards: 1,
             queue_capacity: 4096,
-            lease_chunk: Money::ZERO,
         }
     }
 }
@@ -223,6 +209,7 @@ struct Pending {
     enqueued: Instant,
 }
 
+#[derive(Default)]
 struct QueueState {
     pending: Vec<Pending>,
     /// Set when the first pending item arrived (deadline anchor).
@@ -234,9 +221,12 @@ struct QueueState {
     stopping: bool,
 }
 
-/// One question the planner holds: planned into a partial batch and kept
-/// for the next epoch in the hope of fuller co-batched traffic.
-struct QueuedQuestion {
+/// One question the planner holds: entered by a flush (later identical
+/// arrivals attach their waiters), planned by every flush until it
+/// leaves in a dispatched batch — execution owns it from there, via
+/// `in_flight`. A question outlives a flush only as part of a partial
+/// batch held back in the hope of fuller co-batched traffic.
+struct HeldQuestion {
     pair: EntityPair,
     waiters: Vec<Waiter>,
     /// First arrival time — partial batches dispatch once this exceeds
@@ -244,23 +234,8 @@ struct QueuedQuestion {
     since: Instant,
 }
 
-/// The epoch-tracked planner: the incremental [`PlanState`] plus the
-/// service-side bookkeeping of which questions it currently owns.
-///
-/// Lifecycle of a question: `insert` on first arrival (later identical
-/// arrivals attach their waiters), planned every epoch, `retire` at
-/// dispatch (execution owns it from there, via `in_flight`). Questions
-/// persisting across epochs — partial-batch stragglers — are exactly
-/// what makes the next epoch a small delta.
-struct Planner {
-    state: PlanState,
-    queued: HashMap<PairFingerprint, QueuedQuestion>,
-}
-
 /// One planned batch handed to the worker pool.
 struct BatchJob {
-    /// The shard that planned (and owns) this batch.
-    shard: usize,
     /// `(fingerprint, pair, waiters)` per question.
     questions: Vec<(PairFingerprint, EntityPair, Vec<Waiter>)>,
     /// Demonstration indices into the shared pool.
@@ -271,50 +246,18 @@ struct BatchJob {
 
 /// Work processed by the pool. Planning runs on the pool too — clustering
 /// and demonstration selection are O(flush²) and would otherwise
-/// serialize every flush behind the per-shard dispatcher threads,
-/// stalling the queues past their deadline under sustained load.
+/// serialize every flush behind the dispatcher thread, stalling the
+/// queue past its deadline under sustained load.
 enum WorkItem {
-    /// A drained queue generation of one shard to dedupe, plan and split
-    /// into batches. `urgent` marks deadline- or shutdown-triggered
-    /// flushes: every planned batch dispatches, including partial ones (a
-    /// size-triggered flush may instead hold partial batches for the next
-    /// epoch).
-    Plan {
-        shard: usize,
-        drained: Vec<Pending>,
-        urgent: bool,
-    },
+    /// A drained queue generation to dedupe, plan and split into batches.
+    /// `urgent` marks deadline- or shutdown-triggered flushes: every
+    /// planned batch dispatches, including partial ones (a size-triggered
+    /// flush may instead hold a partial batch for the next flush).
+    Plan { drained: Vec<Pending>, urgent: bool },
     /// One planned batch to execute against the LLM.
     Batch(BatchJob),
-    /// Terminate one worker (the last dispatcher sends one per worker).
+    /// Terminate one worker (the dispatcher sends one per worker).
     Shutdown,
-}
-
-/// One serving shard: everything that used to be the service's single
-/// coalescing/planning core, now owned per fingerprint partition. The
-/// LLM worker pool, the breaker, the cost ledger and the durable log
-/// stay global — contention lives in the queue and the planner lock,
-/// and those are what sharding splits.
-struct ShardState {
-    queue: Mutex<QueueState>,
-    queue_cond: Condvar,
-    /// The epoch-tracked incremental planner (see [`Planner`]).
-    planner: Mutex<Planner>,
-    /// Questions currently being asked by an executing batch. Later
-    /// arrivals for the same fingerprint attach here instead of paying
-    /// for a second LLM slot (and risking a contradictory answer).
-    /// Fingerprint routing makes this naturally shard-local.
-    in_flight: Mutex<HashMap<PairFingerprint, Vec<Waiter>>>,
-    /// This shard's answer-cache partition (LRU-bounded to its share of
-    /// the configured capacity).
-    cache: AnswerCache,
-    /// This shard's slice of the budget (pass-through by default).
-    lease: ShardLease,
-    /// High-water mark of the pending queue this run (`/stats` reports
-    /// the max across shards — the admission controller's key signal).
-    depth_peak: AtomicU64,
-    /// Per-shard metric handles (`er_shard_*` families).
-    tel: ShardTelemetry,
 }
 
 struct Inner {
@@ -336,29 +279,37 @@ struct Inner {
     recovery: Option<RecoveryReport>,
     /// LLM-endpoint circuit breaker (outage → logistic degradation).
     breaker: Breaker,
-    /// Fingerprint → shard map.
-    router: ShardRouter,
-    /// The serving shards (`config.shards` of them).
-    shards: Vec<ShardState>,
-    /// Workers still running. The last worker out drains any questions
-    /// the planners still hold, so a straggler planned *after* the
-    /// dispatchers' shutdown drains can never strand its waiters — their
+    /// The coalescing queue; its length is what `queue_capacity` bounds.
+    queue: Mutex<QueueState>,
+    queue_cond: Condvar,
+    /// The planner lock: the questions currently held, in ascending
+    /// fingerprint order — the canonical order every plan is made in, so
+    /// a plan depends only on *what* is held, not on arrival order.
+    planner: Mutex<BTreeMap<PairFingerprint, HeldQuestion>>,
+    /// Questions currently being asked by an executing batch. Later
+    /// arrivals for the same fingerprint attach here instead of paying
+    /// for a second LLM slot (and risking a contradictory answer).
+    in_flight: Mutex<HashMap<PairFingerprint, Vec<Waiter>>>,
+    cache: AnswerCache,
+    /// High-water mark of the pending queue this run — the admission
+    /// bound's key signal on `/stats`.
+    depth_peak: AtomicU64,
+    /// Workers still running. The last worker out drops any questions
+    /// the planner still holds, so a straggler planned *after* the
+    /// dispatcher's shutdown drain can never strand its waiters — their
     /// dropped senders disconnect the receivers, which degrade to the
     /// local fallback.
     live_workers: AtomicU64,
-    /// Dispatchers still running; the last one out sends the worker
-    /// shutdown sentinels (after every shard's final drain is enqueued).
-    live_dispatchers: AtomicU64,
     telemetry: Telemetry,
     /// The anomaly flight recorder (events, snapshots, bundle triggers).
     flight: FlightRecorder,
 }
 
 /// The running service. Cloneable via `Arc`; dropping the last handle
-/// flushes the queues and joins every thread.
+/// flushes the queue and joins every thread.
 pub struct ErService {
     inner: Arc<Inner>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
+    dispatcher: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -369,6 +320,20 @@ impl std::fmt::Debug for ErService {
             .field("pool_size", &self.inner.pool.len())
             .finish_non_exhaustive()
     }
+}
+
+/// Outcome of a non-blocking admission attempt ([`ErService::try_submit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitOutcome {
+    /// Admitted and answered.
+    Decided(MatchDecision),
+    /// Shed: the coalescing queue was at `queue_capacity`. The caller
+    /// should retry after roughly `retry_after_ms` (one flush deadline —
+    /// the time for the queue to drain a generation).
+    Shed {
+        /// Suggested client backoff, milliseconds.
+        retry_after_ms: u64,
+    },
 }
 
 impl ErService {
@@ -461,44 +426,15 @@ impl ErService {
             None => (None, None, Vec::new()),
         };
 
-        // Per-shard serving state. Each shard gets an equal slice of the
-        // cache budget (the LRU bound — at least one entry each), its own
-        // planner seeded from the shared prepared pool, and a budget
-        // lease (pass-through unless `lease_chunk` is set).
-        let router = ShardRouter::new(config.shards);
-        let per_shard_cap = (config.cache_capacity / config.shards).max(1);
-        let shards: Vec<ShardState> = (0..config.shards)
-            .map(|i| ShardState {
-                queue: Mutex::new(QueueState {
-                    pending: Vec::new(),
-                    oldest: None,
-                    straggler_deadline: None,
-                    stopping: false,
-                }),
-                queue_cond: Condvar::new(),
-                planner: Mutex::new(Planner {
-                    state: PlanState::from_prepared(prepared_pool.clone(), plan_template)
-                        .with_max_delta_fraction(config.max_plan_delta_fraction),
-                    queued: HashMap::new(),
-                }),
-                in_flight: Mutex::new(HashMap::new()),
-                cache: AnswerCache::new(config.cache_enabled, per_shard_cap).with_metrics(
-                    Arc::clone(&telemetry.cache_hits),
-                    Arc::clone(&telemetry.cache_misses),
-                    Arc::clone(&telemetry.cache_entries),
-                    Arc::clone(&telemetry.cache_evictions),
-                ),
-                lease: ShardLease::new(config.lease_chunk),
-                depth_peak: AtomicU64::new(0),
-                tel: telemetry.shard_handles(i),
-            })
-            .collect();
-        // Replay fans each recovered answer out to its *current* owner:
-        // routing is a pure repartition across power-of-two counts, so a
-        // log written under 8 shards restores cleanly into 2. The LRU cap
-        // applies during the fill exactly as it does online.
+        let cache = AnswerCache::new(config.cache_enabled, config.cache_capacity).with_metrics(
+            Arc::clone(&telemetry.cache_hits),
+            Arc::clone(&telemetry.cache_misses),
+            Arc::clone(&telemetry.cache_entries),
+            Arc::clone(&telemetry.cache_evictions),
+        );
+        // The LRU cap applies during the fill exactly as it does online.
         for (fp, label) in recovered_answers {
-            shards[router.route(fp)].cache.insert(fp, label);
+            cache.insert(fp, label);
         }
         let ledger = SharedCostLedger::new();
         if let Some(report) = &recovery {
@@ -531,12 +467,15 @@ impl ErService {
             durable,
             recovery,
             breaker,
-            router,
+            queue: Mutex::new(QueueState::default()),
+            queue_cond: Condvar::new(),
+            planner: Mutex::new(BTreeMap::new()),
+            in_flight: Mutex::new(HashMap::new()),
+            cache,
+            depth_peak: AtomicU64::new(0),
             telemetry,
             flight,
             live_workers: AtomicU64::new(config.workers as u64),
-            live_dispatchers: AtomicU64::new(shards.len() as u64),
-            shards,
             config,
         });
 
@@ -552,15 +491,12 @@ impl ErService {
             })
             .collect();
 
-        let dispatchers = (0..inner.config.shards)
-            .map(|si| {
-                let inner = Arc::clone(&inner);
-                let work_tx = work_tx.clone();
-                std::thread::spawn(move || dispatcher_loop(&inner, si, work_tx))
-            })
-            .collect();
+        let dispatcher = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || dispatcher_loop(&inner, work_tx))
+        };
 
-        Self { inner, dispatchers, workers }
+        Self { inner, dispatcher: Some(dispatcher), workers }
     }
 
     /// Resolves one pair question, blocking until a decision is available
@@ -580,10 +516,10 @@ impl ErService {
     }
 
     /// Non-blocking admission: like [`ErService::submit`] but when the
-    /// owning shard's pending queue is at `queue_capacity` the question
-    /// is *shed* — the caller gets [`SubmitOutcome::Shed`] with a retry
-    /// hint instead of a decision, and no queue slot is consumed. The
-    /// HTTP front end maps this to `429` + `Retry-After`.
+    /// coalescing queue is at `queue_capacity` the question is *shed* —
+    /// the caller gets [`SubmitOutcome::Shed`] with a retry hint instead
+    /// of a decision, and no queue slot is consumed. The HTTP front end
+    /// maps this to `429` + `Retry-After`.
     pub fn try_submit(&self, pair: &EntityPair) -> SubmitOutcome {
         submit_inner(&self.inner, pair, false)
     }
@@ -681,20 +617,6 @@ impl ErService {
     pub fn ledger(&self) -> &SharedCostLedger {
         self.inner.governor.ledger()
     }
-
-    /// Hands every shard's unspent lease balance back to the global pool.
-    ///
-    /// A no-op in pass-through mode (`lease_chunk == 0`, the default,
-    /// where leases never hold budget). With chunked leases, quiesce-time
-    /// conservation (`remaining + spent == budget`) only holds after this
-    /// runs — buffered-but-unspent budget otherwise still counts as
-    /// reserved. Safe to call at any time: a racing batch that finds its
-    /// lease drained simply refills on its next reserve.
-    pub fn return_leases(&self) {
-        for shard in &self.inner.shards {
-            self.inner.governor.return_lease(&shard.lease);
-        }
-    }
 }
 
 /// The `/stats` snapshot, assembled from `inner` so worker threads (the
@@ -705,30 +627,18 @@ fn stats_of(inner: &Inner) -> ServiceStats {
     // Recovery numbers come from the report, not the gauges, so they
     // stay visible with telemetry disabled.
     let recovery = inner.recovery.clone().unwrap_or_default();
-    let plan_full = tel.plans_full.get();
-    let plan_incremental = tel.plans_incremental.get();
-    let mut plan_wall = tel.plan_full_us.snapshot();
-    plan_wall.merge(&tel.plan_incremental_us.snapshot());
+    let plans = tel.plans.get();
+    let plan_wall = tel.plan_wall_us.snapshot();
     let mut answer = tel.answer_cache_us.snapshot();
     answer.merge(&tel.answer_llm_us.snapshot());
     answer.merge(&tel.answer_fallback_us.snapshot());
     let index_query = tel.index_query_us.snapshot();
     let lock_hold = tel.planner_lock_hold_us.snapshot();
-    let shed_total: u64 = inner.shards.iter().map(|s| s.tel.shed.get()).sum();
-    let queue_depth_peak = inner
-        .shards
-        .iter()
-        .map(|s| s.depth_peak.load(Ordering::Relaxed))
-        .max()
-        .unwrap_or(0);
-    let lease_refills: u64 = inner.shards.iter().map(|s| s.lease.refills()).sum();
     ServiceStats {
         submitted: tel.submitted.get(),
-        plans: plan_full + plan_incremental,
-        plan_full,
-        plan_incremental,
-        plan_last_inserted: tel.plan_last_inserted.get() as u64,
-        plan_last_retired: tel.plan_last_retired.get() as u64,
+        plans,
+        plan_full: plans,
+        plan_incremental: 0,
         plan_last_us: tel.plan_last_us.get() as u64,
         plan_avg_us: plan_wall.mean(),
         plan_p50_us: plan_wall.quantile(0.5),
@@ -768,13 +678,11 @@ fn stats_of(inner: &Inner) -> ServiceStats {
         index_pruned_bp: tel.index_pruned_bp.get() as u64,
         index_query_p50_us: index_query.quantile(0.5),
         index_query_p99_us: index_query.quantile(0.99),
-        shards: inner.config.shards as u64,
-        shed_total,
-        queue_depth_peak,
+        shed_total: tel.shed.get(),
+        queue_depth_peak: inner.depth_peak.load(Ordering::Relaxed),
         planner_lock_hold_p50_us: lock_hold.quantile(0.5),
         planner_lock_hold_p99_us: lock_hold.quantile(0.99),
         cache_evictions: tel.cache_evictions.get(),
-        lease_refills,
     }
 }
 
@@ -795,15 +703,11 @@ fn health_of(inner: &Inner) -> HealthReport {
         }
         None => ("serving", -1, 0, 0),
     };
-    // Backpressure: any shard's pending queue at or past half its
-    // admission bound. A cheap peek per shard — scrapers polling
-    // `/healthz` learn the service is near shedding before 429s start.
+    // Backpressure: the pending queue at or past half its admission
+    // bound. A cheap peek — scrapers polling `/healthz` learn the service
+    // is near shedding before 429s start.
     let capacity = inner.config.queue_capacity;
-    let backpressure = capacity > 0
-        && inner
-            .shards
-            .iter()
-            .any(|s| lock(&s.queue).pending.len() >= (capacity / 2).max(1));
+    let backpressure = capacity > 0 && lock(&inner.queue).pending.len() >= (capacity / 2).max(1);
     HealthReport {
         status: status.to_owned(),
         wal_enabled: inner.durable.is_some(),
@@ -815,8 +719,7 @@ fn health_of(inner: &Inner) -> HealthReport {
         recovery_truncated_bytes: recovery.truncated_bytes,
         recovery_answers_restored: recovery.answers_restored,
         recovery_open_reservations: recovery.open_reservations,
-        shards: inner.config.shards as u64,
-        shed_total: inner.shards.iter().map(|s| s.tel.shed.get()).sum(),
+        shed_total: inner.telemetry.shed.get(),
         backpressure,
     }
 }
@@ -883,16 +786,13 @@ fn trigger_bundle(inner: &Inner, reason: &'static str, detail: String) {
 
 impl Drop for ErService {
     fn drop(&mut self) {
-        for shard in &self.inner.shards {
-            let mut queue = lock(&shard.queue);
-            queue.stopping = true;
-            shard.queue_cond.notify_all();
-        }
-        for handle in self.dispatchers.drain(..) {
+        lock(&self.inner.queue).stopping = true;
+        self.inner.queue_cond.notify_all();
+        // The dispatcher flushes what the queue and the planner still
+        // hold, then sends one shutdown sentinel per worker.
+        if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
-        // Every dispatcher flushed what its shard still held; the last
-        // one out sent one shutdown sentinel per worker.
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -919,8 +819,8 @@ fn fallback_decision(inner: &Inner, fp: PairFingerprint, pair: &EntityPair) -> M
     MatchDecision { label, source: DecisionSource::Fallback, fingerprint: fp, trace_id: 0 }
 }
 
-/// One pair question end to end: route to the owning shard, try its
-/// cache, then enqueue (or shed) and wait for the decision.
+/// One pair question end to end: try the cache, then enqueue (or shed)
+/// and wait for the decision.
 ///
 /// This is the only submit path. It owns the question's lifecycle span:
 /// it opens it, and it is the only place that finishes it — terminal
@@ -938,9 +838,8 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
     tel.submitted.inc();
     let started = Instant::now();
     let fp = pair_fingerprint(pair);
-    let shard = &inner.shards[inner.router.route(fp)];
     let trace = tel.trace.begin(fp.0, "submitted");
-    if let Some(label) = shard.cache.get(fp) {
+    if let Some(label) = inner.cache.get(fp) {
         let latency = started.elapsed();
         tel.answer_cache_us
             .record_duration_us_with_exemplar(latency, trace);
@@ -967,22 +866,22 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
 
     let (tx, rx): (Sender<MatchDecision>, Receiver<MatchDecision>) = channel();
     {
-        let mut queue = lock(&shard.queue);
+        let mut queue = lock(&inner.queue);
         if queue.stopping {
             drop(queue);
             return answer_via_local("fallback");
         }
         let capacity = inner.config.queue_capacity;
         if capacity > 0 && queue.pending.len() >= capacity {
-            // Admission control: the shard is saturated. Shedding here —
-            // before the question consumes a queue slot, a planner epoch
+            // Admission control: the queue is saturated. Shedding here —
+            // before the question consumes a queue slot, a planning pass
             // or budget — is what keeps the queue bounded under overload.
             drop(queue);
-            shard.tel.shed.inc();
+            tel.shed.inc();
             if block_on_shed {
                 return answer_via_local("fallback_shed");
             }
-            // One flush deadline is how long the shard needs to drain a
+            // One flush deadline is how long the queue needs to drain a
             // generation — the honest retry hint.
             let retry_after_ms =
                 u64::try_from(inner.config.flush_deadline.as_millis().max(1)).unwrap_or(u64::MAX);
@@ -1000,12 +899,9 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
             enqueued: Instant::now(),
         });
         let depth = queue.pending.len() as u64;
-        // The global gauge sums shards (add-deltas: every push is +1,
-        // every drain is -n); the per-shard gauge is exact.
-        tel.queue_depth.add(1);
-        shard.tel.queue_depth.set(depth as i64);
-        shard.depth_peak.fetch_max(depth, Ordering::Relaxed);
-        shard.queue_cond.notify_all();
+        tel.queue_depth.set(depth as i64);
+        inner.depth_peak.fetch_max(depth, Ordering::Relaxed);
+        inner.queue_cond.notify_all();
     }
     tel.trace.stamp(trace, "enqueued");
     // A dead dispatcher/worker (disconnected sender) degrades to the
@@ -1032,20 +928,19 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
 }
 
 // ---------------------------------------------------------------------
-// Dispatchers: one coalescing-queue flush loop per shard
+// Dispatcher: the coalescing-queue flush loop
 // ---------------------------------------------------------------------
 
-fn dispatcher_loop(inner: &Inner, si: usize, work_tx: Sender<WorkItem>) {
+fn dispatcher_loop(inner: &Inner, work_tx: Sender<WorkItem>) {
     let batch_size = inner.config.batch_size;
     let deadline = inner.config.flush_deadline;
-    let shard = &inner.shards[si];
     loop {
         // A drain is *urgent* when a deadline forced it (oldest pending
         // question, oldest planner-held straggler, or shutdown): the plan
         // must then dispatch every batch, partial or not. A size-triggered
-        // drain may instead hold partial batches for the next epoch.
+        // drain may instead hold a partial batch for the next flush.
         let (drained, urgent, flush_stragglers): (Vec<Pending>, bool, bool) = {
-            let mut queue = lock(&shard.queue);
+            let mut queue = lock(&inner.queue);
             let urgent = loop {
                 if queue.stopping {
                     break true;
@@ -1066,13 +961,13 @@ fn dispatcher_loop(inner: &Inner, si: usize, work_tx: Sender<WorkItem>) {
                 };
                 match next {
                     None => {
-                        queue = shard
+                        queue = inner
                             .queue_cond
                             .wait(queue)
                             .unwrap_or_else(PoisonError::into_inner);
                     }
                     Some(t) => {
-                        let (q, _) = shard
+                        let (q, _) = inner
                             .queue_cond
                             .wait_timeout(queue, t - now)
                             .unwrap_or_else(PoisonError::into_inner);
@@ -1083,16 +978,11 @@ fn dispatcher_loop(inner: &Inner, si: usize, work_tx: Sender<WorkItem>) {
             let flush_stragglers = urgent && queue.straggler_deadline.is_some();
             if queue.stopping && queue.pending.is_empty() && queue.straggler_deadline.is_none() {
                 drop(queue);
-                // The *last* dispatcher out sends the worker sentinels:
-                // every shard's final drain is already in the channel by
-                // then (each dispatcher enqueues its last Plan before
-                // reaching this decrement), and channel order puts the
-                // sentinels after them. One sentinel per worker; each
-                // worker consumes exactly one and exits.
-                if inner.live_dispatchers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    for _ in 0..inner.config.workers {
-                        let _ = work_tx.send(WorkItem::Shutdown);
-                    }
+                // The final drain is already in the channel and channel
+                // order puts the sentinels after it. One sentinel per
+                // worker; each worker consumes exactly one and exits.
+                for _ in 0..inner.config.workers {
+                    let _ = work_tx.send(WorkItem::Shutdown);
                 }
                 return;
             }
@@ -1100,60 +990,30 @@ fn dispatcher_loop(inner: &Inner, si: usize, work_tx: Sender<WorkItem>) {
             // Disarm the straggler timer before handing off; the planner
             // re-arms it (under this lock) if held questions remain.
             queue.straggler_deadline = None;
-            inner
-                .telemetry
-                .queue_depth
-                .add(-(queue.pending.len() as i64));
-            shard.tel.queue_depth.set(0);
+            inner.telemetry.queue_depth.set(0);
             (std::mem::take(&mut queue.pending), urgent, flush_stragglers)
         };
         // Planning is O(flush²); it runs on the worker pool so the
         // dispatcher returns to its wait loop immediately and later
         // arrivals are not stalled past their deadline.
         if (!drained.is_empty() || flush_stragglers)
-            && work_tx
-                .send(WorkItem::Plan { shard: si, drained, urgent })
-                .is_err()
+            && work_tx.send(WorkItem::Plan { drained, urgent }).is_err()
         {
             return; // workers gone
         }
     }
 }
 
-/// Dedupes one drained queue generation into the epoch-tracked planner,
-/// re-plans (incrementally when the delta allows), and dispatches batches.
+/// Dedupes one drained queue generation into the held set, plans
+/// everything held from scratch, and dispatches batches.
 ///
-/// Dispatch policy: full batches always dispatch; partial batches
-/// dispatch only on an `urgent` flush (deadline or shutdown) and are
-/// otherwise *held* in the planner as next epoch's standing pool — the
+/// Dispatch policy: full batches always dispatch; a partial batch
+/// dispatches only on an `urgent` flush (deadline or shutdown) and is
+/// otherwise *held* under the planner lock for the next flush — the
 /// paper's batch economics improve when a straggler waits (bounded by the
 /// flush deadline) for co-batched traffic instead of flying alone.
-/// Drop-guard that records how long one flush held a shard's planner
-/// lock, into both the service-wide histogram (the bench's headline
-/// contention metric) and the shard's own `er_shard_lock_hold_us`.
-struct HoldTimer<'a> {
-    started: Instant,
-    global: &'a obs::Histogram,
-    shard: &'a obs::Histogram,
-}
-
-impl Drop for HoldTimer<'_> {
-    fn drop(&mut self) {
-        let us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.global.record(us);
-        self.shard.record(us);
-    }
-}
-
-fn flush(
-    inner: &Inner,
-    si: usize,
-    drained: Vec<Pending>,
-    urgent: bool,
-    work_tx: &Sender<WorkItem>,
-) {
+fn flush(inner: &Inner, drained: Vec<Pending>, urgent: bool, work_tx: &Sender<WorkItem>) {
     let tel = &inner.telemetry;
-    let shard = &inner.shards[si];
     // Flight recorder heartbeat: at most once a second (while traffic
     // flows) snapshot the stats into the bounded ring and check the SLO
     // windows — a fast burn on both windows dumps a bundle.
@@ -1180,12 +1040,11 @@ fn flush(
     // hits + coalesced + answered` holds at any quiesce point — a
     // deferred bulk add here used to lose counts to a stats read racing
     // the tail of the flush.
-    let mut waiters: HashMap<PairFingerprint, Vec<Waiter>> = HashMap::new();
-    let mut unique: Vec<(PairFingerprint, EntityPair, Instant)> = Vec::new();
+    let mut fresh: HashMap<PairFingerprint, HeldQuestion> = HashMap::new();
     for item in drained {
         tel.queue_wait_us
             .record_duration_us(item.enqueued.elapsed());
-        if let Some(label) = shard.cache.peek(item.fp) {
+        if let Some(label) = inner.cache.peek(item.fp) {
             tel.coalesced.inc();
             tel.trace
                 .stamp_with(item.waiter.trace, "coalesced", "cache".to_owned());
@@ -1198,7 +1057,7 @@ fn flush(
             continue;
         }
         {
-            let mut in_flight = lock(&shard.in_flight);
+            let mut in_flight = lock(&inner.in_flight);
             if let Some(attached) = in_flight.get_mut(&item.fp) {
                 tel.coalesced.inc();
                 tel.trace
@@ -1207,111 +1066,84 @@ fn flush(
                 continue;
             }
         }
-        match waiters.entry(item.fp) {
+        match fresh.entry(item.fp) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 tel.coalesced.inc();
                 tel.trace
                     .stamp_with(item.waiter.trace, "coalesced", "duplicate".to_owned());
-                e.get_mut().push(item.waiter);
+                e.get_mut().waiters.push(item.waiter);
             }
+            // The queue drains in arrival order, so the first item seen
+            // for a fingerprint carries its earliest arrival.
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(vec![item.waiter]);
-                // The queue drains in arrival order, so the first item
-                // seen for a fingerprint carries its earliest arrival.
-                unique.push((item.fp, item.pair, item.enqueued));
+                e.insert(HeldQuestion {
+                    pair: item.pair,
+                    waiters: vec![item.waiter],
+                    since: item.enqueued,
+                });
             }
         }
     }
 
-    let mut planner = lock(&shard.planner);
+    let mut held = lock(&inner.planner);
     // Measures how long this flush keeps every other flush (and the
-    // dispatch path) waiting; drop-guard so early returns count too.
-    // Recorded both service-wide and per shard: the bench's contention
-    // story is exactly this histogram shrinking as shards increase.
-    let _lock_hold = HoldTimer {
-        started: Instant::now(),
-        global: &tel.planner_lock_hold_us,
-        shard: &shard.tel.lock_hold_us,
-    };
-    // The plan timer covers delta application too (per-insert feature
-    // extraction and cache-extension scans are planning work the old
-    // from-scratch path paid inside plan_with_prepared_pool), so the
-    // plan_last_us/plan_avg_us gauges keep their meaning: the planning
-    // cost of this flush.
+    // dispatch path) waiting; a drop-guard so early returns count too.
+    let _lock_hold = tel.planner_lock_hold_us.start_timer();
     let plan_started = Instant::now();
     // Index counters are process-wide: the delta across this flush's
-    // planning is its own builds and queries plus whatever another shard
-    // or another service in the process planned meanwhile (this lock
-    // serializes one shard's planner only). The deltas accumulate into
-    // this service's registry, which `/stats` and `/metrics` serve.
+    // planning is its own builds and queries plus whatever another
+    // service in the process planned meanwhile (the planner lock
+    // serializes this service's flushes only). The deltas accumulate
+    // into this service's registry, which `/stats` and `/metrics` serve.
     let idx_before = embed::index::stats();
-    // Apply the insertion half of the delta: brand-new questions enter
-    // the plan state; duplicates of questions the planner already holds
-    // attach their waiters. The in-flight check repeats here *under the
-    // planner lock*: a concurrent flush dispatches (and registers) its
-    // batches while holding this lock, so the lock-free check above can
-    // race a question straight out of `queued` into `in_flight` — without
-    // the re-check both flushes would buy the question an LLM slot.
-    for (fp, pair, enqueued) in unique {
-        let senders = waiters.remove(&fp).unwrap_or_default();
-        if let Some(held) = planner.queued.get_mut(&fp) {
-            // Only the primary item coalesces here; its within-flush
-            // duplicates were already counted in the dedupe loop.
-            tel.coalesced.inc();
-            for w in &senders {
-                tel.trace
-                    .stamp_with(w.trace, "coalesced", "held".to_owned());
-            }
-            held.waiters.extend(senders);
-            continue;
+    // Only the primary item coalesces here; its within-flush duplicates
+    // were already counted in the dedupe loop.
+    let coalesce = |onto: &mut Vec<Waiter>, waiters: Vec<Waiter>, how: &str| {
+        tel.coalesced.inc();
+        for w in &waiters {
+            tel.trace.stamp_with(w.trace, "coalesced", how.to_owned());
         }
-        {
-            let mut in_flight = lock(&shard.in_flight);
-            if let Some(attached) = in_flight.get_mut(&fp) {
-                tel.coalesced.inc();
-                for w in &senders {
-                    tel.trace
-                        .stamp_with(w.trace, "coalesced", "in_flight".to_owned());
-                }
-                attached.extend(senders);
-                continue;
-            }
+        onto.extend(waiters);
+    };
+    // Brand-new questions enter the held set; duplicates of questions
+    // already held attach their waiters. The in-flight check repeats here
+    // *under the planner lock*: a concurrent flush dispatches (and
+    // registers) its batches while holding this lock, so the lock-free
+    // check above can race a question straight out of the held set into
+    // `in_flight` — without the re-check both flushes would buy the
+    // question an LLM slot.
+    for (fp, question) in fresh {
+        if let Some(already) = held.get_mut(&fp) {
+            coalesce(&mut already.waiters, question.waiters, "held");
+        } else if let Some(attached) = lock(&inner.in_flight).get_mut(&fp) {
+            coalesce(attached, question.waiters, "in_flight");
+        } else {
+            held.insert(fp, question);
         }
-        planner.state.insert(fp.0, &pair);
-        planner.queued.insert(
-            fp,
-            QueuedQuestion { pair, waiters: senders, since: enqueued },
-        );
     }
-    if planner.queued.is_empty() {
+    if held.is_empty() {
         return;
     }
 
-    // Arrival-order independence: the epoch seed folds over the active
-    // fingerprints in sorted order, so a plan depends only on *what* is
-    // pending, not on thread scheduling.
-    let mut fps: Vec<PairFingerprint> = planner.queued.keys().copied().collect();
-    fps.sort_unstable();
+    // Arrival-order independence: questions are planned in ascending
+    // fingerprint order and the seed folds over the fingerprints in that
+    // order, so a plan depends only on *what* is held, not on thread
+    // scheduling.
+    let fps: Vec<PairFingerprint> = held.keys().copied().collect();
     let flush_seed = fps
         .iter()
         .fold(inner.config.seed, |acc, fp| acc.rotate_left(7) ^ fp.0);
-
-    let epoch = planner.state.plan(flush_seed);
-    let plan_us = u64::try_from(plan_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let plan_kind = match epoch.kind {
-        PlanKind::Full => {
-            tel.plans_full.inc();
-            tel.plan_full_us.record(plan_us);
-            "full"
-        }
-        PlanKind::Incremental => {
-            tel.plans_incremental.inc();
-            tel.plan_incremental_us.record(plan_us);
-            "incremental"
-        }
+    let plan = {
+        let questions: Vec<&EntityPair> = held.values().map(|q| &q.pair).collect();
+        plan_with_prepared_pool(
+            &questions,
+            &inner.prepared_pool,
+            &BatchPlanConfig { seed: flush_seed, ..inner.plan_template },
+        )
     };
-    tel.plan_last_inserted.set(epoch.inserted as i64);
-    tel.plan_last_retired.set(epoch.retired as i64);
+    let plan_us = u64::try_from(plan_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    tel.plans.inc();
+    tel.plan_wall_us.record(plan_us);
     tel.plan_last_us.set(plan_us as i64);
     let idx_delta = embed::index::stats().delta_since(&idx_before);
     tel.index_builds.add(idx_delta.builds);
@@ -1327,49 +1159,44 @@ fn flush(
         tel.index_pruned_bp.set((pruned_share * 10_000.0) as i64);
     }
 
-    for (bi, batch) in epoch.plan.batches.iter().enumerate() {
+    for (bi, batch) in plan.batches.iter().enumerate() {
         if !urgent && batch.len() < inner.config.batch_size {
-            continue; // held for the next epoch
+            continue; // held for the next flush
         }
-        let questions: Vec<(PairFingerprint, EntityPair, Vec<Waiter>)> = batch
+        let batch_fps: Vec<PairFingerprint> = batch.iter().map(|&qi| fps[qi]).collect();
+        let questions: Vec<(PairFingerprint, EntityPair, Vec<Waiter>)> = batch_fps
             .iter()
-            .map(|&qi| {
-                let fp = PairFingerprint(epoch.keys[qi]);
-                let queued = planner
-                    .queued
+            .map(|&fp| {
+                let question = held
                     .remove(&fp)
                     .expect("planned question is held by the planner");
-                planner.state.retire(fp.0);
-                for w in &queued.waiters {
-                    tel.trace
-                        .stamp_with(w.trace, "planned", plan_kind.to_owned());
+                for w in &question.waiters {
+                    tel.trace.stamp(w.trace, "planned");
                     tel.trace.stamp(w.trace, "dispatched");
                 }
-                (fp, queued.pair, queued.waiters)
+                (fp, question.pair, question.waiters)
             })
             .collect();
         // Register the batch's questions as in flight *before* handing
         // it off, so duplicates in later flushes attach instead of
         // re-asking. Completion (or panic cleanup) removes the entries.
-        let fps: Vec<PairFingerprint> = questions.iter().map(|(fp, _, _)| *fp).collect();
         {
-            let mut in_flight = lock(&shard.in_flight);
-            for fp in &fps {
+            let mut in_flight = lock(&inner.in_flight);
+            for fp in &batch_fps {
                 in_flight.entry(*fp).or_default();
             }
         }
         tel.batches_flushed.inc();
         let job = BatchJob {
-            shard: si,
             questions,
-            demo_indices: epoch.plan.demos_per_batch[bi].clone(),
+            demo_indices: plan.demos_per_batch[bi].clone(),
             seed: flush_seed ^ ((bi as u64) << 16),
         };
         if work_tx.send(WorkItem::Batch(job)).is_err() {
             // Workers gone (shutdown): unregister and let the dropped
             // senders push the waiters onto the local fallback. Held
             // waiters drop with the planner when the service tears down.
-            clear_in_flight(shard, &fps);
+            clear_in_flight(inner, &batch_fps);
             return;
         }
     }
@@ -1379,25 +1206,21 @@ fn flush(
     // *before* releasing the planner lock so a concurrent flush cannot
     // interleave its own (newer) deadline between our computation and
     // our write. Lock order planner → queue matches the dispatch path.
-    let straggler_deadline = planner
-        .queued
+    let straggler_deadline = held
         .values()
         .map(|q| q.since + inner.config.flush_deadline)
         .min();
-    {
-        let mut queue = lock(&shard.queue);
-        queue.straggler_deadline = straggler_deadline;
-        if straggler_deadline.is_some() {
-            shard.queue_cond.notify_all();
-        }
+    let mut queue = lock(&inner.queue);
+    queue.straggler_deadline = straggler_deadline;
+    if straggler_deadline.is_some() {
+        inner.queue_cond.notify_all();
     }
-    drop(planner);
 }
 
 /// Removes in-flight registrations, dropping any attached waiters (their
 /// disconnected receivers degrade to the local fallback).
-fn clear_in_flight(shard: &ShardState, fps: &[PairFingerprint]) {
-    let mut in_flight = lock(&shard.in_flight);
+fn clear_in_flight(inner: &Inner, fps: &[PairFingerprint]) {
+    let mut in_flight = lock(&inner.in_flight);
     for fp in fps {
         in_flight.remove(fp);
     }
@@ -1414,33 +1237,28 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<WorkItem>>, work_tx: &Sen
             rx.recv()
         };
         match item {
-            Ok(WorkItem::Plan { shard: si, drained, urgent }) => {
+            Ok(WorkItem::Plan { drained, urgent }) => {
                 // A panicking plan (e.g. a poisoned question) must not
                 // take the worker down: containment drops the drained
                 // senders, their waiters observe the disconnect and fall
                 // back locally, and the pool keeps serving.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    flush(inner, si, drained, urgent, work_tx);
+                    flush(inner, drained, urgent, work_tx);
                 }));
                 if result.is_err() {
-                    // The shard's planner may hold half-applied state and
-                    // waiters whose questions will never dispatch: reset
-                    // it (the other shards are untouched — containment is
-                    // now per shard). Dropping the held waiters
-                    // disconnects their receivers, which degrade to the
-                    // local fallback.
-                    let shard = &inner.shards[si];
-                    let mut planner = lock(&shard.planner);
-                    planner.queued.clear();
-                    planner.state =
-                        PlanState::from_prepared(inner.prepared_pool.clone(), inner.plan_template)
-                            .with_max_delta_fraction(inner.config.max_plan_delta_fraction);
+                    // The planner may hold waiters whose questions will
+                    // never dispatch (a question that panics the plan
+                    // would panic every later one too): clear the held
+                    // set. Dropping the held waiters disconnects their
+                    // receivers, which degrade to the local fallback.
+                    let mut held = lock(&inner.planner);
+                    held.clear();
                     // Disarm the straggler timer *before* releasing the
                     // planner lock — the same ordering the flush path's
                     // re-arm uses — so this None cannot overwrite a
                     // deadline a concurrent healthy flush just armed.
-                    lock(&shard.queue).straggler_deadline = None;
-                    drop(planner);
+                    lock(&inner.queue).straggler_deadline = None;
+                    drop(held);
                     eprintln!("er-service: flush planning panicked; affected requests fall back");
                 }
             }
@@ -1450,14 +1268,13 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<WorkItem>>, work_tx: &Sen
                 // (and fall back) instead of hanging; a reservation held
                 // at the panic point is refunded by its drop guard as the
                 // panic unwinds, so a dead worker cannot strand budget.
-                let si = job.shard;
                 let fps: Vec<PairFingerprint> =
                     job.questions.iter().map(|(fp, _, _)| *fp).collect();
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     execute_job(inner, job);
                 }));
                 if result.is_err() {
-                    clear_in_flight(&inner.shards[si], &fps);
+                    clear_in_flight(inner, &fps);
                     eprintln!("er-service: batch execution panicked; affected requests fall back");
                 }
             }
@@ -1465,15 +1282,13 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<WorkItem>>, work_tx: &Sen
                 // Plan items always precede the shutdown sentinels in the
                 // channel, and a worker busy planning holds its sentinel
                 // slot until it finishes — so when the *last* worker
-                // exits, no flush can run anymore and whatever any
-                // shard's planner still holds (partial batches planned
-                // after that shard's final drain) would wait forever.
-                // Drop those waiters now; their receivers disconnect and
-                // the blocked submits degrade to the local fallback.
+                // exits, no flush can run anymore and whatever the
+                // planner still holds (a partial batch planned after the
+                // final drain) would wait forever. Drop those waiters
+                // now; their receivers disconnect and the blocked submits
+                // degrade to the local fallback.
                 if inner.live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    for shard in &inner.shards {
-                        lock(&shard.planner).queued.clear();
-                    }
+                    lock(&inner.planner).clear();
                 }
                 return;
             }
@@ -1484,7 +1299,6 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<WorkItem>>, work_tx: &Sen
 fn execute_job(inner: &Inner, job: BatchJob) {
     let config = &inner.config;
     let tel = &inner.telemetry;
-    let shard = &inner.shards[job.shard];
     // Circuit breaker: during an LLM outage every batch would burn its
     // full retry schedule before degrading. Once the breaker opens,
     // batches short-circuit straight to the logistic fallback — no
@@ -1547,17 +1361,10 @@ fn execute_job(inner: &Inner, job: BatchJob) {
             .filter(|d| !labeled.contains(d))
             .collect();
         let projected = api_projection + LABEL_COST_PER_PAIR * newly.len() as u64;
-        // Reserve against this shard's lease: pass-through to the global
-        // pool by default, chunk-buffered when `lease_chunk` is set —
-        // either way conservation holds globally (the lease is carved
-        // out of the same reserved headroom).
-        inner
-            .governor
-            .try_reserve_leased(&shard.lease, projected)
-            .map(|guard| {
-                labeled.extend(&newly);
-                (guard, newly, projected)
-            })
+        inner.governor.try_reserve_guarded(projected).map(|guard| {
+            labeled.extend(&newly);
+            (guard, newly, projected)
+        })
     };
     if tel.is_enabled() {
         tel.slo_budget.record(granted.is_some());
@@ -1642,16 +1449,11 @@ fn execute_job(inner: &Inner, job: BatchJob) {
                 .enumerate()
                 .filter_map(|(slot, (fp, _, _))| {
                     outcome.answers.get(slot).copied().flatten().map(|label| {
-                        // The owning shard rides the record for forensic
-                        // replay; recovery re-routes by fingerprint, so a
-                        // restart under a different shard count still
-                        // fans every answer out to its current owner.
-                        DurableRecord::AnswerSharded {
+                        DurableRecord::Answer {
                             version: FINGERPRINT_VERSION,
                             fp: *fp,
                             label,
                             cost_micros: per_answer,
-                            shard: job.shard as u32,
                         }
                     })
                 })
@@ -1671,13 +1473,13 @@ fn execute_job(inner: &Inner, job: BatchJob) {
         let decision = match outcome.answers.get(slot).copied().flatten() {
             Some(label) => {
                 tel.llm_answered.inc();
-                shard.cache.insert(*fp, label);
+                inner.cache.insert(*fp, label);
                 MatchDecision { label, source: DecisionSource::Llm, fingerprint: *fp, trace_id: 0 }
             }
             // No parseable answer after retries: conservative local call.
             None => fallback_decision(inner, *fp, pair),
         };
-        resolve_question(inner, shard, *fp, decision, senders, primary_trace);
+        resolve_question(inner, *fp, decision, senders, primary_trace);
     }
 }
 
@@ -1691,7 +1493,6 @@ fn ledger_within(actual: &CostLedger, projected: Money) -> bool {
 /// produced and its settlement; the terminal stage stays with `submit`.
 fn resolve_question(
     inner: &Inner,
-    shard: &ShardState,
     fp: PairFingerprint,
     decision: MatchDecision,
     senders: &[Waiter],
@@ -1702,7 +1503,7 @@ fn resolve_question(
         DecisionSource::Fallback => "fallback",
         DecisionSource::Cache => "cache_filled",
     };
-    let attached = lock(&shard.in_flight).remove(&fp).unwrap_or_default();
+    let attached = lock(&inner.in_flight).remove(&fp).unwrap_or_default();
     for waiter in senders.iter().chain(&attached) {
         inner.telemetry.trace.stamp(waiter.trace, stage);
         // Coalesced waiters rode an LLM call another trace paid for:
@@ -1724,9 +1525,8 @@ fn resolve_question(
 
 /// Answers every question of a batch with the logistic fallback.
 fn answer_via_fallback(inner: &Inner, job: &BatchJob) {
-    let shard = &inner.shards[job.shard];
     for (fp, pair, senders) in &job.questions {
         let decision = fallback_decision(inner, *fp, pair);
-        resolve_question(inner, shard, *fp, decision, senders, 0);
+        resolve_question(inner, *fp, decision, senders, 0);
     }
 }

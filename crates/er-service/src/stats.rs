@@ -26,18 +26,16 @@ pub struct ServiceStats {
     pub fallback_answered: u64,
     /// Batches flushed out of the coalescing queue.
     pub batches_flushed: u64,
-    /// Planning passes run (one per non-empty flush).
+    /// Planning passes run (one per flush that held a question). Every
+    /// pass is a from-scratch plan over the held questions.
     pub plans: u64,
-    /// Planning passes that took the full path (thresholds re-derived,
-    /// caches rebuilt).
+    /// Equal to [`ServiceStats::plans`]. Kept because `benchmark/` reads
+    /// it; leaves together with `plan_incremental`.
     pub plan_full: u64,
-    /// Planning passes that reused the incremental planner's cached
-    /// geometry.
+    /// Always 0: the service no longer has an incremental planner. Kept
+    /// because `benchmark/` reads it; leaves with the benchmark-only
+    /// follow-up that drops that read (see ROADMAP item 2).
     pub plan_incremental: u64,
-    /// Questions inserted into the planner by the most recent pass.
-    pub plan_last_inserted: u64,
-    /// Questions retired from the planner by the most recent pass.
-    pub plan_last_retired: u64,
     /// Wall time of the most recent planning pass, microseconds — the
     /// kernel layer's speedup, observable online.
     pub plan_last_us: u64,
@@ -134,18 +132,15 @@ pub struct ServiceStats {
     /// microseconds.
     #[serde(default)]
     pub index_query_p99_us: u64,
-    /// Configured serving shards (1 = unsharded layout).
-    #[serde(default)]
-    pub shards: u64,
-    /// Questions shed by the admission bound, summed across shards.
+    /// Questions refused by the admission bound: `try_submit` sheds
+    /// (429s) plus blocking submits degraded to the fallback.
     #[serde(default)]
     pub shed_total: u64,
-    /// High-water pending-queue depth this run (max across shards) — the
-    /// backpressure headline the traffic-replay bench tracks.
+    /// High-water pending-queue depth this run — the backpressure
+    /// headline the traffic-replay bench tracks.
     #[serde(default)]
     pub queue_depth_peak: u64,
-    /// Median planner-lock hold time, microseconds (service-wide
-    /// histogram; shrinks as shards split the flush path's contention).
+    /// Median planner-lock hold time, microseconds.
     #[serde(default)]
     pub planner_lock_hold_p50_us: u64,
     /// 99th-percentile planner-lock hold time, microseconds.
@@ -154,10 +149,6 @@ pub struct ServiceStats {
     /// Answer-cache entries evicted by the LRU bound.
     #[serde(default)]
     pub cache_evictions: u64,
-    /// Governor-lease refills, summed across shards (0 in pass-through
-    /// mode, where every batch reserves globally).
-    #[serde(default)]
-    pub lease_refills: u64,
 }
 
 /// The `GET /healthz` payload: readiness plus the durability and
@@ -191,14 +182,12 @@ pub struct HealthReport {
     pub recovery_answers_restored: u64,
     /// Crash-evidence reservations found at startup.
     pub recovery_open_reservations: u64,
-    /// Configured serving shards (1 = unsharded layout).
-    #[serde(default)]
-    pub shards: u64,
-    /// Questions shed by the admission bound, summed across shards.
+    /// Questions refused by the admission bound (see
+    /// [`ServiceStats::shed_total`]).
     #[serde(default)]
     pub shed_total: u64,
-    /// True when any shard's pending queue is at or past half its
-    /// admission bound — the "near shedding" early-warning signal.
+    /// True when the pending queue is at or past half its admission
+    /// bound — the "near shedding" early-warning signal.
     #[serde(default)]
     pub backpressure: bool,
 }
@@ -245,10 +234,8 @@ mod tests {
             fallback_answered: 1,
             batches_flushed: 1,
             plans: 2,
-            plan_full: 1,
-            plan_incremental: 1,
-            plan_last_inserted: 3,
-            plan_last_retired: 1,
+            plan_full: 2,
+            plan_incremental: 0,
             plan_last_us: 180,
             plan_avg_us: 210,
             plan_p50_us: 190,
@@ -281,13 +268,11 @@ mod tests {
             index_pruned_bp: 9_870,
             index_query_p50_us: 45,
             index_query_p99_us: 160,
-            shards: 4,
             shed_total: 2,
             queue_depth_peak: 11,
             planner_lock_hold_p50_us: 35,
             planner_lock_hold_p99_us: 140,
             cache_evictions: 9,
-            lease_refills: 3,
         }
     }
 
@@ -382,29 +367,50 @@ mod tests {
     }
 
     #[test]
-    fn pre_shard_wire_payload_still_parses() {
-        // Scrapers from before the sharded serving core sent none of the
-        // shard/admission fields; `#[serde(default)]` keeps their
-        // payloads readable (the "additive fields only" contract).
+    fn pre_admission_wire_payload_still_parses() {
+        // Scrapers from before admission control sent none of these
+        // fields; `#[serde(default)]` keeps their payloads readable (the
+        // "additive fields only" contract).
         let mut json = String::from_utf8(serde_json::to_vec(&sample()).unwrap()).unwrap();
         for field in [
-            "\"shards\":4,",
             "\"shed_total\":2,",
             "\"queue_depth_peak\":11,",
             "\"planner_lock_hold_p50_us\":35,",
             "\"planner_lock_hold_p99_us\":140,",
-            "\"cache_evictions\":9,",
-            ",\"lease_refills\":3", // last field: leading comma instead
+            ",\"cache_evictions\":9", // last field: leading comma instead
         ] {
             let stripped = json.replace(field, "");
             assert_ne!(stripped, json, "field pattern `{field}` did not match");
             json = stripped;
         }
         let back: ServiceStats = serde_json::from_slice(json.as_bytes()).unwrap();
-        assert_eq!(back.shards, 0);
         assert_eq!(back.shed_total, 0);
-        assert_eq!(back.lease_refills, 0);
+        assert_eq!(back.cache_evictions, 0);
         assert_eq!(back.submitted, sample().submitted);
+    }
+
+    /// `/stats` and `/healthz` as the PR 16 build served them (4 shards,
+    /// chunked leases, WAL on), captured verbatim: payloads a scraper or
+    /// a dashboard stored back then still load, the fields that left
+    /// with sharding, leases and the incremental planner (`shards`,
+    /// `lease_refills`, `plan_last_inserted`, `plan_last_retired`) are
+    /// ignored, and everything that stayed keeps its value.
+    #[test]
+    fn payloads_of_the_sharded_build_still_parse() {
+        const STATS: &str = r#"{"submitted":120,"cache_hits":40,"cache_misses":80,"cache_entries":120,"coalesced_duplicates":0,"llm_answered":80,"fallback_answered":0,"batches_flushed":40,"plans":40,"plan_full":40,"plan_incremental":0,"plan_last_inserted":2,"plan_last_retired":1,"plan_last_us":731,"plan_avg_us":346,"plan_p50_us":319,"plan_p99_us":1120,"answer_p50_us":28671,"answer_p99_us":29368,"retries":0,"api_calls":80,"prompt_tokens":18823,"completion_tokens":1870,"demos_labeled":20,"api_micros":22563,"labeling_micros":160000,"spent_micros":182563,"budget_micros":100000000,"remaining_micros":99647572,"budget_denials":0,"wal_enabled":true,"wal_appends":161,"wal_append_errors":0,"recovery_records_replayed":121,"recovery_truncated_bytes":0,"recovery_answers_restored":40,"recovery_open_reservations":0,"governor_refunds":0,"breaker_trips":0,"breaker_state":0,"index_builds":98,"index_queries":29129,"index_pruned_bp":4028,"index_query_p50_us":0,"index_query_p99_us":0,"shards":4,"shed_total":0,"queue_depth_peak":4,"planner_lock_hold_p50_us":319,"planner_lock_hold_p99_us":1126,"cache_evictions":0,"lease_refills":7}"#;
+        const HEALTH: &str = r#"{"status":"serving","wal_enabled":true,"wal_last_sync_age_ms":0,"wal_unsynced_appends":0,"wal_total_bytes":12594,"breaker":"closed","recovery_records_replayed":121,"recovery_truncated_bytes":0,"recovery_answers_restored":40,"recovery_open_reservations":0,"shards":4,"shed_total":0,"backpressure":false}"#;
+
+        // What the parsed structs write back is the captured payload minus
+        // the departed fields: same values, same order.
+        let stats: ServiceStats = serde_json::from_str(STATS).unwrap();
+        let kept = STATS
+            .replace(r#""plan_last_inserted":2,"plan_last_retired":1,"#, "")
+            .replace(r#""shards":4,"#, "")
+            .replace(r#","lease_refills":7"#, "");
+        assert_eq!(serde_json::to_string(&stats).unwrap(), kept);
+        let health: HealthReport = serde_json::from_str(HEALTH).unwrap();
+        let kept = HEALTH.replace(r#""shards":4,"#, "");
+        assert_eq!(serde_json::to_string(&health).unwrap(), kept);
     }
 
     #[test]
@@ -420,7 +426,6 @@ mod tests {
             recovery_truncated_bytes: 0,
             recovery_answers_restored: 5,
             recovery_open_reservations: 0,
-            shards: 2,
             shed_total: 1,
             backpressure: false,
         };
@@ -428,14 +433,13 @@ mod tests {
         let back: HealthReport = serde_json::from_slice(&json).unwrap();
         assert_eq!(back, health);
 
-        // Pre-shard health payloads (no shard fields) still parse.
+        // Health payloads from before admission control still parse.
         let stripped = String::from_utf8(serde_json::to_vec(&health).unwrap())
             .unwrap()
-            .replace("\"shards\":2,", "")
-            .replace("\"shed_total\":1,", "")
+            .replace(",\"shed_total\":1", "")
             .replace(",\"backpressure\":false", "");
         let old: HealthReport = serde_json::from_slice(stripped.as_bytes()).unwrap();
-        assert_eq!(old.shards, 0);
+        assert_eq!(old.shed_total, 0);
         assert!(!old.backpressure);
     }
 }

@@ -23,10 +23,10 @@ pub const SLO_BUDGET_OBJECTIVE: f64 = 0.90;
 /// Every metric handle the service records into, plus the trace log.
 ///
 /// Histogram families exposed at `/metrics` (all microseconds unless the
-/// name says otherwise): queue wait, plan wall time (`kind` label —
-/// full vs incremental), planner lock hold, per-call LLM latency,
-/// governor reserve/settle, end-to-end answer latency (`source` label),
-/// per-batch spend (micro-dollars) and prompt tokens.
+/// name says otherwise): queue wait, plan wall time, planner lock hold,
+/// per-call LLM latency, governor reserve/settle, end-to-end answer
+/// latency (`source` label), per-batch spend (micro-dollars) and prompt
+/// tokens.
 #[derive(Debug)]
 pub struct Telemetry {
     pub(crate) registry: Registry,
@@ -39,8 +39,8 @@ pub struct Telemetry {
     pub(crate) fallback_answered: Arc<Counter>,
     pub(crate) batches_flushed: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
-    pub(crate) plans_full: Arc<Counter>,
-    pub(crate) plans_incremental: Arc<Counter>,
+    pub(crate) plans: Arc<Counter>,
+    pub(crate) shed: Arc<Counter>,
     pub(crate) cache_hits: Arc<Counter>,
     pub(crate) cache_misses: Arc<Counter>,
     pub(crate) cache_evictions: Arc<Counter>,
@@ -59,8 +59,6 @@ pub struct Telemetry {
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) cache_entries: Arc<Gauge>,
     pub(crate) governor_reserved_micros: Arc<Gauge>,
-    pub(crate) plan_last_inserted: Arc<Gauge>,
-    pub(crate) plan_last_retired: Arc<Gauge>,
     pub(crate) plan_last_us: Arc<Gauge>,
     pub(crate) breaker_state: Arc<Gauge>,
     pub(crate) slo_burn_milli: [Arc<Gauge>; 6],
@@ -73,8 +71,7 @@ pub struct Telemetry {
 
     // Histograms.
     pub(crate) queue_wait_us: Arc<Histogram>,
-    pub(crate) plan_full_us: Arc<Histogram>,
-    pub(crate) plan_incremental_us: Arc<Histogram>,
+    pub(crate) plan_wall_us: Arc<Histogram>,
     pub(crate) planner_lock_hold_us: Arc<Histogram>,
     pub(crate) llm_call_us: Arc<Histogram>,
     pub(crate) governor_reserve_us: Arc<Histogram>,
@@ -142,15 +139,15 @@ impl Telemetry {
             "Executor retries (rate limits and malformed output).",
             &[],
         );
-        let plans_full = registry.counter(
+        let plans = registry.counter(
             "er_plans_total",
-            "Planning passes, by planner path.",
-            &[("kind", "full")],
+            "Planning passes (one per flush that held a question).",
+            &[],
         );
-        let plans_incremental = registry.counter(
-            "er_plans_total",
-            "Planning passes, by planner path.",
-            &[("kind", "incremental")],
+        let shed = registry.counter(
+            "er_shed_total",
+            "Questions refused by the admission bound (429s and blocking submits degraded to the fallback).",
+            &[],
         );
         let cache_hits = registry.counter(
             "er_cache_lookups_total",
@@ -233,16 +230,6 @@ impl Telemetry {
             "Budget committed to in-flight reservations, micro-dollars.",
             &[],
         );
-        let plan_last_inserted = registry.gauge(
-            "er_plan_last_inserted",
-            "Questions inserted into the planner by the most recent pass.",
-            &[],
-        );
-        let plan_last_retired = registry.gauge(
-            "er_plan_last_retired",
-            "Questions retired from the planner by the most recent pass.",
-            &[],
-        );
         let plan_last_us = registry.gauge(
             "er_plan_last_us",
             "Wall time of the most recent planning pass, microseconds.",
@@ -305,15 +292,10 @@ impl Telemetry {
             "Time from submit to queue drain, microseconds.",
             &[],
         );
-        let plan_full_us = registry.histogram(
+        let plan_wall_us = registry.histogram(
             "er_plan_wall_us",
-            "Planning pass wall time, microseconds, by planner path.",
-            &[("kind", "full")],
-        );
-        let plan_incremental_us = registry.histogram(
-            "er_plan_wall_us",
-            "Planning pass wall time, microseconds, by planner path.",
-            &[("kind", "incremental")],
+            "Planning pass wall time, microseconds.",
+            &[],
         );
         let planner_lock_hold_us = registry.histogram(
             "er_planner_lock_hold_us",
@@ -379,8 +361,8 @@ impl Telemetry {
             fallback_answered,
             batches_flushed,
             retries,
-            plans_full,
-            plans_incremental,
+            plans,
+            shed,
             cache_hits,
             cache_misses,
             cache_evictions,
@@ -397,8 +379,6 @@ impl Telemetry {
             queue_depth,
             cache_entries,
             governor_reserved_micros,
-            plan_last_inserted,
-            plan_last_retired,
             plan_last_us,
             breaker_state,
             slo_burn_milli,
@@ -409,8 +389,7 @@ impl Telemetry {
             recovery_open_reservations,
             index_pruned_bp,
             queue_wait_us,
-            plan_full_us,
-            plan_incremental_us,
+            plan_wall_us,
             planner_lock_hold_us,
             llm_call_us,
             governor_reserve_us,
@@ -425,32 +404,6 @@ impl Telemetry {
             slo_latency: Slo::new("answer_latency", SLO_LATENCY_OBJECTIVE),
             slo_availability: Slo::new("availability", SLO_AVAILABILITY_OBJECTIVE),
             slo_budget: Slo::new("budget", SLO_BUDGET_OBJECTIVE),
-        }
-    }
-
-    /// Registers one shard's metric handles: the `er_shard_*` families,
-    /// labeled by shard index. Called once per shard at startup; the
-    /// handles live on the shard and record lock-free like every other
-    /// handle here.
-    pub(crate) fn shard_handles(&self, shard: usize) -> ShardTelemetry {
-        let idx = shard.to_string();
-        let labels: [(&str, &str); 1] = [("shard", idx.as_str())];
-        ShardTelemetry {
-            queue_depth: self.registry.gauge(
-                "er_shard_queue_depth",
-                "Questions currently waiting in this shard's coalescing queue.",
-                &labels,
-            ),
-            shed: self.registry.counter(
-                "er_shard_shed_total",
-                "Questions shed by this shard's admission bound.",
-                &labels,
-            ),
-            lock_hold_us: self.registry.histogram(
-                "er_shard_lock_hold_us",
-                "Time the flush path holds this shard's planner lock, microseconds.",
-                &labels,
-            ),
         }
     }
 
@@ -525,15 +478,6 @@ impl Telemetry {
     }
 }
 
-/// One shard's metric handles: the per-shard views of queue depth, shed
-/// count and planner-lock hold time. The admission controller's signals.
-#[derive(Debug)]
-pub(crate) struct ShardTelemetry {
-    pub(crate) queue_depth: Arc<Gauge>,
-    pub(crate) shed: Arc<Counter>,
-    pub(crate) lock_hold_us: Arc<Histogram>,
-}
-
 fn window_json(w: &obs::WindowBurn) -> String {
     format!(
         "{{\"window_secs\":{},\"good\":{},\"bad\":{},\"burn_rate\":{:.3}}}",
@@ -551,7 +495,7 @@ mod tests {
         t.submitted.inc();
         t.queue_wait_us.record(120);
         t.answer_llm_us.record(4_000);
-        t.plan_incremental_us.record(90);
+        t.plan_wall_us.record(90);
         t.index_builds.inc();
         t.index_pruned_bp.set(9_900);
         t.index_query_us.record(60);

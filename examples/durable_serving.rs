@@ -18,11 +18,6 @@
 //!   replayed the bought answers and that the workload re-buys nothing,
 //!   and write a recovery report JSON (to `$RECOVERY_OUT`, default
 //!   `$WAL_DIR/recovery.json`): the smoke test's second half.
-//!
-//! `$ER_SHARDS` selects the serving shard count (a power of two,
-//! defaulting to 1) and may differ between `prime` and `verify` — the
-//! WAL is shard-agnostic, so recovery repartitions the answers across
-//! whatever layout the restarted service runs.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -46,16 +41,6 @@ fn bank() -> Vec<EntityPair> {
         .collect()
 }
 
-/// Serving shards from `$ER_SHARDS` (default 1, must be a power of
-/// two). The CI crash-recovery smoke primes under one shard count and
-/// verifies under another: recovery must repartition cleanly.
-fn shards() -> usize {
-    std::env::var("ER_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 fn start(dir: &std::path::Path) -> ErService {
     ErService::start(
         Arc::new(SimLlm::new()),
@@ -64,7 +49,6 @@ fn start(dir: &std::path::Path) -> ErService {
             batch_size: 8,
             flush_deadline: Duration::from_millis(5),
             workers: 2,
-            shards: shards(),
             domain: "Beer".to_owned(),
             // `Always`: every record is fsynced before a client sees its
             // answer, so even a power cut loses nothing settled.

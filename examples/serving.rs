@@ -13,9 +13,7 @@
 //! telemetry endpoints are scraped on the way out: `GET /metrics`
 //! (Prometheus text, lint-checked) and `GET /trace` (lifecycle spans).
 //! Set `SERVING_METRICS_OUT` / `SERVING_TRACE_OUT` to write the scrapes
-//! to files (CI uploads them as artifacts). `ER_SHARDS=4` (any power of
-//! two) runs the same demo over a fingerprint-sharded serving core —
-//! the report gains per-shard queue/lock metrics, nothing else changes.
+//! to files (CI uploads them as artifacts).
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -47,10 +45,6 @@ fn main() {
             batch_size: 8,
             flush_deadline: Duration::from_millis(10),
             workers: 2,
-            shards: std::env::var("ER_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
             domain: "Beer".to_owned(),
             ..ServiceConfig::default()
         },

@@ -12,7 +12,8 @@ use batcher::er_core::MatchLabel;
 use batcher::er_core::{EntityPair, Money, PairId, Record, RecordId, Schema};
 use batcher::er_service::durable::{encode, replay, DurableRecord};
 use batcher::er_service::{
-    ErService, PairFingerprint, ServiceConfig, SyncPolicy, WalConfig, FINGERPRINT_VERSION,
+    pair_fingerprint, DecisionSource, ErService, PairFingerprint, ServiceConfig, SyncPolicy,
+    WalConfig, FINGERPRINT_VERSION,
 };
 use batcher::llm::SimLlm;
 use batcher::wal::testing::crash_at_offset;
@@ -126,6 +127,76 @@ fn restart_without_rebuying_answers() {
     assert!(stats.cache_hits >= bank.len() as u64, "{stats:?}");
     // The replayed spend counts against the budget exactly once.
     assert_eq!(stats.spent_micros, spent_run1, "{stats:?}");
+    assert_eq!(
+        stats.remaining_micros + stats.spent_micros,
+        stats.budget_micros,
+        "replayed ledger broke conservation: {stats:?}"
+    );
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Logs already on disk: the sharded builds (PR 8–16) journaled every
+/// answer as `AnswerSharded`, tagged with whichever of their shards
+/// bought it. A service started on such a log — here written record by
+/// record, answers spread over eight shard ids — restores every answer
+/// whatever its shard id said, re-buys nothing, and carries the replayed
+/// spend forward.
+#[test]
+fn sharded_build_log_restarts_without_rebuying_answers() {
+    let dir = temp_dir("sharded-log");
+    let _ = std::fs::remove_dir_all(&dir);
+    let bank = questions(24);
+    let (api_micros, labeling_micros) = (700, 8_000);
+    {
+        let (wal, _) = replay(&service_config(&dir).wal.unwrap()).unwrap();
+        let append = |record: DurableRecord| {
+            wal.append(&encode(&record)).unwrap();
+        };
+        append(DurableRecord::RunStart { run: 1 });
+        for (i, q) in bank.iter().enumerate() {
+            if i % 4 == 0 {
+                // One settled batch of four ahead of its answers.
+                let id = (i / 4) as u64 + 1;
+                append(DurableRecord::Reserve { run: 1, id, micros: 20_000 });
+                append(DurableRecord::Settle {
+                    run: 1,
+                    id,
+                    api_micros,
+                    labeling_micros,
+                    prompt_tokens: 400,
+                    completion_tokens: 60,
+                    api_calls: 1,
+                    pairs_labeled: 1,
+                });
+            }
+            append(DurableRecord::AnswerSharded {
+                version: FINGERPRINT_VERSION,
+                fp: pair_fingerprint(q),
+                // `questions` alternates identical / disjoint pairs.
+                label: MatchLabel::from_bool(i % 2 == 0),
+                cost_micros: (api_micros + labeling_micros) / 4,
+                shard: (i % 8) as u32,
+            });
+        }
+    }
+    let batches = (bank.len() / 4) as i64;
+    let spent = batches * (api_micros + labeling_micros);
+
+    let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), service_config(&dir));
+    let recovery = service.health();
+    assert_eq!(recovery.recovery_answers_restored, bank.len() as u64);
+    assert_eq!(recovery.recovery_open_reservations, 0, "{recovery:?}");
+    for (i, q) in bank.iter().enumerate() {
+        let decision = service.submit(q);
+        assert_eq!(decision.source, DecisionSource::Cache, "question {i}");
+        assert_eq!(decision.label, MatchLabel::from_bool(i % 2 == 0));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.cache_hits, bank.len() as u64, "{stats:?}");
+    assert_eq!((stats.llm_answered, stats.fallback_answered), (0, 0));
+    assert_eq!(stats.api_calls, batches as u64, "{stats:?}");
+    assert_eq!(stats.spent_micros, spent, "{stats:?}");
     assert_eq!(
         stats.remaining_micros + stats.spent_micros,
         stats.budget_micros,

@@ -1,17 +1,18 @@
 //! Integration tests for the online entity-matching service: cache
-//! economics, concurrent determinism, budget-exhaustion fallback and the
-//! HTTP front end.
+//! economics, concurrent determinism, budget-exhaustion fallback, the
+//! hold policy for partial batches, admission control and the HTTP front
+//! end.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use batcher::datagen::{generate, DatasetKind};
 use batcher::er_core::{EntityPair, Money, PairId, Record, RecordId, Schema};
 use batcher::er_service::{
-    DecisionSource, ErService, HealthReport, MatchServer, PairFingerprint, ServiceConfig,
-    ServiceStats,
+    pair_fingerprint, DecisionSource, ErService, HealthReport, MatchServer, PairFingerprint,
+    ServiceConfig, ServiceStats, SubmitOutcome,
 };
 use batcher::llm::SimLlm;
 use batcher::llm_service::http::read_response;
@@ -369,6 +370,97 @@ fn identical_questions_in_flight_share_one_llm_call() {
     );
 }
 
+/// Polls `condition` until it holds; panics after five seconds.
+fn wait_until(what: &str, condition: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !condition() {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "timed out waiting until {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The hold policy: a size-triggered flush whose plan is one *partial*
+/// batch keeps it under the planner lock instead of dispatching it; a
+/// later identical question attaches to the held one; the straggler
+/// deadline — anchored at the first arrival — then sends everything out
+/// in one batch.
+#[test]
+fn partial_batch_is_held_until_the_straggler_deadline() {
+    let deadline = Duration::from_millis(300);
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig { flush_deadline: deadline, batch_size: 4, ..ServiceConfig::default() },
+    );
+    let q = crafted_questions(3);
+    let started = Instant::now();
+    let ask = |i: usize| (i, service.submit(&q[i]), started.elapsed());
+    // Four submits trip the size trigger with exactly {q0, q1, q2, q2}:
+    // three unique questions, so the plan is one batch of three.
+    let barrier = Barrier::new(4);
+    let answered: Vec<_> = std::thread::scope(|scope| {
+        let (ask, barrier) = (&ask, &barrier);
+        let mut handles: Vec<_> = [0, 1, 2, 2]
+            .map(|i| {
+                scope.spawn(move || {
+                    barrier.wait();
+                    ask(i)
+                })
+            })
+            .into();
+        // The late duplicate arrives once the first flush has planned
+        // (and, being non-urgent, held) the three — well before the
+        // straggler deadline.
+        wait_until("the first flush has planned", || service.stats().plans == 1);
+        assert_eq!(service.stats().batches_flushed, 0, "partial batch flew");
+        handles.push(scope.spawn(move || ask(0)));
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (i, decision, at) in &answered {
+        assert_eq!(decision.source, DecisionSource::Llm, "q{i}");
+        // `started` precedes every arrival, so the straggler deadline
+        // (first arrival + flush deadline) cannot be earlier than this.
+        assert!(*at >= deadline, "q{i} answered after {at:?}: not held");
+        assert!(*at < deadline + Duration::from_secs(2), "q{i}: {at:?}");
+        let first_answer = answered.iter().find(|other| other.0 == *i).unwrap();
+        assert_eq!(first_answer.1.label, decision.label, "q{i}");
+    }
+    let stats = service.stats();
+    assert_eq!(
+        (stats.batches_flushed, stats.api_calls, stats.llm_answered),
+        (1, 1, 3),
+        "{stats:?}"
+    );
+    assert_eq!(stats.coalesced_duplicates, 2, "{stats:?}");
+    assert_eq!(stats.submitted, 5);
+
+    // How each duplicate was coalesced is on its span: the second q3 of
+    // the first wave inside the flush, the late q1 onto the held question.
+    let trace = service.telemetry().trace();
+    let coalesced_as = |question: &EntityPair| -> Vec<Option<String>> {
+        let mut details: Vec<Option<String>> = trace
+            .by_key(pair_fingerprint(question).0)
+            .iter()
+            .map(|span| {
+                assert_eq!(span.events.last().unwrap().stage, "answered");
+                span.events
+                    .iter()
+                    .find(|e| e.stage == "coalesced")
+                    .and_then(|e| e.detail.clone())
+            })
+            .collect();
+        details.sort();
+        details
+    };
+    assert_eq!(coalesced_as(&q[0]), [None, Some("held".to_owned())]);
+    assert_eq!(coalesced_as(&q[1]), [None]);
+    assert_eq!(coalesced_as(&q[2]), [None, Some("duplicate".to_owned())]);
+}
+
 // ---------------------------------------------------------------------
 // HTTP front end
 // ---------------------------------------------------------------------
@@ -390,6 +482,120 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (u16, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.1\r\n\r\n").unwrap();
     read_response(&mut stream).unwrap()
+}
+
+/// Admission control: with the queue at `queue_capacity`, non-blocking
+/// submits are shed with a retry hint (429 + `Retry-After` over HTTP),
+/// blocking submits degrade to the local fallback at once, `/healthz`
+/// reports backpressure — and the questions already admitted are served
+/// normally once their flush comes.
+#[test]
+fn full_queue_sheds_and_degrades_without_losing_admitted_questions() {
+    // A bound below `batch_size` and a long deadline: two parked submits
+    // keep the queue at its bound until the deadline, no slow endpoint
+    // needed.
+    let deadline = Duration::from_millis(500);
+    let service = Arc::new(ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig {
+            flush_deadline: deadline,
+            batch_size: 8,
+            queue_capacity: 2,
+            ..ServiceConfig::default()
+        },
+    ));
+    let server = MatchServer::start(Arc::clone(&service), ServeOptions::default()).unwrap();
+    let addr = server.addr();
+    let q = crafted_questions(4);
+    let parked: Vec<_> = q[..2]
+        .iter()
+        .cloned()
+        .map(|question| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.submit(&question))
+        })
+        .collect();
+    wait_until("both submits are parked in the queue", || {
+        service.stats().queue_depth_peak == 2
+    });
+
+    let shed = service.try_submit(&q[2]);
+    let http = {
+        let body =
+            r#"{"schema":["title"],"left":["pliny the elder"],"right":["pliny the younger"]}"#;
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "POST /match HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    };
+    let degraded = service.submit(&q[3]);
+    let (_, health) = get(addr, "/healthz");
+    // Every probe above met a full queue, and the blocking one came back
+    // without waiting for anything, only if the deadline flush — the sole
+    // event that empties the queue — has still not happened.
+    assert_eq!(
+        service.stats().batches_flushed,
+        0,
+        "the probes outlived the {deadline:?} flush deadline (machine too slow for this test)"
+    );
+
+    // Non-blocking admission: shed, with one flush deadline as the hint.
+    assert_eq!(shed, SubmitOutcome::Shed { retry_after_ms: 500 });
+    let (head, body) = http.split_once("\r\n\r\n").expect("head and body");
+    assert!(head.starts_with("HTTP/1.1 429 "), "{head}");
+    assert!(
+        head.lines().any(|line| line == "Retry-After: 1"),
+        "whole seconds, rounded up: {head}"
+    );
+    assert_eq!(body, r#"{"error":"queue full; retry later"}"#);
+    let shed_spans = service
+        .telemetry()
+        .trace()
+        .by_key(pair_fingerprint(&q[2]).0);
+    assert_eq!(shed_spans.len(), 1);
+    assert_eq!(shed_spans[0].events.last().unwrap().stage, "shed");
+
+    // Blocking admission: an answer from the local matcher.
+    assert_eq!(degraded.source, DecisionSource::Fallback);
+    let health: HealthReport = serde_json::from_slice(&health).unwrap();
+    assert!(health.backpressure, "{health:?}");
+
+    // The admitted questions are served by the LLM once the deadline comes.
+    for handle in parked {
+        assert_eq!(handle.join().unwrap().source, DecisionSource::Llm);
+    }
+
+    // The accounting identity, with sheds: every submit is a hit, an LLM
+    // or fallback answer, a coalesce, or a non-blocking shed; `shed_total`
+    // counts blocking submits the bound turned away as well.
+    let stats = service.stats();
+    let non_blocking_sheds = 2;
+    assert_eq!(stats.shed_total, non_blocking_sheds + 1, "{stats:?}");
+    assert_eq!(
+        (
+            stats.cache_hits,
+            stats.llm_answered,
+            stats.fallback_answered
+        ),
+        (0, 2, 1),
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.submitted,
+        stats.cache_hits
+            + stats.llm_answered
+            + stats.fallback_answered
+            + stats.coalesced_duplicates
+            + non_blocking_sheds,
+        "{stats:?}"
+    );
 }
 
 #[test]
