@@ -8,11 +8,10 @@
 //!   ├─ queue at `queue_capacity` ─▶ shed (429) / local fallback
 //!   └─ miss ─▶ coalescing queue ─▶ dispatcher drain
 //!                (batch_size reached or deadline)
-//!                  ▼
-//!              worker pool
-//!                  │ plan: dedupe by fingerprint, attach to identical
-//!                  │ held or in-flight questions, then diversity batches
-//!                  │ + demos over everything held, from scratch
+//!                  │ plan, on the dispatcher thread: dedupe by
+//!                  │ fingerprint, attach to identical held or in-flight
+//!                  │ questions, then diversity batches + demos over
+//!                  │ everything held, from scratch
 //!                  │ (batcher_core::plan_with_prepared_pool); full
 //!                  │ batches go, a partial one is held for the next flush
 //!                  ▼
@@ -22,15 +21,15 @@
 //!                  └─ denied (budget): logistic fallback ─▶ (Fallback)
 //! ```
 //!
-//! There is one of each: one queue, one dispatcher thread, one planner
-//! lock, one in-flight map, one answer cache, one reserve path. Concurrent
-//! clients thereby get the paper's batch economics without coordinating:
-//! whoever happens to be in flight together shares one prompt's task
-//! description and demonstrations — and the saving comes from *full*
-//! batches, which is why co-batchable traffic is never split. The budget
-//! is a hard cap — when projected spend would cross it the service
-//! degrades to the offline-trained logistic matcher instead of failing
-//! requests.
+//! There is one of each: one queue, one dispatcher thread — which is
+//! also the planner, and the only owner of the questions it holds —, one
+//! in-flight map, one answer cache, one reserve path. Concurrent clients
+//! thereby get the paper's batch economics without coordinating: whoever
+//! happens to be in flight together shares one prompt's task description
+//! and demonstrations — and the saving comes from *full* batches, which
+//! is why co-batchable traffic is never split. The budget is a hard cap —
+//! when projected spend would cross it the service degrades to the
+//! offline-trained logistic matcher instead of failing requests.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +57,7 @@ use crate::flight::FlightRecorder;
 use crate::governor::CostGovernor;
 use crate::stats::{HealthReport, ServiceStats};
 use crate::sync::lock;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Telemetry, SLO_LATENCY_US};
 
 /// Who produced a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +104,7 @@ pub struct ServiceConfig {
     /// Questions per coalesced batch (the paper's `b`; §VI-A uses 8).
     pub batch_size: usize,
     /// Maximum time a question waits for co-batched traffic — in the
-    /// queue, or held by the planner in a partial batch — before it is
+    /// queue, or held by the dispatcher in a partial batch — before it is
     /// dispatched in whatever batch it has.
     pub flush_deadline: Duration,
     /// Hard cap on total spend (API + labeling).
@@ -119,15 +118,11 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Executor retries per batch.
     pub max_retries: u32,
-    /// LLM worker threads (batches in flight concurrently).
+    /// LLM worker threads: batches in flight concurrently (workers only
+    /// execute batches; planning runs on the dispatcher thread).
     pub workers: usize,
     /// Domain word used in the prompt's task description.
     pub domain: String,
-    /// Fixed completion-token allowance per question, added on top of the
-    /// question's own token count when projecting a batch's worst-case
-    /// cost (the simulator's rationale lines quote question content, so
-    /// an answer is bounded by the question plus this overhead).
-    pub completion_allowance: u64,
     /// Telemetry switch: metrics registry + lifecycle tracing. Off, every
     /// handle is a single-branch no-op (the serving bench prices this).
     pub telemetry: bool,
@@ -144,9 +139,6 @@ pub struct ServiceConfig {
     pub breaker_threshold: u32,
     /// How long an open breaker holds before admitting a probe batch.
     pub breaker_cooldown: Duration,
-    /// Answer-latency SLO threshold: a submit is "good" for the latency
-    /// objective when it answers within this many microseconds.
-    pub slo_latency_us: u64,
     /// Where the flight recorder writes anomaly debug bundles. `None`
     /// keeps bundles in memory only (still fetchable at
     /// `GET /debug/bundle`).
@@ -156,8 +148,9 @@ pub struct ServiceConfig {
     /// dispatcher) are shed — `try_submit` returns
     /// [`SubmitOutcome::Shed`], which the HTTP front end maps to `429` +
     /// `Retry-After`; blocking `submit` degrades to the local fallback.
-    /// Drained generations waiting for a worker are not counted. `0`
-    /// disables shedding (unbounded queue).
+    /// The dispatcher drains only between plans, so everything that
+    /// arrives while a plan runs is counted; planned batches waiting for
+    /// a worker are not. `0` disables shedding (unbounded queue).
     pub queue_capacity: usize,
 }
 
@@ -174,18 +167,22 @@ impl Default for ServiceConfig {
             max_retries: 2,
             workers: 2,
             domain: "Product".to_owned(),
-            completion_allowance: 24,
             telemetry: true,
             trace_capacity: 1024,
             wal: None,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(250),
-            slo_latency_us: 250_000,
             flight_dir: None,
             queue_capacity: 4096,
         }
     }
 }
+
+/// Fixed completion-token allowance per question, added on top of the
+/// question's own token count when projecting a batch's worst-case cost
+/// (the simulator's rationale lines quote question content, so an answer
+/// is bounded by the question plus this overhead).
+const COMPLETION_ALLOWANCE: u64 = 24;
 
 /// One waiting `submit` call: its decision channel plus its lifecycle
 /// span, stamped by pipeline stages as the question moves. The span is
@@ -202,7 +199,7 @@ struct Pending {
     fp: PairFingerprint,
     pair: EntityPair,
     waiter: Waiter,
-    /// Arrival time at `submit` — carried into the planner so a held
+    /// Arrival time at `submit` — carried into the held set so a held
     /// partial-batch question's dispatch deadline anchors to when the
     /// client actually asked, keeping `flush_deadline` a true bound on
     /// queue+hold wait.
@@ -214,16 +211,12 @@ struct QueueState {
     pending: Vec<Pending>,
     /// Set when the first pending item arrived (deadline anchor).
     oldest: Option<Instant>,
-    /// When the oldest *planned-but-held* partial-batch question must be
-    /// dispatched (set by the planner, armed under the queue lock so the
-    /// dispatcher's wait cannot miss it).
-    straggler_deadline: Option<Instant>,
     stopping: bool,
 }
 
-/// One question the planner holds: entered by a flush (later identical
-/// arrivals attach their waiters), planned by every flush until it
-/// leaves in a dispatched batch — execution owns it from there, via
+/// One question the dispatcher holds: entered by a flush (later
+/// identical arrivals attach their waiters), planned by every flush until
+/// it leaves in a dispatched batch — execution owns it from there, via
 /// `in_flight`. A question outlives a flush only as part of a partial
 /// batch held back in the hope of fuller co-batched traffic.
 struct HeldQuestion {
@@ -242,22 +235,6 @@ struct BatchJob {
     demo_indices: Vec<usize>,
     /// Executor seed for this batch.
     seed: u64,
-}
-
-/// Work processed by the pool. Planning runs on the pool too — clustering
-/// and demonstration selection are O(flush²) and would otherwise
-/// serialize every flush behind the dispatcher thread, stalling the
-/// queue past its deadline under sustained load.
-enum WorkItem {
-    /// A drained queue generation to dedupe, plan and split into batches.
-    /// `urgent` marks deadline- or shutdown-triggered flushes: every
-    /// planned batch dispatches, including partial ones (a size-triggered
-    /// flush may instead hold a partial batch for the next flush).
-    Plan { drained: Vec<Pending>, urgent: bool },
-    /// One planned batch to execute against the LLM.
-    Batch(BatchJob),
-    /// Terminate one worker (the dispatcher sends one per worker).
-    Shutdown,
 }
 
 struct Inner {
@@ -282,10 +259,6 @@ struct Inner {
     /// The coalescing queue; its length is what `queue_capacity` bounds.
     queue: Mutex<QueueState>,
     queue_cond: Condvar,
-    /// The planner lock: the questions currently held, in ascending
-    /// fingerprint order — the canonical order every plan is made in, so
-    /// a plan depends only on *what* is held, not on arrival order.
-    planner: Mutex<BTreeMap<PairFingerprint, HeldQuestion>>,
     /// Questions currently being asked by an executing batch. Later
     /// arrivals for the same fingerprint attach here instead of paying
     /// for a second LLM slot (and risking a contradictory answer).
@@ -294,12 +267,6 @@ struct Inner {
     /// High-water mark of the pending queue this run — the admission
     /// bound's key signal on `/stats`.
     depth_peak: AtomicU64,
-    /// Workers still running. The last worker out drops any questions
-    /// the planner still holds, so a straggler planned *after* the
-    /// dispatcher's shutdown drain can never strand its waiters — their
-    /// dropped senders disconnect the receivers, which degrade to the
-    /// local fallback.
-    live_workers: AtomicU64,
     telemetry: Telemetry,
     /// The anomaly flight recorder (events, snapshots, bundle triggers).
     flight: FlightRecorder,
@@ -411,7 +378,10 @@ impl ErService {
                     // The pipeline is not assembled yet, so this bundle
                     // holds what exists at this point: the violations and
                     // the recovery report.
-                    let listed: Vec<String> = violations.iter().map(|v| json_string(v)).collect();
+                    let listed: Vec<String> = violations
+                        .iter()
+                        .map(|v| format!("\"{}\"", obs::json_escape(v)))
+                        .collect();
                     let bundle = format!(
                         "{{\"reason\":\"recovery_violation\",\"violations\":[{}],\"records_replayed\":{},\"open_reservations\":{}}}",
                         listed.join(","),
@@ -469,25 +439,22 @@ impl ErService {
             breaker,
             queue: Mutex::new(QueueState::default()),
             queue_cond: Condvar::new(),
-            planner: Mutex::new(BTreeMap::new()),
             in_flight: Mutex::new(HashMap::new()),
             cache,
             depth_peak: AtomicU64::new(0),
             telemetry,
             flight,
-            live_workers: AtomicU64::new(config.workers as u64),
             config,
         });
 
-        let (work_tx, work_rx) = channel::<WorkItem>();
+        let (work_tx, work_rx) = channel::<BatchJob>();
         let work_rx = Arc::new(Mutex::new(work_rx));
 
         let workers = (0..inner.config.workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 let work_rx = Arc::clone(&work_rx);
-                let work_tx = work_tx.clone();
-                std::thread::spawn(move || worker_loop(&inner, &work_rx, &work_tx))
+                std::thread::spawn(move || worker_loop(&inner, &work_rx))
             })
             .collect();
 
@@ -732,29 +699,9 @@ fn record_answer_slos(inner: &Inner, latency: Duration, source: DecisionSource) 
         return;
     }
     let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-    tel.slo_latency
-        .record(latency_us <= inner.config.slo_latency_us);
+    tel.slo_latency.record(latency_us <= SLO_LATENCY_US);
     tel.slo_availability
         .record(source != DecisionSource::Fallback);
-}
-
-/// Minimal JSON string quoting for bundle fields assembled by hand.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Assembles the self-contained debug bundle: what happened (reason +
@@ -764,9 +711,9 @@ fn assemble_bundle(inner: &Inner, reason: &str) -> String {
     let stats = serde_json::to_string(&stats_of(inner)).unwrap_or_else(|_| "{}".to_owned());
     let health = serde_json::to_string(&health_of(inner)).unwrap_or_else(|_| "{}".to_owned());
     format!(
-        "{{\"reason\":{},\"breaker\":{},\"health\":{health},\"stats\":{stats},\"slo\":{},\"recent_traces\":{},\"events\":{},\"snapshots\":{}}}",
-        json_string(reason),
-        json_string(inner.breaker.state_name()),
+        "{{\"reason\":\"{}\",\"breaker\":\"{}\",\"health\":{health},\"stats\":{stats},\"slo\":{},\"recent_traces\":{},\"events\":{},\"snapshots\":{}}}",
+        obs::json_escape(reason),
+        obs::json_escape(inner.breaker.state_name()),
         inner.telemetry.slo_json(),
         inner.telemetry.trace.recent_json(32),
         inner.flight.events_json(),
@@ -788,8 +735,9 @@ impl Drop for ErService {
     fn drop(&mut self) {
         lock(&self.inner.queue).stopping = true;
         self.inner.queue_cond.notify_all();
-        // The dispatcher flushes what the queue and the planner still
-        // hold, then sends one shutdown sentinel per worker.
+        // The dispatcher flushes what the queue and its held set still
+        // hold and returns; that drops the only job sender, and each
+        // worker exits once the channel is empty.
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
@@ -928,18 +876,24 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
 }
 
 // ---------------------------------------------------------------------
-// Dispatcher: the coalescing-queue flush loop
+// Dispatcher: the coalescing-queue flush loop, and the planner
 // ---------------------------------------------------------------------
 
-fn dispatcher_loop(inner: &Inner, work_tx: Sender<WorkItem>) {
-    let batch_size = inner.config.batch_size;
+fn dispatcher_loop(inner: &Inner, work_tx: Sender<BatchJob>) {
     let deadline = inner.config.flush_deadline;
+    // The questions currently held, in ascending fingerprint order — the
+    // canonical order every plan is made in, so a plan depends only on
+    // *what* is held, not on arrival order. Owned by this thread alone:
+    // only a flush puts a question in or takes one out.
+    let mut held: BTreeMap<PairFingerprint, HeldQuestion> = BTreeMap::new();
     loop {
+        // When the oldest held partial-batch question must be dispatched.
+        let straggler_deadline = held.values().map(|q| q.since + deadline).min();
         // A drain is *urgent* when a deadline forced it (oldest pending
-        // question, oldest planner-held straggler, or shutdown): the plan
-        // must then dispatch every batch, partial or not. A size-triggered
+        // question, oldest held straggler, or shutdown): the plan must
+        // then dispatch every batch, partial or not. A size-triggered
         // drain may instead hold a partial batch for the next flush.
-        let (drained, urgent, flush_stragglers): (Vec<Pending>, bool, bool) = {
+        let (drained, urgent): (Vec<Pending>, bool) = {
             let mut queue = lock(&inner.queue);
             let urgent = loop {
                 if queue.stopping {
@@ -947,18 +901,13 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<WorkItem>) {
                 }
                 let now = Instant::now();
                 let pending_deadline = queue.oldest.map(|oldest| oldest + deadline);
-                let overdue = pending_deadline.is_some_and(|t| now >= t)
-                    || queue.straggler_deadline.is_some_and(|t| now >= t);
-                if overdue {
+                let next = pending_deadline.into_iter().chain(straggler_deadline).min();
+                if next.is_some_and(|t| now >= t) {
                     break true;
                 }
-                if queue.pending.len() >= batch_size {
+                if queue.pending.len() >= inner.config.batch_size {
                     break false;
                 }
-                let next = match (pending_deadline, queue.straggler_deadline) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
                 match next {
                     None => {
                         queue = inner
@@ -975,151 +924,149 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<WorkItem>) {
                     }
                 }
             };
-            let flush_stragglers = urgent && queue.straggler_deadline.is_some();
-            if queue.stopping && queue.pending.is_empty() && queue.straggler_deadline.is_none() {
-                drop(queue);
-                // The final drain is already in the channel and channel
-                // order puts the sentinels after it. One sentinel per
-                // worker; each worker consumes exactly one and exits.
-                for _ in 0..inner.config.workers {
-                    let _ = work_tx.send(WorkItem::Shutdown);
-                }
+            if queue.stopping && queue.pending.is_empty() && held.is_empty() {
+                // Everything admitted is planned and dispatched; returning
+                // drops the only job sender, which is what stops the workers.
                 return;
             }
             queue.oldest = None;
-            // Disarm the straggler timer before handing off; the planner
-            // re-arms it (under this lock) if held questions remain.
-            queue.straggler_deadline = None;
             inner.telemetry.queue_depth.set(0);
-            (std::mem::take(&mut queue.pending), urgent, flush_stragglers)
+            (std::mem::take(&mut queue.pending), urgent)
         };
-        // Planning is O(flush²); it runs on the worker pool so the
-        // dispatcher returns to its wait loop immediately and later
-        // arrivals are not stalled past their deadline.
-        if (!drained.is_empty() || flush_stragglers)
-            && work_tx.send(WorkItem::Plan { drained, urgent }).is_err()
-        {
-            return; // workers gone
+        // A panicking plan (e.g. a poisoned question) must not take the
+        // dispatcher down: containment drops the drained senders, their
+        // waiters observe the disconnect and fall back locally, and the
+        // queue keeps serving.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            flush(inner, &mut held, drained, urgent, &work_tx);
+        }));
+        if result.is_err() {
+            // The held set may contain waiters whose questions will never
+            // dispatch (a question that panics the plan would panic every
+            // later one too): clear it. Dropping the held waiters
+            // disconnects their receivers, which degrade to the local
+            // fallback.
+            held.clear();
+            eprintln!("er-service: flush planning panicked; affected requests fall back");
         }
     }
 }
 
+/// Whether `fp` has already been bought: attaches `waiter` to the
+/// executing batch that is asking it, or answers it from the cache, and
+/// returns `None`; returns the waiter when the question is new.
+///
+/// The order of the two reads is what makes "new" mean "not bought". A
+/// worker fills the cache *before* it un-registers a question from
+/// `in_flight` (`execute_job`, then `resolve_question`), so a question
+/// that is absent from `in_flight` and was answered by the LLM is already
+/// in the cache; read the other way round, a worker could complete
+/// between the two reads and the question would be found in neither.
+/// (A fallback answer is deliberately not cached, and a disabled or
+/// evicting cache forgets: those questions are new again.)
+///
+/// `coalesced` is called with how the waiter coalesced *before* the
+/// waiter can observe a decision — before the send, and under the
+/// `in_flight` lock before attaching to an entry a worker may resolve.
+fn attach_if_bought(
+    in_flight: &Mutex<HashMap<PairFingerprint, Vec<Waiter>>>,
+    cache: &AnswerCache,
+    fp: PairFingerprint,
+    waiter: Waiter,
+    coalesced: impl FnOnce(&Waiter, &'static str),
+) -> Option<Waiter> {
+    if let Some(attached) = lock(in_flight).get_mut(&fp) {
+        coalesced(&waiter, "in_flight");
+        attached.push(waiter);
+        return None;
+    }
+    if let Some(label) = cache.peek(fp) {
+        coalesced(&waiter, "cache");
+        let _ = waiter.tx.send(MatchDecision {
+            label,
+            source: DecisionSource::Cache,
+            fingerprint: fp,
+            trace_id: 0,
+        });
+        return None;
+    }
+    Some(waiter)
+}
+
 /// Dedupes one drained queue generation into the held set, plans
-/// everything held from scratch, and dispatches batches.
+/// everything held from scratch, and dispatches batches. Runs on the
+/// dispatcher thread only, never under the queue lock.
 ///
 /// Dispatch policy: full batches always dispatch; a partial batch
 /// dispatches only on an `urgent` flush (deadline or shutdown) and is
-/// otherwise *held* under the planner lock for the next flush — the
-/// paper's batch economics improve when a straggler waits (bounded by the
-/// flush deadline) for co-batched traffic instead of flying alone.
-fn flush(inner: &Inner, drained: Vec<Pending>, urgent: bool, work_tx: &Sender<WorkItem>) {
+/// otherwise *held* for the next flush — the paper's batch economics
+/// improve when a straggler waits (bounded by the flush deadline) for
+/// co-batched traffic instead of flying alone.
+fn flush(
+    inner: &Inner,
+    held: &mut BTreeMap<PairFingerprint, HeldQuestion>,
+    drained: Vec<Pending>,
+    urgent: bool,
+    work_tx: &Sender<BatchJob>,
+) {
     let tel = &inner.telemetry;
-    // Flight recorder heartbeat: at most once a second (while traffic
-    // flows) snapshot the stats into the bounded ring and check the SLO
-    // windows — a fast burn on both windows dumps a bundle.
-    if inner.flight.snapshot_due() {
-        if let Ok(json) = serde_json::to_string(&stats_of(inner)) {
-            inner.flight.snapshot(json);
-        }
-        if let Some(objective) = tel.any_fast_burn() {
-            trigger_bundle(
-                inner,
-                "slo_fast_burn",
-                format!("objective {objective} burning on both windows"),
-            );
-        }
-    }
-    // Dedupe by fingerprint. Four ways a question avoids its own LLM
-    // slot: answered into the cache while it sat in the queue, identical
-    // to a question an executing batch is already asking (attach to its
-    // in-flight entry), identical to another question in this flush, or
-    // identical to a question the planner already holds (attach below).
-    // Each coalesce is counted *before* its waiter can observe a
-    // decision (before the send / before attaching to an entry another
-    // thread may resolve), so the accounting identity `submitted =
-    // hits + coalesced + answered` holds at any quiesce point — a
-    // deferred bulk add here used to lose counts to a stats read racing
-    // the tail of the flush.
-    let mut fresh: HashMap<PairFingerprint, HeldQuestion> = HashMap::new();
-    for item in drained {
-        tel.queue_wait_us
-            .record_duration_us(item.enqueued.elapsed());
-        if let Some(label) = inner.cache.peek(item.fp) {
-            tel.coalesced.inc();
-            tel.trace
-                .stamp_with(item.waiter.trace, "coalesced", "cache".to_owned());
-            let _ = item.waiter.tx.send(MatchDecision {
-                label,
-                source: DecisionSource::Cache,
-                fingerprint: item.fp,
-                trace_id: 0,
-            });
-            continue;
-        }
-        {
-            let mut in_flight = lock(&inner.in_flight);
-            if let Some(attached) = in_flight.get_mut(&item.fp) {
-                tel.coalesced.inc();
-                tel.trace
-                    .stamp_with(item.waiter.trace, "coalesced", "in_flight".to_owned());
-                attached.push(item.waiter);
-                continue;
-            }
-        }
-        match fresh.entry(item.fp) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                tel.coalesced.inc();
-                tel.trace
-                    .stamp_with(item.waiter.trace, "coalesced", "duplicate".to_owned());
-                e.get_mut().waiters.push(item.waiter);
-            }
-            // The queue drains in arrival order, so the first item seen
-            // for a fingerprint carries its earliest arrival.
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(HeldQuestion {
-                    pair: item.pair,
-                    waiters: vec![item.waiter],
-                    since: item.enqueued,
-                });
-            }
-        }
-    }
-
-    let mut held = lock(&inner.planner);
-    // Measures how long this flush keeps every other flush (and the
-    // dispatch path) waiting; a drop-guard so early returns count too.
-    let _lock_hold = tel.planner_lock_hold_us.start_timer();
+    // Times the merge into the held set, the plan and the dispatch: how
+    // long this flush keeps the next drain waiting. A drop-guard so early
+    // returns count too. (The family is named after the planner lock this
+    // span used to be held under.)
+    let _flush_span = tel.planner_lock_hold_us.start_timer();
     let plan_started = Instant::now();
     // Index counters are process-wide: the delta across this flush's
     // planning is its own builds and queries plus whatever another
-    // service in the process planned meanwhile (the planner lock
-    // serializes this service's flushes only). The deltas accumulate
+    // service in the process planned meanwhile. The deltas accumulate
     // into this service's registry, which `/stats` and `/metrics` serve.
     let idx_before = embed::index::stats();
-    // Only the primary item coalesces here; its within-flush duplicates
-    // were already counted in the dedupe loop.
-    let coalesce = |onto: &mut Vec<Waiter>, waiters: Vec<Waiter>, how: &str| {
+    // Dedupe by fingerprint. Four ways a question avoids its own LLM
+    // slot: identical to a question already held (`held`) or to another
+    // in this flush (`duplicate`), identical to one an executing batch is
+    // asking (`in_flight`), or answered into the cache while it sat in
+    // the queue (`cache`). The reads go held → in-flight → cache, and the
+    // order is the "nothing is bought twice" invariant: this thread alone
+    // moves a question from `held` to `in_flight`, so one it does not
+    // find held was dispatched or never seen — `attach_if_bought` tells
+    // those apart. Each coalesce is counted *before* its waiter can
+    // observe a decision, so the accounting identity `submitted = hits +
+    // coalesced + answered` holds at any quiesce point.
+    let coalesced = |waiter: &Waiter, how: &'static str| {
         tel.coalesced.inc();
-        for w in &waiters {
-            tel.trace.stamp_with(w.trace, "coalesced", how.to_owned());
-        }
-        onto.extend(waiters);
+        tel.trace
+            .stamp_with(waiter.trace, "coalesced", how.to_owned());
     };
-    // Brand-new questions enter the held set; duplicates of questions
-    // already held attach their waiters. The in-flight check repeats here
-    // *under the planner lock*: a concurrent flush dispatches (and
-    // registers) its batches while holding this lock, so the lock-free
-    // check above can race a question straight out of the held set into
-    // `in_flight` — without the re-check both flushes would buy the
-    // question an LLM slot.
-    for (fp, question) in fresh {
-        if let Some(already) = held.get_mut(&fp) {
-            coalesce(&mut already.waiters, question.waiters, "held");
-        } else if let Some(attached) = lock(&inner.in_flight).get_mut(&fp) {
-            coalesce(attached, question.waiters, "in_flight");
-        } else {
-            held.insert(fp, question);
+    let mut entered: HashSet<PairFingerprint> = HashSet::new();
+    for item in drained {
+        tel.queue_wait_us
+            .record_duration_us(item.enqueued.elapsed());
+        if let Some(already) = held.get_mut(&item.fp) {
+            let how = if entered.contains(&item.fp) {
+                "duplicate"
+            } else {
+                "held"
+            };
+            coalesced(&item.waiter, how);
+            already.waiters.push(item.waiter);
+            continue;
         }
+        let Some(waiter) = attach_if_bought(
+            &inner.in_flight,
+            &inner.cache,
+            item.fp,
+            item.waiter,
+            coalesced,
+        ) else {
+            continue;
+        };
+        // The queue drains in arrival order, so the first item seen for
+        // a fingerprint carries its earliest arrival.
+        entered.insert(item.fp);
+        held.insert(
+            item.fp,
+            HeldQuestion { pair: item.pair, waiters: vec![waiter], since: item.enqueued },
+        );
     }
     if held.is_empty() {
         return;
@@ -1163,13 +1110,11 @@ fn flush(inner: &Inner, drained: Vec<Pending>, urgent: bool, work_tx: &Sender<Wo
         if !urgent && batch.len() < inner.config.batch_size {
             continue; // held for the next flush
         }
-        let batch_fps: Vec<PairFingerprint> = batch.iter().map(|&qi| fps[qi]).collect();
-        let questions: Vec<(PairFingerprint, EntityPair, Vec<Waiter>)> = batch_fps
+        let questions: Vec<(PairFingerprint, EntityPair, Vec<Waiter>)> = batch
             .iter()
-            .map(|&fp| {
-                let question = held
-                    .remove(&fp)
-                    .expect("planned question is held by the planner");
+            .map(|&qi| {
+                let fp = fps[qi];
+                let question = held.remove(&fp).expect("planned question is held");
                 for w in &question.waiters {
                     tel.trace.stamp(w.trace, "planned");
                     tel.trace.stamp(w.trace, "dispatched");
@@ -1182,7 +1127,7 @@ fn flush(inner: &Inner, drained: Vec<Pending>, urgent: bool, work_tx: &Sender<Wo
         // re-asking. Completion (or panic cleanup) removes the entries.
         {
             let mut in_flight = lock(&inner.in_flight);
-            for fp in &batch_fps {
+            for (fp, _, _) in &questions {
                 in_flight.entry(*fp).or_default();
             }
         }
@@ -1192,37 +1137,10 @@ fn flush(inner: &Inner, drained: Vec<Pending>, urgent: bool, work_tx: &Sender<Wo
             demo_indices: plan.demos_per_batch[bi].clone(),
             seed: flush_seed ^ ((bi as u64) << 16),
         };
-        if work_tx.send(WorkItem::Batch(job)).is_err() {
-            // Workers gone (shutdown): unregister and let the dropped
-            // senders push the waiters onto the local fallback. Held
-            // waiters drop with the planner when the service tears down.
-            clear_in_flight(inner, &batch_fps);
-            return;
-        }
-    }
-
-    // Re-arm the straggler timer for anything held back — under the
-    // queue lock so the dispatcher's wait cannot miss the update, and
-    // *before* releasing the planner lock so a concurrent flush cannot
-    // interleave its own (newer) deadline between our computation and
-    // our write. Lock order planner → queue matches the dispatch path.
-    let straggler_deadline = held
-        .values()
-        .map(|q| q.since + inner.config.flush_deadline)
-        .min();
-    let mut queue = lock(&inner.queue);
-    queue.straggler_deadline = straggler_deadline;
-    if straggler_deadline.is_some() {
-        inner.queue_cond.notify_all();
-    }
-}
-
-/// Removes in-flight registrations, dropping any attached waiters (their
-/// disconnected receivers degrade to the local fallback).
-fn clear_in_flight(inner: &Inner, fps: &[PairFingerprint]) {
-    let mut in_flight = lock(&inner.in_flight);
-    for fp in fps {
-        in_flight.remove(fp);
+        // Workers exit only once this thread has dropped its sender.
+        work_tx
+            .send(job)
+            .expect("the workers outlive the dispatcher");
     }
 }
 
@@ -1230,75 +1148,52 @@ fn clear_in_flight(inner: &Inner, fps: &[PairFingerprint]) {
 // Workers: governed batch execution over the ChatApi
 // ---------------------------------------------------------------------
 
-fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<WorkItem>>, work_tx: &Sender<WorkItem>) {
+fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<BatchJob>>) {
     loop {
-        let item = {
-            let rx = lock(work_rx);
-            rx.recv()
+        // An error means the dispatcher returned and dropped its sender
+        // and the channel is empty: shutdown. (The guard is a temporary
+        // of this statement — it is not held while the batch executes.)
+        let Ok(job) = lock(work_rx).recv() else {
+            return;
         };
-        match item {
-            Ok(WorkItem::Plan { drained, urgent }) => {
-                // A panicking plan (e.g. a poisoned question) must not
-                // take the worker down: containment drops the drained
-                // senders, their waiters observe the disconnect and fall
-                // back locally, and the pool keeps serving.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    flush(inner, drained, urgent, work_tx);
-                }));
-                if result.is_err() {
-                    // The planner may hold waiters whose questions will
-                    // never dispatch (a question that panics the plan
-                    // would panic every later one too): clear the held
-                    // set. Dropping the held waiters disconnects their
-                    // receivers, which degrade to the local fallback.
-                    let mut held = lock(&inner.planner);
-                    held.clear();
-                    // Disarm the straggler timer *before* releasing the
-                    // planner lock — the same ordering the flush path's
-                    // re-arm uses — so this None cannot overwrite a
-                    // deadline a concurrent healthy flush just armed.
-                    lock(&inner.queue).straggler_deadline = None;
-                    drop(held);
-                    eprintln!("er-service: flush planning panicked; affected requests fall back");
-                }
+        // A panicking batch must not take the worker down. Its in-flight
+        // entries are removed so attached waiters disconnect (and fall
+        // back) instead of hanging; a reservation held at the panic
+        // point is refunded by its drop guard as the panic unwinds, so a
+        // dead worker cannot strand budget.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_job(inner, &job);
+        }));
+        if result.is_err() {
+            let mut in_flight = lock(&inner.in_flight);
+            for (fp, _, _) in &job.questions {
+                in_flight.remove(fp);
             }
-            Ok(WorkItem::Batch(job)) => {
-                // Same containment for execution. The in-flight entries
-                // are cleared on panic so attached waiters disconnect
-                // (and fall back) instead of hanging; a reservation held
-                // at the panic point is refunded by its drop guard as the
-                // panic unwinds, so a dead worker cannot strand budget.
-                let fps: Vec<PairFingerprint> =
-                    job.questions.iter().map(|(fp, _, _)| *fp).collect();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_job(inner, job);
-                }));
-                if result.is_err() {
-                    clear_in_flight(inner, &fps);
-                    eprintln!("er-service: batch execution panicked; affected requests fall back");
-                }
-            }
-            Ok(WorkItem::Shutdown) | Err(_) => {
-                // Plan items always precede the shutdown sentinels in the
-                // channel, and a worker busy planning holds its sentinel
-                // slot until it finishes — so when the *last* worker
-                // exits, no flush can run anymore and whatever the
-                // planner still holds (a partial batch planned after the
-                // final drain) would wait forever. Drop those waiters
-                // now; their receivers disconnect and the blocked submits
-                // degrade to the local fallback.
-                if inner.live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    lock(&inner.planner).clear();
-                }
-                return;
-            }
+            eprintln!("er-service: batch execution panicked; affected requests fall back");
         }
     }
 }
 
-fn execute_job(inner: &Inner, job: BatchJob) {
+fn execute_job(inner: &Inner, job: &BatchJob) {
     let config = &inner.config;
     let tel = &inner.telemetry;
+    // Flight recorder heartbeat: at most once a second (while traffic
+    // flows) snapshot the stats into the bounded ring and check the SLO
+    // windows — a fast burn on both windows dumps a bundle. Here, on a
+    // worker, and not in `flush`: a file write must not run on the one
+    // thread every miss waits for.
+    if inner.flight.snapshot_due() {
+        if let Ok(json) = serde_json::to_string(&stats_of(inner)) {
+            inner.flight.snapshot(json);
+        }
+        if let Some(objective) = tel.any_fast_burn() {
+            trigger_bundle(
+                inner,
+                "slo_fast_burn",
+                format!("objective {objective} burning on both windows"),
+            );
+        }
+    }
     // Circuit breaker: during an LLM outage every batch would burn its
     // full retry schedule before degrading. Once the breaker opens,
     // batches short-circuit straight to the logistic fallback — no
@@ -1313,7 +1208,7 @@ fn execute_job(inner: &Inner, job: BatchJob) {
             "breaker_short_circuit",
             format!("batch of {} routed to fallback", job.questions.len()),
         );
-        answer_via_fallback(inner, &job);
+        answer_via_fallback(inner, job);
         return;
     }
     let demos: Vec<&LabeledPair> = job.demo_indices.iter().map(|&d| &inner.pool[d]).collect();
@@ -1332,7 +1227,7 @@ fn execute_job(inner: &Inner, job: BatchJob) {
     // below cannot bound. Serving never sends such a prompt: the batch
     // is answered locally instead, which keeps the budget cap hard.
     if prompt_tokens > config.model.profile().max_context_tokens {
-        answer_via_fallback(inner, &job);
+        answer_via_fallback(inner, job);
         return;
     }
 
@@ -1348,7 +1243,7 @@ fn execute_job(inner: &Inner, job: BatchJob) {
     let price = PriceTable::for_model(config.model);
     let attempts = u64::from(config.max_retries) + 1;
     let question_tokens: u64 = questions.iter().map(|q| count_tokens(q)).sum();
-    let completion_bound = question_tokens + config.completion_allowance * questions.len() as u64;
+    let completion_bound = question_tokens + COMPLETION_ALLOWANCE * questions.len() as u64;
     let api_projection =
         price.cost(TokenCount(prompt_tokens), TokenCount(completion_bound)) * attempts;
 
@@ -1375,7 +1270,7 @@ fn execute_job(inner: &Inner, job: BatchJob) {
             "budget_denied",
             format!("batch of {} answered by fallback", job.questions.len()),
         );
-        answer_via_fallback(inner, &job);
+        answer_via_fallback(inner, job);
         return;
     };
 
@@ -1528,5 +1423,109 @@ fn answer_via_fallback(inner: &Inner, job: &BatchJob) {
     for (fp, pair, senders) in &job.questions {
         let decision = fallback_decision(inner, *fp, pair);
         resolve_question(inner, *fp, decision, senders, 0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+
+    const FP: PairFingerprint = PairFingerprint(7);
+    const LABEL: MatchLabel = MatchLabel::Matching;
+
+    fn waiter() -> (Waiter, Receiver<MatchDecision>) {
+        let (tx, rx) = channel();
+        (Waiter { tx, trace: 0 }, rx)
+    }
+
+    /// One `attach_if_bought` call: whether the waiter came back (the
+    /// question is new) and how it coalesced otherwise.
+    fn look_up(
+        in_flight: &Mutex<HashMap<PairFingerprint, Vec<Waiter>>>,
+        cache: &AnswerCache,
+    ) -> (bool, Option<&'static str>, Receiver<MatchDecision>) {
+        let (w, rx) = waiter();
+        let how = Cell::new(None);
+        let back = attach_if_bought(in_flight, cache, FP, w, |_, h| how.set(Some(h)));
+        (back.is_some(), how.get(), rx)
+    }
+
+    /// What a worker does when the LLM answered: `execute_job` fills the
+    /// cache, then `resolve_question` un-registers the question and
+    /// delivers to whoever attached.
+    fn worker_fills_cache(cache: &AnswerCache) {
+        cache.insert(FP, LABEL);
+    }
+
+    fn worker_unregisters(
+        in_flight: &Mutex<HashMap<PairFingerprint, Vec<Waiter>>>,
+        source: DecisionSource,
+    ) {
+        let decision = MatchDecision { label: LABEL, source, fingerprint: FP, trace_id: 0 };
+        for w in lock(in_flight).remove(&FP).unwrap_or_default() {
+            let _ = w.tx.send(decision);
+        }
+    }
+
+    fn dispatched() -> Mutex<HashMap<PairFingerprint, Vec<Waiter>>> {
+        Mutex::new(HashMap::from([(FP, Vec::new())]))
+    }
+
+    #[test]
+    fn before_the_cache_fill_a_duplicate_attaches_and_the_worker_delivers() {
+        let (in_flight, cache) = (dispatched(), AnswerCache::new(true, 16));
+        let (new, how, rx) = look_up(&in_flight, &cache);
+        assert_eq!((new, how), (false, Some("in_flight")));
+        assert!(rx.try_recv().is_err(), "nothing to deliver yet");
+        worker_fills_cache(&cache);
+        worker_unregisters(&in_flight, DecisionSource::Llm);
+        assert_eq!(rx.try_recv().map(|d| d.source), Ok(DecisionSource::Llm));
+    }
+
+    #[test]
+    fn between_fill_and_unregister_a_duplicate_still_attaches() {
+        let (in_flight, cache) = (dispatched(), AnswerCache::new(true, 16));
+        worker_fills_cache(&cache);
+        let (new, how, rx) = look_up(&in_flight, &cache);
+        assert_eq!((new, how), (false, Some("in_flight")));
+        worker_unregisters(&in_flight, DecisionSource::Llm);
+        assert_eq!(rx.try_recv().map(|d| d.source), Ok(DecisionSource::Llm));
+    }
+
+    #[test]
+    fn after_unregister_a_duplicate_is_answered_from_the_cache() {
+        let (in_flight, cache) = (dispatched(), AnswerCache::new(true, 16));
+        worker_fills_cache(&cache);
+        worker_unregisters(&in_flight, DecisionSource::Llm);
+        let (new, how, rx) = look_up(&in_flight, &cache);
+        assert_eq!((new, how), (false, Some("cache")));
+        let decision = rx.try_recv().expect("answered on the spot");
+        assert_eq!(
+            (decision.label, decision.source),
+            (LABEL, DecisionSource::Cache)
+        );
+        assert!(lock(&in_flight).is_empty(), "nothing re-registered");
+    }
+
+    #[test]
+    fn a_question_nobody_bought_is_new() {
+        let in_flight = Mutex::new(HashMap::new());
+        // Never asked.
+        let (new, how, _rx) = look_up(&in_flight, &AnswerCache::new(true, 16));
+        assert_eq!((new, how), (true, None));
+        // Answered by the fallback: un-registered without a cache fill,
+        // because fallback verdicts are deliberately not cached.
+        let (in_flight, cache) = (dispatched(), AnswerCache::new(true, 16));
+        worker_unregisters(&in_flight, DecisionSource::Fallback);
+        let (new, how, _rx) = look_up(&in_flight, &cache);
+        assert_eq!((new, how), (true, None));
+        // Answered by the LLM with the cache switched off.
+        let (in_flight, cache) = (dispatched(), AnswerCache::new(false, 16));
+        worker_fills_cache(&cache);
+        worker_unregisters(&in_flight, DecisionSource::Llm);
+        let (new, how, _rx) = look_up(&in_flight, &cache);
+        assert_eq!((new, how), (true, None));
     }
 }

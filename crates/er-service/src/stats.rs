@@ -140,10 +140,11 @@ pub struct ServiceStats {
     /// headline the traffic-replay bench tracks.
     #[serde(default)]
     pub queue_depth_peak: u64,
-    /// Median planner-lock hold time, microseconds.
+    /// Median time of one flush (merge into the held set, plan, dispatch),
+    /// microseconds; the name predates the single-owner planner: no lock.
     #[serde(default)]
     pub planner_lock_hold_p50_us: u64,
-    /// 99th-percentile planner-lock hold time, microseconds.
+    /// 99th percentile of that span (merge, plan, dispatch), microseconds.
     #[serde(default)]
     pub planner_lock_hold_p99_us: u64,
     /// Answer-cache entries evicted by the LRU bound.

@@ -11,9 +11,12 @@ use std::sync::Arc;
 use llm_service::ConnMetrics;
 use obs::{Counter, Gauge, Histogram, Registry, Slo, SloStatus, TraceLog};
 
-/// Latency objective: this fraction of answers must beat the configured
-/// latency threshold ([`crate::ServiceConfig::slo_latency_us`]).
+/// Latency objective: this fraction of answers must beat the latency
+/// threshold ([`SLO_LATENCY_US`]).
 pub const SLO_LATENCY_OBJECTIVE: f64 = 0.95;
+/// Answer-latency SLO threshold: a submit is "good" for the latency
+/// objective when it answers within this many microseconds.
+pub const SLO_LATENCY_US: u64 = 250_000;
 /// Availability objective: this fraction of answers must come from the
 /// cache or the LLM, not the degraded logistic fallback.
 pub const SLO_AVAILABILITY_OBJECTIVE: f64 = 0.99;
@@ -299,7 +302,7 @@ impl Telemetry {
         );
         let planner_lock_hold_us = registry.histogram(
             "er_planner_lock_hold_us",
-            "Time the flush path holds the planner lock, microseconds.",
+            "Time one flush spends merging drained questions into the held set, planning and dispatching, microseconds (the name predates the single-owner planner: there is no lock).",
             &[],
         );
         let llm_call_us = registry.histogram(

@@ -309,7 +309,14 @@ impl HistogramSnapshot {
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                return bucket_upper_bound(i).clamp(self.min, self.max);
+                // `min > max` marks a snapshot that raced the histogram's
+                // first-ever `record` (sample counted, extremes not yet
+                // published): `clamp` would panic on the scraping thread.
+                let bound = bucket_upper_bound(i);
+                if self.min > self.max {
+                    return bound;
+                }
+                return bound.clamp(self.min, self.max);
             }
         }
         self.max
@@ -373,6 +380,20 @@ mod tests {
         let h = Histogram::with_enabled(false);
         h.record(42);
         assert_eq!(h.snapshot().count, 0);
+    }
+
+    /// `record` publishes a sample's count before its extremes, so a
+    /// snapshot racing a histogram's first-ever sample can hold
+    /// `count == 1` with the initial `min == u64::MAX`, `max == 0`. A
+    /// quantile of that snapshot must be the bucket bound, not a panic
+    /// on whichever thread was scraping.
+    #[test]
+    fn quantile_survives_a_snapshot_that_raced_the_first_record() {
+        let mut raced =
+            HistogramSnapshot { count: 1, sum: 100, min: u64::MAX, ..Default::default() };
+        raced.counts[bucket_index(100)] = 1;
+        assert_eq!(raced.quantile(0.5), bucket_upper_bound(bucket_index(100)));
+        assert_eq!(raced.quantile(0.99), bucket_upper_bound(bucket_index(100)));
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub use hist::{
 pub use lint::{lint, LintIssue, LintReport};
 pub use registry::{escape_label_value, Counter, Gauge, Registry};
 pub use slo::{Slo, SloStatus, WindowBurn};
-pub use trace::{span_json, spans_json, Span, SpanEvent, TraceLog};
+pub use trace::{json_escape, span_json, spans_json, Span, SpanEvent, TraceLog};

@@ -309,7 +309,8 @@ fn lock(mutex: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string (the quotes are the caller's).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -391,6 +392,14 @@ mod tests {
             json.contains("\"detail\":\"cache \\\"hit\\\"\\n\""),
             "{json}"
         );
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("plain ünïcode"), "plain ünïcode");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("\n\r\t"), "\\n\\r\\t");
+        assert_eq!(json_escape("\u{0}\u{1}\u{1f} "), "\\u0000\\u0001\\u001f ");
     }
 
     #[test]

@@ -383,10 +383,10 @@ fn wait_until(what: &str, condition: impl Fn() -> bool) {
 }
 
 /// The hold policy: a size-triggered flush whose plan is one *partial*
-/// batch keeps it under the planner lock instead of dispatching it; a
-/// later identical question attaches to the held one; the straggler
-/// deadline — anchored at the first arrival — then sends everything out
-/// in one batch.
+/// batch keeps it in the dispatcher's held set instead of dispatching
+/// it; a later identical question attaches to the held one; the
+/// straggler deadline — anchored at the first arrival — then sends
+/// everything out in one batch.
 #[test]
 fn partial_batch_is_held_until_the_straggler_deadline() {
     let deadline = Duration::from_millis(300);

@@ -197,3 +197,92 @@ fn governor_conserves_budget_under_concurrent_exhaustion() {
         "unsettled reservations at quiesce: {stats:?}"
     );
 }
+
+/// Nothing is bought twice: when every client asks every question, the
+/// LLM answers each fingerprint at most once per service — later askers
+/// attach to the held or in-flight question or read the cache. 8 clients
+/// ask the same 12 questions 3 times from staggered offsets with a 1 ms
+/// deadline, so duplicates arrive while their question is held, while its
+/// batch executes and just after it completes; the last is where a flush
+/// that looks at the cache and the in-flight map in the wrong order, or
+/// only once before a wait, finds the question in neither and buys it
+/// again (and overwrites the cached label).
+///
+/// At the PR 17 commit (two dedupe passes, cache read before the
+/// in-flight map) this failed 10 of 10 release runs and 15 of 15 debug
+/// runs on the box it was written on: 97 re-buys in 150 services at
+/// `batch_size` 1 in release, 12 in debug. ISSUE 19 had expected a debug
+/// build of that commit to pass (a simulated LLM call slower than any
+/// wait for the planner lock would keep the window shut); it does not
+/// with these offsets, but the rate is build-dependent — with the default
+/// two workers it was 70 re-buys in 150 services in release and 0 in
+/// debug — so CI runs this suite once more under `--release`, the
+/// profile that ships. What could not see the race at all is the test
+/// above it: each client there asks its own stripe.
+#[test]
+fn every_client_asks_everything_and_nothing_is_bought_twice() {
+    const QUESTIONS: usize = 12;
+    let pool = bootstrap();
+    let bank = questions(QUESTIONS);
+    for batch_size in [1usize, 2] {
+        for _ in 0..40 {
+            let service = ErService::start(
+                Arc::new(SimLlm::new()),
+                pool.clone(),
+                ServiceConfig {
+                    flush_deadline: Duration::from_millis(1),
+                    batch_size,
+                    workers: 3,
+                    ..ServiceConfig::default()
+                },
+            );
+            let decisions: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..8)
+                    .map(|client| {
+                        let (service, bank) = (&service, &bank);
+                        scope.spawn(move || {
+                            (0..3 * QUESTIONS)
+                                .map(|i| service.submit(&bank[(client + i) % QUESTIONS]))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+
+            let stats = service.stats();
+            // A question the LLM answered is cached and never asked
+            // again; one it could not answer falls back uncached and may
+            // be asked again.
+            assert!(
+                stats.llm_answered <= QUESTIONS as u64,
+                "batch_size {batch_size}: a question was bought twice: {stats:?}"
+            );
+            assert!(
+                stats.llm_answered + stats.fallback_answered >= QUESTIONS as u64,
+                "batch_size {batch_size}: a question was never answered: {stats:?}"
+            );
+            let mut labels = std::collections::HashMap::new();
+            for d in &decisions {
+                let first = *labels.entry(d.fingerprint).or_insert(d.label);
+                assert_eq!(
+                    first, d.label,
+                    "fingerprint {} got two labels",
+                    d.fingerprint
+                );
+            }
+            assert_eq!(labels.len(), QUESTIONS);
+            assert_eq!(
+                stats.submitted,
+                stats.cache_hits
+                    + stats.coalesced_duplicates
+                    + stats.llm_answered
+                    + stats.fallback_answered,
+                "answer accounting leaked or double-counted: {stats:?}"
+            );
+        }
+    }
+}
