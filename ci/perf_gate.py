@@ -55,15 +55,27 @@ def gate_serving(base, cur):
         fail(f"cache-hit p50 {got}us exceeds 1000us")
     ok(f"cache-hit p50 {got}us")
 
-    gate_replay(cur["replay"])
+    gate_replay(base["replay"], cur["replay"])
 
 
-def gate_replay(cur):
+def gate_replay(base, cur):
     # Steady load is sized to admit cleanly at the default bound.
     steady = cur["steady"]
     if steady["shed"] != 0:
         fail(f"steady load shed {steady['shed']} requests")
     ok(f"steady curve answered {steady['answered']}, zero shed")
+
+    # The flush rule must still let a steady trickle share batches. Quick
+    # mode offers 500 us gaps against the committed run's 400, so the gate
+    # is on the shape, not the digit: a rule that lets each arrival fly
+    # alone reads about 1.
+    committed = base["steady"]["questions_per_batch"]
+    got = steady["questions_per_batch"]
+    if got < committed / 2:
+        fail(f"steady curve fills {got:.2f} questions per batch, below half "
+             f"the committed {committed:.2f}")
+    ok(f"steady curve fills {got:.2f} questions per batch "
+       f"(committed {committed:.2f})")
 
     # The spike must overrun the tight admission bound (the admission
     # controller's smoke signal) without shedding everything.

@@ -217,6 +217,10 @@ struct ReplayOutcome {
     answer_p50_us: u64,
     answer_p99_us: u64,
     queue_depth_peak: u64,
+    /// `llm_answered / batches_flushed`: what the flush rule's wait buys.
+    questions_per_batch: f64,
+    /// API dollars per 1,000 answered questions: what a thinner batch costs.
+    api_usd_per_1k: f64,
 }
 
 impl ReplayOutcome {
@@ -234,7 +238,7 @@ impl ReplayOutcome {
             "{{\"offered_qps\": {:.0}, \
              \"achieved_qps\": {:.0}, \"answered\": {}, \"shed\": {}, \
              \"shed_rate_pct\": {:.2}, \"answer_p50_us\": {}, \"answer_p99_us\": {}, \
-             \"queue_depth_peak\": {}}}",
+             \"queue_depth_peak\": {}, \"questions_per_batch\": {:.2}, \"api_usd_per_1k\": {:.4}}}",
             self.offered_qps,
             self.achieved_qps,
             self.answered,
@@ -243,6 +247,8 @@ impl ReplayOutcome {
             self.answer_p50_us,
             self.answer_p99_us,
             self.queue_depth_peak,
+            self.questions_per_batch,
+            self.api_usd_per_1k,
         )
     }
 }
@@ -332,6 +338,8 @@ fn replay(
         answer_p50_us: stats.answer_p50_us,
         answer_p99_us: stats.answer_p99_us,
         queue_depth_peak: stats.queue_depth_peak,
+        questions_per_batch: stats.llm_answered as f64 / stats.batches_flushed.max(1) as f64,
+        api_usd_per_1k: stats.api_micros as f64 / 1e3 / answered.max(1) as f64,
     }
 }
 
@@ -362,13 +370,15 @@ fn run_replay_section(quick: bool, bootstrap: &[LabeledPair]) -> String {
     let spike = replay(Curve::Spike, spike_capacity, bootstrap, &bank, load);
     println!(
         "replay steady: {:.0}/{:.0} q/s achieved/offered, answer p50/p99 {}/{} us, \
-         depth peak {}, shed {} | spike (cap {spike_capacity}): shed {} ({:.1}%)",
+         depth peak {}, shed {}, {:.2} questions/batch, API ${:.4}/1k | spike (cap {spike_capacity}): shed {} ({:.1}%)",
         steady.achieved_qps,
         steady.offered_qps,
         steady.answer_p50_us,
         steady.answer_p99_us,
         steady.queue_depth_peak,
         steady.shed,
+        steady.questions_per_batch,
+        steady.api_usd_per_1k,
         spike.shed,
         spike.shed_rate_pct()
     );

@@ -8,12 +8,13 @@
 //! records the same entity?" questions:
 //!
 //! * **Coalescing queue** ([`service`]) — in-flight questions buffer
-//!   in one queue until `batch_size` accumulate or a deadline expires,
-//!   then flush as diversity batches planned from scratch by the paper's
-//!   own machinery ([`batcher_core::plan_with_prepared_pool`]). Full
-//!   batches go at once; a partial batch is held for the next flush.
-//!   Concurrent traffic gets batch prompting automatically; nobody waits
-//!   longer than the flush deadline.
+//!   in one queue until `batch_size` accumulate or their company has
+//!   stopped arriving, then flush as diversity batches planned from
+//!   scratch by the paper's own machinery
+//!   ([`batcher_core::plan_with_prepared_pool`]). Full batches go at
+//!   once; a partial batch is held for the next flush. Concurrent traffic
+//!   gets batch prompting automatically; nobody waits longer than the
+//!   flush deadline, and a question nobody joins waits half of it.
 //! * **Answer cache** ([`cache`]) — keyed by a canonical, symmetric,
 //!   normalization-stable pair fingerprint ([`fingerprint`]); repeated
 //!   and mirrored questions never pay for a second LLM call. Bounded by

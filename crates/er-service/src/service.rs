@@ -7,7 +7,8 @@
 //!   ├─ answer cache hit ──────────────────────────────▶ MatchDecision (Cache)
 //!   ├─ queue at `queue_capacity` ─▶ shed (429) / local fallback
 //!   └─ miss ─▶ coalescing queue ─▶ dispatcher drain
-//!                (batch_size reached or deadline)
+//!                (batch_size reached, or arrivals gone quiet — at the
+//!                 latest one flush deadline after the oldest)
 //!                  │ plan, on the dispatcher thread: dedupe by
 //!                  │ fingerprint, attach to identical held or in-flight
 //!                  │ questions, then diversity batches + demos over
@@ -57,7 +58,7 @@ use crate::flight::FlightRecorder;
 use crate::governor::CostGovernor;
 use crate::stats::{HealthReport, ServiceStats};
 use crate::sync::lock;
-use crate::telemetry::{Telemetry, SLO_LATENCY_US};
+use crate::telemetry::{FlushTrigger, Telemetry, SLO_LATENCY_US};
 
 /// Who produced a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +106,11 @@ pub struct ServiceConfig {
     pub batch_size: usize,
     /// Maximum time a question waits for co-batched traffic — in the
     /// queue, or held by the dispatcher in a partial batch — before it is
-    /// dispatched in whatever batch it has.
+    /// dispatched in whatever batch it has. An upper bound, not the usual
+    /// wait: everything waiting leaves as soon as arrivals have been quiet
+    /// for as long as the oldest question has left to wait, and for at
+    /// least as long as two consecutive arrivals were ever apart — a lone
+    /// miss after half this value.
     pub flush_deadline: Duration,
     /// Hard cap on total spend (API + labeling).
     pub budget: Money,
@@ -192,6 +197,11 @@ const COMPLETION_ALLOWANCE: u64 = 24;
 struct Waiter {
     tx: Sender<MatchDecision>,
     trace: u64,
+    /// When the call entered the coalescing queue — read once, under the
+    /// queue lock, so stamps never decrease in queue order. It travels
+    /// with the waiter into the held set: the flush rule reads the
+    /// arrivals of everything waiting, wherever it waits.
+    arrived: Instant,
 }
 
 /// One question waiting in the coalescing queue.
@@ -199,19 +209,70 @@ struct Pending {
     fp: PairFingerprint,
     pair: EntityPair,
     waiter: Waiter,
-    /// Arrival time at `submit` — carried into the held set so a held
-    /// partial-batch question's dispatch deadline anchors to when the
-    /// client actually asked, keeping `flush_deadline` a true bound on
-    /// queue+hold wait.
-    enqueued: Instant,
 }
 
 #[derive(Default)]
 struct QueueState {
     pending: Vec<Pending>,
-    /// Set when the first pending item arrived (deadline anchor).
-    oldest: Option<Instant>,
+    /// The arrivals of `pending`, kept up to date at push so that the
+    /// dispatcher evaluates the flush rule in O(1) per wake-up.
+    arrivals: Option<Arrivals>,
     stopping: bool,
+}
+
+/// The arrival instants of a set of waiting questions, reduced to the
+/// three numbers the flush rule reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Arrivals {
+    oldest: Instant,
+    newest: Instant,
+    /// The largest distance between two consecutive arrivals.
+    max_gap: Duration,
+}
+
+impl Arrivals {
+    fn one(at: Instant) -> Self {
+        Self { oldest: at, newest: at, max_gap: Duration::ZERO }
+    }
+
+    /// These arrivals followed by `later`, none of which precedes any of
+    /// these (the queue's stamps are taken under its lock, and everything
+    /// the dispatcher holds was drained before anything pending arrived).
+    fn followed_by(self, later: Self) -> Self {
+        let between = later.oldest.saturating_duration_since(self.newest);
+        Self {
+            oldest: self.oldest,
+            newest: later.newest,
+            max_gap: self.max_gap.max(later.max_gap).max(between),
+        }
+    }
+
+    /// The summary of `instants`, in any order; `None` when there are none.
+    fn of(instants: impl IntoIterator<Item = Instant>) -> Option<Self> {
+        let mut sorted: Vec<Instant> = instants.into_iter().collect();
+        sorted.sort_unstable();
+        sorted.into_iter().map(Self::one).reduce(Self::followed_by)
+    }
+
+    /// When the oldest arrival has waited out `flush_deadline`.
+    fn hard(&self, flush_deadline: Duration) -> Instant {
+        self.oldest + flush_deadline
+    }
+
+    /// The flush rule: the instant everything waiting must be dispatched.
+    /// A question waits so that company can join its batch, so it leaves
+    /// when company has stopped arriving: once the newest arrival has been
+    /// followed by a silence as long as what is then left of the oldest's
+    /// `flush_deadline` (the midpoint between the newest arrival and the
+    /// hard deadline), *and* by a silence at least as long as the largest
+    /// gap these arrivals have shown — without the second clause a
+    /// regular trickle slower than the midpoint allows loses its next
+    /// question every generation. Never later than the hard deadline.
+    fn dispatch_at(&self, flush_deadline: Duration) -> Instant {
+        let hard = self.hard(flush_deadline);
+        let left = hard.saturating_duration_since(self.newest);
+        hard.min(self.newest + (left / 2).max(self.max_gap))
+    }
 }
 
 /// One question the dispatcher holds: entered by a flush (later
@@ -222,9 +283,6 @@ struct QueueState {
 struct HeldQuestion {
     pair: EntityPair,
     waiters: Vec<Waiter>,
-    /// First arrival time — partial batches dispatch once this exceeds
-    /// the flush deadline.
-    since: Instant,
 }
 
 /// One planned batch handed to the worker pool.
@@ -296,7 +354,8 @@ pub enum SubmitOutcome {
     Decided(MatchDecision),
     /// Shed: the coalescing queue was at `queue_capacity`. The caller
     /// should retry after roughly `retry_after_ms` (one flush deadline —
-    /// the time for the queue to drain a generation).
+    /// the longest the queue can take to drain a generation; arrivals
+    /// going quiet drain it sooner, from half of that).
     Shed {
         /// Suggested client backoff, milliseconds.
         retry_after_ms: u64,
@@ -829,22 +888,27 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
             if block_on_shed {
                 return answer_via_local("fallback_shed");
             }
-            // One flush deadline is how long the queue needs to drain a
-            // generation — the honest retry hint.
+            // One flush deadline is the longest the queue can need to
+            // drain a generation — the honest retry hint.
             let retry_after_ms =
                 u64::try_from(inner.config.flush_deadline.as_millis().max(1)).unwrap_or(u64::MAX);
             tel.trace
                 .finish(trace, "shed", Some("queue_full".to_owned()));
             return SubmitOutcome::Shed { retry_after_ms };
         }
-        if queue.pending.is_empty() {
-            queue.oldest = Some(Instant::now());
-        }
+        // The one clock read every arrival stamp of this question comes
+        // from; under the lock, so stamps never decrease in queue order.
+        let arrived = Instant::now();
+        let arrival = Arrivals::one(arrived);
+        queue.arrivals = Some(
+            queue
+                .arrivals
+                .map_or(arrival, |earlier| earlier.followed_by(arrival)),
+        );
         queue.pending.push(Pending {
             fp,
             pair: pair.clone(),
-            waiter: Waiter { tx, trace },
-            enqueued: Instant::now(),
+            waiter: Waiter { tx, trace, arrived },
         });
         let depth = queue.pending.len() as u64;
         tel.queue_depth.set(depth as i64);
@@ -887,38 +951,47 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<BatchJob>) {
     // only a flush puts a question in or takes one out.
     let mut held: BTreeMap<PairFingerprint, HeldQuestion> = BTreeMap::new();
     loop {
-        // When the oldest held partial-batch question must be dispatched.
-        let straggler_deadline = held.values().map(|q| q.since + deadline).min();
-        // A drain is *urgent* when a deadline forced it (oldest pending
-        // question, oldest held straggler, or shutdown): the plan must
+        // The arrivals of what this thread holds; the queue keeps its own.
+        let held_arrivals = Arrivals::of(held.values().flat_map(|q| &q.waiters).map(|w| w.arrived));
+        // Every trigger but `Size` makes the drain *urgent*: the plan must
         // then dispatch every batch, partial or not. A size-triggered
         // drain may instead hold a partial batch for the next flush.
-        let (drained, urgent): (Vec<Pending>, bool) = {
+        let (drained, trigger): (Vec<Pending>, FlushTrigger) = {
             let mut queue = lock(&inner.queue);
-            let urgent = loop {
+            let trigger = loop {
                 if queue.stopping {
-                    break true;
+                    break FlushTrigger::Shutdown;
                 }
                 let now = Instant::now();
-                let pending_deadline = queue.oldest.map(|oldest| oldest + deadline);
-                let next = pending_deadline.into_iter().chain(straggler_deadline).min();
-                if next.is_some_and(|t| now >= t) {
-                    break true;
+                // Everything waiting, held or pending, leaves together.
+                let waiting = held_arrivals
+                    .into_iter()
+                    .chain(queue.arrivals)
+                    .reduce(Arrivals::followed_by);
+                let leave = waiting.map(|a| (a.dispatch_at(deadline), a.hard(deadline)));
+                if let Some((at, hard)) = leave {
+                    if now >= at {
+                        break if at < hard {
+                            FlushTrigger::Quiet
+                        } else {
+                            FlushTrigger::Deadline
+                        };
+                    }
                 }
                 if queue.pending.len() >= inner.config.batch_size {
-                    break false;
+                    break FlushTrigger::Size;
                 }
-                match next {
+                match leave {
                     None => {
                         queue = inner
                             .queue_cond
                             .wait(queue)
                             .unwrap_or_else(PoisonError::into_inner);
                     }
-                    Some(t) => {
+                    Some((at, _)) => {
                         let (q, _) = inner
                             .queue_cond
-                            .wait_timeout(queue, t - now)
+                            .wait_timeout(queue, at - now)
                             .unwrap_or_else(PoisonError::into_inner);
                         queue = q;
                     }
@@ -929,10 +1002,12 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<BatchJob>) {
                 // drops the only job sender, which is what stops the workers.
                 return;
             }
-            queue.oldest = None;
+            queue.arrivals = None;
             inner.telemetry.queue_depth.set(0);
-            (std::mem::take(&mut queue.pending), urgent)
+            (std::mem::take(&mut queue.pending), trigger)
         };
+        inner.telemetry.count_flush(trigger);
+        let urgent = trigger != FlushTrigger::Size;
         // A panicking plan (e.g. a poisoned question) must not take the
         // dispatcher down: containment drops the drained senders, their
         // waiters observe the disconnect and fall back locally, and the
@@ -998,10 +1073,10 @@ fn attach_if_bought(
 /// dispatcher thread only, never under the queue lock.
 ///
 /// Dispatch policy: full batches always dispatch; a partial batch
-/// dispatches only on an `urgent` flush (deadline or shutdown) and is
-/// otherwise *held* for the next flush — the paper's batch economics
-/// improve when a straggler waits (bounded by the flush deadline) for
-/// co-batched traffic instead of flying alone.
+/// dispatches only on an `urgent` flush (arrivals gone quiet, the flush
+/// deadline, or shutdown) and is otherwise *held* for the next flush —
+/// the paper's batch economics improve when a straggler waits (bounded
+/// by the flush deadline) for co-batched traffic instead of flying alone.
 fn flush(
     inner: &Inner,
     held: &mut BTreeMap<PairFingerprint, HeldQuestion>,
@@ -1040,7 +1115,7 @@ fn flush(
     let mut entered: HashSet<PairFingerprint> = HashSet::new();
     for item in drained {
         tel.queue_wait_us
-            .record_duration_us(item.enqueued.elapsed());
+            .record_duration_us(item.waiter.arrived.elapsed());
         if let Some(already) = held.get_mut(&item.fp) {
             let how = if entered.contains(&item.fp) {
                 "duplicate"
@@ -1060,12 +1135,10 @@ fn flush(
         ) else {
             continue;
         };
-        // The queue drains in arrival order, so the first item seen for
-        // a fingerprint carries its earliest arrival.
         entered.insert(item.fp);
         held.insert(
             item.fp,
-            HeldQuestion { pair: item.pair, waiters: vec![waiter], since: item.enqueued },
+            HeldQuestion { pair: item.pair, waiters: vec![waiter] },
         );
     }
     if held.is_empty() {
@@ -1430,14 +1503,132 @@ fn answer_via_fallback(inner: &Inner, job: &BatchJob) {
 mod tests {
     use std::cell::Cell;
 
+    use proptest::prelude::*;
+
     use super::*;
+
+    fn us(micros: u64) -> Duration {
+        Duration::from_micros(micros)
+    }
+
+    /// The flush rule over arrivals given as offsets from a common origin,
+    /// in any order: when they must be dispatched, as an offset too.
+    fn dispatch_after(arrivals: &[Duration], flush_deadline: Duration) -> Duration {
+        let origin = Instant::now();
+        Arrivals::of(arrivals.iter().map(|&at| origin + at))
+            .expect("at least one arrival")
+            .dispatch_at(flush_deadline)
+            .duration_since(origin)
+    }
+
+    #[test]
+    fn a_lone_arrival_leaves_at_half_the_deadline() {
+        assert_eq!(dispatch_after(&[us(7_000)], us(25_000)), us(19_500));
+        assert_eq!(Arrivals::of([]), None);
+    }
+
+    #[test]
+    fn company_restarts_the_quiet_clock_within_the_deadline() {
+        // Two closed-loop callers parked 200 µs apart: the midpoint between
+        // the second arrival and the first one's deadline.
+        assert_eq!(dispatch_after(&[us(0), us(200)], us(25_000)), us(12_600));
+        // An arrival past the deadline of the oldest does not extend it.
+        assert_eq!(dispatch_after(&[us(0), us(30_000)], us(25_000)), us(25_000));
+    }
+
+    /// The vector of `a_slowing_trickle_still_shares_one_batch`
+    /// (`tests/er_service.rs`), with no timer involved: the midpoint alone
+    /// dispatches the first three at 825 ms, before the fourth arrives.
+    #[test]
+    fn a_slowing_trickle_waits_out_its_own_largest_gap() {
+        let ms = |m: u64| us(m * 1_000);
+        let deadline = ms(1_000);
+        assert_eq!(dispatch_after(&[ms(0)], deadline), ms(500));
+        assert_eq!(dispatch_after(&[ms(0), ms(375)], deadline), ms(750));
+        assert_eq!(
+            dispatch_after(&[ms(0), ms(375), ms(650)], deadline),
+            ms(1_000)
+        );
+        assert_eq!(
+            dispatch_after(&[ms(0), ms(375), ms(650), ms(900)], deadline),
+            ms(1_000)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_rule_stays_between_the_newest_arrival_and_the_deadline(
+            arrivals in prop::collection::vec(0u64..60_000, 1..12),
+            deadline in 1u64..50_000,
+        ) {
+            let arrivals: Vec<Duration> = arrivals.into_iter().map(us).collect();
+            let (oldest, newest) = (*arrivals.iter().min().unwrap(), *arrivals.iter().max().unwrap());
+            let hard = oldest + us(deadline);
+            let at = dispatch_after(&arrivals, us(deadline));
+            prop_assert!(at <= hard);
+            if newest <= hard {
+                prop_assert!(at >= newest);
+            }
+            if newest >= hard {
+                prop_assert_eq!(at, hard);
+            }
+        }
+
+        #[test]
+        fn a_later_arrival_never_moves_the_dispatch_earlier(
+            arrivals in prop::collection::vec(0u64..60_000, 1..12),
+            later_by in 0u64..60_000,
+            deadline in 1u64..50_000,
+        ) {
+            let mut arrivals: Vec<Duration> = arrivals.into_iter().map(us).collect();
+            let before = dispatch_after(&arrivals, us(deadline));
+            arrivals.push(*arrivals.iter().max().unwrap() + us(later_by));
+            prop_assert!(dispatch_after(&arrivals, us(deadline)) >= before);
+        }
+
+        /// No loss on a trickle: once a regular trickle has shown its gap
+        /// (two arrivals), the next question is waited for whenever the
+        /// deadline leaves room for it.
+        #[test]
+        fn a_regular_trickle_is_not_dispatched_before_its_next_arrival(
+            gap in 1u64..20_000,
+            k in 1u64..10,
+            slack in 0u64..20_000,
+        ) {
+            let arrivals: Vec<Duration> = (0..=k).map(|i| us(i * gap)).collect();
+            let deadline = us((k + 1) * gap + slack);
+            prop_assert!(dispatch_after(&arrivals, deadline) >= us((k + 1) * gap));
+        }
+
+        /// Neither the order the instants are given in nor where the set
+        /// is split between the dispatcher and the queue matters.
+        #[test]
+        fn order_and_split_do_not_matter(
+            arrivals in prop::collection::vec(0u64..60_000, 2..12),
+            rotate in 0usize..12,
+            split in 1usize..12,
+        ) {
+            let origin = Instant::now();
+            let mut instants: Vec<Instant> = arrivals.into_iter().map(|at| origin + us(at)).collect();
+            let all = Arrivals::of(instants.iter().copied());
+            let n = instants.len();
+            instants.rotate_left(rotate % n);
+            prop_assert_eq!(Arrivals::of(instants.iter().copied()), all);
+            instants.sort_unstable();
+            let (held, pending) = instants.split_at(split.min(instants.len() - 1));
+            let (held, pending) = (Arrivals::of(held.iter().copied()), Arrivals::of(pending.iter().copied()));
+            prop_assert_eq!(held.into_iter().chain(pending).reduce(Arrivals::followed_by), all);
+        }
+    }
 
     const FP: PairFingerprint = PairFingerprint(7);
     const LABEL: MatchLabel = MatchLabel::Matching;
 
     fn waiter() -> (Waiter, Receiver<MatchDecision>) {
         let (tx, rx) = channel();
-        (Waiter { tx, trace: 0 }, rx)
+        (Waiter { tx, trace: 0, arrived: Instant::now() }, rx)
     }
 
     /// One `attach_if_bought` call: whether the waiter came back (the

@@ -23,6 +23,20 @@ pub const SLO_AVAILABILITY_OBJECTIVE: f64 = 0.99;
 /// Budget objective: this fraction of batch reservations must be granted.
 pub const SLO_BUDGET_OBJECTIVE: f64 = 0.90;
 
+/// Why the dispatcher drained the coalescing queue: the `trigger` label
+/// of `er_flushes_total`, in the order its four counters are registered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FlushTrigger {
+    /// `batch_size` questions were pending.
+    Size,
+    /// Arrivals had gone quiet before the oldest question's deadline.
+    Quiet,
+    /// The oldest question had waited out `flush_deadline`.
+    Deadline,
+    /// The service is stopping.
+    Shutdown,
+}
+
 /// Every metric handle the service records into, plus the trace log.
 ///
 /// Histogram families exposed at `/metrics` (all microseconds unless the
@@ -41,6 +55,7 @@ pub struct Telemetry {
     pub(crate) llm_answered: Arc<Counter>,
     pub(crate) fallback_answered: Arc<Counter>,
     pub(crate) batches_flushed: Arc<Counter>,
+    flushes: [Arc<Counter>; 4],
     pub(crate) retries: Arc<Counter>,
     pub(crate) plans: Arc<Counter>,
     pub(crate) shed: Arc<Counter>,
@@ -137,6 +152,13 @@ impl Telemetry {
             "Batches dispatched out of the coalescing queue.",
             &[],
         );
+        let flushes = ["size", "quiet", "deadline", "shutdown"].map(|trigger| {
+            registry.counter(
+                "er_flushes_total",
+                "Drains of the coalescing queue, by what triggered them: batch_size pending, arrivals gone quiet before the flush deadline, the flush deadline itself, or shutdown.",
+                &[("trigger", trigger)],
+            )
+        });
         let retries = registry.counter(
             "er_retries_total",
             "Executor retries (rate limits and malformed output).",
@@ -363,6 +385,7 @@ impl Telemetry {
             llm_answered,
             fallback_answered,
             batches_flushed,
+            flushes,
             retries,
             plans,
             shed,
@@ -408,6 +431,11 @@ impl Telemetry {
             slo_availability: Slo::new("availability", SLO_AVAILABILITY_OBJECTIVE),
             slo_budget: Slo::new("budget", SLO_BUDGET_OBJECTIVE),
         }
+    }
+
+    /// Counts one drain of the coalescing queue under its trigger.
+    pub(crate) fn count_flush(&self, trigger: FlushTrigger) {
+        self.flushes[trigger as usize].inc();
     }
 
     /// The three SLO engines paired with their names, in gauge order.

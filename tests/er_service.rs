@@ -384,11 +384,11 @@ fn wait_until(what: &str, condition: impl Fn() -> bool) {
 
 /// The hold policy: a size-triggered flush whose plan is one *partial*
 /// batch keeps it in the dispatcher's held set instead of dispatching
-/// it; a later identical question attaches to the held one; the
-/// straggler deadline — anchored at the first arrival — then sends
-/// everything out in one batch.
+/// it; a later identical question attaches to the held one; the flush
+/// rule — over the arrivals of everything waiting, held or pending —
+/// then sends everything out in one batch once arrivals have gone quiet.
 #[test]
-fn partial_batch_is_held_until_the_straggler_deadline() {
+fn partial_batch_is_held_until_arrivals_go_quiet() {
     let deadline = Duration::from_millis(300);
     let service = ErService::start(
         Arc::new(SimLlm::new()),
@@ -412,8 +412,8 @@ fn partial_batch_is_held_until_the_straggler_deadline() {
             })
             .into();
         // The late duplicate arrives once the first flush has planned
-        // (and, being non-urgent, held) the three — well before the
-        // straggler deadline.
+        // (and, being non-urgent, held) the three — well before they
+        // can leave.
         wait_until("the first flush has planned", || service.stats().plans == 1);
         assert_eq!(service.stats().batches_flushed, 0, "partial batch flew");
         handles.push(scope.spawn(move || ask(0)));
@@ -422,9 +422,10 @@ fn partial_batch_is_held_until_the_straggler_deadline() {
 
     for (i, decision, at) in &answered {
         assert_eq!(decision.source, DecisionSource::Llm, "q{i}");
-        // `started` precedes every arrival, so the straggler deadline
-        // (first arrival + flush deadline) cannot be earlier than this.
-        assert!(*at >= deadline, "q{i} answered after {at:?}: not held");
+        // `started` precedes every arrival, and the flush rule lets
+        // nothing leave earlier than half a flush deadline after the
+        // oldest one.
+        assert!(*at >= deadline / 2, "q{i} answered after {at:?}: not held");
         assert!(*at < deadline + Duration::from_secs(2), "q{i}: {at:?}");
         let first_answer = answered.iter().find(|other| other.0 == *i).unwrap();
         assert_eq!(first_answer.1.label, decision.label, "q{i}");
@@ -459,6 +460,85 @@ fn partial_batch_is_held_until_the_straggler_deadline() {
     assert_eq!(coalesced_as(&q[0]), [None, Some("held".to_owned())]);
     assert_eq!(coalesced_as(&q[1]), [None]);
     assert_eq!(coalesced_as(&q[2]), [None, Some("duplicate".to_owned())]);
+}
+
+/// Nobody can join a lone miss's batch once it has been quiet for as long
+/// as it has left to wait: it leaves at half the flush deadline.
+#[test]
+fn lone_miss_leaves_at_half_the_deadline() {
+    let deadline = Duration::from_millis(400);
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig { flush_deadline: deadline, batch_size: 8, ..ServiceConfig::default() },
+    );
+    let started = Instant::now();
+    let decision = service.submit(&crafted_questions(1)[0]);
+    let at = started.elapsed();
+    assert_eq!(decision.source, DecisionSource::Llm);
+    assert!(at >= deadline / 2, "answered after {at:?}: did not wait");
+    assert!(
+        at < deadline,
+        "answered after {at:?}: waited out the deadline"
+    );
+    let stats = service.stats();
+    assert_eq!(
+        (stats.batches_flushed, stats.api_calls),
+        (1, 1),
+        "{stats:?}"
+    );
+    let metrics = service.render_metrics();
+    for line in [
+        r#"er_flushes_total{trigger="quiet"} 1"#,
+        r#"er_flushes_total{trigger="deadline"} 0"#,
+        r#"er_flushes_total{trigger="size"} 0"#,
+    ] {
+        assert!(metrics.contains(line), "missing `{line}` in:\n{metrics}");
+    }
+}
+
+/// Four distinct questions at 0 / 375 / 650 / 900 ms against a 1 s
+/// deadline: each arrives before the rule lets its predecessors go, so
+/// all four share one batch. Half of what is left to wait would alone
+/// have dispatched the first three at 825 ms; the rule also waits out the
+/// largest gap the arrivals have shown (375 ms), which carries them to
+/// the first one's deadline.
+#[test]
+fn a_slowing_trickle_still_shares_one_batch() {
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig {
+            flush_deadline: Duration::from_secs(1),
+            batch_size: 8,
+            ..ServiceConfig::default()
+        },
+    );
+    let q = crafted_questions(4);
+    let started = Instant::now();
+    let decisions: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = [0u64, 375, 650, 900]
+            .into_iter()
+            .zip(&q)
+            .map(|(due_ms, question)| {
+                let service = &service;
+                scope.spawn(move || {
+                    std::thread::sleep(
+                        Duration::from_millis(due_ms).saturating_sub(started.elapsed()),
+                    );
+                    service.submit(question)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(decisions.iter().all(|d| d.source == DecisionSource::Llm));
+    let stats = service.stats();
+    assert_eq!(
+        (stats.batches_flushed, stats.api_calls, stats.llm_answered),
+        (1, 1, 4),
+        "{stats:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
