@@ -1,7 +1,7 @@
 //! Pair featurization for the PLM baseline simulators.
 
 use er_core::EntityPair;
-use text_sim::{jaccard_tokens, levenshtein_ratio, normalize};
+use text_sim::{fnv1a64, jaccard_tokens, levenshtein_ratio, normalize};
 
 /// Informative structure features of a pair: per attribute
 /// `[levenshtein ratio, jaccard, missing-on-a, missing-on-b]`, plus a
@@ -42,7 +42,7 @@ pub fn base_features(pair: &EntityPair) -> Vec<f64> {
 pub fn plm_features(pair: &EntityPair, ctx_dim: usize, model_seed: u64) -> Vec<f64> {
     let mut out = base_features(pair);
     let text = pair.serialize();
-    let base_hash = fnv(text.as_bytes(), model_seed);
+    let base_hash = fnv1a64(text.as_bytes(), model_seed);
     out.reserve(ctx_dim);
     for d in 0..ctx_dim {
         let h = splitmix(base_hash ^ (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -52,15 +52,6 @@ pub fn plm_features(pair: &EntityPair, ctx_dim: usize, model_seed: u64) -> Vec<f
         out.push((u1 + u2 - 1.0) * 0.6);
     }
     out
-}
-
-fn fnv(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn splitmix(mut x: u64) -> u64 {

@@ -185,66 +185,6 @@ pub fn greedy_unit_cover(n_elements: usize, coverage: &[Vec<u32>]) -> Vec<usize>
     selected
 }
 
-/// Phase 1 — Demonstration Set Generation (§V-A).
-///
-/// `covers_question(d, q)` tells whether pool demonstration `d` covers
-/// question `q` (distance below `t`). Returns the selected pool indices:
-/// a small set covering every coverable question, found greedily with unit
-/// weights.
-///
-/// The kernel-backed covering path in [`crate::selection`] builds its
-/// lists from one-to-many distance sweeps instead of a per-pair oracle;
-/// this entry point remains for callers with arbitrary coverage
-/// predicates.
-pub fn demonstration_set_generation<F>(
-    n_questions: usize,
-    n_pool: usize,
-    covers_question: F,
-) -> Vec<usize>
-where
-    F: Fn(usize, usize) -> bool,
-{
-    let coverage: Vec<Vec<u32>> = (0..n_pool)
-        .map(|d| {
-            (0..n_questions)
-                .filter(|&q| covers_question(d, q))
-                .map(|q| q as u32)
-                .collect()
-        })
-        .collect();
-    greedy_unit_cover(n_questions, &coverage)
-}
-
-/// Phase 2 — Batch Covering (§V-B).
-///
-/// Selects, from the already-labeled demonstration set, a minimum-token
-/// subset covering one batch. `demo_set` are pool indices from phase 1;
-/// `covers(d, q)` is coverage between pool demo `d` and the q-th question
-/// *of this batch*; `tokens(d)` is the demo's token count (the weight).
-///
-/// Returns indices **into `demo_set`** in selection order.
-pub fn batch_covering<F, W>(
-    batch_len: usize,
-    demo_set: &[usize],
-    covers: F,
-    tokens: W,
-) -> Vec<usize>
-where
-    F: Fn(usize, usize) -> bool,
-    W: Fn(usize) -> f64,
-{
-    let coverage: Vec<Vec<u32>> = demo_set
-        .iter()
-        .map(|&d| {
-            (0..batch_len)
-                .filter(|&q| covers(d, q))
-                .map(|q| q as u32)
-                .collect()
-        })
-        .collect();
-    greedy_weighted_cover(batch_len, &coverage, |i| tokens(demo_set[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,45 +244,32 @@ mod tests {
     }
 
     #[test]
-    fn demonstration_set_generation_end_to_end() {
-        // Questions on a line at 0,1,...,9; pool demos at 0.5, 5.5, 20.
-        let questions: Vec<f64> = (0..10).map(|q| q as f64).collect();
-        let pool = [0.5f64, 5.5, 20.0];
-        let t = 5.0;
-        let selected =
-            demonstration_set_generation(10, 3, |d, q| (pool[d] - questions[q]).abs() < t);
-        // Demo 0 covers 0..5, demo 1 covers 1..9: both needed; demo 2
-        // covers nothing.
-        assert!(selected.contains(&0));
-        assert!(selected.contains(&1));
-        assert!(!selected.contains(&2));
+    fn unit_cover_on_a_line() {
+        // Phase 1 (§V-A): questions on a line at 0,1,...,9; pool demos at
+        // 0.5, 5.5 and 20; "covers" is distance < 5. Demo 0 covers 0..=5,
+        // demo 1 covers 1..=9: both needed; demo 2 covers nothing.
+        let coverage = vec![(0..=5).collect(), (1..=9).collect(), vec![]];
+        let mut picked = greedy_unit_cover(10, &coverage);
+        picked.sort_unstable();
+        assert_eq!(picked, vec![0, 1]);
     }
 
     #[test]
-    fn batch_covering_minimizes_tokens() {
-        // Batch of 2 questions; demo set {10, 11, 12} (pool ids).
-        // Demo 10 covers both but is huge; 11 and 12 cover one each and
-        // are tiny. Greedy ratio with token weights picks the two cheap
-        // ones (2/100 = 0.02 < 1/2 = 0.5 each).
-        let demo_set = vec![10usize, 11, 12];
-        let covers = |d: usize, q: usize| match d {
-            10 => true,
-            11 => q == 0,
-            12 => q == 1,
-            _ => false,
-        };
-        let tokens = |d: usize| if d == 10 { 100.0 } else { 2.0 };
-        let picked = batch_covering(2, &demo_set, covers, tokens);
-        let mut picked_pool: Vec<usize> = picked.iter().map(|&i| demo_set[i]).collect();
-        picked_pool.sort_unstable();
-        assert_eq!(picked_pool, vec![11, 12]);
+    fn token_weights_prefer_two_small_demos_to_one_huge() {
+        // Phase 2 (§V-B): a batch of 2 questions. Demo 0 covers both but
+        // is huge; demos 1 and 2 cover one each and are tiny. Greedy ratio
+        // with token weights picks the two cheap ones (2/100 = 0.02 <
+        // 1/2 = 0.5 each).
+        let coverage = vec![vec![0, 1], vec![0], vec![1]];
+        let mut picked = greedy_weighted_cover(2, &coverage, |d| [100.0, 2.0, 2.0][d]);
+        picked.sort_unstable();
+        assert_eq!(picked, vec![1, 2]);
     }
 
     #[test]
     fn empty_inputs() {
         assert!(greedy_weighted_cover(0, &[], |_| 1.0).is_empty());
-        assert!(demonstration_set_generation(0, 0, |_, _| false).is_empty());
-        assert!(batch_covering(0, &[], |_, _| false, |_| 1.0).is_empty());
+        assert!(greedy_unit_cover(0, &[]).is_empty());
     }
 
     #[test]

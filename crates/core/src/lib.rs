@@ -38,9 +38,7 @@ pub mod runner;
 pub mod selection;
 
 pub use batching::{BatchingStrategy, ClusteringKind};
-pub use cover::{
-    batch_covering, demonstration_set_generation, greedy_unit_cover, greedy_weighted_cover,
-};
+pub use cover::{greedy_unit_cover, greedy_weighted_cover};
 pub use estimate::CostEstimate;
 pub use executor::{ExecutionOutcome, Executor};
 pub use features::{DistanceKind, ExtractorKind, FeatureSpace};

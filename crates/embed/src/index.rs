@@ -31,7 +31,6 @@
 //! changes; callers whose rows change rebuild it.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::Instant;
 
 use crate::matrix::{scan_rows_within, FeatureMatrix};
 use crate::vecmath::{dot, sq_euclidean_distance};
@@ -60,7 +59,6 @@ static BUILDS: AtomicU64 = AtomicU64::new(0);
 static QUERIES: AtomicU64 = AtomicU64::new(0);
 static CANDIDATES: AtomicU64 = AtomicU64::new(0);
 static PRUNED: AtomicU64 = AtomicU64::new(0);
-static QUERY_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time snapshot of the process-wide index counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,8 +73,6 @@ pub struct IndexStats {
     /// Of those, eliminated by the triangle bound before any full
     /// distance computation.
     pub pruned: u64,
-    /// Wall time spent inside queries, nanoseconds.
-    pub query_ns: u64,
 }
 
 impl IndexStats {
@@ -88,7 +84,6 @@ impl IndexStats {
             queries: self.queries.saturating_sub(earlier.queries),
             candidates: self.candidates.saturating_sub(earlier.candidates),
             pruned: self.pruned.saturating_sub(earlier.pruned),
-            query_ns: self.query_ns.saturating_sub(earlier.query_ns),
         }
     }
 
@@ -110,7 +105,6 @@ pub fn stats() -> IndexStats {
         queries: QUERIES.load(Ordering::Relaxed),
         candidates: CANDIDATES.load(Ordering::Relaxed),
         pruned: PRUNED.load(Ordering::Relaxed),
-        query_ns: QUERY_NS.load(Ordering::Relaxed),
     }
 }
 
@@ -587,7 +581,6 @@ impl PivotIndex {
     /// ascending — the verdict per row is exactly [`scan_rows_within`]'s
     /// with threshold `eps²`.
     pub fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) {
-        let start = Instant::now();
         out.clear();
         if self.dim > 0 {
             assert_eq!(query.len(), self.dim, "query dimension mismatch");
@@ -595,13 +588,12 @@ impl PivotIndex {
         let qd = self.query_pivot_dists(query);
         let verified = self.within_core(query, &qd, eps, strict, out);
         out.sort_unstable();
-        note_query(self.len(), verified, start);
+        note_query(self.len(), verified);
     }
 
     /// [`PivotIndex::within_into`] with stored row `id` as the query (its
     /// own id included in the result, distance 0).
     pub fn within_row_into(&self, id: u32, eps: f64, strict: bool, out: &mut Vec<u32>) {
-        let start = Instant::now();
         out.clear();
         let loc = self.loc[id as usize];
         let (tag, idx) = (loc >> TAG_SHIFT, (loc & ((1 << TAG_SHIFT) - 1)) as usize);
@@ -636,7 +628,7 @@ impl PivotIndex {
             self.len()
         };
         out.sort_unstable();
-        note_query(self.len(), verified, start);
+        note_query(self.len(), verified);
     }
 
     /// The `k` rows nearest to `query` under the dot-trick squared
@@ -644,7 +636,6 @@ impl PivotIndex {
     /// exactly the head a full `sq_dists_to_all` + partial sort would
     /// produce.
     pub fn nearest_into(&self, query: &[f64], k: usize, out: &mut Vec<(f64, u32)>) {
-        let start = Instant::now();
         out.clear();
         if k == 0 || self.is_empty() {
             return;
@@ -673,7 +664,7 @@ impl PivotIndex {
                 for (pos, &id) in self.order.iter().enumerate() {
                     heap_push(out, k, (value(self.seg_row(pos), self.seg_sqn[pos]), id));
                 }
-                note_query(self.len(), self.len(), start);
+                note_query(self.len(), self.len());
                 return;
             }
             // Current pruning radius: the kth-best distance once the
@@ -742,7 +733,7 @@ impl PivotIndex {
                 t = tau(out);
             }
         }
-        note_query(self.len(), verified, start);
+        note_query(self.len(), verified);
     }
 
     /// One symmetric sweep over all pairs within `eps` (inclusive),
@@ -750,7 +741,6 @@ impl PivotIndex {
     /// verdicts for [`PivotIndex::replay_close_pairs`]. `degrees.len()`
     /// must equal [`PivotIndex::len`].
     pub fn close_pairs(&self, eps: f64, degrees: &mut [u32]) -> PairSweep {
-        let start = Instant::now();
         assert_eq!(degrees.len(), self.len(), "degree buffer mismatch");
         let mut sweep = PairSweep { eps, bits: Vec::new(), n_bits: 0, pairs: 0 };
         let verified = self.sweep_record(eps, &mut sweep, &mut |a, b| {
@@ -762,7 +752,6 @@ impl PivotIndex {
         QUERIES.fetch_add(1, Ordering::Relaxed);
         CANDIDATES.fetch_add(potential, Ordering::Relaxed);
         PRUNED.fetch_add(potential.saturating_sub(verified as u64), Ordering::Relaxed);
-        QUERY_NS.fetch_add(elapsed_ns(start), Ordering::Relaxed);
         sweep
     }
 
@@ -927,15 +916,10 @@ impl PivotIndex {
     }
 }
 
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn note_query(potential: usize, verified: usize, start: Instant) {
+fn note_query(potential: usize, verified: usize) {
     QUERIES.fetch_add(1, Ordering::Relaxed);
     CANDIDATES.fetch_add(potential as u64, Ordering::Relaxed);
     PRUNED.fetch_add(potential.saturating_sub(verified) as u64, Ordering::Relaxed);
-    QUERY_NS.fetch_add(elapsed_ns(start), Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub use vecmath::{
     sq_euclidean_distance,
 };
 
-use text_sim::normalize_into;
+use text_sim::{fnv1a64, normalize_into};
 
 /// Configuration of the hashed n-gram embedder.
 #[derive(Debug, Clone)]
@@ -123,14 +123,6 @@ impl Embedder {
         l2_normalize(out);
     }
 
-    /// Embeds many strings.
-    pub fn embed_batch<'a, I>(&self, texts: I) -> Vec<Vec<f64>>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        texts.into_iter().map(|t| self.embed(t)).collect()
-    }
-
     /// Adds a signed feature-hash contribution for one feature string.
     fn scatter(&self, v: &mut [f64], feature: &str, weight: f64) {
         let h = fnv1a64(feature.as_bytes(), self.config.seed);
@@ -140,18 +132,6 @@ impl Embedder {
         let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
         v[idx] += sign * weight;
     }
-}
-
-/// FNV-1a 64-bit hash with a seed mixed into the offset basis.
-fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -301,14 +281,6 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn rejects_degenerate_dim() {
         let _ = Embedder::new(EmbedderConfig { dim: 1, ..Default::default() });
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let e = emb();
-        let batch = e.embed_batch(["a b", "c d"]);
-        assert_eq!(batch[0], e.embed("a b"));
-        assert_eq!(batch[1], e.embed("c d"));
     }
 
     #[test]

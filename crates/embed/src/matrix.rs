@@ -33,9 +33,6 @@ pub struct FeatureMatrix {
     rows: usize,
     dim: usize,
     sq_norms: Vec<f64>,
-    /// Unit-normalized copy of `data` (zero rows stay zero), built only
-    /// when a cosine consumer asks for it.
-    unit: Option<Vec<f64>>,
 }
 
 impl FeatureMatrix {
@@ -67,26 +64,7 @@ impl FeatureMatrix {
         let sq_norms = (0..rows)
             .map(|i| dot(&data[i * dim..(i + 1) * dim], &data[i * dim..(i + 1) * dim]))
             .collect();
-        Self { data, rows, dim, sq_norms, unit: None }
-    }
-
-    /// Precomputes the unit-normalized row copy used by the cosine
-    /// kernels. Idempotent; without it cosine kernels divide by cached
-    /// norms on the fly.
-    pub fn with_unit_rows(mut self) -> Self {
-        if self.unit.is_none() {
-            let mut unit = self.data.clone();
-            for i in 0..self.rows {
-                let norm = self.sq_norms[i].sqrt();
-                if norm > 0.0 {
-                    for x in &mut unit[i * self.dim..(i + 1) * self.dim] {
-                        *x /= norm;
-                    }
-                }
-            }
-            self.unit = Some(unit);
-        }
-        self
+        Self { data, rows, dim, sq_norms }
     }
 
     /// Number of rows.
@@ -136,17 +114,11 @@ impl FeatureMatrix {
         self.rows().map(<[f64]>::to_vec).collect()
     }
 
-    /// `row(i) · row(j)`.
-    #[inline]
-    pub fn dot_rows(&self, i: usize, j: usize) -> f64 {
-        dot(self.row(i), self.row(j))
-    }
-
     /// Squared Euclidean distance between rows `i` and `j` via the dot
     /// trick, clamped at 0 against cancellation.
     #[inline]
     pub fn sq_dist_rows(&self, i: usize, j: usize) -> f64 {
-        (self.sq_norms[i] + self.sq_norms[j] - 2.0 * self.dot_rows(i, j)).max(0.0)
+        (self.sq_norms[i] + self.sq_norms[j] - 2.0 * dot(self.row(i), self.row(j))).max(0.0)
     }
 
     /// Squared Euclidean distance from an external query (with its
@@ -180,8 +152,7 @@ impl FeatureMatrix {
 
     /// One-to-many cosine distances `1 − cos`, with the crate's zero-vector
     /// convention (similarity 0, hence distance 1, when either side is
-    /// all-zero). Uses the unit-row copy when present, cached norms
-    /// otherwise.
+    /// all-zero), dividing by the cached norms.
     ///
     /// # Panics
     /// Panics on buffer or dimension mismatch.
@@ -193,27 +164,13 @@ impl FeatureMatrix {
             out.fill(1.0);
             return;
         }
-        if let Some(unit) = &self.unit {
-            let mut x_unit = x.to_vec();
-            for v in &mut x_unit {
-                *v /= x_norm;
-            }
-            for (j, slot) in out.iter_mut().enumerate() {
-                *slot = if self.sq_norms[j] == 0.0 {
-                    1.0
-                } else {
-                    1.0 - dot(&x_unit, &unit[j * self.dim..(j + 1) * self.dim])
-                };
-            }
-        } else {
-            for (j, slot) in out.iter_mut().enumerate() {
-                let norm = self.sq_norms[j].sqrt();
-                *slot = if norm == 0.0 {
-                    1.0
-                } else {
-                    1.0 - dot(x, self.row(j)) / (x_norm * norm)
-                };
-            }
+        for (j, slot) in out.iter_mut().enumerate() {
+            let norm = self.sq_norms[j].sqrt();
+            *slot = if norm == 0.0 {
+                1.0
+            } else {
+                1.0 - dot(x, self.row(j)) / (x_norm * norm)
+            };
         }
     }
 
@@ -393,21 +350,6 @@ mod tests {
         m.cosine_dists_to_all(&[1.0, 0.0], &mut out);
         assert_eq!(out[0], 1.0); // zero row
         assert!(out[1].abs() < 1e-12); // identical direction
-    }
-
-    #[test]
-    fn unit_rows_agree_with_norm_division() {
-        let rows = sample(6, 8, 1.7);
-        let query: Vec<f64> = (0..8).map(|d| (d as f64 * 0.93).sin()).collect();
-        let plain = FeatureMatrix::from_rows(rows.clone());
-        let unit = FeatureMatrix::from_rows(rows).with_unit_rows();
-        let mut a = vec![0.0; 6];
-        let mut b = vec![0.0; 6];
-        plain.cosine_dists_to_all(&query, &mut a);
-        unit.cosine_dists_to_all(&query, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 
     #[test]

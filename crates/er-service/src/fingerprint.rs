@@ -8,7 +8,7 @@
 //! `(b, a)` collide on purpose.
 
 use er_core::{serialize_record, EntityPair};
-use text_sim::normalize;
+use text_sim::{fnv1a64, normalize};
 
 /// Version of the fingerprinting scheme, stamped on every durable answer
 /// record. Bump it whenever [`pair_fingerprint`]'s inputs change meaning
@@ -30,22 +30,13 @@ impl std::fmt::Display for PairFingerprint {
 /// Fingerprints a pair: normalization-stable and symmetric in the two
 /// records.
 pub fn pair_fingerprint(pair: &EntityPair) -> PairFingerprint {
-    let ha = fnv1a(normalize(&serialize_record(pair.a())).as_bytes());
-    let hb = fnv1a(normalize(&serialize_record(pair.b())).as_bytes());
+    let ha = fnv1a64(normalize(&serialize_record(pair.a())).as_bytes(), 0);
+    let hb = fnv1a64(normalize(&serialize_record(pair.b())).as_bytes(), 0);
     // Sort the half-hashes before mixing: order independence without the
     // collision-prone xor of equal halves (xor would send every self-pair
     // to 0).
     let (lo, hi) = if ha <= hb { (ha, hb) } else { (hb, ha) };
     PairFingerprint(mix(lo, hi))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn mix(lo: u64, hi: u64) -> u64 {

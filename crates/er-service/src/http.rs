@@ -123,11 +123,7 @@ impl MatchServer {
 }
 
 fn route(service: &ErService, request: HttpRequest) -> HttpResponse {
-    let (path, query) = match request.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (request.path.as_str(), ""),
-    };
-    match (request.method.as_str(), path) {
+    match (request.method.as_str(), request.route_path()) {
         ("POST", "/match") => {
             let wire: MatchRequestWire = match serde_json::from_slice(&request.body) {
                 Ok(w) => w,
@@ -157,7 +153,7 @@ fn route(service: &ErService, request: HttpRequest) -> HttpResponse {
             // `?id=` assembles one cross-service span tree; `?n=` lists
             // recent spans. Unparsable values are client errors, not
             // silent defaults.
-            if let Some(raw) = query_param(query, "id") {
+            if let Some(raw) = request.query_param("id") {
                 return match raw.parse::<u64>() {
                     Ok(id) => match service.trace_tree_json(id) {
                         Some(body) => HttpResponse::json(200, body.into_bytes()),
@@ -166,7 +162,7 @@ fn route(service: &ErService, request: HttpRequest) -> HttpResponse {
                     Err(_) => error(400, "trace id must be a decimal u64"),
                 };
             }
-            match query_param(query, "n").map(|v| v.parse::<usize>()) {
+            match request.query_param("n").map(|v| v.parse::<usize>()) {
                 None => HttpResponse::json(200, service.trace_json(32).into_bytes()),
                 Some(Ok(n)) => HttpResponse::json(200, service.trace_json(n).into_bytes()),
                 Some(Err(_)) => error(400, "trace count must be a non-negative integer"),
@@ -180,15 +176,6 @@ fn route(service: &ErService, request: HttpRequest) -> HttpResponse {
         ("GET", _) | ("POST", _) => error(404, &format!("no such route: {}", request.path)),
         _ => error(405, "method not allowed"),
     }
-}
-
-/// First value of `name` in a raw query string (`a=1&b=2`).
-fn query_param<'q>(query: &'q str, name: &str) -> Option<&'q str> {
-    query
-        .split('&')
-        .filter_map(|kv| kv.split_once('='))
-        .find(|(k, _)| *k == name)
-        .map(|(_, v)| v)
 }
 
 fn json<T: Serialize>(status: u16, value: &T) -> HttpResponse {

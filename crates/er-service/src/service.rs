@@ -129,7 +129,13 @@ pub struct ServiceConfig {
     /// Domain word used in the prompt's task description.
     pub domain: String,
     /// Telemetry switch: metrics registry + lifecycle tracing. Off, every
-    /// handle is a single-branch no-op (the serving bench prices this).
+    /// handle is a single-branch no-op (the serving bench prices this) —
+    /// so `/stats` reads 0 for every field the registry backs
+    /// (`submitted`, `llm_answered`, `cache_*`, `plans`, `budget_denials`,
+    /// `shed_total`, every percentile, ...), `/metrics` renders every
+    /// family at 0 and `/trace` is empty. Ledger, budget, WAL-enabled,
+    /// recovery, breaker-state and `queue_depth_peak` fields stay live
+    /// (DESIGN §6; the split is pinned in `tests/er_service.rs`).
     pub telemetry: bool,
     /// Completed lifecycle spans retained for `GET /trace`.
     pub trace_capacity: usize,
@@ -658,7 +664,6 @@ fn stats_of(inner: &Inner) -> ServiceStats {
     let mut answer = tel.answer_cache_us.snapshot();
     answer.merge(&tel.answer_llm_us.snapshot());
     answer.merge(&tel.answer_fallback_us.snapshot());
-    let index_query = tel.index_query_us.snapshot();
     let lock_hold = tel.planner_lock_hold_us.snapshot();
     ServiceStats {
         submitted: tel.submitted.get(),
@@ -702,8 +707,6 @@ fn stats_of(inner: &Inner) -> ServiceStats {
         index_builds: tel.index_builds.get(),
         index_queries: tel.index_queries.get(),
         index_pruned_bp: tel.index_pruned_bp.get() as u64,
-        index_query_p50_us: index_query.quantile(0.5),
-        index_query_p99_us: index_query.quantile(0.99),
         shed_total: tel.shed.get(),
         queue_depth_peak: inner.depth_peak.load(Ordering::Relaxed),
         planner_lock_hold_p50_us: lock_hold.quantile(0.5),
@@ -1170,9 +1173,6 @@ fn flush(
     tel.index_queries.add(idx_delta.queries);
     tel.index_candidates.add(idx_delta.candidates);
     tel.index_pruned.add(idx_delta.pruned);
-    if let Some(per_query_ns) = idx_delta.query_ns.checked_div(idx_delta.queries) {
-        tel.index_query_us.record(per_query_ns / 1_000);
-    }
     let candidates = tel.index_candidates.get();
     if candidates > 0 {
         let pruned_share = tel.index_pruned.get() as f64 / candidates as f64;

@@ -124,14 +124,6 @@ pub struct ServiceStats {
     /// flushes, basis points (0-10000).
     #[serde(default)]
     pub index_pruned_bp: u64,
-    /// Median per-pass mean metric-index query latency, microseconds
-    /// (histogram-backed).
-    #[serde(default)]
-    pub index_query_p50_us: u64,
-    /// 99th-percentile per-pass mean metric-index query latency,
-    /// microseconds.
-    #[serde(default)]
-    pub index_query_p99_us: u64,
     /// Questions refused by the admission bound: `try_submit` sheds
     /// (429s) plus blocking submits degraded to the fallback.
     #[serde(default)]
@@ -267,8 +259,6 @@ mod tests {
             index_builds: 3,
             index_queries: 210,
             index_pruned_bp: 9_870,
-            index_query_p50_us: 45,
-            index_query_p99_us: 160,
             shed_total: 2,
             queue_depth_peak: 11,
             planner_lock_hold_p50_us: 35,
@@ -354,8 +344,6 @@ mod tests {
             "\"index_builds\":3,",
             "\"index_queries\":210,",
             "\"index_pruned_bp\":9870,",
-            "\"index_query_p50_us\":45,",
-            ",\"index_query_p99_us\":160", // last field: leading comma instead
         ] {
             let stripped = json.replace(field, "");
             assert_ne!(stripped, json, "field pattern `{field}` did not match");
@@ -363,7 +351,7 @@ mod tests {
         }
         let back: ServiceStats = serde_json::from_slice(json.as_bytes()).unwrap();
         assert_eq!(back.index_builds, 0);
-        assert_eq!(back.index_query_p99_us, 0);
+        assert_eq!(back.index_pruned_bp, 0);
         assert_eq!(back.submitted, sample().submitted);
     }
 
@@ -395,7 +383,9 @@ mod tests {
     /// a dashboard stored back then still load, the fields that left
     /// with sharding, leases and the incremental planner (`shards`,
     /// `lease_refills`, `plan_last_inserted`, `plan_last_retired`) are
-    /// ignored, and everything that stayed keeps its value.
+    /// ignored, as are `index_query_p50_us`/`_p99_us` (a per-query
+    /// stopwatch that only ever read 0), and everything that stayed keeps
+    /// its value.
     #[test]
     fn payloads_of_the_sharded_build_still_parse() {
         const STATS: &str = r#"{"submitted":120,"cache_hits":40,"cache_misses":80,"cache_entries":120,"coalesced_duplicates":0,"llm_answered":80,"fallback_answered":0,"batches_flushed":40,"plans":40,"plan_full":40,"plan_incremental":0,"plan_last_inserted":2,"plan_last_retired":1,"plan_last_us":731,"plan_avg_us":346,"plan_p50_us":319,"plan_p99_us":1120,"answer_p50_us":28671,"answer_p99_us":29368,"retries":0,"api_calls":80,"prompt_tokens":18823,"completion_tokens":1870,"demos_labeled":20,"api_micros":22563,"labeling_micros":160000,"spent_micros":182563,"budget_micros":100000000,"remaining_micros":99647572,"budget_denials":0,"wal_enabled":true,"wal_appends":161,"wal_append_errors":0,"recovery_records_replayed":121,"recovery_truncated_bytes":0,"recovery_answers_restored":40,"recovery_open_reservations":0,"governor_refunds":0,"breaker_trips":0,"breaker_state":0,"index_builds":98,"index_queries":29129,"index_pruned_bp":4028,"index_query_p50_us":0,"index_query_p99_us":0,"shards":4,"shed_total":0,"queue_depth_peak":4,"planner_lock_hold_p50_us":319,"planner_lock_hold_p99_us":1126,"cache_evictions":0,"lease_refills":7}"#;
@@ -406,6 +396,7 @@ mod tests {
         let stats: ServiceStats = serde_json::from_str(STATS).unwrap();
         let kept = STATS
             .replace(r#""plan_last_inserted":2,"plan_last_retired":1,"#, "")
+            .replace(r#""index_query_p50_us":0,"index_query_p99_us":0,"#, "")
             .replace(r#""shards":4,"#, "")
             .replace(r#","lease_refills":7"#, "");
         assert_eq!(serde_json::to_string(&stats).unwrap(), kept);

@@ -2,9 +2,8 @@
 //!
 //! The service's invariants are all "counters and maps stay usable", not
 //! "no observer sees a half-applied update across a panic", so a panic
-//! while holding a lock should pass the lock on (parking_lot semantics)
-//! rather than poison every later request. Centralized here so the
-//! policy lives in one place.
+//! while holding a lock should pass the lock on rather than poison every
+//! later request. Centralized here so the policy lives in one place.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -99,7 +99,6 @@ pub struct Telemetry {
     pub(crate) answer_fallback_us: Arc<Histogram>,
     pub(crate) batch_spend_micros: Arc<Histogram>,
     pub(crate) batch_prompt_tokens: Arc<Histogram>,
-    pub(crate) index_query_us: Arc<Histogram>,
 
     // Connection counters of the HTTP front end (`http_*` families),
     // registered here so they render on this service's `/metrics`.
@@ -370,11 +369,6 @@ impl Telemetry {
             "Prompt tokens sent per executed batch.",
             &[],
         );
-        let index_query_us = registry.histogram(
-            "er_index_query_us",
-            "Mean metric-index query latency per planning pass (region, top-k, and pair-sweep queries folded), microseconds.",
-            &[],
-        );
         let http = ConnMetrics::register(&registry);
 
         Self {
@@ -425,7 +419,6 @@ impl Telemetry {
             answer_fallback_us,
             batch_spend_micros,
             batch_prompt_tokens,
-            index_query_us,
             http,
             slo_latency: Slo::new("answer_latency", SLO_LATENCY_OBJECTIVE),
             slo_availability: Slo::new("availability", SLO_AVAILABILITY_OBJECTIVE),
@@ -446,7 +439,7 @@ impl Telemetry {
     /// Evaluates every SLO and refreshes the burn-rate gauges. Called at
     /// render time so `/metrics` always scrapes current windows without a
     /// background thread.
-    pub fn refresh_slo_gauges(&self) -> Vec<SloStatus> {
+    fn refresh_slo_gauges(&self) -> Vec<SloStatus> {
         let statuses: Vec<SloStatus> = self.slos().iter().map(|s| s.evaluate()).collect();
         for (i, status) in statuses.iter().enumerate() {
             self.slo_burn_milli[2 * i].set((status.short.burn_rate * 1000.0) as i64);
@@ -529,7 +522,6 @@ mod tests {
         t.plan_wall_us.record(90);
         t.index_builds.inc();
         t.index_pruned_bp.set(9_900);
-        t.index_query_us.record(60);
         let text = t.registry().render_prometheus();
         for family in [
             "er_questions_submitted_total",
@@ -538,7 +530,6 @@ mod tests {
             "er_plan_wall_us",
             "er_index_builds_total",
             "er_index_candidates_pruned_bp",
-            "er_index_query_us",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

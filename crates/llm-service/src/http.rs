@@ -30,6 +30,21 @@ impl HttpRequest {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
+
+    /// The path without its `?query` part — what a router matches on.
+    pub fn route_path(&self) -> &str {
+        self.path.split_once('?').map_or(&self.path, |(p, _)| p)
+    }
+
+    /// First value of `name` in the path's query string (`?a=1&b=2`).
+    pub fn query_param(&self, name: &str) -> Option<&str> {
+        let (_, query) = self.path.split_once('?')?;
+        query
+            .split('&')
+            .filter_map(|kv| kv.split_once('='))
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v)
+    }
 }
 
 /// A parsed HTTP response (client side).
@@ -465,6 +480,18 @@ mod tests {
         let req = MessageReader::new(&raw[..]).read_request().unwrap();
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
+        assert_eq!(
+            (req.route_path(), req.query_param("id")),
+            ("/healthz", None)
+        );
+
+        let raw = b"GET /trace?n=3&id=7&id=8 HTTP/1.1\r\n\r\n";
+        let req = MessageReader::new(&raw[..]).read_request().unwrap();
+        assert_eq!(req.route_path(), "/trace");
+        assert_eq!(
+            (req.query_param("id"), req.query_param("x")),
+            (Some("7"), None)
+        );
     }
 
     #[test]

@@ -122,11 +122,7 @@ impl RunningServer {
 }
 
 fn route(req: HttpRequest, llm: &SimLlm, metrics: &ServerMetrics) -> HttpResponse {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p.to_owned(), q.to_owned()),
-        None => (req.path.clone(), String::new()),
-    };
-    match (req.method.as_str(), path.as_str()) {
+    match (req.method.as_str(), req.route_path()) {
         ("POST", "/v1/chat/completions") => {
             let _timer = metrics.request_us.start_timer();
             // Callers propagate their trace in a traceparent header; record
@@ -168,7 +164,7 @@ fn route(req: HttpRequest, llm: &SimLlm, metrics: &ServerMetrics) -> HttpRespons
         ("GET", "/metrics") => {
             HttpResponse::text(200, metrics.registry.render_prometheus().into_bytes())
         }
-        ("GET", "/trace") => match query_param(&query, "id").map(|v| v.parse::<u64>()) {
+        ("GET", "/trace") => match req.query_param("id").map(|v| v.parse::<u64>()) {
             Some(Ok(id)) => HttpResponse::json(200, metrics.traces.by_key_json(id).into_bytes()),
             _ => bad_request("trace lookup needs a numeric ?id= parameter"),
         },
@@ -217,15 +213,6 @@ fn complete_chat(req: &HttpRequest, llm: &SimLlm, metrics: &ServerMetrics) -> Ht
             error_response(&err)
         }
     }
-}
-
-/// The value of `name` in an `a=1&b=2` query string.
-fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
-    query
-        .split('&')
-        .filter_map(|pair| pair.split_once('='))
-        .find(|(k, _)| *k == name)
-        .map(|(_, v)| v)
 }
 
 fn error_response(err: &LlmError) -> HttpResponse {

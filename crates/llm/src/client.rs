@@ -1,7 +1,8 @@
 //! The [`ChatApi`] trait and the in-process simulated client.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use er_core::TokenCount;
-use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::chat::{ChatRequest, ChatResponse, FinishReason, LlmError, Usage};
@@ -112,8 +113,14 @@ impl SimLlm {
 
     /// Snapshot of the endpoint statistics.
     pub fn stats(&self) -> SimLlmStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
+}
+
+/// Locks ignoring poisoning: the guarded values are counters and a fault
+/// queue, valid after every single update.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ChatApi for SimLlm {
@@ -122,19 +129,19 @@ impl ChatApi for SimLlm {
         let prompt_tokens = count_tokens(&request.prompt);
 
         if prompt_tokens > profile.max_context_tokens {
-            self.stats.lock().context_overflows += 1;
+            lock(&self.stats).context_overflows += 1;
             return Err(LlmError::ContextLengthExceeded {
                 prompt_tokens,
                 limit: profile.max_context_tokens,
             });
         }
 
-        let injected = self.schedule.lock().pop_front().flatten();
+        let injected = lock(&self.schedule).pop_front().flatten();
         let mut rng = call_rng(request.seed, &request.prompt);
         if injected == Some(InjectedFault::RateLimited)
             || rng.gen::<f64>() < self.config.rate_limit_rate
         {
-            self.stats.lock().rate_limited += 1;
+            lock(&self.stats).rate_limited += 1;
             return Err(LlmError::RateLimited);
         }
 
@@ -180,7 +187,7 @@ impl ChatApi for SimLlm {
         let cost =
             PriceTable::for_model(request.model).cost(usage.prompt_tokens, usage.completion_tokens);
 
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         stats.completions += 1;
         stats.prompt_tokens += prompt_tokens;
         stats.completion_tokens += completion_tokens;

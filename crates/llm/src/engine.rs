@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use text_sim::{jaccard_tokens, levenshtein_ratio, normalize};
+use text_sim::{fnv1a64, jaccard_tokens, levenshtein_ratio, normalize};
 
 use crate::parse::{ParsedDemo, ParsedPair, ParsedPrompt};
 use crate::profile::CapabilityProfile;
@@ -385,12 +385,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 /// Derives the per-call RNG from the request seed and the prompt text, so
 /// identical requests are reproducible while different prompts decorrelate.
 pub fn call_rng(seed: u64, prompt: &str) -> StdRng {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &b in prompt.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    StdRng::seed_from_u64(h)
+    StdRng::seed_from_u64(fnv1a64(prompt.as_bytes(), seed))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //!
 //! The bucket layout is **fixed and global** — every histogram shares the
 //! same boundaries — so any two snapshots merge by element-wise addition,
-//! which is what makes per-thread shards, cross-instance aggregation and
-//! full/incremental family merging all the same trivial operation.
+//! which makes cross-instance aggregation and family merging the same
+//! trivial operation.
 //!
 //! Layout: values 0–3 get exact buckets; from 4 up, every power-of-two
 //! octave `[2^e, 2^(e+1))` splits into 4 equal sub-buckets. Relative
@@ -14,14 +14,11 @@
 //! `bucket_index` / `bucket_upper_bound` are inverse in the sense pinned
 //! by the property tests (`v <= ub(idx(v))`, `ub(idx(v) - 1) < v`).
 //!
-//! Recording is a handful of relaxed atomics on a per-thread shard —
-//! no locks, no allocation — so instrumented hot paths pay nanoseconds.
-//! Scraping folds the shards into a [`HistogramSnapshot`].
+//! Recording is a handful of relaxed atomics on one bucket array — no
+//! locks, no allocation — so instrumented hot paths pay nanoseconds.
+//! Scraping copies the buckets into a [`HistogramSnapshot`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Number of per-thread shards counters stripe across (power of two).
-const SHARDS: usize = 8;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-buckets per power-of-two octave.
 const SUBS: u64 = 4;
@@ -54,28 +51,6 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
         .wrapping_sub(1)
 }
 
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread records into one fixed shard, assigned round-robin,
-    /// so concurrent recorders rarely contend on a cache line.
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
-
-struct Shard {
-    counts: Box<[AtomicU64; N_BUCKETS]>,
-    sum: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            counts: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
 /// One captured exemplar: the trace id of a real observation that landed
 /// in a bucket, plus the observed value itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +74,8 @@ struct ExemplarSlot {
 /// [`Histogram::detached`] for standalone measurement.
 pub struct Histogram {
     enabled: bool,
-    shards: Vec<Shard>,
+    counts: Box<[AtomicU64; N_BUCKETS]>,
+    sum: AtomicU64,
     /// Exact extremes (the bucketed quantiles clamp to these).
     min: AtomicU64,
     max: AtomicU64,
@@ -137,7 +113,8 @@ impl Histogram {
     pub(crate) fn with_options(enabled: bool, exemplars: bool) -> Self {
         Self {
             enabled,
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            counts: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
             exemplars: (enabled && exemplars).then(|| {
@@ -148,20 +125,14 @@ impl Histogram {
         }
     }
 
-    /// A standalone histogram with per-bucket exemplar capture armed.
-    pub fn detached_with_exemplars() -> Self {
-        Self::with_options(true, true)
-    }
-
     /// Records one observation. Lock-free; a disabled histogram records
     /// nothing (the single branch is the whole disabled-mode cost).
     pub fn record(&self, v: u64) {
         if !self.enabled {
             return;
         }
-        let shard = &self.shards[MY_SHARD.with(|s| *s)];
-        shard.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
+        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -205,32 +176,24 @@ impl Histogram {
         Some(Exemplar { trace_id, value: slot.value.load(Ordering::Relaxed) })
     }
 
-    /// Whether per-bucket exemplar capture is armed.
-    pub fn has_exemplars(&self) -> bool {
-        self.exemplars.is_some()
-    }
-
     /// Starts a timer that records its elapsed microseconds on drop —
     /// handy for timing a scope with early returns.
     pub fn start_timer(&self) -> HistogramTimer<'_> {
         HistogramTimer { hist: self, started: std::time::Instant::now() }
     }
 
-    /// Folds every shard into a point-in-time snapshot.
+    /// A point-in-time snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut counts = vec![0u64; N_BUCKETS];
-        let mut sum = 0u64;
-        for shard in &self.shards {
-            for (acc, c) in counts.iter_mut().zip(shard.counts.iter()) {
-                *acc += c.load(Ordering::Relaxed);
-            }
-            sum = sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
-        }
+        let counts: Vec<u64> = self
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
         let count: u64 = counts.iter().sum();
         HistogramSnapshot {
             counts,
             count,
-            sum,
+            sum: self.sum.load(Ordering::Relaxed),
             min: if count == 0 {
                 0
             } else {
@@ -418,8 +381,7 @@ mod tests {
 
     #[test]
     fn exemplars_capture_last_traced_observation_per_bucket() {
-        let h = Histogram::detached_with_exemplars();
-        assert!(h.has_exemplars());
+        let h = Histogram::with_options(true, true);
         h.record_with_exemplar(1000, 7);
         h.record_with_exemplar(1010, 8); // same bucket: last write wins
         h.record_with_exemplar(5, 9);
@@ -437,7 +399,6 @@ mod tests {
         // Unarmed histograms record normally and expose nothing.
         let plain = Histogram::detached();
         plain.record_with_exemplar(1000, 7);
-        assert!(!plain.has_exemplars());
         assert!(plain.exemplar(bucket_index(1000)).is_none());
         assert_eq!(plain.snapshot().count, 1);
     }

@@ -4,8 +4,8 @@
 //! the `vendor/` policy — see DESIGN.md):
 //!
 //! - [`hist`] — log-bucketed concurrent histograms: lock-free recording
-//!   on per-thread shards, mergeable snapshots, p50/p90/p99/max with a
-//!   bounded 12.5% relative error.
+//!   on one atomic bucket array, mergeable snapshots, p50/p90/p99/max
+//!   with a bounded 12.5% relative error.
 //! - [`registry`] — named counter/gauge/histogram families with labels,
 //!   rendered as Prometheus text exposition (format 0.0.4, hand-rolled
 //!   encoder). Recording never takes the registry lock; a

@@ -355,7 +355,7 @@ pub fn escape_label_value(v: &str) -> String {
 }
 
 /// Escapes HELP text: backslash and newline.
-pub fn escape_help(v: &str) -> String {
+fn escape_help(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

@@ -28,7 +28,7 @@ pub const SHORT_WINDOW_SECS: u64 = 5 * 60;
 /// The long ("is it sustained") window, seconds.
 pub const LONG_WINDOW_SECS: u64 = 60 * 60;
 
-/// Default fast-burn threshold (both windows must exceed it).
+/// Fast-burn threshold (both windows must reach it; nothing overrides it).
 pub const DEFAULT_FAST_BURN: f64 = 14.4;
 
 struct Slot {
@@ -51,7 +51,6 @@ struct Slot {
 pub struct Slo {
     name: String,
     objective: f64,
-    fast_burn_threshold: f64,
     started: Instant,
     slots: Vec<Slot>,
 }
@@ -94,7 +93,6 @@ impl Slo {
         Self {
             name: name.into(),
             objective,
-            fast_burn_threshold: DEFAULT_FAST_BURN,
             started: Instant::now(),
             slots: (0..n_slots)
                 .map(|_| Slot {
@@ -104,13 +102,6 @@ impl Slo {
                 })
                 .collect(),
         }
-    }
-
-    /// Overrides the fast-burn page threshold (default
-    /// [`DEFAULT_FAST_BURN`]).
-    pub fn with_fast_burn_threshold(mut self, threshold: f64) -> Self {
-        self.fast_burn_threshold = threshold;
-        self
     }
 
     /// The objective's name.
@@ -169,8 +160,7 @@ impl Slo {
             objective: self.objective,
             short,
             long,
-            fast_burn: short.burn_rate >= self.fast_burn_threshold
-                && long.burn_rate >= self.fast_burn_threshold,
+            fast_burn: short.burn_rate >= DEFAULT_FAST_BURN && long.burn_rate >= DEFAULT_FAST_BURN,
         }
     }
 
@@ -244,7 +234,7 @@ mod tests {
 
     #[test]
     fn fast_burn_requires_both_windows() {
-        let slo = Slo::new("avail", 0.999).with_fast_burn_threshold(14.4);
+        let slo = Slo::new("avail", 0.999);
         // 100% bad: burn 1000 on a 0.1% budget — both windows blow.
         for _ in 0..50 {
             slo.record_at(false, 5000);
@@ -257,7 +247,7 @@ mod tests {
         let later = 5000 + SHORT_WINDOW_SECS + 60;
         let status = slo.evaluate_at(later);
         assert_eq!(status.short.bad, 0);
-        assert!(status.long.burn_rate > 14.4);
+        assert!(status.long.burn_rate > DEFAULT_FAST_BURN);
         assert!(!status.fast_burn);
     }
 

@@ -214,12 +214,6 @@ impl TraceLog {
         })
     }
 
-    /// One span by trace id, rendered as a JSON object (`None` when the
-    /// id is unknown, evicted, or zero).
-    pub fn find_json(&self, trace_id: u64) -> Option<String> {
-        self.find(trace_id).map(|span| span_json(&span))
-    }
-
     /// Every retained span whose correlation `key` matches, newest
     /// first — completed spans before still-active ones. This is how a
     /// downstream service's child spans are gathered: the callee keys
@@ -416,7 +410,6 @@ mod tests {
         assert_eq!(active.events.last().unwrap().stage, "enqueued");
         assert!(log.find(0).is_none());
         assert!(log.find(done + live + 99).is_none());
-        assert!(log.find_json(done).unwrap().starts_with("{\"trace_id\":"));
     }
 
     #[test]

@@ -303,6 +303,65 @@ fn budget_covers_some_batches_then_falls_back() {
     );
 }
 
+#[test]
+fn telemetry_off_zeroes_registry_backed_stats_and_keeps_the_ledger() {
+    // Same traffic as above plus a repeat pass, with the switch off:
+    // answers, sources and spend are as with it on, but `/stats` can only
+    // show what does not live in the metric registry.
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig { budget: Money::from_micros(1_500), telemetry: false, ..config() },
+    );
+    let questions = crafted_questions(40);
+    let first: Vec<_> = questions.iter().map(|q| service.submit(q)).collect();
+    let source = |s: DecisionSource| first.iter().filter(|d| d.source == s).count();
+    assert!(source(DecisionSource::Llm) > 0 && source(DecisionSource::Fallback) > 0);
+    let bought = &questions[first
+        .iter()
+        .position(|d| d.source == DecisionSource::Llm)
+        .unwrap()];
+    assert_eq!(service.submit(bought).source, DecisionSource::Cache);
+
+    let stats = service.stats();
+    // Live: the ledger, the budget and the queue's own high-water mark.
+    let ledger = service.ledger().snapshot();
+    assert!(stats.api_calls > 0 && stats.prompt_tokens > 0 && stats.completion_tokens > 0);
+    assert_eq!(stats.api_calls, ledger.api_calls);
+    assert_eq!(stats.spend(), ledger.total());
+    assert_eq!(stats.budget(), Money::from_micros(1_500));
+    assert!(stats.within_budget() && stats.remaining_micros < stats.budget_micros);
+    assert!(stats.queue_depth_peak > 0);
+    assert!(!stats.wal_enabled);
+    // Dark: every counter, gauge and histogram of the registry, although
+    // each of these events happened above.
+    let dark = [
+        ("submitted", stats.submitted),
+        ("cache_hits", stats.cache_hits),
+        ("cache_misses", stats.cache_misses),
+        ("cache_entries", stats.cache_entries),
+        ("llm_answered", stats.llm_answered),
+        ("fallback_answered", stats.fallback_answered),
+        ("batches_flushed", stats.batches_flushed),
+        ("plans", stats.plans),
+        ("plan_p99_us", stats.plan_p99_us),
+        ("answer_p99_us", stats.answer_p99_us),
+        ("budget_denials", stats.budget_denials),
+        ("index_builds", stats.index_builds),
+        ("index_queries", stats.index_queries),
+        ("planner_lock_hold_p99_us", stats.planner_lock_hold_p99_us),
+    ];
+    for (field, value) in dark {
+        assert_eq!(
+            value, 0,
+            "`{field}` is registry-backed and reads 0 with telemetry off"
+        );
+    }
+    assert!(service
+        .render_metrics()
+        .contains("er_questions_submitted_total 0"));
+}
+
 /// A ChatApi that answers like the simulator but slowly — lets tests put
 /// a batch mid-flight deterministically.
 struct SlowApi {
