@@ -1,103 +1,49 @@
-//! Ablation benches for the design choices DESIGN.md calls out: batch
+//! Quality ablations for the design choices DESIGN.md calls out: batch
 //! size, covering threshold percentile, clustering algorithm and distance
-//! function. Each prints accuracy/cost once per configuration before
-//! timing, so `cargo bench` also documents the quality trade-offs.
+//! function. A plain `main` that runs each configuration once and prints
+//! its accuracy and cost; timing is `benchmark/`'s job.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
-use batcher_core::{ClusteringKind, DistanceKind, RunConfig};
+use batcher_core::{run, ClusteringKind, DistanceKind, RunConfig};
 use llm::SimLlm;
 
-fn dataset() -> er_core::Dataset {
-    datagen::generate(datagen::DatasetKind::FodorsZagats, 1)
-}
-
-fn bench_batch_size_sweep(c: &mut Criterion) {
-    let d = dataset();
+fn main() {
+    let d = datagen::generate(datagen::DatasetKind::FodorsZagats, 1);
     let api = SimLlm::new();
-    let mut group = c.benchmark_group("ablation_batch_size");
-    group.sample_size(10);
+    let base = RunConfig { seed: 1, ..RunConfig::best_design() };
+
     for b in [1usize, 2, 4, 8, 16] {
-        let config = RunConfig { batch_size: b, seed: 1, ..RunConfig::best_design() };
-        let result = batcher_core::run(&d, &api, config);
+        let result = run(&d, &api, RunConfig { batch_size: b, ..base });
         println!(
             "[ablation] batch_size={b}: F1 {:.2}, API {}, prompt tokens/question {:.0}",
             result.f1(),
             result.ledger.api,
             result.ledger.prompt_tokens.get() as f64 / result.confusion.total() as f64
         );
-        group.bench_function(format!("b{b}"), |bench| {
-            bench.iter(|| batcher_core::run(black_box(&d), &api, config))
-        });
     }
-    group.finish();
-}
 
-fn bench_cover_threshold_sweep(c: &mut Criterion) {
-    let d = dataset();
-    let api = SimLlm::new();
-    let mut group = c.benchmark_group("ablation_cover_percentile");
-    group.sample_size(10);
     for pct in [2.0f64, 8.0, 20.0, 40.0] {
-        let config = RunConfig { cover_percentile: pct, seed: 1, ..RunConfig::best_design() };
-        let result = batcher_core::run(&d, &api, config);
+        let result = run(&d, &api, RunConfig { cover_percentile: pct, ..base });
         println!(
             "[ablation] cover_percentile={pct}: F1 {:.2}, demos labeled {}, label cost {}",
             result.f1(),
             result.demos_labeled,
             result.ledger.labeling
         );
-        group.bench_function(format!("p{pct}"), |bench| {
-            bench.iter(|| batcher_core::run(black_box(&d), &api, config))
-        });
     }
-    group.finish();
-}
 
-fn bench_clustering_choice(c: &mut Criterion) {
-    let d = dataset();
-    let api = SimLlm::new();
-    let mut group = c.benchmark_group("ablation_clustering");
-    group.sample_size(10);
     for (name, clustering) in [
         ("dbscan", ClusteringKind::Dbscan),
         ("kmeans", ClusteringKind::KMeans),
     ] {
-        let config = RunConfig { clustering, seed: 1, ..RunConfig::best_design() };
-        let result = batcher_core::run(&d, &api, config);
+        let result = run(&d, &api, RunConfig { clustering, ..base });
         println!("[ablation] clustering={name}: F1 {:.2}", result.f1());
-        group.bench_function(name, |bench| {
-            bench.iter(|| batcher_core::run(black_box(&d), &api, config))
-        });
     }
-    group.finish();
-}
 
-fn bench_distance_choice(c: &mut Criterion) {
-    let d = dataset();
-    let api = SimLlm::new();
-    let mut group = c.benchmark_group("ablation_distance");
-    group.sample_size(10);
     for (name, distance) in [
         ("euclidean", DistanceKind::Euclidean),
         ("cosine", DistanceKind::Cosine),
     ] {
-        let config = RunConfig { distance, seed: 1, ..RunConfig::best_design() };
-        let result = batcher_core::run(&d, &api, config);
+        let result = run(&d, &api, RunConfig { distance, ..base });
         println!("[ablation] distance={name}: F1 {:.2}", result.f1());
-        group.bench_function(name, |bench| {
-            bench.iter(|| batcher_core::run(black_box(&d), &api, config))
-        });
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_batch_size_sweep,
-    bench_cover_threshold_sweep,
-    bench_clustering_choice,
-    bench_distance_choice
-);
-criterion_main!(benches);

@@ -1,24 +1,17 @@
-//! End-to-end planning benchmark: scalar baseline vs the kernel layer.
+//! End-to-end planning benchmark of the kernel layer.
 //!
 //! Measures one full plan pass — feature extraction → percentile
 //! threshold → DBSCAN → diversity batches → covering selection — on a
-//! synthetic workload, two ways:
+//! synthetic workload through `batcher_core::plan_question_batches`, the
+//! production path (`kernel_ms`), plus a **per-stage breakdown**
+//! (`stage_ms`): the same plan replayed stage by stage through the
+//! crates' public functions (pool features, token weights, question
+//! features, the two percentile thresholds, clustering, batching, the
+//! coverage sweep, the two-phase cover), asserted equal to the plan the
+//! production path makes and gated to sum to `kernel_ms` within 10%.
 //!
-//! * **scalar baseline** — an in-bench replica of the pre-kernel
-//!   pipeline: `Vec<Vec<f64>>` features, full-scan DBSCAN region
-//!   queries, full-sort percentile, per-pair `sqrt` covering sweeps, all
-//!   serial. Kept here (not in the library) so the speedup stays
-//!   measurable against the real historical path.
-//! * **kernel** — `batcher_core::plan_question_batches`, the production
-//!   path, plus a **per-stage breakdown** (`stage_ms`): the same plan
-//!   replayed stage by stage through the crates' public functions
-//!   (pool features, token weights, question features, the two
-//!   percentile thresholds, clustering, batching, the coverage sweep,
-//!   the two-phase cover), asserted equal to the plan the production
-//!   path makes and gated to sum to `kernel_ms` within 10%.
-//!
-//! Runs in quick mode (small workload, one iteration) under `cargo test`
-//! and in full mode (10k questions, best of 3) under `cargo bench`; both
+//! Runs in quick mode (small workload) under `cargo test` and in full
+//! mode (10k questions) under `cargo bench`, best of 3 in both; both
 //! write a `BENCH_planning.json` snapshot (path override:
 //! `BENCH_PLANNING_OUT`).
 //!
@@ -51,348 +44,6 @@ use batcher_core::selection::{
 use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace};
 use bench::synth::synth_pairs;
 use er_core::{EntityPair, LabeledPair};
-
-// ---------------------------------------------------------------------
-// Scalar baseline: the pre-kernel planning pipeline, verbatim semantics
-// ---------------------------------------------------------------------
-
-mod baseline {
-    use super::*;
-    use text_sim::normalize;
-
-    fn euclid(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// The pre-kernel two-row DP Levenshtein (the library has since moved
-    /// to Myers' bit-parallel algorithm; the baseline keeps the
-    /// historical cost).
-    fn dp_levenshtein(a: &str, b: &str) -> usize {
-        let a_chars: Vec<char> = a.chars().collect();
-        let b_chars: Vec<char> = b.chars().collect();
-        let (short, long) = if a_chars.len() <= b_chars.len() {
-            (&a_chars, &b_chars)
-        } else {
-            (&b_chars, &a_chars)
-        };
-        if short.is_empty() {
-            return long.len();
-        }
-        let mut prev: Vec<usize> = (0..=short.len()).collect();
-        let mut cur: Vec<usize> = vec![0; short.len() + 1];
-        for (i, &lc) in long.iter().enumerate() {
-            cur[0] = i + 1;
-            for (j, &sc) in short.iter().enumerate() {
-                let sub_cost = usize::from(lc != sc);
-                cur[j + 1] = (prev[j] + sub_cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[short.len()]
-    }
-
-    fn dp_levenshtein_ratio(a: &str, b: &str) -> f64 {
-        let s = a.chars().count() + b.chars().count();
-        if s == 0 {
-            return 1.0;
-        }
-        1.0 - dp_levenshtein(a, b) as f64 / s as f64
-    }
-
-    pub fn extract(pairs: &[&EntityPair]) -> Vec<Vec<f64>> {
-        pairs
-            .iter()
-            .map(|p| {
-                let m = p.a().schema().arity();
-                (0..m)
-                    .map(|i| {
-                        let va = normalize(p.a().value(i).unwrap_or(""));
-                        let vb = normalize(p.b().value(i).unwrap_or(""));
-                        if va.is_empty() && vb.is_empty() {
-                            0.5
-                        } else if va.is_empty() || vb.is_empty() {
-                            0.0
-                        } else {
-                            dp_levenshtein_ratio(&va, &vb)
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Full-sort percentile with the historical `(j + 1) % n` remap.
-    pub fn distance_percentile(
-        vectors: &[Vec<f64>],
-        pct: f64,
-        max_samples: usize,
-        seed: u64,
-    ) -> f64 {
-        let n = vectors.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let total = n * (n - 1) / 2;
-        let mut samples: Vec<f64> = Vec::new();
-        if total <= max_samples {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    samples.push(euclid(&vectors[i], &vectors[j]));
-                }
-            }
-        } else {
-            let mut state = seed | 1;
-            let mut step = || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for _ in 0..max_samples {
-                let i = (step() % n as u64) as usize;
-                let mut j = (step() % n as u64) as usize;
-                if i == j {
-                    j = (j + 1) % n;
-                }
-                samples.push(euclid(&vectors[i], &vectors[j]));
-            }
-        }
-        samples.sort_by(f64::total_cmp);
-        let rank = ((pct / 100.0) * (samples.len() - 1) as f64).round() as usize;
-        samples[rank.min(samples.len() - 1)]
-    }
-
-    /// Largest-first diversity batching over cluster groups (the rng-free
-    /// historical logic).
-    fn diversity_batches(mut remaining: Vec<Vec<usize>>, b: usize) -> Vec<Vec<usize>> {
-        remaining.retain(|c| !c.is_empty());
-        let mut batches = Vec::new();
-        while remaining.iter().any(|c| !c.is_empty()) {
-            remaining.sort_by_key(|c| std::cmp::Reverse(c.len()));
-            let mut batch = Vec::with_capacity(b);
-            if remaining.len() >= b {
-                for cluster in remaining.iter_mut().take(b) {
-                    if let Some(q) = cluster.pop() {
-                        batch.push(q);
-                    }
-                }
-            } else {
-                let mut ci = 0usize;
-                while batch.len() < b && remaining.iter().any(|c| !c.is_empty()) {
-                    let idx = ci % remaining.len();
-                    if let Some(q) = remaining[idx].pop() {
-                        batch.push(q);
-                    }
-                    ci += 1;
-                }
-            }
-            remaining.retain(|c| !c.is_empty());
-            if !batch.is_empty() {
-                batches.push(batch);
-            }
-        }
-        batches
-    }
-
-    /// The seed repository's lazy-greedy weighted cover, verbatim: stale
-    /// heap entries refresh by rescanning the candidate's full coverage
-    /// list (the library now maintains gains decrementally through an
-    /// inverted index).
-    fn greedy_cover_scalar<W: Fn(usize) -> f64>(
-        n_elements: usize,
-        coverage: &[Vec<u32>],
-        weight: W,
-    ) -> Vec<usize> {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-        struct Entry {
-            ratio: f64,
-            candidate: usize,
-            stamp: u64,
-        }
-        impl PartialEq for Entry {
-            fn eq(&self, other: &Self) -> bool {
-                self.ratio == other.ratio
-            }
-        }
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.ratio.total_cmp(&other.ratio)
-            }
-        }
-        let mut covered = vec![false; n_elements];
-        let mut selected = Vec::new();
-        let mut stamp = 0u64;
-        let gain = |covered: &[bool], d: usize| -> usize {
-            coverage[d]
-                .iter()
-                .filter(|&&e| !covered[e as usize])
-                .count()
-        };
-        let mut heap: BinaryHeap<Entry> = coverage
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(d, c)| Entry {
-                ratio: c.len() as f64 / weight(d).max(f64::MIN_POSITIVE),
-                candidate: d,
-                stamp: 0,
-            })
-            .collect();
-        while let Some(top) = heap.pop() {
-            let g = gain(&covered, top.candidate);
-            if g == 0 {
-                continue;
-            }
-            let fresh_ratio = g as f64 / weight(top.candidate).max(f64::MIN_POSITIVE);
-            let is_fresh =
-                top.stamp == stamp || heap.peek().is_none_or(|next| fresh_ratio >= next.ratio);
-            if !is_fresh {
-                heap.push(Entry { ratio: fresh_ratio, candidate: top.candidate, stamp });
-                continue;
-            }
-            for &e in &coverage[top.candidate] {
-                covered[e as usize] = true;
-            }
-            selected.push(top.candidate);
-            stamp += 1;
-        }
-        selected
-    }
-
-    /// The seed repository's DBSCAN, verbatim: brute-force O(n) region
-    /// queries as `Vec<usize>`, unfiltered BFS queue (the library has
-    /// since moved to the pivot-window kernel index and a pruned queue —
-    /// the baseline keeps the historical costs).
-    fn dbscan_scalar(points: &[Vec<f64>], eps: f64, min_pts: usize) -> cluster::Clustering {
-        const UNVISITED: usize = usize::MAX;
-        const NOISE: usize = usize::MAX - 1;
-        let n = points.len();
-        let mut labels = vec![UNVISITED; n];
-        let mut next_cluster = 0usize;
-        let neighbors = |i: usize| -> Vec<usize> {
-            (0..n)
-                .filter(|&j| euclid(&points[i], &points[j]) <= eps)
-                .collect()
-        };
-        for i in 0..n {
-            if labels[i] != UNVISITED {
-                continue;
-            }
-            let seeds = neighbors(i);
-            if seeds.len() < min_pts {
-                labels[i] = NOISE;
-                continue;
-            }
-            let cid = next_cluster;
-            next_cluster += 1;
-            labels[i] = cid;
-            let mut queue: Vec<usize> = seeds;
-            let mut qi = 0;
-            while qi < queue.len() {
-                let p = queue[qi];
-                qi += 1;
-                if labels[p] == NOISE {
-                    labels[p] = cid;
-                }
-                if labels[p] != UNVISITED {
-                    continue;
-                }
-                labels[p] = cid;
-                let p_neighbors = neighbors(p);
-                if p_neighbors.len() >= min_pts {
-                    queue.extend(p_neighbors);
-                }
-            }
-        }
-        for label in labels.iter_mut() {
-            if *label == NOISE || *label == UNVISITED {
-                *label = next_cluster;
-                next_cluster += 1;
-            }
-        }
-        cluster::Clustering { assignment: labels, n_clusters: next_cluster }
-    }
-
-    /// The whole scalar plan: percentile ε → full-scan DBSCAN → diversity
-    /// batches → covering selection with per-pair `sqrt` sweeps.
-    pub fn plan(
-        questions: &[Vec<f64>],
-        pool: &[Vec<f64>],
-        pool_tokens: &[f64],
-        batch_size: usize,
-        seed: u64,
-    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<usize>) {
-        // Batching stage.
-        let eps = distance_percentile(questions, 15.0, 200_000, seed).max(1e-9);
-        let clusters = dbscan_scalar(questions, eps, 3);
-        let batches = diversity_batches(clusters.groups(), batch_size);
-
-        // Covering selection stage.
-        let t = distance_percentile(questions, 8.0, 200_000, seed).max(1e-9);
-        let coverage: Vec<Vec<u32>> = pool
-            .iter()
-            .map(|d| {
-                questions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| euclid(d, q) < t)
-                    .map(|(qi, _)| qi as u32)
-                    .collect()
-            })
-            .collect();
-        let demo_set = greedy_cover_scalar(questions.len(), &coverage, |_| 1.0);
-        let per_batch: Vec<Vec<usize>> = batches
-            .iter()
-            .map(|batch| {
-                let batch_cov: Vec<Vec<u32>> = demo_set
-                    .iter()
-                    .map(|&d| {
-                        batch
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &q)| euclid(&pool[d], &questions[q]) < t)
-                            .map(|(qi, _)| qi as u32)
-                            .collect()
-                    })
-                    .collect();
-                let picked =
-                    greedy_cover_scalar(batch.len(), &batch_cov, |i| pool_tokens[demo_set[i]]);
-                let mut demos: Vec<usize> = picked.iter().map(|&i| demo_set[i]).collect();
-                if demos.is_empty() && !demo_set.is_empty() {
-                    let nearest = demo_set
-                        .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            let da = batch
-                                .iter()
-                                .map(|&q| euclid(&pool[a], &questions[q]))
-                                .fold(f64::INFINITY, f64::min);
-                            let db = batch
-                                .iter()
-                                .map(|&q| euclid(&pool[b], &questions[q]))
-                                .fold(f64::INFINITY, f64::min);
-                            da.total_cmp(&db)
-                        })
-                        .expect("demo set non-empty");
-                    demos.push(nearest);
-                }
-                demos
-            })
-            .collect();
-        (batches, per_batch, demo_set)
-    }
-}
 
 // ---------------------------------------------------------------------
 // Metric-index scaling curve: ε-graph construction at planning scale
@@ -648,11 +299,7 @@ fn assert_partition(batches: &[Vec<usize>], n: usize) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick") || !args.iter().any(|a| a == "--bench");
-    let (n_questions, n_pool, iters) = if quick {
-        (1500, 300, 1)
-    } else {
-        (10_000, 2_000, 3)
-    };
+    let (n_questions, n_pool) = if quick { (1500, 300) } else { (10_000, 2_000) };
     let batch_size = 8usize;
     let seed = 42u64;
 
@@ -672,30 +319,9 @@ fn main() {
         seed,
     };
 
-    // Scalar baseline (extraction included — it is part of the plan pass).
-    let mut baseline_ms = f64::INFINITY;
-    let mut baseline_batches = 0usize;
-    let mut baseline_labeled = 0usize;
-    for _ in 0..iters {
-        let start = Instant::now();
-        let q_vecs = baseline::extract(&questions);
-        let pool_vecs = baseline::extract(&pool.iter().map(|p| &p.pair).collect::<Vec<_>>());
-        let pool_tokens: Vec<f64> = pool
-            .iter()
-            .map(|p| llm::count_tokens(&p.pair.serialize()) as f64)
-            .collect();
-        let (batches, per_batch, labeled) =
-            baseline::plan(&q_vecs, &pool_vecs, &pool_tokens, batch_size, seed);
-        baseline_ms = baseline_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_partition(&batches, questions.len());
-        assert_eq!(per_batch.len(), batches.len());
-        baseline_batches = batches.len();
-        baseline_labeled = labeled.len();
-    }
-
     // Kernel path (the production configuration) and its stage-by-stage
-    // replay: cheap next to the baseline, so best of three in both modes
-    // — the gate compares the two minima.
+    // replay, best of three in both modes — the gate compares the two
+    // minima.
     let mut kernel_ms = f64::INFINITY;
     let mut stage_ms = [f64::INFINITY; 8];
     let mut kernel_batches = 0usize;
@@ -733,18 +359,13 @@ fn main() {
     let scaling_entries: Vec<String> = scales.iter().map(|&n| scaling_point(n, quick)).collect();
     let scaling_json = scaling_entries.join(",\n    ");
 
-    let speedup = baseline_ms / kernel_ms;
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"scalar_baseline_ms\": {:.2},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"speedup_vs_baseline\": {:.2},\n  \"baseline_batches\": {},\n  \"baseline_labeled\": {},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,
         batch_size,
-        baseline_ms,
         kernel_ms,
-        speedup,
-        baseline_batches,
-        baseline_labeled,
         kernel_batches,
         kernel_labeled,
     );
@@ -754,9 +375,5 @@ fn main() {
     });
     std::fs::write(&out_path, &json).expect("write BENCH_planning.json");
     println!("{json}");
-    println!(
-        "planning {}q/{}p: baseline {baseline_ms:.1} ms, kernel {kernel_ms:.1} ms \
-         ({speedup:.1}x) -> {out_path}",
-        n_questions, n_pool
-    );
+    println!("planning {n_questions}q/{n_pool}p: kernel {kernel_ms:.1} ms -> {out_path}");
 }

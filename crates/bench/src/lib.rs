@@ -1,5 +1,5 @@
 //! Shared harness utilities for the table/figure reproduction binaries
-//! and the planning-path benches.
+//! and the planning bench.
 
 pub mod synth;
 pub mod tables;

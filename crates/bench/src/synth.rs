@@ -1,9 +1,8 @@
-//! Shared synthetic workload for the planning-path benches
-//! (`benches/planning.rs`, `benches/incremental.rs`): candidate pairs
-//! drawn from 32 latent corruption patterns — each pattern fixes, per
-//! attribute, whether the two sides agree exactly, up to a typo, or not
-//! at all — the structure DBSCAN is meant to recover from the feature
-//! vectors. One definition so both benches measure the same workload.
+//! Synthetic workload of the planning bench (`benches/planning.rs`):
+//! candidate pairs drawn from 32 latent corruption patterns — each
+//! pattern fixes, per attribute, whether the two sides agree exactly, up
+//! to a typo, or not at all — the structure DBSCAN is meant to recover
+//! from the feature vectors.
 
 use std::sync::Arc;
 

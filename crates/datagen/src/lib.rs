@@ -18,12 +18,10 @@
 //! ```
 
 pub mod builder;
-pub mod csv;
 pub mod perturb;
 pub mod profiles;
 pub mod vocab;
 
 pub use builder::generate;
-pub use csv::{from_csv, to_csv, CsvError};
 pub use perturb::{CorruptionPattern, Intensity};
 pub use profiles::{make_entity, DatasetKind, GeneratorProfile};

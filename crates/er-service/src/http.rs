@@ -188,3 +188,74 @@ fn json<T: Serialize>(status: u16, value: &T) -> HttpResponse {
 fn error(status: u16, message: &str) -> HttpResponse {
     json(status, &ErrorWire { error: message.to_owned() })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// What `POST /match` does with `body` before it reaches the service:
+    /// the pair to submit, or the 400 it answers.
+    fn decode(body: &[u8]) -> Result<EntityPair, String> {
+        let wire: MatchRequestWire = serde_json::from_slice(body).map_err(|e| e.to_string())?;
+        wire_to_pair(&wire)
+    }
+
+    fn values() -> impl Strategy<Value = Vec<String>> {
+        prop::collection::vec("\\PC{0,12}", 0..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the decoder and never pass for a
+        /// question.
+        #[test]
+        fn hostile_match_bodies_are_refused(body in prop::collection::vec(any::<u8>(), 0..200)) {
+            prop_assert!(decode(&body).is_err());
+        }
+
+        /// A well-formed body decodes exactly when its schema is non-empty
+        /// and duplicate-free and both records match its arity; one byte
+        /// overwritten or a cut never panics, and what still decodes is a
+        /// pair of that arity.
+        #[test]
+        fn mutated_match_bodies_decode_or_are_refused(
+            schema in prop::collection::vec("[a-c]{1,2}", 0..5),
+            left in values(),
+            right in values(),
+            at in 0usize..2000,
+            byte in any::<u8>(),
+            cut in prop::bool::ANY,
+        ) {
+            let wire = MatchRequestWire { schema, left, right };
+            let mut body = serde_json::to_vec(&wire).map_err(|e| e.to_string())?;
+            let distinct = wire.schema.iter().collect::<std::collections::BTreeSet<_>>().len();
+            let well_formed = !wire.schema.is_empty()
+                && distinct == wire.schema.len()
+                && wire.left.len() == wire.schema.len()
+                && wire.right.len() == wire.schema.len();
+            match decode(&body) {
+                Ok(pair) => {
+                    prop_assert!(well_formed);
+                    prop_assert_eq!(pair.a().values(), &wire.left[..]);
+                    prop_assert_eq!(pair.b().values(), &wire.right[..]);
+                }
+                Err(message) => prop_assert!(!well_formed, "{}", message),
+            }
+
+            let at = at % body.len();
+            if cut {
+                body.truncate(at);
+            } else {
+                body[at] = byte;
+            }
+            if let Ok(pair) = decode(&body) {
+                let arity = pair.a().schema().arity();
+                prop_assert!(arity > 0);
+                prop_assert_eq!(pair.a().values().len(), arity);
+                prop_assert_eq!(pair.b().values().len(), arity);
+            }
+        }
+    }
+}

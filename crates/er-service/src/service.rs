@@ -559,8 +559,8 @@ impl ErService {
     /// A point-in-time statistics snapshot (the `/stats` payload).
     ///
     /// A thin view over the telemetry registry: everything here reads
-    /// lock-free handles or folds histogram shards — a slow or hammering
-    /// scraper can never stall `submit` or the flush path.
+    /// lock-free handles or copies a histogram's atomic buckets — a slow
+    /// or hammering scraper can never stall `submit` or the flush path.
     pub fn stats(&self) -> ServiceStats {
         stats_of(&self.inner)
     }
@@ -1247,6 +1247,16 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<BatchJob>>) {
     }
 }
 
+/// Stamps `stage` on the span of every waiter of `job`: why the batch
+/// they ride took the path it did.
+fn stamp_waiters(inner: &Inner, job: &BatchJob, stage: &'static str) {
+    for (_, _, senders) in &job.questions {
+        for w in senders {
+            inner.telemetry.trace.stamp(w.trace, stage);
+        }
+    }
+}
+
 fn execute_job(inner: &Inner, job: &BatchJob) {
     let config = &inner.config;
     let tel = &inner.telemetry;
@@ -1272,11 +1282,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     // batches short-circuit straight to the logistic fallback — no
     // reservation, no retries — until a cooldown-spaced probe succeeds.
     if !inner.breaker.allow() {
-        for (_, _, senders) in &job.questions {
-            for w in senders {
-                tel.trace.stamp(w.trace, "breaker_short_circuit");
-            }
-        }
+        stamp_waiters(inner, job, "breaker_short_circuit");
         inner.flight.event(
             "breaker_short_circuit",
             format!("batch of {} routed to fallback", job.questions.len()),
@@ -1299,7 +1305,17 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     // executor's recursive split-and-resend, whose cost the projection
     // below cannot bound. Serving never sends such a prompt: the batch
     // is answered locally instead, which keeps the budget cap hard.
-    if prompt_tokens > config.model.profile().max_context_tokens {
+    let context_limit = config.model.profile().max_context_tokens;
+    if prompt_tokens > context_limit {
+        stamp_waiters(inner, job, "context_overflow");
+        inner.flight.event(
+            "context_overflow",
+            format!(
+                "batch of {} answered by fallback: prompt of {prompt_tokens} tokens over the \
+                 {context_limit}-token window",
+                job.questions.len()
+            ),
+        );
         answer_via_fallback(inner, job);
         return;
     }

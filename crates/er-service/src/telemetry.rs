@@ -2,7 +2,8 @@
 //! trace log, wired once at startup and shared by every pipeline stage.
 //!
 //! Recording never takes the registry lock — handles are `Arc`'d atomics
-//! (or per-thread histogram shards) folded only when `/metrics` renders.
+//! (a histogram is one atomic bucket array) that `/metrics` copies when it
+//! renders.
 //! With `ServiceConfig::telemetry` off every handle is a dark no-op, so
 //! the serving bench can price the instrumentation itself.
 

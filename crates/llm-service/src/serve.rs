@@ -23,8 +23,10 @@
 //!   byte in slices of [`IDLE_SLICE`], not in one `io_timeout` read, and
 //!   between slices looks at the stop flag (shutdown joins the workers
 //!   and must not wait out `io_timeout`) and at the idle limit, which is
-//!   `io_timeout` itself. Once a request has begun it gets the full
-//!   `io_timeout` per read.
+//!   `io_timeout` itself. Once a request has begun it has one
+//!   `io_timeout` in all to arrive: every read's socket timeout is what
+//!   is left of that deadline, so a client dripping a byte at a time is
+//!   answered 408 after `io_timeout`, not after `io_timeout` per byte.
 //!
 //!   **yield** — an idle connection must not pin a worker others are
 //!   queued for. While every worker owns a connection and the accept
@@ -38,7 +40,7 @@
 //! Both the LLM loopback service (`crate::server`) and the entity-match
 //! service (`er-service`) build their front ends on [`spawn_http_server`].
 
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -64,10 +66,11 @@ pub struct ServeOptions {
     /// Accepted connections allowed to wait for a free worker before the
     /// accept loop itself blocks.
     pub backlog: usize,
-    /// Per-read/write timeout inside a request, and the limit on how long
-    /// a connection may sit idle between requests. With a fixed pool, a
-    /// client that connects and goes silent would otherwise hold a worker
-    /// hostage forever.
+    /// How long one request may take to arrive once its first byte has,
+    /// the per-write timeout of a reply, and the limit on how long a
+    /// connection may sit idle between requests. With a fixed pool, a
+    /// client that connects and goes silent — or drips its request —
+    /// would otherwise hold a worker hostage.
     pub io_timeout: Duration,
 }
 
@@ -271,6 +274,27 @@ where
     Ok(HttpServerHandle { addr, stop, accept_handle: Some(accept_handle), worker_handles })
 }
 
+/// The server's side of a connection: while `deadline` is set, each read
+/// may block only for what is left of it and fails with `TimedOut` once
+/// it has passed; while it is not, the socket's own read timeout applies.
+struct Deadlined {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for Deadlined {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
 /// Serves requests off one connection until it ends (module docs: keep,
 /// idle slice, yield).
 fn serve_connection<H>(stream: TcpStream, queued_us: u64, shared: &Shared<H>)
@@ -281,7 +305,7 @@ where
     // on it waiting for the peer's delayed ACK either.
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.io_timeout));
-    let mut conn = MessageReader::new(stream);
+    let mut conn = MessageReader::new(Deadlined { stream, deadline: None });
     let mut served = 0u64;
     loop {
         if conn.buffered() == 0 {
@@ -290,6 +314,9 @@ where
                 return;
             }
         }
+        // The request has begun: what is left of it has one `io_timeout`
+        // to arrive, however many reads that takes.
+        conn.get_mut().deadline = Some(Instant::now() + shared.io_timeout);
         let (response, keep) = match conn.read_request() {
             Ok(mut request) => {
                 // Only a connection's first request sat in the backlog.
@@ -304,7 +331,7 @@ where
         let keep = keep
             && !shared.stop.load(Ordering::SeqCst)
             && (conn.buffered() > 0 || !shared.starved());
-        if write_response(conn.get_mut(), &response, keep).is_err() || !keep {
+        if write_response(&mut conn.get_mut().stream, &response, keep).is_err() || !keep {
             return;
         }
     }
@@ -314,23 +341,20 @@ where
 /// request; `Err` says why the connection closes instead. `kept` is
 /// whether it has been answered before — only then may it be yielded.
 fn await_request<H>(
-    conn: &mut MessageReader<TcpStream>,
+    conn: &mut MessageReader<Deadlined>,
     kept: bool,
     shared: &Shared<H>,
 ) -> Result<(), IdleClose> {
     let idle_since = Instant::now();
-    let _ = conn
-        .get_mut()
+    let idle = conn.get_mut();
+    idle.deadline = None;
+    let _ = idle
+        .stream
         .set_read_timeout(Some(IDLE_SLICE.min(shared.io_timeout)));
     loop {
         match conn.fill() {
             Ok(0) => return Err(IdleClose::Client),
-            Ok(_) => {
-                // The request has begun: its remaining reads get the
-                // full timeout.
-                let _ = conn.get_mut().set_read_timeout(Some(shared.io_timeout));
-                return Ok(());
-            }
+            Ok(_) => return Ok(()),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.stop.load(Ordering::SeqCst) {
                     return Err(IdleClose::Shutdown);

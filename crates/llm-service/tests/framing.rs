@@ -1,14 +1,24 @@
 //! Property corpus for the message framing a kept connection depends on:
 //! whatever bytes arrive, in whatever pieces, `read_request` and
 //! `read_response` never panic, never consume a byte beyond the message
-//! they return, and leave a pipelined follower intact.
+//! they return, and leave a pipelined follower intact. Behind the framing,
+//! the JSON dialect of `POST /v1/chat/completions`: whatever body arrives
+//! decodes or maps to a 4xx, without a panic. And one socket case the
+//! byte-level corpus cannot reach: a request dripped slower than it is
+//! allowed to take.
 
-use std::io::Read;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use llm::ModelKind;
 use llm_service::http::{
     write_response, HttpResponse, MessageReader, ReadError, MAX_BODY_BYTES, MAX_HEADERS,
     MAX_HEAD_BYTES,
 };
+use llm_service::wire::{error_to_wire, to_chat_request, WireMessage, WireRequest};
+use llm_service::{spawn_http_server, ConnMetrics, HttpRequest, ServeOptions};
 use proptest::prelude::*;
 
 /// Hands `data` out at most `step` bytes per read and counts what it gave.
@@ -45,6 +55,19 @@ const FRAGMENTS: [&[u8]; 16] = [
     b"\xff\xfe",
     b"\r\n\r\n",
 ];
+
+/// Half fragments, half raw bytes: near-valid input with stray structure
+/// and non-UTF-8 in it. A pick past the end of `fragments` is a raw byte.
+fn soup(fragments: &[&[u8]], picks: Vec<(usize, u8)>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (pick, raw) in picks {
+        match fragments.get(pick) {
+            Some(fragment) => bytes.extend_from_slice(fragment),
+            None => bytes.push(raw),
+        }
+    }
+    bytes
+}
 
 fn reader(data: &[u8], step: usize) -> MessageReader<Pieces<'_>> {
     MessageReader::new(Pieces { data, step, pulled: 0 })
@@ -119,18 +142,12 @@ proptest! {
 
     #[test]
     fn hostile_bytes_never_panic_or_overconsume(
-        soup in prop::collection::vec((0usize..2 * FRAGMENTS.len(), any::<u8>()), 0..40),
+        picks in prop::collection::vec((0usize..2 * FRAGMENTS.len(), any::<u8>()), 0..40),
         step in 1usize..64,
     ) {
-        // Half protocol fragments, half raw bytes: near-valid messages
-        // with stray line ends, colons, lengths and non-UTF-8 in them.
-        let mut bytes = Vec::new();
-        for (pick, raw) in soup {
-            match FRAGMENTS.get(pick) {
-                Some(fragment) => bytes.extend_from_slice(fragment),
-                None => bytes.push(raw),
-            }
-        }
+        // Near-valid messages with stray line ends, colons, lengths and
+        // non-UTF-8 in them.
+        let bytes = soup(&FRAGMENTS, picks);
         let mut requests = reader(&bytes, step);
         while let Ok(parsed) = requests.read_request() {
             prop_assert!(consumed(&mut requests) <= bytes.len());
@@ -275,5 +292,147 @@ proptest! {
         );
         let outcome = reader(huge.as_bytes(), step).read_request();
         prop_assert!(matches!(outcome, Err(ReadError::Malformed { status: 413, .. })));
+    }
+}
+
+/// One `io_timeout` per request, not per read: a client dripping a byte
+/// every `io_timeout / 2` never lets a single read time out, and is still
+/// answered 408 about one `io_timeout` after its first byte — not after
+/// the drip ends.
+#[test]
+fn dripped_request_is_answered_408_after_one_io_timeout() {
+    let io_timeout = Duration::from_millis(100);
+    let server = spawn_http_server(
+        Arc::new(|_: HttpRequest| HttpResponse::json(200, b"{}".to_vec())),
+        ServeOptions { io_timeout, ..ServeOptions::default() },
+        ConnMetrics::register(&obs::Registry::new()),
+    )
+    .unwrap();
+    let mut writer = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = MessageReader::new(writer.try_clone().unwrap());
+
+    // Never completes the head; the whole drip takes 12 x io_timeout.
+    let drip = b"GET /drip HTTP/1.1\r\nX: y";
+    let started = Instant::now();
+    let dripper = std::thread::spawn(move || {
+        for byte in drip {
+            // Fails once the server has closed; the reply is what counts.
+            if writer.write_all(&[*byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(io_timeout / 2);
+        }
+    });
+    let reply = reader.read_response().unwrap();
+    let answered_after = started.elapsed();
+    dripper.join().unwrap();
+
+    assert_eq!(reply.status, 408);
+    assert!(!reply.keep_alive);
+    assert!(answered_after >= io_timeout, "{answered_after:?}");
+    assert!(
+        answered_after < 3 * io_timeout,
+        "408 took {answered_after:?}: each read got a fresh io_timeout"
+    );
+}
+
+/// The status `POST /v1/chat/completions` answers `body` with, up to the
+/// point where the simulator would run (200 here).
+fn chat_status(body: &[u8]) -> u16 {
+    match serde_json::from_slice::<WireRequest>(body) {
+        Err(_) => 400,
+        Ok(wire) => to_chat_request(&wire).map_or_else(|e| error_to_wire(&e).0, |_| 200),
+    }
+}
+
+const JSON_FRAGMENTS: [&[u8]; 16] = [
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b"\"",
+    b":",
+    b",",
+    b"\"model\"",
+    b"\"messages\"",
+    b"\"temperature\":",
+    b"\\u",
+    b"\\ud800",
+    b"-",
+    b"1e999",
+    b"null",
+    b"\xff",
+];
+
+fn chat_body() -> impl Strategy<Value = WireRequest> {
+    (
+        0usize..ModelKind::ALL.len() + 1,
+        prop::collection::vec(("[a-z]{0,9}", "\\PC{0,40}"), 0..4),
+        -1.0f64..3.0,
+        any::<u64>(),
+    )
+        .prop_map(|(model, messages, temperature, seed)| WireRequest {
+            model: ModelKind::ALL
+                .get(model)
+                .map_or("gpt-99", |m| m.id())
+                .to_owned(),
+            messages: messages
+                .into_iter()
+                .map(|(role, content)| WireMessage { role, content })
+                .collect(),
+            temperature,
+            seed,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_chat_bodies_map_to_a_4xx(
+        picks in prop::collection::vec((0usize..2 * JSON_FRAGMENTS.len(), any::<u8>()), 0..60),
+    ) {
+        let status = chat_status(&soup(&JSON_FRAGMENTS, picks));
+        prop_assert!(status == 200 || (400..500).contains(&status), "{}", status);
+    }
+
+    #[test]
+    fn mutated_chat_bodies_decode_or_map_to_a_4xx(
+        wire in chat_body(),
+        at in 0usize..4000,
+        byte in any::<u8>(),
+        cut in prop::bool::ANY,
+    ) {
+        let mut body = serde_json::to_vec(&wire).map_err(|e| e.to_string())?;
+        // Untouched, it decodes to what was sent, or names its model.
+        match to_chat_request(&serde_json::from_slice(&body).map_err(|e| e.to_string())?) {
+            Ok(request) => {
+                let contents: Vec<&str> = wire.messages.iter().map(|m| m.content.as_str()).collect();
+                prop_assert_eq!(request.prompt, contents.join("\n"));
+                prop_assert_eq!(request.seed, wire.seed);
+            }
+            Err(e) => {
+                prop_assert_eq!(&wire.model, "gpt-99");
+                prop_assert_eq!(error_to_wire(&e).0, 404);
+            }
+        }
+        // One byte overwritten, or cut off there.
+        let at = at % body.len();
+        if cut {
+            body.truncate(at);
+        } else {
+            body[at] = byte;
+        }
+        let status = chat_status(&body);
+        prop_assert!(status == 200 || (400..500).contains(&status), "{}", status);
+    }
+}
+
+/// Nesting deeper than any honest body is refused, not recursed into until
+/// the worker's stack runs out (a 16 MiB body may be sixteen million `[`).
+#[test]
+fn deeply_nested_chat_body_is_a_400() {
+    for open in ["[", "{\"messages\":"] {
+        assert_eq!(chat_status(open.repeat(200_000).as_bytes()), 400);
     }
 }

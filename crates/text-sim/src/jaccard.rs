@@ -1,9 +1,8 @@
-//! Jaccard similarity over token sets (Eq. 4) and related set measures.
+//! Jaccard similarity over token sets (Eq. 4).
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
-use crate::normalize::{normalize, push_normalized};
+use crate::normalize::push_normalized;
 
 /// Jaccard similarity over normalized word-token sets (Eq. 4):
 /// `JAC(a, b) = |A ∩ B| / |A ∪ B|`.
@@ -61,30 +60,6 @@ fn sorted_set<'t, 's>(tokens: &'t mut [&'s str]) -> &'t [&'s str] {
     &tokens[..len]
 }
 
-/// Jaccard similarity over the sets of characters of the normalized
-/// strings. Useful for single-token values where word Jaccard is 0/1.
-pub fn jaccard_chars(a: &str, b: &str) -> f64 {
-    let sa: BTreeSet<char> = normalize(a).chars().collect();
-    let sb: BTreeSet<char> = normalize(b).chars().collect();
-    jaccard_of_counts(sa.len(), sb.len(), sa.intersection(&sb).count())
-}
-
-/// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over word-token sets.
-///
-/// Less sensitive than Jaccard to one value being a long superset of the
-/// other (common with product titles carrying extra marketing tokens).
-pub fn overlap_coefficient(a: &str, b: &str) -> f64 {
-    let (sa, sb, inter) = token_set_sizes(a, b);
-    if sa == 0 && sb == 0 {
-        return 1.0;
-    }
-    let min = sa.min(sb);
-    if min == 0 {
-        return 0.0;
-    }
-    inter as f64 / min as f64
-}
-
 /// `inter / union` from the two set sizes and their intersection size;
 /// two empty sets are identical.
 fn jaccard_of_counts(a: usize, b: usize, inter: usize) -> f64 {
@@ -103,48 +78,30 @@ mod tests {
     #[test]
     fn identical_strings() {
         assert_eq!(jaccard_tokens("red apple", "red apple"), 1.0);
-        assert_eq!(jaccard_chars("abc", "abc"), 1.0);
-        assert_eq!(overlap_coefficient("red apple", "red apple"), 1.0);
     }
 
     #[test]
     fn disjoint_strings() {
         assert_eq!(jaccard_tokens("alpha beta", "gamma delta"), 0.0);
-        assert_eq!(overlap_coefficient("alpha", "beta"), 0.0);
     }
 
     #[test]
     fn partial_overlap() {
         // {red, apple} vs {red, pear}: inter 1, union 3.
         assert!((jaccard_tokens("red apple", "red pear") - 1.0 / 3.0).abs() < 1e-12);
+        // A long superset is penalized: inter 2, union 6.
+        assert!(jaccard_tokens("apple iphone 13 pro max 256gb", "iphone 13") < 0.5);
     }
 
     #[test]
     fn empty_conventions() {
         assert_eq!(jaccard_tokens("", ""), 1.0);
         assert_eq!(jaccard_tokens("a", ""), 0.0);
-        assert_eq!(overlap_coefficient("", ""), 1.0);
-        assert_eq!(overlap_coefficient("a", ""), 0.0);
     }
 
     #[test]
     fn normalization_applies() {
         // "Dance,Music" tokenizes to {dance, music}.
         assert_eq!(jaccard_tokens("Dance,Music", "dance music"), 1.0);
-    }
-
-    #[test]
-    fn char_jaccard_on_anagrams() {
-        // listen/silent share the same character set.
-        assert_eq!(jaccard_chars("listen", "silent"), 1.0);
-    }
-
-    #[test]
-    fn overlap_superset_scores_one() {
-        assert_eq!(
-            overlap_coefficient("apple iphone 13 pro max 256gb", "iphone 13"),
-            1.0
-        );
-        assert!(jaccard_tokens("apple iphone 13 pro max 256gb", "iphone 13") < 0.5);
     }
 }

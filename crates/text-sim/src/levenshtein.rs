@@ -123,21 +123,6 @@ pub fn levenshtein_ratio(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / s as f64
 }
 
-/// Conventional normalized Levenshtein similarity:
-/// `1 − LED(a, b) / max(|a|, |b|)`.
-///
-/// Sharper than [`levenshtein_ratio`] (it reaches 0 for totally different
-/// equal-length strings); provided for ablation against the paper's Eq. 5.
-pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    let m = la.max(lb);
-    if m == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / m as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,13 +165,6 @@ mod tests {
         assert_eq!(levenshtein_ratio("abc", "abc"), 1.0);
         let r = levenshtein_ratio("abc", "xyz");
         assert!((0.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn normalized_reaches_zero() {
-        assert_eq!(normalized_levenshtein("abc", "xyz"), 0.0);
-        assert_eq!(normalized_levenshtein("", ""), 1.0);
-        assert_eq!(normalized_levenshtein("ab", ""), 0.0);
     }
 
     #[test]

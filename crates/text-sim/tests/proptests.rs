@@ -4,9 +4,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use text_sim::{
-    jaccard_chars, jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_ratio, monge_elkan,
-    normalize, normalize_into, normalized_levenshtein, overlap_coefficient, qgram_cosine,
-    word_tokens,
+    jaccard_tokens, levenshtein, levenshtein_ratio, normalize, normalize_into, word_tokens,
 };
 
 /// Eq. 4 over owned token sets — the definition `jaccard_tokens`'
@@ -68,38 +66,24 @@ proptest! {
         prop_assert!(d >= la.abs_diff(lb));
     }
 
-    /// All similarity kernels stay in [0, 1] and are symmetric.
+    /// Both similarity kernels stay in [0, 1] and are symmetric.
     #[test]
     fn similarities_bounded_and_symmetric(a in arb_str(), b in arb_str()) {
         type Kernel = fn(&str, &str) -> f64;
-        let kernels: [(&str, Kernel); 6] = [
-            ("lr", levenshtein_ratio),
-            ("nlev", normalized_levenshtein),
-            ("jac", jaccard_tokens),
-            ("jac_chars", jaccard_chars),
-            ("jaro", jaro),
-            ("jw", jaro_winkler),
-        ];
+        let kernels: [(&str, Kernel); 2] = [("lr", levenshtein_ratio), ("jac", jaccard_tokens)];
         for (name, k) in kernels {
             let ab = k(&a, &b);
             let ba = k(&b, &a);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&ab), "{} out of range: {}", name, ab);
             prop_assert!((ab - ba).abs() < 1e-9, "{} asymmetric: {} vs {}", name, ab, ba);
         }
-        let qc = qgram_cosine(&a, &b, 3);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&qc));
-        let oc = overlap_coefficient(&a, &b);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&oc));
     }
 
-    /// Every kernel scores a string against itself as 1.
+    /// Both kernels score a string against itself as 1.
     #[test]
     fn self_similarity_is_one(a in arb_str()) {
         prop_assert!((levenshtein_ratio(&a, &a) - 1.0).abs() < 1e-12);
         prop_assert!((jaccard_tokens(&a, &a) - 1.0).abs() < 1e-12);
-        prop_assert!((jaro_winkler(&a, &a) - 1.0).abs() < 1e-12);
-        prop_assert!((qgram_cosine(&a, &a, 2) - 1.0).abs() < 1e-9);
-        prop_assert!((monge_elkan(&a, &a, jaro_winkler) - 1.0).abs() < 1e-9);
     }
 
     /// Normalization is idempotent and never yields doubled spaces.
@@ -139,17 +123,5 @@ proptest! {
             prop_assert!(!t.contains(' '));
         }
         prop_assert_eq!(word_tokens(&toks.join(" ")), toks);
-    }
-
-    /// The paper-form ratio (Eq. 5) never falls below the conventional
-    /// normalized similarity minus the length-sum slack; concretely both
-    /// agree at the extremes.
-    #[test]
-    fn ratio_forms_agree_at_extremes(a in arb_str()) {
-        prop_assert_eq!(levenshtein_ratio(&a, &a), 1.0);
-        prop_assert_eq!(normalized_levenshtein(&a, &a), 1.0);
-        // Eq. 5 ratio dominates the conventional one (divides by a larger s).
-        let b = format!("{a}x");
-        prop_assert!(levenshtein_ratio(&a, &b) >= normalized_levenshtein(&a, &b) - 1e-12);
     }
 }

@@ -23,7 +23,7 @@
 /// ER data model: records, pairs, serialization, metrics, cost accounting.
 pub use er_core;
 
-/// String similarity kernels (Levenshtein, Jaccard, Jaro-Winkler, TF-IDF).
+/// String similarity kernels (Levenshtein ratio, Jaccard), normalizer, the one seeded hash.
 pub use text_sim;
 
 /// Hashed n-gram sentence embeddings (offline SBERT substitute).
@@ -37,9 +37,6 @@ pub use llm;
 
 /// OpenAI-style HTTP loopback service around the simulator.
 pub use llm_service;
-
-/// Candidate-pair generation (blocking).
-pub use blocking;
 
 /// Synthetic Magellan-style benchmark generators.
 pub use datagen;

@@ -304,6 +304,37 @@ fn budget_covers_some_batches_then_falls_back() {
 }
 
 #[test]
+fn context_window_fallback_leaves_a_trace() {
+    // One question alone outgrows the default model's 4,096-token window
+    // (a one-letter word is a token: 2,400 a side): its batch is answered
+    // by the fallback, nothing is bought, and both the flight recorder and
+    // the question's span say why.
+    let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
+    let title = "x y ".repeat(1_200);
+    let oversized = EntityPair::new(
+        PairId(0),
+        record(0, true, [&title, "founders", "12.99"]),
+        record(0, false, [&title, "founders", "12.99"]),
+    )
+    .unwrap();
+    let decision = service.submit(&oversized);
+    assert_eq!(decision.source, DecisionSource::Fallback);
+    let stats = service.stats();
+    assert_eq!(stats.api_calls, 0);
+    assert_eq!(stats.budget_denials, 0, "the governor was never asked");
+
+    let events = service.flight().events_json();
+    assert!(events.contains("\"context_overflow\""), "{events}");
+    // The only span there is: the oversized question's.
+    let spans = service.trace_json(8);
+    assert!(
+        spans.contains(&format!(r#""trace_id":{}"#, decision.trace_id)),
+        "{spans}"
+    );
+    assert!(spans.contains(r#""stage":"context_overflow""#), "{spans}");
+}
+
+#[test]
 fn telemetry_off_zeroes_registry_backed_stats_and_keeps_the_ledger() {
     // Same traffic as above plus a repeat pass, with the switch off:
     // answers, sources and spend are as with it on, but `/stats` can only
