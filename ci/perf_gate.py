@@ -89,6 +89,11 @@ def gate_replay(base, cur):
        f"({spike['shed_rate_pct']:.1f}%)")
 
 
+# How far the planning bench's parts may sit from its whole: the stage
+# breakdown from `kernel_ms`, a flush plan's time from the committed one.
+STAGE_ENVELOPE = 0.10
+
+
 def gate_planning(base, cur):
     # The per-stage breakdown replays the kernel path through public
     # functions; if its parts stop summing to the whole, a stage was
@@ -100,11 +105,14 @@ def gate_planning(base, cur):
         fail(f"stage_ms names {sorted(stages)} != committed {sorted(expected)}")
     total = sum(stages.values())
     gap = abs(total - cur["kernel_ms"]) / cur["kernel_ms"]
-    if gap > 0.10:
+    if gap > STAGE_ENVELOPE:
         fail(f"stages sum to {total:.2f} ms vs kernel_ms "
-             f"{cur['kernel_ms']:.2f} ms (gap {gap:.1%} > 10%)")
+             f"{cur['kernel_ms']:.2f} ms (gap {gap:.1%} > "
+             f"{STAGE_ENVELOPE:.0%})")
     ok(f"stages sum to {total:.2f} ms of kernel_ms {cur['kernel_ms']:.2f} ms "
        f"(gap {gap:.1%})")
+
+    gate_flush_plan(base["flush_plan"], cur["flush_plan"])
 
     for point in cur.get("index_scaling", []):
         if point["index_speedup"] < 1.0:
@@ -114,6 +122,34 @@ def gate_planning(base, cur):
             fail(f"metric index barely prunes at n={point['n']}: "
                  f"{point['pruned_fraction']:.4f}")
     ok(f"index scaling: {len(cur.get('index_scaling', []))} points prune and win")
+
+
+def gate_flush_plan(base, cur):
+    # The served flush's plan is the one block that is the same workload
+    # in quick and full mode, so it compares entry for entry with the
+    # committed baseline.
+    committed = {p["questions"]: p for p in base}
+    got = {p["questions"]: p for p in cur}
+    if set(got) != set(committed):
+        fail(f"flush_plan sizes {sorted(got)} != committed {sorted(committed)}")
+    for n, want in sorted(committed.items()):
+        have = got[n]
+        # Index builds and queries per plan are counts of what the planner
+        # asked, a pure function of the code and the inputs: exact. One
+        # radius query per pool row coming back reads 601 here, not 1.
+        for key in ("index_builds_per_plan", "index_queries_per_plan"):
+            if have[key] != want[key]:
+                fail(f"flush plan of {n}: {key} {have[key]} != committed "
+                     f"{want[key]}")
+        # The time gets the envelope the stage breakdown gets, one-sided.
+        limit = want["us_per_plan"] * (1 + STAGE_ENVELOPE)
+        if have["us_per_plan"] > limit:
+            fail(f"flush plan of {n}: {have['us_per_plan']:.1f} us vs "
+                 f"committed {want['us_per_plan']:.1f} us "
+                 f"(limit {limit:.1f} us)")
+        ok(f"flush plan of {n}: {have['us_per_plan']:.1f} us (limit "
+           f"{limit:.1f} us), {have['index_builds_per_plan']:g} index builds "
+           f"and {have['index_queries_per_plan']:g} queries per plan")
 
 
 GATES = {

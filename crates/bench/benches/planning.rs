@@ -23,6 +23,13 @@
 //! clustering parity asserted between the two and against sampled
 //! brute-force region queries at every scale. Full mode additionally
 //! asserts the pivot table is ≥5x faster than the sweep at 100k.
+//!
+//! And a **`flush_plan`** block, the same in both modes: the plan a served
+//! flush runs — `plan_with_prepared_pool` of 2 and of 8 questions against
+//! a 600-row semantic `PreparedPool`, the shape `er-service`'s dispatcher
+//! plans on every flush — as µs per plan and as metric-index builds and
+//! queries per plan. The counts repeat exactly and CI gates them exactly:
+//! a per-pool-row query coming back reads 601, not 1.
 
 use std::time::Instant;
 
@@ -36,7 +43,10 @@ use batcher_core::batching::{
     batches_for_clustering, cluster_questions_pinned, BatchingStrategy, ClusteringKind,
     DBSCAN_EPS_PERCENTILE,
 };
-use batcher_core::plan::{plan_question_batches, BatchPlanConfig, QuestionBatchPlan};
+use batcher_core::plan::{
+    plan_question_batches, plan_with_prepared_pool, BatchPlanConfig, PreparedPool,
+    QuestionBatchPlan,
+};
 use batcher_core::selection::{
     compute_coverage, covering_threshold, covering_with_coverage, SelectionParams,
     SelectionStrategy,
@@ -286,6 +296,64 @@ fn staged_plan(
     (plan, ms)
 }
 
+// ---------------------------------------------------------------------
+// The served flush's plan
+// ---------------------------------------------------------------------
+
+/// Pool rows a service is started with in `benchmark/`'s served workloads.
+const FLUSH_POOL: usize = 600;
+/// Distinct flushes planned per pass.
+const FLUSH_PLANS: usize = 400;
+
+/// One `flush_plan` entry: `FLUSH_PLANS` disjoint windows of `n` questions
+/// planned one by one the way the dispatcher does (its configuration, a
+/// seed per flush), best of fifteen passes for the time; the index counts
+/// are the same in every pass.
+fn flush_plan_point(n: usize, pool: &PreparedPool, questions: &[LabeledPair]) -> String {
+    let template = BatchPlanConfig { extractor: ExtractorKind::Semantic, ..Default::default() };
+    let windows: Vec<Vec<&EntityPair>> = questions
+        .chunks_exact(n)
+        .take(FLUSH_PLANS)
+        .map(|w| w.iter().map(|p| &p.pair).collect())
+        .collect();
+    assert_eq!(windows.len(), FLUSH_PLANS, "dataset too small");
+
+    let mut us_per_plan = f64::INFINITY;
+    let mut counts = None;
+    for _ in 0..15 {
+        let before = stats();
+        let started = Instant::now();
+        for (i, window) in windows.iter().enumerate() {
+            let config = BatchPlanConfig { seed: i as u64, ..template };
+            let plan = plan_with_prepared_pool(window, pool, &config);
+            assert_eq!(std::hint::black_box(plan).batches.len(), 1);
+        }
+        let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
+        us_per_plan = us_per_plan.min(elapsed_us / FLUSH_PLANS as f64);
+        let delta = stats().delta_since(&before);
+        let pass = (delta.builds, delta.queries);
+        assert_eq!(
+            *counts.get_or_insert(pass),
+            pass,
+            "index counts differ between passes"
+        );
+    }
+    let (builds, queries) = counts.expect("fifteen passes ran");
+    let per_plan = |total: u64| total as f64 / FLUSH_PLANS as f64;
+    println!(
+        "flush plan of {n}: {us_per_plan:.1} us, {} index builds, {} index queries per plan",
+        per_plan(builds),
+        per_plan(queries)
+    );
+    format!(
+        "{{ \"questions\": {n}, \"pool\": {FLUSH_POOL}, \"plans\": {FLUSH_PLANS}, \
+         \"us_per_plan\": {us_per_plan:.1}, \"index_builds_per_plan\": {:.3}, \
+         \"index_queries_per_plan\": {:.3} }}",
+        per_plan(builds),
+        per_plan(queries)
+    )
+}
+
 fn assert_partition(batches: &[Vec<usize>], n: usize) {
     let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
     seen.sort_unstable();
@@ -350,6 +418,20 @@ fn main() {
         .collect();
     let stage_json = stage_json.join(", ");
 
+    // The served flush's plan, before the scaling curve so its index
+    // counts see nothing of that block's sweeps.
+    let served = datagen::generate(datagen::DatasetKind::DblpScholar, seed);
+    let (served_pool, served_questions) = served.pairs().split_at(FLUSH_POOL);
+    let served_pool: Vec<&LabeledPair> = served_pool.iter().collect();
+    let prepared = PreparedPool::prepare(
+        &served_pool,
+        ExtractorKind::Semantic,
+        DistanceKind::Euclidean,
+    );
+    let flush_json = [2usize, 8]
+        .map(|n| flush_plan_point(n, &prepared, served_questions))
+        .join(",\n    ");
+
     // Metric-index scaling curve (parity asserted in-bench).
     let scales: &[usize] = if quick {
         &[30_000]
@@ -360,7 +442,7 @@ fn main() {
     let scaling_json = scaling_entries.join(",\n    ");
 
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

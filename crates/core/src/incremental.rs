@@ -46,6 +46,7 @@ use crate::batching::{
     batches_for_clustering, cluster_questions_pinned, BatchingStrategy, ClusteringKind,
     DBSCAN_EPS_PERCENTILE, DBSCAN_MIN_PTS,
 };
+use crate::cover::{CoverTable, Rows};
 use crate::features::{extract_row, DistanceKind, FeatureSpace};
 use crate::plan::{BatchPlanConfig, PreparedPool, QuestionBatchPlan};
 use crate::selection::{
@@ -570,28 +571,28 @@ impl PlanState {
                         crate::selection::compute_coverage(&q_space, self.pool.space(), t);
                     // Cache in slot space (coverage is in rank space
                     // here).
-                    self.demo_cov = coverage
-                        .iter()
-                        .map(|list| list.iter().map(|&r| order[r as usize]).collect())
+                    self.demo_cov = (0..coverage.n_candidates())
+                        .map(|d| {
+                            let ranks = coverage.elements_of(d).iter();
+                            ranks.map(|&r| order[r as usize]).collect()
+                        })
                         .collect();
                     self.cover_t = Some(t);
                     (t, coverage)
                 }
                 PlanKind::Incremental => {
                     let t = self.cover_t.expect("coverage cache is live on this path");
-                    let coverage = self
-                        .demo_cov
-                        .iter()
-                        .map(|list| {
+                    // The cache stays per-demo lists (inserts and retires
+                    // edit them in place); the covering step reads a table.
+                    let mut by_demo = Rows::new();
+                    for list in &self.demo_cov {
+                        by_demo.push_row(
                             list.iter()
-                                .filter_map(|&slot| {
-                                    let r = rank[slot as usize];
-                                    (r != u32::MAX).then_some(r)
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    (t, coverage)
+                                .map(|&slot| rank[slot as usize])
+                                .filter(|&r| r != u32::MAX),
+                        );
+                    }
+                    (t, CoverTable::from_candidate_rows(by_demo, n))
                 }
             };
             let tokens = self.pool.token_weights();

@@ -38,7 +38,7 @@ pub mod runner;
 pub mod selection;
 
 pub use batching::{BatchingStrategy, ClusteringKind};
-pub use cover::{greedy_unit_cover, greedy_weighted_cover};
+pub use cover::{greedy_unit_cover, greedy_weighted_cover, CoverTable, Rows};
 pub use estimate::CostEstimate;
 pub use executor::{ExecutionOutcome, Executor};
 pub use features::{DistanceKind, ExtractorKind, FeatureSpace};

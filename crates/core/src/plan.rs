@@ -123,7 +123,12 @@ impl Needs {
 /// A demonstration pool featurized once, for callers that plan against
 /// the same pool repeatedly (the serving layer plans on every queue
 /// flush; re-embedding a static pool each time would put O(pool) work on
-/// the dispatcher's critical path).
+/// the dispatcher's critical path). It holds the feature matrix and the
+/// token weights and nothing derived from them: a plan's coverage sweep
+/// streams the matrix's flat buffer once per question (or, from
+/// `selection::TOPK_INDEX_MIN` questions up, indexes the *questions*), and
+/// a metric index over the pool itself measured slower than that sweep at
+/// flush sizes (CHANGES.md, PR 23).
 #[derive(Debug, Clone)]
 pub struct PreparedPool {
     len: usize,

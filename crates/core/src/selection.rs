@@ -7,12 +7,13 @@
 //! `select_nth_unstable` top-k instead of full sorts. Each batch's
 //! result is a pure function of the two spaces.
 
+use embed::matrix::scan_rows_within;
 use embed::PivotIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cover::{greedy_unit_cover, greedy_weighted_cover};
-use crate::features::FeatureSpace;
+use crate::cover::{greedy_unit_cover, greedy_weighted_cover, CoverTable, Rows};
+use crate::features::{DistanceKind, FeatureSpace};
 
 /// The four selection strategies of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,11 +167,13 @@ pub(crate) fn fixed(pool_len: usize, n_batches: usize, params: SelectionParams) 
     SelectionPlan { per_batch: vec![demos.clone(); n_batches], labeled: demos, threshold: None }
 }
 
-/// Pool size above which the relevance strategies route per-question
-/// scoring through the shared metric index ([`embed::index`]); below it
-/// one dense sweep is already cache-resident and the index build would
-/// dominate. Both paths are bit-identical (the index is exact), so the
-/// gate is a pure performance knob.
+/// Row count from which a metric index ([`embed::index`]) over those rows
+/// pays for its build and its per-query pivot arithmetic: the top-k
+/// strategies index a *pool* of at least this many rows, the coverage
+/// sweep a *question set* of at least this many. Below it one dense sweep
+/// over the rows is already cache-resident. Both routes are bit-identical
+/// (the index is exact), so the gate is a pure performance decision, read
+/// from the input.
 const TOPK_INDEX_MIN: usize = 512;
 
 /// The `k` pool indices with the smallest ranking distances, ordered by
@@ -329,47 +332,67 @@ fn topk_question(
     SelectionPlan { per_batch, labeled, threshold: None }
 }
 
-/// Phase-1 coverage lists: `coverage[d]` holds the question indices demo
-/// `d` covers (distance strictly below `t`), in an arbitrary order — the
-/// greedy gains and the phase-2 inversion are both order-free, which is
-/// also what lets an incrementally maintained coverage cache substitute
-/// for this sweep.
-pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> Vec<Vec<u32>> {
-    let t_rank = questions.ranking_threshold(t);
-
-    // Phase 1 sweep: which questions each pool demo covers. Under the
-    // Euclidean metric each demo's scan goes through the shared metric
-    // index over the question rows: triangle-bound pruning in front of
-    // the same strict threshold kernel the dense sweep runs — and the
-    // covering threshold is a *low* percentile, so pruning is deep.
+/// Phase-1 coverage: which questions each pool demo covers (distance
+/// strictly below `t`), as a [`CoverTable`] whose candidates are pool
+/// demos and whose elements are questions — both directions built here,
+/// once, for every reader downstream.
+///
+/// A question set of [`TOPK_INDEX_MIN`] rows or more is indexed and asked
+/// one radius query per pool demo (the covering threshold is a *low*
+/// percentile, so triangle-bound pruning is deep at that size). Below the
+/// gate — every served flush, every design-space cell — each question
+/// sweeps the pool's flat buffer densely instead: with a handful of
+/// questions the threshold is of the order of their own spread, a large
+/// share of the pool lies inside it, and an index query per pool demo pays
+/// pivot distances, a result vector and a sort to verify rows it could
+/// have scanned. Both routes run [`scan_rows_within`], whose `(a − b)²`
+/// does not depend on which side is the query, so the verdict for a
+/// (demo, question) pair — and every plan — is the same on either.
+pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> CoverTable {
     let n_q = questions.len();
-    let euclidean = matches!(
-        questions.distance_kind(),
-        crate::features::DistanceKind::Euclidean
-    );
-    if n_q == 0 {
-        // Nothing to cover; the one-to-many sweeps below assume at least
-        // one question row (the matrices' dimensions must line up).
-        return vec![Vec::new(); pool.len()];
+    // Nothing covers or nothing to cover: no rows on one side, empty rows
+    // on the other. The sweeps below assume rows on both sides (the
+    // matrices' dimensions must line up).
+    if pool.is_empty() {
+        return CoverTable::from_candidate_rows(Rows::new(), n_q);
     }
-    let index = euclidean.then(|| PivotIndex::build(questions.matrix()));
-    let covered_by = |d: usize| {
-        if let Some(index) = &index {
-            let mut covered: Vec<u32> = Vec::new();
-            index.within_into(pool.matrix().row(d), t, true, &mut covered);
-            covered
-        } else {
-            let mut dists = vec![0.0f64; n_q];
-            pool.ranking_cross_dists(d, questions, &mut dists);
-            dists
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v < t_rank)
-                .map(|(q, _)| q as u32)
-                .collect()
+    if n_q == 0 {
+        return CoverTable::from_element_rows(Rows::new(), pool.len());
+    }
+    let dim = questions.matrix().dim();
+    let euclidean = matches!(questions.distance_kind(), DistanceKind::Euclidean);
+    let mut hits: Vec<u32> = Vec::new();
+    // Zero-width rows have no buffer for the kernel to stream; the index
+    // answers them by rule.
+    if euclidean && (n_q >= TOPK_INDEX_MIN || dim == 0) {
+        let index = PivotIndex::build(questions.matrix());
+        let mut by_demo = Rows::new();
+        for d in 0..pool.len() {
+            index.within_into(pool.matrix().row(d), t, true, &mut hits);
+            by_demo.push_row(hits.iter().copied());
         }
-    };
-    (0..pool.len()).map(covered_by).collect()
+        return CoverTable::from_candidate_rows(by_demo, n_q);
+    }
+    let t_rank = questions.ranking_threshold(t);
+    let mut by_question = Rows::new();
+    if euclidean {
+        let pool_rows = pool.matrix().flat();
+        for q in 0..n_q {
+            hits.clear();
+            scan_rows_within::<true>(dim, questions.vector(q), pool_rows, t_rank, |d| {
+                hits.push(d as u32);
+            });
+            by_question.push_row(hits.iter().copied());
+        }
+    } else {
+        let mut dists = vec![0.0f64; pool.len()];
+        for q in 0..n_q {
+            questions.ranking_cross_dists(q, pool, &mut dists);
+            let covering = dists.iter().enumerate().filter(|&(_, &v)| v < t_rank);
+            by_question.push_row(covering.map(|(d, _)| d as u32));
+        }
+    }
+    CoverTable::from_element_rows(by_question, pool.len())
 }
 
 /// The covering strategy downstream of coverage computation: phase-1
@@ -377,41 +400,41 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
 /// cover, and the nearest-demo fallback for uncoverable batches.
 /// `coverage` must satisfy the [`compute_coverage`] contract for the same
 /// `questions`/`pool`/`t` (computed fresh or maintained incrementally) —
-/// the output is a pure, order-insensitive function of it.
+/// the output is a pure function of it, whatever the order inside a row.
 pub fn covering_with_coverage<W>(
     questions: &FeatureSpace,
     pool: &FeatureSpace,
     batches: &[Vec<usize>],
-    coverage: &[Vec<u32>],
+    coverage: &CoverTable,
     t: f64,
     demo_tokens: W,
 ) -> SelectionPlan
 where
     W: Fn(usize) -> f64,
 {
-    let n_q = questions.len();
     // Phase 1 cover: one demonstration set covering all questions.
-    let demo_set = greedy_unit_cover(n_q, coverage);
+    let demo_set = greedy_unit_cover(coverage);
 
-    // Inverted coverage for phase 2: per question, the demo-set indices
-    // covering it. Batch coverage then assembles by iterating each
-    // batch's questions — no per-(demo, question) membership probes.
-    let mut covering_demos: Vec<Vec<u32>> = vec![Vec::new(); n_q];
+    // Each selected demo's position in `demo_set`; phase 2 reads a
+    // question's covering demos off the table and keeps the selected.
+    let mut set_index = vec![u32::MAX; coverage.n_candidates()];
     for (di, &d) in demo_set.iter().enumerate() {
-        for &q in &coverage[d] {
-            covering_demos[q as usize].push(di as u32);
-        }
+        set_index[d] = di as u32;
     }
 
     // Phase 2: per batch, the cheapest (token-weighted) covering subset.
     let demos_for = |batch: &Vec<usize>| {
-        let mut batch_cov: Vec<Vec<u32>> = vec![Vec::new(); demo_set.len()];
-        for (qi, &q) in batch.iter().enumerate() {
-            for &di in &covering_demos[q] {
-                batch_cov[di as usize].push(qi as u32);
-            }
+        let mut by_question = Rows::new();
+        for &q in batch {
+            let covering = coverage.candidates_of(q).iter();
+            by_question.push_row(
+                covering
+                    .map(|&d| set_index[d as usize])
+                    .filter(|&di| di != u32::MAX),
+            );
         }
-        let picked = greedy_weighted_cover(batch.len(), &batch_cov, |i| demo_tokens(demo_set[i]));
+        let batch_cov = CoverTable::from_element_rows(by_question, demo_set.len());
+        let picked = greedy_weighted_cover(&batch_cov, |i| demo_tokens(demo_set[i]));
         let mut demos: Vec<usize> = picked.iter().map(|&i| demo_set[i]).collect();
         if demos.is_empty() && !demo_set.is_empty() {
             // Uncoverable batch (all its questions beyond t from every
@@ -443,7 +466,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::DistanceKind;
+    use proptest::prelude::*;
 
     /// Questions at 0..6 on a line; pool demos at 0.2, 1.1, 3.9, 5.2, 40.
     fn spaces() -> (FeatureSpace, FeatureSpace) {
@@ -719,7 +742,7 @@ mod tests {
         let t = covering_threshold(&questions, params);
         let coverage = compute_coverage(&questions, &pool, t);
         let t_rank = questions.ranking_threshold(t);
-        for (d, covered) in coverage.iter().enumerate() {
+        for d in 0..pool.len() {
             let mut dists = vec![0.0f64; questions.len()];
             pool.ranking_cross_dists(d, &questions, &mut dists);
             let expect: Vec<u32> = dists
@@ -728,7 +751,136 @@ mod tests {
                 .filter(|&(_, &v)| v < t_rank)
                 .map(|(q, _)| q as u32)
                 .collect();
-            assert_eq!(covered, &expect, "demo {d} coverage diverged");
+            assert_eq!(
+                coverage.elements_of(d),
+                expect.as_slice(),
+                "demo {d} coverage diverged"
+            );
+        }
+    }
+
+    /// Rows on a coarse grid (exact ties and repeats), every seventh row a
+    /// copy of an earlier one, every eleventh carrying a NaN or an
+    /// infinity.
+    fn hostile_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state >> 11
+        };
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut row: Vec<f64> = (0..dim)
+                .map(|_| (next() % 17) as f64 * 0.25 - 2.0)
+                .collect();
+            if i % 7 == 6 {
+                row = rows[next() as usize % i].clone();
+            } else if i % 11 == 10 {
+                row[next() as usize % dim] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3];
+            }
+            rows.push(row);
+        }
+        rows
+    }
+
+    /// `(demo, question)` pairs under `t` by a double loop over the kernel
+    /// each metric's sweep runs, the pool row on the query side.
+    fn brute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> Vec<Vec<u32>> {
+        let dim = questions.matrix().dim();
+        let mut dists = vec![0.0f64; questions.len()];
+        (0..pool.len())
+            .map(|d| {
+                let mut covered = Vec::new();
+                match questions.distance_kind() {
+                    DistanceKind::Euclidean => {
+                        for q in 0..questions.len() {
+                            let (demo, question) = (pool.vector(d), questions.vector(q));
+                            scan_rows_within::<true>(dim, demo, question, t * t, |_| {
+                                covered.push(q as u32);
+                            });
+                        }
+                    }
+                    DistanceKind::Cosine => {
+                        pool.ranking_cross_dists(d, questions, &mut dists);
+                        covered
+                            .extend((0..questions.len() as u32).filter(|&q| dists[q as usize] < t));
+                    }
+                }
+                covered
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The coverage table against brute force, no tolerance: both
+        /// routes of the gate and both metrics, `t` placed exactly on a
+        /// stored distance (strict `<` excludes that pair) and off it, and
+        /// the two directions of the table telling one story.
+        #[test]
+        fn coverage_table_matches_brute_force(
+            seed in any::<u64>(),
+            dim in 1usize..14,
+            n_pool in 1usize..48,
+            pick in any::<u32>(),
+        ) {
+            // Every fixed-width kernel, the generic one, and the served
+            // embedding's width.
+            let dim = if dim == 13 { 64 } else { dim };
+            let gate = TOPK_INDEX_MIN;
+            for n_q in [1, 2, 7, gate - 1, gate, gate + 1] {
+                for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+                    let questions = FeatureSpace::from_vectors(hostile_rows(n_q, dim, seed), kind);
+                    let pool =
+                        FeatureSpace::from_vectors(hostile_rows(n_pool, dim, !seed), kind);
+                    let (d, q) = (pick as usize % n_pool, (pick >> 8) as usize % n_q);
+                    let stored = kind.distance(pool.vector(d), questions.vector(q));
+                    for t in [stored, 0.9] {
+                        if t.is_nan() || t <= 0.0 {
+                            continue; // a NaN/inf pair or a repeat: no threshold to place
+                        }
+                        let table = compute_coverage(&questions, &pool, t);
+                        prop_assert_eq!((table.n_candidates(), table.n_elements()), (n_pool, n_q));
+                        let expect = brute_coverage(&questions, &pool, t);
+                        let mut inverse: Vec<Vec<u32>> = vec![Vec::new(); n_q];
+                        for (d, covered) in expect.iter().enumerate() {
+                            prop_assert_eq!(
+                                table.elements_of(d), covered.as_slice(),
+                                "{:?} n_q={} dim={} t={} demo {}", kind, n_q, dim, t, d
+                            );
+                            for &q in covered {
+                                inverse[q as usize].push(d as u32);
+                            }
+                        }
+                        for (q, covering) in inverse.iter().enumerate() {
+                            prop_assert_eq!(
+                                table.candidates_of(q), covering.as_slice(),
+                                "{:?} n_q={} dim={} t={} question {}", kind, n_q, dim, t, q
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coverage_of_an_empty_side_is_an_empty_table() {
+        for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+            let none = FeatureSpace::from_vectors(vec![], kind);
+            let some = FeatureSpace::from_vectors(vec![vec![0.5, 1.0], vec![1.5, 0.0]], kind);
+            let no_questions = compute_coverage(&none, &some, 1.0);
+            assert_eq!(
+                (no_questions.n_candidates(), no_questions.n_elements()),
+                (2, 0)
+            );
+            assert!((0..2).all(|d| no_questions.elements_of(d).is_empty()));
+            let no_pool = compute_coverage(&some, &none, 1.0);
+            assert_eq!((no_pool.n_candidates(), no_pool.n_elements()), (0, 2));
+            assert!((0..2).all(|q| no_pool.candidates_of(q).is_empty()));
         }
     }
 

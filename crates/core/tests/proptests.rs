@@ -4,8 +4,8 @@
 use batcher_core::batching::make_batches;
 use batcher_core::selection::{select_demonstrations, SelectionParams};
 use batcher_core::{
-    greedy_weighted_cover, BatchingStrategy, ClusteringKind, DistanceKind, FeatureSpace,
-    SelectionStrategy,
+    greedy_weighted_cover, BatchingStrategy, ClusteringKind, CoverTable, DistanceKind,
+    FeatureSpace, Rows, SelectionStrategy,
 };
 use proptest::prelude::*;
 
@@ -51,7 +51,11 @@ proptest! {
         ),
     ) {
         let n = 40usize;
-        let picked = greedy_weighted_cover(n, &coverage, |_| 1.0);
+        let mut rows = Rows::new();
+        for list in &coverage {
+            rows.push_row(list.iter().copied());
+        }
+        let picked = greedy_weighted_cover(&CoverTable::from_candidate_rows(rows, n), |_| 1.0);
         // Selected set covers exactly the union of all candidate coverage.
         let mut covered = vec![false; n];
         for &d in &picked {

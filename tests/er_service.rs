@@ -146,6 +146,11 @@ fn index_stats_count_this_service_only() {
     for question in &crafted_questions(12) {
         first.submit(question);
     }
+    // What a small flush still asks of the metric index is DBSCAN's one
+    // pair sweep over the questions it holds (one build, one query); the
+    // coverage sweep below the index gate asks it nothing. (The exact
+    // 1 and 1 are gated in `BENCH_planning.json` `flush_plan`, not here:
+    // the counters are process-wide and sibling tests plan concurrently.)
     let planned = first.stats();
     assert!(
         planned.index_builds > 0 && planned.index_queries > 0,
@@ -807,6 +812,42 @@ fn http_front_end_serves_match_stats_and_health() {
 
     let (status, err) = post_match(addr, r#"{"schema":["a"],"left":["x","y"],"right":["z"]}"#);
     assert_eq!(status, 400, "{err}");
+}
+
+/// A body under the 16 MiB cap can carry a schema of 10⁵ names; checking
+/// it for repeats must not be what the caller waits for (a scan per name
+/// was 5·10⁹ string compares on the connection's worker).
+#[test]
+fn http_front_end_answers_a_100k_attribute_schema_in_time() {
+    let service = Arc::new(ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        config(),
+    ));
+    let options = ServeOptions::default();
+    let server = MatchServer::start(Arc::clone(&service), options).unwrap();
+
+    let list = |item: &dyn Fn(usize) -> String| {
+        let items: Vec<String> = (0..100_000).map(item).collect();
+        format!("[{}]", items.join(","))
+    };
+    let values = list(&|i| format!("\"v{}\"", i % 7));
+    let body =
+        |schema: String| format!(r#"{{"schema":{schema},"left":{values},"right":{values}}}"#);
+
+    let started = std::time::Instant::now();
+    let distinct = body(list(&|i| format!("\"a{i}\"")));
+    let (status, reply) = post_match(server.addr(), &distinct);
+    assert!(status == 200 || status == 400, "{status}: {reply}");
+    let late_repeat = body(list(&|i| format!("\"a{}\"", i % 99_999)));
+    let (status, reply) = post_match(server.addr(), &late_repeat);
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("a0"), "{reply}");
+    assert!(
+        started.elapsed() < options.io_timeout,
+        "two 100,000-attribute requests took {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]
