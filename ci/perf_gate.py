@@ -113,6 +113,7 @@ def gate_planning(base, cur):
        f"(gap {gap:.1%})")
 
     gate_flush_plan(base["flush_plan"], cur["flush_plan"])
+    gate_design_space_round(cur["design_space_round"])
 
     for point in cur.get("index_scaling", []):
         if point["index_speedup"] < 1.0:
@@ -150,6 +151,25 @@ def gate_flush_plan(base, cur):
         ok(f"flush plan of {n}: {have['us_per_plan']:.1f} us (limit "
            f"{limit:.1f} us), {have['index_builds_per_plan']:g} index builds "
            f"and {have['index_queries_per_plan']:g} queries per plan")
+
+
+# How much less a design-space round must cost planned split by split
+# than cell by cell across splits. The committed run reads about 1.5; a
+# planner that featurizes a pool per cell again reads about 1.
+SHARED_X_MIN = 1.25
+
+
+def gate_design_space_round(cur):
+    # Both orders run in one process, so the ratio carries no box drift
+    # and needs no committed baseline.
+    got = cur["shared_x"]
+    if got < SHARED_X_MIN:
+        fail(f"design-space round: interleaved {cur['interleaved_ms']:.1f} ms "
+             f"/ grouped {cur['grouped_ms']:.1f} ms = {got:.2f}x, below "
+             f"{SHARED_X_MIN:.2f}x: cells of one split no longer share the "
+             f"pool's features")
+    ok(f"design-space round: shared_x {got:.2f} (floor {SHARED_X_MIN:.2f}), "
+       f"grouped {cur['grouped_ms']:.1f} ms")
 
 
 GATES = {

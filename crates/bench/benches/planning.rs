@@ -30,6 +30,13 @@
 //! plans on every flush — as µs per plan and as metric-index builds and
 //! queries per plan. The counts repeat exactly and CI gates them exactly:
 //! a per-pool-row query coming back reads 601, not 1.
+//!
+//! And a **`design_space_round`** block, also the same in both modes:
+//! `benchmark/`'s 15 design-space cells planned on two 3,600/300 splits
+//! through `plan_question_batches`, grouped by split and interleaved
+//! cell by cell. Grouped, each pool is featurized once per extractor;
+//! interleaved, once per cell. `shared_x` (interleaved / grouped) is what
+//! sharing a pool's features across a dataset's cells buys; CI gates it.
 
 use std::time::Instant;
 
@@ -51,8 +58,9 @@ use batcher_core::selection::{
     compute_coverage, covering_threshold, covering_with_coverage, SelectionParams,
     SelectionStrategy,
 };
-use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace};
+use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace, RunConfig};
 use bench::synth::synth_pairs;
+use datagen::DatasetKind;
 use er_core::{EntityPair, LabeledPair};
 
 // ---------------------------------------------------------------------
@@ -354,6 +362,120 @@ fn flush_plan_point(n: usize, pool: &PreparedPool, questions: &[LabeledPair]) ->
     )
 }
 
+// ---------------------------------------------------------------------
+// A design-space round: the paper's cells on one split after another
+// ---------------------------------------------------------------------
+
+/// Pool and question rows of each split, `benchmark/`'s full-size slice.
+const ROUND_POOL: usize = 3_600;
+const ROUND_QUESTIONS: usize = 300;
+/// Timed passes per order; the best is reported.
+const ROUND_PASSES: usize = 5;
+
+/// `benchmark/`'s `offline_design_space` cells: Table IV's 12 batching ×
+/// selection cells on LR features, the best design on Jaccard and on
+/// semantic features (Table VII), and standard prompting (Exp-1).
+fn design_space_cells() -> Vec<BatchPlanConfig> {
+    let mut cells = Vec::new();
+    for batching in BatchingStrategy::ALL {
+        for selection in SelectionStrategy::ALL {
+            cells.push(BatchPlanConfig { batching, selection, ..Default::default() });
+        }
+    }
+    for extractor in [ExtractorKind::Jaccard, ExtractorKind::Semantic] {
+        cells.push(BatchPlanConfig { extractor, ..Default::default() });
+    }
+    cells.push(BatchPlanConfig::from_run_config(
+        &RunConfig::standard_prompting(),
+    ));
+    cells
+}
+
+/// The `design_space_round` block: the cells on two splits through
+/// `plan_question_batches`, in two orders. *Grouped* by split is the
+/// order a design-space sweep runs, so each pool is featurized once per
+/// extractor. *Interleaved* cell by cell, every call finds the other
+/// split's pool in the planner's memo and featurizes its own again — the
+/// work each call did before the memo, through the same function.
+/// `shared_x` is interleaved / grouped, both the best of `ROUND_PASSES`
+/// alternating passes in one process, so the box's drift cancels. Both
+/// orders must plan alike.
+fn design_space_round(seed: u64) -> String {
+    let kinds = [DatasetKind::DblpScholar, DatasetKind::WalmartAmazon];
+    let splits: Vec<(Vec<LabeledPair>, Vec<LabeledPair>)> = kinds
+        .iter()
+        .map(|&kind| {
+            let dataset = datagen::generate(kind, seed);
+            let split = dataset
+                .split_3_1_1(seed)
+                .expect("generated datasets are non-empty");
+            let take = |part: &[&LabeledPair], n: usize| -> Vec<LabeledPair> {
+                part.iter().take(n).map(|p| (*p).clone()).collect()
+            };
+            (
+                take(&split.train, ROUND_POOL),
+                take(&split.test, ROUND_QUESTIONS),
+            )
+        })
+        .collect();
+    let inputs: Vec<(Vec<&LabeledPair>, Vec<&EntityPair>)> = splits
+        .iter()
+        .map(|(pool, questions)| {
+            assert_eq!((pool.len(), questions.len()), (ROUND_POOL, ROUND_QUESTIONS));
+            (
+                pool.iter().collect(),
+                questions.iter().map(|p| &p.pair).collect(),
+            )
+        })
+        .collect();
+    let cells = design_space_cells();
+    let n_cells = cells.len();
+    let grouped: Vec<(usize, usize)> = (0..inputs.len())
+        .flat_map(|s| (0..n_cells).map(move |c| (s, c)))
+        .collect();
+    let interleaved: Vec<(usize, usize)> = (0..n_cells)
+        .flat_map(|c| (0..inputs.len()).map(move |s| (s, c)))
+        .collect();
+
+    // Plans indexed split-major, whichever order made them.
+    let pass = |order: &[(usize, usize)]| -> (f64, Vec<Option<QuestionBatchPlan>>) {
+        let mut plans = vec![None; order.len()];
+        let started = Instant::now();
+        for &(s, c) in order {
+            let (pool, questions) = &inputs[s];
+            plans[s * n_cells + c] = Some(plan_question_batches(questions, pool, &cells[c]));
+        }
+        (started.elapsed().as_secs_f64() * 1e3, plans)
+    };
+    let (mut grouped_ms, mut interleaved_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUND_PASSES {
+        let (ms, grouped_plans) = pass(&grouped);
+        grouped_ms = grouped_ms.min(ms);
+        let (ms, interleaved_plans) = pass(&interleaved);
+        interleaved_ms = interleaved_ms.min(ms);
+        assert!(
+            grouped_plans == interleaved_plans,
+            "design-space round: grouped and interleaved orders planned differently"
+        );
+    }
+    let shared_x = interleaved_ms / grouped_ms;
+    println!(
+        "design-space round, {n_cells} cells x {} splits: grouped {grouped_ms:.1} ms, \
+         interleaved {interleaved_ms:.1} ms, shared_x {shared_x:.2}",
+        kinds.len()
+    );
+    let names: Vec<String> = kinds
+        .iter()
+        .map(|k| format!("\"{}\"", k.short_name()))
+        .collect();
+    format!(
+        "{{ \"splits\": [{}], \"pool\": {ROUND_POOL}, \"questions\": {ROUND_QUESTIONS}, \
+         \"cells\": {n_cells}, \"passes\": {ROUND_PASSES}, \"grouped_ms\": {grouped_ms:.1}, \
+         \"interleaved_ms\": {interleaved_ms:.1}, \"shared_x\": {shared_x:.2} }}",
+        names.join(", ")
+    )
+}
+
 fn assert_partition(batches: &[Vec<usize>], n: usize) {
     let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
     seen.sort_unstable();
@@ -395,6 +517,10 @@ fn main() {
     let mut kernel_batches = 0usize;
     let mut kernel_labeled = 0usize;
     for _ in 0..3 {
+        // A plan on another pool first: `plan_question_batches` remembers
+        // the last pool's features, and every timed pass featurizes its
+        // pool, as the stage replay does.
+        plan_question_batches(&questions[..1], &pool[..1], &config);
         let start = Instant::now();
         let plan = plan_question_batches(&questions, &pool, &config);
         kernel_ms = kernel_ms.min(start.elapsed().as_secs_f64() * 1e3);
@@ -431,6 +557,7 @@ fn main() {
     let flush_json = [2usize, 8]
         .map(|n| flush_plan_point(n, &prepared, served_questions))
         .join(",\n    ");
+    let round_json = design_space_round(seed);
 
     // Metric-index scaling curve (parity asserted in-bench).
     let scales: &[usize] = if quick {
@@ -442,7 +569,7 @@ fn main() {
     let scaling_json = scaling_entries.join(",\n    ");
 
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

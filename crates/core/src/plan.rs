@@ -7,6 +7,9 @@
 //! module exposes them as one reusable planning step over plain
 //! [`EntityPair`] slices, with no dataset or split in sight.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use er_core::{EntityPair, LabeledPair};
 
 use crate::batching::{
@@ -108,8 +111,6 @@ struct Needs {
 }
 
 impl Needs {
-    const ALL: Needs = Needs { pool_features: true, token_weights: true, question_features: true };
-
     fn of(config: &BatchPlanConfig) -> Self {
         let relevance = config.selection != SelectionStrategy::Fixed;
         Needs {
@@ -126,17 +127,23 @@ impl Needs {
 /// the dispatcher's critical path). It holds the feature matrix and the
 /// token weights and nothing derived from them: a plan's coverage sweep
 /// streams the matrix's flat buffer once per question (or, from
-/// `selection::TOPK_INDEX_MIN` questions up, indexes the *questions*), and
+/// `selection::INDEX_MIN_ROWS` questions up, indexes the *questions*), and
 /// a metric index over the pool itself measured slower than that sweep at
 /// flush sizes (CHANGES.md, PR 23).
+///
+/// Both pieces sit behind `Arc`s: inside [`plan_question_batches`] they
+/// are shared with that function's per-thread memo of the last pool (see
+/// there), so a plan and the memo hold one copy between them. A pool
+/// built with [`PreparedPool::prepare`] owns its pieces and never enters
+/// the memo.
 #[derive(Debug, Clone)]
 pub struct PreparedPool {
     len: usize,
     /// `None` only inside [`plan_question_batches`], for a design cell
     /// that reads no pool feature.
-    space: Option<FeatureSpace>,
+    space: Option<Arc<FeatureSpace>>,
     /// Empty under the same condition, for a cell that reads no weight.
-    token_weights: Vec<f64>,
+    token_weights: Arc<[f64]>,
     extractor: ExtractorKind,
     distance: DistanceKind,
 }
@@ -145,7 +152,7 @@ impl PreparedPool {
     /// The pool's feature space.
     pub(crate) fn space(&self) -> &FeatureSpace {
         self.space
-            .as_ref()
+            .as_deref()
             .expect("pool features are built for every strategy that reads them")
     }
 
@@ -175,23 +182,44 @@ impl PreparedPool {
         extractor: ExtractorKind,
         distance: DistanceKind,
     ) -> Self {
-        Self::with_needs(pool, extractor, distance, Needs::ALL)
+        let pairs = || pool.iter().map(|p| &p.pair);
+        let space = FeatureSpace::extract(pairs(), extractor, distance);
+        Self {
+            len: pool.len(),
+            space: Some(Arc::new(space)),
+            token_weights: pool_token_weights(pairs()).into(),
+            extractor,
+            distance,
+        }
     }
 
-    /// Builds only what `needs` names.
-    fn with_needs(
+    /// Only what `needs` names, taken from this thread's [`PoolMemo`] and
+    /// built into it first when it lacks them. A cell that reads neither
+    /// pool piece leaves the memo as it was.
+    fn remembered(
         pool: &[&LabeledPair],
         extractor: ExtractorKind,
         distance: DistanceKind,
         needs: Needs,
     ) -> Self {
-        let space = needs
-            .pool_features
-            .then(|| FeatureSpace::extract(pool.iter().map(|p| &p.pair), extractor, distance));
-        let token_weights = if needs.token_weights {
-            pool_token_weights(pool)
+        let (space, token_weights) = if needs.pool_features || needs.token_weights {
+            LAST_POOL.with_borrow_mut(|slot| {
+                slot.take_if(|memo| !memo.holds(pool));
+                let memo = slot.get_or_insert_with(|| PoolMemo {
+                    pool: pool.iter().map(|p| p.pair.clone()).collect(),
+                    spaces: Vec::new(),
+                    token_weights: None,
+                });
+                let space = needs.pool_features.then(|| memo.space(extractor, distance));
+                let weights = if needs.token_weights {
+                    memo.token_weights()
+                } else {
+                    Arc::default()
+                };
+                (space, weights)
+            })
         } else {
-            Vec::new()
+            (None, Arc::default())
         };
         Self { len: pool.len(), space, token_weights, extractor, distance }
     }
@@ -209,14 +237,59 @@ impl PreparedPool {
 
 /// Prompt-token count of every pool demonstration, serialized through
 /// one reused buffer.
-fn pool_token_weights(pool: &[&LabeledPair]) -> Vec<f64> {
+fn pool_token_weights<'p>(pool: impl IntoIterator<Item = &'p EntityPair>) -> Vec<f64> {
     let mut serialized = String::new();
-    pool.iter()
-        .map(|p| {
-            p.pair.serialize_into(&mut serialized);
+    pool.into_iter()
+        .map(|pair| {
+            pair.serialize_into(&mut serialized);
             llm::count_tokens(&serialized) as f64
         })
         .collect()
+}
+
+/// The pool pieces [`plan_question_batches`] built last on this thread:
+/// the need-set union of the design cells planned against that pool so
+/// far, filled as cells ask.
+struct PoolMemo {
+    /// The pool the pieces were built from. Extractors and token counts
+    /// read only a pair's schema and values, so any pool whose pairs
+    /// compare equal — shared records or deep copies — may use them.
+    pool: Vec<EntityPair>,
+    /// One feature space per (extractor, distance) asked for.
+    spaces: Vec<((ExtractorKind, DistanceKind), Arc<FeatureSpace>)>,
+    token_weights: Option<Arc<[f64]>>,
+}
+
+impl PoolMemo {
+    /// True when `pool` is the memo's pool, pair for pair. `EntityPair`'s
+    /// `==` checks the shared `Arc<Record>`s by pointer first, so a pool
+    /// built from the same records costs two comparisons per pair.
+    fn holds(&self, pool: &[&LabeledPair]) -> bool {
+        self.pool.len() == pool.len() && self.pool.iter().zip(pool).all(|(m, p)| *m == p.pair)
+    }
+
+    fn space(&mut self, extractor: ExtractorKind, distance: DistanceKind) -> Arc<FeatureSpace> {
+        let key = (extractor, distance);
+        if let Some((_, space)) = self.spaces.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(space);
+        }
+        let space = Arc::new(FeatureSpace::extract(&self.pool, extractor, distance));
+        self.spaces.push((key, Arc::clone(&space)));
+        space
+    }
+
+    fn token_weights(&mut self) -> Arc<[f64]> {
+        let pool = &self.pool;
+        Arc::clone(
+            self.token_weights
+                .get_or_insert_with(|| pool_token_weights(pool).into()),
+        )
+    }
+}
+
+thread_local! {
+    /// One slot: a pool that differs from the last one replaces it whole.
+    static LAST_POOL: RefCell<Option<PoolMemo>> = const { RefCell::new(None) };
 }
 
 /// Plans diversity batches and demonstration assignments for an
@@ -231,13 +304,27 @@ fn pool_token_weights(pool: &[&LabeledPair]) -> Vec<f64> {
 /// The plan is a pure function of `(questions, pool, config)` — no
 /// interior randomness — so identical inputs always produce identical
 /// batches, which the serving layer relies on for reproducible answers.
+///
+/// The pool is featurized once per (extractor, distance), not once per
+/// call: each thread remembers the last pool it planned against, keyed
+/// by the pool's pairs in order (equal pairs, labels aside), with the
+/// feature spaces and token weights built for it so far. A design-space
+/// sweep — every cell of a dataset on one split, the next dataset after —
+/// therefore pays for a pool's features once per extractor and its
+/// weights once. The memo keeps the last pool's records and pieces alive
+/// until the thread plans against a different pool or exits; a design
+/// cell that reads no pool piece (fixed selection) neither reads nor
+/// replaces it. Callers that already hold their pool for good — the
+/// serving layer, via [`plan_with_prepared_pool`] — bypass the memo: it
+/// would cost them a pool comparison per plan and a second reference for
+/// nothing.
 pub fn plan_question_batches(
     questions: &[&EntityPair],
     pool: &[&LabeledPair],
     config: &BatchPlanConfig,
 ) -> QuestionBatchPlan {
     let prepared =
-        PreparedPool::with_needs(pool, config.extractor, config.distance, Needs::of(config));
+        PreparedPool::remembered(pool, config.extractor, config.distance, Needs::of(config));
     plan_with_prepared_pool(questions, &prepared, config)
 }
 
@@ -430,6 +517,156 @@ mod tests {
             BatchPlanConfig { batching: BatchingStrategy::Random, batch_size: 1, ..fixed };
         assert_same(&p, &standard, "standard prompting");
         assert_eq!(plan_question_batches(&q, &p, &standard).len(), q.len());
+
+        // Memoized == fresh: every cell of Tables IV and VII plus standard
+        // prompting on one split, back to back, so each cell plans with
+        // what the cells before it left in the memo — in both orders, and
+        // again under cosine (a memo keyed without the distance hands it
+        // a Euclidean space), another seed and another percentile.
+        let mut cells: Vec<BatchPlanConfig> = Vec::new();
+        for extractor in ExtractorKind::ALL {
+            for batching in BatchingStrategy::ALL {
+                for selection in SelectionStrategy::ALL {
+                    cells.push(BatchPlanConfig {
+                        batching,
+                        selection,
+                        extractor,
+                        ..Default::default()
+                    });
+                }
+            }
+        }
+        cells.push(standard);
+        let variants: [fn(BatchPlanConfig) -> BatchPlanConfig; 4] = [
+            |c| c,
+            |c| BatchPlanConfig { distance: DistanceKind::Cosine, ..c },
+            |c| BatchPlanConfig { seed: 7, ..c },
+            |c| BatchPlanConfig { cover_percentile: 20.0, ..c },
+        ];
+        let bits = |space: &FeatureSpace| -> Vec<u64> {
+            space.matrix().flat().iter().map(|x| x.to_bits()).collect()
+        };
+        for variant in variants {
+            let forward: Vec<BatchPlanConfig> = cells.iter().map(|&c| variant(c)).collect();
+            let backward: Vec<BatchPlanConfig> = forward.iter().rev().copied().collect();
+            for config in forward.iter().chain(&backward) {
+                assert_same(&p, config, "sweep");
+                // What the plan read is what `prepare` builds.
+                let fresh = PreparedPool::prepare(&p, config.extractor, config.distance);
+                let used = remembered(&p, config);
+                if let Some(space) = &used.space {
+                    assert_eq!(space.distance_kind(), config.distance, "{config:?}");
+                    assert_eq!(bits(space), bits(fresh.space()), "{config:?}");
+                }
+                if Needs::of(config).token_weights {
+                    assert_eq!(used.token_weights(), fresh.token_weights(), "{config:?}");
+                }
+            }
+        }
+    }
+
+    /// The pool pieces a plan of `config` on `pool` gets, as
+    /// [`plan_question_batches`] gets them.
+    fn remembered(pool: &[&LabeledPair], config: &BatchPlanConfig) -> PreparedPool {
+        PreparedPool::remembered(pool, config.extractor, config.distance, Needs::of(config))
+    }
+
+    fn space_of(prepared: &PreparedPool) -> &Arc<FeatureSpace> {
+        prepared
+            .space
+            .as_ref()
+            .expect("a cell that reads pool features")
+    }
+
+    /// Two LR covering cells on one split read one feature space and one
+    /// weight vector, though a Jaccard cell ran between them.
+    #[test]
+    fn cells_on_one_pool_share_its_pieces() {
+        let (pool, questions) = fixtures();
+        let q: Vec<&EntityPair> = questions.iter().map(|p| &p.pair).collect();
+        let p: Vec<&LabeledPair> = pool.iter().collect();
+        let best = BatchPlanConfig::default();
+        assert_eq!(best.extractor, ExtractorKind::LevenshteinRatio);
+        plan_question_batches(&q, &p, &best);
+        let first = remembered(&p, &best);
+
+        let jaccard = BatchPlanConfig { extractor: ExtractorKind::Jaccard, ..best };
+        plan_question_batches(&q, &p, &jaccard);
+        assert!(!Arc::ptr_eq(
+            space_of(&remembered(&p, &jaccard)),
+            space_of(&first)
+        ));
+
+        let random = BatchPlanConfig { batching: BatchingStrategy::Random, ..best };
+        plan_question_batches(&q, &p, &random);
+        let second = remembered(&p, &random);
+        assert!(Arc::ptr_eq(space_of(&first), space_of(&second)));
+        assert!(Arc::ptr_eq(&first.token_weights, &second.token_weights));
+        assert_eq!(first.token_weights.len(), p.len());
+    }
+
+    /// A different pool — one pair replaced, or the pool before last — is
+    /// a miss and plans as a fresh pool does; the same pairs in new
+    /// allocations are a hit; a fixed-selection cell leaves the memo be.
+    #[test]
+    fn the_memo_misses_on_any_other_pool() {
+        let (pool, questions) = fixtures();
+        let q: Vec<&EntityPair> = questions.iter().map(|p| &p.pair).collect();
+        let a: Vec<&LabeledPair> = pool.iter().collect();
+        let mut replaced = a.clone();
+        replaced[17] = &questions[0];
+        let b: Vec<&LabeledPair> = questions.iter().collect();
+        let config = BatchPlanConfig::default();
+        let plan = |pool: &[&LabeledPair]| {
+            let fresh = PreparedPool::prepare(pool, config.extractor, config.distance);
+            let plan = plan_question_batches(&q, pool, &config);
+            assert_eq!(plan, plan_with_prepared_pool(&q, &fresh, &config));
+            plan
+        };
+
+        plan(&a);
+        let a_first = remembered(&a, &config);
+        plan(&replaced);
+        let after_replaced = remembered(&replaced, &config);
+        assert!(!Arc::ptr_eq(space_of(&a_first), space_of(&after_replaced)));
+
+        // A → B → A: each step rebuilds.
+        plan(&a);
+        let a_again = remembered(&a, &config);
+        plan(&b);
+        let b_pieces = remembered(&b, &config);
+        plan(&a);
+        let a_third = remembered(&a, &config);
+        let spaces = [&a_first, &after_replaced, &a_again, &b_pieces, &a_third].map(space_of);
+        for (i, x) in spaces.iter().enumerate() {
+            for y in &spaces[i + 1..] {
+                assert!(!Arc::ptr_eq(x, y));
+            }
+        }
+
+        // Deep-copied records compare equal: a hit, and the same plan.
+        let copies: Vec<LabeledPair> = pool
+            .iter()
+            .map(|lp| {
+                let (x, y) = (Arc::new(lp.pair.a().clone()), Arc::new(lp.pair.b().clone()));
+                LabeledPair::new(EntityPair::new(lp.pair.id(), x, y).unwrap(), lp.label)
+            })
+            .collect();
+        let copied: Vec<&LabeledPair> = copies.iter().collect();
+        assert!(!std::ptr::eq(copied[0].pair.a(), a[0].pair.a()));
+        assert_eq!(plan(&copied), plan(&a));
+        assert!(Arc::ptr_eq(
+            space_of(&remembered(&copied, &config)),
+            space_of(&a_third)
+        ));
+
+        // A fixed-selection cell on another pool reads and replaces nothing.
+        let fixed = BatchPlanConfig { selection: SelectionStrategy::Fixed, ..config };
+        plan_question_batches(&q, &b, &fixed);
+        assert!(Arc::ptr_eq(
+            space_of(&remembered(&a, &config)),
+            space_of(&a_third)
+        ));
     }
 
     #[test]
@@ -439,10 +676,11 @@ mod tests {
         };
         use BatchingStrategy::{Diversity, Random};
         use SelectionStrategy::{Covering, Fixed, TopKBatch};
-        assert_eq!(needs(Diversity, Covering), Needs::ALL);
+        let all = Needs { pool_features: true, token_weights: true, question_features: true };
+        assert_eq!(needs(Diversity, Covering), all);
         assert_eq!(
             needs(Random, TopKBatch),
-            Needs { token_weights: false, ..Needs::ALL }
+            Needs { token_weights: false, ..all }
         );
         assert_eq!(
             needs(Diversity, Fixed),
@@ -459,7 +697,7 @@ mod tests {
         for kind in DatasetKind::ALL {
             let d = generate(kind, 3);
             let pool: Vec<&LabeledPair> = d.pairs().iter().collect();
-            let weights = pool_token_weights(&pool);
+            let weights = pool_token_weights(pool.iter().map(|p| &p.pair));
             assert_eq!(weights.len(), pool.len());
             for (p, w) in pool.iter().zip(weights) {
                 assert_eq!(w, llm::count_tokens(&p.pair.serialize()) as f64);

@@ -106,7 +106,11 @@ pub struct RunResult {
     /// Executor retries.
     pub retries: u32,
     /// Wall time of the planning stage (featurize + batch + select),
-    /// microseconds.
+    /// microseconds. A run planned right after another on the same pool
+    /// reuses that run's pool features and token weights (see
+    /// [`plan_question_batches`]), so one run's figure depends on what ran
+    /// before it; the sum over a sweep's runs is what the sweep's
+    /// planning cost.
     pub plan_us: u64,
     /// Wall time of the execution stage (every batch call), microseconds.
     pub exec_us: u64,

@@ -174,7 +174,7 @@ pub(crate) fn fixed(pool_len: usize, n_batches: usize, params: SelectionParams) 
 /// over the rows is already cache-resident. Both routes are bit-identical
 /// (the index is exact), so the gate is a pure performance decision, read
 /// from the input.
-const TOPK_INDEX_MIN: usize = 512;
+const INDEX_MIN_ROWS: usize = 512;
 
 /// The `k` pool indices with the smallest ranking distances, ordered by
 /// `(distance, index)` — the same order a full sort of `scored` would
@@ -209,7 +209,7 @@ fn topk_batch(
         crate::features::DistanceKind::Euclidean
     );
     let index =
-        (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| PivotIndex::build(pool.matrix()));
+        (euclidean && pool.len() >= INDEX_MIN_ROWS).then(|| PivotIndex::build(pool.matrix()));
     let demos_for = |batch: &Vec<usize>| {
         if let Some(index) = index.as_ref().filter(|_| !batch.is_empty()) {
             // dist*(B, d) = min_q dist(q, d) (Eq. 6). The batch's top-k
@@ -285,7 +285,7 @@ fn topk_question(
         crate::features::DistanceKind::Euclidean
     );
     let index =
-        (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| PivotIndex::build(pool.matrix()));
+        (euclidean && pool.len() >= INDEX_MIN_ROWS).then(|| PivotIndex::build(pool.matrix()));
     let demos_for = |batch: &Vec<usize>| {
         // k per question so the per-batch total stays comparable to the
         // other strategies (Fig. 5 uses k = 1 at batch size 8).
@@ -337,7 +337,7 @@ fn topk_question(
 /// demos and whose elements are questions — both directions built here,
 /// once, for every reader downstream.
 ///
-/// A question set of [`TOPK_INDEX_MIN`] rows or more is indexed and asked
+/// A question set of [`INDEX_MIN_ROWS`] rows or more is indexed and asked
 /// one radius query per pool demo (the covering threshold is a *low*
 /// percentile, so triangle-bound pruning is deep at that size). Below the
 /// gate — every served flush, every design-space cell — each question
@@ -364,7 +364,7 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
     let mut hits: Vec<u32> = Vec::new();
     // Zero-width rows have no buffer for the kernel to stream; the index
     // answers them by rule.
-    if euclidean && (n_q >= TOPK_INDEX_MIN || dim == 0) {
+    if euclidean && (n_q >= INDEX_MIN_ROWS || dim == 0) {
         let index = PivotIndex::build(questions.matrix());
         let mut by_demo = Rows::new();
         for d in 0..pool.len() {
@@ -669,13 +669,13 @@ mod tests {
 
     #[test]
     fn index_routed_selection_matches_dense_sweep() {
-        // Pool large enough to clear TOPK_INDEX_MIN, so the relevance
+        // Pool large enough to clear INDEX_MIN_ROWS, so the relevance
         // strategies actually take the index path; the expectations
         // below re-run the dense arithmetic by hand.
         let questions =
             FeatureSpace::from_vectors(scattered(40, 6, 0xA11CE), DistanceKind::Euclidean);
         let pool = FeatureSpace::from_vectors(
-            scattered(TOPK_INDEX_MIN + 90, 6, 0xB0B),
+            scattered(INDEX_MIN_ROWS + 90, 6, 0xB0B),
             DistanceKind::Euclidean,
         );
         let batches: Vec<Vec<usize>> = (0..8).map(|b| (b * 5..(b + 1) * 5).collect()).collect();
@@ -830,7 +830,7 @@ mod tests {
             // Every fixed-width kernel, the generic one, and the served
             // embedding's width.
             let dim = if dim == 13 { 64 } else { dim };
-            let gate = TOPK_INDEX_MIN;
+            let gate = INDEX_MIN_ROWS;
             for n_q in [1, 2, 7, gate - 1, gate, gate + 1] {
                 for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
                     let questions = FeatureSpace::from_vectors(hostile_rows(n_q, dim, seed), kind);

@@ -136,7 +136,7 @@ fn fodors_zagats_plans_match_golden() {
     );
 }
 
-/// Pool of 3,600 ≥ `TOPK_INDEX_MIN`, so the top-k strategies route
+/// Pool of 3,600 ≥ `INDEX_MIN_ROWS`, so the top-k strategies route
 /// through the metric index here (and densely on the two small sets).
 #[test]
 fn amazon_google_slice_plans_match_golden() {
