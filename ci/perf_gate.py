@@ -89,8 +89,7 @@ def gate_replay(base, cur):
        f"({spike['shed_rate_pct']:.1f}%)")
 
 
-# How far the planning bench's parts may sit from its whole: the stage
-# breakdown from `kernel_ms`, a flush plan's time from the committed one.
+# How far the planning bench's stage breakdown may sit from `kernel_ms`.
 STAGE_ENVELOPE = 0.10
 
 
@@ -142,15 +141,13 @@ def gate_flush_plan(base, cur):
             if have[key] != want[key]:
                 fail(f"flush plan of {n}: {key} {have[key]} != committed "
                      f"{want[key]}")
-        # The time gets the envelope the stage breakdown gets, one-sided.
-        limit = want["us_per_plan"] * (1 + STAGE_ENVELOPE)
-        if have["us_per_plan"] > limit:
-            fail(f"flush plan of {n}: {have['us_per_plan']:.1f} us vs "
-                 f"committed {want['us_per_plan']:.1f} us "
-                 f"(limit {limit:.1f} us)")
-        ok(f"flush plan of {n}: {have['us_per_plan']:.1f} us (limit "
-           f"{limit:.1f} us), {have['index_builds_per_plan']:g} index builds "
-           f"and {have['index_queries_per_plan']:g} queries per plan")
+        # The time is absolute µs against a snapshot taken on another run,
+        # which a shared runner misses by more than any useful envelope;
+        # it is printed, not gated (serve_fresh gates the served effect).
+        ok(f"flush plan of {n}: {have['index_builds_per_plan']:g} index "
+           f"builds and {have['index_queries_per_plan']:g} queries per plan; "
+           f"{have['us_per_plan']:.1f} us (committed "
+           f"{want['us_per_plan']:.1f} us, not gated)")
 
 
 # How much less a design-space round must cost planned split by split

@@ -6,9 +6,10 @@
 //! production path (`kernel_ms`), plus a **per-stage breakdown**
 //! (`stage_ms`): the same plan replayed stage by stage through the
 //! crates' public functions (pool features, token weights, question
-//! features, the two percentile thresholds, clustering, batching, the
-//! coverage sweep, the two-phase cover), asserted equal to the plan the
-//! production path makes and gated to sum to `kernel_ms` within 10%.
+//! features, the covering threshold, clustering with its ε percentile,
+//! batching, the coverage sweep, the two-phase cover), asserted equal to
+//! the plan the production path makes and gated to sum to `kernel_ms`
+//! within 10%.
 //!
 //! Runs in quick mode (small workload) under `cargo test` and in full
 //! mode (10k questions) under `cargo bench`, best of 3 in both; both
@@ -29,7 +30,9 @@
 //! a 600-row semantic `PreparedPool`, the shape `er-service`'s dispatcher
 //! plans on every flush — as µs per plan and as metric-index builds and
 //! queries per plan. The counts repeat exactly and CI gates them exactly:
-//! a per-pool-row query coming back reads 601, not 1.
+//! a per-pool-row query coming back reads 601, not 1. The µs are printed,
+//! not gated: from one run to the next on a shared runner they move by
+//! more than any envelope that would still catch a regression.
 //!
 //! And a **`design_space_round`** block, also the same in both modes:
 //! `benchmark/`'s 15 design-space cells planned on two 3,600/300 splits
@@ -47,8 +50,7 @@ use embed::matrix::scan_rows_within;
 use embed::{FeatureMatrix, PivotIndex};
 
 use batcher_core::batching::{
-    batches_for_clustering, cluster_questions_pinned, BatchingStrategy, ClusteringKind,
-    DBSCAN_EPS_PERCENTILE,
+    batches_for_clustering, cluster_questions, BatchingStrategy, ClusteringKind,
 };
 use batcher_core::plan::{
     plan_question_batches, plan_with_prepared_pool, BatchPlanConfig, PreparedPool,
@@ -266,21 +268,9 @@ fn staged_plan(
         cover_percentile: config.cover_percentile,
         seed: config.seed,
     };
-    let (eps, t) = timed(threshold, || {
-        let eps = q_space
-            .distance_percentile(DBSCAN_EPS_PERCENTILE, 200_000, config.seed)
-            .max(1e-9);
-        (eps, covering_threshold(&q_space, params))
-    });
+    let t = timed(threshold, || covering_threshold(&q_space, params));
     let clusters = timed(cluster, || {
-        cluster_questions_pinned(
-            &q_space,
-            config.clustering,
-            config.batch_size,
-            config.seed,
-            Some(eps),
-        )
-        .0
+        cluster_questions(&q_space, config.clustering, config.batch_size, config.seed)
     });
     let batches = timed(batching, || {
         batches_for_clustering(

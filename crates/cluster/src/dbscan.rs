@@ -1,11 +1,11 @@
 //! DBSCAN (Ester et al., KDD 1996) — the paper's default question
 //! clustering algorithm.
 //!
-//! One semantics, three entry points:
+//! One semantics, two entry points:
 //!
 //! * [`dbscan`] — the reference implementation over `&[Vec<f64>]` with a
 //!   pluggable distance function and brute-force O(n) region queries;
-//!   the tests compare everything else against it.
+//!   the tests compare the production path against it.
 //! * [`dbscan_matrix`] — the production path over a contiguous
 //!   [`FeatureMatrix`] (Euclidean metric): an allocation-free
 //!   **union-find** ([`dbscan_union_find`]) over the symmetric pair
@@ -13,11 +13,8 @@
 //!   triangle-inequality pruning in front of the same threshold-scan
 //!   kernel, so every ε-verdict is the one a brute-force scan would
 //!   reach.
-//! * [`dbscan_neighbor_lists`] / [`dbscan_from_neighbor_lists`] — the
-//!   same clustering from materialized region queries, for the
-//!   incremental planner's cached ε-graph.
 //!
-//! All of them produce identical clusterings (the expansion's output is
+//! Both produce identical clusterings (the expansion's output is
 //! order-free — see [`dbscan_union_find`] — which the tests pin).
 
 use embed::index::PivotIndex;
@@ -35,12 +32,6 @@ pub struct DbscanParams {
     pub min_pts: usize,
 }
 
-impl Default for DbscanParams {
-    fn default() -> Self {
-        Self { eps: 0.5, min_pts: 4 }
-    }
-}
-
 /// Runs DBSCAN over `points` with distance function `dist` (brute-force
 /// region queries; the [`dbscan_matrix`] kernel path is preferred for
 /// Euclidean workloads).
@@ -55,7 +46,7 @@ where
 {
     let n = points.len();
     assert!(n < u32::MAX as usize, "point count exceeds index width");
-    expand_clusters(n, params.min_pts, |i| -> Vec<u32> {
+    expand_clusters(n, params.min_pts, |i| {
         (0..n as u32)
             .filter(|&j| dist(&points[i], &points[j as usize]) <= params.eps)
             .collect()
@@ -64,37 +55,9 @@ where
 
 /// DBSCAN over a contiguous feature matrix under the Euclidean metric,
 /// with index-pruned region queries. Produces the same clustering as
-/// `dbscan(points, params, euclidean)` up to floating-point ties exactly
-/// on the ε boundary.
+/// `dbscan(points, params, euclidean)`, pairs exactly at ε included.
 pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering {
     dbscan_union_find(&PivotIndex::build(matrix), params)
-}
-
-/// Materializes every ε-region query of `matrix` (Euclidean metric) via
-/// the shared metric index: `lists[i]` holds the ids of all points within
-/// ε of point `i` — **including `i` itself** — ascending.
-///
-/// Callers that maintain the lists incrementally (the batcher's
-/// incremental planner) rebuild them here on a full re-plan and feed them
-/// back through [`dbscan_from_neighbor_lists`].
-pub fn dbscan_neighbor_lists(matrix: &FeatureMatrix, eps: f64) -> Vec<Vec<u32>> {
-    let index = PivotIndex::build(matrix);
-    (0..matrix.len() as u32)
-        .map(|i| {
-            let mut out = Vec::new();
-            index.within_row_into(i, eps, false, &mut out);
-            out
-        })
-        .collect()
-}
-
-/// DBSCAN expansion over pre-materialized region queries: `lists[i]` must
-/// contain every point within ε of `i`, including `i` itself (the output
-/// of [`dbscan_neighbor_lists`], or lists maintained incrementally under
-/// the same ε). Produces the identical clustering to [`dbscan_matrix`]
-/// over the matrix the lists were derived from.
-pub fn dbscan_from_neighbor_lists(lists: &[Vec<u32>], min_pts: usize) -> Clustering {
-    expand_clusters(lists.len(), min_pts, |i| lists[i].as_slice())
 }
 
 /// Union-find DBSCAN over the index's symmetric pair sweep — the indexed
@@ -194,18 +157,17 @@ pub fn dbscan_union_find(index: &PivotIndex, params: DbscanParams) -> Clustering
     Clustering { assignment: labels, n_clusters: next_cluster }
 }
 
-/// The shared expansion core: BFS from each unvisited core point, border
-/// points join the first cluster that reaches them, leftovers become
-/// singleton clusters.
+/// The expansion behind [`dbscan`]: BFS from each unvisited core point,
+/// border points join the first cluster that reaches them, leftovers
+/// become singleton clusters.
 ///
 /// The queue admits only still-unlabeled points (a point already in some
 /// cluster can never be relabeled, so enqueueing it was always dead
 /// work); with percentile-derived ε the neighbor volume is Θ(n²·density)
 /// while the queue now stays O(n) per cluster.
-fn expand_clusters<N, V>(n: usize, min_pts: usize, mut neighbors: N) -> Clustering
+fn expand_clusters<N>(n: usize, min_pts: usize, mut neighbors: N) -> Clustering
 where
-    N: FnMut(usize) -> V,
-    V: AsRef<[u32]>,
+    N: FnMut(usize) -> Vec<u32>,
 {
     const UNVISITED: usize = usize::MAX;
     const NOISE: usize = usize::MAX - 1;
@@ -219,7 +181,6 @@ where
             continue;
         }
         let seeds = neighbors(i);
-        let seeds = seeds.as_ref();
         if seeds.len() < min_pts {
             labels[i] = NOISE;
             continue;
@@ -247,7 +208,6 @@ where
             }
             labels[p] = cid;
             let p_neighbors = neighbors(p);
-            let p_neighbors = p_neighbors.as_ref();
             if p_neighbors.len() >= min_pts {
                 queue.extend(
                     p_neighbors
@@ -317,16 +277,21 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let c = dbscan(&[], DbscanParams::default(), euclidean);
+        let params = DbscanParams { eps: 0.5, min_pts: 3 };
+        let c = dbscan(&[], params, euclidean);
         assert_eq!(c.n_clusters, 0);
         assert!(c.assignment.is_empty());
-        let m = dbscan_matrix(&FeatureMatrix::from_rows(vec![]), DbscanParams::default());
+        let m = dbscan_matrix(&FeatureMatrix::from_rows(vec![]), params);
         assert_eq!(m.n_clusters, 0);
     }
 
     #[test]
     fn single_point_is_singleton() {
-        let c = dbscan(&[vec![1.0, 2.0]], DbscanParams::default(), euclidean);
+        let c = dbscan(
+            &[vec![1.0, 2.0]],
+            DbscanParams { eps: 0.5, min_pts: 3 },
+            euclidean,
+        );
         assert_eq!(c.n_clusters, 1);
         assert_eq!(c.assignment, vec![0]);
     }
@@ -393,16 +358,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Both matrix paths — the union-find over the pair sweep and
-        /// the expansion over materialized region queries — against the
-        /// brute-force reference, on the shapes a scattered fixture never
-        /// hits: coordinates and ε are multiples of 0.5, so duplicate
-        /// rows are common and many pairs sit **exactly** at ε with
-        /// exactly representable distances (0.5 apart on an axis, 3-4-5
-        /// triangles), and `min_pts` spans everything-is-core (1),
+        /// The matrix path — the union-find over the pair sweep — against
+        /// the brute-force reference, on the shapes a scattered fixture
+        /// never hits: coordinates and ε are multiples of 0.5, so
+        /// duplicate rows are common and many pairs sit **exactly** at ε
+        /// with exactly representable distances (0.5 apart on an axis,
+        /// 3-4-5 triangles), and `min_pts` spans everything-is-core (1),
         /// pair-is-core (2), and nothing-is-core (n + 1).
         #[test]
-        fn matrix_paths_match_brute_force_on_grids(
+        fn matrix_path_matches_brute_force_on_grids(
             cells in prop::collection::vec(0u8..6, 1..120),
             dim in 1usize..4,
             eps_steps in 1u8..6,
@@ -418,8 +382,6 @@ mod tests {
             let matrix = FeatureMatrix::from_rows(pts.clone());
             let brute = dbscan(&pts, params, euclidean);
             prop_assert_eq!(&dbscan_matrix(&matrix, params), &brute);
-            let lists = dbscan_neighbor_lists(&matrix, params.eps);
-            prop_assert_eq!(&dbscan_from_neighbor_lists(&lists, min_pts), &brute);
         }
     }
 }

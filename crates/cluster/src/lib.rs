@@ -16,10 +16,7 @@
 pub mod dbscan;
 pub mod kmeans;
 
-pub use dbscan::{
-    dbscan, dbscan_from_neighbor_lists, dbscan_matrix, dbscan_neighbor_lists, dbscan_union_find,
-    DbscanParams,
-};
+pub use dbscan::{dbscan, dbscan_matrix, dbscan_union_find, DbscanParams};
 pub use kmeans::{kmeans, kmeans_matrix, KMeansParams};
 
 /// A clustering result: `assignment[i]` is the cluster id of point `i`;

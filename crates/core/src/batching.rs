@@ -41,18 +41,17 @@ impl BatchingStrategy {
 /// ablation alternative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusteringKind {
-    /// DBSCAN with ε at the given percentile of pairwise distances
-    /// (`min_pts` = 4). The paper does not publish its ε; the 15th
-    /// percentile recovers compact per-pattern clusters on all eight
-    /// benchmarks.
+    /// DBSCAN with ε at the [`DBSCAN_EPS_PERCENTILE`]th percentile of
+    /// pairwise distances and `min_pts` = [`DBSCAN_MIN_PTS`] (3). The
+    /// paper does not publish its ε; the 15th percentile recovers compact
+    /// per-pattern clusters on all eight benchmarks.
     Dbscan,
     /// K-Means with `k = ceil(n / batch_size)`.
     KMeans,
 }
 
-/// `min_pts` used by the DBSCAN batching stage everywhere in the crate
-/// (the incremental planner's graph repair must agree with the full
-/// pipeline on core-ness).
+/// `min_pts` of the DBSCAN batching stage: a question with two others
+/// within ε is a core point.
 pub const DBSCAN_MIN_PTS: usize = 3;
 
 /// Percentile of pairwise question distances defining the DBSCAN ε.
@@ -82,8 +81,8 @@ pub fn make_batches(
 /// into batches given an already-computed clustering (`None` is accepted
 /// for — and only for — the random strategy, which ignores clusters).
 ///
-/// Split out so a caller that *maintains* the clustering incrementally
-/// can reuse the exact assembly semantics without re-clustering.
+/// Split out so the planner can skip clustering for random batching, and
+/// so a caller can time clustering and assembly apart.
 pub fn batches_for_clustering(
     n: usize,
     clusters: Option<&Clustering>,
@@ -122,40 +121,22 @@ pub fn cluster_questions(
     batch_size: usize,
     seed: u64,
 ) -> Clustering {
-    cluster_questions_pinned(space, clustering, batch_size, seed, None).0
-}
-
-/// Like [`cluster_questions`], but with an optional pinned DBSCAN ε
-/// (`eps_override`). Returns the clustering together with the ε actually
-/// used (`None` for K-Means), so callers that freeze the threshold across
-/// incremental re-plans can record it.
-pub fn cluster_questions_pinned(
-    space: &FeatureSpace,
-    clustering: ClusteringKind,
-    batch_size: usize,
-    seed: u64,
-    eps_override: Option<f64>,
-) -> (Clustering, Option<f64>) {
     match clustering {
         ClusteringKind::Dbscan => {
-            let eps = eps_override.unwrap_or_else(|| {
-                space
-                    .distance_percentile(DBSCAN_EPS_PERCENTILE, 200_000, seed)
-                    .max(1e-9)
-            });
+            let eps = space
+                .distance_percentile(DBSCAN_EPS_PERCENTILE, 200_000, seed)
+                .max(1e-9);
             // Clustering always runs Euclidean over the contiguous matrix
             // (pivot-pruned region queries); only ε derives from the
             // space's configured distance.
-            let clusters = dbscan_matrix(
+            dbscan_matrix(
                 space.matrix(),
                 DbscanParams { eps, min_pts: DBSCAN_MIN_PTS },
-            );
-            (clusters, Some(eps))
+            )
         }
         ClusteringKind::KMeans => {
             let k = space.len().div_ceil(batch_size).max(1);
-            let clusters = kmeans_matrix(space.matrix(), KMeansParams { k, max_iters: 30, seed });
-            (clusters, None)
+            kmeans_matrix(space.matrix(), KMeansParams { k, max_iters: 30, seed })
         }
     }
 }

@@ -107,12 +107,6 @@ impl FeatureSpace {
         Self { matrix: FeatureMatrix::from_rows(vectors), distance }
     }
 
-    /// Builds a feature space around an existing matrix (the incremental
-    /// planner gathers cached rows into one contiguous buffer per epoch).
-    pub(crate) fn from_matrix(matrix: FeatureMatrix, distance: DistanceKind) -> Self {
-        Self { matrix, distance }
-    }
-
     /// Number of vectors.
     pub fn len(&self) -> usize {
         self.matrix.len()
@@ -240,17 +234,6 @@ impl FeatureSpace {
     }
 }
 
-/// Extracts the feature vector of a single pair — bit-identical to the
-/// row [`FeatureSpace::extract`] produces for the same pair (both go
-/// through [`RowKernel::push_row`], a pure per-pair function), so rows
-/// cached one at a time by the incremental planner interleave exactly
-/// with batch-extracted spaces.
-pub(crate) fn extract_row(pair: &EntityPair, extractor: ExtractorKind) -> Vec<f64> {
-    let mut row = Vec::new();
-    RowKernel::new(extractor).push_row(pair, &mut row);
-    row
-}
-
 /// Dimension of the semantic extractor's embedding — enough for lexical
 /// clustering while keeping the pool×questions covering distance sweep
 /// tractable on the largest benchmark (DBLP-Scholar).
@@ -345,23 +328,6 @@ mod tests {
             DistanceKind::Cosine,
         );
         assert_eq!(space.vector(0).len(), 64);
-    }
-
-    #[test]
-    fn single_row_extraction_equals_the_batch_row() {
-        let ps = pairs();
-        for extractor in ExtractorKind::ALL {
-            let space = FeatureSpace::extract(
-                ps.iter().map(|p| &p.pair),
-                extractor,
-                DistanceKind::Euclidean,
-            );
-            for (i, p) in ps.iter().enumerate() {
-                let row = extract_row(&p.pair, extractor);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&row), bits(space.vector(i)), "{extractor:?} row {i}");
-            }
-        }
     }
 
     #[test]

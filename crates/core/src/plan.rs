@@ -13,12 +13,12 @@ use std::sync::Arc;
 use er_core::{EntityPair, LabeledPair};
 
 use crate::batching::{
-    batches_for_clustering, cluster_questions_pinned, BatchingStrategy, ClusteringKind,
+    batches_for_clustering, cluster_questions, BatchingStrategy, ClusteringKind,
 };
 use crate::features::{DistanceKind, ExtractorKind, FeatureSpace};
 use crate::runner::RunConfig;
 use crate::selection::{
-    fixed, select_demonstrations_pinned, SelectionParams, SelectionPlan, SelectionStrategy,
+    fixed, select_demonstrations, SelectionParams, SelectionPlan, SelectionStrategy,
 };
 
 /// Configuration of one planning pass — the batching/selection slice of a
@@ -154,21 +154,6 @@ impl PreparedPool {
         self.space
             .as_deref()
             .expect("pool features are built for every strategy that reads them")
-    }
-
-    /// Token counts per pool demonstration (covering weights).
-    pub(crate) fn token_weights(&self) -> &[f64] {
-        &self.token_weights
-    }
-
-    /// The extractor the pool was featurized with.
-    pub(crate) fn extractor_kind(&self) -> ExtractorKind {
-        self.extractor
-    }
-
-    /// The distance function the pool was featurized with.
-    pub(crate) fn distance_kind(&self) -> DistanceKind {
-        self.distance
     }
 
     /// Featurizes `pool` with the given extractor/distance. Question
@@ -336,30 +321,6 @@ pub fn plan_with_prepared_pool(
     pool: &PreparedPool,
     config: &BatchPlanConfig,
 ) -> QuestionBatchPlan {
-    plan_with_prepared_pool_pinned(questions, pool, config, PlanThresholds::default())
-}
-
-/// Pinned distance thresholds for a planning pass. `None` fields derive
-/// from the question set as usual; `Some` fields replace the derivation —
-/// the contract the incremental planner's equivalence rests on: a plan
-/// maintained under frozen thresholds must equal a from-scratch plan with
-/// the same thresholds pinned.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PlanThresholds {
-    /// DBSCAN ε for the batching stage.
-    pub eps: Option<f64>,
-    /// Covering threshold `t` for demonstration selection.
-    pub cover_t: Option<f64>,
-}
-
-/// [`plan_with_prepared_pool`] with pinned thresholds (see
-/// [`PlanThresholds`]).
-pub fn plan_with_prepared_pool_pinned(
-    questions: &[&EntityPair],
-    pool: &PreparedPool,
-    config: &BatchPlanConfig,
-    thresholds: PlanThresholds,
-) -> QuestionBatchPlan {
     if questions.is_empty() {
         return QuestionBatchPlan {
             batches: Vec::new(),
@@ -380,14 +341,12 @@ pub fn plan_with_prepared_pool_pinned(
             .expect("question features are built for every strategy that reads them")
     };
     let clusters = (config.batching != BatchingStrategy::Random).then(|| {
-        cluster_questions_pinned(
+        cluster_questions(
             q_features(),
             config.clustering,
             config.batch_size,
             config.seed,
-            thresholds.eps,
         )
-        .0
     });
     let batches = batches_for_clustering(
         questions.len(),
@@ -414,13 +373,12 @@ pub fn plan_with_prepared_pool_pinned(
     };
     let SelectionPlan { per_batch, labeled, threshold } = match config.selection {
         SelectionStrategy::Fixed => fixed(pool.len(), batches.len(), params),
-        relevance => select_demonstrations_pinned(
+        relevance => select_demonstrations(
             relevance,
             q_features(),
             pool.space(),
             &batches,
             params,
-            thresholds.cover_t,
             |d| pool.token_weights[d],
         ),
     };
@@ -559,7 +517,7 @@ mod tests {
                     assert_eq!(bits(space), bits(fresh.space()), "{config:?}");
                 }
                 if Needs::of(config).token_weights {
-                    assert_eq!(used.token_weights(), fresh.token_weights(), "{config:?}");
+                    assert_eq!(used.token_weights, fresh.token_weights, "{config:?}");
                 }
             }
         }

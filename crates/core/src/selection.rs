@@ -101,41 +101,13 @@ pub fn select_demonstrations<W>(
 where
     W: Fn(usize) -> f64,
 {
-    select_demonstrations_pinned(
-        strategy,
-        questions,
-        pool,
-        batches,
-        params,
-        None,
-        demo_tokens,
-    )
-}
-
-/// Like [`select_demonstrations`], but with an optional pinned covering
-/// threshold `t` (`threshold_override`) instead of deriving it from the
-/// question-distance percentile. Only the covering strategy consults the
-/// override; callers that freeze `t` across incremental re-plans pass the
-/// recorded value so the plan stays equivalent to the one that froze it.
-pub fn select_demonstrations_pinned<W>(
-    strategy: SelectionStrategy,
-    questions: &FeatureSpace,
-    pool: &FeatureSpace,
-    batches: &[Vec<usize>],
-    params: SelectionParams,
-    threshold_override: Option<f64>,
-    demo_tokens: W,
-) -> SelectionPlan
-where
-    W: Fn(usize) -> f64,
-{
     assert!(params.k > 0, "k must be positive");
     match strategy {
         SelectionStrategy::Fixed => fixed(pool.len(), batches.len(), params),
         SelectionStrategy::TopKBatch => topk_batch(questions, pool, batches, params),
         SelectionStrategy::TopKQuestion => topk_question(questions, pool, batches, params),
         SelectionStrategy::Covering => {
-            let t = threshold_override.unwrap_or_else(|| covering_threshold(questions, params));
+            let t = covering_threshold(questions, params);
             let coverage = compute_coverage(questions, pool, t);
             covering_with_coverage(questions, pool, batches, &coverage, t, demo_tokens)
         }
@@ -399,8 +371,8 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
 /// greedy demonstration-set generation, the phase-2 per-batch weighted
 /// cover, and the nearest-demo fallback for uncoverable batches.
 /// `coverage` must satisfy the [`compute_coverage`] contract for the same
-/// `questions`/`pool`/`t` (computed fresh or maintained incrementally) —
-/// the output is a pure function of it, whatever the order inside a row.
+/// `questions`/`pool`/`t` — the output is a pure function of it, whatever
+/// the order inside a row.
 pub fn covering_with_coverage<W>(
     questions: &FeatureSpace,
     pool: &FeatureSpace,

@@ -30,11 +30,12 @@ pub struct ServiceStats {
     /// pass is a from-scratch plan over the held questions.
     pub plans: u64,
     /// Equal to [`ServiceStats::plans`]. Kept because `benchmark/` reads
-    /// it; leaves together with `plan_incremental`.
+    /// it; leaves together with `plan_incremental` once the benchmark
+    /// drops that read (ROADMAP item 1).
     pub plan_full: u64,
-    /// Always 0: the service no longer has an incremental planner. Kept
-    /// because `benchmark/` reads it; leaves with the benchmark-only
-    /// follow-up that drops that read (see ROADMAP item 2).
+    /// Always 0: there is no incremental planner. Kept because
+    /// `benchmark/` reads it; leaves with the benchmark-only follow-up
+    /// that drops that read (ROADMAP item 1).
     pub plan_incremental: u64,
     /// Wall time of the most recent planning pass, microseconds — the
     /// kernel layer's speedup, observable online.
