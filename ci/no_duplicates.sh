@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Keeps four kinds of dead weight from growing back: a vendored stand-in
+# Keeps five kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
-# runs, and a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64`
-# is the one; its offset basis is the fingerprint of a copy). Offline, no
+# runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
+# the one; its offset basis is the fingerprint of a copy), and a
+# `pub fn with_*` builder under crates/*/src that no other file under
+# crates/, src/, tests/, examples/ or benchmark/src names. Offline, no
 # dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,5 +49,17 @@ if [ "$(printf '%s\n' "$copies" | grep -c .)" -gt 1 ]; then
     fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src"
+# A `pub fn with_*` builder no other file names is a setting nobody sets.
+# Matched by name, so a name shared with another type's builder can hide a
+# dead one: a tripwire, not a proof.
+while IFS=: read -r file name; do
+    users=$(grep -rlw --include='*.rs' -- "$name" crates src tests examples benchmark/src |
+        grep -vxF "$file" || true)
+    if [ -z "$users" ]; then
+        echo "FAIL: ${name} in ${file} has no caller outside its own file; delete it" >&2
+        fail=1
+    fi
+done < <(grep -roE 'pub fn with_[A-Za-z0-9_]+' --include='*.rs' crates/*/src | sed 's/:pub fn /:/')
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller"
 exit "$fail"

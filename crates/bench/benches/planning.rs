@@ -69,9 +69,9 @@ use er_core::{EntityPair, LabeledPair};
 // Metric-index scaling curve: ε-graph construction at planning scale
 // ---------------------------------------------------------------------
 
-/// Feature dimension of the scaling workload — embedding-scale rows
-/// (the serving layer's semantic extractor is 256-dim; 128 keeps the
-/// sweep reference affordable at 100k).
+/// Feature dimension of the scaling workload — embedding-scale rows,
+/// twice the width of the serving layer's 64-dim semantic extractor
+/// (`features::SEMANTIC_DIM`).
 const SCALE_DIM: usize = 128;
 /// Dimensions that actually carry cluster structure. Isotropic
 /// high-dim noise would defeat any pivot pruning (all distances
@@ -170,8 +170,8 @@ fn scaling_point(n: usize, quick: bool) -> String {
     let mut rng = Rng(0xBEEF);
     for _ in 0..brute_rows {
         let r = rng.below(n);
-        auto_index.within_row_into(r as u32, SCALE_EPS, false, &mut a);
-        sweep_index.within_row_into(r as u32, SCALE_EPS, false, &mut b);
+        auto_index.within_into(m.row(r), SCALE_EPS, false, &mut a);
+        sweep_index.within_into(m.row(r), SCALE_EPS, false, &mut b);
         let mut brute = Vec::new();
         scan_rows_within::<false>(SCALE_DIM, m.row(r), m.flat(), SCALE_EPS * SCALE_EPS, |k| {
             brute.push(k as u32);

@@ -244,17 +244,6 @@ impl<'a> ExtraGate<'a> {
     }
 }
 
-/// Row placement: sorted segment position or overflow position, tagged
-/// into one word.
-const TAG_SHIFT: u32 = 30;
-const TAG_SEG: u32 = 0;
-const TAG_OVER: u32 = 1;
-
-fn pack_loc(tag: u32, idx: usize) -> u32 {
-    debug_assert!(idx < (1usize << TAG_SHIFT));
-    (tag << TAG_SHIFT) | idx as u32
-}
-
 /// The pivot-table index: an exact metric index over feature rows whose
 /// result sets are bit-identical to the brute-force reference kernels.
 /// See the module docs for structure and guarantees;
@@ -263,7 +252,6 @@ fn pack_loc(tag: u32, idx: usize) -> u32 {
 #[derive(Debug)]
 pub struct PivotIndex {
     dim: usize,
-    loc: Vec<u32>,
 
     // Pivots (flat, `n_pivots * dim`) and the float slack padding the
     // pruning bound.
@@ -305,12 +293,11 @@ impl PivotIndex {
         BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = matrix.len();
         let dim = matrix.dim();
-        assert!(n < (1usize << TAG_SHIFT), "row count exceeds index width");
+        assert!(u32::try_from(n).is_ok(), "row count exceeds u32 ids");
         let target = pivots.clamp(1, MAX_PIVOTS);
 
         let mut index = PivotIndex {
             dim,
-            loc: vec![0; n],
             pivot_rows: Vec::new(),
             n_pivots: 0,
             slack: 1e-9,
@@ -384,7 +371,6 @@ impl PivotIndex {
 
         if pivot_ids.is_empty() {
             for i in 0..n {
-                index.loc[i] = pack_loc(TAG_OVER, index.over_ids.len());
                 index.over_ids.push(i as u32);
                 index.over_rows.extend_from_slice(matrix.row(i));
                 index.over_sqn.push(matrix.sq_norm(i));
@@ -420,14 +406,10 @@ impl PivotIndex {
             index.perm.extend_from_slice(matrix.row(j as usize));
         }
         index.seg_sqn = order.iter().map(|&j| matrix.sq_norm(j as usize)).collect();
-        for (pos, &j) in order.iter().enumerate() {
-            index.loc[j as usize] = pack_loc(TAG_SEG, pos);
-        }
         index.order = order;
         index.slack = 1e-9 + 1e-12 * index.keys.last().copied().unwrap_or(0.0);
 
         for (j, _) in indexable.iter().enumerate().filter(|&(_, &ok)| !ok) {
-            index.loc[j] = pack_loc(TAG_OVER, index.over_ids.len());
             index.over_ids.push(j as u32);
             index.over_rows.extend_from_slice(matrix.row(j));
             index.over_sqn.push(matrix.sq_norm(j));
@@ -475,17 +457,9 @@ impl PivotIndex {
         (1..self.n_pivots).any(|p| (qd[p] - self.extra_d(p, pos)).abs() > pad)
     }
 
-    /// The shared radius-query core: verified hits pushed as original
-    /// ids (unsorted), with the caller's pivot distances. Returns the
-    /// number of rows fully evaluated.
-    fn within_core(
-        &self,
-        query: &[f64],
-        qd: &[f64; MAX_PIVOTS],
-        eps: f64,
-        strict: bool,
-        out: &mut Vec<u32>,
-    ) -> usize {
+    /// The radius-query core: verified hits pushed as original ids
+    /// (unsorted). Returns the number of rows fully evaluated.
+    fn within_core(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) -> usize {
         let t_sq = eps * eps;
         if self.dim == 0 {
             // All rows are empty vectors at distance 0.
@@ -494,6 +468,7 @@ impl PivotIndex {
             }
             return self.len();
         }
+        let qd = &self.query_pivot_dists(query);
         let mut verified = 0usize;
         let pad = eps + self.slack;
         let lo = self.keys.partition_point(|&v| v < qd[0] - pad);
@@ -567,14 +542,15 @@ fn heap_push(heap: &mut Vec<(f64, u32)>, k: usize, item: (f64, u32)) {
 }
 
 impl PivotIndex {
-    /// Number of rows.
+    /// Number of rows: every row sits in the sorted segment or on the
+    /// overflow list.
     pub fn len(&self) -> usize {
-        self.loc.len()
+        self.order.len() + self.over_ids.len()
     }
 
     /// True when the index holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.loc.is_empty()
+        self.len() == 0
     }
 
     /// Ids within `eps` of `query` (`< eps` when `strict`, else `≤ eps`),
@@ -585,48 +561,7 @@ impl PivotIndex {
         if self.dim > 0 {
             assert_eq!(query.len(), self.dim, "query dimension mismatch");
         }
-        let qd = self.query_pivot_dists(query);
-        let verified = self.within_core(query, &qd, eps, strict, out);
-        out.sort_unstable();
-        note_query(self.len(), verified);
-    }
-
-    /// [`PivotIndex::within_into`] with stored row `id` as the query (its
-    /// own id included in the result, distance 0).
-    pub fn within_row_into(&self, id: u32, eps: f64, strict: bool, out: &mut Vec<u32>) {
-        out.clear();
-        let loc = self.loc[id as usize];
-        let (tag, idx) = (loc >> TAG_SHIFT, (loc & ((1 << TAG_SHIFT) - 1)) as usize);
-        let verified = if tag == TAG_SEG {
-            // Stored pivot distances stand in for the query-side ones
-            // (both sides of the bound then share one arithmetic).
-            let mut qd = [0.0f64; MAX_PIVOTS];
-            qd[0] = self.keys[idx];
-            for (p, d) in qd.iter_mut().enumerate().take(self.n_pivots).skip(1) {
-                *d = self.extra_d(p, idx);
-            }
-            self.within_core(self.seg_row(idx), &qd, eps, strict, out)
-        } else if self.dim == 0 {
-            // Empty rows: the core's zero-dimensional arm reads neither
-            // the query nor the pivot distances.
-            self.within_core(&[], &[0.0; MAX_PIVOTS], eps, strict, out)
-        } else {
-            // Overflow query row: no usable pivot geometry — verify
-            // against every row (degenerate but correct).
-            let query = self.over_row(idx);
-            let t_sq = eps * eps;
-            for (pos, &cid) in self.order.iter().enumerate() {
-                if row_within(self.dim, query, self.seg_row(pos), t_sq, strict) {
-                    out.push(cid);
-                }
-            }
-            for (oi, &cid) in self.over_ids.iter().enumerate() {
-                if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
-                    out.push(cid);
-                }
-            }
-            self.len()
-        };
+        let verified = self.within_core(query, eps, strict, out);
         out.sort_unstable();
         note_query(self.len(), verified);
     }
@@ -971,8 +906,6 @@ mod tests {
             for strict in [false, true] {
                 index.within_into(m.row(i), eps, strict, &mut got);
                 assert_eq!(got, brute_within(m, m.row(i), eps, strict), "query {i}");
-                index.within_row_into(i as u32, eps, strict, &mut got);
-                assert_eq!(got, brute_within(m, m.row(i), eps, strict), "row query {i}");
             }
             let mut near = Vec::new();
             index.nearest_into(m.row(i), 3, &mut near);
@@ -1026,7 +959,8 @@ mod tests {
     fn empty_matrix_builds_and_answers() {
         let m = FeatureMatrix::from_rows(vec![]);
         let index = PivotIndex::build(&m);
-        assert_eq!(index.len(), 0);
+        assert_eq!(index.len(), m.len());
+        assert!(index.is_empty());
         let mut out = Vec::new();
         index.within_into(&[], 1.0, false, &mut out);
         assert!(out.is_empty());
@@ -1041,6 +975,7 @@ mod tests {
     fn single_row_and_identical_rows() {
         let single = FeatureMatrix::from_rows(vec![vec![1.0, 2.0]]);
         let index = PivotIndex::with_pivots(&single, 4);
+        assert_eq!(index.len(), single.len());
         let mut out = Vec::new();
         index.within_into(&[1.0, 2.0], 0.5, false, &mut out);
         assert_eq!(out, vec![0]);
@@ -1054,6 +989,7 @@ mod tests {
         // selection, and every pair is a close pair.
         let same = FeatureMatrix::from_rows(vec![vec![3.0, -1.0]; 9]);
         let index = PivotIndex::with_pivots(&same, 4);
+        assert_eq!(index.len(), same.len());
         assert_eq!(
             index.n_pivots(),
             1,
@@ -1070,10 +1006,11 @@ mod tests {
     fn zero_dimensional_rows() {
         let m = FeatureMatrix::from_rows(vec![vec![]; 5]);
         let index = PivotIndex::build(&m);
+        assert_eq!(index.len(), m.len());
         let mut out = Vec::new();
         index.within_into(&[], 0.5, false, &mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        index.within_row_into(2, 0.0, true, &mut out);
+        index.within_into(&[], 0.0, true, &mut out);
         assert!(out.is_empty());
         let mut near = Vec::new();
         index.nearest_into(&[], 3, &mut near);
@@ -1091,6 +1028,7 @@ mod tests {
         rows[29] = vec![0.0, f64::NEG_INFINITY, f64::NAN];
         let m = FeatureMatrix::from_rows(rows.clone());
         let index = PivotIndex::with_pivots(&m, 4);
+        assert_eq!(index.len(), m.len());
         check_all_queries(&m, &index, 1.3);
         // Non-finite queries: no hits (NaN/inf never satisfies ≤ eps²),
         // nearest degrades to the brute ranking.

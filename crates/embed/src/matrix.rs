@@ -7,24 +7,17 @@
 //! streaming passes the compiler can vectorize, and Euclidean work reduces
 //! to dot products via `‖x − y‖² = ‖x‖² + ‖y‖² − 2·x·y`.
 //!
-//! Two kernel families:
-//!
-//! * **one-to-many** — distances from one query row to every row of a
-//!   matrix, written into a caller buffer ([`FeatureMatrix::sq_dists_to_all`],
-//!   [`FeatureMatrix::dists_to_all`], [`FeatureMatrix::cosine_dists_to_all`]).
-//! * **pairwise chunk** — a block of rows against the whole matrix
-//!   ([`FeatureMatrix::pairwise_sq_chunk`]), tiled over columns so the
-//!   inner rows stay cache-resident.
+//! The batch kernels are **one-to-many**: distances from one query row to
+//! every row of a matrix, written into a caller buffer
+//! ([`FeatureMatrix::sq_dists_to_all`],
+//! [`FeatureMatrix::cosine_dists_to_all`]), plus the threshold scan
+//! [`scan_rows_within`].
 //!
 //! Hot paths compare **squared** Euclidean distances (`d ↦ d²` is monotone
 //! on distances, so thresholds square once and argmins are unchanged) and
 //! only take `sqrt` on values that escape to callers.
 
 use crate::vecmath::dot;
-
-/// Column tile width for [`FeatureMatrix::pairwise_sq_chunk`]: 128 rows of
-/// 64-dim `f64` features ≈ 64 KiB, comfortably L2-resident.
-const PAIRWISE_TILE: usize = 128;
 
 /// A dense row-major feature matrix with cached squared L2 norms.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,15 +134,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// One-to-many Euclidean distances (the `sqrt`-ed variant, for values
-    /// that escape to callers rather than feed comparisons).
-    pub fn dists_to_all(&self, x: &[f64], out: &mut [f64]) {
-        self.sq_dists_to_all(x, out);
-        for slot in out.iter_mut() {
-            *slot = slot.sqrt();
-        }
-    }
-
     /// One-to-many cosine distances `1 − cos`, with the crate's zero-vector
     /// convention (similarity 0, hence distance 1, when either side is
     /// all-zero), dividing by the cached norms.
@@ -171,35 +155,6 @@ impl FeatureMatrix {
             } else {
                 1.0 - dot(x, self.row(j)) / (x_norm * norm)
             };
-        }
-    }
-
-    /// Pairwise squared-distance block: fills the row-major
-    /// `rows.len() × other.len()` buffer `out` with
-    /// `‖self.row(rows.start + r) − other.row(j)‖²`, tiling `other` in
-    /// [`PAIRWISE_TILE`]-row column blocks for locality.
-    ///
-    /// # Panics
-    /// Panics on range, buffer, or dimension mismatch.
-    pub fn pairwise_sq_chunk(&self, rows: std::ops::Range<usize>, other: &Self, out: &mut [f64]) {
-        assert!(rows.end <= self.rows, "row range out of bounds");
-        assert_eq!(self.dim, other.dim, "matrix dimension mismatch");
-        let width = other.len();
-        assert_eq!(
-            out.len(),
-            rows.len() * width,
-            "output buffer length mismatch"
-        );
-        for tile_start in (0..width).step_by(PAIRWISE_TILE) {
-            let tile_end = (tile_start + PAIRWISE_TILE).min(width);
-            for (r, i) in rows.clone().enumerate() {
-                let row_i = self.row(i);
-                let sq_i = self.sq_norms[i];
-                let out_row = &mut out[r * width + tile_start..r * width + tile_end];
-                for (slot, j) in out_row.iter_mut().zip(tile_start..tile_end) {
-                    *slot = (sq_i + other.sq_norms[j] - 2.0 * dot(row_i, other.row(j))).max(0.0);
-                }
-            }
         }
     }
 }
@@ -328,15 +283,12 @@ mod tests {
         let query: Vec<f64> = (0..5).map(|d| (d as f64 * 0.21).cos()).collect();
         let m = FeatureMatrix::from_rows(rows.clone());
         let mut sq = vec![0.0; 11];
-        let mut dist = vec![0.0; 11];
         let mut cos = vec![0.0; 11];
         m.sq_dists_to_all(&query, &mut sq);
-        m.dists_to_all(&query, &mut dist);
         m.cosine_dists_to_all(&query, &mut cos);
         for j in 0..11 {
             let d = euclidean_distance(&query, &rows[j]);
             assert!((sq[j] - d * d).abs() < 1e-12);
-            assert!((dist[j] - d).abs() < 1e-12);
             assert!((cos[j] - cosine_distance(&query, &rows[j])).abs() < 1e-12);
         }
     }
@@ -350,24 +302,6 @@ mod tests {
         m.cosine_dists_to_all(&[1.0, 0.0], &mut out);
         assert_eq!(out[0], 1.0); // zero row
         assert!(out[1].abs() < 1e-12); // identical direction
-    }
-
-    #[test]
-    fn pairwise_chunk_matches_one_to_many() {
-        // A tile-crossing width exercises the column tiling.
-        let left = FeatureMatrix::from_rows(sample(7, 6, 0.1));
-        let right = FeatureMatrix::from_rows(sample(PAIRWISE_TILE + 37, 6, 2.2));
-        let mut chunk = vec![0.0; 3 * right.len()];
-        left.pairwise_sq_chunk(2..5, &right, &mut chunk);
-        let mut expect = vec![0.0; right.len()];
-        for (r, i) in (2..5).enumerate() {
-            right.sq_dists_to_all(left.row(i), &mut expect);
-            assert_eq!(
-                &chunk[r * right.len()..(r + 1) * right.len()],
-                expect.as_slice(),
-                "row {i} differs"
-            );
-        }
     }
 
     #[test]

@@ -88,35 +88,6 @@ proptest! {
         }
     }
 
-    /// `within_row_into` (stored pivot distances on the query side)
-    /// equals `within_into` with the stored row as an external query,
-    /// under the default pivot budget and the single-pivot reference.
-    #[test]
-    fn row_queries_equal_external_queries(
-        flat in prop::collection::vec(-4.0f64..4.0, 12..400),
-        dim in 1usize..9,
-        eps in 0.05f64..3.0,
-    ) {
-        let rows = into_rows(&flat, dim);
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let m = FeatureMatrix::from_rows(rows.clone());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for index in [PivotIndex::build(&m), PivotIndex::with_pivots(&m, 1)] {
-            for id in 0..rows.len() as u32 {
-                for strict in [false, true] {
-                    index.within_row_into(id, eps, strict, &mut a);
-                    index.within_into(&rows[id as usize], eps, strict, &mut b);
-                    prop_assert_eq!(&a, &b, "row-query vs external query, id={}", id);
-                    if !strict {
-                        prop_assert!(a.contains(&id), "self missing from own ball");
-                    }
-                }
-            }
-        }
-    }
-
     /// eps placed exactly on a realized pairwise distance: the boundary
     /// row's verdict must flip between strict and non-strict exactly as
     /// the reference kernel decides, with no tolerance band.

@@ -704,9 +704,6 @@ fn stats_of(inner: &Inner) -> ServiceStats {
         governor_refunds: inner.governor.refunds(),
         breaker_trips: inner.breaker.trips(),
         breaker_state: inner.breaker.state_code(),
-        index_builds: tel.index_builds.get(),
-        index_queries: tel.index_queries.get(),
-        index_pruned_bp: tel.index_pruned_bp.get() as u64,
         shed_total: tel.shed.get(),
         queue_depth_peak: inner.depth_peak.load(Ordering::Relaxed),
         planner_lock_hold_p50_us: lock_hold.quantile(0.5),
@@ -1094,11 +1091,6 @@ fn flush(
     // span used to be held under.)
     let _flush_span = tel.planner_lock_hold_us.start_timer();
     let plan_started = Instant::now();
-    // Index counters are process-wide: the delta across this flush's
-    // planning is its own builds and queries plus whatever another
-    // service in the process planned meanwhile. The deltas accumulate
-    // into this service's registry, which `/stats` and `/metrics` serve.
-    let idx_before = embed::index::stats();
     // Dedupe by fingerprint. Four ways a question avoids its own LLM
     // slot: identical to a question already held (`held`) or to another
     // in this flush (`duplicate`), identical to one an executing batch is
@@ -1168,16 +1160,6 @@ fn flush(
     tel.plans.inc();
     tel.plan_wall_us.record(plan_us);
     tel.plan_last_us.set(plan_us as i64);
-    let idx_delta = embed::index::stats().delta_since(&idx_before);
-    tel.index_builds.add(idx_delta.builds);
-    tel.index_queries.add(idx_delta.queries);
-    tel.index_candidates.add(idx_delta.candidates);
-    tel.index_pruned.add(idx_delta.pruned);
-    let candidates = tel.index_candidates.get();
-    if candidates > 0 {
-        let pruned_share = tel.index_pruned.get() as f64 / candidates as f64;
-        tel.index_pruned_bp.set((pruned_share * 10_000.0) as i64);
-    }
 
     for (bi, batch) in plan.batches.iter().enumerate() {
         if !urgent && batch.len() < inner.config.batch_size {

@@ -112,19 +112,6 @@ pub struct ServiceStats {
     /// Breaker state: 0 closed, 1 open, 2 half-open.
     #[serde(default)]
     pub breaker_state: u64,
-    /// Metric-index builds (ε-graph, coverage, and top-k accelerators)
-    /// during this service's flushes.
-    #[serde(default)]
-    pub index_builds: u64,
-    /// Metric-index queries answered (region, top-k, and pair sweeps)
-    /// during this service's flushes.
-    #[serde(default)]
-    pub index_queries: u64,
-    /// Fraction of candidate comparisons the metric index eliminated
-    /// before any full distance computation over this service's
-    /// flushes, basis points (0-10000).
-    #[serde(default)]
-    pub index_pruned_bp: u64,
     /// Questions refused by the admission bound: `try_submit` sheds
     /// (429s) plus blocking submits degraded to the fallback.
     #[serde(default)]
@@ -257,9 +244,6 @@ mod tests {
             governor_refunds: 1,
             breaker_trips: 0,
             breaker_state: 0,
-            index_builds: 3,
-            index_queries: 210,
-            index_pruned_bp: 9_870,
             shed_total: 2,
             queue_depth_peak: 11,
             planner_lock_hold_p50_us: 35,
@@ -336,27 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_index_wire_payload_still_parses() {
-        // Scrapers from before the metric-index tier sent none of the
-        // index fields; `#[serde(default)]` keeps their payloads
-        // readable.
-        let mut json = String::from_utf8(serde_json::to_vec(&sample()).unwrap()).unwrap();
-        for field in [
-            "\"index_builds\":3,",
-            "\"index_queries\":210,",
-            "\"index_pruned_bp\":9870,",
-        ] {
-            let stripped = json.replace(field, "");
-            assert_ne!(stripped, json, "field pattern `{field}` did not match");
-            json = stripped;
-        }
-        let back: ServiceStats = serde_json::from_slice(json.as_bytes()).unwrap();
-        assert_eq!(back.index_builds, 0);
-        assert_eq!(back.index_pruned_bp, 0);
-        assert_eq!(back.submitted, sample().submitted);
-    }
-
-    #[test]
     fn pre_admission_wire_payload_still_parses() {
         // Scrapers from before admission control sent none of these
         // fields; `#[serde(default)]` keeps their payloads readable (the
@@ -385,7 +348,9 @@ mod tests {
     /// with sharding, leases and the incremental planner (`shards`,
     /// `lease_refills`, `plan_last_inserted`, `plan_last_retired`) are
     /// ignored, as are `index_query_p50_us`/`_p99_us` (a per-query
-    /// stopwatch that only ever read 0), and everything that stayed keeps
+    /// stopwatch that only ever read 0) and `index_builds`,
+    /// `index_queries`, `index_pruned_bp` (process-wide index counters
+    /// the service no longer copies), and everything that stayed keeps
     /// its value.
     #[test]
     fn payloads_of_the_sharded_build_still_parse() {
@@ -397,6 +362,10 @@ mod tests {
         let stats: ServiceStats = serde_json::from_str(STATS).unwrap();
         let kept = STATS
             .replace(r#""plan_last_inserted":2,"plan_last_retired":1,"#, "")
+            .replace(
+                r#""index_builds":98,"index_queries":29129,"index_pruned_bp":4028,"#,
+                "",
+            )
             .replace(r#""index_query_p50_us":0,"index_query_p99_us":0,"#, "")
             .replace(r#""shards":4,"#, "")
             .replace(r#","lease_refills":7"#, "");

@@ -69,10 +69,6 @@ pub struct Telemetry {
     pub(crate) wal_append_errors: Arc<Counter>,
     pub(crate) breaker_trips: Arc<Counter>,
     pub(crate) breaker_short_circuits: Arc<Counter>,
-    pub(crate) index_builds: Arc<Counter>,
-    pub(crate) index_queries: Arc<Counter>,
-    pub(crate) index_candidates: Arc<Counter>,
-    pub(crate) index_pruned: Arc<Counter>,
 
     // Gauges.
     pub(crate) queue_depth: Arc<Gauge>,
@@ -86,7 +82,6 @@ pub struct Telemetry {
     pub(crate) recovery_truncated_bytes: Arc<Gauge>,
     pub(crate) recovery_answers_restored: Arc<Gauge>,
     pub(crate) recovery_open_reservations: Arc<Gauge>,
-    pub(crate) index_pruned_bp: Arc<Gauge>,
 
     // Histograms.
     pub(crate) queue_wait_us: Arc<Histogram>,
@@ -219,27 +214,6 @@ impl Telemetry {
             "Batches routed to the fallback by an open circuit breaker.",
             &[],
         );
-        let index_builds = registry.counter(
-            "er_index_builds_total",
-            "Metric-index builds (ε-graph, coverage, and top-k accelerators).",
-            &[],
-        );
-        let index_queries = registry.counter(
-            "er_index_queries_total",
-            "Metric-index queries answered (region, top-k, and pair sweeps).",
-            &[],
-        );
-        let index_candidates = registry.counter(
-            "er_index_candidates_total",
-            "Candidate comparisons a brute-force pass would have fully evaluated for the metric-index queries answered.",
-            &[],
-        );
-        let index_pruned = registry.counter(
-            "er_index_candidates_pruned_total",
-            "Of those candidates, eliminated via the triangle bound before any full distance computation.",
-            &[],
-        );
-
         let queue_depth = registry.gauge(
             "er_queue_depth",
             "Questions currently waiting in the coalescing queue.",
@@ -304,11 +278,6 @@ impl Telemetry {
         let recovery_open_reservations = registry.gauge(
             "er_recovery_open_reservations",
             "Reserves found without settle-or-refund at the last startup (crash evidence, treated as refunded).",
-            &[],
-        );
-        let index_pruned_bp = registry.gauge(
-            "er_index_candidates_pruned_bp",
-            "Fraction of candidate comparisons the metric index eliminated via the triangle bound before any full distance computation, basis points (0-10000).",
             &[],
         );
 
@@ -393,10 +362,6 @@ impl Telemetry {
             wal_append_errors,
             breaker_trips,
             breaker_short_circuits,
-            index_builds,
-            index_queries,
-            index_candidates,
-            index_pruned,
             queue_depth,
             cache_entries,
             governor_reserved_micros,
@@ -408,7 +373,6 @@ impl Telemetry {
             recovery_truncated_bytes,
             recovery_answers_restored,
             recovery_open_reservations,
-            index_pruned_bp,
             queue_wait_us,
             plan_wall_us,
             planner_lock_hold_us,
@@ -521,16 +485,12 @@ mod tests {
         t.queue_wait_us.record(120);
         t.answer_llm_us.record(4_000);
         t.plan_wall_us.record(90);
-        t.index_builds.inc();
-        t.index_pruned_bp.set(9_900);
         let text = t.registry().render_prometheus();
         for family in [
             "er_questions_submitted_total",
             "er_queue_wait_us",
             "er_answer_us",
             "er_plan_wall_us",
-            "er_index_builds_total",
-            "er_index_candidates_pruned_bp",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

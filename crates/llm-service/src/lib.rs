@@ -2,7 +2,8 @@
 //!
 //! The paper's framework talks to LLMs over an HTTP JSON API; this crate
 //! reproduces that deployment seam so the client stack (request encoding,
-//! transport errors, status-code mapping, retries) is exercised for real:
+//! transport errors, status-code mapping) is exercised for real. The
+//! client fails fast; retries belong to the batch executor above it:
 //!
 //! * [`LlmServer`] — a minimal HTTP/1.1 server on `127.0.0.1` that serves
 //!   `POST /v1/chat/completions` from a [`llm::SimLlm`].
@@ -33,4 +34,4 @@ pub mod wire;
 
 pub use http::{HttpRequest, HttpResponse};
 pub use serve::{spawn_http_server, ConnMetrics, HttpServerHandle, ServeOptions};
-pub use server::{HttpChatClient, LlmServer, RetryPolicy, RunningServer};
+pub use server::{HttpChatClient, LlmServer, RunningServer};

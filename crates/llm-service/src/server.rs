@@ -14,7 +14,8 @@ use crate::wire::{
     WireErrorBody, WireMessage, WireRequest, WireResponse,
 };
 
-/// Factory for loopback LLM services.
+/// Factory for loopback LLM services. The simulator's fault injection and
+/// the connection-pool limits are set only by this module's tests.
 #[derive(Debug, Default)]
 pub struct LlmServer {
     config: SimLlmConfig,
@@ -25,17 +26,6 @@ impl LlmServer {
     /// A server backed by a fault-free simulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A server with fault injection enabled on the underlying simulator.
-    pub fn with_config(config: SimLlmConfig) -> Self {
-        Self { config, options: ServeOptions::default() }
-    }
-
-    /// Overrides the connection-pool limits (worker threads / backlog).
-    pub fn with_serve_options(mut self, options: ServeOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Binds to an ephemeral port on `127.0.0.1` and starts serving on a
@@ -233,53 +223,6 @@ fn bad_request(message: &str) -> HttpResponse {
     )
 }
 
-/// Transport retry policy for [`HttpChatClient`]: capped exponential
-/// backoff bounded by an overall deadline.
-///
-/// Only transport failures (connect/send/recv) retry — they are the
-/// failures a moment's patience can fix. Rate limits are *not* retried
-/// here: the batch executor already owns that loop with its own budget
-/// accounting, and retrying underneath it would double-pay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = fail fast).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: std::time::Duration,
-    /// Cap on a single backoff sleep.
-    pub max_backoff: std::time::Duration,
-    /// Overall wall-clock bound across all attempts: a retry whose
-    /// backoff would cross it is abandoned and the last error returned.
-    pub deadline: std::time::Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff: std::time::Duration::from_millis(25),
-            max_backoff: std::time::Duration::from_millis(400),
-            deadline: std::time::Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: every transport error surfaces immediately.
-    pub fn none() -> Self {
-        Self { max_retries: 0, ..Self::default() }
-    }
-
-    /// The backoff before retry number `attempt` (0-based): base times
-    /// two-to-the-attempt, capped at [`RetryPolicy::max_backoff`].
-    pub fn backoff(&self, attempt: u32) -> std::time::Duration {
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
-}
-
 /// Idle sockets one client (and its clones) keeps for reuse. Matches the
 /// servers' default worker count: more could never be served at once.
 const MAX_IDLE_SOCKETS: usize = 16;
@@ -295,38 +238,24 @@ const MAX_IDLE_SOCKETS: usize = 16;
 /// The server closes sockets that sit idle (its `io_timeout`, or earlier
 /// to free a worker), so a pooled socket may be stale. That shows as a
 /// failure before the first response byte, which cannot have been the
-/// request's fault: the exchange is redone once on a fresh connection
-/// and is not a transport retry — no [`RetryPolicy`] budget, backoff or
-/// `retries` count, and nothing the caller's circuit breaker sees. Any
-/// failure on a fresh socket, or after a response byte, is reported.
+/// request's fault: the exchange is redone once on a fresh connection.
+/// That redo is not a retry — nothing the caller's circuit breaker sees.
+/// Any failure on a fresh socket, or after a response byte, is reported.
 ///
-/// By default transport errors fail fast; [`HttpChatClient::with_retry`]
-/// adds capped exponential backoff under a deadline.
+/// Transport errors fail fast: one `complete` is one attempt. Retrying a
+/// rate limit or a malformed answer is the batch executor's job, priced
+/// by the governor's `max_retries + 1` projection; a dead endpoint is the
+/// circuit breaker's.
 #[derive(Debug, Clone)]
 pub struct HttpChatClient {
     addr: std::net::SocketAddr,
-    retry: RetryPolicy,
-    retries: Option<Arc<Counter>>,
     idle: Arc<Mutex<Vec<MessageReader<TcpStream>>>>,
 }
 
 impl HttpChatClient {
-    /// A client for the service at `addr`, failing fast on transport
-    /// errors.
+    /// A client for the service at `addr`.
     pub fn new(addr: std::net::SocketAddr) -> Self {
-        Self { addr, retry: RetryPolicy::none(), retries: None, idle: Arc::default() }
-    }
-
-    /// Retries transport failures per `policy`.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Counts every transport retry on `counter`.
-    pub fn with_retry_metrics(mut self, counter: Arc<Counter>) -> Self {
-        self.retries = Some(counter);
-        self
+        Self { addr, idle: Arc::default() }
     }
 
     fn idle(&self) -> std::sync::MutexGuard<'_, Vec<MessageReader<TcpStream>>> {
@@ -380,8 +309,10 @@ impl HttpChatClient {
         }
         reply
     }
+}
 
-    fn attempt(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+impl ChatApi for HttpChatClient {
+    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
         let wire = WireRequest {
             model: request.model.id().to_owned(),
             messages: vec![WireMessage { role: "user".into(), content: request.prompt.clone() }],
@@ -418,32 +349,6 @@ impl HttpChatClient {
         let wire_resp: WireResponse = serde_json::from_slice(&reply.body)
             .map_err(|e| LlmError::Protocol(format!("response decoding failed: {e}")))?;
         to_chat_response(&wire_resp)
-    }
-}
-
-impl ChatApi for HttpChatClient {
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
-        let started = std::time::Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            match self.attempt(request) {
-                Err(LlmError::Transport(detail)) if attempt < self.retry.max_retries => {
-                    let backoff = self.retry.backoff(attempt);
-                    if started.elapsed() + backoff > self.retry.deadline {
-                        return Err(LlmError::Transport(format!(
-                            "{detail} (deadline after {} retries)",
-                            attempt
-                        )));
-                    }
-                    if let Some(counter) = &self.retries {
-                        counter.inc();
-                    }
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
     }
 
     fn trace_children(&self, trace_id: u64) -> Option<String> {
@@ -565,12 +470,19 @@ mod tests {
         obs::lint(&text).expect("llm /metrics is valid Prometheus text");
     }
 
+    /// A server whose simulator rate-limits every request.
+    fn always_rate_limited() -> RunningServer {
+        LlmServer {
+            config: SimLlmConfig { rate_limit_rate: 1.0, ..Default::default() },
+            ..LlmServer::new()
+        }
+        .start()
+        .unwrap()
+    }
+
     #[test]
     fn rate_limit_surfaces_as_429() {
-        let server =
-            LlmServer::with_config(SimLlmConfig { rate_limit_rate: 1.0, ..Default::default() })
-                .start()
-                .unwrap();
+        let server = always_rate_limited();
         let err = server
             .client()
             .complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), 1))
@@ -605,14 +517,12 @@ mod tests {
         // Tiny pool, many more clients than workers + backlog: all
         // requests complete because the accept loop applies backpressure
         // instead of spawning unbounded threads.
-        let server = LlmServer::new()
-            .with_serve_options(ServeOptions {
-                worker_threads: 2,
-                backlog: 2,
-                ..ServeOptions::default()
-            })
-            .start()
-            .unwrap();
+        let server = LlmServer {
+            options: ServeOptions { worker_threads: 2, backlog: 2, ..ServeOptions::default() },
+            ..LlmServer::new()
+        }
+        .start()
+        .unwrap();
         let client = server.client();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..24u64)
@@ -633,82 +543,36 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_doubles_and_caps() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff(0), std::time::Duration::from_millis(25));
-        assert_eq!(policy.backoff(1), std::time::Duration::from_millis(50));
-        assert_eq!(policy.backoff(2), std::time::Duration::from_millis(100));
-        assert_eq!(policy.backoff(3), std::time::Duration::from_millis(200));
-        assert_eq!(policy.backoff(4), std::time::Duration::from_millis(400));
-        // Capped from here on — including shift overflow territory.
-        assert_eq!(policy.backoff(5), std::time::Duration::from_millis(400));
-        assert_eq!(policy.backoff(63), std::time::Duration::from_millis(400));
-    }
-
-    #[test]
-    fn transport_errors_retry_then_surface() {
-        // A port with nothing listening: every attempt is refused.
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
+    fn transport_error_fails_fast_after_one_connection() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Accepts each connection and closes it without a reply, counting
+        // them until `stop` is set and one more connection wakes it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let listening = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut accepted = 0;
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    accepted += 1;
+                    drop(stream);
+                }
+                accepted
+            })
         };
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_backoff: std::time::Duration::from_millis(5),
-            max_backoff: std::time::Duration::from_millis(10),
-            deadline: std::time::Duration::from_secs(1),
-        };
-        let retries = Arc::new(Counter::detached());
-        let client = HttpChatClient::new(addr)
-            .with_retry(policy)
-            .with_retry_metrics(Arc::clone(&retries));
-        let started = std::time::Instant::now();
-        let err = client
+        let err = HttpChatClient::new(addr)
             .complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), 1))
             .unwrap_err();
         assert!(matches!(err, LlmError::Transport(_)), "{err:?}");
-        assert_eq!(retries.get(), 2);
-        // Slept through both backoffs (5ms + 10ms) before giving up.
-        assert!(started.elapsed() >= std::time::Duration::from_millis(15));
-    }
-
-    #[test]
-    fn deadline_bounds_total_retry_time() {
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        // Generous retry count, tiny deadline: the second backoff would
-        // cross it, so exactly one retry happens.
-        let policy = RetryPolicy {
-            max_retries: 100,
-            base_backoff: std::time::Duration::from_millis(20),
-            max_backoff: std::time::Duration::from_secs(10),
-            deadline: std::time::Duration::from_millis(30),
-        };
-        let retries = Arc::new(Counter::detached());
-        let client = HttpChatClient::new(addr)
-            .with_retry(policy)
-            .with_retry_metrics(Arc::clone(&retries));
-        let err = client
-            .complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), 1))
-            .unwrap_err();
-        assert!(matches!(err, LlmError::Transport(_)), "{err:?}");
-        assert!(retries.get() <= 1, "deadline should stop the retry loop");
-    }
-
-    #[test]
-    fn retrying_client_still_succeeds_against_live_server() {
-        let server = LlmServer::new().start().unwrap();
-        let retries = Arc::new(Counter::detached());
-        let client = HttpChatClient::new(server.addr())
-            .with_retry(RetryPolicy::default())
-            .with_retry_metrics(Arc::clone(&retries));
-        let resp = client
-            .complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), 5))
-            .unwrap();
-        assert!(parse_answers(&resp.content, 2).is_ok());
-        assert_eq!(retries.get(), 0);
+        // Every failed attempt is a connection the listener accepted and
+        // closed, so the count is final once the error surfaces.
+        stop.store(true, Ordering::SeqCst);
+        TcpStream::connect(addr).unwrap();
+        assert_eq!(listening.join().unwrap(), 1);
     }
 
     #[test]
@@ -790,10 +654,7 @@ mod tests {
 
     #[test]
     fn failed_traced_request_finishes_with_error_span() {
-        let server =
-            LlmServer::with_config(SimLlmConfig { rate_limit_rate: 1.0, ..Default::default() })
-                .start()
-                .unwrap();
+        let server = always_rate_limited();
         let client = server.client();
         let req = ChatRequest::new(ModelKind::Gpt4, prompt(), 1).with_trace(31, 0);
         client.complete(&req).unwrap_err();
@@ -830,17 +691,18 @@ mod tests {
 
     #[test]
     fn stale_pooled_socket_is_replaced_without_a_retry() {
-        let server = LlmServer::new()
-            .with_serve_options(ServeOptions {
+        let server = LlmServer {
+            options: ServeOptions {
                 io_timeout: std::time::Duration::from_millis(25),
                 ..ServeOptions::default()
-            })
-            .start()
-            .unwrap();
-        // Fail-fast policy: a stale socket surfacing as a transport error
-        // would fail the second call outright.
-        let retries = Arc::new(Counter::detached());
-        let client = server.client().with_retry_metrics(Arc::clone(&retries));
+            },
+            ..LlmServer::new()
+        }
+        .start()
+        .unwrap();
+        // The client fails fast: a stale socket surfacing as a transport
+        // error would fail the second call outright.
+        let client = server.client();
         let request = ChatRequest::new(ModelKind::Gpt4, prompt(), 5);
         client.complete(&request).unwrap();
         // Wait until the server has closed the pooled socket for idling.
@@ -853,7 +715,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         client.complete(&request).unwrap();
-        assert_eq!(retries.get(), 0);
     }
 
     #[test]

@@ -141,47 +141,6 @@ fn cache_hits_are_identical_and_free() {
 }
 
 #[test]
-fn index_stats_count_this_service_only() {
-    let first = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
-    for question in &crafted_questions(12) {
-        first.submit(question);
-    }
-    // What a small flush still asks of the metric index is DBSCAN's one
-    // pair sweep over the questions it holds (one build, one query); the
-    // coverage sweep below the index gate asks it nothing. (The exact
-    // 1 and 1 are gated in `BENCH_planning.json` `flush_plan`, not here:
-    // the counters are process-wide and sibling tests plan concurrently.)
-    let planned = first.stats();
-    assert!(
-        planned.index_builds > 0 && planned.index_queries > 0,
-        "planning 12 questions never touched the metric index: {planned:?}"
-    );
-    drop(first);
-
-    // The index counters underneath are process-wide; a service started
-    // later in the same process has planned nothing, so it reports none
-    // of its predecessor's (or any concurrent test's) activity.
-    let second = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
-    let fresh = second.stats();
-    assert_eq!(
-        (
-            fresh.index_builds,
-            fresh.index_queries,
-            fresh.index_pruned_bp
-        ),
-        (0, 0, 0)
-    );
-    let metrics = second.render_metrics();
-    for line in [
-        "er_index_builds_total 0",
-        "er_index_queries_total 0",
-        "er_index_candidates_pruned_bp 0",
-    ] {
-        assert!(metrics.contains(line), "missing `{line}` in:\n{metrics}");
-    }
-}
-
-#[test]
 fn duplicate_workload_costs_less_with_cache_than_without() {
     // 8 unique questions, each asked three times, sequentially (so the
     // flush-time dedupe cannot mask the cache's contribution).
@@ -383,8 +342,6 @@ fn telemetry_off_zeroes_registry_backed_stats_and_keeps_the_ledger() {
         ("plan_p99_us", stats.plan_p99_us),
         ("answer_p99_us", stats.answer_p99_us),
         ("budget_denials", stats.budget_denials),
-        ("index_builds", stats.index_builds),
-        ("index_queries", stats.index_queries),
         ("planner_lock_hold_p99_us", stats.planner_lock_hold_p99_us),
     ];
     for (field, value) in dark {
