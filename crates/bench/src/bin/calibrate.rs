@@ -23,8 +23,8 @@ fn main() {
         let split = d.split_3_1_1(1).unwrap();
         let (mut pos, mut npos, mut neg, mut nneg) = (0.0, 0usize, 0.0, 0usize);
         for p in &split.test {
-            let parsed = parse_pair_text(&p.pair.serialize());
-            let score = PairFeatures::of(&parsed).score;
+            let serialized = p.pair.serialize();
+            let score = PairFeatures::of(&parse_pair_text(&serialized)).score;
             if p.label.is_match() {
                 pos += score;
                 npos += 1;

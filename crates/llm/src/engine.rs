@@ -20,11 +20,14 @@
 //! effect) and `σ_eff` grows for single-question prompts (standard
 //! prompting's instability).
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use text_sim::{fnv1a64, jaccard_tokens, levenshtein_ratio, normalize};
+use text_sim::{fnv1a64, jaccard_sorted, levenshtein_ratio, normalize_into};
 
-use crate::parse::{ParsedDemo, ParsedPair, ParsedPrompt};
+use crate::parse::{ParsedAttr, ParsedPair, ParsedPrompt};
 use crate::profile::CapabilityProfile;
 
 /// One answered question.
@@ -48,12 +51,13 @@ pub struct Decision {
 /// `rng` must be derived deterministically from the request seed so that
 /// identical requests produce identical responses.
 pub fn decide(
-    parsed: &ParsedPrompt,
+    parsed: &ParsedPrompt<'_>,
     profile: &CapabilityProfile,
     noise_scale: f64,
     rng: &mut StdRng,
 ) -> Vec<Decision> {
-    let features: Vec<PairFeatures> = parsed.questions.iter().map(PairFeatures::of).collect();
+    let mut reader = Reader::default();
+    let features: Vec<PairFeatures> = parsed.questions.iter().map(|q| reader.pair(q)).collect();
     let scores: Vec<f64> = features.iter().map(|f| f.score).collect();
 
     // Contrast effect: mutually diverse batches let the model calibrate by
@@ -77,7 +81,7 @@ pub fn decide(
     let demo_features: Vec<(PairFeatures, bool)> = parsed
         .demos
         .iter()
-        .map(|d: &ParsedDemo| (PairFeatures::of(&d.pair), d.label))
+        .map(|d| (reader.pair(&d.pair), d.label))
         .collect();
 
     let mut decisions: Vec<Decision> = Vec::with_capacity(features.len());
@@ -142,14 +146,18 @@ pub fn decide(
 /// The engine's latent reading of one pair: per-attribute similarities and
 /// an aggregate score.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PairFeatures {
-    /// `(attribute name, similarity)` per aligned attribute.
-    pub per_attr: Vec<(String, f64)>,
+pub struct PairFeatures<'p> {
+    /// `(attribute name, similarity)` per aligned attribute. Names borrow
+    /// from the prompt; only an unnamed attribute's `field{idx}` is owned.
+    pub per_attr: Vec<(Cow<'p, str>, f64)>,
     /// Weighted aggregate in `[0, 1]`.
     pub score: f64,
+    /// Indices into `per_attr` in ascending name order, the first
+    /// occurrence of each name only.
+    name_order: Vec<usize>,
 }
 
-impl PairFeatures {
+impl<'p> PairFeatures<'p> {
     /// Reads a parsed pair into features. Attributes align by name when
     /// names parse on both sides, positionally otherwise.
     ///
@@ -159,71 +167,36 @@ impl PairFeatures {
     /// the behaviour the paper observes GPT exhibiting on Walmart-Amazon's
     /// `modelno` (§VI-B). Identifier-like values (single tokens mixing
     /// letters and digits) disagree hard when unequal.
-    pub fn of(pair: &ParsedPair) -> Self {
-        let mut per_attr: Vec<(String, f64)> = Vec::new();
-        let mut conflict: f64 = 0.0;
-        for (idx, (name, va)) in pair.a.iter().enumerate() {
-            let vb = lookup(&pair.b, name, idx);
-            let sim = match vb {
-                Some(vb) => {
-                    let s = value_similarity(va, vb);
-                    conflict = conflict.max(attr_conflict(va, vb, s));
-                    s
-                }
-                None => 0.0,
-            };
-            per_attr.push((display_name(name, idx), sim));
-        }
-        if per_attr.is_empty() {
-            // Nothing parseable: fall back to whole-text similarity of the
-            // raw halves (an LLM would still read the characters).
-            let sim = match pair.raw.split_once("[SEP]") {
-                Some((l, r)) => value_similarity(l, r),
-                None => 0.0,
-            };
-            per_attr.push(("text".to_owned(), sim));
-        }
-        // The first attribute (title-like) carries double weight: in the
-        // Magellan schemas it is by far the most discriminative.
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, (_, s)) in per_attr.iter().enumerate() {
-            let w = if i == 0 { 2.0 } else { 1.0 };
-            num += w * s;
-            den += w;
-        }
-        let base = if den > 0.0 { num / den } else { 0.0 };
-        let score = (base - 0.9 * conflict).clamp(0.0, 1.0);
-        Self { per_attr, score }
+    pub fn of(pair: &ParsedPair<'p>) -> Self {
+        Reader::default().pair(pair)
     }
 
     /// Arity-normalized Euclidean distance between two feature readings,
-    /// aligned by attribute name.
+    /// aligned by attribute name (a name on one side only reads 0.5 on the
+    /// other): one merge of the two name orders.
     pub fn distance(&self, other: &PairFeatures) -> f64 {
-        let names: Vec<&str> = self
-            .per_attr
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .chain(other.per_attr.iter().map(|(n, _)| n.as_str()))
-            .collect();
-        let mut uniq: Vec<&str> = names;
-        uniq.sort_unstable();
-        uniq.dedup();
-        let m = uniq.len().max(1);
-        let mut sum = 0.0;
-        for name in &uniq {
-            let a = self.attr_sim(name).unwrap_or(0.5);
-            let b = other.attr_sim(name).unwrap_or(0.5);
+        let (mut x, mut y) = (self.by_name().peekable(), other.by_name().peekable());
+        let (mut sum, mut names) = (0.0, 0usize);
+        loop {
+            let order = match (x.peek(), y.peek()) {
+                (Some((a, _)), Some((b, _))) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            let a = x.next_if(|_| order.is_le()).map_or(0.5, |(_, s)| s);
+            let b = y.next_if(|_| order.is_ge()).map_or(0.5, |(_, s)| s);
             sum += (a - b) * (a - b);
+            names += 1;
         }
-        (sum / m as f64).sqrt()
+        (sum / names.max(1) as f64).sqrt()
     }
 
-    fn attr_sim(&self, name: &str) -> Option<f64> {
-        self.per_attr
+    /// `(name, similarity)` of each name's first occurrence, by name.
+    fn by_name(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.name_order
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, s)| s)
+            .map(|&i| (&*self.per_attr[i].0, self.per_attr[i].1))
     }
 
     /// Attribute the model cites in its rationale: the most similar one
@@ -235,25 +208,14 @@ impl PairFeatures {
         } else {
             self.per_attr.iter().min_by(|a, b| a.1.total_cmp(&b.1))
         };
-        chosen.map(|(n, _)| n.clone())
+        chosen.map(|(n, _)| n.to_string())
     }
 }
 
-fn lookup<'v>(attrs: &'v [(String, String)], name: &str, idx: usize) -> Option<&'v str> {
-    if !name.is_empty() {
-        if let Some((_, v)) = attrs.iter().find(|(n, _)| n == name) {
-            return Some(v.as_str());
-        }
-    }
-    attrs.get(idx).map(|(_, v)| v.as_str())
-}
-
-fn display_name(name: &str, idx: usize) -> String {
-    if name.is_empty() {
-        format!("field{idx}")
-    } else {
-        name.to_owned()
-    }
+/// The value named `name` (its first occurrence), else the one at `idx`.
+fn lookup<'v>(attrs: &[ParsedAttr<'v>], name: &str, idx: usize) -> Option<&'v str> {
+    let named = attrs.iter().find(|(n, _)| !name.is_empty() && *n == name);
+    named.or(attrs.get(idx)).map(|&(_, v)| v)
 }
 
 /// True for identifier-like values: one token mixing letters and digits
@@ -268,7 +230,8 @@ fn is_identifier(v: &str) -> bool {
 
 /// Tokens that mark a different *version* of an otherwise identically
 /// named entity — the distinctions an LLM reads as "not the same entity"
-/// (live recordings, remixes, sequels, second locations).
+/// (live recordings, remixes, sequels, second locations). A value carries
+/// them as a bitmask, bit `i` for `VARIANT_MARKERS[i]`.
 const VARIANT_MARKERS: &[&str] = &[
     "live",
     "remix",
@@ -284,82 +247,167 @@ const VARIANT_MARKERS: &[&str] = &[
     "iii",
 ];
 
-/// Disagreement strength of one aligned attribute where both sides carry a
-/// value. Mirrors how LLMs read entity pairs (and the paper's §VI-B
-/// anecdote that GPT keys on `modelno`):
-///
-/// * unequal identifier values ("S1230" vs "S1231") — decisive;
-/// * disjoint identifier/numeric *tokens* inside longer values
-///   ("photoshop 2006" vs "photoshop 2007") — strong;
-/// * a variant marker on exactly one side ("… (live)") — strong;
-/// * plain dissimilarity of texty values — proportional. Purely numeric
-///   single-token values (prices, years as standalone attributes) are
-///   exempt: formatting drift on those is routine in matching records.
-fn attr_conflict(va: &str, vb: &str, sim: f64) -> f64 {
-    let na = normalize(va);
-    let nb = normalize(vb);
-    if na.is_empty() || nb.is_empty() {
-        return 0.0;
-    }
-    if is_identifier(va) && is_identifier(vb) {
-        return if na == nb { 0.0 } else { 0.45 };
-    }
-    let ta = jaccard_word_tokens(&na);
-    let tb = jaccard_word_tokens(&nb);
-    let mut conflict: f64 = 0.0;
+/// Reads pairs an aligned attribute at a time, each value once: normalized
+/// into a buffer kept from the last attribute and split into one sorted
+/// token set that every signal below shares.
+#[derive(Debug, Default)]
+struct Reader {
+    a: Value,
+    b: Value,
+}
 
-    // Disjoint digit-bearing tokens on both sides: different versions,
-    // model numbers or vintages embedded in otherwise similar text.
-    let nums_a: Vec<&String> = ta
-        .iter()
-        .filter(|t| t.chars().any(|c| c.is_ascii_digit()))
-        .collect();
-    let nums_b: Vec<&String> = tb
-        .iter()
-        .filter(|t| t.chars().any(|c| c.is_ascii_digit()))
-        .collect();
-    if !nums_a.is_empty() && !nums_b.is_empty() && nums_a.iter().all(|t| !nums_b.contains(t)) {
-        conflict = conflict.max(0.35);
+#[derive(Debug, Default)]
+struct Value {
+    norm: String,
+    /// Byte ranges of `norm`'s distinct word tokens, in ascending order.
+    spans: Vec<(usize, usize)>,
+    /// Word tokens of `norm` with repeats counted.
+    token_count: usize,
+    /// Which [`VARIANT_MARKERS`] the value contains.
+    markers: u16,
+}
+
+impl Value {
+    fn read(&mut self, raw: &str) {
+        normalize_into(raw, &mut self.norm);
+        let norm = self.norm.as_bytes();
+        self.spans.clear();
+        let mut start = 0;
+        for token in norm.split(|&c| c == b' ') {
+            if !token.is_empty() {
+                self.spans.push((start, start + token.len()));
+            }
+            start += token.len() + 1;
+        }
+        self.token_count = self.spans.len();
+        self.spans.sort_unstable_by_key(|&(s, e)| &norm[s..e]);
+        self.spans.dedup_by_key(|&mut (s, e)| &norm[s..e]);
+        self.markers = self
+            .tokens()
+            .filter_map(|token| VARIANT_MARKERS.iter().position(|m| *m == token))
+            .fold(0, |mask, i| mask | 1 << i);
     }
 
-    // A variant marker on exactly one side.
-    for marker in VARIANT_MARKERS {
-        let in_a = ta.iter().any(|t| t == marker);
-        let in_b = tb.iter().any(|t| t == marker);
-        if in_a != in_b {
-            conflict = conflict.max(0.30);
+    /// The distinct tokens, ascending.
+    fn tokens(&self) -> impl Iterator<Item = &str> {
+        self.spans.iter().map(|&(s, e)| &self.norm[s..e])
+    }
+}
+
+impl Reader {
+    /// [`PairFeatures::of`] through this reader's buffers.
+    fn pair<'p>(&mut self, pair: &ParsedPair<'p>) -> PairFeatures<'p> {
+        let mut per_attr: Vec<(Cow<'p, str>, f64)> = Vec::with_capacity(pair.a.len().max(1));
+        let mut conflict: f64 = 0.0;
+        for (idx, &(name, va)) in pair.a.iter().enumerate() {
+            let sim = match lookup(&pair.b, name, idx) {
+                Some(vb) => {
+                    let s = self.similarity(va, vb);
+                    conflict = conflict.max(self.conflict(va, vb, s));
+                    s
+                }
+                None => 0.0,
+            };
+            let name = match name {
+                "" => Cow::Owned(format!("field{idx}")),
+                _ => Cow::Borrowed(name),
+            };
+            per_attr.push((name, sim));
+        }
+        if per_attr.is_empty() {
+            // Nothing parseable: fall back to whole-text similarity of the
+            // raw halves (an LLM would still read the characters).
+            let sim = match pair.raw.split_once("[SEP]") {
+                Some((l, r)) => self.similarity(l, r),
+                None => 0.0,
+            };
+            per_attr.push((Cow::Borrowed("text"), sim));
+        }
+        // The first attribute (title-like) carries double weight: in the
+        // Magellan schemas it is by far the most discriminative.
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (i, (_, s)) in per_attr.iter().enumerate() {
+            let w = if i == 0 { 2.0 } else { 1.0 };
+            num += w * s;
+            den += w;
+        }
+        let base = if den > 0.0 { num / den } else { 0.0 };
+        let score = (base - 0.9 * conflict).clamp(0.0, 1.0);
+
+        // Ties broken by position, so the first of a repeated name leads
+        // its run and survives the dedup.
+        let mut name_order: Vec<usize> = (0..per_attr.len()).collect();
+        name_order.sort_unstable_by(|&i, &j| per_attr[i].0.cmp(&per_attr[j].0).then(i.cmp(&j)));
+        name_order.dedup_by(|later, first| per_attr[*later].0 == per_attr[*first].0);
+        PairFeatures { per_attr, score, name_order }
+    }
+
+    /// Reads `va` and `vb` and blends edit-based and token-based
+    /// similarity over their normalized forms. Both-missing reads as weak
+    /// evidence (0.5); one-missing as disagreement.
+    fn similarity(&mut self, va: &str, vb: &str) -> f64 {
+        self.a.read(va);
+        self.b.read(vb);
+        let (a, b) = (&self.a, &self.b);
+        match (a.norm.is_empty(), b.norm.is_empty()) {
+            (true, true) => 0.5,
+            (true, false) | (false, true) => 0.0,
+            (false, false) => {
+                0.5 * levenshtein_ratio(&a.norm, &b.norm)
+                    + 0.5 * jaccard_sorted(a.tokens(), b.tokens())
+            }
         }
     }
 
-    // Plain dissimilarity, for texty values only: single-token pure-number
-    // values (prices, years) drift in format too often to be evidence.
-    let texty = ta.len() >= 2
-        || tb.len() >= 2
-        || na.chars().any(|c| c.is_ascii_alphabetic())
-        || nb.chars().any(|c| c.is_ascii_alphabetic());
-    if texty {
-        conflict = conflict.max((0.55 - sim).max(0.0));
-    }
-    conflict
-}
+    /// Disagreement strength of the values [`Reader::similarity`]
+    /// read last (`va`, `vb` raw, `sim` their similarity), where both sides
+    /// carry a value. Mirrors how LLMs read entity pairs (and the paper's
+    /// §VI-B anecdote that GPT keys on `modelno`):
+    ///
+    /// * unequal identifier values ("S1230" vs "S1231") — decisive;
+    /// * disjoint identifier/numeric *tokens* inside longer values
+    ///   ("photoshop 2006" vs "photoshop 2007") — strong;
+    /// * a variant marker on exactly one side ("… (live)") — strong;
+    /// * plain dissimilarity of texty values — proportional. Purely numeric
+    ///   single-token values (prices, years as standalone attributes) are
+    ///   exempt: formatting drift on those is routine in matching records.
+    fn conflict(&self, va: &str, vb: &str, sim: f64) -> f64 {
+        let (a, b) = (&self.a, &self.b);
+        if a.norm.is_empty() || b.norm.is_empty() {
+            return 0.0;
+        }
+        if is_identifier(va) && is_identifier(vb) {
+            return if a.norm == b.norm { 0.0 } else { 0.45 };
+        }
+        let mut conflict: f64 = 0.0;
 
-fn jaccard_word_tokens(normalized: &str) -> Vec<String> {
-    normalized
-        .split(' ')
-        .filter(|t| !t.is_empty())
-        .map(str::to_owned)
-        .collect()
-}
+        // Disjoint digit-bearing tokens on both sides: different versions,
+        // model numbers or vintages embedded in otherwise similar text.
+        let digit = |t: &&str| t.bytes().any(|c| c.is_ascii_digit());
+        if a.tokens().any(|t| digit(&t))
+            && b.tokens().any(|t| digit(&t))
+            && !a.tokens().filter(digit).any(|t| b.tokens().any(|u| u == t))
+        {
+            conflict = conflict.max(0.35);
+        }
 
-/// Blend of edit-based and token-based similarity over normalized values.
-/// Both-missing reads as weak evidence (0.5); one-missing as disagreement.
-fn value_similarity(a: &str, b: &str) -> f64 {
-    let na = normalize(a);
-    let nb = normalize(b);
-    match (na.is_empty(), nb.is_empty()) {
-        (true, true) => 0.5,
-        (true, false) | (false, true) => 0.0,
-        (false, false) => 0.5 * levenshtein_ratio(&na, &nb) + 0.5 * jaccard_tokens(&na, &nb),
+        // A variant marker on exactly one side.
+        if a.markers != b.markers {
+            conflict = conflict.max(0.30);
+        }
+
+        // Plain dissimilarity, for texty values only: single-token
+        // pure-number values (prices, years) drift in format too often to
+        // be evidence. Repeated tokens count ("0 0" is texty).
+        let texty = a.token_count >= 2
+            || b.token_count >= 2
+            || a.norm.bytes().any(|c| c.is_ascii_alphabetic())
+            || b.norm.bytes().any(|c| c.is_ascii_alphabetic());
+        if texty {
+            conflict = conflict.max((0.55 - sim).max(0.0));
+        }
+        conflict
     }
 }
 
@@ -539,8 +587,9 @@ mod tests {
 
     #[test]
     fn both_missing_is_neutral() {
-        assert_eq!(value_similarity("", ""), 0.5);
-        assert_eq!(value_similarity("x", ""), 0.0);
+        let mut reader = Reader::default();
+        assert_eq!(reader.similarity("", ""), 0.5);
+        assert_eq!(reader.similarity("x", ""), 0.0);
     }
 
     #[test]

@@ -16,44 +16,46 @@
 //!
 //! Everything else is accumulated into the task description.
 
-/// One attribute of a parsed entity: `(name, value)`.
-pub type ParsedAttr = (String, String);
+/// One attribute of a parsed entity: `(name, value)`, both slices of the
+/// prompt.
+pub type ParsedAttr<'p> = (&'p str, &'p str);
 
-/// A parsed entity pair: the attributes of both sides plus the raw text.
+/// A parsed entity pair: the attributes of both sides plus the raw text,
+/// all borrowed from the prompt.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedPair {
+pub struct ParsedPair<'p> {
     /// Attributes of the left entity, in textual order.
-    pub a: Vec<ParsedAttr>,
+    pub a: Vec<ParsedAttr<'p>>,
     /// Attributes of the right entity, in textual order.
-    pub b: Vec<ParsedAttr>,
+    pub b: Vec<ParsedAttr<'p>>,
     /// The raw pair text as it appeared in the prompt.
-    pub raw: String,
+    pub raw: &'p str,
 }
 
 /// A demonstration: a pair with its stated answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedDemo {
+pub struct ParsedDemo<'p> {
     /// The demonstrated pair.
-    pub pair: ParsedPair,
+    pub pair: ParsedPair<'p>,
     /// The demonstrated answer (`true` = matching).
     pub label: bool,
 }
 
 /// The structure recovered from a prompt.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ParsedPrompt {
+pub struct ParsedPrompt<'p> {
     /// Free text outside demonstration/question lines.
     pub task_description: String,
     /// In-context demonstrations, in prompt order.
-    pub demos: Vec<ParsedDemo>,
+    pub demos: Vec<ParsedDemo<'p>>,
     /// Questions to answer, in prompt order.
-    pub questions: Vec<ParsedPair>,
+    pub questions: Vec<ParsedPair<'p>>,
 }
 
 /// Parses a full prompt into its structure. Never fails: unrecognizable
 /// content lands in `task_description`, mirroring how an LLM would simply
 /// read past it.
-pub fn parse_prompt(prompt: &str) -> ParsedPrompt {
+pub fn parse_prompt(prompt: &str) -> ParsedPrompt<'_> {
     let mut out = ParsedPrompt::default();
     for line in prompt.lines() {
         let trimmed = line.trim();
@@ -77,7 +79,7 @@ pub fn parse_prompt(prompt: &str) -> ParsedPrompt {
     out
 }
 
-impl ParsedPrompt {
+impl ParsedPrompt<'_> {
     fn push_description(&mut self, line: &str) {
         if !self.task_description.is_empty() {
             self.task_description.push('\n');
@@ -109,10 +111,21 @@ fn strip_tag(line: &str, tag: char) -> Option<&str> {
 
 /// Reads a yes/no answer out of free text (`"yes"`, `"No."`, `"match"`...).
 fn parse_label(text: &str) -> Option<bool> {
-    let lower = text.trim().to_ascii_lowercase();
-    if lower.starts_with("yes") || lower.starts_with("match") {
+    leading_verdict(text, &["yes", "match"], &["no", "different"])
+}
+
+/// `Some(true)` when `text`, leading whitespace skipped, starts with one
+/// of the lowercase ASCII `yes` words, `Some(false)` for a `no` word —
+/// ASCII case ignored, `yes` words tried first, nothing copied.
+pub(crate) fn leading_verdict(text: &str, yes: &[&str], no: &[&str]) -> Option<bool> {
+    let head = text.trim_start().as_bytes();
+    let starts = |word: &&str| {
+        head.get(..word.len())
+            .is_some_and(|h| h.eq_ignore_ascii_case(word.as_bytes()))
+    };
+    if yes.iter().any(starts) {
         Some(true)
-    } else if lower.starts_with("no") || lower.starts_with("different") {
+    } else if no.iter().any(starts) {
         Some(false)
     } else {
         None
@@ -120,13 +133,13 @@ fn parse_label(text: &str) -> Option<bool> {
 }
 
 /// Splits a serialized pair on `[SEP]` and parses each side's attributes.
-pub fn parse_pair_text(text: &str) -> ParsedPair {
+pub fn parse_pair_text(text: &str) -> ParsedPair<'_> {
     let (left, right) = match text.split_once("[SEP]") {
         Some((l, r)) => (l, r),
         // Degenerate input: treat everything as the left entity.
         None => (text, ""),
     };
-    ParsedPair { a: parse_attrs(left.trim()), b: parse_attrs(right.trim()), raw: text.to_owned() }
+    ParsedPair { a: parse_attrs(left.trim()), b: parse_attrs(right.trim()), raw: text }
 }
 
 /// Parses `name: value, name2: value2, ...`, tolerating commas and colons
@@ -136,8 +149,8 @@ pub fn parse_pair_text(text: &str) -> ParsedPair {
 /// at the beginning of the text or after `", "`. Anything between two
 /// attribute starts belongs to the earlier attribute's value — the same
 /// disambiguation a human reader applies.
-fn parse_attrs(text: &str) -> Vec<ParsedAttr> {
-    let mut attrs: Vec<ParsedAttr> = Vec::new();
+fn parse_attrs(text: &str) -> Vec<ParsedAttr<'_>> {
+    let mut attrs: Vec<ParsedAttr<'_>> = Vec::new();
     if text.is_empty() {
         return attrs;
     }
@@ -161,20 +174,17 @@ fn parse_attrs(text: &str) -> Vec<ParsedAttr> {
     }
     if starts.is_empty() {
         // No recognizable structure: expose the whole text as one value.
-        return vec![(String::new(), text.to_owned())];
+        return vec![("", text)];
     }
     for (k, &(name_start, name_end, value_start)) in starts.iter().enumerate() {
-        let name = text[name_start..name_end].trim().to_owned();
         let value_end = if k + 1 < starts.len() {
             // Value runs up to the ", " preceding the next attribute name.
             starts[k + 1].0.saturating_sub(2)
         } else {
             text.len()
         };
-        let value = text[value_start..value_end.max(value_start)]
-            .trim()
-            .to_owned();
-        attrs.push((name, value));
+        let value = text[value_start..value_end.max(value_start)].trim();
+        attrs.push((text[name_start..name_end].trim(), value));
     }
     attrs
 }
@@ -211,20 +221,8 @@ mod tests {
     #[test]
     fn parses_simple_attrs() {
         let p = parse_pair_text("title: iphone-13, id: 0256 [SEP] title: iphone-14, id: ");
-        assert_eq!(
-            p.a,
-            vec![
-                ("title".into(), "iphone-13".into()),
-                ("id".into(), "0256".into())
-            ]
-        );
-        assert_eq!(
-            p.b,
-            vec![
-                ("title".into(), "iphone-14".into()),
-                ("id".into(), String::new())
-            ]
-        );
+        assert_eq!(p.a, vec![("title", "iphone-13"), ("id", "0256")]);
+        assert_eq!(p.b, vec![("title", "iphone-14"), ("id", "")]);
     }
 
     #[test]
@@ -232,8 +230,8 @@ mod tests {
         let p = parse_pair_text(
             "title: Rashi, genre: Dance,Music,Hip-Hop [SEP] title: Rashi, genre: Music",
         );
-        assert_eq!(p.a[1], ("genre".into(), "Dance,Music,Hip-Hop".into()));
-        assert_eq!(p.b[1], ("genre".into(), "Music".into()));
+        assert_eq!(p.a[1], ("genre", "Dance,Music,Hip-Hop"));
+        assert_eq!(p.b[1], ("genre", "Music"));
     }
 
     #[test]
@@ -241,7 +239,7 @@ mod tests {
         // "time: 3:45" — the 45 is not an attribute because "3" is followed
         // by ":4", not ": ".
         let p = parse_pair_text("title: intro, time: 3:45 [SEP] title: intro, time: 3:45");
-        assert_eq!(p.a[1], ("time".into(), "3:45".into()));
+        assert_eq!(p.a[1], ("time", "3:45"));
     }
 
     #[test]
@@ -310,7 +308,7 @@ Answer each question with yes or no.";
     #[test]
     fn unstructured_side_becomes_single_value() {
         let p = parse_pair_text("just some words [SEP] more words");
-        assert_eq!(p.a, vec![(String::new(), "just some words".into())]);
-        assert_eq!(p.b, vec![(String::new(), "more words".into())]);
+        assert_eq!(p.a, vec![("", "just some words")]);
+        assert_eq!(p.b, vec![("", "more words")]);
     }
 }

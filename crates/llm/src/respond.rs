@@ -1,8 +1,11 @@
 //! Response rendering (simulator side) and answer extraction (client side).
 
+use std::fmt::Write;
+
 use er_core::MatchLabel;
 
 use crate::engine::Decision;
+use crate::parse;
 
 /// Renders decisions into a natural-language-ish completion:
 ///
@@ -20,12 +23,13 @@ pub fn render_answers(decisions: &[Decision]) -> String {
         let verdict = if d.answer { "yes" } else { "no" };
         let attr = d.decisive_attr.as_deref().unwrap_or("description");
         let rationale = match (d.answer, d.confidence > 0.8) {
-            (true, true) => format!("the `{attr}` values agree exactly"),
-            (true, false) => format!("the `{attr}` values are close enough to refer to one entity"),
-            (false, true) => format!("the `{attr}` values clearly differ"),
-            (false, false) => format!("the `{attr}` values do not line up"),
+            (true, true) => "agree exactly",
+            (true, false) => "are close enough to refer to one entity",
+            (false, true) => "clearly differ",
+            (false, false) => "do not line up",
         };
-        out.push_str(&format!("Q{}: {verdict} — {rationale}.\n", i + 1));
+        let n = i + 1;
+        let _ = writeln!(out, "Q{n}: {verdict} — the `{attr}` values {rationale}.");
     }
     out
 }
@@ -121,14 +125,8 @@ fn split_q_tag(line: &str) -> Option<(usize, &str)> {
 
 /// Reads a verdict from the start of free text.
 fn leading_verdict(text: &str) -> Option<MatchLabel> {
-    let lower = text.trim_start().to_ascii_lowercase();
-    if lower.starts_with("yes") || lower.starts_with("match") || lower.starts_with("same") {
-        Some(MatchLabel::Matching)
-    } else if lower.starts_with("no") || lower.starts_with("different") {
-        Some(MatchLabel::NonMatching)
-    } else {
-        None
-    }
+    parse::leading_verdict(text, &["yes", "match", "same"], &["no", "different"])
+        .map(MatchLabel::from_bool)
 }
 
 #[cfg(test)]

@@ -11,6 +11,32 @@ fn arb_value() -> impl Strategy<Value = String> {
     "[a-z0-9 .,()\\-]{0,18}"
 }
 
+/// One side of a pair: `(name, value)` attributes with names drawn from a
+/// tiny alphabet, so sides share, repeat and miss names. An attribute
+/// whose name is `_` is written without one (and the side then parses
+/// as a single unnamed value).
+fn arb_side() -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec(("[xyz_]{1,1}", arb_value()), 0..4)
+}
+
+fn render_side(attrs: &[(String, String)]) -> String {
+    attrs
+        .iter()
+        .map(|(n, v)| {
+            if n == "_" {
+                v.clone()
+            } else {
+                format!("{n}: {v}")
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+fn render_pair(a: &[(String, String)], b: &[(String, String)]) -> String {
+    format!("{} [SEP] {}", render_side(a), render_side(b))
+}
+
 proptest! {
     /// The prompt parser never panics and never invents questions, on any
     /// input text.
@@ -33,12 +59,12 @@ proptest! {
         let text = format!("{} [SEP] {}", left.join(", "), left.join(", "));
         let parsed = parse_pair_text(&text);
         prop_assert_eq!(parsed.a.len(), values.len());
-        for ((name, value), (pname, pvalue)) in
+        for ((name, value), &(pname, pvalue)) in
             names.iter().zip(&values).zip(&parsed.a)
         {
-            prop_assert_eq!(name, pname);
+            prop_assert_eq!(name.as_str(), pname);
             // Values are trimmed by the parser.
-            prop_assert_eq!(value.trim(), pvalue.as_str());
+            prop_assert_eq!(value.trim(), pvalue);
         }
     }
 
@@ -110,5 +136,71 @@ proptest! {
             .unwrap();
         prop_assert_eq!(resp.usage.prompt_tokens.get(), llm::count_tokens(&prompt));
         prop_assert_eq!(resp.usage.completion_tokens.get(), llm::count_tokens(&resp.content));
+    }
+
+    /// Distance is symmetric to the bit.
+    #[test]
+    fn distance_symmetric(a in arb_side(), b in arb_side(), c in arb_side(), d in arb_side()) {
+        let (p, q) = (render_pair(&a, &b), render_pair(&c, &d));
+        let (fp, fq) = (
+            PairFeatures::of(&parse_pair_text(&p)),
+            PairFeatures::of(&parse_pair_text(&q)),
+        );
+        prop_assert_eq!(fp.distance(&fq).to_bits(), fq.distance(&fp).to_bits());
+    }
+
+    /// Distance aligns by name, not position: listing uniquely named
+    /// attributes in another order, the same on both sides, moves no
+    /// distance to any other pair.
+    #[test]
+    fn distance_ignores_attribute_order(
+        attrs in prop::collection::vec((arb_value(), arb_value(), any::<u64>()), 1..6),
+        c in arb_side(),
+        d in arb_side(),
+    ) {
+        let named = |order: &[usize], side: fn(&(String, String, u64)) -> &String| {
+            order
+                .iter()
+                .map(|&i| format!("attr{i}: {}", side(&attrs[i])))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let given: Vec<usize> = (0..attrs.len()).collect();
+        let mut shuffled = given.clone();
+        shuffled.sort_by_key(|&i| attrs[i].2);
+        let pair = |order: &[usize]| {
+            format!("{} [SEP] {}", named(order, |t| &t.0), named(order, |t| &t.1))
+        };
+        let (p, p_shuffled, q) = (pair(&given), pair(&shuffled), render_pair(&c, &d));
+        let fq = PairFeatures::of(&parse_pair_text(&q));
+        prop_assert_eq!(
+            PairFeatures::of(&parse_pair_text(&p)).distance(&fq).to_bits(),
+            PairFeatures::of(&parse_pair_text(&p_shuffled)).distance(&fq).to_bits()
+        );
+    }
+
+    /// A repeated name reads as its first occurrence: appending another
+    /// `x` attribute to the left side moves no distance.
+    #[test]
+    fn distance_reads_first_of_repeated_names(
+        first in arb_value(),
+        repeat in arb_value(),
+        right in arb_value(),
+        c in arb_side(),
+        d in arb_side(),
+    ) {
+        let once = format!("x: {first} [SEP] x: {right}");
+        let twice = format!("x: {first}, x: {repeat} [SEP] x: {right}");
+        let q = render_pair(&c, &d);
+        let fq = PairFeatures::of(&parse_pair_text(&q));
+        let (f_once, f_twice) = (
+            PairFeatures::of(&parse_pair_text(&once)),
+            PairFeatures::of(&parse_pair_text(&twice)),
+        );
+        prop_assert_eq!(f_twice.per_attr.len(), 2);
+        prop_assert_eq!(
+            f_once.distance(&fq).to_bits(),
+            f_twice.distance(&fq).to_bits()
+        );
     }
 }

@@ -10,15 +10,9 @@ use crate::normalize::push_normalized;
 /// Two empty values are defined as identical (`1.0`); one empty and one
 /// non-empty value score `0.0`.
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    let (sa, sb, inter) = token_set_sizes(a, b);
-    jaccard_of_counts(sa, sb, inter)
-}
-
-/// `(|A|, |B|, |A ∩ B|)` over the normalized word-token sets of `a` and
-/// `b`, through two allocations in all: both values normalize into one
-/// buffer, and one `Vec` holds both token lists as slices of it, each
-/// half sorted and deduplicated in place and then merged.
-fn token_set_sizes(a: &str, b: &str) -> (usize, usize, usize) {
+    // Two allocations in all: both values normalize into one buffer, and
+    // one `Vec` holds both token lists as slices of it, each half sorted
+    // and deduplicated in place.
     let mut norm = String::with_capacity(a.len() + b.len());
     push_normalized(a, &mut norm);
     let a_len = norm.len();
@@ -29,21 +23,33 @@ fn token_set_sizes(a: &str, b: &str) -> (usize, usize, usize) {
     let a_tokens = tokens.len();
     tokens.extend(nb.split_ascii_whitespace());
     let (ta, tb) = tokens.split_at_mut(a_tokens);
-    let (sa, sb) = (sorted_set(ta), sorted_set(tb));
+    jaccard_sorted(
+        sorted_set(ta).iter().copied(),
+        sorted_set(tb).iter().copied(),
+    )
+}
 
-    let (mut i, mut j, mut inter) = (0, 0, 0);
-    while i < sa.len() && j < sb.len() {
-        match sa[i].cmp(sb[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
+/// [`jaccard_tokens`] over token sets already at hand: `a` and `b` yield
+/// the tokens of normalized values in ascending order, each once. For
+/// callers that split a value once and read its tokens several ways.
+pub fn jaccard_sorted<'t>(
+    a: impl IntoIterator<Item = &'t str>,
+    b: impl IntoIterator<Item = &'t str>,
+) -> f64 {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    let (mut a_len, mut b_len, mut inter) = (0, 0, 0);
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (Some(s), Some(t)) => s.cmp(t),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        a_len += usize::from(a.next_if(|_| order.is_le()).is_some());
+        b_len += usize::from(b.next_if(|_| order.is_ge()).is_some());
+        inter += usize::from(order.is_eq());
     }
-    (sa.len(), sb.len(), inter)
+    jaccard_of_counts(a_len, b_len, inter)
 }
 
 /// Sorts `tokens` and moves its distinct values to the front; returns
@@ -103,5 +109,16 @@ mod tests {
     fn normalization_applies() {
         // "Dance,Music" tokenizes to {dance, music}.
         assert_eq!(jaccard_tokens("Dance,Music", "dance music"), 1.0);
+    }
+
+    #[test]
+    fn sorted_sets_agree_with_strings() {
+        let (a, b) = (["13", "iphone", "pro"], ["13", "iphone", "max", "pro", "z"]);
+        assert_eq!(
+            jaccard_sorted(a, b).to_bits(),
+            jaccard_tokens("iphone 13 pro", "iphone pro max 13 z").to_bits()
+        );
+        assert_eq!(jaccard_sorted([], []), 1.0);
+        assert_eq!(jaccard_sorted(["a"], []), 0.0);
     }
 }
