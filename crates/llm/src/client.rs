@@ -1,6 +1,6 @@
 //! The [`ChatApi`] trait and the in-process simulated client.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use er_core::TokenCount;
 use rand::Rng;
@@ -57,6 +57,22 @@ pub enum InjectedFault {
     Truncated,
 }
 
+/// Aggregate statistics of a [`SimLlm`] endpoint (observability surface
+/// for tests and harnesses).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimLlmStats {
+    /// Successful completions served.
+    pub completions: u64,
+    /// Requests rejected with rate limiting.
+    pub rate_limited: u64,
+    /// Requests rejected for context overflow.
+    pub context_overflows: u64,
+    /// Total prompt tokens processed.
+    pub prompt_tokens: u64,
+    /// Total completion tokens generated.
+    pub completion_tokens: u64,
+}
+
 /// The simulated LLM endpoint.
 ///
 /// Stateless per call (all randomness derives from the request seed and
@@ -64,6 +80,7 @@ pub enum InjectedFault {
 #[derive(Debug, Default)]
 pub struct SimLlm {
     config: SimLlmConfig,
+    stats: Mutex<SimLlmStats>,
     /// Deterministic per-call fault queue; `None` entries are healthy
     /// calls, an exhausted queue serves healthily forever.
     schedule: Mutex<std::collections::VecDeque<Option<InjectedFault>>>,
@@ -93,6 +110,17 @@ impl SimLlm {
     {
         Self { schedule: Mutex::new(schedule.into_iter().collect()), ..Self::default() }
     }
+
+    /// Snapshot of the endpoint statistics.
+    pub fn stats(&self) -> SimLlmStats {
+        *lock(&self.stats)
+    }
+}
+
+/// Locks ignoring poisoning: the guarded values are counters and a fault
+/// queue, valid after every single update.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ChatApi for SimLlm {
@@ -101,23 +129,19 @@ impl ChatApi for SimLlm {
         let prompt_tokens = count_tokens(&request.prompt);
 
         if prompt_tokens > profile.max_context_tokens {
+            lock(&self.stats).context_overflows += 1;
             return Err(LlmError::ContextLengthExceeded {
                 prompt_tokens,
                 limit: profile.max_context_tokens,
             });
         }
 
-        // The queue is valid after every pop, so a poisoned lock is usable.
-        let injected = self
-            .schedule
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-            .flatten();
+        let injected = lock(&self.schedule).pop_front().flatten();
         let mut rng = call_rng(request.seed, &request.prompt);
         if injected == Some(InjectedFault::RateLimited)
             || rng.gen::<f64>() < self.config.rate_limit_rate
         {
+            lock(&self.stats).rate_limited += 1;
             return Err(LlmError::RateLimited);
         }
 
@@ -162,6 +186,12 @@ impl ChatApi for SimLlm {
         };
         let cost =
             PriceTable::for_model(request.model).cost(usage.prompt_tokens, usage.completion_tokens);
+
+        let mut stats = lock(&self.stats);
+        stats.completions += 1;
+        stats.prompt_tokens += prompt_tokens;
+        stats.completion_tokens += completion_tokens;
+        drop(stats);
 
         Ok(ChatResponse { content, finish_reason, usage, cost })
     }
@@ -215,6 +245,7 @@ mod tests {
             .complete(&ChatRequest::new(ModelKind::Gpt35Turbo0301, huge, 1))
             .unwrap_err();
         assert!(matches!(err, LlmError::ContextLengthExceeded { .. }));
+        assert_eq!(llm.stats().context_overflows, 1);
     }
 
     #[test]
@@ -243,6 +274,8 @@ mod tests {
             .complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), 1))
             .unwrap_err();
         assert_eq!(err, LlmError::RateLimited);
+        assert_eq!(llm.stats().rate_limited, 1);
+        assert_eq!(llm.stats().completions, 0);
     }
 
     #[test]
@@ -291,6 +324,20 @@ mod tests {
             assert_eq!(resp.finish_reason, FinishReason::Stop);
             assert!(parse_answers(&resp.content, 2).is_ok());
         }
+        assert_eq!(llm.stats().rate_limited, 1);
+    }
+
+    #[test]
+    fn stats_accumulate() {
+        let llm = SimLlm::new();
+        for seed in 0..3 {
+            llm.complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), seed))
+                .unwrap();
+        }
+        let s = llm.stats();
+        assert_eq!(s.completions, 3);
+        assert!(s.prompt_tokens > 0);
+        assert!(s.completion_tokens > 0);
     }
 
     #[test]

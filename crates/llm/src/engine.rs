@@ -147,13 +147,12 @@ pub fn decide(
 /// an aggregate score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairFeatures<'p> {
-    /// `(attribute name, similarity)` per aligned attribute. Names borrow
-    /// from the prompt; only an unnamed attribute's `field{idx}` is owned.
+    /// `(attribute name, similarity)` per aligned attribute; only an
+    /// unnamed attribute's `field{idx}` is not borrowed from the prompt.
     pub per_attr: Vec<(Cow<'p, str>, f64)>,
     /// Weighted aggregate in `[0, 1]`.
     pub score: f64,
-    /// Indices into `per_attr` in ascending name order, the first
-    /// occurrence of each name only.
+    /// `per_attr` indices by ascending name, each name's first only.
     name_order: Vec<usize>,
 }
 
@@ -184,8 +183,8 @@ impl<'p> PairFeatures<'p> {
                 (None, Some(_)) => Ordering::Greater,
                 (None, None) => break,
             };
-            let a = x.next_if(|_| order.is_le()).map_or(0.5, |(_, s)| s);
-            let b = y.next_if(|_| order.is_ge()).map_or(0.5, |(_, s)| s);
+            let a = x.next_if(|_| order.is_le()).map_or(0.5, |(_, s)| *s);
+            let b = y.next_if(|_| order.is_ge()).map_or(0.5, |(_, s)| *s);
             sum += (a - b) * (a - b);
             names += 1;
         }
@@ -193,10 +192,8 @@ impl<'p> PairFeatures<'p> {
     }
 
     /// `(name, similarity)` of each name's first occurrence, by name.
-    fn by_name(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.name_order
-            .iter()
-            .map(|&i| (&*self.per_attr[i].0, self.per_attr[i].1))
+    fn by_name(&self) -> impl Iterator<Item = &(Cow<'p, str>, f64)> {
+        self.name_order.iter().map(|&i| &self.per_attr[i])
     }
 
     /// Attribute the model cites in its rationale: the most similar one
@@ -206,7 +203,7 @@ impl<'p> PairFeatures<'p> {
         let chosen = if answer {
             iter.max_by(|a, b| a.1.total_cmp(&b.1))
         } else {
-            self.per_attr.iter().min_by(|a, b| a.1.total_cmp(&b.1))
+            iter.min_by(|a, b| a.1.total_cmp(&b.1))
         };
         chosen.map(|(n, _)| n.to_string())
     }
@@ -230,8 +227,7 @@ fn is_identifier(v: &str) -> bool {
 
 /// Tokens that mark a different *version* of an otherwise identically
 /// named entity — the distinctions an LLM reads as "not the same entity"
-/// (live recordings, remixes, sequels, second locations). A value carries
-/// them as a bitmask, bit `i` for `VARIANT_MARKERS[i]`.
+/// (live recordings, remixes, sequels, second locations).
 const VARIANT_MARKERS: &[&str] = &[
     "live",
     "remix",
@@ -261,9 +257,9 @@ struct Value {
     norm: String,
     /// Byte ranges of `norm`'s distinct word tokens, in ascending order.
     spans: Vec<(usize, usize)>,
-    /// Word tokens of `norm` with repeats counted.
-    token_count: usize,
-    /// Which [`VARIANT_MARKERS`] the value contains.
+    /// Two or more word tokens ("0 0" counts) or any letter: not a number.
+    texty: bool,
+    /// Bit `i` set when the value contains `VARIANT_MARKERS[i]`.
     markers: u16,
 }
 
@@ -279,7 +275,7 @@ impl Value {
             }
             start += token.len() + 1;
         }
-        self.token_count = self.spans.len();
+        self.texty = self.spans.len() >= 2 || norm.iter().any(u8::is_ascii_alphabetic);
         self.spans.sort_unstable_by_key(|&(s, e)| &norm[s..e]);
         self.spans.dedup_by_key(|&mut (s, e)| &norm[s..e]);
         self.markers = self
@@ -300,14 +296,8 @@ impl Reader {
         let mut per_attr: Vec<(Cow<'p, str>, f64)> = Vec::with_capacity(pair.a.len().max(1));
         let mut conflict: f64 = 0.0;
         for (idx, &(name, va)) in pair.a.iter().enumerate() {
-            let sim = match lookup(&pair.b, name, idx) {
-                Some(vb) => {
-                    let s = self.similarity(va, vb);
-                    conflict = conflict.max(self.conflict(va, vb, s));
-                    s
-                }
-                None => 0.0,
-            };
+            let (sim, c) = lookup(&pair.b, name, idx).map_or((0.0, 0.0), |vb| self.attr(va, vb));
+            conflict = conflict.max(c);
             let name = match name {
                 "" => Cow::Owned(format!("field{idx}")),
                 _ => Cow::Borrowed(name),
@@ -317,22 +307,16 @@ impl Reader {
         if per_attr.is_empty() {
             // Nothing parseable: fall back to whole-text similarity of the
             // raw halves (an LLM would still read the characters).
-            let sim = match pair.raw.split_once("[SEP]") {
-                Some((l, r)) => self.similarity(l, r),
-                None => 0.0,
-            };
+            let sim = pair
+                .raw
+                .split_once("[SEP]")
+                .map_or(0.0, |(l, r)| self.attr(l, r).0);
             per_attr.push((Cow::Borrowed("text"), sim));
         }
         // The first attribute (title-like) carries double weight: in the
         // Magellan schemas it is by far the most discriminative.
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, (_, s)) in per_attr.iter().enumerate() {
-            let w = if i == 0 { 2.0 } else { 1.0 };
-            num += w * s;
-            den += w;
-        }
-        let base = if den > 0.0 { num / den } else { 0.0 };
+        let num = per_attr.iter().fold(per_attr[0].1, |num, (_, s)| num + s);
+        let base = num / (per_attr.len() + 1) as f64;
         let score = (base - 0.9 * conflict).clamp(0.0, 1.0);
 
         // Ties broken by position, so the first of a repeated name leads
@@ -343,27 +327,10 @@ impl Reader {
         PairFeatures { per_attr, score, name_order }
     }
 
-    /// Reads `va` and `vb` and blends edit-based and token-based
-    /// similarity over their normalized forms. Both-missing reads as weak
-    /// evidence (0.5); one-missing as disagreement.
-    fn similarity(&mut self, va: &str, vb: &str) -> f64 {
-        self.a.read(va);
-        self.b.read(vb);
-        let (a, b) = (&self.a, &self.b);
-        match (a.norm.is_empty(), b.norm.is_empty()) {
-            (true, true) => 0.5,
-            (true, false) | (false, true) => 0.0,
-            (false, false) => {
-                0.5 * levenshtein_ratio(&a.norm, &b.norm)
-                    + 0.5 * jaccard_sorted(a.tokens(), b.tokens())
-            }
-        }
-    }
-
-    /// Disagreement strength of the values [`Reader::similarity`]
-    /// read last (`va`, `vb` raw, `sim` their similarity), where both sides
-    /// carry a value. Mirrors how LLMs read entity pairs (and the paper's
-    /// §VI-B anecdote that GPT keys on `modelno`):
+    /// Reads the raw values `va` and `vb` into `(similarity, conflict)`.
+    /// The similarity blends edit and token similarity of the normalized
+    /// forms; both missing reads 0.5 (weak evidence), one missing 0.0. The
+    /// conflict, where both sides carry a value, is:
     ///
     /// * unequal identifier values ("S1230" vs "S1231") — decisive;
     /// * disjoint identifier/numeric *tokens* inside longer values
@@ -372,16 +339,19 @@ impl Reader {
     /// * plain dissimilarity of texty values — proportional. Purely numeric
     ///   single-token values (prices, years as standalone attributes) are
     ///   exempt: formatting drift on those is routine in matching records.
-    fn conflict(&self, va: &str, vb: &str, sim: f64) -> f64 {
+    fn attr(&mut self, va: &str, vb: &str) -> (f64, f64) {
+        self.a.read(va);
+        self.b.read(vb);
         let (a, b) = (&self.a, &self.b);
         if a.norm.is_empty() || b.norm.is_empty() {
-            return 0.0;
+            return (if a.norm == b.norm { 0.5 } else { 0.0 }, 0.0);
         }
+        let sim = 0.5 * levenshtein_ratio(&a.norm, &b.norm)
+            + 0.5 * jaccard_sorted(a.tokens(), b.tokens());
         if is_identifier(va) && is_identifier(vb) {
-            return if a.norm == b.norm { 0.0 } else { 0.45 };
+            return (sim, if a.norm == b.norm { 0.0 } else { 0.45 });
         }
         let mut conflict: f64 = 0.0;
-
         // Disjoint digit-bearing tokens on both sides: different versions,
         // model numbers or vintages embedded in otherwise similar text.
         let digit = |t: &&str| t.bytes().any(|c| c.is_ascii_digit());
@@ -391,23 +361,13 @@ impl Reader {
         {
             conflict = conflict.max(0.35);
         }
-
-        // A variant marker on exactly one side.
         if a.markers != b.markers {
             conflict = conflict.max(0.30);
         }
-
-        // Plain dissimilarity, for texty values only: single-token
-        // pure-number values (prices, years) drift in format too often to
-        // be evidence. Repeated tokens count ("0 0" is texty).
-        let texty = a.token_count >= 2
-            || b.token_count >= 2
-            || a.norm.bytes().any(|c| c.is_ascii_alphabetic())
-            || b.norm.bytes().any(|c| c.is_ascii_alphabetic());
-        if texty {
+        if a.texty || b.texty {
             conflict = conflict.max((0.55 - sim).max(0.0));
         }
-        conflict
+        (sim, conflict)
     }
 }
 
@@ -588,8 +548,8 @@ mod tests {
     #[test]
     fn both_missing_is_neutral() {
         let mut reader = Reader::default();
-        assert_eq!(reader.similarity("", ""), 0.5);
-        assert_eq!(reader.similarity("x", ""), 0.0);
+        assert_eq!(reader.attr("", ""), (0.5, 0.0));
+        assert_eq!(reader.attr("x", ""), (0.0, 0.0));
     }
 
     #[test]

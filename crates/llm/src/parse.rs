@@ -118,18 +118,12 @@ fn parse_label(text: &str) -> Option<bool> {
 /// of the lowercase ASCII `yes` words, `Some(false)` for a `no` word —
 /// ASCII case ignored, `yes` words tried first, nothing copied.
 pub(crate) fn leading_verdict(text: &str, yes: &[&str], no: &[&str]) -> Option<bool> {
-    let head = text.trim_start().as_bytes();
-    let starts = |word: &&str| {
-        head.get(..word.len())
-            .is_some_and(|h| h.eq_ignore_ascii_case(word.as_bytes()))
-    };
-    if yes.iter().any(starts) {
-        Some(true)
-    } else if no.iter().any(starts) {
-        Some(false)
-    } else {
-        None
-    }
+    let t = text.trim_start();
+    let starts = |w: &&str| t.get(..w.len()).is_some_and(|h| h.eq_ignore_ascii_case(w));
+    yes.iter()
+        .any(starts)
+        .then_some(true)
+        .or_else(|| no.iter().any(starts).then_some(false))
 }
 
 /// Splits a serialized pair on `[SEP]` and parses each side's attributes.
