@@ -212,11 +212,8 @@ mod tests {
         let d = generate(DatasetKind::Beer, 4);
         let split = d.split_3_1_1(1).unwrap();
         // Llama2 answers single questions, so force malformed output
-        // instead.
-        let api = llm::SimLlm::with_config(llm::SimLlmConfig {
-            malformed_rate: 1.0,
-            ..Default::default()
-        });
+        // instead: 5 questions × 2 attempts.
+        let api = llm::SimLlm::with_failure_schedule([Some(llm::InjectedFault::Malformed); 10]);
         let baseline = ManualPrompt { max_retries: 1, ..Default::default() };
         let outcome = baseline
             .run(&api, &split.train, &split.test[..5], 3)

@@ -4,7 +4,7 @@
 //! wrappers. Measured results: the README tables and `benchmark/README.md`.
 
 use baselines::{ManualPrompt, PlmKind, PlmMatcher};
-use batcher_core::{BatchingStrategy, ExtractorKind, RunConfig, RunResult, SelectionStrategy};
+use batcher_core::{BatchingStrategy, ExtractorKind, RunConfig, SelectionStrategy};
 use er_core::{Dataset, F1Summary, Money};
 use llm::{ModelKind, SimLlm};
 
@@ -293,14 +293,4 @@ pub fn table7(datasets: &[Dataset]) {
             cells[2]
         );
     }
-}
-
-/// Convenience: the best-design run used by several tables.
-pub fn best_run(dataset: &Dataset) -> RunResult {
-    let api = SimLlm::new();
-    batcher_core::run(
-        dataset,
-        &api,
-        RunConfig { seed: RUN_SEEDS[0], ..RunConfig::best_design() },
-    )
 }

@@ -40,11 +40,6 @@ impl Clustering {
         groups
     }
 
-    /// Size of the largest cluster, or 0 for an empty clustering.
-    pub fn max_cluster_size(&self) -> usize {
-        self.groups().iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Validates internal consistency (dense ids, all points assigned).
     /// Used by tests and debug assertions.
     pub fn is_consistent(&self) -> bool {
@@ -83,7 +78,6 @@ mod tests {
         assert!(c.is_consistent());
         let g = c.groups();
         assert_eq!(g, vec![vec![0, 2], vec![1, 4], vec![3]]);
-        assert_eq!(c.max_cluster_size(), 2);
     }
 
     #[test]
@@ -99,7 +93,6 @@ mod tests {
     fn empty_clustering() {
         let c = Clustering { assignment: vec![], n_clusters: 0 };
         assert!(c.is_consistent());
-        assert_eq!(c.max_cluster_size(), 0);
     }
 
     #[test]

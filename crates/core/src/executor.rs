@@ -151,7 +151,7 @@ mod tests {
     use super::*;
     use crate::prompt::task_description;
     use datagen::{generate, DatasetKind};
-    use llm::{SimLlm, SimLlmConfig};
+    use llm::{InjectedFault, SimLlm};
 
     fn setup() -> (Vec<LabeledPair>, String) {
         let d = generate(DatasetKind::Beer, 2);
@@ -175,21 +175,22 @@ mod tests {
     #[test]
     fn rate_limits_retried() {
         let (pairs, desc) = setup();
-        // 60% rate limiting: with 4 retries most batches eventually pass.
-        let api = SimLlm::with_config(SimLlmConfig { rate_limit_rate: 0.6, ..Default::default() });
+        let api = SimLlm::with_failure_schedule([Some(InjectedFault::RateLimited); 2]);
         let exec = Executor::new(&api, ModelKind::Gpt4, 8);
         let questions: Vec<String> = pairs[..4].iter().map(|p| p.pair.serialize()).collect();
         let mut outcome = ExecutionOutcome::default();
         exec.run_batch(&desc, &[], &questions, 3, &mut outcome);
+        assert_eq!(outcome.retries, 2);
         assert_eq!(outcome.answers.len(), 4);
-        // Either it succeeded after retries, or exhausted them.
-        assert!(outcome.retries > 0 || outcome.answers.iter().all(Option::is_some));
+        assert!(outcome.answers.iter().all(Option::is_some));
+        // Only the third, answered call is billed: a rejection is free.
+        assert_eq!(outcome.ledger.api_calls, 1);
     }
 
     #[test]
     fn malformed_output_exhausts_retries_to_none() {
         let (pairs, desc) = setup();
-        let api = SimLlm::with_config(SimLlmConfig { malformed_rate: 1.0, ..Default::default() });
+        let api = SimLlm::with_failure_schedule([Some(InjectedFault::Malformed); 3]);
         let exec = Executor::new(&api, ModelKind::Gpt4, 2);
         let questions: Vec<String> = pairs[..3].iter().map(|p| p.pair.serialize()).collect();
         let mut outcome = ExecutionOutcome::default();

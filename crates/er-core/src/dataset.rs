@@ -99,17 +99,6 @@ pub struct DatasetStats {
     pub matches: usize,
 }
 
-impl DatasetStats {
-    /// Fraction of pairs that match (class balance).
-    pub fn match_rate(&self) -> f64 {
-        if self.pairs == 0 {
-            0.0
-        } else {
-            self.matches as f64 / self.pairs as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +150,6 @@ mod tests {
         assert_eq!(s.pairs, 9);
         assert_eq!(s.matches, 3); // i = 0, 3, 6
         assert_eq!(s.attributes, 1);
-        assert!((s.match_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

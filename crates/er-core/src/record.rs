@@ -96,11 +96,6 @@ impl Schema {
     pub fn attributes(&self) -> &[String] {
         &self.attributes
     }
-
-    /// Index of `name`, if present.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a == name)
-    }
 }
 
 /// One entity: a tuple of attribute values positionally aligned with a
@@ -147,11 +142,6 @@ impl Record {
     /// Value of attribute `i` (schema order).
     pub fn value(&self, i: usize) -> Option<&str> {
         self.values.get(i).map(String::as_str)
-    }
-
-    /// Value of the attribute called `name`.
-    pub fn value_by_name(&self, name: &str) -> Option<&str> {
-        self.schema.index_of(name).and_then(|i| self.value(i))
     }
 
     /// True when the attribute value at `i` is missing (empty after
@@ -207,8 +197,7 @@ mod tests {
     fn schema_lookup() {
         let s = schema();
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.index_of("brand"), Some(1));
-        assert_eq!(s.index_of("missing"), None);
+        assert_eq!(s.attributes(), ["title", "brand", "price"]);
     }
 
     #[test]
@@ -231,7 +220,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.value(0), Some("iphone 13"));
-        assert_eq!(r.value_by_name("brand"), Some("apple"));
         assert_eq!(r.value(9), None);
         assert!(r.is_missing(2));
         assert!(!r.is_missing(0));

@@ -30,7 +30,8 @@ const STATE_CLOSED: i64 = 0;
 const STATE_OPEN: i64 = 1;
 const STATE_HALF_OPEN: i64 = 2;
 
-/// See the module docs. `threshold == 0` disables the breaker entirely.
+/// See the module docs. `threshold` is at least 1 (`ErService::start`
+/// asserts it).
 #[derive(Debug)]
 pub struct Breaker {
     threshold: u32,
@@ -72,9 +73,6 @@ impl Breaker {
     /// to the fallback without reserving budget. A `true` while open
     /// promotes to half-open: that batch is the probe.
     pub fn allow(&self) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
         let mut state = self.lock();
         match *state {
             State::Closed { .. } => true,
@@ -105,9 +103,6 @@ impl Breaker {
 
     /// Records a batch outcome where the endpoint responded.
     pub fn record_success(&self) {
-        if self.threshold == 0 {
-            return;
-        }
         let mut state = self.lock();
         *state = State::Closed { consecutive_failures: 0 };
         self.state_gauge.set(STATE_CLOSED);
@@ -116,9 +111,6 @@ impl Breaker {
     /// Records a batch outcome where the endpoint gave nothing (no
     /// answers, no billed calls).
     pub fn record_failure(&self) {
-        if self.threshold == 0 {
-            return;
-        }
         let mut state = self.lock();
         let failures = match *state {
             State::Closed { consecutive_failures } => consecutive_failures + 1,
@@ -136,9 +128,6 @@ impl Breaker {
 
     /// Stable state name for `/healthz`.
     pub fn state_name(&self) -> &'static str {
-        if self.threshold == 0 {
-            return "disabled";
-        }
         match *self.lock() {
             State::Closed { .. } => "closed",
             State::Open { .. } => "open",
@@ -212,16 +201,5 @@ mod tests {
         b.record_success();
         assert_eq!(b.state_name(), "closed");
         assert!(b.allow());
-    }
-
-    #[test]
-    fn zero_threshold_disables() {
-        let b = Breaker::new(0, Duration::from_millis(5));
-        for _ in 0..100 {
-            b.record_failure();
-            assert!(b.allow());
-        }
-        assert_eq!(b.state_name(), "disabled");
-        assert_eq!(b.trips(), 0);
     }
 }

@@ -146,7 +146,7 @@ pub struct ServiceConfig {
     pub wal: Option<WalConfig>,
     /// Consecutive dead-endpoint batches (no answers, no billed calls)
     /// before the circuit breaker opens and batches short-circuit to the
-    /// logistic fallback without reserving budget. `0` disables.
+    /// logistic fallback without reserving budget. Must be positive.
     pub breaker_threshold: u32,
     /// How long an open breaker holds before admitting a probe batch.
     pub breaker_cooldown: Duration,
@@ -161,7 +161,7 @@ pub struct ServiceConfig {
     /// `Retry-After`; blocking `submit` degrades to the local fallback.
     /// The dispatcher drains only between plans, so everything that
     /// arrives while a plan runs is counted; planned batches waiting for
-    /// a worker are not. `0` disables shedding (unbounded queue).
+    /// a worker are not. Must be positive.
     pub queue_capacity: usize,
 }
 
@@ -388,6 +388,11 @@ impl ErService {
         assert!(!bootstrap.is_empty(), "bootstrap pool must be non-empty");
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.workers > 0, "worker count must be positive");
+        assert!(
+            config.breaker_threshold > 0,
+            "breaker threshold must be positive"
+        );
+        assert!(config.queue_capacity > 0, "queue capacity must be positive");
 
         let xs: Vec<Vec<f64>> = bootstrap.iter().map(|p| base_features(&p.pair)).collect();
         let ys: Vec<bool> = bootstrap.iter().map(|p| p.label.is_match()).collect();
@@ -732,8 +737,7 @@ fn health_of(inner: &Inner) -> HealthReport {
     // Backpressure: the pending queue at or past half its admission
     // bound. A cheap peek — scrapers polling `/healthz` learn the service
     // is near shedding before 429s start.
-    let capacity = inner.config.queue_capacity;
-    let backpressure = capacity > 0 && lock(&inner.queue).pending.len() >= (capacity / 2).max(1);
+    let backpressure = lock(&inner.queue).pending.len() >= (inner.config.queue_capacity / 2).max(1);
     HealthReport {
         status: status.to_owned(),
         wal_enabled: inner.durable.is_some(),
@@ -878,8 +882,7 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
             drop(queue);
             return answer_via_local("fallback");
         }
-        let capacity = inner.config.queue_capacity;
-        if capacity > 0 && queue.pending.len() >= capacity {
+        if queue.pending.len() >= inner.config.queue_capacity {
             // Admission control: the queue is saturated. Shedding here —
             // before the question consumes a queue slot, a planning pass
             // or budget — is what keeps the queue bounded under overload.

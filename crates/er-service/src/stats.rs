@@ -153,7 +153,7 @@ pub struct HealthReport {
     pub wal_unsynced_appends: u64,
     /// Total valid WAL bytes on disk.
     pub wal_total_bytes: u64,
-    /// `"closed"`, `"open"`, `"half_open"` or `"disabled"`.
+    /// `"closed"`, `"open"` or `"half_open"`.
     pub breaker: String,
     /// Durable records replayed at startup.
     pub recovery_records_replayed: u64,

@@ -4,7 +4,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
-use llm::{ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm, SimLlmConfig};
+use llm::{ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
 use obs::{Counter, Histogram, Registry, TraceLog};
 
 use crate::http::{HttpReply, HttpRequest, HttpResponse, MessageReader};
@@ -14,11 +14,12 @@ use crate::wire::{
     WireErrorBody, WireMessage, WireRequest, WireResponse,
 };
 
-/// Factory for loopback LLM services. The simulator's fault injection and
-/// the connection-pool limits are set only by this module's tests.
+/// Factory for loopback LLM services. The simulator (and so its fault
+/// schedule) and the connection-pool limits are set only by this module's
+/// tests.
 #[derive(Debug, Default)]
 pub struct LlmServer {
-    config: SimLlmConfig,
+    llm: SimLlm,
     options: ServeOptions,
 }
 
@@ -31,7 +32,7 @@ impl LlmServer {
     /// Binds to an ephemeral port on `127.0.0.1` and starts serving on a
     /// bounded worker pool. The returned handle stops the server on drop.
     pub fn start(self) -> std::io::Result<RunningServer> {
-        let llm = Arc::new(SimLlm::with_config(self.config));
+        let llm = Arc::new(self.llm);
         let handler_llm = Arc::clone(&llm);
         let metrics = Arc::new(ServerMetrics::new());
         let handler_metrics = Arc::clone(&metrics);
@@ -371,7 +372,7 @@ impl ChatApi for HttpChatClient {
 mod tests {
     use super::*;
     use crate::http::read_response;
-    use llm::{parse_answers, ModelKind};
+    use llm::{parse_answers, InjectedFault, ModelKind};
 
     fn prompt() -> String {
         "Decide whether the entities match.\n\
@@ -470,10 +471,11 @@ mod tests {
         obs::lint(&text).expect("llm /metrics is valid Prometheus text");
     }
 
-    /// A server whose simulator rate-limits every request.
-    fn always_rate_limited() -> RunningServer {
+    /// A server whose simulator rate-limits its first request, the only
+    /// one each caller makes.
+    fn rate_limits_first_call() -> RunningServer {
         LlmServer {
-            config: SimLlmConfig { rate_limit_rate: 1.0, ..Default::default() },
+            llm: SimLlm::with_failure_schedule([Some(InjectedFault::RateLimited)]),
             ..LlmServer::new()
         }
         .start()
@@ -482,7 +484,7 @@ mod tests {
 
     #[test]
     fn rate_limit_surfaces_as_429() {
-        let server = always_rate_limited();
+        let server = rate_limits_first_call();
         let err = server
             .client()
             .complete(&ChatRequest::new(ModelKind::Gpt4, prompt(), 1))
@@ -654,7 +656,7 @@ mod tests {
 
     #[test]
     fn failed_traced_request_finishes_with_error_span() {
-        let server = always_rate_limited();
+        let server = rate_limits_first_call();
         let client = server.client();
         let req = ChatRequest::new(ModelKind::Gpt4, prompt(), 1).with_trace(31, 0);
         client.complete(&req).unwrap_err();

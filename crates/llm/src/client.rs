@@ -1,6 +1,7 @@
 //! The [`ChatApi`] trait and the in-process simulated client.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 use er_core::TokenCount;
 use rand::Rng;
@@ -31,20 +32,6 @@ pub trait ChatApi: Send + Sync {
     }
 }
 
-/// Fault-injection knobs for resilience testing. All rates are
-/// probabilities in `[0, 1]`, evaluated deterministically per request from
-/// the request seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimLlmConfig {
-    /// Probability of returning garbled, unparseable output.
-    pub malformed_rate: f64,
-    /// Probability of cutting the completion in half with
-    /// [`FinishReason::Length`].
-    pub truncation_rate: f64,
-    /// Probability of a [`LlmError::RateLimited`] rejection.
-    pub rate_limit_rate: f64,
-}
-
 /// One fault injected by a deterministic failure schedule
 /// ([`SimLlm::with_failure_schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,33 +44,19 @@ pub enum InjectedFault {
     Truncated,
 }
 
-/// Aggregate statistics of a [`SimLlm`] endpoint (observability surface
-/// for tests and harnesses).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimLlmStats {
-    /// Successful completions served.
-    pub completions: u64,
-    /// Requests rejected with rate limiting.
-    pub rate_limited: u64,
-    /// Requests rejected for context overflow.
-    pub context_overflows: u64,
-    /// Total prompt tokens processed.
-    pub prompt_tokens: u64,
-    /// Total completion tokens generated.
-    pub completion_tokens: u64,
-}
-
 /// The simulated LLM endpoint.
 ///
-/// Stateless per call (all randomness derives from the request seed and
-/// prompt text), so a single instance can serve concurrent callers.
+/// Apart from an injected fault, an answer is a pure function of the
+/// request (seed, prompt text, model and temperature), so a single
+/// instance can serve concurrent callers. Faults are injected only
+/// through [`SimLlm::with_failure_schedule`]'s positional queue, the
+/// endpoint's one piece of state; usage is the caller's to count (every
+/// response carries its tokens and cost).
 #[derive(Debug, Default)]
 pub struct SimLlm {
-    config: SimLlmConfig,
-    stats: Mutex<SimLlmStats>,
     /// Deterministic per-call fault queue; `None` entries are healthy
     /// calls, an exhausted queue serves healthily forever.
-    schedule: Mutex<std::collections::VecDeque<Option<InjectedFault>>>,
+    schedule: Mutex<VecDeque<Option<InjectedFault>>>,
 }
 
 impl SimLlm {
@@ -92,58 +65,44 @@ impl SimLlm {
         Self::default()
     }
 
-    /// An endpoint with the given fault-injection configuration.
-    pub fn with_config(config: SimLlmConfig) -> Self {
-        Self { config, ..Self::default() }
-    }
-
     /// An endpoint that fails on an explicit per-call schedule: the i-th
     /// `complete` call consumes `schedule[i]` (`Some(fault)` injects that
-    /// fault, `None` serves healthily); calls beyond the schedule are
-    /// healthy. Unlike the probabilistic [`SimLlm::with_config`] rates —
-    /// whose per-call verdicts depend on the prompt text and therefore
-    /// shift whenever planning changes batch composition — a schedule
+    /// fault, `None` serves healthily), a call refused for its context
+    /// length included; calls beyond the schedule are healthy. A schedule
     /// pins exactly which calls fail, whatever the plan looks like.
     pub fn with_failure_schedule<I>(schedule: I) -> Self
     where
         I: IntoIterator<Item = Option<InjectedFault>>,
     {
-        Self { schedule: Mutex::new(schedule.into_iter().collect()), ..Self::default() }
+        Self { schedule: Mutex::new(schedule.into_iter().collect()) }
     }
-
-    /// Snapshot of the endpoint statistics.
-    pub fn stats(&self) -> SimLlmStats {
-        *lock(&self.stats)
-    }
-}
-
-/// Locks ignoring poisoning: the guarded values are counters and a fault
-/// queue, valid after every single update.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ChatApi for SimLlm {
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        // The queue is valid after every pop, so a poisoned lock is safe.
+        let injected = self
+            .schedule
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_front()
+            .flatten();
         let profile = request.model.profile();
         let prompt_tokens = count_tokens(&request.prompt);
-
         if prompt_tokens > profile.max_context_tokens {
-            lock(&self.stats).context_overflows += 1;
             return Err(LlmError::ContextLengthExceeded {
                 prompt_tokens,
                 limit: profile.max_context_tokens,
             });
         }
-
-        let injected = lock(&self.schedule).pop_front().flatten();
-        let mut rng = call_rng(request.seed, &request.prompt);
-        if injected == Some(InjectedFault::RateLimited)
-            || rng.gen::<f64>() < self.config.rate_limit_rate
-        {
-            lock(&self.stats).rate_limited += 1;
+        if injected == Some(InjectedFault::RateLimited) {
             return Err(LlmError::RateLimited);
         }
+
+        let mut rng = call_rng(request.seed, &request.prompt);
+        // A retired rate-limit check drew once here, before `decide`; the
+        // draw stays so every answer pinned in `tests/sim_golden.rs` holds.
+        let _retired_draw = rng.gen::<u64>();
 
         let parsed = parse_prompt(&request.prompt);
 
@@ -161,9 +120,7 @@ impl ChatApi for SimLlm {
         };
 
         let mut finish_reason = FinishReason::Stop;
-        if injected == Some(InjectedFault::Truncated)
-            || rng.gen::<f64>() < self.config.truncation_rate
-        {
+        if injected == Some(InjectedFault::Truncated) {
             // Cut at the nearest char boundary at or below the midpoint.
             let mut cut = content.len() / 2;
             while cut > 0 && !content.is_char_boundary(cut) {
@@ -172,9 +129,7 @@ impl ChatApi for SimLlm {
             content.truncate(cut);
             finish_reason = FinishReason::Length;
         }
-        if injected == Some(InjectedFault::Malformed)
-            || rng.gen::<f64>() < self.config.malformed_rate
-        {
+        if injected == Some(InjectedFault::Malformed) {
             // Garble: strip the line structure the client's parser needs.
             content = content.replace(['Q', 'q'], "#").replace(':', ";");
         }
@@ -186,12 +141,6 @@ impl ChatApi for SimLlm {
         };
         let cost =
             PriceTable::for_model(request.model).cost(usage.prompt_tokens, usage.completion_tokens);
-
-        let mut stats = lock(&self.stats);
-        stats.completions += 1;
-        stats.prompt_tokens += prompt_tokens;
-        stats.completion_tokens += completion_tokens;
-        drop(stats);
 
         Ok(ChatResponse { content, finish_reason, usage, cost })
     }
@@ -237,15 +186,40 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A prompt past GPT-3.5's context window.
+    fn oversized_prompt() -> String {
+        format!("Q1: title: {} [SEP] title: x", "word ".repeat(10_000))
+    }
+
     #[test]
     fn context_overflow_rejected() {
         let llm = SimLlm::new();
-        let huge = format!("Q1: title: {} [SEP] title: x", "word ".repeat(10_000));
         let err = llm
-            .complete(&ChatRequest::new(ModelKind::Gpt35Turbo0301, huge, 1))
+            .complete(&ChatRequest::new(
+                ModelKind::Gpt35Turbo0301,
+                oversized_prompt(),
+                1,
+            ))
             .unwrap_err();
         assert!(matches!(err, LlmError::ContextLengthExceeded { .. }));
-        assert_eq!(llm.stats().context_overflows, 1);
+    }
+
+    #[test]
+    fn refused_call_consumes_its_fault_slot() {
+        let llm = SimLlm::with_failure_schedule([Some(InjectedFault::RateLimited)]);
+        let err = llm
+            .complete(&ChatRequest::new(
+                ModelKind::Gpt35Turbo0301,
+                oversized_prompt(),
+                1,
+            ))
+            .unwrap_err();
+        assert!(matches!(err, LlmError::ContextLengthExceeded { .. }));
+        // The rate limit was the refused call's slot; the next call is healthy.
+        let resp = llm
+            .complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), 1))
+            .unwrap();
+        assert!(parse_answers(&resp.content, 2).is_ok());
     }
 
     #[test]
@@ -265,35 +239,6 @@ mod tests {
             .complete(&ChatRequest::new(ModelKind::Llama2Chat70b, single, 1))
             .unwrap();
         assert!(parse_answers(&resp.content, 1).is_ok());
-    }
-
-    #[test]
-    fn rate_limit_injection() {
-        let llm = SimLlm::with_config(SimLlmConfig { rate_limit_rate: 1.0, ..Default::default() });
-        let err = llm
-            .complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), 1))
-            .unwrap_err();
-        assert_eq!(err, LlmError::RateLimited);
-        assert_eq!(llm.stats().rate_limited, 1);
-        assert_eq!(llm.stats().completions, 0);
-    }
-
-    #[test]
-    fn malformed_injection_breaks_parsing() {
-        let llm = SimLlm::with_config(SimLlmConfig { malformed_rate: 1.0, ..Default::default() });
-        let resp = llm
-            .complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), 1))
-            .unwrap();
-        assert!(parse_answers(&resp.content, 2).is_err());
-    }
-
-    #[test]
-    fn truncation_injection_sets_finish_reason() {
-        let llm = SimLlm::with_config(SimLlmConfig { truncation_rate: 1.0, ..Default::default() });
-        let resp = llm
-            .complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), 1))
-            .unwrap();
-        assert_eq!(resp.finish_reason, FinishReason::Length);
     }
 
     #[test]
@@ -324,20 +269,6 @@ mod tests {
             assert_eq!(resp.finish_reason, FinishReason::Stop);
             assert!(parse_answers(&resp.content, 2).is_ok());
         }
-        assert_eq!(llm.stats().rate_limited, 1);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let llm = SimLlm::new();
-        for seed in 0..3 {
-            llm.complete(&ChatRequest::new(ModelKind::Gpt4, simple_prompt(), seed))
-                .unwrap();
-        }
-        let s = llm.stats();
-        assert_eq!(s.completions, 3);
-        assert!(s.prompt_tokens > 0);
-        assert!(s.completion_tokens > 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod respond;
 pub mod tokenizer;
 
 pub use chat::{ChatRequest, ChatResponse, FinishReason, LlmError, Usage};
-pub use client::{ChatApi, InjectedFault, SimLlm, SimLlmConfig};
+pub use client::{ChatApi, InjectedFault, SimLlm};
 pub use pricing::PriceTable;
 pub use profile::{CapabilityProfile, ModelKind};
 pub use respond::parse_answers;

@@ -3,7 +3,7 @@
 
 use batcher::core::{run, RunConfig};
 use batcher::datagen::{generate, DatasetKind};
-use batcher::llm::{InjectedFault, SimLlm, SimLlmConfig};
+use batcher::llm::{InjectedFault, SimLlm};
 use batcher::llm_service::LlmServer;
 
 #[test]
@@ -66,9 +66,7 @@ fn every_test_question_receives_a_verdict() {
 fn pipeline_survives_flaky_endpoint() {
     // A deterministic failure schedule — the first calls are rate limited
     // and garbled regardless of prompt content — so retry coverage does
-    // not depend on which questions end up in which batch (probabilistic
-    // injection keys off the prompt text, which shifts whenever planning
-    // changes; this schedule survives any future plan shift).
+    // not depend on which questions end up in which batch.
     let dataset = generate(DatasetKind::Beer, 3);
     let api = SimLlm::with_failure_schedule([
         Some(InjectedFault::RateLimited),
@@ -89,16 +87,17 @@ fn pipeline_survives_flaky_endpoint() {
 
 #[test]
 fn truncated_outputs_degrade_gracefully() {
-    // Forced truncation on every call: answers may be lost, but the run
-    // completes and unanswered questions are counted, not dropped.
+    // The first batch's call and its one retry are both truncated: its
+    // answers are lost, but the run completes and unanswered questions are
+    // counted, not dropped.
     let dataset = generate(DatasetKind::Beer, 3);
-    let api = SimLlm::with_config(SimLlmConfig { truncation_rate: 1.0, ..Default::default() });
+    let api = SimLlm::with_failure_schedule([Some(InjectedFault::Truncated); 2]);
     let config = RunConfig { max_retries: 1, seed: 7, ..RunConfig::best_design() };
     let result = run(&dataset, &api, config);
     let split = dataset.split_3_1_1(7).unwrap();
     assert_eq!(result.confusion.total() as usize, split.test.len());
     assert!(
         result.unanswered > 0,
-        "full truncation should lose some answers"
+        "a twice-truncated batch should lose its answers"
     );
 }
