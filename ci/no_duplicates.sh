@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# Keeps five kinds of dead weight from growing back: a vendored stand-in
+# Keeps six kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
-# the one; its offset basis is the fingerprint of a copy), and a
+# the one; its offset basis is the fingerprint of a copy), a
 # `pub fn with_*` builder under crates/*/src that no other file under
-# crates/, src/, tests/, examples/ or benchmark/src names. Offline, no
-# dependencies beyond grep and sed.
+# crates/, src/, tests/, examples/ or benchmark/src names, and a
+# hand-rolled xorshift generator (`er_core::Rng` is the one) under
+# crates/, src/, tests/ or examples/. Two xorshift streams are allowed
+# until a re-baseline retires them: the 3:1:1 split
+# (crates/er-core/src/split.rs, hashed by benchmark/input_digests.json)
+# and the distance-percentile sample (crates/core/src/features.rs, hashed
+# by the golden plan digests). Offline, no dependencies beyond grep and
+# sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,5 +67,18 @@ while IFS=: read -r file name; do
     fi
 done < <(grep -roE 'pub fn with_[A-Za-z0-9_]+' --include='*.rs' crates/*/src | sed 's/:pub fn /:/')
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller"
+# A file holding all three shifts of the xorshift step is a generator of
+# its own.
+for file in $(grep -rlE '<< *13' --include='*.rs' crates src tests examples |
+    xargs -r grep -lE '>> *7' | xargs -r grep -lE '<< *17' || true); do
+    case "$file" in
+    crates/er-core/src/split.rs | crates/core/src/features.rs) ;;
+    *)
+        echo "FAIL: ${file} hand-rolls the xorshift step; draw from er_core::Rng" >&2
+        fail=1
+        ;;
+    esac
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs"
 exit "$fail"

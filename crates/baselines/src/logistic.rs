@@ -1,7 +1,6 @@
 //! L2-regularized logistic regression trained with mini-batch SGD.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use er_core::Rng;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -51,13 +50,13 @@ impl LogisticModel {
         let mut weights = vec![0.0f64; dim];
         let mut bias = 0.0f64;
         let mut order: Vec<usize> = (0..xs.len()).collect();
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::from_seed(config.seed);
 
         for epoch in 0..config.epochs {
             // Simple 1/sqrt decay keeps early progress fast and late
             // updates stable.
             let lr = config.lr / (1.0 + epoch as f64).sqrt();
-            shuffle(&mut order, &mut rng);
+            rng.shuffle(&mut order);
             for &i in &order {
                 let x = &xs[i];
                 let y = if ys[i] { 1.0 } else { 0.0 };
@@ -133,25 +132,18 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-fn shuffle(indices: &mut [usize], rng: &mut StdRng) {
-    for i in (1..indices.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        indices.swap(i, j);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Linearly separable toy data: label = x0 > 0.5.
     fn toy(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<bool>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::from_seed(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for _ in 0..n {
-            let x0: f64 = rng.gen();
-            let x1: f64 = rng.gen();
+            let x0 = rng.f64();
+            let x1 = rng.f64();
             xs.push(vec![x0, x1]);
             ys.push(x0 > 0.5);
         }
@@ -189,15 +181,15 @@ mod tests {
     #[test]
     fn positive_weight_raises_recall() {
         // Imbalanced data: 5% positives with a weak signal.
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::from_seed(5);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..1000 {
             let y = i % 20 == 0;
             let x0: f64 = if y {
-                0.55 + 0.3 * rng.gen::<f64>()
+                0.55 + 0.3 * rng.f64()
             } else {
-                0.45 * rng.gen::<f64>() + 0.2
+                0.45 * rng.f64() + 0.2
             };
             xs.push(vec![x0]);
             ys.push(y);

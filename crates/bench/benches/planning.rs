@@ -43,7 +43,6 @@
 
 use std::time::Instant;
 
-use bench::synth::Rng;
 use cluster::{dbscan_matrix, dbscan_union_find, DbscanParams};
 use embed::index::stats;
 use embed::matrix::scan_rows_within;
@@ -63,7 +62,7 @@ use batcher_core::selection::{
 use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace, RunConfig};
 use bench::synth::synth_pairs;
 use datagen::DatasetKind;
-use er_core::{EntityPair, LabeledPair};
+use er_core::{EntityPair, LabeledPair, Rng};
 
 // ---------------------------------------------------------------------
 // Metric-index scaling curve: ε-graph construction at planning scale
@@ -101,14 +100,14 @@ fn synth_matrix(n: usize, seed: u64) -> FeatureMatrix {
     let clusters = n.div_ceil(SCALE_CLUSTER);
     let side = (clusters as f64).powf(1.0 / SCALE_INTRINSIC as f64).ceil() as usize;
     let step = SCALE_STEP;
-    let mut rng = Rng(seed | 1);
+    let mut rng = Rng::from_seed(seed);
     let mut centers: Vec<[f64; SCALE_INTRINSIC]> = Vec::with_capacity(clusters);
     'fill: for cell in 0usize.. {
         let mut c = [0.0; SCALE_INTRINSIC];
         let mut rest = cell;
         for coord in &mut c {
-            *coord =
-                (rest % side) as f64 * step + (rng.below(1000) as f64 / 1000.0 - 0.5) * step * 0.2;
+            *coord = (rest % side) as f64 * step
+                + (rng.range(0..1000) as f64 / 1000.0 - 0.5) * step * 0.2;
             rest /= side;
         }
         centers.push(c);
@@ -121,7 +120,7 @@ fn synth_matrix(n: usize, seed: u64) -> FeatureMatrix {
         let c = &centers[i / SCALE_CLUSTER];
         for d in 0..SCALE_DIM {
             let base = c.get(d).copied().unwrap_or(0.0);
-            data.push(base + (rng.below(2001) as f64 / 1000.0 - 1.0) * SCALE_NOISE);
+            data.push(base + (rng.range(0..2001) as f64 / 1000.0 - 1.0) * SCALE_NOISE);
         }
     }
     FeatureMatrix::from_flat(data, n, SCALE_DIM)
@@ -167,9 +166,9 @@ fn scaling_point(n: usize, quick: bool) -> String {
     // against the reference scan kernel, exact id sets.
     let brute_rows = if n >= 100_000 { 200 } else { 400 };
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    let mut rng = Rng(0xBEEF);
+    let mut rng = Rng::from_seed(0xBEEF);
     for _ in 0..brute_rows {
-        let r = rng.below(n);
+        let r = rng.range(0..n);
         auto_index.within_into(m.row(r), SCALE_EPS, false, &mut a);
         sweep_index.within_into(m.row(r), SCALE_EPS, false, &mut b);
         let mut brute = Vec::new();

@@ -6,25 +6,7 @@
 
 use std::sync::Arc;
 
-use er_core::{EntityPair, LabeledPair, MatchLabel, PairId, Record, RecordId, Schema};
-
-/// Deterministic xorshift for workload synthesis and trace choices.
-pub struct Rng(pub u64);
-
-impl Rng {
-    /// Advances and returns the raw 64-bit state.
-    pub fn step(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// Uniform-ish draw in `0..n`.
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.step() % n as u64) as usize
-    }
-}
+use er_core::{EntityPair, LabeledPair, MatchLabel, PairId, Record, RecordId, Rng, Schema};
 
 const VOCAB: [&str; 24] = [
     "atlas", "breeze", "copper", "delta", "ember", "falcon", "granite", "harbor", "indigo",
@@ -35,24 +17,24 @@ const VOCAB: [&str; 24] = [
 fn value(rng: &mut Rng) -> String {
     format!(
         "{} {} {}",
-        VOCAB[rng.below(VOCAB.len())],
-        VOCAB[rng.below(VOCAB.len())],
-        rng.below(1000)
+        VOCAB[rng.range(0..VOCAB.len())],
+        VOCAB[rng.range(0..VOCAB.len())],
+        rng.range(0..1000)
     )
 }
 
 /// Perturbs one word of a value (a realistic typo-level edit).
 fn perturb(v: &str, rng: &mut Rng) -> String {
     let mut words: Vec<String> = v.split(' ').map(str::to_owned).collect();
-    let w = rng.below(words.len());
-    words[w].push(char::from(b'a' + (rng.below(26) as u8)));
+    let w = rng.range(0..words.len());
+    words[w].push(char::from(b'a' + (rng.range(0..26) as u8)));
     words.join(" ")
 }
 
 /// Synthesizes `n` candidate pairs across the 32 corruption patterns.
 pub fn synth_pairs(n: usize, seed: u64) -> Vec<LabeledPair> {
     let schema = Arc::new(Schema::new(["name", "brand", "city", "desc"]).expect("valid schema"));
-    let mut rng = Rng(seed | 1);
+    let mut rng = Rng::from_seed(seed);
     (0..n)
         .map(|i| {
             let pattern = i % 32;

@@ -321,17 +321,11 @@ mod tests {
     /// Deterministic pseudo-random points: three latent blobs plus a
     /// scatter of loners, the shape where pivot pruning has to work.
     fn scattered(n: usize, dim: usize) -> Vec<Vec<f64>> {
-        let mut state = 0x9E37_79B9_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = er_core::Rng::from_seed(0x9E37_79B9);
         (0..n)
             .map(|i| {
                 let blob = (i % 4) as f64 * 2.5;
-                (0..dim).map(|_| blob + next() * 0.8).collect()
+                (0..dim).map(|_| blob + rng.f64() * 0.8).collect()
             })
             .collect()
     }

@@ -10,8 +10,7 @@
 
 use embed::matrix::FeatureMatrix;
 use embed::vecmath::dot;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use er_core::Rng;
 
 use crate::Clustering;
 
@@ -51,7 +50,7 @@ pub fn kmeans_matrix(matrix: &FeatureMatrix, params: KMeansParams) -> Clustering
     }
     let k = params.k.clamp(1, n);
     let dim = matrix.dim();
-    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut rng = Rng::from_seed(params.seed);
 
     // Centroids live in one flat k×dim buffer with cached ‖c‖².
     let mut centroids = init_plus_plus(matrix, k, &mut rng);
@@ -117,20 +116,20 @@ pub fn kmeans_matrix(matrix: &FeatureMatrix, params: KMeansParams) -> Clustering
 /// squared distance from the nearest already-chosen centroid. The
 /// nearest-centroid distances are maintained incrementally (one kernel
 /// pass per new centroid) instead of rescanning all chosen centroids.
-fn init_plus_plus(matrix: &FeatureMatrix, k: usize, rng: &mut StdRng) -> Vec<f64> {
+fn init_plus_plus(matrix: &FeatureMatrix, k: usize, rng: &mut Rng) -> Vec<f64> {
     let n = matrix.len();
     let dim = matrix.dim();
     let mut centroids: Vec<f64> = Vec::with_capacity(k * dim);
-    let first = rng.gen_range(0..n);
+    let first = rng.range(0..n);
     centroids.extend_from_slice(matrix.row(first));
     let mut d2: Vec<f64> = (0..n).map(|i| matrix.sq_dist_rows(first, i)).collect();
     while centroids.len() < k * dim {
         let total: f64 = d2.iter().sum();
         let choice = if total <= 0.0 {
             // All points coincide with existing centroids; any index works.
-            rng.gen_range(0..n)
+            rng.range(0..n)
         } else {
-            let mut target = rng.gen_range(0.0..total);
+            let mut target = rng.uniform(0.0..total);
             let mut idx = n - 1;
             for (i, &w) in d2.iter().enumerate() {
                 if target < w {

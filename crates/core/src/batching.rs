@@ -2,8 +2,7 @@
 //! strategies over clustered questions.
 
 use cluster::{dbscan_matrix, kmeans_matrix, Clustering, DbscanParams, KMeansParams};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use er_core::Rng;
 
 use crate::features::FeatureSpace;
 
@@ -94,11 +93,11 @@ pub fn batches_for_clustering(
     if n == 0 {
         return Vec::new();
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::from_seed(seed);
     match strategy {
         BatchingStrategy::Random => {
             let mut order: Vec<usize> = (0..n).collect();
-            shuffle(&mut order, &mut rng);
+            rng.shuffle(&mut order);
             order.chunks(batch_size).map(<[usize]>::to_vec).collect()
         }
         BatchingStrategy::Similarity => {
@@ -109,7 +108,7 @@ pub fn batches_for_clustering(
         BatchingStrategy::Diversity => {
             let clusters = clusters.expect("diversity batching requires a clustering");
             assert_eq!(clusters.assignment.len(), n, "clustering size mismatch");
-            diversity_batches(clusters, batch_size, &mut rng)
+            diversity_batches(clusters, batch_size)
         }
     }
 }
@@ -145,7 +144,7 @@ pub fn cluster_questions(
 /// time, largest first. End-game per the paper: take the largest remaining
 /// cluster `Cmax`, look for a cluster of size exactly `b − |Cmax|` to
 /// complete the batch; otherwise random-fill from the next largest.
-fn similarity_batches(clusters: &Clustering, b: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
+fn similarity_batches(clusters: &Clustering, b: usize, rng: &mut Rng) -> Vec<Vec<usize>> {
     // Work queue of clusters as index lists, kept sorted by size (desc).
     let mut remaining: Vec<Vec<usize>> = clusters
         .groups()
@@ -177,7 +176,7 @@ fn similarity_batches(clusters: &Clustering, b: usize, rng: &mut StdRng) -> Vec<
         } else if let Some(next) = remaining.first_mut() {
             // Otherwise random-fill from the next largest cluster.
             for _ in 0..need.min(next.len()) {
-                let pick = rng.gen_range(0..next.len());
+                let pick = rng.range(0..next.len());
                 batch.push(next.swap_remove(pick));
             }
         }
@@ -189,7 +188,7 @@ fn similarity_batches(clusters: &Clustering, b: usize, rng: &mut StdRng) -> Vec<
 /// Diversity-based batching (§III-A): one question from each of `b`
 /// distinct clusters per batch; when fewer than `b` clusters remain,
 /// round-robin over what is left (Example 4's final-batch semantics).
-fn diversity_batches(clusters: &Clustering, b: usize, _rng: &mut StdRng) -> Vec<Vec<usize>> {
+fn diversity_batches(clusters: &Clustering, b: usize) -> Vec<Vec<usize>> {
     let mut remaining: Vec<Vec<usize>> = clusters
         .groups()
         .into_iter()
@@ -224,13 +223,6 @@ fn diversity_batches(clusters: &Clustering, b: usize, _rng: &mut StdRng) -> Vec<
         }
     }
     batches
-}
-
-fn shuffle(indices: &mut [usize], rng: &mut StdRng) {
-    for i in (1..indices.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        indices.swap(i, j);
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +286,7 @@ mod tests {
     fn similarity_batches_follow_example4() {
         // Strategy semantics are tested against the paper's hand clustering
         // so the assertion does not depend on DBSCAN's discovery behavior.
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::from_seed(1);
         let batches = similarity_batches(&example4_clusters(), 3, &mut rng);
         assert_partition(&batches, 9);
         // Example 4(1): Cb and the first 3 of Cc each form intra-cluster
@@ -325,8 +317,7 @@ mod tests {
 
     #[test]
     fn diversity_batches_follow_example4() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let batches = diversity_batches(&example4_clusters(), 3, &mut rng);
+        let batches = diversity_batches(&example4_clusters(), 3);
         assert_partition(&batches, 9);
         // Example 4(2): the first two batches take one question from each
         // of the three clusters.

@@ -9,8 +9,7 @@
 
 use embed::matrix::scan_rows_within;
 use embed::PivotIndex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use er_core::Rng;
 
 use crate::cover::{greedy_unit_cover, greedy_weighted_cover, CoverTable, Rows};
 use crate::features::{DistanceKind, FeatureSpace};
@@ -127,12 +126,12 @@ pub fn covering_threshold(questions: &FeatureSpace, params: SelectionParams) -> 
 /// planner calls it directly when it has featurized neither.
 pub(crate) fn fixed(pool_len: usize, n_batches: usize, params: SelectionParams) -> SelectionPlan {
     assert!(params.k > 0, "k must be positive");
-    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut rng = Rng::from_seed(params.seed);
     let k = params.k.min(pool_len);
     let mut indices: Vec<usize> = (0..pool_len).collect();
     // Partial Fisher-Yates: the first k slots become the sample.
     for i in 0..k {
-        let j = rng.gen_range(i..indices.len());
+        let j = rng.range(i..indices.len());
         indices.swap(i, j);
     }
     let demos: Vec<usize> = indices[..k].to_vec();
@@ -624,17 +623,11 @@ mod tests {
 
     /// Deterministic clustered vectors, the shape where pruning bites.
     fn scattered(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Rng::from_seed(seed);
         (0..n)
             .map(|i| {
                 let blob = (i % 5) as f64 * 2.0;
-                (0..dim).map(|_| blob + next() * 0.7).collect()
+                (0..dim).map(|_| blob + rng.f64() * 0.7).collect()
             })
             .collect()
     }
@@ -735,22 +728,16 @@ mod tests {
     /// copy of an earlier one, every eleventh carrying a NaN or an
     /// infinity.
     fn hostile_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state >> 11
-        };
+        let mut rng = Rng::from_seed(seed);
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
         for i in 0..n {
             let mut row: Vec<f64> = (0..dim)
-                .map(|_| (next() % 17) as f64 * 0.25 - 2.0)
+                .map(|_| rng.range(0..17) as f64 * 0.25 - 2.0)
                 .collect();
             if i % 7 == 6 {
-                row = rows[next() as usize % i].clone();
+                row = rows[rng.range(0..i)].clone();
             } else if i % 11 == 10 {
-                row[next() as usize % dim] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3];
+                row[rng.range(0..dim)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3];
             }
             rows.push(row);
         }

@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use er_core::{Dataset, EntityPair, LabeledPair, MatchLabel, PairId, Record, RecordId, Schema};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use er_core::{
+    Dataset, EntityPair, LabeledPair, MatchLabel, PairId, Record, RecordId, Rng, Schema,
+};
 
 use crate::perturb::{apply_pattern, CorruptionPattern, Intensity};
 use crate::profiles::{make_entity, DatasetKind};
@@ -26,7 +26,7 @@ use crate::profiles::{make_entity, DatasetKind};
 ///   light drift.
 pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
     let profile = kind.profile();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A_6E4E_u64);
+    let mut rng = Rng::from_seed(seed ^ 0xDA7A_6E4E_u64);
 
     let schema = Arc::new(
         Schema::new(profile.schema.iter().copied()).expect("profiles carry valid schemas"),
@@ -59,7 +59,7 @@ pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
         second_attr_prob: profile.intensity.second_attr_prob * 0.5,
     };
     for i in 0..n_hard as u32 {
-        let family = rng.gen_range(0..(n_matches.max(1) as u32 * 2));
+        let family = rng.range(0..n_matches.max(1) * 2) as u32;
         let a = make_entity(kind, family, 0);
         let sibling_variant = 1 + (i % 2);
         let b_base = make_entity(kind, family, sibling_variant);
@@ -79,9 +79,9 @@ pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
 
     // Easy negatives: two unrelated families.
     for _ in 0..n_easy {
-        let fa = rng.gen_range(0..u32::MAX / 2);
+        let fa = rng.range(0..(u32::MAX / 2) as usize) as u32;
         let fb = loop {
-            let f = rng.gen_range(0..u32::MAX / 2);
+            let f = rng.range(0..(u32::MAX / 2) as usize) as u32;
             if f != fa {
                 break f;
             }
@@ -99,7 +99,7 @@ pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
     }
 
     // Shuffle so labels are not positionally encoded, then materialize.
-    shuffle(&mut raw_pairs, &mut rng);
+    rng.shuffle(&mut raw_pairs);
     let pairs: Vec<LabeledPair> = raw_pairs
         .into_iter()
         .enumerate()
@@ -124,19 +124,12 @@ pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
 }
 
 /// Light corruption for negatives: mostly verbatim with occasional drift.
-fn light_pattern(rng: &mut StdRng) -> CorruptionPattern {
-    match rng.gen_range(0..10u8) {
+fn light_pattern(rng: &mut Rng) -> CorruptionPattern {
+    match rng.range(0..10) {
         0 => CorruptionPattern::Typos,
         1 => CorruptionPattern::NumberFormat,
         2 => CorruptionPattern::TokenDrop,
         _ => CorruptionPattern::Verbatim,
-    }
-}
-
-fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        items.swap(i, j);
     }
 }
 

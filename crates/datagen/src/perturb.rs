@@ -7,8 +7,7 @@
 //! pattern have similar structure-aware feature vectors, which is what
 //! makes question clustering (and covering-based selection) meaningful.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use er_core::Rng;
 
 /// A typed way in which the B-side of a pair drifts from the A-side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,16 +64,16 @@ pub fn apply_pattern(
     pattern: CorruptionPattern,
     intensity: Intensity,
     key_attrs: &[usize],
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<String> {
     let mut out: Vec<String> = values.to_vec();
     if out.is_empty() {
         return out;
     }
-    let primary = rng.gen_range(0..out.len());
+    let primary = rng.range(0..out.len());
     let mut targets = vec![primary];
-    if rng.gen::<f64>() < intensity.second_attr_prob && out.len() > 1 {
-        let mut second = rng.gen_range(0..out.len());
+    if rng.f64() < intensity.second_attr_prob && out.len() > 1 {
+        let mut second = rng.range(0..out.len());
         if second == primary {
             second = (second + 1) % out.len();
         }
@@ -96,7 +95,7 @@ pub fn corrupt_value(
     value: &str,
     pattern: CorruptionPattern,
     strength: u32,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> String {
     if value.is_empty() {
         return String::new();
@@ -118,7 +117,7 @@ pub fn corrupt_value(
             let mut s = value.to_owned();
             for _ in 0..strength.min(2) {
                 s.push(' ');
-                s.push_str(FILLER[rng.gen_range(0..FILLER.len())]);
+                s.push_str(FILLER[rng.range(0..FILLER.len())]);
             }
             s
         }
@@ -128,14 +127,14 @@ pub fn corrupt_value(
 }
 
 /// One random character edit: swap, delete, duplicate or replace.
-fn typo(s: &str, rng: &mut StdRng) -> String {
+fn typo(s: &str, rng: &mut Rng) -> String {
     let chars: Vec<char> = s.chars().collect();
     if chars.len() < 2 {
         return s.to_owned();
     }
     let mut out = chars.clone();
-    let i = rng.gen_range(0..out.len() - 1);
-    match rng.gen_range(0..4u8) {
+    let i = rng.range(0..out.len() - 1);
+    match rng.range(0..4) {
         0 => out.swap(i, i + 1),
         1 => {
             out.remove(i);
@@ -145,7 +144,7 @@ fn typo(s: &str, rng: &mut StdRng) -> String {
             let alphabet = "abcdefghijklmnopqrstuvwxyz";
             let replacement = alphabet
                 .chars()
-                .nth(rng.gen_range(0..alphabet.len()))
+                .nth(rng.range(0..alphabet.len()))
                 .expect("alphabet non-empty");
             out[i] = replacement;
         }
@@ -154,20 +153,20 @@ fn typo(s: &str, rng: &mut StdRng) -> String {
 }
 
 /// Drops up to `n` tokens, always keeping at least one.
-fn drop_tokens(s: &str, n: usize, rng: &mut StdRng) -> String {
+fn drop_tokens(s: &str, n: usize, rng: &mut Rng) -> String {
     let mut tokens: Vec<&str> = s.split_whitespace().collect();
     for _ in 0..n {
         if tokens.len() <= 1 {
             break;
         }
-        let i = rng.gen_range(0..tokens.len());
+        let i = rng.range(0..tokens.len());
         tokens.remove(i);
     }
     tokens.join(" ")
 }
 
 /// Abbreviates one long token to its first letters.
-fn abbreviate(s: &str, rng: &mut StdRng) -> String {
+fn abbreviate(s: &str, rng: &mut Rng) -> String {
     let tokens: Vec<&str> = s.split_whitespace().collect();
     if tokens.is_empty() {
         return s.to_owned();
@@ -181,9 +180,9 @@ fn abbreviate(s: &str, rng: &mut StdRng) -> String {
     if candidates.is_empty() {
         return s.to_owned();
     }
-    let target = candidates[rng.gen_range(0..candidates.len())];
+    let target = candidates[rng.range(0..candidates.len())];
     let mut out: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
-    let keep = rng.gen_range(1..=4usize).min(out[target].len());
+    let keep = rng.range(1..5).min(out[target].len());
     let prefix: String = out[target].chars().take(keep).collect();
     out[target] = format!("{prefix}.");
     out.join(" ")
@@ -191,11 +190,11 @@ fn abbreviate(s: &str, rng: &mut StdRng) -> String {
 
 /// Perturbs digits: reformat or round numbers ("12.99" -> "12.95",
 /// "1999" -> "99").
-fn number_drift(s: &str, rng: &mut StdRng) -> String {
+fn number_drift(s: &str, rng: &mut Rng) -> String {
     let tokens: Vec<String> = s
         .split_whitespace()
         .map(|t| {
-            if t.chars().any(|c| c.is_ascii_digit()) && rng.gen::<f64>() < 0.8 {
+            if t.chars().any(|c| c.is_ascii_digit()) && rng.f64() < 0.8 {
                 drift_numeric_token(t, rng)
             } else {
                 t.to_owned()
@@ -205,10 +204,15 @@ fn number_drift(s: &str, rng: &mut StdRng) -> String {
     tokens.join(" ")
 }
 
-fn drift_numeric_token(t: &str, rng: &mut StdRng) -> String {
-    match rng.gen_range(0..3u8) {
-        // Drop a trailing digit/cent: "12.99" -> "12.9".
-        0 if t.len() > 1 => t[..t.len() - 1].to_owned(),
+fn drift_numeric_token(t: &str, rng: &mut Rng) -> String {
+    match rng.range(0..3) {
+        // Drop a trailing digit/cent: "12.99" -> "12.9". A whole char,
+        // since the token may end in a multi-byte one ("12€").
+        0 if t.len() > 1 => {
+            let mut s = t.to_owned();
+            s.pop();
+            s
+        }
         // Duplicate format drift: prefix with "$" or strip it.
         1 => {
             if let Some(stripped) = t.strip_prefix('$') {
@@ -227,10 +231,10 @@ fn drift_numeric_token(t: &str, rng: &mut StdRng) -> String {
                 .map(|(i, _)| i)
                 .collect();
             if let Some(&pos) = digit_positions.get(
-                rng.gen_range(0..digit_positions.len().max(1))
+                rng.range(0..digit_positions.len().max(1))
                     .min(digit_positions.len().saturating_sub(1)),
             ) {
-                chars[pos] = char::from_digit(rng.gen_range(0..10), 10).expect("digit");
+                chars[pos] = char::from_digit(rng.range(0..10) as u32, 10).expect("digit");
             }
             chars.into_iter().collect()
         }
@@ -238,12 +242,12 @@ fn drift_numeric_token(t: &str, rng: &mut StdRng) -> String {
 }
 
 /// Moves one token to the front (author-order style flip).
-fn reorder(s: &str, rng: &mut StdRng) -> String {
+fn reorder(s: &str, rng: &mut Rng) -> String {
     let mut tokens: Vec<&str> = s.split_whitespace().collect();
     if tokens.len() < 2 {
         return s.to_owned();
     }
-    let i = rng.gen_range(1..tokens.len());
+    let i = rng.range(1..tokens.len());
     let tok = tokens.remove(i);
     tokens.insert(0, tok);
     tokens.join(" ")
@@ -252,10 +256,9 @@ fn reorder(s: &str, rng: &mut StdRng) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(17)
+    fn rng() -> Rng {
+        Rng::from_seed(17)
     }
 
     const INTENSITY: Intensity = Intensity { strength: 1, second_attr_prob: 0.0 };
@@ -346,6 +349,17 @@ mod tests {
     }
 
     #[test]
+    fn number_format_drops_a_whole_trailing_char() {
+        for (token, dropped) in [("12€", "12"), ("5½", "5")] {
+            let fired = (0..64).any(|seed| {
+                let mut r = Rng::from_seed(seed);
+                corrupt_value(token, CorruptionPattern::NumberFormat, 1, &mut r) == dropped
+            });
+            assert!(fired, "no seed dropped the last char of {token:?}");
+        }
+    }
+
+    #[test]
     fn reorder_preserves_token_multiset() {
         let mut r = rng();
         let input = "alpha beta gamma delta";
@@ -383,8 +397,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let mut r1 = StdRng::seed_from_u64(5);
-        let mut r2 = StdRng::seed_from_u64(5);
+        let mut r1 = Rng::from_seed(5);
+        let mut r2 = Rng::from_seed(5);
         let a = corrupt_value("deterministic output", CorruptionPattern::Typos, 2, &mut r1);
         let b = corrupt_value("deterministic output", CorruptionPattern::Typos, 2, &mut r2);
         assert_eq!(a, b);

@@ -1,8 +1,7 @@
 //! Per-dataset generator profiles: schemas, sizes (Table II), entity
 //! factories and difficulty calibration.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use er_core::Rng;
 
 use crate::perturb::{CorruptionPattern, Intensity};
 use crate::vocab;
@@ -244,9 +243,9 @@ pub struct GeneratorProfile {
 
 impl GeneratorProfile {
     /// Draws a corruption pattern from the profile's weights.
-    pub fn draw_pattern(&self, rng: &mut StdRng) -> CorruptionPattern {
+    pub fn draw_pattern(&self, rng: &mut Rng) -> CorruptionPattern {
         let total: f64 = self.pattern_weights.iter().map(|(_, w)| w).sum();
-        let mut target = rng.gen_range(0.0..total);
+        let mut target = rng.uniform(0.0..total);
         for &(p, w) in self.pattern_weights {
             if target < w {
                 return p;
@@ -429,7 +428,6 @@ pub fn make_entity(kind: DatasetKind, family: u32, variant: u32) -> Vec<String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn table_ii_shapes() {
@@ -491,7 +489,7 @@ mod tests {
 
     #[test]
     fn pattern_drawing_respects_support() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::from_seed(6);
         let p = DatasetKind::WalmartAmazon.profile();
         for _ in 0..200 {
             let drawn = p.draw_pattern(&mut rng);

@@ -861,18 +861,11 @@ fn note_query(potential: usize, verified: usize) {
 mod tests {
     use super::*;
 
-    /// Deterministic scattered fixture (xorshift, the cluster crate's
-    /// test idiom).
+    /// Deterministic scattered fixture.
     fn scattered(n: usize, dim: usize, seed: u64) -> FeatureMatrix {
-        let mut s = seed.max(1);
-        let mut step = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = er_core::Rng::from_seed(seed);
         let rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| step() * 4.0 - 2.0).collect())
+            .map(|_| (0..dim).map(|_| rng.f64() * 4.0 - 2.0).collect())
             .collect();
         FeatureMatrix::from_rows(rows)
     }

@@ -14,6 +14,8 @@
 //! * [`metrics`] — precision / recall / F1 and run aggregation.
 //! * [`cost`] — token counts, micro-dollar money arithmetic, API and
 //!   labeling cost accounting.
+//! * [`Rng`] — the seeded generator the workspace's stochastic steps draw
+//!   from.
 
 pub mod cost;
 pub mod dataset;
@@ -21,6 +23,7 @@ pub mod error;
 pub mod metrics;
 pub mod pair;
 pub mod record;
+pub mod rng;
 pub mod split;
 
 pub use cost::{CostLedger, Money, SharedCostLedger, TokenCount, LABEL_COST_PER_PAIR};
@@ -29,6 +32,7 @@ pub use error::ErError;
 pub use metrics::{BinaryConfusion, F1Summary, PrfScores};
 pub use pair::{serialize_pair, serialize_record, EntityPair, LabeledPair, MatchLabel, PairId};
 pub use record::{Record, RecordId, Schema, SourceTable};
+pub use rng::Rng;
 pub use split::ThreeWaySplit;
 
 /// The `[SEP]` marker used between the two serialized entities of a pair

@@ -1,0 +1,157 @@
+//! The workspace's seeded generator.
+//!
+//! Every stochastic step draws from an explicit [`Rng`] built from a seed:
+//! dataset synthesis, batching, selection, K-Means seeding, the logistic
+//! matcher's epochs and the simulated LLM's noise. Two older xorshift
+//! streams are not on it yet: the 3:1:1 split ([`crate::split`]), which
+//! the benchmark's pinned input digests hash, and the pair sample behind
+//! the covering and DBSCAN thresholds, which every pinned plan digest
+//! hashes. Moving either is a deliberate re-baseline.
+//!
+//! The generator is SplitMix64: statistically solid for simulation and
+//! sampling, platform-independent, and seedable from one `u64`. It is
+//! **not** cryptographically secure.
+
+use std::ops::Range;
+
+/// A deterministic SplitMix64 stream.
+///
+/// Neither `Copy` nor `Clone`: a copy would silently fork the stream, so
+/// whoever holds the generator owns its sequence.
+#[derive(Debug)]
+pub struct Rng {
+    state: u64,
+}
+
+impl Rng {
+    /// The stream for `seed`. One warm-up step decorrelates small
+    /// consecutive seeds.
+    pub fn from_seed(seed: u64) -> Self {
+        let mut rng = Self { state: seed };
+        rng.next_u64();
+        rng
+    }
+
+    /// The next 64 random bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`: the top 53 bits scaled by 2⁻⁵³.
+    #[inline]
+    pub fn f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform in `range`, as `start + x % span`.
+    ///
+    /// # Panics
+    /// Panics when the range is empty.
+    #[inline]
+    pub fn range(&mut self, range: Range<usize>) -> usize {
+        assert!(range.start < range.end, "cannot sample empty range");
+        range.start + (self.next_u64() % (range.end - range.start) as u64) as usize
+    }
+
+    /// Uniform in `range`, as `start + unit · (end − start)`; a sum that
+    /// rounds onto `end` maps to `start`, so `end` is never returned.
+    ///
+    /// # Panics
+    /// Panics when the range is empty (or either bound is NaN).
+    #[inline]
+    pub fn uniform(&mut self, range: Range<f64>) -> f64 {
+        assert!(range.start < range.end, "cannot sample empty range");
+        let v = range.start + self.f64() * (range.end - range.start);
+        if v >= range.end {
+            range.start
+        } else {
+            v
+        }
+    }
+
+    /// Fisher-Yates shuffle in place, from the back.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.range(0..i + 1);
+            items.swap(i, j);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Rng;
+
+    /// The first draws of seed 42, as the vendored `rand` stand-in printed
+    /// them before this type replaced it.
+    #[test]
+    fn seed_42_draws_match_the_retired_generator() {
+        let mut rng = Rng::from_seed(42);
+        assert_eq!(rng.next_u64(), 0x28ef_e333_b266_f103);
+        assert_eq!(rng.next_u64(), 0x4752_6757_130f_9f52);
+        assert_eq!(rng.next_u64(), 0x581c_e1ff_0e4a_e394);
+        assert_eq!(rng.f64().to_bits(), 0x3fa3_78b0_b448_9040);
+        assert_eq!(rng.range(0..10), 2);
+        assert_eq!(rng.range(3..17), 12);
+        assert_eq!(rng.uniform(0.25..0.75).to_bits(), 0x3fe4_cf63_5ee9_e9e2);
+        assert_eq!(
+            rng.uniform(f64::EPSILON..1.0).to_bits(),
+            0x3fd5_c16e_1dc2_cf61
+        );
+    }
+
+    /// What the three retired in-place loops (`gen_range(0..=i)` from the
+    /// back) produced on `0..10` under seed 3.
+    #[test]
+    fn shuffle_matches_the_retired_loop() {
+        let mut items: Vec<usize> = (0..10).collect();
+        Rng::from_seed(3).shuffle(&mut items);
+        assert_eq!(items, [5, 0, 6, 4, 2, 9, 8, 7, 3, 1]);
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = Rng::from_seed(42);
+        let mut b = Rng::from_seed(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut c = Rng::from_seed(43);
+        assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn unit_floats_in_range() {
+        let mut rng = Rng::from_seed(7);
+        for _ in 0..10_000 {
+            assert!((0.0..1.0).contains(&rng.f64()));
+        }
+    }
+
+    #[test]
+    fn ranges_respected() {
+        let mut rng = Rng::from_seed(9);
+        for _ in 0..10_000 {
+            assert!((3..17).contains(&rng.range(3..17)));
+            assert!(rng.range(0..5) < 5);
+            assert!((0.25..0.75).contains(&rng.uniform(0.25..0.75)));
+        }
+    }
+
+    #[test]
+    fn rough_uniformity() {
+        let mut rng = Rng::from_seed(11);
+        let mut buckets = [0usize; 10];
+        for _ in 0..100_000 {
+            buckets[rng.range(0..10)] += 1;
+        }
+        for &b in &buckets {
+            assert!((8_000..12_000).contains(&b), "skewed bucket: {b}");
+        }
+    }
+}

@@ -4,7 +4,6 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
 use er_core::TokenCount;
-use rand::Rng;
 
 use crate::chat::{ChatRequest, ChatResponse, FinishReason, LlmError, Usage};
 use crate::engine::{call_rng, decide};
@@ -102,7 +101,7 @@ impl ChatApi for SimLlm {
         let mut rng = call_rng(request.seed, &request.prompt);
         // A retired rate-limit check drew once here, before `decide`; the
         // draw stays so every answer pinned in `tests/sim_golden.rs` holds.
-        let _retired_draw = rng.gen::<u64>();
+        let _retired_draw = rng.next_u64();
 
         let parsed = parse_prompt(&request.prompt);
 

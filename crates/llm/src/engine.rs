@@ -23,8 +23,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use er_core::Rng;
 use text_sim::{fnv1a64, jaccard_sorted, levenshtein_ratio, normalize_into};
 
 use crate::parse::{ParsedAttr, ParsedPair, ParsedPrompt};
@@ -54,7 +53,7 @@ pub fn decide(
     parsed: &ParsedPrompt<'_>,
     profile: &CapabilityProfile,
     noise_scale: f64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<Decision> {
     let mut reader = Reader::default();
     let features: Vec<PairFeatures> = parsed.questions.iter().map(|q| reader.pair(q)).collect();
@@ -92,7 +91,7 @@ pub fn decide(
         if i > 0 {
             let prev = &features[i - 1];
             let d = feat.distance(prev);
-            if d < profile.copy_radius && rng.gen::<f64>() < profile.copy_prob {
+            if d < profile.copy_radius && rng.f64() < profile.copy_prob {
                 let prev_decision = &decisions[i - 1];
                 decisions.push(Decision {
                     answer: prev_decision.answer,
@@ -384,16 +383,16 @@ fn population_std(xs: &[f64]) -> f64 {
 }
 
 /// Standard normal sample via Box-Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+fn gaussian(rng: &mut Rng) -> f64 {
+    let u1 = rng.uniform(f64::EPSILON..1.0);
+    let u2 = rng.f64();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Derives the per-call RNG from the request seed and the prompt text, so
 /// identical requests are reproducible while different prompts decorrelate.
-pub fn call_rng(seed: u64, prompt: &str) -> StdRng {
-    StdRng::seed_from_u64(fnv1a64(prompt.as_bytes(), seed))
+pub fn call_rng(seed: u64, prompt: &str) -> Rng {
+    Rng::from_seed(fnv1a64(prompt.as_bytes(), seed))
 }
 
 #[cfg(test)]
@@ -411,7 +410,7 @@ mod tests {
         }
     }
 
-    fn rng() -> StdRng {
+    fn rng() -> Rng {
         call_rng(7, "test")
     }
 
@@ -554,9 +553,9 @@ mod tests {
 
     #[test]
     fn call_rng_depends_on_both_inputs() {
-        let a: u64 = call_rng(1, "p").gen();
-        let b: u64 = call_rng(2, "p").gen();
-        let c: u64 = call_rng(1, "q").gen();
+        let a = call_rng(1, "p").next_u64();
+        let b = call_rng(2, "p").next_u64();
+        let c = call_rng(1, "q").next_u64();
         assert_ne!(a, b);
         assert_ne!(a, c);
     }

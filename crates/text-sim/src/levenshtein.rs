@@ -191,27 +191,14 @@ mod tests {
             }
             dp(short, long)
         };
-        struct Rng(u64);
-        impl Rng {
-            fn next(&mut self, n: usize) -> usize {
-                self.0 ^= self.0 << 13;
-                self.0 ^= self.0 >> 7;
-                self.0 ^= self.0 << 17;
-                (self.0 % n as u64) as usize
-            }
-            fn string(&mut self, alphabet: &[char], len: usize, span: usize) -> String {
-                (0..len).map(|_| alphabet[self.next(span.max(1))]).collect()
-            }
-        }
-        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let mut rng = er_core::Rng::from_seed(0x2545_F491_4F6C_DD1D);
         let alphabet: Vec<char> = "abcdxyz日本éß".chars().collect();
         for case in 0..400 {
-            let la = rng.next(70);
-            let lb = rng.next(70);
+            let (la, lb) = (rng.range(0..70), rng.range(0..70));
             // Narrow alphabets force repeats and near-matches.
             let span = 2 + case % (alphabet.len() - 1);
-            let a = rng.string(&alphabet, la, span);
-            let b = rng.string(&alphabet, lb, span);
+            let a: String = (0..la).map(|_| alphabet[rng.range(0..span)]).collect();
+            let b: String = (0..lb).map(|_| alphabet[rng.range(0..span)]).collect();
             assert_eq!(
                 levenshtein(&a, &b),
                 dp_reference(&a, &b),

@@ -12,7 +12,6 @@ use batcher::embed::{Embedder, EmbedderConfig};
 use batcher::er_core::{EntityPair, PairId, Record, RecordId, Schema};
 use batcher::er_service::pair_fingerprint;
 use batcher::llm::engine::call_rng;
-use rand::Rng;
 
 fn pair() -> EntityPair {
     let schema = Arc::new(Schema::new(["title", "brewery"].map(String::from)).unwrap());
@@ -70,7 +69,7 @@ fn hash_consumers_keep_their_parent_commit_values() {
     );
 
     assert_eq!(
-        call_rng(42, "Do these records match?").gen::<u64>(),
+        call_rng(42, "Do these records match?").next_u64(),
         0x78d8_2b84_46b8_78e1
     );
 }
