@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps six kinds of dead weight from growing back: a vendored stand-in
+# Keeps seven kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -10,8 +10,9 @@
 # until a re-baseline retires them: the 3:1:1 split
 # (crates/er-core/src/split.rs, hashed by benchmark/input_digests.json)
 # and the distance-percentile sample (crates/core/src/features.rs, hashed
-# by the golden plan digests). Offline, no dependencies beyond grep and
-# sed.
+# by the golden plan digests). And a batch priced outside the bill, the
+# ledger and the model's own pricing. Offline, no dependencies beyond
+# grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,5 +81,16 @@ for file in $(grep -rlE '<< *13' --include='*.rs' crates src tests examples |
     esac
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs"
+# A second place that prices a batch drifts from the one bill.
+for file in $(grep -rlE 'PriceTable::for_model\(|LABEL_COST_PER_PAIR \*' crates/*/src || true); do
+    case "$file" in
+    crates/core/src/bill.rs | crates/er-core/src/cost.rs | crates/llm/src/pricing.rs | crates/llm/src/client.rs) ;;
+    *)
+        echo "FAIL: ${file} prices a batch by hand; build a batcher_core::Bill" >&2
+        fail=1
+        ;;
+    esac
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill"
 exit "$fail"

@@ -1,7 +1,7 @@
 //! Reproduction of every table and figure in the paper's evaluation
-//! (§VI). Each `table_*` / `figure_*` function runs the experiment and
-//! prints rows in the paper's layout; the `repro_*` binaries are thin
-//! wrappers. Measured results: the README tables and `benchmark/README.md`.
+//! (§VI). Each `tableN` / `figureN` function runs the experiment and
+//! prints rows in the paper's layout; `repro_all [table…]` runs them.
+//! Stdout is the only record of the measured results.
 
 use baselines::{ManualPrompt, PlmKind, PlmMatcher};
 use batcher_core::{BatchingStrategy, ExtractorKind, RunConfig, SelectionStrategy};

@@ -116,21 +116,9 @@ impl<'a> Executor<'a> {
                 Err(LlmError::ContextLengthExceeded { .. }) if questions.len() > 1 => {
                     // Same demos, half the questions, recursively.
                     outcome.context_splits += 1;
-                    let mid = questions.len() / 2;
-                    self.run_batch(
-                        description,
-                        demos,
-                        &questions[..mid],
-                        seed ^ 0x51F7,
-                        outcome,
-                    );
-                    self.run_batch(
-                        description,
-                        demos,
-                        &questions[mid..],
-                        seed ^ 0x51F9,
-                        outcome,
-                    );
+                    let (left, right) = halve(questions);
+                    self.run_batch(description, demos, left, seed ^ 0x51F7, outcome);
+                    self.run_batch(description, demos, right, seed ^ 0x51F9, outcome);
                     return;
                 }
                 Err(_) => {
@@ -146,10 +134,17 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// The two halves an over-window batch is resent as, in order; the quote
+/// prices the same split.
+pub(crate) fn halve<T>(questions: &[T]) -> (&[T], &[T]) {
+    questions.split_at(questions.len() / 2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prompt::task_description;
+    use crate::Bill;
     use datagen::{generate, DatasetKind};
     use llm::{InjectedFault, SimLlm};
 
@@ -217,7 +212,11 @@ mod tests {
         exec.run_batch(&desc, &[], &questions, 3, &mut outcome);
         assert_eq!(outcome.answers.len(), 8);
         assert!(outcome.context_splits > 0, "oversized batch never split");
-        assert!(outcome.ledger.api_calls >= 2);
+        // The quote prices the same halves the executor sent.
+        let bill = Bill::for_batch(ModelKind::Gpt35Turbo0301, &desc, &[], &questions);
+        assert_eq!(bill.calls, outcome.ledger.api_calls);
+        assert_eq!(bill.prompt_tokens, outcome.ledger.prompt_tokens);
+        assert!(outcome.ledger.completion_tokens <= bill.completion_bound);
     }
 
     #[test]

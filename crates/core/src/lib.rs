@@ -21,14 +21,15 @@
 //!    render the batch prompt, call the LLM through [`llm::ChatApi`],
 //!    parse answers with retry/fallback handling.
 //! 5. **Accounting** — F1 against gold labels plus API and labeling cost
-//!    ledgers ([`er_core::CostLedger`]).
+//!    ledgers ([`er_core::CostLedger`]); a [`Bill`] prices a batch, or a
+//!    whole run, before anything is sent.
 //!
 //! [`runner`] wires the stages into one reproducible experiment run; the
 //! design space of Table I is enumerable via [`RunConfig`].
 
 pub mod batching;
+pub mod bill;
 pub mod cover;
-pub mod estimate;
 pub mod executor;
 pub mod features;
 pub mod incremental;
@@ -38,8 +39,8 @@ pub mod runner;
 pub mod selection;
 
 pub use batching::{BatchingStrategy, ClusteringKind};
+pub use bill::Bill;
 pub use cover::{greedy_unit_cover, greedy_weighted_cover, CoverTable, Rows};
-pub use estimate::CostEstimate;
 pub use executor::{ExecutionOutcome, Executor};
 pub use features::{DistanceKind, ExtractorKind, FeatureSpace};
 pub use plan::{

@@ -10,7 +10,7 @@ use llm::{ChatApi, ModelKind};
 use crate::batching::{BatchingStrategy, ClusteringKind};
 use crate::executor::{ExecutionOutcome, Executor};
 use crate::features::{DistanceKind, ExtractorKind};
-use crate::plan::{plan_question_batches, BatchPlanConfig};
+use crate::plan::{plan_question_batches, BatchPlanConfig, QuestionBatchPlan};
 use crate::prompt::task_description;
 use crate::selection::SelectionStrategy;
 
@@ -148,13 +148,8 @@ pub fn run_on_split(
 
     // 1-3. Featurize, batch and select demonstrations — shared with the
     // serving layer through the externally-usable planning step.
-    let question_pairs: Vec<&er_core::EntityPair> = questions.iter().map(|p| &p.pair).collect();
     let plan_started = std::time::Instant::now();
-    let plan = plan_question_batches(
-        &question_pairs,
-        pool,
-        &BatchPlanConfig::from_run_config(&config),
-    );
+    let plan = plan_run(pool, questions, &config);
     let plan_us = u64::try_from(plan_started.elapsed().as_micros()).unwrap_or(u64::MAX);
 
     // 4. Execute every batch.
@@ -162,24 +157,11 @@ pub fn run_on_split(
     let executor = Executor::new(api, config.model, config.max_retries);
     let exec_started = std::time::Instant::now();
     let mut outcome = ExecutionOutcome::default();
-    let mut question_order: Vec<usize> = Vec::with_capacity(questions.len());
-    for (bi, batch) in plan.batches.iter().enumerate() {
-        let demos: Vec<&LabeledPair> = plan.demos_per_batch[bi].iter().map(|&d| pool[d]).collect();
-        let serialized: Vec<String> = batch
-            .iter()
-            .map(|&q| questions[q].pair.serialize())
-            .collect();
-        executor.run_batch(
-            &description,
-            &demos,
-            &serialized,
-            config.seed ^ ((bi as u64) << 16),
-            &mut outcome,
-        );
-        question_order.extend(batch.iter().copied());
-    }
-    debug_assert_eq!(question_order.len(), outcome.answers.len());
+    walk_batches(&plan, pool, questions, config.seed, |demos, batch, seed| {
+        executor.run_batch(&description, demos, batch, seed, &mut outcome)
+    });
     let exec_us = u64::try_from(exec_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    debug_assert_eq!(plan.batches.iter().flatten().count(), outcome.answers.len());
 
     // 5. Labeling cost: every unique selected demonstration is annotated
     // once (§VI-A's AMT pricing).
@@ -188,7 +170,7 @@ pub fn run_on_split(
     // 6. Score. Unanswered questions default to non-matching.
     let mut confusion = BinaryConfusion::new();
     let mut unanswered = 0usize;
-    for (&qi, answer) in question_order.iter().zip(&outcome.answers) {
+    for (&qi, answer) in plan.batches.iter().flatten().zip(&outcome.answers) {
         let predicted = answer.unwrap_or_else(|| {
             unanswered += 1;
             MatchLabel::NonMatching
@@ -205,6 +187,37 @@ pub fn run_on_split(
         retries: outcome.retries,
         plan_us,
         exec_us,
+    }
+}
+
+/// Plans `questions` against `pool` as a run of `config` does.
+pub(crate) fn plan_run(
+    pool: &[&LabeledPair],
+    questions: &[&LabeledPair],
+    config: &RunConfig,
+) -> QuestionBatchPlan {
+    let question_pairs: Vec<&er_core::EntityPair> = questions.iter().map(|p| &p.pair).collect();
+    let config = BatchPlanConfig::from_run_config(config);
+    plan_question_batches(&question_pairs, pool, &config)
+}
+
+/// Hands `plan`'s batches to `send` in execution order, each as its
+/// demonstrations, serialized questions and seed: what a run executes and
+/// what [`Bill::quote`](crate::Bill::quote) prices.
+pub(crate) fn walk_batches<'p>(
+    plan: &QuestionBatchPlan,
+    pool: &[&'p LabeledPair],
+    questions: &[&LabeledPair],
+    seed: u64,
+    mut send: impl FnMut(&[&'p LabeledPair], &[String], u64),
+) {
+    for (bi, (batch, demos)) in plan.batches.iter().zip(&plan.demos_per_batch).enumerate() {
+        let demos: Vec<&LabeledPair> = demos.iter().map(|&d| pool[d]).collect();
+        let serialized: Vec<String> = batch
+            .iter()
+            .map(|&q| questions[q].pair.serialize())
+            .collect();
+        send(&demos, &serialized, seed ^ ((bi as u64) << 16));
     }
 }
 

@@ -217,7 +217,9 @@ impl CostLedger {
 /// The offline experiment runner owns its ledger outright; the serving
 /// layer (`er-service`) instead needs many worker threads charging one
 /// budget concurrently. Cloning the handle shares the underlying ledger;
-/// all recording methods take `&self`.
+/// a worker records into a detached [`CostLedger`] and [`merge`]s it.
+///
+/// [`merge`]: SharedCostLedger::merge
 #[derive(Debug, Clone, Default)]
 pub struct SharedCostLedger {
     inner: std::sync::Arc<std::sync::Mutex<CostLedger>>,
@@ -227,22 +229,6 @@ impl SharedCostLedger {
     /// A fresh zeroed shared ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one API call (thread-safe).
-    pub fn record_api_call(
-        &self,
-        prompt_tokens: TokenCount,
-        completion_tokens: TokenCount,
-        cost: Money,
-    ) {
-        self.lock()
-            .record_api_call(prompt_tokens, completion_tokens, cost);
-    }
-
-    /// Records human labeling of `pairs` demonstrations (thread-safe).
-    pub fn record_labeling(&self, pairs: u64) {
-        self.lock().record_labeling(pairs);
     }
 
     /// Merges a detached ledger (e.g. one batch execution's accounting)
@@ -329,13 +315,17 @@ mod tests {
                 let handle = shared.clone();
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        handle.record_api_call(
+                        let mut batch = CostLedger::new();
+                        batch.record_api_call(
                             TokenCount(10),
                             TokenCount(2),
                             Money::from_micros(12),
                         );
+                        handle.merge(&batch);
                     }
-                    handle.record_labeling(1);
+                    let mut labels = CostLedger::new();
+                    labels.record_labeling(1);
+                    handle.merge(&labels);
                 });
             }
         });

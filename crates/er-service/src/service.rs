@@ -41,14 +41,11 @@ use std::time::{Duration, Instant};
 use baselines::features::base_features;
 use baselines::logistic::{LogisticModel, TrainConfig};
 use batcher_core::{
-    build_batch_prompt, plan_with_prepared_pool, task_description, BatchPlanConfig, DistanceKind,
-    ExecutionOutcome, Executor, ExtractorKind, PreparedPool,
+    build_batch_prompt, plan_with_prepared_pool, task_description, BatchPlanConfig, Bill,
+    DistanceKind, ExecutionOutcome, Executor, ExtractorKind, PreparedPool,
 };
-use er_core::{
-    CostLedger, EntityPair, LabeledPair, MatchLabel, Money, SharedCostLedger, TokenCount,
-    LABEL_COST_PER_PAIR,
-};
-use llm::{count_tokens, ChatApi, ModelKind, PriceTable};
+use er_core::{EntityPair, LabeledPair, MatchLabel, Money, SharedCostLedger};
+use llm::{ChatApi, ModelKind};
 
 use crate::breaker::Breaker;
 use crate::cache::AnswerCache;
@@ -188,12 +185,6 @@ impl Default for ServiceConfig {
         }
     }
 }
-
-/// Fixed completion-token allowance per question, added on top of the
-/// question's own token count when projecting a batch's worst-case cost
-/// (the simulator's rationale lines quote question content, so an answer
-/// is bounded by the question plus this overhead).
-const COMPLETION_ALLOWANCE: u64 = 24;
 
 /// One waiting `submit` call: its decision channel plus its lifecycle
 /// span, stamped by pipeline stages as the question moves. The span is
@@ -1283,44 +1274,37 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         .collect();
     let description = task_description(&config.domain);
 
-    let prompt = build_batch_prompt(&description, &demos, &questions);
-    let prompt_tokens = count_tokens(&prompt);
+    let mut bill = Bill::for_prompt(
+        config.model,
+        &build_batch_prompt(&description, &demos, &questions),
+        &questions,
+    );
 
     // A prompt over the model's context window would trigger the
-    // executor's recursive split-and-resend, whose cost the projection
-    // below cannot bound. Serving never sends such a prompt: the batch
-    // is answered locally instead, which keeps the budget cap hard.
-    let context_limit = config.model.profile().max_context_tokens;
-    if prompt_tokens > context_limit {
+    // executor's recursive split-and-resend, which the reservation below
+    // does not cover. Serving never sends such a prompt: the batch is
+    // answered locally instead, which keeps the budget cap hard.
+    if !bill.fits_context() {
         stamp_waiters(inner, job, "context_overflow");
         inner.flight.event(
             "context_overflow",
             format!(
-                "batch of {} answered by fallback: prompt of {prompt_tokens} tokens over the \
-                 {context_limit}-token window",
-                job.questions.len()
+                "batch of {} answered by fallback: prompt of {} tokens over the {}-token window",
+                job.questions.len(),
+                bill.prompt_tokens.get(),
+                config.model.profile().max_context_tokens
             ),
         );
         answer_via_fallback(inner, job);
         return;
     }
 
-    // Worst-case projection for the governor: full prompt at every retry,
-    // plus a completion bound and labeling for any demo not yet paid
-    // for. Answer length tracks question content (the model quotes
-    // attribute names/values in its rationale), so the completion bound
-    // is the questions' own token count plus a fixed per-question
-    // allowance — not a flat constant a hostile question could exceed.
-    // The not-yet-labeled check, the reservation and the marking happen
-    // under one lock so a concurrent job sharing a demo cannot observe
-    // it as labeled while this reservation later fails.
-    let price = PriceTable::for_model(config.model);
+    // The governor reserves the bill's worst case: the full prompt at
+    // every retry, the completion bound, and labeling for any demo not
+    // yet paid for. The not-yet-labeled check, the reservation and the
+    // marking happen under one lock so a concurrent job sharing a demo
+    // cannot observe it as labeled while this reservation later fails.
     let attempts = u64::from(config.max_retries) + 1;
-    let question_tokens: u64 = questions.iter().map(|q| count_tokens(q)).sum();
-    let completion_bound = question_tokens + COMPLETION_ALLOWANCE * questions.len() as u64;
-    let api_projection =
-        price.cost(TokenCount(prompt_tokens), TokenCount(completion_bound)) * attempts;
-
     let granted = {
         let mut labeled = lock(&inner.labeled);
         let newly: Vec<usize> = job
@@ -1329,16 +1313,16 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
             .copied()
             .filter(|d| !labeled.contains(d))
             .collect();
-        let projected = api_projection + LABEL_COST_PER_PAIR * newly.len() as u64;
-        inner.governor.try_reserve_guarded(projected).map(|guard| {
-            labeled.extend(&newly);
-            (guard, newly, projected)
-        })
+        bill.new_labels = newly.len() as u64;
+        inner
+            .governor
+            .try_reserve_guarded(bill.worst_case(attempts))
+            .inspect(|_| labeled.extend(&newly))
     };
     if tel.is_enabled() {
         tel.slo_budget.record(granted.is_some());
     }
-    let Some((guard, newly_labeled, projected)) = granted else {
+    let Some(guard) = granted else {
         // Over budget: answer locally, free of charge.
         inner.flight.event(
             "budget_denied",
@@ -1363,7 +1347,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         .with_trace(primary_trace);
     let mut outcome = ExecutionOutcome::default();
     executor.run_batch(&description, &demos, &questions, job.seed, &mut outcome);
-    outcome.ledger.record_labeling(newly_labeled.len() as u64);
+    outcome.ledger.record_labeling(bill.new_labels);
     // Breaker verdict. The executor records an API call only when the
     // transport returned, so a batch with zero answers *and* zero billed
     // calls is the signature of a dead endpoint — exactly what should
@@ -1396,8 +1380,8 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     tel.batch_prompt_tokens
         .record(outcome.ledger.prompt_tokens.get());
     debug_assert!(
-        ledger_within(&outcome.ledger, projected),
-        "executor spend exceeded the governor projection"
+        outcome.ledger.total() <= bill.worst_case(attempts),
+        "executor spend exceeded the governor's reservation"
     );
     guard.settle(&outcome.ledger);
 
@@ -1450,10 +1434,6 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         };
         resolve_question(inner, *fp, decision, senders, primary_trace);
     }
-}
-
-fn ledger_within(actual: &CostLedger, projected: Money) -> bool {
-    actual.total() <= projected
 }
 
 /// Delivers a decision to a question's own waiters plus any waiters that

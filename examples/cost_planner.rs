@@ -6,10 +6,12 @@
 //!
 //! Reproduces the paper's §I motivation scene: quote the cost of matching
 //! a workload under standard prompting, batch prompting, and batch
-//! prompting with GPT-4 — without a single API call — then run the
-//! cheapest plan and compare the quote to the bill.
+//! prompting with GPT-4 — without a single API call — then run each plan
+//! and print the quote next to the bill. The planner is deterministic, so
+//! calls, prompt tokens and labelling are quoted exactly; the API quote
+//! bounds every completion.
 
-use batcher::core::{run, CostEstimate, RunConfig};
+use batcher::core::{run, Bill, RunConfig};
 use batcher::datagen::{generate, DatasetKind};
 use batcher::llm::{ModelKind, SimLlm};
 
@@ -35,30 +37,29 @@ fn main() {
     ];
 
     println!(
-        "{:<30} {:>8} {:>12} {:>22}",
-        "plan", "calls", "API quote", "labeling quote"
+        "{:<28} {:>6} {:>10} {:>9} {:>9} {:>9} {:>5}",
+        "plan", "calls", "prompt tok", "API quote", "API bill", "labeling", "F1"
     );
-    for (name, config) in &plans {
-        let quote = CostEstimate::quote(&dataset, config);
+    for (name, config) in plans {
+        let quote = Bill::quote(&dataset, &config);
+        let result = run(&dataset, &SimLlm::new(), config);
+        let ledger = result.ledger;
+        let quoted = (quote.calls, quote.prompt_tokens, quote.labeling());
+        assert_eq!(
+            quoted,
+            (ledger.api_calls, ledger.prompt_tokens, ledger.labeling),
+            "{name}"
+        );
+        assert!(ledger.api <= quote.api_bound(), "{name}");
         println!(
-            "{:<30} {:>8} {:>12} {:>10} – {:<10}",
+            "{:<28} {:>6} {:>10} {:>9.2} {:>9.2} {:>9.2} {:>5.1}",
             name,
             quote.calls,
-            format!("{:.2}", quote.api.dollars()),
-            format!("{:.2}", quote.labeling.0.dollars()),
-            format!("{:.2}", quote.labeling.1.dollars()),
+            quote.prompt_tokens.get(),
+            quote.api_bound().dollars(),
+            ledger.api.dollars(),
+            quote.labeling().dollars(),
+            result.f1()
         );
     }
-
-    // Execute the recommended plan and audit the quote.
-    let config = RunConfig::best_design();
-    let quote = CostEstimate::quote(&dataset, &config);
-    let result = run(&dataset, &SimLlm::new(), config);
-    println!(
-        "\nexecuted best plan: F1 {:.2}, API billed {} (quoted {}), labeling {}",
-        result.f1(),
-        result.ledger.api,
-        quote.api,
-        result.ledger.labeling
-    );
 }
