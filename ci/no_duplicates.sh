@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps seven kinds of dead weight from growing back: a vendored stand-in
+# Keeps eight kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -11,8 +11,10 @@
 # (crates/er-core/src/split.rs, hashed by benchmark/input_digests.json)
 # and the distance-percentile sample (crates/core/src/features.rs, hashed
 # by the golden plan digests). And a batch priced outside the bill, the
-# ledger and the model's own pricing. Offline, no dependencies beyond
-# grep and sed.
+# ledger and the model's own pricing. And a model call outside the one
+# send path (`batcher_core::Executor::send`), the client that implements
+# it and the server that answers it. Offline, no dependencies beyond grep
+# and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,5 +94,16 @@ for file in $(grep -rlE 'PriceTable::for_model\(|LABEL_COST_PER_PAIR \*' crates/
     esac
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill"
+# A second call-and-retry loop drifts from the one send path.
+for file in $(grep -rlE '\.complete\(' crates/*/src || true); do
+    case "$file" in
+    crates/core/src/executor.rs | crates/llm/src/client.rs | crates/llm-service/src/server.rs) ;;
+    *)
+        echo "FAIL: ${file} calls a model outside the one send path; use batcher_core::Executor::send" >&2
+        fail=1
+        ;;
+    esac
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path"
 exit "$fail"

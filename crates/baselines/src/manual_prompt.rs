@@ -8,8 +8,9 @@
 //! hardest-looking (most similar) non-match, which is what the published
 //! prompts qualitatively contain.
 
+use batcher_core::{ExecutionOutcome, Executor};
 use er_core::{BinaryConfusion, CostLedger, LabeledPair, MatchLabel};
-use llm::{parse_answers, ChatApi, ChatRequest, LlmError, ModelKind};
+use llm::{ChatApi, LlmError, ModelKind};
 
 use crate::features::base_features;
 
@@ -21,8 +22,9 @@ pub struct ManualPrompt {
     /// Demonstrations per prompt (the paper's published prompts carry a
     /// handful; default 6 = 3 matches + 3 non-matches).
     pub demos: usize,
-    /// Retries on unparseable output before counting the question as a
-    /// non-match (the conservative default a practitioner falls back to).
+    /// Retries on rate limits and unparseable output before counting the
+    /// question as a non-match (the conservative default a practitioner
+    /// falls back to); [`Executor::send`] owns the loop.
     pub max_retries: u32,
 }
 
@@ -57,9 +59,9 @@ impl ManualPrompt {
         let demos = expert_demos(pool, self.demos);
         let demo_block = render_demos(&demos);
 
+        let executor = Executor::new(api, self.model, self.max_retries);
+        let mut outcome = ExecutionOutcome::default();
         let mut confusion = BinaryConfusion::new();
-        let mut ledger = CostLedger::new();
-        let mut unparsed = 0usize;
 
         for (qi, q) in questions.iter().enumerate() {
             let prompt = format!(
@@ -68,36 +70,12 @@ impl ManualPrompt {
                  Q1: {}\n\nAnswer with yes or no.",
                 q.pair.serialize()
             );
-            let mut answer: Option<MatchLabel> = None;
-            for attempt in 0..=self.max_retries {
-                let request = ChatRequest::new(
-                    self.model,
-                    prompt.clone(),
-                    seed ^ ((qi as u64) << 8) ^ attempt as u64,
-                );
-                match api.complete(&request) {
-                    Ok(resp) => {
-                        ledger.record_api_call(
-                            resp.usage.prompt_tokens,
-                            resp.usage.completion_tokens,
-                            resp.cost,
-                        );
-                        if let Ok(labels) = parse_answers(&resp.content, 1) {
-                            answer = Some(labels[0]);
-                            break;
-                        }
-                    }
-                    Err(LlmError::RateLimited) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            let predicted = answer.unwrap_or_else(|| {
-                unparsed += 1;
-                MatchLabel::NonMatching
-            });
+            executor.send(prompt, 1, seed ^ ((qi as u64) << 8), &mut outcome)?;
+            let predicted = outcome.answers[qi].unwrap_or(MatchLabel::NonMatching);
             confusion.observe(q.label, predicted);
         }
-        Ok(ManualPromptOutcome { confusion, ledger, unparsed })
+        let unparsed = outcome.answers.iter().filter(|a| a.is_none()).count();
+        Ok(ManualPromptOutcome { confusion, ledger: outcome.ledger, unparsed })
     }
 }
 

@@ -1,5 +1,5 @@
-//! Prompt execution with retry, rate-limit backoff and context-overflow
-//! splitting.
+//! Prompt execution: one send path with retry on rate limits and
+//! unparseable output, and context-overflow splitting on top of it.
 
 use er_core::{CostLedger, LabeledPair, MatchLabel};
 use llm::{parse_answers, ChatApi, ChatRequest, LlmError, ModelKind};
@@ -29,8 +29,6 @@ pub struct ExecutionOutcome {
     pub ledger: CostLedger,
     /// Retries performed (rate limits + malformed output).
     pub retries: u32,
-    /// Times an oversized batch was split to fit the context window.
-    pub context_splits: u32,
     /// Wall time of each individual API call, microseconds, in issue
     /// order (failed calls included — they cost latency too). The serving
     /// layer feeds these into its LLM-call-latency histogram.
@@ -49,17 +47,12 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Runs one batch: builds the prompt from `description`, `demos` and
-    /// the serialized `questions`, submits it, parses the per-question
-    /// answers, and handles the three recoverable failures:
-    ///
-    /// * **Rate limiting** — retried up to `max_retries`.
-    /// * **Unparseable output** — retried with a perturbed seed (a real
-    ///   harness resamples the model); after the budget, the affected
-    ///   questions stay unanswered (`None`).
-    /// * **Context overflow** — the batch splits in half recursively with
-    ///   the same demonstrations, mirroring the fallback a production
-    ///   harness needs for long entity descriptions.
+    /// Runs one batch: renders the prompt from `description`, `demos` and
+    /// the serialized `questions` and [`Executor::send`]s it. A prompt
+    /// the model refuses for length splits in half recursively with the
+    /// same demonstrations, mirroring the fallback a production harness
+    /// needs for long entity descriptions; any other unrecoverable error
+    /// leaves the batch's questions unanswered rather than abort the run.
     pub fn run_batch(
         &self,
         description: &str,
@@ -71,14 +64,44 @@ impl<'a> Executor<'a> {
         if questions.is_empty() {
             return;
         }
-        // The rendered prompt moves into the one request this batch ever
-        // builds; a retry only re-stamps its seed and attempt number.
         let prompt = build_batch_prompt(description, demos, questions);
+        match self.send(prompt, questions.len(), seed, outcome) {
+            Ok(()) => {}
+            Err(LlmError::ContextLengthExceeded { .. }) if questions.len() > 1 => {
+                let (left, right) = halve(questions);
+                self.run_batch(description, demos, left, seed ^ 0x51F7, outcome);
+                self.run_batch(description, demos, right, seed ^ 0x51F9, outcome);
+            }
+            Err(_) => outcome
+                .answers
+                .extend(std::iter::repeat_n(None, questions.len())),
+        }
+    }
+
+    /// Sends the rendered `prompt`, which asks `questions` questions, and
+    /// appends one answer slot per question to `outcome`. Rate limits and
+    /// unparseable output (resampled under a perturbed seed, as a real
+    /// harness resamples the model) are retried up to `max_retries`, the
+    /// request seed being `seed ^ attempt`; once retries run out every
+    /// question is `None` and the send is `Ok`. Any other error is
+    /// returned with no answer appended. Every answered attempt is billed
+    /// to `outcome.ledger` either way.
+    pub fn send(
+        &self,
+        prompt: String,
+        questions: usize,
+        seed: u64,
+        outcome: &mut ExecutionOutcome,
+    ) -> Result<(), LlmError> {
+        // The prompt moves into the one request this send ever builds; a
+        // retry only re-stamps its seed and attempt number.
         let mut request = ChatRequest::new(self.model, prompt, seed).with_trace(self.trace_id, 0);
-        let mut attempt = 0u32;
-        loop {
+        for attempt in 0..=self.max_retries {
             request.seed = seed ^ u64::from(attempt);
             request.attempt = attempt;
+            if attempt > 0 {
+                outcome.retries += 1;
+            }
             let call_started = std::time::Instant::now();
             let result = self.api.complete(&request);
             outcome
@@ -91,46 +114,17 @@ impl<'a> Executor<'a> {
                         resp.usage.completion_tokens,
                         resp.cost,
                     );
-                    match parse_answers(&resp.content, questions.len()) {
-                        Ok(labels) => {
-                            outcome.answers.extend(labels.into_iter().map(Some));
-                            return;
-                        }
-                        Err(_) if attempt < self.max_retries => {
-                            outcome.retries += 1;
-                            attempt += 1;
-                            continue;
-                        }
-                        Err(_) => {
-                            outcome
-                                .answers
-                                .extend(std::iter::repeat_n(None, questions.len()));
-                            return;
-                        }
+                    if let Ok(labels) = parse_answers(&resp.content, questions) {
+                        outcome.answers.extend(labels.into_iter().map(Some));
+                        return Ok(());
                     }
                 }
-                Err(LlmError::RateLimited) if attempt < self.max_retries => {
-                    outcome.retries += 1;
-                    attempt += 1;
-                }
-                Err(LlmError::ContextLengthExceeded { .. }) if questions.len() > 1 => {
-                    // Same demos, half the questions, recursively.
-                    outcome.context_splits += 1;
-                    let (left, right) = halve(questions);
-                    self.run_batch(description, demos, left, seed ^ 0x51F7, outcome);
-                    self.run_batch(description, demos, right, seed ^ 0x51F9, outcome);
-                    return;
-                }
-                Err(_) => {
-                    // Unrecoverable for this batch: leave the questions
-                    // unanswered rather than abort the whole run.
-                    outcome
-                        .answers
-                        .extend(std::iter::repeat_n(None, questions.len()));
-                    return;
-                }
+                Err(LlmError::RateLimited) => {}
+                Err(e) => return Err(e),
             }
         }
+        outcome.answers.extend(std::iter::repeat_n(None, questions));
+        Ok(())
     }
 }
 
@@ -211,12 +205,46 @@ mod tests {
         let mut outcome = ExecutionOutcome::default();
         exec.run_batch(&desc, &[], &questions, 3, &mut outcome);
         assert_eq!(outcome.answers.len(), 8);
-        assert!(outcome.context_splits > 0, "oversized batch never split");
         // The quote prices the same halves the executor sent.
         let bill = Bill::for_batch(ModelKind::Gpt35Turbo0301, &desc, &[], &questions);
         assert_eq!(bill.calls, outcome.ledger.api_calls);
         assert_eq!(bill.prompt_tokens, outcome.ledger.prompt_tokens);
         assert!(outcome.ledger.completion_tokens <= bill.completion_bound);
+    }
+
+    /// An endpoint whose transport always fails.
+    struct Unreachable;
+
+    impl ChatApi for Unreachable {
+        fn complete(&self, _: &ChatRequest) -> Result<llm::ChatResponse, LlmError> {
+            Err(LlmError::Transport("connection refused".into()))
+        }
+    }
+
+    #[test]
+    fn send_returns_transport_errors_without_answers() {
+        let exec = Executor::new(&Unreachable, ModelKind::Gpt4, 3);
+        let mut outcome = ExecutionOutcome::default();
+        let sent = exec.send("Q1: a [SEP] b".to_owned(), 1, 3, &mut outcome);
+        assert!(matches!(sent, Err(LlmError::Transport(_))));
+        assert!(outcome.answers.is_empty());
+        assert_eq!(outcome.ledger.api_calls, 0);
+    }
+
+    #[test]
+    fn send_bills_the_priced_prompt() {
+        let (pairs, desc) = setup();
+        let api = SimLlm::new();
+        let exec = Executor::new(&api, ModelKind::Gpt4, 2);
+        let demos: Vec<&LabeledPair> = pairs[..4].iter().collect();
+        let questions: Vec<String> = pairs[4..12].iter().map(|p| p.pair.serialize()).collect();
+        let prompt = build_batch_prompt(&desc, &demos, &questions);
+        let bill = Bill::for_prompt(ModelKind::Gpt4, &prompt, &questions);
+        let mut outcome = ExecutionOutcome::default();
+        exec.send(prompt, questions.len(), 5, &mut outcome).unwrap();
+        assert_eq!(outcome.answers.len(), 8);
+        assert_eq!(outcome.ledger.api_calls, 1);
+        assert_eq!(outcome.ledger.prompt_tokens, bill.prompt_tokens);
     }
 
     #[test]

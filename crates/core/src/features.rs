@@ -253,7 +253,7 @@ struct RowKernel {
 
 impl RowKernel {
     fn new(extractor: ExtractorKind) -> Self {
-        let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM, ..Default::default() });
+        let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM });
         Self { extractor, embedder, a: String::new(), b: String::new() }
     }
 

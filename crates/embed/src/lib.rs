@@ -27,25 +27,22 @@ pub use vecmath::{
 
 use text_sim::{fnv1a64, normalize_into};
 
+/// Character q-gram width.
+const Q: usize = 3;
+
+/// Feature-hash seed: every embedding lives in the space this seed spans.
+const SEED: u64 = 0x5EED;
+
 /// Configuration of the hashed n-gram embedder.
 #[derive(Debug, Clone)]
 pub struct EmbedderConfig {
     /// Embedding dimension (default 256).
     pub dim: usize,
-    /// Include word-token features.
-    pub use_words: bool,
-    /// Include character q-gram features.
-    pub use_qgrams: bool,
-    /// q-gram width (default 3).
-    pub q: usize,
-    /// Hash seed; two embedders with different seeds produce incompatible
-    /// spaces by design.
-    pub seed: u64,
 }
 
 impl Default for EmbedderConfig {
     fn default() -> Self {
-        Self { dim: 256, use_words: true, use_qgrams: true, q: 3, seed: 0x5EED_u64 }
+        Self { dim: 256 }
     }
 }
 
@@ -86,8 +83,8 @@ impl Embedder {
     /// normalized into, so a sweep over many texts allocates nothing.
     ///
     /// The text is normalized once; word features are the space-separated
-    /// slices of that buffer and q-gram features its `q`-character
-    /// windows (the whole string when it has at most `q` characters) —
+    /// slices of that buffer and q-gram features its 3-character windows
+    /// (the whole string when it has at most 3 characters) —
     /// the same feature strings, in the same order, as
     /// [`text_sim::word_tokens`] and [`text_sim::qgrams`] produce, hashed
     /// in place instead of copied out one `String` each.
@@ -98,40 +95,34 @@ impl Embedder {
         assert_eq!(out.len(), self.config.dim, "output row is not dim-sized");
         out.fill(0.0);
         normalize_into(text, norm);
-        if self.config.use_words {
-            // A normalized string's only whitespace is the ASCII space.
-            for tok in norm.split_ascii_whitespace() {
-                // Whole tokens are more discriminative than their
-                // constituent grams, hence the double weight.
-                self.scatter(out, tok, 2.0);
-            }
+        // A normalized string's only whitespace is the ASCII space.
+        for tok in norm.split_ascii_whitespace() {
+            // Whole tokens are more discriminative than their constituent
+            // grams, hence the double weight.
+            scatter(out, tok, 2.0);
         }
-        if self.config.use_qgrams {
-            // Window `i` runs from the start of character `i` to the
-            // start of character `i + q`; the end offsets are the starts
-            // shifted by `q` characters, then the end of the string. A
-            // string of at most `q` characters has no shifted start left,
-            // so its only window is the whole string; the empty string
-            // has no start at all.
-            let q = self.config.q.max(1);
-            let starts = norm.char_indices().map(|(at, _)| at);
-            let ends = starts.clone().skip(q).chain(std::iter::once(norm.len()));
-            for (start, end) in starts.zip(ends) {
-                self.scatter(out, &norm[start..end], 1.0);
-            }
+        // Window `i` runs from the start of character `i` to the start of
+        // character `i + Q`; the end offsets are the starts shifted by `Q`
+        // characters, then the end of the string. A string of at most `Q`
+        // characters has no shifted start left, so its only window is the
+        // whole string; the empty string has no start at all.
+        let starts = norm.char_indices().map(|(at, _)| at);
+        let ends = starts.clone().skip(Q).chain(std::iter::once(norm.len()));
+        for (start, end) in starts.zip(ends) {
+            scatter(out, &norm[start..end], 1.0);
         }
         l2_normalize(out);
     }
+}
 
-    /// Adds a signed feature-hash contribution for one feature string.
-    fn scatter(&self, v: &mut [f64], feature: &str, weight: f64) {
-        let h = fnv1a64(feature.as_bytes(), self.config.seed);
-        let idx = (h % v.len() as u64) as usize;
-        // An independent high bit decides the sign, keeping hashed features
-        // approximately unbiased (standard signed feature hashing).
-        let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
-        v[idx] += sign * weight;
-    }
+/// Adds a signed feature-hash contribution for one feature string.
+fn scatter(v: &mut [f64], feature: &str, weight: f64) {
+    let h = fnv1a64(feature.as_bytes(), SEED);
+    let idx = (h % v.len() as u64) as usize;
+    // An independent high bit decides the sign, keeping hashed features
+    // approximately unbiased (standard signed feature hashing).
+    let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
+    v[idx] += sign * weight;
 }
 
 #[cfg(test)]
@@ -148,15 +139,11 @@ mod tests {
     /// token and per q-gram, scattered in that order.
     fn embed_reference(e: &Embedder, text: &str) -> Vec<f64> {
         let mut v = vec![0.0f64; e.config.dim];
-        if e.config.use_words {
-            for tok in word_tokens(text) {
-                e.scatter(&mut v, &tok, 2.0);
-            }
+        for tok in word_tokens(text) {
+            scatter(&mut v, &tok, 2.0);
         }
-        if e.config.use_qgrams {
-            for g in qgrams(text, e.config.q) {
-                e.scatter(&mut v, &g, 1.0);
-            }
+        for g in qgrams(text, Q) {
+            scatter(&mut v, &g, 1.0);
         }
         l2_normalize(&mut v);
         v
@@ -166,29 +153,18 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every (dim, q, words, q-grams) shape the equivalence is claimed for.
+    /// Every dimension the equivalence is claimed for.
     fn embedder_shapes() -> Vec<Embedder> {
-        let mut shapes = Vec::new();
-        for dim in [2, 64, 256] {
-            for q in [0, 1, 3, 5] {
-                for (use_words, use_qgrams) in [(true, true), (true, false), (false, true)] {
-                    shapes.push(Embedder::new(EmbedderConfig {
-                        dim,
-                        q,
-                        use_words,
-                        use_qgrams,
-                        ..Default::default()
-                    }));
-                }
-            }
-        }
-        shapes
+        [2, 64, 256]
+            .into_iter()
+            .map(|dim| Embedder::new(EmbedderConfig { dim }))
+            .collect()
     }
 
     #[test]
     fn in_place_hashing_equals_owned_features_on_edge_strings() {
-        // Empty, punctuation-only, fewer than / exactly / one more than q
-        // characters for q = 3 and 5, multibyte characters at window edges.
+        // Empty, punctuation-only, fewer than / exactly / more than 3
+        // characters, multibyte characters at window edges.
         let texts = [
             "",
             "?!. ,",
@@ -271,24 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_produce_different_spaces() {
-        let e1 = Embedder::new(EmbedderConfig { seed: 1, ..Default::default() });
-        let e2 = Embedder::new(EmbedderConfig { seed: 2, ..Default::default() });
-        assert_ne!(e1.embed("same text"), e2.embed("same text"));
-    }
-
-    #[test]
     #[should_panic(expected = "at least 2")]
     fn rejects_degenerate_dim() {
-        let _ = Embedder::new(EmbedderConfig { dim: 1, ..Default::default() });
-    }
-
-    #[test]
-    fn word_order_invariant_without_qgrams() {
-        let e = Embedder::new(EmbedderConfig { use_qgrams: false, ..Default::default() });
-        // Same multiset of words -> identical embedding when only word
-        // features are active.
-        assert_eq!(e.embed("alpha beta"), e.embed("beta   alpha"));
+        let _ = Embedder::new(EmbedderConfig { dim: 1 });
     }
 
     #[test]

@@ -45,7 +45,7 @@ use batcher_core::{
     DistanceKind, ExecutionOutcome, Executor, ExtractorKind, PreparedPool,
 };
 use er_core::{EntityPair, LabeledPair, MatchLabel, Money, SharedCostLedger};
-use llm::{ChatApi, ModelKind};
+use llm::{ChatApi, LlmError, ModelKind};
 
 use crate::breaker::Breaker;
 use crate::cache::AnswerCache;
@@ -298,6 +298,8 @@ struct Inner {
     api: Arc<dyn ChatApi>,
     /// Demonstration pool (labels consumed on demand, priced per use).
     pool: Vec<LabeledPair>,
+    /// The prompt's task description for `config.domain`.
+    description: String,
     /// The pool featurized once at startup — flushes must not re-embed a
     /// static pool on the dispatcher's critical path.
     prepared_pool: PreparedPool,
@@ -489,6 +491,7 @@ impl ErService {
         );
         let inner = Arc::new(Inner {
             plan_template,
+            description: task_description(&config.domain),
             api,
             prepared_pool,
             pool: bootstrap,
@@ -1272,30 +1275,17 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         .iter()
         .map(|(_, pair, _)| pair.serialize())
         .collect();
-    let description = task_description(&config.domain);
+    // The one rendering of this batch: the bill prices this string and
+    // the executor sends it.
+    let prompt = build_batch_prompt(&inner.description, &demos, &questions);
+    let mut bill = Bill::for_prompt(config.model, &prompt, &questions);
 
-    let mut bill = Bill::for_prompt(
-        config.model,
-        &build_batch_prompt(&description, &demos, &questions),
-        &questions,
-    );
-
-    // A prompt over the model's context window would trigger the
-    // executor's recursive split-and-resend, which the reservation below
-    // does not cover. Serving never sends such a prompt: the batch is
-    // answered locally instead, which keeps the budget cap hard.
+    // A prompt over the model's context window is never sent: the batch
+    // is answered locally instead (a split would resend the description
+    // and demos the reservation below does not cover).
     if !bill.fits_context() {
-        stamp_waiters(inner, job, "context_overflow");
-        inner.flight.event(
-            "context_overflow",
-            format!(
-                "batch of {} answered by fallback: prompt of {} tokens over the {}-token window",
-                job.questions.len(),
-                bill.prompt_tokens.get(),
-                config.model.profile().max_context_tokens
-            ),
-        );
-        answer_via_fallback(inner, job);
+        let window = config.model.profile().max_context_tokens;
+        answer_context_overflow(inner, job, bill.prompt_tokens.get(), window);
         return;
     }
 
@@ -1305,7 +1295,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     // marking happen under one lock so a concurrent job sharing a demo
     // cannot observe it as labeled while this reservation later fails.
     let attempts = u64::from(config.max_retries) + 1;
-    let granted = {
+    let (granted, newly) = {
         let mut labeled = lock(&inner.labeled);
         let newly: Vec<usize> = job
             .demo_indices
@@ -1314,10 +1304,11 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
             .filter(|d| !labeled.contains(d))
             .collect();
         bill.new_labels = newly.len() as u64;
-        inner
+        let granted = inner
             .governor
             .try_reserve_guarded(bill.worst_case(attempts))
-            .inspect(|_| labeled.extend(&newly))
+            .inspect(|_| labeled.extend(&newly));
+        (granted, newly)
     };
     if tel.is_enabled() {
         tel.slo_budget.record(granted.is_some());
@@ -1346,7 +1337,26 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     let executor = Executor::new(inner.api.as_ref(), config.model, config.max_retries)
         .with_trace(primary_trace);
     let mut outcome = ExecutionOutcome::default();
-    executor.run_batch(&description, &demos, &questions, job.seed, &mut outcome);
+    match executor.send(prompt, questions.len(), job.seed, &mut outcome) {
+        Ok(()) => {}
+        // The endpoint refused for length a prompt the profile says fits
+        // (their tokenizers disagree). A split would send outside the
+        // reservation, so nothing more is sent. Nothing was billed and no
+        // demo reached the model: the demos this batch was to pay for go
+        // back to unlabeled, so the next batch to use them pays (one that
+        // reserved meanwhile without them is not charged), and the
+        // reservation is refunded. The endpoint is alive: the breaker
+        // hears nothing.
+        Err(LlmError::ContextLengthExceeded { prompt_tokens, limit })
+            if outcome.ledger.api_calls == 0 =>
+        {
+            lock(&inner.labeled).retain(|d| !newly.contains(d));
+            drop(guard);
+            answer_context_overflow(inner, job, prompt_tokens, limit);
+            return;
+        }
+        Err(_) => outcome.answers.resize(questions.len(), None),
+    }
     outcome.ledger.record_labeling(bill.new_labels);
     // Breaker verdict. The executor records an API call only when the
     // transport returned, so a batch with zero answers *and* zero billed
@@ -1470,6 +1480,20 @@ fn resolve_question(
         inner.telemetry.trace.stamp(waiter.trace, "settled");
         let _ = waiter.tx.send(decision);
     }
+}
+
+/// Answers a batch whose prompt of `tokens` exceeds the `window` with the
+/// logistic fallback, and says why on its spans and in the flight log.
+fn answer_context_overflow(inner: &Inner, job: &BatchJob, tokens: u64, window: u64) {
+    stamp_waiters(inner, job, "context_overflow");
+    inner.flight.event(
+        "context_overflow",
+        format!(
+            "batch of {} answered by fallback: prompt of {tokens} tokens over the {window}-token window",
+            job.questions.len()
+        ),
+    );
+    answer_via_fallback(inner, job);
 }
 
 /// Answers every question of a batch with the logistic fallback.

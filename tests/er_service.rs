@@ -14,7 +14,7 @@ use batcher::er_service::{
     pair_fingerprint, DecisionSource, ErService, HealthReport, MatchServer, PairFingerprint,
     ServiceConfig, ServiceStats, SubmitOutcome,
 };
-use batcher::llm::SimLlm;
+use batcher::llm::{count_tokens, ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
 use batcher::llm_service::http::read_response;
 use batcher::llm_service::ServeOptions;
 
@@ -296,6 +296,79 @@ fn context_window_fallback_leaves_a_trace() {
         "{spans}"
     );
     assert!(spans.contains(r#""stage":"context_overflow""#), "{spans}");
+}
+
+/// The simulator behind an endpoint whose window is narrower than the
+/// model profile says: it refuses any prompt asking more than 4 questions.
+struct NarrowWindow(SimLlm);
+
+impl ChatApi for NarrowWindow {
+    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        let asked = request
+            .prompt
+            .lines()
+            .filter(|l| l.starts_with('Q') && l[1..].starts_with(|c: char| c.is_ascii_digit()))
+            .count();
+        if asked > 4 {
+            return Err(LlmError::ContextLengthExceeded {
+                prompt_tokens: count_tokens(&request.prompt),
+                limit: 0,
+            });
+        }
+        self.0.complete(request)
+    }
+}
+
+#[test]
+fn endpoint_refusing_a_fitting_prompt_is_answered_by_fallback() {
+    // The batch fits the profile's window, so the governor reserves it,
+    // but the endpoint refuses it for length. The batch is not split and
+    // resent outside the reservation: it is answered locally, the
+    // reservation is refunded and the (alive) endpoint does not count
+    // toward the breaker. One full batch of 8 distinct questions, released
+    // together, with a deadline far longer than the test.
+    let dataset = generate(DatasetKind::Beer, 7);
+    let questions: Vec<&EntityPair> = dataset.pairs()[200..208].iter().map(|p| &p.pair).collect();
+    let service = ErService::start(
+        Arc::new(NarrowWindow(SimLlm::new())),
+        bootstrap(),
+        ServiceConfig {
+            batch_size: 8,
+            flush_deadline: Duration::from_secs(30),
+            ..ServiceConfig::default()
+        },
+    );
+    let barrier = Barrier::new(questions.len());
+    let decisions: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = questions
+            .iter()
+            .map(|question| {
+                let (service, barrier) = (&service, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    service.submit(question)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(decisions
+        .iter()
+        .all(|d| d.source == DecisionSource::Fallback));
+    let stats = service.stats();
+    assert_eq!(stats.batches_flushed, 1, "{stats:?}");
+    assert_eq!(stats.api_calls, 0);
+    assert_eq!(stats.fallback_answered, 8);
+    assert_eq!(stats.governor_refunds, 1);
+    assert_eq!(stats.breaker_trips, 0);
+    assert_eq!(
+        stats.spent_micros, 0,
+        "nothing reached the model, nothing is paid"
+    );
+    assert!(service
+        .flight()
+        .events_json()
+        .contains("\"context_overflow\""));
 }
 
 #[test]
