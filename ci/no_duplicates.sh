@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps eight kinds of dead weight from growing back: a vendored stand-in
+# Keeps nine kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -13,8 +13,10 @@
 # by the golden plan digests). And a batch priced outside the bill, the
 # ledger and the model's own pricing. And a model call outside the one
 # send path (`batcher_core::Executor::send`), the client that implements
-# it and the server that answers it. Offline, no dependencies beyond grep
-# and sed.
+# it and the server that answers it. And CPU-specific code (`std::arch`,
+# `target_feature`, `is_x86_feature_detected`) outside the two files whose
+# exact kernels carry it, embed's vecmath.rs and matrix.rs. Offline, no
+# dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,5 +107,17 @@ for file in $(grep -rlE '\.complete\(' crates/*/src || true); do
     esac
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path"
+# A second home for intrinsics is a second set of unsafe kernels to prove
+# exact against the scalar ones.
+for file in $(grep -rlE 'std::arch|target_feature|is_x86_feature_detected' crates/*/src || true); do
+    case "$file" in
+    crates/embed/src/vecmath.rs | crates/embed/src/matrix.rs) ;;
+    *)
+        echo "FAIL: ${file} holds CPU-specific code; keep intrinsics in embed's vecmath.rs and matrix.rs" >&2
+        fail=1
+        ;;
+    esac
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs"
 exit "$fail"

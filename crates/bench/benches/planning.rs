@@ -37,9 +37,20 @@
 //! And a **`design_space_round`** block, also the same in both modes:
 //! `benchmark/`'s 15 design-space cells planned on two 3,600/300 splits
 //! through `plan_question_batches`, grouped by split and interleaved
-//! cell by cell. Grouped, each pool is featurized once per extractor;
-//! interleaved, once per cell. `shared_x` (interleaved / grouped) is what
-//! sharing a pool's features across a dataset's cells buys; CI gates it.
+//! cell by cell. Grouped, each split is planned once: its pool featurized
+//! once per extractor, and its question features, clusterings, covering
+//! phase 1 and nearest lists built once and shared by the cells that read
+//! them. Interleaved, every cell builds everything again. `shared_x`
+//! (interleaved / grouped) is what that sharing buys; CI gates it.
+//!
+//! And a **`kernel_64`** block: the covering sweep over 64-dim semantic
+//! rows at the offline workload's shape (300 questions x 3,600 demos) and,
+//! in full mode, at Table VII's DBLP-Scholar shape (5,741 x 17,225), as
+//! the planner's blocked dense sweep runs it, timed on the dispatched
+//! kernel (AVX where the CPU has it) and on the bench's own scalar
+//! four-lane replica in the same run, hits asserted equal; plus the
+//! question-index route at the same shape. CI gates `kernel_x` (scalar /
+//! dispatched) on an AVX host.
 
 use std::time::Instant;
 
@@ -465,6 +476,206 @@ fn design_space_round(seed: u64) -> String {
     )
 }
 
+// ---------------------------------------------------------------------
+// The 64-dim coverage sweep: the dispatched kernel against the scalar one
+// ---------------------------------------------------------------------
+
+/// Width of the semantic extractor's rows (`features::SEMANTIC_DIM`).
+const KERNEL_DIM: usize = 64;
+
+/// `embed`'s four-lane squared distance as it reads without its AVX path:
+/// the reference the dispatched kernel is timed and checked against.
+fn sq_euclidean_four_lanes(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let lanes = a.len() / 4 * 4;
+    let mut i = 0;
+    while i < lanes {
+        let d0 = a[i] - b[i];
+        let d1 = a[i + 1] - b[i + 1];
+        let d2 = a[i + 2] - b[i + 2];
+        let d3 = a[i + 3] - b[i + 3];
+        acc[0] += d0 * d0;
+        acc[1] += d1 * d1;
+        acc[2] += d2 * d2;
+        acc[3] += d3 * d3;
+        i += 4;
+    }
+    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    while i < a.len() {
+        let d = a[i] - b[i];
+        s += d * d;
+        i += 1;
+    }
+    s
+}
+
+/// Hits of one sweep: their count and an order-sensitive digest of the
+/// (question, demo) pairs, so two sweeps compare without holding millions
+/// of hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hits {
+    count: u64,
+    digest: u64,
+}
+
+impl Hits {
+    fn new() -> Self {
+        Self { count: 0, digest: 0 }
+    }
+
+    fn push(&mut self, q: usize, d: usize) {
+        self.count += 1;
+        let pair = ((q as u64) << 32) | d as u64;
+        self.digest = (self.digest ^ pair)
+            .wrapping_mul(0x0000_0100_0000_01B3)
+            .rotate_left(17);
+    }
+}
+
+/// Bytes of pool rows per block of `selection::compute_coverage`'s dense
+/// sweep, which the sweeps below repeat.
+const SWEEP_BLOCK_BYTES: usize = 256 * 1024;
+
+/// One question against one block of pool rows, reporting each hit's row
+/// within the block.
+type BlockScan<'a> = dyn Fn(&[f64], &[f64], &mut dyn FnMut(usize)) + 'a;
+
+/// One `kernel_64` entry: the covering sweep of `n_q` questions against
+/// `n_pool` demos of DBLP-Scholar's semantic features at the best design's
+/// threshold, as `selection::compute_coverage`'s dense route runs it (a
+/// cache block of pool rows at a time, one `scan_rows_within` per question
+/// and block), against the same sweep on [`sq_euclidean_four_lanes`]; best
+/// of `passes` each, hits equal. The entry also times the route the
+/// planner takes for narrow rows from `INDEX_MIN_ROWS` questions up — the
+/// questions indexed, one radius query per demo — which is what keeps
+/// 64-dim rows on the dense sweep at every size.
+fn kernel_point(questions: &FeatureSpace, pool: &FeatureSpace, passes: usize) -> String {
+    let (n_q, n_pool) = (questions.len(), pool.len());
+    let params = SelectionParams::default();
+    let t = covering_threshold(questions, params);
+    let t_sq = t * t;
+    let block_rows = SWEEP_BLOCK_BYTES / (KERNEL_DIM * std::mem::size_of::<f64>());
+    let blocked = |scan: &BlockScan<'_>| {
+        let mut hits = Hits::new();
+        for (b, block) in pool
+            .matrix()
+            .flat()
+            .chunks(block_rows * KERNEL_DIM)
+            .enumerate()
+        {
+            for q in 0..n_q {
+                scan(questions.vector(q), block, &mut |d| {
+                    hits.push(q, b * block_rows + d)
+                });
+            }
+        }
+        hits
+    };
+    let dispatched = || {
+        blocked(&|query, block, on_hit| {
+            scan_rows_within::<true>(KERNEL_DIM, query, block, t_sq, on_hit);
+        })
+    };
+    let scalar = || {
+        blocked(&|query, block, on_hit| {
+            for (d, row) in block.chunks_exact(KERNEL_DIM).enumerate() {
+                if sq_euclidean_four_lanes(query, row) < t_sq {
+                    on_hit(d);
+                }
+            }
+        })
+    };
+    let timed = |sweep: &dyn Fn() -> Hits| -> (f64, Hits) {
+        let started = Instant::now();
+        let hits = std::hint::black_box(sweep());
+        (started.elapsed().as_secs_f64() * 1e3, hits)
+    };
+    let (mut dispatched_ms, mut scalar_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut hits = None;
+    for _ in 0..passes {
+        let (ms, a) = timed(&dispatched);
+        dispatched_ms = dispatched_ms.min(ms);
+        let (ms, b) = timed(&scalar);
+        scalar_ms = scalar_ms.min(ms);
+        assert_eq!(
+            a, b,
+            "kernel_64 {n_q}x{n_pool}: dispatched and scalar sweeps hit differently"
+        );
+        assert_eq!(
+            *hits.get_or_insert(a),
+            a,
+            "kernel_64: hits differ between passes"
+        );
+    }
+    let hits = hits.expect("at least one pass");
+
+    // The index route: the question set indexed, one radius query per
+    // pool demo.
+    let started = Instant::now();
+    let index = PivotIndex::build(questions.matrix());
+    let mut within = Vec::new();
+    let mut indexed = 0u64;
+    for d in 0..n_pool {
+        index.within_into(pool.vector(d), t, true, &mut within);
+        indexed += within.len() as u64;
+    }
+    let index_ms = started.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(
+        indexed, hits.count,
+        "kernel_64: the index route hits differently"
+    );
+
+    let kernel_x = scalar_ms / dispatched_ms;
+    println!(
+        "kernel_64 {n_q}q x {n_pool}p: dispatched {dispatched_ms:.1} ms, scalar {scalar_ms:.1} ms \
+         ({kernel_x:.2}x), question index {index_ms:.1} ms, {} hits",
+        hits.count
+    );
+    format!(
+        "{{ \"questions\": {n_q}, \"pool\": {n_pool}, \"dim\": {KERNEL_DIM}, \"passes\": {passes}, \
+         \"dispatched_ms\": {dispatched_ms:.2}, \"scalar_ms\": {scalar_ms:.2}, \
+         \"kernel_x\": {kernel_x:.2}, \"index_route_ms\": {index_ms:.2}, \"hits\": {} }}",
+        hits.count
+    )
+}
+
+/// The `kernel_64` block: the offline workload's shape (300 questions
+/// against 3,600 demos) in both modes and, in full mode, Table VII's
+/// DBLP-Scholar split (5,741 against 17,225), whose semantic cell is most
+/// of that table's time. `avx` says whether this CPU has the instructions
+/// the dispatched kernel needs; without them it runs the scalar code and
+/// `kernel_x` reads about 1.
+fn kernel_64(seed: u64, quick: bool) -> String {
+    let dataset = datagen::generate(DatasetKind::DblpScholar, seed);
+    let split = dataset
+        .split_3_1_1(seed)
+        .expect("generated datasets are non-empty");
+    let space = |part: &[&LabeledPair], n: usize| {
+        let pairs = part.iter().take(n).map(|p| &p.pair);
+        FeatureSpace::extract(pairs, ExtractorKind::Semantic, DistanceKind::Euclidean)
+    };
+    let mut points = vec![kernel_point(
+        &space(&split.test, ROUND_QUESTIONS),
+        &space(&split.train, ROUND_POOL),
+        5,
+    )];
+    if !quick {
+        points.push(kernel_point(
+            &space(&split.test, usize::MAX),
+            &space(&split.train, usize::MAX),
+            1,
+        ));
+    }
+    #[cfg(target_arch = "x86_64")]
+    let avx = std::arch::is_x86_feature_detected!("avx");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx = false;
+    format!(
+        "{{ \"avx\": {avx}, \"points\": [\n      {}\n    ] }}",
+        points.join(",\n      ")
+    )
+}
+
 fn assert_partition(batches: &[Vec<usize>], n: usize) {
     let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
     seen.sort_unstable();
@@ -547,6 +758,7 @@ fn main() {
         .map(|n| flush_plan_point(n, &prepared, served_questions))
         .join(",\n    ");
     let round_json = design_space_round(seed);
+    let kernel_json = kernel_64(seed, quick);
 
     // Metric-index scaling curve (parity asserted in-bench).
     let scales: &[usize] = if quick {
@@ -558,7 +770,7 @@ fn main() {
     let scaling_json = scaling_entries.join(",\n    ");
 
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"kernel_64\": {kernel_json},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

@@ -15,7 +15,7 @@
 use embed::matrix::FeatureMatrix;
 use embed::{Embedder, EmbedderConfig};
 use er_core::EntityPair;
-use text_sim::{jaccard_tokens, levenshtein_ratio, normalize_into};
+use text_sim::{jaccard_normalized, levenshtein_ratio, normalize_into};
 
 /// Which feature extractor to use (Table VII's three variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -239,29 +239,33 @@ impl FeatureSpace {
 /// tractable on the largest benchmark (DBLP-Scholar).
 const SEMANTIC_DIM: usize = 64;
 
-/// The per-pair feature kernel and the two scratch strings it works in,
-/// so a sweep over many pairs allocates per sweep, not per attribute:
-/// the structure-aware extractors normalize the two sides of each
-/// attribute into them; the semantic extractor serializes the pair into
-/// one and normalizes that into the other.
+/// The per-pair feature kernel and the scratch buffers it works in, so a
+/// sweep over many pairs allocates per sweep, not per attribute: the
+/// structure-aware extractors normalize the two sides of each attribute
+/// into the two strings (and Jaccard splits them into the token spans);
+/// the semantic extractor serializes the pair into one string and
+/// normalizes that into the other.
 struct RowKernel {
     extractor: ExtractorKind,
     embedder: Embedder,
     a: String,
     b: String,
+    spans: Vec<(usize, usize)>,
 }
 
 impl RowKernel {
     fn new(extractor: ExtractorKind) -> Self {
         let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM });
-        Self { extractor, embedder, a: String::new(), b: String::new() }
+        Self { extractor, embedder, a: String::new(), b: String::new(), spans: Vec::new() }
     }
 
     /// Appends the feature row of `pair` to `out`.
     fn push_row(&mut self, pair: &EntityPair, out: &mut Vec<f64>) {
         match self.extractor {
-            ExtractorKind::LevenshteinRatio => self.push_structure(pair, levenshtein_ratio, out),
-            ExtractorKind::Jaccard => self.push_structure(pair, jaccard_tokens, out),
+            ExtractorKind::LevenshteinRatio => {
+                self.push_structure(pair, |a, b, _| levenshtein_ratio(a, b), out)
+            }
+            ExtractorKind::Jaccard => self.push_structure(pair, jaccard_normalized, out),
             ExtractorKind::Semantic => {
                 pair.serialize_into(&mut self.a);
                 let at = out.len();
@@ -273,10 +277,11 @@ impl RowKernel {
     }
 
     /// Structure-aware row: one similarity per aligned attribute
-    /// (Example 5: `v1 = [1, 0.73, 0.42]`).
+    /// (Example 5: `v1 = [1, 0.73, 0.42]`), each scored once on the two
+    /// normalized values.
     fn push_structure<F>(&mut self, pair: &EntityPair, sim: F, out: &mut Vec<f64>)
     where
-        F: Fn(&str, &str) -> f64,
+        F: Fn(&str, &str, &mut Vec<(usize, usize)>) -> f64,
     {
         for i in 0..pair.a().schema().arity() {
             normalize_into(pair.a().value(i).unwrap_or(""), &mut self.a);
@@ -287,7 +292,7 @@ impl RowKernel {
             } else if self.a.is_empty() || self.b.is_empty() {
                 0.0
             } else {
-                sim(&self.a, &self.b)
+                sim(&self.a, &self.b, &mut self.spans)
             });
         }
     }

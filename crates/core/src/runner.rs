@@ -106,11 +106,14 @@ pub struct RunResult {
     /// Executor retries.
     pub retries: u32,
     /// Wall time of the planning stage (featurize + batch + select),
-    /// microseconds. A run planned right after another on the same pool
-    /// reuses that run's pool features and token weights (see
-    /// [`plan_question_batches`]), so one run's figure depends on what ran
-    /// before it; the sum over a sweep's runs is what the sweep's
-    /// planning cost.
+    /// microseconds. A run planned right after another on the same split
+    /// reuses what that run built: keyed by the pool's and the question
+    /// set's pairs, the pool's features and token weights and the
+    /// questions' features, clusterings, covering phase 1 and nearest
+    /// demos, held on the planning thread until it plans another pool or
+    /// question set (see [`plan_question_batches`]). One run's figure
+    /// therefore depends on what ran before it; the sum over a sweep's
+    /// runs is what the sweep's planning cost.
     pub plan_us: u64,
     /// Wall time of the execution stage (every batch call), microseconds.
     pub exec_us: u64,

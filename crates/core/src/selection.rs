@@ -89,6 +89,11 @@ impl Default for SelectionParams {
 ///   [`crate::batching::make_batches`].
 /// * `demo_tokens(d)` — token count of pool demo `d`, the weight used by
 ///   batch covering.
+///
+/// The relevance strategies run the pieces the planner's memo shares
+/// between design cells ([`crate::plan::plan_question_batches`]), built
+/// here for one call: both top-k strategies fold every question's nearest
+/// pool demos, covering reads its phase-1 demonstration set.
 pub fn select_demonstrations<W>(
     strategy: SelectionStrategy,
     questions: &FeatureSpace,
@@ -103,12 +108,19 @@ where
     assert!(params.k > 0, "k must be positive");
     match strategy {
         SelectionStrategy::Fixed => fixed(pool.len(), batches.len(), params),
-        SelectionStrategy::TopKBatch => topk_batch(questions, pool, batches, params),
-        SelectionStrategy::TopKQuestion => topk_question(questions, pool, batches, params),
+        SelectionStrategy::TopKBatch => topk_batch(
+            &NearestDemos::of(questions, pool, params.k),
+            batches,
+            params.k,
+        ),
+        SelectionStrategy::TopKQuestion => topk_question(
+            &NearestDemos::of(questions, pool, params.k),
+            batches,
+            params.k,
+        ),
         SelectionStrategy::Covering => {
-            let t = covering_threshold(questions, params);
-            let coverage = compute_coverage(questions, pool, t);
-            covering_with_coverage(questions, pool, batches, &coverage, t, demo_tokens)
+            let set = CoverSet::build(questions, pool, params);
+            cover_batches(questions, pool, batches, &set, demo_tokens)
         }
     }
 }
@@ -139,168 +151,187 @@ pub(crate) fn fixed(pool_len: usize, n_batches: usize, params: SelectionParams) 
 }
 
 /// Row count from which a metric index ([`embed::index`]) over those rows
-/// pays for its build and its per-query pivot arithmetic: the top-k
-/// strategies index a *pool* of at least this many rows, the coverage
-/// sweep a *question set* of at least this many. Below it one dense sweep
-/// over the rows is already cache-resident. Both routes are bit-identical
-/// (the index is exact), so the gate is a pure performance decision, read
-/// from the input.
+/// pays for its build and its per-query pivot arithmetic: the nearest
+/// lists index a *pool* of at least this many rows, the coverage sweep a
+/// *question set* of at least this many. Below it one dense sweep over the
+/// rows is already cache-resident. Both routes are bit-identical (the
+/// index is exact), so the gate is a pure performance decision, read from
+/// the input.
 const INDEX_MIN_ROWS: usize = 512;
 
-/// The `k` pool indices with the smallest ranking distances, ordered by
-/// `(distance, index)` — the same order a full sort of `scored` would
-/// put first, found via `select_nth_unstable` on the tail-partition
-/// instead.
-fn top_k_indices(scored: &mut [(f64, usize)], k: usize) -> Vec<usize> {
-    let cmp = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k, cmp);
-    }
-    let head = &mut scored[..k];
-    head.sort_unstable_by(cmp);
-    head.iter().map(|&(_, d)| d).collect()
+/// Row width from which the coverage sweep never indexes the questions:
+/// at Table VII's DBLP-Scholar split (5,741 questions against 17,225
+/// demos, 64-dim semantic rows) the blocked dense sweep took 1.5 s against
+/// the question index's 3.9 s with the AVX kernel (the planning bench's
+/// `kernel_64` block), and 5.9 s against 8.7 s in a build without it,
+/// while at 4-dim rows the two routes were within 20% of each other.
+const SWEEP_MIN_DIM: usize = 16;
+
+/// Bytes of pool rows in one block of the dense coverage sweep: well
+/// inside a core's L2 cache, where the block stays while every question
+/// sweeps it.
+const SWEEP_BLOCK_BYTES: usize = 256 * 1024;
+
+/// The order every nearest list and every top-k fold ranks by: ranking
+/// distance ascending, ties by pool index, and a NaN ranking distance —
+/// which only a NaN or infinite coordinate produces — ranks as `+∞`, the
+/// value `f64::min` folding from `+∞` gives a demo it never saw a number
+/// for.
+fn rank_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    let key = |v: f64| if v.is_nan() { f64::INFINITY } else { v };
+    key(a.0).total_cmp(&key(b.0)).then(a.1.cmp(&b.1))
 }
 
-fn topk_batch(
-    questions: &FeatureSpace,
-    pool: &FeatureSpace,
-    batches: &[Vec<usize>],
-    params: SelectionParams,
-) -> SelectionPlan {
-    let k = params.k.min(pool.len());
-    if k == 0 {
-        return SelectionPlan {
-            per_batch: vec![Vec::new(); batches.len()],
-            labeled: Vec::new(),
-            threshold: None,
-        };
+/// The first `k` of `scored` under [`rank_order`], in that order, found
+/// via `select_nth_unstable` on the tail-partition instead of a full sort.
+fn nearest_head(scored: &mut [(f64, u32)], k: usize) -> &[(f64, u32)] {
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, rank_order);
     }
-    let euclidean = matches!(
-        questions.distance_kind(),
-        crate::features::DistanceKind::Euclidean
-    );
-    let index =
-        (euclidean && pool.len() >= INDEX_MIN_ROWS).then(|| PivotIndex::build(pool.matrix()));
-    let demos_for = |batch: &Vec<usize>| {
-        if let Some(index) = index.as_ref().filter(|_| !batch.is_empty()) {
-            // dist*(B, d) = min_q dist(q, d) (Eq. 6). The batch's top-k
-            // under the min-fold is contained in the union of the
-            // per-question top-k sets: if d's fold minimum is achieved
-            // at question q but d is outside q's top-k, every member of
-            // q's top-k folds to a value preceding d under `(value,
-            // id)`, so d is outside the batch top-k too. Folding only
-            // the observed (question, candidate) values therefore
-            // reproduces every batch-top-k value exactly; unobserved
-            // values can only overestimate a non-member, which cannot
-            // promote it.
-            let mut knn: Vec<(f64, u32)> = Vec::new();
-            let mut pairs: Vec<(u32, f64)> = Vec::new();
-            for &q in batch {
-                index.nearest_into(questions.matrix().row(q), k, &mut knn);
-                pairs.extend(knn.iter().map(|&(v, id)| (id, v)));
+    let head = &mut scored[..k];
+    head.sort_unstable_by(rank_order);
+    head
+}
+
+/// Every question's `k` nearest pool demos as `(ranking distance, pool
+/// index)` in [`rank_order`], `k` clamped to the pool: what both top-k
+/// strategies fold, whatever their `k` up to this one, so one table serves
+/// every top-k design cell of a split.
+///
+/// A Euclidean pool of [`INDEX_MIN_ROWS`] rows or more is indexed and
+/// asked one nearest query per question (the index's dot-trick values
+/// never come out NaN, and it orders by `(value, id)`); otherwise each
+/// question sweeps the pool densely and keeps the head of the sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct NearestDemos {
+    k: usize,
+    /// Row-major, `k` entries per question.
+    flat: Vec<(f64, u32)>,
+}
+
+impl NearestDemos {
+    /// Builds the lists for every question of `questions`.
+    pub(crate) fn of(questions: &FeatureSpace, pool: &FeatureSpace, k: usize) -> Self {
+        let k = k.min(pool.len());
+        let mut flat = Vec::with_capacity(questions.len() * k);
+        let euclidean = matches!(questions.distance_kind(), DistanceKind::Euclidean);
+        if k == 0 {
+            // No pool: every list is empty.
+        } else if euclidean && pool.len() >= INDEX_MIN_ROWS {
+            let index = PivotIndex::build(pool.matrix());
+            let mut knn: Vec<(f64, u32)> = Vec::with_capacity(k);
+            for q in 0..questions.len() {
+                index.nearest_into(questions.vector(q), k, &mut knn);
+                flat.extend_from_slice(&knn);
             }
-            pairs.sort_unstable_by_key(|&(id, _)| id);
-            let mut scored: Vec<(f64, usize)> = Vec::new();
-            let mut i = 0;
-            while i < pairs.len() {
-                let id = pairs[i].0;
-                // `f64::min` starting from +∞ skips NaNs exactly like
-                // the dense fold below, and is order-free past that.
-                let mut best = f64::INFINITY;
-                while i < pairs.len() && pairs[i].0 == id {
-                    best = best.min(pairs[i].1);
-                    i += 1;
-                }
-                scored.push((best, id as usize));
-            }
-            top_k_indices(&mut scored, k)
         } else {
-            // dist*(B, d) = min over questions in the batch (Eq. 6), as
-            // an elementwise min of one-to-many ranking sweeps (min is
-            // exact, so accumulation order cannot change the value).
-            let mut best = vec![f64::INFINITY; pool.len()];
-            let mut buf = vec![0.0f64; pool.len()];
-            for &q in batch {
-                questions.ranking_cross_dists(q, pool, &mut buf);
-                for (slot, &v) in best.iter_mut().zip(&buf) {
-                    *slot = slot.min(v);
-                }
+            let mut dists = vec![0.0f64; pool.len()];
+            let mut scored: Vec<(f64, u32)> = Vec::with_capacity(pool.len());
+            for q in 0..questions.len() {
+                questions.ranking_cross_dists(q, pool, &mut dists);
+                scored.clear();
+                scored.extend(dists.iter().enumerate().map(|(d, &v)| (v, d as u32)));
+                flat.extend_from_slice(nearest_head(&mut scored, k));
             }
-            let mut scored: Vec<(f64, usize)> =
-                best.into_iter().enumerate().map(|(d, v)| (v, d)).collect();
-            top_k_indices(&mut scored, k)
         }
-    };
-    let per_batch: Vec<Vec<usize>> = batches.iter().map(demos_for).collect();
+        Self { k, flat }
+    }
+
+    /// Length of every list: the `k` asked for, clamped to the pool.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The first `k` of question `q`'s list.
+    fn head(&self, q: usize, k: usize) -> &[(f64, u32)] {
+        debug_assert!(k <= self.k);
+        &self.flat[q * self.k..q * self.k + k]
+    }
+}
+
+/// Every batch's labeled union, sorted and deduplicated.
+fn plan_of(per_batch: Vec<Vec<usize>>) -> SelectionPlan {
     let mut labeled: Vec<usize> = per_batch.iter().flatten().copied().collect();
     labeled.sort_unstable();
     labeled.dedup();
     SelectionPlan { per_batch, labeled, threshold: None }
 }
 
-fn topk_question(
-    questions: &FeatureSpace,
-    pool: &FeatureSpace,
+/// Top-k-batch (Eq. 6): per batch, the `k` demos with the smallest
+/// `dist*(B, d) = min_{q∈B} dist(q, d)`, folded from the questions'
+/// nearest lists.
+///
+/// The batch's top-k under the min-fold is contained in the union of the
+/// per-question top-k lists: if `d`'s fold minimum is reached at question
+/// `q` but `d` is outside `q`'s top-k, every member of `q`'s top-k folds
+/// to a value preceding `d` under [`rank_order`], so `d` is outside the
+/// batch top-k too. Folding only the listed (question, demo) values
+/// therefore reproduces every batch-top-k value exactly; an unlisted value
+/// can only overestimate a non-member, which cannot promote it. The fold
+/// equals the dense one — every question's full sweep, min-folded per
+/// demo — demo for demo and in the same order.
+///
+/// `nearest` must hold at least `k` (clamped to the pool) per question.
+pub(crate) fn topk_batch(
+    nearest: &NearestDemos,
     batches: &[Vec<usize>],
-    params: SelectionParams,
+    k: usize,
 ) -> SelectionPlan {
-    if pool.is_empty() {
-        return SelectionPlan {
-            per_batch: vec![Vec::new(); batches.len()],
-            labeled: Vec::new(),
-            threshold: None,
-        };
-    }
-    let euclidean = matches!(
-        questions.distance_kind(),
-        crate::features::DistanceKind::Euclidean
-    );
-    let index =
-        (euclidean && pool.len() >= INDEX_MIN_ROWS).then(|| PivotIndex::build(pool.matrix()));
-    let demos_for = |batch: &Vec<usize>| {
+    let k = k.min(nearest.k());
+    let mut pairs: Vec<(u32, f64)> = Vec::new();
+    let mut scored: Vec<(f64, u32)> = Vec::new();
+    let demos_for = |batch: &Vec<usize>| -> Vec<usize> {
+        if batch.is_empty() {
+            // No question: every demo folds to +∞ and the lowest indices
+            // win the ties, as the dense fold has it.
+            return (0..k).collect();
+        }
+        pairs.clear();
+        for &q in batch {
+            pairs.extend(nearest.head(q, k).iter().map(|&(v, id)| (id, v)));
+        }
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        scored.clear();
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            // No listed value is NaN (see `rank_order`), so `min` is
+            // exact and order-free.
+            let best = run.iter().fold(f64::INFINITY, |best, &(_, v)| best.min(v));
+            scored.push((best, run[0].0));
+        }
+        nearest_head(&mut scored, k)
+            .iter()
+            .map(|&(_, d)| d as usize)
+            .collect()
+    };
+    plan_of(batches.iter().map(demos_for).collect())
+}
+
+/// Top-k-question (§IV-C): per batch, each question's nearest
+/// `max(1, k / |B|)` demos — a prefix of its nearest list — unioned in
+/// first-seen order.
+///
+/// `nearest` must hold at least `k` (clamped to the pool) per question.
+pub(crate) fn topk_question(
+    nearest: &NearestDemos,
+    batches: &[Vec<usize>],
+    k: usize,
+) -> SelectionPlan {
+    let demos_for = |batch: &Vec<usize>| -> Vec<usize> {
         // k per question so the per-batch total stays comparable to the
         // other strategies (Fig. 5 uses k = 1 at batch size 8).
-        let k_q = (params.k / batch.len().max(1)).max(1).min(pool.len());
+        let k_q = (k / batch.len().max(1)).max(1).min(nearest.k());
         let mut demos: Vec<usize> = Vec::new();
-        if let Some(index) = &index {
-            // The index's nearest list is ordered by `(value, id)` —
-            // exactly the head the dense sweep's partial sort produces,
-            // so the first-seen dedup below keeps the same demos in the
-            // same order.
-            let mut knn: Vec<(f64, u32)> = Vec::new();
-            for &q in batch {
-                index.nearest_into(questions.matrix().row(q), k_q, &mut knn);
-                for &(_, d) in &knn {
-                    let d = d as usize;
-                    if !demos.contains(&d) {
-                        demos.push(d);
-                    }
-                }
-            }
-        } else {
-            let mut buf = vec![0.0f64; pool.len()];
-            for &q in batch {
-                questions.ranking_cross_dists(q, pool, &mut buf);
-                let mut scored: Vec<(f64, usize)> = buf
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .map(|(d, v)| (v, d))
-                    .collect();
-                for d in top_k_indices(&mut scored, k_q) {
-                    if !demos.contains(&d) {
-                        demos.push(d);
-                    }
+        for &q in batch {
+            for &(_, d) in nearest.head(q, k_q) {
+                let d = d as usize;
+                if !demos.contains(&d) {
+                    demos.push(d);
                 }
             }
         }
         demos
     };
-    let per_batch: Vec<Vec<usize>> = batches.iter().map(demos_for).collect();
-    let mut labeled: Vec<usize> = per_batch.iter().flatten().copied().collect();
-    labeled.sort_unstable();
-    labeled.dedup();
-    SelectionPlan { per_batch, labeled, threshold: None }
+    plan_of(batches.iter().map(demos_for).collect())
 }
 
 /// Phase-1 coverage: which questions each pool demo covers (distance
@@ -308,17 +339,20 @@ fn topk_question(
 /// demos and whose elements are questions — both directions built here,
 /// once, for every reader downstream.
 ///
-/// A question set of [`INDEX_MIN_ROWS`] rows or more is indexed and asked
-/// one radius query per pool demo (the covering threshold is a *low*
-/// percentile, so triangle-bound pruning is deep at that size). Below the
-/// gate — every served flush, every design-space cell — each question
-/// sweeps the pool's flat buffer densely instead: with a handful of
-/// questions the threshold is of the order of their own spread, a large
-/// share of the pool lies inside it, and an index query per pool demo pays
-/// pivot distances, a result vector and a sort to verify rows it could
-/// have scanned. Both routes run [`scan_rows_within`], whose `(a − b)²`
-/// does not depend on which side is the query, so the verdict for a
-/// (demo, question) pair — and every plan — is the same on either.
+/// A question set of [`INDEX_MIN_ROWS`] rows or more with rows narrower
+/// than [`SWEEP_MIN_DIM`] is indexed and asked one radius query per pool
+/// demo (the covering threshold is a *low* percentile, so triangle-bound
+/// pruning is deep at that size). Otherwise — every served flush, every
+/// design-space cell, and the semantic extractor's 64-dim rows at any size
+/// — the questions sweep the pool's flat buffer densely instead, a cache
+/// block of pool rows at a time: with a handful of questions the threshold
+/// is of the order of their own spread, a large share of the pool lies
+/// inside it, and an index query per pool demo pays pivot distances, a
+/// result vector and a sort to verify rows it could have scanned; with
+/// wide rows the pivot bounds prune too little to pay for themselves. Both
+/// routes run [`scan_rows_within`], whose `(a − b)²` does not depend on
+/// which side is the query, so the verdict for a (demo, question) pair —
+/// and every plan — is the same on either.
 pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> CoverTable {
     let n_q = questions.len();
     // Nothing covers or nothing to cover: no rows on one side, empty rows
@@ -332,12 +366,12 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
     }
     let dim = questions.matrix().dim();
     let euclidean = matches!(questions.distance_kind(), DistanceKind::Euclidean);
-    let mut hits: Vec<u32> = Vec::new();
     // Zero-width rows have no buffer for the kernel to stream; the index
     // answers them by rule.
-    if euclidean && (n_q >= INDEX_MIN_ROWS || dim == 0) {
+    if euclidean && (dim == 0 || (n_q >= INDEX_MIN_ROWS && dim < SWEEP_MIN_DIM)) {
         let index = PivotIndex::build(questions.matrix());
         let mut by_demo = Rows::new();
+        let mut hits: Vec<u32> = Vec::new();
         for d in 0..pool.len() {
             index.within_into(pool.matrix().row(d), t, true, &mut hits);
             by_demo.push_row(hits.iter().copied());
@@ -347,13 +381,22 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
     let t_rank = questions.ranking_threshold(t);
     let mut by_question = Rows::new();
     if euclidean {
-        let pool_rows = pool.matrix().flat();
-        for q in 0..n_q {
-            hits.clear();
-            scan_rows_within::<true>(dim, questions.vector(q), pool_rows, t_rank, |d| {
-                hits.push(d as u32);
-            });
-            by_question.push_row(hits.iter().copied());
+        // Every question sweeps one block of pool rows while it sits in
+        // cache, so the pool leaves memory once per question set, not
+        // once per question; each question's hits still arrive in pool
+        // order.
+        let block_rows = (SWEEP_BLOCK_BYTES / (dim * std::mem::size_of::<f64>())).max(1);
+        let mut covering: Vec<Vec<u32>> = vec![Vec::new(); n_q];
+        for (b, block) in pool.matrix().flat().chunks(block_rows * dim).enumerate() {
+            let first = (b * block_rows) as u32;
+            for (q, hits) in covering.iter_mut().enumerate() {
+                scan_rows_within::<true>(dim, questions.vector(q), block, t_rank, |d| {
+                    hits.push(first + d as u32);
+                });
+            }
+        }
+        for hits in covering {
+            by_question.push_row(hits);
         }
     } else {
         let mut dists = vec![0.0f64; pool.len()];
@@ -383,26 +426,73 @@ pub fn covering_with_coverage<W>(
 where
     W: Fn(usize) -> f64,
 {
-    // Phase 1 cover: one demonstration set covering all questions.
-    let demo_set = greedy_unit_cover(coverage);
+    let set = CoverSet::from_coverage(coverage, t);
+    cover_batches(questions, pool, batches, &set, demo_tokens)
+}
 
-    // Each selected demo's position in `demo_set`; phase 2 reads a
-    // question's covering demos off the table and keeps the selected.
-    let mut set_index = vec![u32::MAX; coverage.n_candidates()];
-    for (di, &d) in demo_set.iter().enumerate() {
-        set_index[d] = di as u32;
+/// Covering's phase 1 as phase 2 reads it: the threshold, the
+/// demonstration set covering every question, and each question's
+/// covering members of that set — not the whole [`CoverTable`], which
+/// phase 2 never reads past the set, so a memo holding this holds a few
+/// hundred indices per split, not the table.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CoverSet {
+    threshold: f64,
+    /// Pool indices, in the order phase 1 picked them.
+    demos: Vec<usize>,
+    /// Row `q`: positions in `demos` of the demos covering question `q`.
+    members: Rows,
+}
+
+impl CoverSet {
+    /// Phase 1 from the questions' threshold and the coverage sweep.
+    pub(crate) fn build(
+        questions: &FeatureSpace,
+        pool: &FeatureSpace,
+        params: SelectionParams,
+    ) -> Self {
+        let t = covering_threshold(questions, params);
+        Self::from_coverage(&compute_coverage(questions, pool, t), t)
     }
 
-    // Phase 2: per batch, the cheapest (token-weighted) covering subset.
-    let demos_for = |batch: &Vec<usize>| {
-        let mut by_question = Rows::new();
-        for &q in batch {
+    fn from_coverage(coverage: &CoverTable, t: f64) -> Self {
+        // Phase 1 cover: one demonstration set covering all questions.
+        let demos = greedy_unit_cover(coverage);
+        let mut set_index = vec![u32::MAX; coverage.n_candidates()];
+        for (di, &d) in demos.iter().enumerate() {
+            set_index[d] = di as u32;
+        }
+        let mut members = Rows::new();
+        for q in 0..coverage.n_elements() {
             let covering = coverage.candidates_of(q).iter();
-            by_question.push_row(
+            members.push_row(
                 covering
                     .map(|&d| set_index[d as usize])
                     .filter(|&di| di != u32::MAX),
             );
+        }
+        Self { threshold: t, demos, members }
+    }
+}
+
+/// Covering's phase 2 over a phase-1 [`CoverSet`]: per batch, the
+/// cheapest (token-weighted) covering subset of the set, and the nearest
+/// set member for a batch nothing covers.
+pub(crate) fn cover_batches<W>(
+    questions: &FeatureSpace,
+    pool: &FeatureSpace,
+    batches: &[Vec<usize>],
+    set: &CoverSet,
+    demo_tokens: W,
+) -> SelectionPlan
+where
+    W: Fn(usize) -> f64,
+{
+    let demo_set = &set.demos;
+    let demos_for = |batch: &Vec<usize>| {
+        let mut by_question = Rows::new();
+        for &q in batch {
+            by_question.push_row(set.members.row(q).iter().copied());
         }
         let batch_cov = CoverTable::from_element_rows(by_question, demo_set.len());
         let picked = greedy_weighted_cover(&batch_cov, |i| demo_tokens(demo_set[i]));
@@ -415,7 +505,7 @@ where
             let mut buf = vec![0.0f64; pool.len()];
             for &q in batch {
                 questions.ranking_cross_dists(q, pool, &mut buf);
-                for (slot, &d) in mins.iter_mut().zip(&demo_set) {
+                for (slot, &d) in mins.iter_mut().zip(demo_set) {
                     *slot = slot.min(buf[d]);
                 }
             }
@@ -431,7 +521,7 @@ where
         demos
     };
     let per_batch: Vec<Vec<usize>> = batches.iter().map(demos_for).collect();
-    SelectionPlan { per_batch, labeled: demo_set, threshold: Some(t) }
+    SelectionPlan { per_batch, labeled: demo_set.clone(), threshold: Some(set.threshold) }
 }
 
 #[cfg(test)]
@@ -632,6 +722,76 @@ mod tests {
             .collect()
     }
 
+    /// The `k` indices first under `(total_cmp, index)` of `scored`, by a
+    /// full sort.
+    fn top_k_indices(scored: &mut [(f64, usize)], k: usize) -> Vec<usize> {
+        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored.iter().take(k).map(|&(_, d)| d).collect()
+    }
+
+    /// Top-k-batch as the dense fold ran it before the nearest lists: per
+    /// batch, every question's full sweep min-folded per demo from `+∞`,
+    /// then the first `k` by `(value, index)`. Kept as the reference.
+    fn dense_topk_batch(
+        questions: &FeatureSpace,
+        pool: &FeatureSpace,
+        batches: &[Vec<usize>],
+        k: usize,
+    ) -> Vec<Vec<usize>> {
+        let k = k.min(pool.len());
+        batches
+            .iter()
+            .map(|batch| {
+                let mut best = vec![f64::INFINITY; pool.len()];
+                let mut buf = vec![0.0f64; pool.len()];
+                for &q in batch {
+                    questions.ranking_cross_dists(q, pool, &mut buf);
+                    for (slot, &v) in best.iter_mut().zip(&buf) {
+                        *slot = slot.min(v);
+                    }
+                }
+                let mut scored: Vec<(f64, usize)> =
+                    best.into_iter().enumerate().map(|(d, v)| (v, d)).collect();
+                top_k_indices(&mut scored, k)
+            })
+            .collect()
+    }
+
+    /// Top-k-question as the dense sweep ran it: per question, its full
+    /// sweep's first `max(1, k / |B|)` by `(value, index)`, unioned in
+    /// first-seen order — a NaN value ranking as `+∞`, as `rank_order`
+    /// has it.
+    fn dense_topk_question(
+        questions: &FeatureSpace,
+        pool: &FeatureSpace,
+        batches: &[Vec<usize>],
+        k: usize,
+    ) -> Vec<Vec<usize>> {
+        batches
+            .iter()
+            .map(|batch| {
+                let k_q = (k / batch.len().max(1)).max(1).min(pool.len());
+                let mut demos: Vec<usize> = Vec::new();
+                let mut buf = vec![0.0f64; pool.len()];
+                for &q in batch {
+                    questions.ranking_cross_dists(q, pool, &mut buf);
+                    let nan_last = |v: f64| if v.is_nan() { f64::INFINITY } else { v };
+                    let mut scored: Vec<(f64, usize)> = buf
+                        .iter()
+                        .enumerate()
+                        .map(|(d, &v)| (nan_last(v), d))
+                        .collect();
+                    for d in top_k_indices(&mut scored, k_q) {
+                        if !demos.contains(&d) {
+                            demos.push(d);
+                        }
+                    }
+                }
+                demos
+            })
+            .collect()
+    }
+
     #[test]
     fn index_routed_selection_matches_dense_sweep() {
         // Pool large enough to clear INDEX_MIN_ROWS, so the relevance
@@ -646,7 +806,6 @@ mod tests {
         let batches: Vec<Vec<usize>> = (0..8).map(|b| (b * 5..(b + 1) * 5).collect()).collect();
         let params = SelectionParams { k: 7, cover_percentile: 12.0, seed: 3 };
 
-        // Top-k-batch against the dense min-fold reference.
         let plan = select_demonstrations(
             SelectionStrategy::TopKBatch,
             &questions,
@@ -655,22 +814,10 @@ mod tests {
             params,
             |_| 1.0,
         );
-        for (bi, batch) in batches.iter().enumerate() {
-            let mut best = vec![f64::INFINITY; pool.len()];
-            let mut buf = vec![0.0f64; pool.len()];
-            for &q in batch {
-                questions.ranking_cross_dists(q, &pool, &mut buf);
-                for (slot, &v) in best.iter_mut().zip(&buf) {
-                    *slot = slot.min(v);
-                }
-            }
-            let mut scored: Vec<(f64, usize)> =
-                best.into_iter().enumerate().map(|(d, v)| (v, d)).collect();
-            let expect = top_k_indices(&mut scored, params.k);
-            assert_eq!(plan.per_batch[bi], expect, "batch {bi} top-k diverged");
-        }
-
-        // Top-k-question against the dense per-question partial sort.
+        assert_eq!(
+            plan.per_batch,
+            dense_topk_batch(&questions, &pool, &batches, params.k)
+        );
         let plan = select_demonstrations(
             SelectionStrategy::TopKQuestion,
             &questions,
@@ -679,29 +826,10 @@ mod tests {
             params,
             |_| 1.0,
         );
-        for (bi, batch) in batches.iter().enumerate() {
-            let k_q = (params.k / batch.len().max(1)).max(1).min(pool.len());
-            let mut expect: Vec<usize> = Vec::new();
-            let mut buf = vec![0.0f64; pool.len()];
-            for &q in batch {
-                questions.ranking_cross_dists(q, &pool, &mut buf);
-                let mut scored: Vec<(f64, usize)> = buf
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .map(|(d, v)| (v, d))
-                    .collect();
-                for d in top_k_indices(&mut scored, k_q) {
-                    if !expect.contains(&d) {
-                        expect.push(d);
-                    }
-                }
-            }
-            assert_eq!(
-                plan.per_batch[bi], expect,
-                "batch {bi} per-question diverged"
-            );
-        }
+        assert_eq!(
+            plan.per_batch,
+            dense_topk_question(&questions, &pool, &batches, params.k)
+        );
 
         // Coverage lists against the dense strict-threshold filter.
         let t = covering_threshold(&questions, params);
@@ -822,6 +950,92 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The nearest-list folds against the dense folds they replaced,
+        /// no tolerance, on hostile rows (ties, repeats, NaN and ±∞ — which
+        /// the cosine sweep turns into NaN distances): both metrics, pools
+        /// on both sides of the index gate, `k` below, at and beyond the
+        /// pool, uneven batches and an empty one — and one table of the
+        /// largest `k` serving every smaller `k` by prefix, as the
+        /// planner's memo serves it.
+        #[test]
+        fn nearest_folds_match_the_dense_folds(
+            seed in any::<u64>(),
+            dim in 1usize..9,
+            n_pool in 1usize..40,
+            ks in any::<u32>(),
+        ) {
+            let gate = INDEX_MIN_ROWS;
+            for n_pool in [n_pool, gate - 1, gate + 3] {
+                for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+                    let questions = FeatureSpace::from_vectors(hostile_rows(23, dim, seed), kind);
+                    let pool = FeatureSpace::from_vectors(hostile_rows(n_pool, dim, !seed), kind);
+                    let mut order: Vec<usize> = (0..questions.len()).collect();
+                    Rng::from_seed(seed).shuffle(&mut order);
+                    let mut batches: Vec<Vec<usize>> =
+                        [1, 8, 3, 8, 3].iter().scan(0, |at, &len| {
+                            *at += len;
+                            Some(order[*at - len..*at].to_vec())
+                        }).collect();
+                    batches.push(Vec::new());
+                    let k_max = 1 + (ks as usize % 12);
+                    let table = NearestDemos::of(&questions, &pool, k_max);
+                    for k in [k_max, 1 + (ks as usize >> 8) % k_max] {
+                        let what = format!("{kind:?} dim {dim} pool {n_pool} k {k} of {k_max}");
+                        prop_assert_eq!(
+                            topk_batch(&table, &batches, k).per_batch,
+                            dense_topk_batch(&questions, &pool, &batches, k),
+                            "top-k-batch, {}", what
+                        );
+                        prop_assert_eq!(
+                            topk_question(&table, &batches, k).per_batch,
+                            dense_topk_question(&questions, &pool, &batches, k),
+                            "top-k-question, {}", what
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A pool several cache blocks long: the blocked sweep's hits keep
+    /// their pool indices across block boundaries, in order.
+    #[test]
+    fn coverage_sweep_spans_cache_blocks() {
+        for dim in [SWEEP_MIN_DIM + 1, 64] {
+            let block_rows = SWEEP_BLOCK_BYTES / (dim * std::mem::size_of::<f64>());
+            let n_pool = 2 * block_rows + 37;
+            let questions =
+                FeatureSpace::from_vectors(hostile_rows(9, dim, 5), DistanceKind::Euclidean);
+            let pool =
+                FeatureSpace::from_vectors(hostile_rows(n_pool, dim, 6), DistanceKind::Euclidean);
+            // The median finite distance from the first question: some of
+            // every block inside, some outside.
+            let mut dists: Vec<f64> = (0..n_pool)
+                .map(|d| DistanceKind::Euclidean.distance(questions.vector(0), pool.vector(d)))
+                .filter(|v| v.is_finite())
+                .collect();
+            let mid = dists.len() / 2;
+            let t = *dists.select_nth_unstable_by(mid, f64::total_cmp).1;
+            let table = compute_coverage(&questions, &pool, t);
+            let expect = brute_coverage(&questions, &pool, t);
+            let hit =
+                |block: std::ops::Range<usize>| block.filter(|&d| !expect[d].is_empty()).count();
+            let (second, last) = (hit(block_rows..2 * block_rows), hit(2 * block_rows..n_pool));
+            assert!(second > 0 && second < block_rows, "dim {dim}: {second}");
+            assert!(last > 0 && last < 37, "dim {dim}: {last}");
+            for (d, covered) in expect.iter().enumerate() {
+                assert_eq!(
+                    table.elements_of(d),
+                    covered.as_slice(),
+                    "dim {dim} demo {d}"
+                );
             }
         }
     }

@@ -17,7 +17,7 @@
 //! on distances, so thresholds square once and argmins are unchanged) and
 //! only take `sqrt` on values that escape to callers.
 
-use crate::vecmath::dot;
+use crate::vecmath::{dot, sq_euclidean_lanes};
 
 /// A dense row-major feature matrix with cached squared L2 norms.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,9 +162,14 @@ impl FeatureMatrix {
 /// Streams the contiguous row-major buffer `rows_flat` (row width `dim`)
 /// and calls `on_hit(row_index)` for every row whose squared Euclidean
 /// distance to `query` is below `t_sq` (strictly when `STRICT`, else
-/// `≤`). Small dimensions dispatch to fully unrolled two-lane loops; the
-/// four-lane kernel covers the rest. Pure per-row decisions — safe to
-/// shard by splitting `rows_flat`.
+/// `≤`), in row order. Small dimensions dispatch to fully unrolled
+/// two-lane loops; the four-lane kernel of
+/// [`crate::vecmath::sq_euclidean_distance`] covers the rest — from
+/// `vecmath`'s AVX width up, on a CPU with AVX, as a tile of four rows
+/// against one query, which reads each query chunk once per tile and runs
+/// four independent add chains. Every row's value is the scalar kernel's
+/// to the bit, so the verdicts are the same on either path. Pure per-row
+/// decisions — safe to shard by splitting `rows_flat`.
 pub fn scan_rows_within<const STRICT: bool>(
     dim: usize,
     query: &[f64],
@@ -182,14 +187,104 @@ pub fn scan_rows_within<const STRICT: bool>(
         6 => scan_fixed::<6, STRICT>(query, rows_flat, t_sq, on_hit),
         7 => scan_fixed::<7, STRICT>(query, rows_flat, t_sq, on_hit),
         8 => scan_fixed::<8, STRICT>(query, rows_flat, t_sq, on_hit),
-        _ => {
-            let mut on_hit = on_hit;
-            for (k, row) in rows_flat.chunks_exact(dim.max(1)).enumerate() {
-                let s = crate::vecmath::sq_euclidean_distance(query, row);
-                if (STRICT && s < t_sq) || (!STRICT && s <= t_sq) {
+        #[cfg(target_arch = "x86_64")]
+        _ if crate::vecmath::use_avx(dim) => {
+            // SAFETY: `use_avx` saw AVX on this CPU, the one feature the
+            // kernel is compiled for.
+            unsafe { avx_scan::scan_wide::<STRICT>(dim, query, rows_flat, t_sq, on_hit) }
+        }
+        _ => scan_wide_lanes::<STRICT>(dim, query, rows_flat, t_sq, on_hit),
+    }
+}
+
+#[inline]
+fn within<const STRICT: bool>(s: f64, t_sq: f64) -> bool {
+    (STRICT && s < t_sq) || (!STRICT && s <= t_sq)
+}
+
+/// The wide branch of [`scan_rows_within`] on the scalar four-lane
+/// kernel: the fallback, and the reference the AVX tile is tested
+/// against.
+fn scan_wide_lanes<const STRICT: bool>(
+    dim: usize,
+    query: &[f64],
+    rows_flat: &[f64],
+    t_sq: f64,
+    mut on_hit: impl FnMut(usize),
+) {
+    for (k, row) in rows_flat.chunks_exact(dim.max(1)).enumerate() {
+        if within::<STRICT>(sq_euclidean_lanes(query, row), t_sq) {
+            on_hit(k);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx_scan {
+    use std::arch::x86_64::_mm256_setzero_pd;
+
+    use super::within;
+    use crate::vecmath::avx::{fold, load, sq_euclidean_distance, sq_step};
+
+    /// Rows per tile.
+    const TILE: usize = 4;
+
+    /// [`super::scan_wide_lanes`] on AVX registers, four rows at a time:
+    /// row `r` of a tile accumulates in its own register, lane for lane
+    /// as the scalar kernel accumulates that row, and folds and finishes
+    /// its tail the same way. Rows past the last whole tile run one by
+    /// one through the AVX [`sq_euclidean_distance`].
+    #[target_feature(enable = "avx")]
+    pub(super) fn scan_wide<'a, const STRICT: bool>(
+        dim: usize,
+        query: &[f64],
+        rows_flat: &'a [f64],
+        t_sq: f64,
+        mut on_hit: impl FnMut(usize),
+    ) {
+        assert!(dim >= 4 && query.len() == dim, "a wide query row");
+        let lanes = dim / 4 * 4;
+        let (q4, q_tail) = query.split_at(lanes);
+        let tiles = rows_flat.chunks_exact(TILE * dim);
+        let rest = tiles.remainder();
+        let mut k = 0;
+        for tile in tiles {
+            let (r0, rest) = tile.split_at(dim);
+            let (r1, rest) = rest.split_at(dim);
+            let (r2, r3) = rest.split_at(dim);
+            let rows = [r0, r1, r2, r3];
+            let mut acc = [_mm256_setzero_pd(); TILE];
+            let chunks = |row: &'a [f64]| row[..lanes].chunks_exact(4);
+            let lane_chunks = q4
+                .chunks_exact(4)
+                .zip(chunks(r0))
+                .zip(chunks(r1))
+                .zip(chunks(r2))
+                .zip(chunks(r3));
+            for ((((q, x0), x1), x2), x3) in lane_chunks {
+                let q = load(q);
+                acc[0] = sq_step(acc[0], q, load(x0));
+                acc[1] = sq_step(acc[1], q, load(x1));
+                acc[2] = sq_step(acc[2], q, load(x2));
+                acc[3] = sq_step(acc[3], q, load(x3));
+            }
+            for (acc, row) in acc.into_iter().zip(rows) {
+                let mut s = fold(acc);
+                for (x, y) in q_tail.iter().zip(&row[lanes..]) {
+                    let d = x - y;
+                    s += d * d;
+                }
+                if within::<STRICT>(s, t_sq) {
                     on_hit(k);
                 }
+                k += 1;
             }
+        }
+        for row in rest.chunks_exact(dim) {
+            if within::<STRICT>(sq_euclidean_distance(query, row), t_sq) {
+                on_hit(k);
+            }
+            k += 1;
         }
     }
 }
@@ -216,8 +311,7 @@ fn scan_fixed<const D: usize, const STRICT: bool>(
             let t = q[d] - row[d];
             even += t * t;
         }
-        let s = even + odd;
-        if (STRICT && s < t_sq) || (!STRICT && s <= t_sq) {
+        if within::<STRICT>(even + odd, t_sq) {
             on_hit(k);
         }
     }
@@ -226,7 +320,9 @@ fn scan_fixed<const D: usize, const STRICT: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vecmath::{cosine_distance, euclidean_distance};
+    use crate::vecmath::{cosine_distance, dot_lanes, euclidean_distance, sq_euclidean_distance};
+    use er_core::Rng;
+    use proptest::prelude::*;
 
     fn sample(rows: usize, dim: usize, phase: f64) -> Vec<Vec<f64>> {
         (0..rows)
@@ -324,6 +420,92 @@ mod tests {
             scan_rows_within::<false>(dim, &query, &flat, t * t, |k| inclusive.push(k));
             assert!(inclusive.len() >= got.len());
         }
+    }
+
+    /// Row values for the dispatch parity test: mostly ordinary, with
+    /// NaN, ±∞, ±0, subnormals and ±1e300 (whose squares overflow)
+    /// mixed in at a rate set per case.
+    fn hostile_flat(len: usize, hostile_per_16: usize, rng: &mut Rng) -> Vec<f64> {
+        const HOSTILE: [f64; 9] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            5e-324,
+            -2.5e-310,
+            1e300,
+            -1e300,
+        ];
+        (0..len)
+            .map(|_| {
+                if rng.range(0..16) < hostile_per_16 {
+                    HOSTILE[rng.range(0..HOSTILE.len())]
+                } else {
+                    rng.f64() * 4.0 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    /// Bit for bit, except that a NaN only has to be a NaN: Rust leaves
+    /// a NaN's sign and payload unspecified.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The dispatched kernels — AVX from `vecmath`'s width up on a CPU
+        /// that has it — against the scalar four-lane reference: the same
+        /// values, and the same hits in the same order under both
+        /// comparisons, at widths that are and are not multiples of four
+        /// and row counts that leave a partial tile.
+        #[test]
+        fn dispatched_kernels_match_the_scalar_lanes(
+            seed in any::<u64>(),
+            dim in 16usize..257,
+            n_rows in 1usize..23,
+            hostile_per_16 in 0usize..5,
+        ) {
+            let mut rng = Rng::from_seed(seed);
+            let query = hostile_flat(dim, hostile_per_16, &mut rng);
+            let flat = hostile_flat(dim * n_rows, hostile_per_16, &mut rng);
+            let mut values = Vec::with_capacity(n_rows);
+            for row in flat.chunks_exact(dim) {
+                let (d, reference) = (dot(&query, row), dot_lanes(&query, row));
+                prop_assert!(same(d, reference), "dot {} vs {}", d, reference);
+                let s = sq_euclidean_distance(&query, row);
+                let reference = sq_euclidean_lanes(&query, row);
+                prop_assert!(same(s, reference), "sq {} vs {}", s, reference);
+                values.push(s);
+            }
+            // On a stored value (strict and inclusive part there), between
+            // values, and at the ends.
+            let pick = values[rng.range(0..n_rows)];
+            for t_sq in [pick, pick * 1.5, 0.0, f64::INFINITY, f64::MAX, f64::NAN] {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                scan_rows_within::<true>(dim, &query, &flat, t_sq, |k| got.push(k));
+                scan_wide_lanes::<true>(dim, &query, &flat, t_sq, |k| want.push(k));
+                prop_assert_eq!(&got, &want, "strict, t_sq {}", t_sq);
+                got.clear();
+                want.clear();
+                scan_rows_within::<false>(dim, &query, &flat, t_sq, |k| got.push(k));
+                scan_wide_lanes::<false>(dim, &query, &flat, t_sq, |k| want.push(k));
+                prop_assert_eq!(&got, &want, "inclusive, t_sq {}", t_sq);
+            }
+        }
+    }
+
+    #[test]
+    fn avx_runs_where_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            crate::vecmath::use_avx(crate::vecmath::AVX_MIN_WIDTH),
+            std::arch::is_x86_feature_detected!("avx")
+        );
+        assert!(!crate::vecmath::use_avx(crate::vecmath::AVX_MIN_WIDTH - 1));
     }
 
     #[test]

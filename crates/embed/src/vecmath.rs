@@ -21,13 +21,27 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Four independent accumulator lanes let the compiler vectorize the loop
 /// without fast-math; the lane split is fixed, so the result is a
-/// deterministic function of the inputs.
+/// deterministic function of the inputs. From [`AVX_MIN_WIDTH`] up, on a
+/// CPU with AVX, the four lanes are the four lanes of one AVX register
+/// (see [`use_avx`]); the value is the same to the bit.
 ///
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
 pub fn sq_euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx(a.len()) {
+        // SAFETY: `use_avx` saw AVX on this CPU, the one feature the
+        // kernel is compiled for.
+        return unsafe { avx::sq_euclidean_distance(a, b) };
+    }
+    sq_euclidean_lanes(a, b)
+}
+
+/// The four-lane scalar kernel behind [`sq_euclidean_distance`]: the
+/// fallback, and the reference the AVX path is tested against.
+pub(crate) fn sq_euclidean_lanes(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
     let lanes = a.len() / 4 * 4;
     let mut i = 0;
@@ -42,7 +56,7 @@ pub fn sq_euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
         acc[3] += d3 * d3;
         i += 4;
     }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let mut s = combine_lanes(acc);
     while i < a.len() {
         let d = a[i] - b[i];
         s += d * d;
@@ -51,14 +65,25 @@ pub fn sq_euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Dot product with the same fixed four-lane accumulation as
-/// [`sq_euclidean_distance`].
+/// Dot product with the same fixed four-lane accumulation (and the same
+/// AVX path) as [`sq_euclidean_distance`].
 ///
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx(a.len()) {
+        // SAFETY: `use_avx` saw AVX on this CPU, the one feature the
+        // kernel is compiled for.
+        return unsafe { avx::dot(a, b) };
+    }
+    dot_lanes(a, b)
+}
+
+/// The four-lane scalar kernel behind [`dot`].
+pub(crate) fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
     let lanes = a.len() / 4 * 4;
     let mut i = 0;
@@ -69,12 +94,127 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         acc[3] += a[i + 3] * b[i + 3];
         i += 4;
     }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let mut s = combine_lanes(acc);
     while i < a.len() {
         s += a[i] * b[i];
         i += 1;
     }
     s
+}
+
+/// The one order in which every four-lane kernel folds its lanes.
+#[inline]
+pub(crate) fn combine_lanes(acc: [f64; 4]) -> f64 {
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// Row width from which the four-lane kernels run on AVX registers. Below
+/// it, a row is a few loads either way and the run-time check costs more
+/// than the wider registers save.
+pub(crate) const AVX_MIN_WIDTH: usize = 16;
+
+/// True when rows of `width` take the AVX path: at least
+/// [`AVX_MIN_WIDTH`] wide, on a CPU that has AVX (checked at run time, so
+/// one binary serves every x86-64 CPU; the answer is cached after the
+/// first call).
+///
+/// The AVX path is exact, not approximate: each scalar accumulator
+/// `acc[j]` of the four-lane kernels is lane `j` of one `__m256d`, fed the
+/// same subtract, multiply and add in the same order — no fused
+/// multiply-add, which would round once where the scalar code rounds twice
+/// — and the lanes fold as [`combine_lanes`] folds them, before the same
+/// scalar tail. Every result that is not a NaN is the scalar kernel's to
+/// the bit; a NaN is a NaN on both (Rust leaves a NaN's sign and payload
+/// unspecified).
+#[inline]
+pub(crate) fn use_avx(width: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        width >= AVX_MIN_WIDTH && std::arch::is_x86_feature_detected!("avx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = width;
+        false
+    }
+}
+
+/// The AVX forms of the four-lane kernels; see [`use_avx`] for why they
+/// equal the scalar ones. Each is a safe function compiled for AVX, so
+/// only code not itself compiled for AVX needs `unsafe` to call one, after
+/// checking [`use_avx`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
+    };
+
+    use super::combine_lanes;
+
+    /// Loads the four values of `four`.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub(crate) fn load(four: &[f64]) -> __m256d {
+        assert_eq!(four.len(), 4, "an AVX load reads four values");
+        // SAFETY: the assertion keeps the four reads inside `four`; an
+        // unaligned load has no alignment requirement.
+        unsafe { _mm256_loadu_pd(four.as_ptr()) }
+    }
+
+    /// The four lanes of `acc` folded as the scalar kernels fold `acc`.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub(crate) fn fold(acc: __m256d) -> f64 {
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` holds four f64s; an unaligned store has no
+        // alignment requirement.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
+        combine_lanes(lanes)
+    }
+
+    /// One step of the squared distance, lane-wise: `acc + (a − b)²`.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub(crate) fn sq_step(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
+        let d = _mm256_sub_pd(a, b);
+        _mm256_add_pd(acc, _mm256_mul_pd(d, d))
+    }
+
+    /// [`super::sq_euclidean_lanes`] on AVX registers.
+    #[target_feature(enable = "avx")]
+    pub(crate) fn sq_euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len(), "vector length mismatch");
+        let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+        let (a_tail, b_tail) = (a4.remainder(), b4.remainder());
+        let mut acc = _mm256_setzero_pd();
+        for (x, y) in a4.zip(b4) {
+            acc = sq_step(acc, load(x), load(y));
+        }
+        let mut s = fold(acc);
+        for (x, y) in a_tail.iter().zip(b_tail) {
+            let d = x - y;
+            s += d * d;
+        }
+        s
+    }
+
+    /// [`super::dot_lanes`] on AVX registers.
+    #[target_feature(enable = "avx")]
+    pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len(), "vector length mismatch");
+        let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+        let (a_tail, b_tail) = (a4.remainder(), b4.remainder());
+        let mut acc = _mm256_setzero_pd();
+        for (x, y) in a4.zip(b4) {
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(load(x), load(y)));
+        }
+        let mut s = fold(acc);
+        for (x, y) in a_tail.iter().zip(b_tail) {
+            s += x * y;
+        }
+        s
+    }
 }
 
 /// Cosine similarity in `[-1, 1]`; 0 when either vector is all-zero.

@@ -23,10 +23,46 @@ pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
     let a_tokens = tokens.len();
     tokens.extend(nb.split_ascii_whitespace());
     let (ta, tb) = tokens.split_at_mut(a_tokens);
-    jaccard_sorted(
-        sorted_set(ta).iter().copied(),
-        sorted_set(tb).iter().copied(),
+    jaccard_merged(
+        sorted_set(ta, |t| t.as_bytes())
+            .iter()
+            .map(|t| t.as_bytes()),
+        sorted_set(tb, |t| t.as_bytes())
+            .iter()
+            .map(|t| t.as_bytes()),
     )
+}
+
+/// [`jaccard_tokens`] of two values that are already normalized (by
+/// [`crate::normalize_into`]), with their tokens held as byte spans in
+/// `spans`, a buffer the caller reuses: a sweep over many attribute pairs
+/// that normalizes each value once for several kernels reads it once more
+/// here and allocates nothing per pair. Normalization is idempotent, so
+/// this equals `jaccard_tokens` of the same values, and of the raw values
+/// they came from, to the bit.
+pub fn jaccard_normalized(a: &str, b: &str, spans: &mut Vec<(usize, usize)>) -> f64 {
+    spans.clear();
+    push_token_spans(a, spans);
+    let a_tokens = spans.len();
+    push_token_spans(b, spans);
+    let (sa, sb) = spans.split_at_mut(a_tokens);
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let text_a = |&(from, to): &(usize, usize)| &a[from..to];
+    let text_b = |&(from, to): &(usize, usize)| &b[from..to];
+    jaccard_merged(
+        sorted_set(sa, text_a).iter().map(text_a),
+        sorted_set(sb, text_b).iter().map(text_b),
+    )
+}
+
+/// Appends the byte span of every whitespace-separated token of `s`. A
+/// normalized string's only whitespace is the single ASCII space.
+fn push_token_spans(s: &str, spans: &mut Vec<(usize, usize)>) {
+    let base = s.as_ptr() as usize;
+    spans.extend(s.split_ascii_whitespace().map(|t| {
+        let from = t.as_ptr() as usize - base;
+        (from, from + t.len())
+    }));
 }
 
 /// [`jaccard_tokens`] over token sets already at hand: `a` and `b` yield
@@ -36,6 +72,12 @@ pub fn jaccard_sorted<'t>(
     a: impl IntoIterator<Item = &'t str>,
     b: impl IntoIterator<Item = &'t str>,
 ) -> f64 {
+    jaccard_merged(a, b)
+}
+
+/// The merge behind [`jaccard_sorted`], over any ordered token type: the
+/// span path hands it byte slices, which order UTF-8 as `str` does.
+fn jaccard_merged<T: Ord>(a: impl IntoIterator<Item = T>, b: impl IntoIterator<Item = T>) -> f64 {
     let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
     let (mut a_len, mut b_len, mut inter) = (0, 0, 0);
     loop {
@@ -52,13 +94,14 @@ pub fn jaccard_sorted<'t>(
     jaccard_of_counts(a_len, b_len, inter)
 }
 
-/// Sorts `tokens` and moves its distinct values to the front; returns
-/// that duplicate-free prefix.
-fn sorted_set<'t, 's>(tokens: &'t mut [&'s str]) -> &'t [&'s str] {
-    tokens.sort_unstable();
+/// Sorts `tokens` by their text and moves the distinct ones to the front;
+/// returns that duplicate-free prefix. Texts compare as bytes, which
+/// orders UTF-8 exactly as `str` orders it.
+fn sorted_set<'t, T: Copy>(tokens: &mut [T], text: impl Fn(&T) -> &'t [u8]) -> &[T] {
+    tokens.sort_unstable_by(|x, y| text(x).cmp(text(y)));
     let mut len = 0;
     for i in 0..tokens.len() {
-        if len == 0 || tokens[i] != tokens[len - 1] {
+        if len == 0 || text(&tokens[i]) != text(&tokens[len - 1]) {
             tokens[len] = tokens[i];
             len += 1;
         }

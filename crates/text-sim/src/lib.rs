@@ -14,7 +14,7 @@ pub mod levenshtein;
 pub mod normalize;
 pub mod tokenize;
 
-pub use jaccard::{jaccard_sorted, jaccard_tokens};
+pub use jaccard::{jaccard_normalized, jaccard_sorted, jaccard_tokens};
 pub use levenshtein::{levenshtein, levenshtein_ratio};
 pub use normalize::{normalize, normalize_into};
 pub use tokenize::{qgrams, word_tokens};

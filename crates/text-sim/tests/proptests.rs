@@ -4,7 +4,8 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use text_sim::{
-    jaccard_tokens, levenshtein, levenshtein_ratio, normalize, normalize_into, word_tokens,
+    jaccard_normalized, jaccard_tokens, levenshtein, levenshtein_ratio, normalize, normalize_into,
+    word_tokens,
 };
 
 /// Eq. 4 over owned token sets — the definition `jaccard_tokens`'
@@ -42,6 +43,26 @@ fn jaccard_merge_equals_owned_sets_on_picked_values() {
             );
         }
     }
+}
+
+/// Strings over all of Unicode: every scalar value is possible — other
+/// whitespace, punctuation outside ASCII, letters whose ASCII-only
+/// lowercasing leaves them alone, combining marks — between separators
+/// and a four-letter alphabet drawn often enough that tokens repeat within
+/// and across the two values.
+fn arb_unicode() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u32>(), 0..24).prop_map(|codes| {
+        codes
+            .into_iter()
+            .map(|code| match code % 8 {
+                0 => char::from_u32(code / 8 % 0x11_0000).unwrap_or('\u{2028}'),
+                1..=3 => {
+                    [' ', ',', '\u{a0}', '\u{3000}', '\t', '¿', '—', '.'][(code / 8 % 8) as usize]
+                }
+                _ => ['a', 'B', 'é', '中'][(code / 8 % 4) as usize],
+            })
+            .collect()
+    })
 }
 
 fn arb_str() -> impl Strategy<Value = String> {
@@ -123,5 +144,21 @@ proptest! {
             prop_assert!(!t.contains(' '));
         }
         prop_assert_eq!(word_tokens(&toks.join(" ")), toks);
+    }
+
+    /// Over arbitrary Unicode, normalizing twice is normalizing once, so
+    /// scoring normalized values through a reused span buffer (the
+    /// feature extractor's path) equals `jaccard_tokens` of those values
+    /// (its path before, which normalized them again) to the bit, and
+    /// both are Eq. 4 of the raw values — whatever the buffer held before.
+    #[test]
+    fn jaccard_of_normalized_values_matches(a in arb_unicode(), b in arb_unicode()) {
+        let (na, nb) = (normalize(&a), normalize(&b));
+        prop_assert_eq!(normalize(&na), na.clone());
+        prop_assert_eq!(normalize(&nb), nb.clone());
+        let mut spans = vec![(7, 3); 5];
+        let feature = jaccard_normalized(&na, &nb, &mut spans);
+        prop_assert_eq!(feature.to_bits(), jaccard_tokens(&na, &nb).to_bits());
+        prop_assert_eq!(feature.to_bits(), jaccard_tokens_reference(&a, &b).to_bits());
     }
 }
