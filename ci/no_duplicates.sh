@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps nine kinds of dead weight from growing back: a vendored stand-in
+# Keeps ten kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -15,8 +15,11 @@
 # send path (`batcher_core::Executor::send`), the client that implements
 # it and the server that answers it. And CPU-specific code (`std::arch`,
 # `target_feature`, `is_x86_feature_detected`) outside the two files whose
-# exact kernels carry it, embed's vecmath.rs and matrix.rs. Offline, no
-# dependencies beyond grep and sed.
+# exact kernels carry it, embed's vecmath.rs and matrix.rs. And a second
+# telemetry mode: an off switch (`fn disabled`, `is_enabled`, a bare
+# `enabled: bool` field) in obs or in er-service's telemetry and flight
+# recorder, where every handle always records. Offline, no dependencies
+# beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,5 +122,15 @@ for file in $(grep -rlE 'std::arch|target_feature|is_x86_feature_detected' crate
     esac
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs"
+# Telemetry has one mode: every handle, the trace log and the flight
+# recorder always record. `wal_enabled` and `cache_enabled` are other
+# settings and do not match.
+for hit in $(grep -rnoE '\bfn disabled\b|\bis_enabled\b|(^|[^A-Za-z0-9_])enabled: *bool' \
+    crates/obs/src crates/er-service/src/telemetry.rs crates/er-service/src/flight.rs |
+    cut -d: -f1,2 || true); do
+    echo "FAIL: ${hit} grows a telemetry off switch back; every handle always records" >&2
+    fail=1
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder"
 exit "$fail"

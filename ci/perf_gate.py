@@ -9,8 +9,7 @@ absolute wall-times are not comparable across the two; the gate checks
 the *shape* of the result instead — overhead percentages, speedup
 ratios, and exact-equivalence counters — with envelopes wide enough for
 shared-runner noise but narrow enough to catch a real regression (a
-lost kernel path, an accidental fsync-per-record, instrumentation on a
-hot loop).
+lost kernel path, an accidental fsync-per-record).
 
 Exit code 0 = within envelope, 1 = regression, 2 = usage/parse error.
 """
@@ -29,16 +28,6 @@ def ok(msg):
 
 
 def gate_serving(base, cur):
-    # Telemetry overhead is a ratio of two runs on the same machine, so
-    # it transfers across workload sizes. The committed full run holds
-    # |overhead| <= 5%; allow 10 extra points for runner noise.
-    limit = abs(base["telemetry_overhead_pct"]) + 10.0
-    got = cur["telemetry_overhead_pct"]
-    if abs(got) > limit:
-        fail(f"telemetry overhead {got:.2f}% vs committed "
-             f"{base['telemetry_overhead_pct']:.2f}% (limit ±{limit:.2f}%)")
-    ok(f"telemetry overhead {got:.2f}% (limit ±{limit:.2f}%)")
-
     # WAL overhead envelopes mirror the bench's own full-mode asserts,
     # widened for CI: a regression to fsync-per-record blows far past
     # these regardless of machine.

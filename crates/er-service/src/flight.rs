@@ -38,11 +38,9 @@ struct Snapshot {
     json: String,
 }
 
-/// The always-on recorder. With the telemetry switch off it goes dark:
-/// every call is a single-branch no-op, matching the metric handles.
+/// The always-on recorder.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    enabled: bool,
     started: Instant,
     events: EventLog,
     snapshots: Mutex<Vec<Snapshot>>,
@@ -65,11 +63,10 @@ impl std::fmt::Debug for Snapshot {
 
 impl FlightRecorder {
     /// A recorder writing bundles under `dir` when given.
-    pub fn new(enabled: bool, dir: Option<PathBuf>) -> Self {
+    pub fn new(dir: Option<PathBuf>) -> Self {
         Self {
-            enabled,
             started: Instant::now(),
-            events: EventLog::new(if enabled { EVENT_CAPACITY } else { 0 }),
+            events: EventLog::new(EVENT_CAPACITY),
             snapshots: Mutex::new(Vec::new()),
             last_snapshot: Mutex::new(None),
             last_trigger: Mutex::new(HashMap::new()),
@@ -80,17 +77,12 @@ impl FlightRecorder {
 
     /// Records a structured event (`kind` is a stable lowercase slug).
     pub fn event(&self, kind: &'static str, detail: String) {
-        if self.enabled {
-            self.events.record(kind, detail);
-        }
+        self.events.record(kind, detail);
     }
 
     /// True when a periodic snapshot is due. Callers check this *before*
     /// paying to assemble the snapshot JSON; a `true` claims the slot.
     pub fn snapshot_due(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let mut last = lock(&self.last_snapshot);
         let now = Instant::now();
         match *last {
@@ -104,9 +96,6 @@ impl FlightRecorder {
 
     /// Pushes one stats snapshot into the bounded ring.
     pub fn snapshot(&self, json: String) {
-        if !self.enabled {
-            return;
-        }
         let at_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let mut ring = lock(&self.snapshots);
         if ring.len() >= SNAPSHOT_CAPACITY {
@@ -119,9 +108,6 @@ impl FlightRecorder {
     /// claims the slot: the same reason stays quiet for the next
     /// [`TRIGGER_INTERVAL`].
     pub fn should_trigger(&self, reason: &'static str) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let mut last = lock(&self.last_trigger);
         let now = Instant::now();
         match last.get(reason) {
@@ -195,17 +181,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_is_dark() {
-        let fr = FlightRecorder::new(false, None);
-        fr.event("breaker_open", "x".into());
-        assert!(!fr.snapshot_due());
-        assert!(!fr.should_trigger("breaker_open"));
-        assert_eq!(fr.events_json(), "[]");
-    }
-
-    #[test]
     fn triggers_rate_limit_per_reason() {
-        let fr = FlightRecorder::new(true, None);
+        let fr = FlightRecorder::new(None);
         assert!(fr.should_trigger("breaker_open"));
         assert!(
             !fr.should_trigger("breaker_open"),
@@ -219,7 +196,7 @@ mod tests {
 
     #[test]
     fn snapshot_ring_is_bounded() {
-        let fr = FlightRecorder::new(true, None);
+        let fr = FlightRecorder::new(None);
         for i in 0..(SNAPSHOT_CAPACITY + 10) {
             fr.snapshot(format!("{{\"i\":{i}}}"));
         }
@@ -236,7 +213,7 @@ mod tests {
     fn bundles_write_to_disk_with_sanitized_names() {
         let dir = std::env::temp_dir().join(format!("er-flight-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let fr = FlightRecorder::new(true, Some(dir.clone()));
+        let fr = FlightRecorder::new(Some(dir.clone()));
         let path = fr
             .write_bundle("slo fast-burn", "{\"reason\":\"test\"}")
             .expect("bundle written");
@@ -254,7 +231,7 @@ mod tests {
 
     #[test]
     fn no_dir_means_no_write_but_no_error() {
-        let fr = FlightRecorder::new(true, None);
+        let fr = FlightRecorder::new(None);
         assert!(fr.write_bundle("x", "{}").is_none());
     }
 }

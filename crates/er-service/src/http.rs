@@ -58,7 +58,8 @@ pub struct MatchResponseWire {
     pub source: String,
     /// Canonical question fingerprint (hex), for client-side dedup.
     pub fingerprint: String,
-    /// Lifecycle span id for `/trace` correlation (0 = tracing off).
+    /// Lifecycle span id for `/trace` correlation (never 0 from this
+    /// server; a body without it reads as 0).
     #[serde(default)]
     pub trace_id: u64,
 }

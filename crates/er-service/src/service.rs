@@ -89,8 +89,9 @@ pub struct MatchDecision {
     pub source: DecisionSource,
     /// The canonical fingerprint of the question.
     pub fingerprint: PairFingerprint,
-    /// Id of the submitting call's lifecycle span (0 when tracing is
-    /// off), echoed on the wire so clients can correlate with `/trace`.
+    /// Id of the submitting call's lifecycle span, echoed on the wire so
+    /// clients can correlate with `/trace`. Every decision `submit`
+    /// returns carries its span's id, which is never 0.
     pub trace_id: u64,
 }
 
@@ -125,17 +126,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Domain word used in the prompt's task description.
     pub domain: String,
-    /// Telemetry switch: metrics registry + lifecycle tracing. Off, every
-    /// handle is a single-branch no-op (the serving bench prices this) —
-    /// so `/stats` reads 0 for every field the registry backs
-    /// (`submitted`, `llm_answered`, `cache_*`, `plans`, `budget_denials`,
-    /// `shed_total`, every percentile, ...), `/metrics` renders every
-    /// family at 0 and `/trace` is empty. Ledger, budget, WAL-enabled,
-    /// recovery, breaker-state and `queue_depth_peak` fields stay live
-    /// (DESIGN §6; the split is pinned in `tests/er_service.rs`).
-    pub telemetry: bool,
-    /// Completed lifecycle spans retained for `GET /trace`.
-    pub trace_capacity: usize,
     /// Durable write-ahead log. `Some` journals every answer and
     /// reserve/settle/refund event and replays them at startup, so a
     /// restart re-buys zero settled answers; `None` keeps all state in
@@ -175,8 +165,6 @@ impl Default for ServiceConfig {
             max_retries: 2,
             workers: 2,
             domain: "Product".to_owned(),
-            telemetry: true,
-            trace_capacity: 1024,
             wal: None,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(250),
@@ -411,8 +399,8 @@ impl ErService {
             PreparedPool::prepare(&pool_refs, ExtractorKind::Semantic, DistanceKind::Euclidean);
         drop(pool_refs);
 
-        let telemetry = Telemetry::new(config.telemetry, config.trace_capacity);
-        let flight = FlightRecorder::new(config.telemetry, config.flight_dir.clone());
+        let telemetry = Telemetry::new();
+        let flight = FlightRecorder::new(config.flight_dir.clone());
 
         // Recovery replay runs to completion here, before any thread
         // starts or the HTTP front end can bind — externally the service
@@ -588,11 +576,9 @@ impl ErService {
     }
 
     /// The most recent `n` completed lifecycle spans as JSON, newest
-    /// first (the `GET /trace?n=` payload). `n` is clamped to the trace
-    /// ring's capacity — asking for more than the ring can hold is a
-    /// client mistake, not an allocation request.
+    /// first (the `GET /trace?n=` payload). Asking for more than the
+    /// trace ring holds returns the whole ring.
     pub fn trace_json(&self, n: usize) -> String {
-        let n = n.min(self.inner.config.trace_capacity.max(1));
         self.inner.telemetry.trace.recent_json(n)
     }
 
@@ -655,8 +641,8 @@ impl ErService {
 fn stats_of(inner: &Inner) -> ServiceStats {
     let tel = &inner.telemetry;
     let ledger = inner.governor.ledger().snapshot();
-    // Recovery numbers come from the report, not the gauges, so they
-    // stay visible with telemetry disabled.
+    // Recovery numbers come from the startup report, which `/healthz`
+    // reads too, so the two endpoints cannot disagree.
     let recovery = inner.recovery.clone().unwrap_or_default();
     let plans = tel.plans.get();
     let plan_wall = tel.plan_wall_us.snapshot();
@@ -748,13 +734,9 @@ fn health_of(inner: &Inner) -> HealthReport {
     }
 }
 
-/// Records the per-answer SLO signals (latency, availability). Gated on
-/// the telemetry switch like every metric handle.
+/// Records the per-answer SLO signals (latency, availability).
 fn record_answer_slos(inner: &Inner, latency: Duration, source: DecisionSource) {
     let tel = &inner.telemetry;
-    if !tel.is_enabled() {
-        return;
-    }
     let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
     tel.slo_latency.record(latency_us <= SLO_LATENCY_US);
     tel.slo_availability
@@ -1310,9 +1292,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
             .inspect(|_| labeled.extend(&newly));
         (granted, newly)
     };
-    if tel.is_enabled() {
-        tel.slo_budget.record(granted.is_some());
-    }
+    tel.slo_budget.record(granted.is_some());
     let Some(guard) = granted else {
         // Over budget: answer locally, free of charge.
         inner.flight.event(

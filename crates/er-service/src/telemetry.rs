@@ -3,9 +3,9 @@
 //!
 //! Recording never takes the registry lock — handles are `Arc`'d atomics
 //! (a histogram is one atomic bucket array) that `/metrics` copies when it
-//! renders.
-//! With `ServiceConfig::telemetry` off every handle is a dark no-op, so
-//! the serving bench can price the instrumentation itself.
+//! renders. There is no off switch: every handle always records, so
+//! `/stats` and `/metrics` have one meaning, and the cost of recording is
+//! inside every number the benchmarks report.
 
 use std::sync::Arc;
 
@@ -23,6 +23,8 @@ pub const SLO_LATENCY_US: u64 = 250_000;
 pub const SLO_AVAILABILITY_OBJECTIVE: f64 = 0.99;
 /// Budget objective: this fraction of batch reservations must be granted.
 pub const SLO_BUDGET_OBJECTIVE: f64 = 0.90;
+/// Completed lifecycle spans retained for `GET /trace`.
+pub const TRACE_CAPACITY: usize = 1024;
 
 /// Why the dispatcher drained the coalescing queue: the `trigger` label
 /// of `er_flushes_total`, in the order its four counters are registered.
@@ -100,27 +102,17 @@ pub struct Telemetry {
     // registered here so they render on this service's `/metrics`.
     pub(crate) http: ConnMetrics,
 
-    // SLO burn-rate engines (multi-window: 5m and 1h). Recording is
-    // gated on the telemetry switch like every other handle.
+    // SLO burn-rate engines (multi-window: 5m and 1h).
     pub(crate) slo_latency: Slo,
     pub(crate) slo_availability: Slo,
     pub(crate) slo_budget: Slo,
 }
 
 impl Telemetry {
-    /// Builds the bundle. Disabled mode registers the same families on a
-    /// dark registry: every handle exists but records nothing.
-    pub fn new(enabled: bool, trace_capacity: usize) -> Self {
-        let registry = if enabled {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        };
-        let trace = if enabled {
-            TraceLog::new(trace_capacity)
-        } else {
-            TraceLog::disabled()
-        };
+    /// Builds the bundle: registers every family on a fresh registry.
+    pub(crate) fn new() -> Self {
+        let registry = Registry::new();
+        let trace = TraceLog::new(TRACE_CAPACITY);
 
         let submitted = registry.counter(
             "er_questions_submitted_total",
@@ -460,11 +452,6 @@ impl Telemetry {
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
-
-    /// Whether recording is live (false = dark no-op mode).
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
-    }
 }
 
 fn window_json(w: &obs::WindowBurn) -> String {
@@ -479,8 +466,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enabled_bundle_renders_all_families() {
-        let t = Telemetry::new(true, 16);
+    fn bundle_renders_all_families() {
+        let t = Telemetry::new();
         t.submitted.inc();
         t.queue_wait_us.record(120);
         t.answer_llm_us.record(4_000);
@@ -499,7 +486,7 @@ mod tests {
 
     #[test]
     fn slo_gauges_and_json_render() {
-        let t = Telemetry::new(true, 16);
+        let t = Telemetry::new();
         for _ in 0..20 {
             t.slo_latency.record(true);
             t.slo_availability.record(false); // 100% bad: fast burn
@@ -524,25 +511,10 @@ mod tests {
 
     #[test]
     fn answer_histograms_carry_exemplars() {
-        let t = Telemetry::new(true, 16);
+        let t = Telemetry::new();
         t.answer_llm_us.record_with_exemplar(5_000, 91);
         let text = t.render_prometheus();
         assert!(text.contains(r#"# {trace_id="91"} 5000"#), "{text}");
         obs::lint(&text).expect("exemplar render is lint-clean");
-    }
-
-    #[test]
-    fn disabled_bundle_is_dark() {
-        let t = Telemetry::new(false, 16);
-        t.submitted.inc();
-        t.queue_wait_us.record(120);
-        let id = t.trace().begin(1, "submitted");
-        assert_eq!(id, 0);
-        assert_eq!(t.submitted.get(), 0);
-        assert!(!t.registry().is_enabled());
-        // Families still render (zeroed) so scrapers need no mode branch.
-        let text = t.registry().render_prometheus();
-        assert!(text.contains("er_questions_submitted_total 0"), "{text}");
-        assert_eq!(t.trace().opened(), 0);
     }
 }

@@ -73,7 +73,6 @@ struct ExemplarSlot {
 /// [`crate::registry::Registry`] for exposition, or
 /// [`Histogram::detached`] for standalone measurement.
 pub struct Histogram {
-    enabled: bool,
     counts: Box<[AtomicU64; N_BUCKETS]>,
     sum: AtomicU64,
     /// Exact extremes (the bucketed quantiles clamp to these).
@@ -103,21 +102,17 @@ impl Default for Histogram {
 impl Histogram {
     /// A standalone histogram not attached to any registry.
     pub fn detached() -> Self {
-        Self::with_enabled(true)
+        Self::with_exemplars(false)
     }
 
-    pub(crate) fn with_enabled(enabled: bool) -> Self {
-        Self::with_options(enabled, false)
-    }
-
-    pub(crate) fn with_options(enabled: bool, exemplars: bool) -> Self {
+    /// A histogram that captures per-bucket exemplars when `exemplars`.
+    pub(crate) fn with_exemplars(exemplars: bool) -> Self {
         Self {
-            enabled,
             counts: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            exemplars: (enabled && exemplars).then(|| {
+            exemplars: exemplars.then(|| {
                 (0..N_BUCKETS)
                     .map(|_| ExemplarSlot { trace_id: AtomicU64::new(0), value: AtomicU64::new(0) })
                     .collect()
@@ -125,12 +120,8 @@ impl Histogram {
         }
     }
 
-    /// Records one observation. Lock-free; a disabled histogram records
-    /// nothing (the single branch is the whole disabled-mode cost).
+    /// Records one observation. Lock-free.
     pub fn record(&self, v: u64) {
-        if !self.enabled {
-            return;
-        }
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -338,13 +329,6 @@ mod tests {
         assert_eq!(s.mean(), 0);
     }
 
-    #[test]
-    fn disabled_records_nothing() {
-        let h = Histogram::with_enabled(false);
-        h.record(42);
-        assert_eq!(h.snapshot().count, 0);
-    }
-
     /// `record` publishes a sample's count before its extremes, so a
     /// snapshot racing a histogram's first-ever sample can hold
     /// `count == 1` with the initial `min == u64::MAX`, `max == 0`. A
@@ -381,7 +365,7 @@ mod tests {
 
     #[test]
     fn exemplars_capture_last_traced_observation_per_bucket() {
-        let h = Histogram::with_options(true, true);
+        let h = Histogram::with_exemplars(true);
         h.record_with_exemplar(1000, 7);
         h.record_with_exemplar(1010, 8); // same bucket: last write wins
         h.record_with_exemplar(5, 9);

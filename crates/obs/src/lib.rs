@@ -8,9 +8,8 @@
 //!   with a bounded 12.5% relative error.
 //! - [`registry`] — named counter/gauge/histogram families with labels,
 //!   rendered as Prometheus text exposition (format 0.0.4, hand-rolled
-//!   encoder). Recording never takes the registry lock; a
-//!   [`Registry::disabled`] registry hands out dark no-op handles so the
-//!   cost of instrumentation itself can be measured.
+//!   encoder). Recording never takes the registry lock, and every
+//!   handle always records: there is no off switch.
 //! - [`trace`] — per-request lifecycle spans: open at submit, stamp at
 //!   each pipeline stage, finish exactly once at a terminal stage, kept
 //!   in a bounded ring and rendered as JSON for `GET /trace`. Spans are

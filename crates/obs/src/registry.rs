@@ -6,10 +6,6 @@
 //! registering (startup) and while rendering a scrape. A scrape therefore
 //! cannot stall any instrumented hot path, and an instrumented hot path
 //! cannot stall a scrape.
-//!
-//! A registry constructed with [`Registry::disabled`] hands out dark
-//! handles whose recording methods are single-branch no-ops — that is the
-//! knob the serving bench uses to price the instrumentation itself.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -19,14 +15,13 @@ use crate::hist::{bucket_upper_bound, Histogram, N_BUCKETS};
 /// A monotonic counter.
 #[derive(Debug, Default)]
 pub struct Counter {
-    enabled: bool,
     v: AtomicU64,
 }
 
 impl Counter {
     /// A standalone counter not attached to any registry.
     pub fn detached() -> Arc<Self> {
-        Arc::new(Self { enabled: true, v: AtomicU64::new(0) })
+        Arc::default()
     }
 
     /// Adds 1.
@@ -36,9 +31,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.enabled {
-            self.v.fetch_add(n, Ordering::Relaxed);
-        }
+        self.v.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -50,28 +43,23 @@ impl Counter {
 /// A gauge: a value that can go up and down.
 #[derive(Debug, Default)]
 pub struct Gauge {
-    enabled: bool,
     v: AtomicI64,
 }
 
 impl Gauge {
     /// A standalone gauge not attached to any registry.
     pub fn detached() -> Arc<Self> {
-        Arc::new(Self { enabled: true, v: AtomicI64::new(0) })
+        Arc::default()
     }
 
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        if self.enabled {
-            self.v.store(v, Ordering::Relaxed);
-        }
+        self.v.store(v, Ordering::Relaxed);
     }
 
     /// Adds `d` (negative to decrement).
     pub fn add(&self, d: i64) {
-        if self.enabled {
-            self.v.fetch_add(d, Ordering::Relaxed);
-        }
+        self.v.fetch_add(d, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -109,15 +97,12 @@ struct Family {
 
 /// A named collection of metric families. Cheap to share (`Arc` it).
 pub struct Registry {
-    enabled: bool,
     families: Mutex<Vec<Family>>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("enabled", &self.enabled)
-            .finish_non_exhaustive()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
@@ -128,20 +113,9 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A live registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self { enabled: true, families: Mutex::new(Vec::new()) }
-    }
-
-    /// A registry whose handles are recording no-ops. Rendering still
-    /// works (all zeros) so callers need no mode branches.
-    pub fn disabled() -> Self {
-        Self { enabled: false, families: Mutex::new(Vec::new()) }
-    }
-
-    /// Whether handles from this registry record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Self { families: Mutex::new(Vec::new()) }
     }
 
     /// Registers (or extends) a counter family and returns the series
@@ -152,21 +126,21 @@ impl Registry {
     /// kind, or when the exact series (name + labels) already exists —
     /// both are wiring bugs, not runtime conditions.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let handle = Arc::new(Counter { enabled: self.enabled, v: AtomicU64::new(0) });
+        let handle = Counter::detached();
         self.register(name, help, labels, Handle::Counter(Arc::clone(&handle)));
         handle
     }
 
     /// Registers (or extends) a gauge family. See [`Registry::counter`].
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let handle = Arc::new(Gauge { enabled: self.enabled, v: AtomicI64::new(0) });
+        let handle = Gauge::detached();
         self.register(name, help, labels, Handle::Gauge(Arc::clone(&handle)));
         handle
     }
 
     /// Registers (or extends) a histogram family. See [`Registry::counter`].
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let handle = Arc::new(Histogram::with_enabled(self.enabled));
+        let handle = Arc::new(Histogram::detached());
         self.register(name, help, labels, Handle::Histogram(Arc::clone(&handle)));
         handle
     }
@@ -182,7 +156,7 @@ impl Registry {
         help: &str,
         labels: &[(&str, &str)],
     ) -> Arc<Histogram> {
-        let handle = Arc::new(Histogram::with_options(self.enabled, true));
+        let handle = Arc::new(Histogram::with_exemplars(true));
         self.register(name, help, labels, Handle::Histogram(Arc::clone(&handle)));
         handle
     }
@@ -481,17 +455,5 @@ mod tests {
         let r = Registry::new();
         let _a = r.counter("x_total", "h", &[("a", "1")]);
         let _b = r.counter("x_total", "h", &[("a", "1")]);
-    }
-
-    #[test]
-    fn disabled_registry_hands_out_dark_handles() {
-        let r = Registry::disabled();
-        let c = r.counter("c_total", "h", &[]);
-        let h = r.histogram("h_us", "h", &[]);
-        c.inc();
-        h.record(5);
-        assert_eq!(c.get(), 0);
-        assert!(r.render_prometheus().contains("c_total 0\n"));
-        assert!(r.render_prometheus().contains("h_us_count 0\n"));
     }
 }

@@ -61,7 +61,6 @@ struct Inner {
 
 /// The trace log. One per service; share by reference.
 pub struct TraceLog {
-    enabled: bool,
     capacity: usize,
     next_id: AtomicU64,
     opened: AtomicU64,
@@ -74,7 +73,6 @@ pub struct TraceLog {
 impl std::fmt::Debug for TraceLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceLog")
-            .field("enabled", &self.enabled)
             .field("opened", &self.opened())
             .field("finished", &self.finished())
             .finish_non_exhaustive()
@@ -84,17 +82,7 @@ impl std::fmt::Debug for TraceLog {
 impl TraceLog {
     /// A log retaining the most recent `capacity` completed spans.
     pub fn new(capacity: usize) -> Self {
-        Self::with_enabled(true, capacity)
-    }
-
-    /// A disabled log: `begin` returns 0 and everything else no-ops.
-    pub fn disabled() -> Self {
-        Self::with_enabled(false, 0)
-    }
-
-    fn with_enabled(enabled: bool, capacity: usize) -> Self {
         Self {
-            enabled,
             capacity: capacity.max(1),
             next_id: AtomicU64::new(1),
             opened: AtomicU64::new(0),
@@ -104,12 +92,9 @@ impl TraceLog {
         }
     }
 
-    /// Opens a span and stamps `stage` at t=0. Returns the trace id
-    /// (0 when the log is disabled).
+    /// Opens a span and stamps `stage` at t=0. Returns the trace id,
+    /// which is never 0.
     pub fn begin(&self, key: u64, stage: &'static str) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.opened.fetch_add(1, Ordering::Relaxed);
         let span = ActiveSpan {
@@ -132,7 +117,7 @@ impl TraceLog {
     }
 
     fn stamp_event(&self, id: u64, stage: &'static str, detail: Option<String>) {
-        if !self.enabled || id == 0 {
+        if id == 0 {
             return;
         }
         let mut inner = lock(&self.inner);
@@ -146,7 +131,7 @@ impl TraceLog {
     /// completed ring. Unknown / zero / already-finished ids no-op, so a
     /// span reaches a terminal stage at most once.
     pub fn finish(&self, id: u64, stage: &'static str, detail: Option<String>) {
-        if !self.enabled || id == 0 {
+        if id == 0 {
             return;
         }
         let mut inner = lock(&self.inner);
@@ -199,7 +184,7 @@ impl TraceLog {
     /// the active table (an in-flight span renders with the stages
     /// stamped so far and its elapsed time as `total_us`).
     pub fn find(&self, trace_id: u64) -> Option<Span> {
-        if !self.enabled || trace_id == 0 {
+        if trace_id == 0 {
             return None;
         }
         let inner = lock(&self.inner);
@@ -219,9 +204,6 @@ impl TraceLog {
     /// downstream service's child spans are gathered: the callee keys
     /// its spans by the caller's propagated trace id.
     pub fn by_key(&self, key: u64) -> Vec<Span> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let inner = lock(&self.inner);
         let mut spans: Vec<Span> = inner
             .done
@@ -360,17 +342,6 @@ mod tests {
         // Newest first.
         assert_eq!(recent[0].key, 9);
         assert_eq!(recent[3].key, 6);
-    }
-
-    #[test]
-    fn disabled_log_noops() {
-        let log = TraceLog::disabled();
-        let id = log.begin(1, "submitted");
-        assert_eq!(id, 0);
-        log.stamp(id, "x");
-        log.finish(id, "answered", None);
-        assert_eq!((log.opened(), log.finished()), (0, 0));
-        assert_eq!(log.recent_json(5), "[]");
     }
 
     #[test]

@@ -105,7 +105,6 @@ fn every_span_reaches_a_terminal_stage_exactly_once() {
             flush_deadline: Duration::from_millis(3),
             batch_size: 4,
             workers: 3,
-            trace_capacity: 4096,
             ..ServiceConfig::default()
         },
     ));
@@ -174,7 +173,6 @@ fn spans_conserve_under_budget_exhaustion() {
             workers: 3,
             budget: Money::from_micros(2_000),
             cache_enabled: false, // every submit exercises the queue
-            trace_capacity: 4096,
             ..ServiceConfig::default()
         },
     ));
