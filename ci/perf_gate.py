@@ -114,6 +114,11 @@ def gate_planning(base, cur):
     ok(f"index scaling: {len(cur.get('index_scaling', []))} points prune and win")
 
 
+# How much a 2-question flush plan may cost against an 8-question one in
+# the same run.
+FLUSH_RATIO_MAX = 0.25
+
+
 def gate_flush_plan(base, cur):
     # The served flush's plan is the one block that is the same workload
     # in quick and full mode, so it compares entry for entry with the
@@ -138,6 +143,19 @@ def gate_flush_plan(base, cur):
            f"builds and {have['index_queries_per_plan']:g} queries per plan; "
            f"{have['us_per_plan']:.1f} us (committed "
            f"{want['us_per_plan']:.1f} us, not gated)")
+
+    # Both sizes run in one process, so their ratio carries no box drift.
+    # Two questions almost always have one pool row covering both, and
+    # covering's phase 1 stops there instead of building the coverage
+    # table: on the reference box the stop reads 0.07-0.08, a lost stop
+    # 0.37-0.56.
+    ratio = got[2]["us_per_plan"] / got[8]["us_per_plan"]
+    if ratio > FLUSH_RATIO_MAX:
+        fail(f"flush plan of 2 / of 8 = {got[2]['us_per_plan']:.1f} / "
+             f"{got[8]['us_per_plan']:.1f} us = {ratio:.2f}, above "
+             f"{FLUSH_RATIO_MAX:.2f}: covering's phase 1 no longer stops at "
+             f"the one pool row covering every question")
+    ok(f"flush plan of 2 / of 8: {ratio:.2f} (ceiling {FLUSH_RATIO_MAX:.2f})")
 
 
 # How much less a design-space round must cost planned split by split

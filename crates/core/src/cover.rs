@@ -225,6 +225,13 @@ where
 /// so the lazy priority queue becomes a bucket array (gain → candidates)
 /// with O(1) refile instead of a float heap — the shape phase 1 of the
 /// covering strategy runs at scale.
+///
+/// Buckets are filed in ascending candidate order and popped from the
+/// back, so the first pick is the **highest-index** candidate of the
+/// largest gain. When that candidate covers every element, it is the whole
+/// selection. Covering's phase 1 (`selection::CoverSet::build`) depends on
+/// this: it walks the pool from the top down and stops at the first row
+/// covering every question instead of building the table.
 pub fn greedy_unit_cover(table: &CoverTable) -> Vec<usize> {
     let mut gain: Vec<usize> = (0..table.n_candidates())
         .map(|c| table.elements_of(c).len())
@@ -579,6 +586,25 @@ mod tests {
         let mut picked = unit(10, &coverage);
         picked.sort_unstable();
         assert_eq!(picked, vec![0, 1]);
+    }
+
+    #[test]
+    fn unit_cover_picks_only_the_highest_full_cover() {
+        // Candidates 0, 2 and 3 each cover every element; 1 and 4 cover
+        // part of them.
+        let coverage = vec![
+            vec![0, 1, 2],
+            vec![0, 1],
+            vec![0, 1, 2],
+            vec![0, 1, 2],
+            vec![2],
+        ];
+        assert_eq!(
+            unit(3, &coverage),
+            vec![3],
+            "the greedy's first pick among full covers moved off the highest \
+             index: covering's phase 1 stops at that row (selection::CoverSet::build)"
+        );
     }
 
     #[test]

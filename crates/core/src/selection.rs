@@ -353,6 +353,10 @@ pub(crate) fn topk_question(
 /// routes run [`scan_rows_within`], whose `(a − b)²` does not depend on
 /// which side is the query, so the verdict for a (demo, question) pair —
 /// and every plan — is the same on either.
+///
+/// Covering's phase 1 reaches this sweep only when no pool row covers
+/// every question (`CoverSet::build`): a served flush of two questions
+/// almost never does.
 pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> CoverTable {
     let n_q = questions.len();
     // Nothing covers or nothing to cover: no rows on one side, empty rows
@@ -409,6 +413,90 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
     CoverTable::from_element_rows(by_question, pool.len())
 }
 
+/// The highest-index pool row covering every question under `t`, with the
+/// verdict [`compute_coverage`] reaches for each (demo, question) pair, or
+/// `None` when no row does or there is no question to cover.
+///
+/// Rows are walked from the top down ([`top_down`]), left at their first
+/// uncovered question: at a low-percentile threshold most rows miss the
+/// first one, so a walk that finds nothing costs a little more than one
+/// distance per pool row (189 four-row kernel calls for 600 rows on the
+/// planning bench's 8-question flushes). Euclidean pairs run
+/// [`scan_rows_within`] with the question as the query, as the dense sweep
+/// does; zero-width rows, which the sweep leaves to the index, are left to
+/// the table. Cosine pairs read the sweep's own per-question distance
+/// rows, each computed when the walk first asks its question. The order
+/// questions are asked in changes what the walk costs, never which row it
+/// returns.
+fn full_cover(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> Option<usize> {
+    let n_q = questions.len();
+    let dim = questions.matrix().dim();
+    let t_rank = questions.ranking_threshold(t);
+    if n_q == 0 {
+        return None;
+    }
+    match questions.distance_kind() {
+        DistanceKind::Euclidean if dim == 0 => None,
+        DistanceKind::Euclidean => top_down(pool.len(), n_q, |rows, q, hit| {
+            let block = &pool.matrix().flat()[rows.start * dim..rows.end * dim];
+            scan_rows_within::<true>(dim, questions.vector(q), block, t_rank, |k| hit[k] = true);
+        }),
+        DistanceKind::Cosine => {
+            let mut dists: Vec<Vec<f64>> = vec![Vec::new(); n_q];
+            top_down(pool.len(), n_q, |rows, q, hit| {
+                if dists[q].is_empty() {
+                    dists[q] = vec![0.0f64; pool.len()];
+                    questions.ranking_cross_dists(q, pool, &mut dists[q]);
+                }
+                for (slot, &v) in hit.iter_mut().zip(&dists[q][rows]) {
+                    *slot = v < t_rank;
+                }
+            })
+        }
+    }
+}
+
+/// Pool rows the walk asks about one question at a time: one tile of the
+/// wide kernel, whose four rows accumulate side by side where one row
+/// alone would wait on its own add chain.
+const WALK_ROWS: usize = 4;
+
+/// The highest `d < n_pool` that every `q < n_q` covers. Blocks of
+/// [`WALK_ROWS`] rows go from the top down; `hits(rows, q, hit)` marks
+/// `hit[k]` for each row `rows.start + k` that `q` covers, and a block
+/// asks its questions until none of its rows is left.
+fn top_down(
+    n_pool: usize,
+    n_q: usize,
+    mut hits: impl FnMut(std::ops::Range<usize>, usize, &mut [bool]),
+) -> Option<usize> {
+    // The question that emptied the last block is asked first in the
+    // next: the one a row most often fails.
+    let mut order: Vec<usize> = (0..n_q).collect();
+    let mut end = n_pool;
+    while end > 0 {
+        let start = end.saturating_sub(WALK_ROWS);
+        let mut alive = [true; WALK_ROWS];
+        let alive = &mut alive[..end - start];
+        for i in 0..n_q {
+            let mut hit = [false; WALK_ROWS];
+            hits(start..end, order[i], &mut hit);
+            for (a, h) in alive.iter_mut().zip(hit) {
+                *a &= h;
+            }
+            if !alive.contains(&true) {
+                order[..=i].rotate_right(1);
+                break;
+            }
+        }
+        if let Some(k) = alive.iter().rposition(|&a| a) {
+            return Some(start + k);
+        }
+        end = start;
+    }
+    None
+}
+
 /// The covering strategy downstream of coverage computation: phase-1
 /// greedy demonstration-set generation, the phase-2 per-batch weighted
 /// cover, and the nearest-demo fallback for uncoverable batches.
@@ -445,13 +533,34 @@ pub(crate) struct CoverSet {
 }
 
 impl CoverSet {
-    /// Phase 1 from the questions' threshold and the coverage sweep.
+    /// Phase 1 from the questions' threshold: the greedy's sole pick when
+    /// one pool row covers every question, else the greedy over the
+    /// coverage sweep.
+    ///
+    /// [`greedy_unit_cover`] picks first the highest-index candidate of
+    /// the largest gain. A row covering every question has the largest
+    /// gain there is, and once it is picked nothing else adds coverage, so
+    /// the set is that one row: [`full_cover`] finds it without the table.
+    /// A served flush of two questions, whose threshold is their own
+    /// distance, almost always ends there; a set that needs more rows costs
+    /// the walk about one distance per pool row on top of the sweep.
     pub(crate) fn build(
         questions: &FeatureSpace,
         pool: &FeatureSpace,
         params: SelectionParams,
     ) -> Self {
-        let t = covering_threshold(questions, params);
+        Self::with_threshold(questions, pool, covering_threshold(questions, params))
+    }
+
+    /// [`CoverSet::build`] at threshold `t`.
+    fn with_threshold(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> Self {
+        if let Some(d) = full_cover(questions, pool, t) {
+            let mut members = Rows::new();
+            for _ in 0..questions.len() {
+                members.push_row([0]);
+            }
+            return Self { threshold: t, demos: vec![d], members };
+        }
         Self::from_coverage(&compute_coverage(questions, pool, t), t)
     }
 
@@ -1002,6 +1111,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Covering's phase 1 as [`CoverSet::build`] runs it — stopping at a
+    /// pool row that covers every question — against the greedy over the
+    /// whole coverage table, compared on the whole plan with no tolerance:
+    /// hostile rows, 1–8 questions, 1–48 pool rows, zero-width rows, every
+    /// fixed-width kernel, the generic one and the 64-dim AVX one, both
+    /// metrics, and `t` on a stored distance, off it, above every finite
+    /// distance and at the questions' own percentile. Both routes must
+    /// occur, or the comparison proved nothing about one of them.
+    #[test]
+    fn covering_stop_plans_what_the_table_plans() {
+        let mut rng = proptest::TestRng::deterministic("selection::covering_stop");
+        let (mut stopped, mut swept) = (0usize, 0usize);
+        for case in 0..48 {
+            let seed = any::<u64>().generate(&mut rng);
+            let dim = match (0usize..15).generate(&mut rng) {
+                14 => 64,
+                dim => dim,
+            };
+            let n_q = (1usize..9).generate(&mut rng);
+            let n_pool = (1usize..49).generate(&mut rng);
+            let pick = any::<u32>().generate(&mut rng);
+            let batches = vec![(0..n_q / 2).collect(), (n_q / 2..n_q).collect(), Vec::new()];
+            let tokens = |d: usize| 1.0 + (d % 3) as f64;
+            // `hostile_rows` plants its non-finite values in a column.
+            let rows = |n: usize, seed: u64| match dim {
+                0 => vec![Vec::new(); n],
+                _ => hostile_rows(n, dim, seed),
+            };
+            for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+                let questions = FeatureSpace::from_vectors(rows(n_q, seed), kind);
+                let pool = FeatureSpace::from_vectors(rows(n_pool, !seed), kind);
+                let pairs = (0..n_pool).flat_map(|d| (0..n_q).map(move |q| (d, q)));
+                let finite: Vec<f64> = pairs
+                    .map(|(d, q)| kind.distance(pool.vector(d), questions.vector(q)))
+                    .filter(|v| v.is_finite())
+                    .collect();
+                let (d, q) = (pick as usize % n_pool, (pick >> 8) as usize % n_q);
+                let stored = kind.distance(pool.vector(d), questions.vector(q));
+                let above = finite.iter().fold(0.0f64, |m, &v| m.max(v)) + 1.0;
+                let own = covering_threshold(&questions, SelectionParams::default());
+                for t in [stored, 0.9, above, own] {
+                    if t.is_nan() || t <= 0.0 {
+                        continue; // a NaN/inf pair or a repeat: no threshold to place
+                    }
+                    let set = if t == own {
+                        CoverSet::build(&questions, &pool, SelectionParams::default())
+                    } else {
+                        CoverSet::with_threshold(&questions, &pool, t)
+                    };
+                    let plan = cover_batches(&questions, &pool, &batches, &set, tokens);
+                    let table = compute_coverage(&questions, &pool, t);
+                    let want =
+                        covering_with_coverage(&questions, &pool, &batches, &table, t, tokens);
+                    assert_eq!(
+                        plan, want,
+                        "case {case}: {kind:?} n_q={n_q} pool={n_pool} dim={dim} t={t}"
+                    );
+                    match full_cover(&questions, &pool, t) {
+                        Some(_) => stopped += 1,
+                        None => swept += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            stopped > 0 && swept > 0,
+            "only one route ran: {stopped} stopped at a full cover, {swept} swept the table"
+        );
     }
 
     /// A pool several cache blocks long: the blocked sweep's hits keep
