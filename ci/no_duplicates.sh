@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps ten kinds of dead weight from growing back: a vendored stand-in
+# Keeps eleven kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -18,8 +18,9 @@
 # exact kernels carry it, embed's vecmath.rs and matrix.rs. And a second
 # telemetry mode: an off switch (`fn disabled`, `is_enabled`, a bare
 # `enabled: bool` field) in obs or in er-service's telemetry and flight
-# recorder, where every handle always records. Offline, no dependencies
-# beyond grep and sed.
+# recorder, where every handle always records. And a pivot budget in the
+# metric index (`with_pivots`, `auto_pivots`, `MAX_PIVOTS`, `GateHint`):
+# it keeps one pivot. Offline, no dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,5 +133,13 @@ for hit in $(grep -rnoE '\bfn disabled\b|\bis_enabled\b|(^|[^A-Za-z0-9_])enabled
     fail=1
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder"
+# The metric index keeps one pivot: on the traffic the planner serves,
+# extra pivots and their kill-switch never paid (DESIGN.md §8, Measured).
+for hit in $(grep -rnowE 'with_pivots|auto_pivots|MAX_PIVOTS|GateHint' crates/*/src |
+    cut -d: -f1,2 || true); do
+    echo "FAIL: ${hit} grows a pivot budget back; PivotIndex keeps one pivot (DESIGN.md §8, Measured: extra pivots never paid on served traffic)" >&2
+    fail=1
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index"
 exit "$fail"

@@ -104,15 +104,6 @@ def gate_planning(base, cur):
     gate_design_space_round(cur["design_space_round"])
     gate_kernel_64(cur["kernel_64"])
 
-    for point in cur.get("index_scaling", []):
-        if point["index_speedup"] < 1.0:
-            fail(f"metric index slower than sweep at n={point['n']}: "
-                 f"{point['index_speedup']:.2f}x")
-        if point["pruned_fraction"] < 0.5:
-            fail(f"metric index barely prunes at n={point['n']}: "
-                 f"{point['pruned_fraction']:.4f}")
-    ok(f"index scaling: {len(cur.get('index_scaling', []))} points prune and win")
-
 
 # How much a 2-question flush plan may cost against an 8-question one in
 # the same run.

@@ -16,15 +16,6 @@
 //! write a `BENCH_planning.json` snapshot (path override:
 //! `BENCH_PLANNING_OUT`).
 //!
-//! The snapshot also carries a **metric-index scaling curve**: the
-//! ε-graph construction (the planning bottleneck stage) on a synthetic
-//! 128-dim workload at 10k/30k/100k points (quick mode: 30k only), timed
-//! under both pivot budgets — the default pivot table and the
-//! single-pivot sweep reference (`PivotIndex::with_pivots(m, 1)`) — with
-//! clustering parity asserted between the two and against sampled
-//! brute-force region queries at every scale. Full mode additionally
-//! asserts the pivot table is ≥5x faster than the sweep at 100k.
-//!
 //! And a **`flush_plan`** block, the same in both modes: the plan a served
 //! flush runs — `plan_with_prepared_pool` of 2, 3, 4 and 8 questions
 //! against a 600-row semantic `PreparedPool`, the shape `er-service`'s
@@ -57,10 +48,9 @@
 
 use std::time::Instant;
 
-use cluster::{dbscan_matrix, dbscan_union_find, DbscanParams};
 use embed::index::stats;
 use embed::matrix::scan_rows_within;
-use embed::{FeatureMatrix, PivotIndex};
+use embed::PivotIndex;
 
 use batcher_core::batching::{
     batches_for_clustering, cluster_questions, BatchingStrategy, ClusteringKind,
@@ -76,152 +66,7 @@ use batcher_core::selection::{
 use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace, RunConfig};
 use bench::synth::synth_pairs;
 use datagen::DatasetKind;
-use er_core::{EntityPair, LabeledPair, Rng};
-
-// ---------------------------------------------------------------------
-// Metric-index scaling curve: ε-graph construction at planning scale
-// ---------------------------------------------------------------------
-
-/// Feature dimension of the scaling workload — embedding-scale rows,
-/// twice the width of the serving layer's 64-dim semantic extractor
-/// (`features::SEMANTIC_DIM`).
-const SCALE_DIM: usize = 128;
-/// Dimensions that actually carry cluster structure. Isotropic
-/// high-dim noise would defeat any pivot pruning (all distances
-/// concentrate); real feature matrices have low intrinsic dimension,
-/// modeled here as cluster centers living in a 4-dim subspace.
-const SCALE_INTRINSIC: usize = 4;
-/// Points per cluster, constant across scales so density (not cluster
-/// size) is what grows with `n`.
-const SCALE_CLUSTER: usize = 64;
-/// Per-dimension noise amplitude, scaled so the total displacement from
-/// the cluster center (≤0.4, typically ~0.23) is independent of
-/// `SCALE_DIM` and the cluster geometry stays fixed.
-const SCALE_NOISE: f64 = 0.4 / 11.313_708_498_984_76; // 0.4 / sqrt(128)
-/// Grid spacing of the cluster centers in the intrinsic subspace. Held
-/// constant across scales — the box grows with `n` — so cluster
-/// *density* is scale-invariant and the curve measures pure data-size
-/// scaling rather than a density shift.
-const SCALE_STEP: f64 = 2.0;
-/// Pinned ε: inside the within-cluster distance bulk (~0.33 typical),
-/// well under the cross-cluster floor the jittered grid enforces.
-const SCALE_EPS: f64 = 0.45;
-
-/// Synthesizes the scaling workload: `n` points in ~`n`/64 clusters
-/// whose centers sit on a jittered grid in the intrinsic subspace, with
-/// uniform noise in all `SCALE_DIM` dimensions.
-fn synth_matrix(n: usize, seed: u64) -> FeatureMatrix {
-    let clusters = n.div_ceil(SCALE_CLUSTER);
-    let side = (clusters as f64).powf(1.0 / SCALE_INTRINSIC as f64).ceil() as usize;
-    let step = SCALE_STEP;
-    let mut rng = Rng::from_seed(seed);
-    let mut centers: Vec<[f64; SCALE_INTRINSIC]> = Vec::with_capacity(clusters);
-    'fill: for cell in 0usize.. {
-        let mut c = [0.0; SCALE_INTRINSIC];
-        let mut rest = cell;
-        for coord in &mut c {
-            *coord = (rest % side) as f64 * step
-                + (rng.range(0..1000) as f64 / 1000.0 - 0.5) * step * 0.2;
-            rest /= side;
-        }
-        centers.push(c);
-        if centers.len() == clusters {
-            break 'fill;
-        }
-    }
-    let mut data = Vec::with_capacity(n * SCALE_DIM);
-    for i in 0..n {
-        let c = &centers[i / SCALE_CLUSTER];
-        for d in 0..SCALE_DIM {
-            let base = c.get(d).copied().unwrap_or(0.0);
-            data.push(base + (rng.range(0..2001) as f64 / 1000.0 - 1.0) * SCALE_NOISE);
-        }
-    }
-    FeatureMatrix::from_flat(data, n, SCALE_DIM)
-}
-
-/// One scaling point: ε-graph under both pivot budgets, parity asserted
-/// (full clustering equality + sampled brute-force region queries), JSON
-/// entry returned.
-fn scaling_point(n: usize, quick: bool) -> String {
-    let m = synth_matrix(n, 0xC0FFEE);
-    let params = DbscanParams { eps: SCALE_EPS, min_pts: 3 };
-
-    let before = stats();
-    let started = Instant::now();
-    let auto_index = PivotIndex::build(&m);
-    let build_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    let auto = dbscan_matrix(&m, params);
-    let auto_ms = started.elapsed().as_secs_f64() * 1e3;
-    let pruned_fraction = stats().delta_since(&before).pruned_fraction();
-
-    // The sweep is timed build included, like `dbscan_matrix` above.
-    let started = Instant::now();
-    let sweep_index = PivotIndex::with_pivots(&m, 1);
-    let sweep = dbscan_union_find(&sweep_index, params);
-    let sweep_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // Parity 1: the pivot table and the sweep reference agree exactly.
-    assert_eq!(
-        auto.assignment, sweep.assignment,
-        "scaling n={n}: pivot budgets produced different clusterings"
-    );
-    // Workload sanity: the grid structure was actually recovered.
-    let expect_clusters = n.div_ceil(SCALE_CLUSTER);
-    assert!(
-        auto.n_clusters >= expect_clusters / 2,
-        "scaling n={n}: degenerate workload ({} clusters, expected ~{expect_clusters})",
-        auto.n_clusters
-    );
-
-    // Parity 2: sampled brute-force region queries — both index builds
-    // against the reference scan kernel, exact id sets.
-    let brute_rows = if n >= 100_000 { 200 } else { 400 };
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    let mut rng = Rng::from_seed(0xBEEF);
-    for _ in 0..brute_rows {
-        let r = rng.range(0..n);
-        auto_index.within_into(m.row(r), SCALE_EPS, false, &mut a);
-        sweep_index.within_into(m.row(r), SCALE_EPS, false, &mut b);
-        let mut brute = Vec::new();
-        scan_rows_within::<false>(SCALE_DIM, m.row(r), m.flat(), SCALE_EPS * SCALE_EPS, |k| {
-            brute.push(k as u32);
-        });
-        assert_eq!(
-            a, brute,
-            "scaling n={n} row {r}: pivot table != brute force"
-        );
-        assert_eq!(
-            b, brute,
-            "scaling n={n} row {r}: sweep reference != brute force"
-        );
-    }
-
-    let speedup = sweep_ms / auto_ms;
-    if !quick && n >= 100_000 {
-        assert!(
-            speedup >= 5.0,
-            "metric index speedup {speedup:.1}x below the 5x floor at n={n} \
-             (auto {auto_ms:.1} ms vs sweep {sweep_ms:.1} ms)"
-        );
-    }
-    println!(
-        "scaling n={n}: build {build_ms:.1} ms, dbscan auto {auto_ms:.1} ms, \
-         sweep {sweep_ms:.1} ms ({speedup:.1}x), {} clusters, \
-         pruned {pruned_fraction:.3}, {brute_rows} brute rows checked",
-        auto.n_clusters
-    );
-    format!(
-        "{{ \"n\": {n}, \"dim\": {SCALE_DIM}, \"eps\": {SCALE_EPS}, \
-         \"build_ms\": {build_ms:.2}, \"dbscan_index_ms\": {auto_ms:.2}, \
-         \"dbscan_sweep_ms\": {sweep_ms:.2}, \"index_speedup\": {speedup:.2}, \
-         \"clusters\": {}, \"pruned_fraction\": {pruned_fraction:.4}, \
-         \"brute_rows_checked\": {brute_rows} }}",
-        auto.n_clusters
-    )
-}
+use er_core::{EntityPair, LabeledPair};
 
 // ---------------------------------------------------------------------
 // Per-stage breakdown of the kernel path
@@ -747,8 +592,6 @@ fn main() {
         .collect();
     let stage_json = stage_json.join(", ");
 
-    // The served flush's plan, before the scaling curve so its index
-    // counts see nothing of that block's sweeps.
     let served = datagen::generate(datagen::DatasetKind::DblpScholar, seed);
     let (served_pool, served_questions) = served.pairs().split_at(FLUSH_POOL);
     let served_pool: Vec<&LabeledPair> = served_pool.iter().collect();
@@ -763,17 +606,8 @@ fn main() {
     let round_json = design_space_round(seed);
     let kernel_json = kernel_64(seed, quick);
 
-    // Metric-index scaling curve (parity asserted in-bench).
-    let scales: &[usize] = if quick {
-        &[30_000]
-    } else {
-        &[10_000, 30_000, 100_000]
-    };
-    let scaling_entries: Vec<String> = scales.iter().map(|&n| scaling_point(n, quick)).collect();
-    let scaling_json = scaling_entries.join(",\n    ");
-
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"kernel_64\": {kernel_json},\n  \"index_scaling\": [\n    {scaling_json}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"kernel_64\": {kernel_json}\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

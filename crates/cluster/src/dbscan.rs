@@ -8,14 +8,13 @@
 //!   the tests compare the production path against it.
 //! * [`dbscan_matrix`] — the production path over a contiguous
 //!   [`FeatureMatrix`] (Euclidean metric): an allocation-free
-//!   **union-find** ([`dbscan_union_find`]) over the symmetric pair
-//!   sweep of the exact metric index ([`embed::index`]) — pivot-table
-//!   triangle-inequality pruning in front of the same threshold-scan
-//!   kernel, so every ε-verdict is the one a brute-force scan would
-//!   reach.
+//!   **union-find** over the symmetric pair sweep of the exact metric
+//!   index ([`embed::index`]) — a one-pivot key window in front of the
+//!   same threshold-scan kernel, so every ε-verdict is the one a
+//!   brute-force scan would reach.
 //!
 //! Both produce identical clusterings (the expansion's output is
-//! order-free — see [`dbscan_union_find`] — which the tests pin).
+//! order-free — see [`dbscan_matrix`] — which the tests pin).
 
 use embed::index::PivotIndex;
 use embed::matrix::FeatureMatrix;
@@ -54,16 +53,9 @@ where
 }
 
 /// DBSCAN over a contiguous feature matrix under the Euclidean metric,
-/// with index-pruned region queries. Produces the same clustering as
-/// `dbscan(points, params, euclidean)`, pairs exactly at ε included.
-pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering {
-    dbscan_union_find(&PivotIndex::build(matrix), params)
-}
-
-/// Union-find DBSCAN over the index's symmetric pair sweep — the indexed
-/// entry point behind [`dbscan_matrix`], public so benches can cluster
-/// over an index they built (e.g. `PivotIndex::with_pivots(m, 1)`, the
-/// single-pivot sweep reference).
+/// as union-find over the metric index's symmetric pair sweep. Produces
+/// the same clustering as `dbscan(points, params, euclidean)`, pairs
+/// exactly at ε included.
 ///
 /// Equivalent to BFS expansion because the expansion's output is
 /// order-free under the hood:
@@ -81,7 +73,8 @@ pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering
 /// decide core-ness, then a union/attach pass replayed from the recorded
 /// verdict bits), which costs the distance work of one symmetric sweep
 /// but touches no per-point allocation at all.
-pub fn dbscan_union_find(index: &PivotIndex, params: DbscanParams) -> Clustering {
+pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering {
+    let index = PivotIndex::build(matrix);
     let n = index.len();
     let min_pts = params.min_pts;
 
@@ -332,7 +325,15 @@ mod tests {
 
     #[test]
     fn matrix_path_matches_brute_force() {
-        for (n, dim) in [(1usize, 3usize), (7, 2), (60, 3), (150, 8), (300, 5)] {
+        for (n, dim) in [
+            (1usize, 3usize),
+            (7, 2),
+            (60, 3),
+            (150, 8),
+            (300, 5),
+            (200, 16),
+            (200, 64),
+        ] {
             let pts = scattered(n, dim);
             let matrix = FeatureMatrix::from_rows(pts.clone());
             for eps in [0.2, 0.7, 1.5, 4.0] {

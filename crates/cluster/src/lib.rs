@@ -7,8 +7,8 @@
 //!
 //! Both algorithms accept either `&[Vec<f64>]` (reference slice front
 //! ends) or a contiguous [`embed::FeatureMatrix`] ([`dbscan_matrix`],
-//! [`kmeans_matrix`] — the production kernel paths: a pivot-pruned pair
-//! sweep, dot-trick assignment), and return a
+//! [`kmeans_matrix`] — the production kernel paths: a pair sweep over
+//! one pivot's key windows, dot-trick assignment), and return a
 //! [`Clustering`]: a cluster id per point, where DBSCAN noise points each
 //! form a singleton cluster (the batcher must still query every question,
 //! so no point may be dropped).
@@ -16,7 +16,7 @@
 pub mod dbscan;
 pub mod kmeans;
 
-pub use dbscan::{dbscan, dbscan_matrix, dbscan_union_find, DbscanParams};
+pub use dbscan::{dbscan, dbscan_matrix, DbscanParams};
 pub use kmeans::{kmeans, kmeans_matrix, KMeansParams};
 
 /// A clustering result: `assignment[i]` is the cluster id of point `i`;

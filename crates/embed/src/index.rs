@@ -1,11 +1,13 @@
 //! Exact metric index over [`FeatureMatrix`] rows.
 //!
-//! A LAESA-style pivot table: `P` pivot rows, a per-row vector of
-//! pivot distances, and triangle-inequality candidate elimination
-//! before any full distance computation. For a query `q` and a row `x`,
-//! `|d(q, p) − d(x, p)| ≤ d(q, x)` for every pivot `p`, so when the
-//! left side exceeds the query radius (plus the float slack) the row
-//! cannot be a hit and is skipped without touching its coordinates.
+//! One pivot row and the rows sorted by their distance to it (the
+//! *key*), with triangle-inequality candidate elimination before any
+//! full distance computation. For a query `q` and a row `x`,
+//! `|d(q, p) − d(x, p)| ≤ d(q, x)`, so when the left side exceeds the
+//! query radius (plus the float slack) the row cannot be a hit: the
+//! candidates of a radius query are one binary-searched key window,
+//! verified with one streaming kernel call over the rows gathered
+//! contiguously in key order.
 //!
 //! **Exactness contract.** Pruning only ever *eliminates* candidates;
 //! every survivor is verified with the same arithmetic the brute-force
@@ -30,28 +32,10 @@
 //! **Immutability.** An index is built once over a matrix and never
 //! changes; callers whose rows change rebuild it.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::matrix::{scan_rows_within, FeatureMatrix};
 use crate::vecmath::{dot, sq_euclidean_distance};
-
-/// Hard cap on pivots; query-side pivot distances live on the stack.
-pub const MAX_PIVOTS: usize = 8;
-
-/// Pivot count heuristic: small matrices fit in the single-pivot
-/// window's cache footprint anyway, and at low dimension a full
-/// verification costs no more than an extra-pivot check, so extra
-/// pivots only fragment the streaming verify runs.
-pub fn auto_pivots(n: usize, dim: usize) -> usize {
-    if n < 128 {
-        1
-    } else {
-        match dim {
-            0..=8 => 1,
-            _ => MAX_PIVOTS,
-        }
-    }
-}
 
 // Process-wide counters (relaxed: monotone telemetry, no ordering
 // dependencies). Snapshot with [`stats`]; meter a region by delta.
@@ -84,16 +68,6 @@ impl IndexStats {
             queries: self.queries.saturating_sub(earlier.queries),
             candidates: self.candidates.saturating_sub(earlier.candidates),
             pruned: self.pruned.saturating_sub(earlier.pruned),
-        }
-    }
-
-    /// Fraction of candidates eliminated before full evaluation
-    /// (0 when nothing was queried).
-    pub fn pruned_fraction(&self) -> f64 {
-        if self.candidates == 0 {
-            0.0
-        } else {
-            self.pruned as f64 / self.candidates as f64
         }
     }
 }
@@ -175,97 +149,23 @@ impl PairSweep {
     }
 }
 
-/// Fate of the extra-pivot checks on one index: still being measured,
-/// measured worth keeping, or measured useless. A pure performance
-/// hint — extra pivots only skip verification of provably-out rows, so
-/// switching them off never changes any result, window layout, or
-/// recorded bit. Relaxed atomic.
-#[derive(Debug)]
-struct GateHint(AtomicU8);
-
-const HINT_SAMPLING: u8 = 0;
-const HINT_KEEP: u8 = 1;
-const HINT_OFF: u8 = 2;
-
-/// Samples the first [`ExtraGate::SAMPLE`] extra-pivot checks of a
-/// query or sweep and, when they reject less than 1 candidate in 16 —
-/// concentrated data where every check is paid and almost none prune —
-/// switches them off for the rest of this index's lifetime via
-/// [`GateHint`]. Queries too small to finish the sample leave the hint
-/// unresolved and the next large query resumes measuring.
-struct ExtraGate<'a> {
-    hint: &'a GateHint,
-    enabled: bool,
-    deciding: bool,
-    checked: u32,
-    rejected: u32,
-}
-
-impl<'a> ExtraGate<'a> {
-    const SAMPLE: u32 = 8192;
-
-    fn new(index: &'a PivotIndex) -> Self {
-        let state = if index.n_pivots <= 1 {
-            HINT_OFF
-        } else {
-            index.extra_hint.0.load(Ordering::Relaxed)
-        };
-        ExtraGate {
-            hint: &index.extra_hint,
-            enabled: state != HINT_OFF,
-            deciding: state == HINT_SAMPLING,
-            checked: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Runs `check` (true = the candidate is provably out) unless the
-    /// checks have been measured useless, in which case the candidate
-    /// survives to exact verification.
-    #[inline]
-    fn rejects(&mut self, check: impl FnOnce() -> bool) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let rejected = check();
-        if self.deciding {
-            self.checked += 1;
-            self.rejected += rejected as u32;
-            if self.checked == Self::SAMPLE {
-                self.deciding = false;
-                self.enabled = self.rejected >= Self::SAMPLE / 16;
-                self.hint.0.store(
-                    if self.enabled { HINT_KEEP } else { HINT_OFF },
-                    Ordering::Relaxed,
-                );
-            }
-        }
-        rejected
-    }
-}
-
-/// The pivot-table index: an exact metric index over feature rows whose
+/// The one-pivot index: an exact metric index over feature rows whose
 /// result sets are bit-identical to the brute-force reference kernels.
-/// See the module docs for structure and guarantees;
-/// `with_pivots(matrix, 1)` is the single-pivot window sweep that tests
-/// and benches use as the reference configuration.
+/// See the module docs for structure and guarantees.
 #[derive(Debug)]
 pub struct PivotIndex {
     dim: usize,
 
-    // Pivots (flat, `n_pivots * dim`) and the float slack padding the
-    // pruning bound.
-    pivot_rows: Vec<f64>,
-    n_pivots: usize,
+    // The pivot row (empty when no row is finite) and the float slack
+    // padding the pruning bound.
+    pivot: Vec<f64>,
     slack: f64,
 
     // Build-time rows with fully finite geometry, sorted by
-    // `(d0, id)`: original ids, sorted first-pivot distances, extra
-    // pivot distances (pivot-major, `(n_pivots−1) × seg`), gathered
-    // contiguous rows, gathered squared norms.
+    // `(key, id)`: original ids, sorted pivot distances (the keys),
+    // gathered contiguous rows, gathered squared norms.
     order: Vec<u32>,
     keys: Vec<f64>,
-    extra: Vec<f64>,
     perm: Vec<f64>,
     seg_sqn: Vec<f64>,
 
@@ -275,38 +175,24 @@ pub struct PivotIndex {
     over_ids: Vec<u32>,
     over_rows: Vec<f64>,
     over_sqn: Vec<f64>,
-
-    // Measured usefulness of the extra-pivot checks (performance hint
-    // only; see [`GateHint`]).
-    extra_hint: GateHint,
 }
 
 impl PivotIndex {
-    /// Builds with [`auto_pivots`] pivots.
+    /// Builds the index over every row of `matrix`.
     pub fn build(matrix: &FeatureMatrix) -> Self {
-        Self::with_pivots(matrix, auto_pivots(matrix.len(), matrix.dim()))
-    }
-
-    /// Builds with exactly `pivots` pivots (clamped to
-    /// `1..=MAX_PIVOTS`; fewer when the row spread runs out).
-    pub fn with_pivots(matrix: &FeatureMatrix, pivots: usize) -> Self {
         BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = matrix.len();
         let dim = matrix.dim();
         assert!(u32::try_from(n).is_ok(), "row count exceeds u32 ids");
-        let target = pivots.clamp(1, MAX_PIVOTS);
 
         let mut index = PivotIndex {
             dim,
-            pivot_rows: Vec::new(),
-            n_pivots: 0,
+            pivot: Vec::new(),
             slack: 1e-9,
             order: Vec::new(),
             keys: Vec::new(),
-            extra: Vec::new(),
             perm: Vec::new(),
             seg_sqn: Vec::new(),
-            extra_hint: GateHint(AtomicU8::new(HINT_SAMPLING)),
             over_ids: Vec::new(),
             over_rows: Vec::new(),
             over_sqn: Vec::new(),
@@ -323,85 +209,39 @@ impl PivotIndex {
             })
             .collect();
 
-        // Pivot 0 mirrors the pre-index sweep: the row farthest from
-        // the first (finite) row, first maximum winning. Extra pivots
-        // by farthest-point traversal — maximize the minimum distance
-        // to the pivots already chosen — stopping early once the
-        // spread hits zero (all remaining rows coincide with a pivot).
-        let mut pivot_ids: Vec<usize> = Vec::new();
-        if let Some(base) = (0..n).find(|&i| finite[i]) {
-            let base_d: Vec<f64> = (0..n).map(|j| matrix.sq_dist_rows(base, j)).collect();
-            let mut p0 = base;
-            let mut far = f64::NEG_INFINITY;
-            for (j, &d) in base_d.iter().enumerate() {
-                if finite[j] && d.is_finite() && d > far {
-                    far = d;
-                    p0 = j;
-                }
-            }
-            pivot_ids.push(p0);
-            let mut min_d: Vec<f64> = vec![f64::INFINITY; n];
-            while pivot_ids.len() < target {
-                let p = *pivot_ids.last().expect("at least one pivot");
-                let pd: Vec<f64> = (0..n).map(|j| matrix.sq_dist_rows(p, j).sqrt()).collect();
-                let mut next = None;
-                let mut spread = 0.0f64;
-                for j in 0..n {
-                    if !finite[j] {
-                        continue;
-                    }
-                    if pd[j] < min_d[j] {
-                        min_d[j] = pd[j];
-                    }
-                    if min_d[j].is_finite() && min_d[j] > spread {
-                        spread = min_d[j];
-                        next = Some(j);
+        // The pivot mirrors the pre-index sweep: the row farthest from
+        // the first (finite) row, first maximum winning. Per-row keys
+        // use the dot trick over cached norms, like that sweep; a
+        // finite row whose key overflows still cannot be windowed
+        // soundly, so it overflows too.
+        let keys: Vec<f64> = match (0..n).find(|&i| finite[i]) {
+            Some(base) => {
+                let mut pivot = base;
+                let mut far = f64::NEG_INFINITY;
+                for (j, &ok) in finite.iter().enumerate() {
+                    let d = matrix.sq_dist_rows(base, j);
+                    if ok && d.is_finite() && d > far {
+                        far = d;
+                        pivot = j;
                     }
                 }
-                match next {
-                    Some(j) if spread > 0.0 => pivot_ids.push(j),
-                    _ => break,
-                }
+                index.pivot = matrix.row(pivot).to_vec();
+                (0..n)
+                    .map(|j| matrix.sq_dist_rows(pivot, j).sqrt())
+                    .collect()
             }
-        }
-        index.n_pivots = pivot_ids.len();
-        for &p in &pivot_ids {
-            index.pivot_rows.extend_from_slice(matrix.row(p));
-        }
+            None => vec![f64::NAN; n],
+        };
+        let indexable = |j: usize| finite[j] && keys[j].is_finite();
 
-        if pivot_ids.is_empty() {
-            for i in 0..n {
-                index.over_ids.push(i as u32);
-                index.over_rows.extend_from_slice(matrix.row(i));
-                index.over_sqn.push(matrix.sq_norm(i));
-            }
-            return index;
-        }
-
-        // Per-row pivot distances (dot trick over cached norms, like
-        // the sweep this replaces). A finite row whose distance to any
-        // pivot overflows still cannot be windowed soundly — overflow.
-        let pivot_d: Vec<Vec<f64>> = pivot_ids
-            .iter()
-            .map(|&p| (0..n).map(|j| matrix.sq_dist_rows(p, j).sqrt()).collect())
-            .collect();
-        let indexable: Vec<bool> = (0..n)
-            .map(|j| finite[j] && pivot_d.iter().all(|pd| pd[j].is_finite()))
-            .collect();
-
-        let mut order: Vec<u32> = (0..n as u32).filter(|&j| indexable[j as usize]).collect();
+        let mut order: Vec<u32> = (0..n as u32).filter(|&j| indexable(j as usize)).collect();
         order.sort_unstable_by(|&a, &b| {
-            pivot_d[0][a as usize]
-                .total_cmp(&pivot_d[0][b as usize])
+            keys[a as usize]
+                .total_cmp(&keys[b as usize])
                 .then(a.cmp(&b))
         });
-        let seg = order.len();
-        index.keys = order.iter().map(|&j| pivot_d[0][j as usize]).collect();
-        index.extra = Vec::with_capacity(seg * (index.n_pivots - 1));
-        for pd in pivot_d.iter().skip(1) {
-            index.extra.extend(order.iter().map(|&j| pd[j as usize]));
-        }
-        index.perm = Vec::with_capacity(seg * dim);
+        index.keys = order.iter().map(|&j| keys[j as usize]).collect();
+        index.perm = Vec::with_capacity(order.len() * dim);
         for &j in &order {
             index.perm.extend_from_slice(matrix.row(j as usize));
         }
@@ -409,22 +249,12 @@ impl PivotIndex {
         index.order = order;
         index.slack = 1e-9 + 1e-12 * index.keys.last().copied().unwrap_or(0.0);
 
-        for (j, _) in indexable.iter().enumerate().filter(|&(_, &ok)| !ok) {
+        for j in (0..n).filter(|&j| !indexable(j)) {
             index.over_ids.push(j as u32);
             index.over_rows.extend_from_slice(matrix.row(j));
             index.over_sqn.push(matrix.sq_norm(j));
         }
         index
-    }
-
-    /// Pivots actually in use (may fall short of the requested count on
-    /// degenerate inputs).
-    pub fn n_pivots(&self) -> usize {
-        self.n_pivots
-    }
-
-    fn pivot_row(&self, p: usize) -> &[f64] {
-        &self.pivot_rows[p * self.dim..(p + 1) * self.dim]
     }
 
     fn seg_row(&self, pos: usize) -> &[f64] {
@@ -435,83 +265,16 @@ impl PivotIndex {
         &self.over_rows[oi * self.dim..(oi + 1) * self.dim]
     }
 
-    /// Extra-pivot distance of sorted position `pos` to pivot `p ≥ 1`.
-    fn extra_d(&self, p: usize, pos: usize) -> f64 {
-        self.extra[(p - 1) * self.order.len() + pos]
+    /// The query's key: its pivot distance in subtraction form, the
+    /// established query-side convention of the coverage sweep.
+    fn key_of(&self, query: &[f64]) -> f64 {
+        sq_euclidean_distance(&self.pivot, query).sqrt()
     }
 
-    /// Query-side pivot distances (subtraction form, the established
-    /// query-side convention of the coverage sweep).
-    fn query_pivot_dists(&self, query: &[f64]) -> [f64; MAX_PIVOTS] {
-        let mut qd = [0.0f64; MAX_PIVOTS];
-        for (p, d) in qd.iter_mut().enumerate().take(self.n_pivots) {
-            *d = sq_euclidean_distance(self.pivot_row(p), query).sqrt();
-        }
-        qd
-    }
-
-    /// True when any extra pivot proves sorted position `pos` is
-    /// farther than `pad` from the query (NaN comparisons are false, so
-    /// uncertain rows survive to verification).
-    fn seg_pruned(&self, qd: &[f64; MAX_PIVOTS], pos: usize, pad: f64) -> bool {
-        (1..self.n_pivots).any(|p| (qd[p] - self.extra_d(p, pos)).abs() > pad)
-    }
-
-    /// The radius-query core: verified hits pushed as original ids
-    /// (unsorted). Returns the number of rows fully evaluated.
-    fn within_core(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) -> usize {
-        let t_sq = eps * eps;
-        if self.dim == 0 {
-            // All rows are empty vectors at distance 0.
-            if (strict && 0.0 < t_sq) || (!strict && 0.0 <= t_sq) {
-                out.extend(0..self.len() as u32);
-            }
-            return self.len();
-        }
-        let qd = &self.query_pivot_dists(query);
-        let mut verified = 0usize;
-        let pad = eps + self.slack;
-        let lo = self.keys.partition_point(|&v| v < qd[0] - pad);
-        let hi = self.keys.partition_point(|&v| v <= qd[0] + pad);
-        // Verify maximal runs of surviving candidates with one streaming
-        // kernel call per run (the rows are contiguous in gathered
-        // order): on low-contrast data the window barely prunes and the
-        // run is the whole window, so per-row call overhead never
-        // dominates the arithmetic. Verdicts per row are unchanged —
-        // the kernel evaluates each row independently. Extra-pivot
-        // checks run through the adaptive gate (off when measured
-        // useless; the pivot-0 window above always applies).
-        let mut gate = ExtraGate::new(self);
-        let mut pos = lo;
-        while pos < hi {
-            if gate.rejects(|| self.seg_pruned(qd, pos, pad)) {
-                pos += 1;
-                continue;
-            }
-            let mut end = pos + 1;
-            while end < hi && !gate.rejects(|| self.seg_pruned(qd, end, pad)) {
-                end += 1;
-            }
-            verified += end - pos;
-            let run = &self.perm[pos * self.dim..end * self.dim];
-            if strict {
-                scan_rows_within::<true>(self.dim, query, run, t_sq, |k| {
-                    out.push(self.order[pos + k]);
-                });
-            } else {
-                scan_rows_within::<false>(self.dim, query, run, t_sq, |k| {
-                    out.push(self.order[pos + k]);
-                });
-            }
-            pos = end;
-        }
-        for (oi, &id) in self.over_ids.iter().enumerate() {
-            verified += 1;
-            if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
-                out.push(id);
-            }
-        }
-        verified
+    /// End (exclusive) of sorted position `a_pos`'s upper key window:
+    /// the later rows whose key is within `pad` of its own.
+    fn window_end(&self, a_pos: usize, pad: f64) -> usize {
+        self.keys[a_pos + 1..].partition_point(|&v| v <= self.keys[a_pos] + pad) + a_pos + 1
     }
 }
 
@@ -558,10 +321,41 @@ impl PivotIndex {
     /// with threshold `eps²`.
     pub fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) {
         out.clear();
-        if self.dim > 0 {
-            assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        let t_sq = eps * eps;
+        if self.dim == 0 {
+            // All rows are empty vectors at distance 0.
+            if (strict && 0.0 < t_sq) || (!strict && 0.0 <= t_sq) {
+                out.extend(0..self.len() as u32);
+            }
+            note_query(self.len(), self.len());
+            return;
         }
-        let verified = self.within_core(query, eps, strict, out);
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        let mut verified = self.over_ids.len();
+        if !self.keys.is_empty() {
+            // The key window's rows are contiguous in gathered order,
+            // so one streaming kernel call verifies them all.
+            let key = self.key_of(query);
+            let pad = eps + self.slack;
+            let lo = self.keys.partition_point(|&v| v < key - pad);
+            let hi = self.keys.partition_point(|&v| v <= key + pad);
+            verified += hi - lo;
+            let run = &self.perm[lo * self.dim..hi * self.dim];
+            if strict {
+                scan_rows_within::<true>(self.dim, query, run, t_sq, |k| {
+                    out.push(self.order[lo + k]);
+                });
+            } else {
+                scan_rows_within::<false>(self.dim, query, run, t_sq, |k| {
+                    out.push(self.order[lo + k]);
+                });
+            }
+        }
+        for (oi, &id) in self.over_ids.iter().enumerate() {
+            if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
+                out.push(id);
+            }
+        }
         out.sort_unstable();
         note_query(self.len(), verified);
     }
@@ -590,12 +384,12 @@ impl PivotIndex {
         }
 
         if self.dim > 0 && !self.order.is_empty() {
-            let qd = self.query_pivot_dists(query);
-            // A query with non-finite pivot distances (NaN/inf
-            // coordinates) has no usable bound in either direction:
-            // evaluate the whole segment exactly instead of expanding
-            // windows around a garbage key.
-            if !qd[..self.n_pivots].iter().all(|v| v.is_finite()) {
+            let key = self.key_of(query);
+            // A query with a non-finite key (NaN/inf coordinates) has no
+            // usable bound in either direction: evaluate the whole
+            // segment exactly instead of expanding windows around a
+            // garbage key.
+            if !key.is_finite() {
                 for (pos, &id) in self.order.iter().enumerate() {
                     heap_push(out, k, (value(self.seg_row(pos), self.seg_sqn[pos]), id));
                 }
@@ -612,7 +406,7 @@ impl PivotIndex {
                 }
             };
             let seg = self.order.len();
-            let split = self.keys.partition_point(|&v| v < qd[0]);
+            let split = self.keys.partition_point(|&v| v < key);
             let (mut l, mut r) = (split, split);
             let mut t = tau(out);
             // Expand outward from the query's key position; a side
@@ -620,12 +414,12 @@ impl PivotIndex {
             // row on it is beyond the kth-best distance.
             loop {
                 let lg = if l > 0 {
-                    qd[0] - self.keys[l - 1]
+                    key - self.keys[l - 1]
                 } else {
                     f64::INFINITY
                 };
                 let rg = if r < seg {
-                    self.keys[r] - qd[0]
+                    self.keys[r] - key
                 } else {
                     f64::INFINITY
                 };
@@ -655,9 +449,6 @@ impl PivotIndex {
                     // this far from the pivot key; the two-pointer scan
                     // always takes the smaller gap next, so stop.
                     break;
-                }
-                if self.seg_pruned(&qd, pos, t) {
-                    continue;
                 }
                 verified += 1;
                 heap_push(
@@ -704,12 +495,8 @@ impl PivotIndex {
     /// Records one symmetric sweep into `sweep`: per left-hand row, one
     /// bit window per candidate section (see
     /// [`PivotIndex::sweep_replay`] for the exact layout), hits
-    /// verified by the reference kernel in one streaming call per
-    /// maximal run of surviving candidates. Pruning — window bounds
-    /// aside — only decides *which* candidates are verified, never
-    /// which bits exist, so the adaptive [`ExtraGate`] can switch the
-    /// extra-pivot checks off mid-sweep without affecting the stream.
-    /// Calls `on_hit(min_id, max_id)` per close pair; returns the
+    /// verified by the reference kernel in one streaming call per key
+    /// window. Calls `on_hit(min_id, max_id)` per close pair; returns the
     /// number of rows fully verified.
     fn sweep_record<F: FnMut(u32, u32)>(
         &self,
@@ -737,44 +524,21 @@ impl PivotIndex {
         }
         let pad = eps + self.slack;
         let seg = self.order.len();
-        let mut gate = ExtraGate::new(self);
 
         // Segment × segment: ascending key order, window bounded above
-        // (symmetry covers the lower half). Surviving candidates verify
-        // in maximal runs — one streaming kernel call per run over the
-        // gathered contiguous rows — so when pruning barely fires the
-        // sweep keeps the full streaming arithmetic of a plain window
-        // scan.
+        // (symmetry covers the lower half), verified in one streaming
+        // kernel call over the gathered contiguous rows.
         for a_pos in 0..seg {
             let a_id = self.order[a_pos];
-            let hi = self.keys[a_pos + 1..].partition_point(|&v| v <= self.keys[a_pos] + pad)
-                + a_pos
-                + 1;
+            let hi = self.window_end(a_pos, pad);
             let base = sweep.open_window(hi - a_pos - 1);
-            let a_row = self.seg_row(a_pos);
-            let pruned = |pos: usize| {
-                (1..self.n_pivots)
-                    .any(|p| (self.extra_d(p, a_pos) - self.extra_d(p, pos)).abs() > pad)
-            };
-            let mut pos = a_pos + 1;
-            while pos < hi {
-                if gate.rejects(|| pruned(pos)) {
-                    pos += 1;
-                    continue;
-                }
-                let mut end = pos + 1;
-                while end < hi && !gate.rejects(|| pruned(end)) {
-                    end += 1;
-                }
-                verified += end - pos;
-                let run = &self.perm[pos * self.dim..end * self.dim];
-                scan_rows_within::<false>(self.dim, a_row, run, t_sq, |k| {
-                    let b_id = self.order[pos + k];
-                    sweep.set_hit(base + (pos + k - a_pos - 1));
-                    on_hit(a_id.min(b_id), a_id.max(b_id));
-                });
-                pos = end;
-            }
+            verified += hi - a_pos - 1;
+            let run = &self.perm[(a_pos + 1) * self.dim..hi * self.dim];
+            scan_rows_within::<false>(self.dim, self.seg_row(a_pos), run, t_sq, |k| {
+                let b_id = self.order[a_pos + 1 + k];
+                sweep.set_hit(base + k);
+                on_hit(a_id.min(b_id), a_id.max(b_id));
+            });
         }
 
         // Overflow × everything: no bound available, verify linearly;
@@ -825,10 +589,7 @@ impl PivotIndex {
         let seg = self.order.len();
         for a_pos in 0..seg {
             let a_id = self.order[a_pos];
-            let hi = self.keys[a_pos + 1..].partition_point(|&v| v <= self.keys[a_pos] + pad)
-                + a_pos
-                + 1;
-            let len = hi - a_pos - 1;
+            let len = self.window_end(a_pos, pad) - a_pos - 1;
             sweep.visit_hits(cursor, len, &mut |off| {
                 let b_id = self.order[a_pos + 1 + off];
                 visit(a_id.min(b_id), a_id.max(b_id));
@@ -907,26 +668,19 @@ mod tests {
     }
 
     #[test]
-    fn multi_pivot_matches_brute_force() {
-        for dim in [1, 2, 3, 7, 8, 16] {
+    fn queries_match_brute_force() {
+        for dim in [1, 2, 3, 5, 7, 8, 16] {
             let m = scattered(90, dim, 7 + dim as u64);
-            let index = PivotIndex::with_pivots(&m, 4);
+            let index = PivotIndex::build(&m);
             check_all_queries(&m, &index, 0.9);
         }
-    }
-
-    #[test]
-    fn single_pivot_reference_matches_brute_force() {
-        let m = scattered(70, 5, 3);
-        let index = PivotIndex::with_pivots(&m, 1);
-        check_all_queries(&m, &index, 1.1);
     }
 
     #[test]
     fn close_pairs_and_replay_match_brute_force() {
         let m = scattered(80, 4, 11);
         let eps = 1.2;
-        let index = PivotIndex::with_pivots(&m, 4);
+        let index = PivotIndex::build(&m);
         let mut degrees = vec![0u32; m.len()];
         let sweep = index.close_pairs(eps, &mut degrees);
         let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -967,7 +721,7 @@ mod tests {
     #[test]
     fn single_row_and_identical_rows() {
         let single = FeatureMatrix::from_rows(vec![vec![1.0, 2.0]]);
-        let index = PivotIndex::with_pivots(&single, 4);
+        let index = PivotIndex::build(&single);
         assert_eq!(index.len(), single.len());
         let mut out = Vec::new();
         index.within_into(&[1.0, 2.0], 0.5, false, &mut out);
@@ -978,16 +732,11 @@ mod tests {
             "strict zero radius must exclude the exact match"
         );
 
-        // All-identical rows: zero pivot spread must terminate pivot
-        // selection, and every pair is a close pair.
+        // All-identical rows: zero pivot spread puts every key at 0,
+        // and every pair is a close pair.
         let same = FeatureMatrix::from_rows(vec![vec![3.0, -1.0]; 9]);
-        let index = PivotIndex::with_pivots(&same, 4);
+        let index = PivotIndex::build(&same);
         assert_eq!(index.len(), same.len());
-        assert_eq!(
-            index.n_pivots(),
-            1,
-            "zero spread cannot support extra pivots"
-        );
         check_all_queries(&same, &index, 0.25);
         let mut degrees = vec![0u32; 9];
         let sweep = index.close_pairs(0.1, &mut degrees);
@@ -1020,7 +769,7 @@ mod tests {
         rows[13] = vec![f64::INFINITY, 1.0, -1.0];
         rows[29] = vec![0.0, f64::NEG_INFINITY, f64::NAN];
         let m = FeatureMatrix::from_rows(rows.clone());
-        let index = PivotIndex::with_pivots(&m, 4);
+        let index = PivotIndex::build(&m);
         assert_eq!(index.len(), m.len());
         check_all_queries(&m, &index, 1.3);
         // Non-finite queries: no hits (NaN/inf never satisfies ≤ eps²),
@@ -1042,7 +791,7 @@ mod tests {
         rows[4] = vec![1e200, 1e200];
         rows[9] = vec![-1e200, 1e200];
         let m = FeatureMatrix::from_rows(rows);
-        let index = PivotIndex::with_pivots(&m, 3);
+        let index = PivotIndex::build(&m);
         check_all_queries(&m, &index, 0.7);
     }
 
@@ -1065,7 +814,6 @@ mod tests {
             delta.pruned > 0,
             "a 0.4 radius over scattered data must prune"
         );
-        assert!(delta.pruned_fraction() > 0.0 && delta.pruned_fraction() <= 1.0);
     }
 
     #[test]
@@ -1074,7 +822,7 @@ mod tests {
         let mut rows = vec![vec![0.5, 0.5]; 6];
         rows.extend(scattered(20, 2, 31).to_rows());
         let m = FeatureMatrix::from_rows(rows);
-        let index = PivotIndex::with_pivots(&m, 2);
+        let index = PivotIndex::build(&m);
         let mut near = Vec::new();
         index.nearest_into(&[0.5, 0.5], 4, &mut near);
         assert_eq!(near, brute_nearest(&m, &[0.5, 0.5], 4));
