@@ -102,6 +102,7 @@ def gate_planning(base, cur):
 
     gate_flush_plan(base["flush_plan"], cur["flush_plan"])
     gate_design_space_round(cur["design_space_round"])
+    gate_sim_round(cur["sim_round"])
     gate_kernel_64(cur["kernel_64"])
 
 
@@ -168,6 +169,26 @@ def gate_design_space_round(cur):
              f"split's pool and question pieces")
     ok(f"design-space round: shared_x {got:.2f} (floor {SHARED_X_MIN:.2f}), "
        f"grouped {cur['grouped_ms']:.1f} ms")
+
+
+# How much less a design-space split's LLM calls must cost answered by one
+# simulator than by a fresh one per call. The committed full-mode run reads
+# 2.76 (2.51-2.76 over three full runs on the reference box); a simulator
+# that looks nothing up in its memo of pair readings reads about 1.
+REUSE_X_MIN = 1.5
+
+
+def gate_sim_round(cur):
+    # Both passes answer the same requests in one process (the bench
+    # asserts equal responses), so the ratio needs no committed baseline.
+    got = cur["reuse_x"]
+    if got < REUSE_X_MIN:
+        fail(f"sim round: fresh {cur['fresh_ms']:.1f} ms / shared "
+             f"{cur['shared_ms']:.1f} ms = {got:.2f}x, below "
+             f"{REUSE_X_MIN:.2f}x: the simulator no longer reads each "
+             f"distinct pair once")
+    ok(f"sim round: reuse_x {got:.2f} (floor {REUSE_X_MIN:.2f}), "
+       f"{cur['requests']} requests, shared {cur['shared_ms']:.1f} ms")
 
 
 # How much faster the dispatched 64-dim coverage sweep must run than the

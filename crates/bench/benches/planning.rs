@@ -37,6 +37,13 @@
 //! them. Interleaved, every cell builds everything again. `shared_x`
 //! (interleaved / grouped) is what that sharing buys; CI gates it.
 //!
+//! And a **`sim_round`** block, the same in both modes: the requests the
+//! 15 cells send on one of those splits, rendered once and answered
+//! through one `SimLlm` (*shared*: its memo reads each distinct pair text
+//! once) and through a fresh `SimLlm` per request (*fresh*: every pair
+//! read from scratch), alternating, responses asserted equal. `reuse_x`
+//! (fresh / shared) is what the memo buys within one pass; CI gates it.
+//!
 //! And a **`kernel_64`** block: the covering sweep over 64-dim semantic
 //! rows at the offline workload's shape (300 questions x 3,600 demos) and,
 //! in full mode, at Table VII's DBLP-Scholar shape (5,741 x 17,225), as
@@ -46,6 +53,7 @@
 //! question-index route at the same shape. CI gates `kernel_x` (scalar /
 //! dispatched) on an AVX host.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use embed::index::stats;
@@ -63,10 +71,11 @@ use batcher_core::selection::{
     compute_coverage, covering_threshold, covering_with_coverage, SelectionParams,
     SelectionStrategy,
 };
-use batcher_core::{DistanceKind, ExtractorKind, FeatureSpace, RunConfig};
+use batcher_core::{run_on_split, DistanceKind, ExtractorKind, FeatureSpace, RunConfig};
 use bench::synth::synth_pairs;
 use datagen::DatasetKind;
-use er_core::{EntityPair, LabeledPair};
+use er_core::{Dataset, EntityPair, LabeledPair};
+use llm::{ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
 
 // ---------------------------------------------------------------------
 // Per-stage breakdown of the kernel path
@@ -223,20 +232,36 @@ const ROUND_PASSES: usize = 5;
 /// `benchmark/`'s `offline_design_space` cells: Table IV's 12 batching ×
 /// selection cells on LR features, the best design on Jaccard and on
 /// semantic features (Table VII), and standard prompting (Exp-1).
-fn design_space_cells() -> Vec<BatchPlanConfig> {
+fn design_space_cells() -> Vec<RunConfig> {
     let mut cells = Vec::new();
     for batching in BatchingStrategy::ALL {
         for selection in SelectionStrategy::ALL {
-            cells.push(BatchPlanConfig { batching, selection, ..Default::default() });
+            cells.push(RunConfig { batching, selection, ..Default::default() });
         }
     }
     for extractor in [ExtractorKind::Jaccard, ExtractorKind::Semantic] {
-        cells.push(BatchPlanConfig { extractor, ..Default::default() });
+        cells.push(RunConfig { extractor, ..Default::default() });
     }
-    cells.push(BatchPlanConfig::from_run_config(
-        &RunConfig::standard_prompting(),
-    ));
+    cells.push(RunConfig::standard_prompting());
     cells
+}
+
+/// `kind`'s dataset and its first `ROUND_POOL` training and
+/// `ROUND_QUESTIONS` test pairs.
+fn round_split(kind: DatasetKind, seed: u64) -> (Dataset, Vec<LabeledPair>, Vec<LabeledPair>) {
+    let dataset = datagen::generate(kind, seed);
+    let split = dataset
+        .split_3_1_1(seed)
+        .expect("generated datasets are non-empty");
+    let take = |part: &[&LabeledPair], n: usize| -> Vec<LabeledPair> {
+        part.iter().take(n).map(|p| (*p).clone()).collect()
+    };
+    let (pool, questions) = (
+        take(&split.train, ROUND_POOL),
+        take(&split.test, ROUND_QUESTIONS),
+    );
+    assert_eq!((pool.len(), questions.len()), (ROUND_POOL, ROUND_QUESTIONS));
+    (dataset, pool, questions)
 }
 
 /// The `design_space_round` block: the cells on two splits through
@@ -250,33 +275,20 @@ fn design_space_cells() -> Vec<BatchPlanConfig> {
 /// orders must plan alike.
 fn design_space_round(seed: u64) -> String {
     let kinds = [DatasetKind::DblpScholar, DatasetKind::WalmartAmazon];
-    let splits: Vec<(Vec<LabeledPair>, Vec<LabeledPair>)> = kinds
-        .iter()
-        .map(|&kind| {
-            let dataset = datagen::generate(kind, seed);
-            let split = dataset
-                .split_3_1_1(seed)
-                .expect("generated datasets are non-empty");
-            let take = |part: &[&LabeledPair], n: usize| -> Vec<LabeledPair> {
-                part.iter().take(n).map(|p| (*p).clone()).collect()
-            };
-            (
-                take(&split.train, ROUND_POOL),
-                take(&split.test, ROUND_QUESTIONS),
-            )
-        })
-        .collect();
+    let splits: Vec<_> = kinds.iter().map(|&kind| round_split(kind, seed)).collect();
     let inputs: Vec<(Vec<&LabeledPair>, Vec<&EntityPair>)> = splits
         .iter()
-        .map(|(pool, questions)| {
-            assert_eq!((pool.len(), questions.len()), (ROUND_POOL, ROUND_QUESTIONS));
+        .map(|(_, pool, questions)| {
             (
                 pool.iter().collect(),
                 questions.iter().map(|p| &p.pair).collect(),
             )
         })
         .collect();
-    let cells = design_space_cells();
+    let cells: Vec<BatchPlanConfig> = design_space_cells()
+        .iter()
+        .map(BatchPlanConfig::from_run_config)
+        .collect();
     let n_cells = cells.len();
     let grouped: Vec<(usize, usize)> = (0..inputs.len())
         .flat_map(|s| (0..n_cells).map(move |c| (s, c)))
@@ -321,6 +333,79 @@ fn design_space_round(seed: u64) -> String {
          \"cells\": {n_cells}, \"passes\": {ROUND_PASSES}, \"grouped_ms\": {grouped_ms:.1}, \
          \"interleaved_ms\": {interleaved_ms:.1}, \"shared_x\": {shared_x:.2} }}",
         names.join(", ")
+    )
+}
+
+// ---------------------------------------------------------------------
+// A design-space round's LLM calls: one simulator against one per call
+// ---------------------------------------------------------------------
+
+/// Answers like the simulator and keeps every request it was asked.
+struct Recorder {
+    llm: SimLlm,
+    seen: Mutex<Vec<ChatRequest>>,
+}
+
+impl ChatApi for Recorder {
+    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        self.seen.lock().unwrap().push(request.clone());
+        self.llm.complete(request)
+    }
+}
+
+/// The `sim_round` block: every request the design-space cells send on
+/// DBLP-Scholar's split, answered by one `SimLlm` and by a fresh one per
+/// request. `reuse_x` is fresh / shared, both the best of `ROUND_PASSES`
+/// alternating passes in one process; both must answer alike.
+fn sim_round(seed: u64) -> String {
+    let kind = DatasetKind::DblpScholar;
+    let (dataset, pool, questions) = round_split(kind, seed);
+    let (pool, questions): (Vec<&LabeledPair>, Vec<&LabeledPair>) =
+        (pool.iter().collect(), questions.iter().collect());
+    let recorder = Recorder { llm: SimLlm::new(), seen: Mutex::new(Vec::new()) };
+    let cells = design_space_cells();
+    for config in &cells {
+        run_on_split(
+            &dataset,
+            &pool,
+            &questions,
+            &recorder,
+            RunConfig { seed, ..*config },
+        );
+    }
+    let requests = recorder.seen.into_inner().unwrap();
+
+    let pass = |answer: &dyn Fn(&ChatRequest) -> Result<ChatResponse, LlmError>| {
+        let started = Instant::now();
+        let responses: Vec<_> = requests.iter().map(answer).collect();
+        (started.elapsed().as_secs_f64() * 1e3, responses)
+    };
+    let (mut shared_ms, mut fresh_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUND_PASSES {
+        let shared = SimLlm::new();
+        let (ms, shared_responses) = pass(&|r| shared.complete(r));
+        shared_ms = shared_ms.min(ms);
+        let (ms, fresh_responses) = pass(&|r| SimLlm::new().complete(r));
+        fresh_ms = fresh_ms.min(ms);
+        assert!(
+            shared_responses == fresh_responses,
+            "sim round: one simulator answered differently from one per request"
+        );
+    }
+    let reuse_x = fresh_ms / shared_ms;
+    println!(
+        "sim round, {} requests of {} cells: shared {shared_ms:.1} ms, fresh {fresh_ms:.1} ms, \
+         reuse_x {reuse_x:.2}",
+        requests.len(),
+        cells.len()
+    );
+    format!(
+        "{{ \"split\": \"{}\", \"pool\": {ROUND_POOL}, \"questions\": {ROUND_QUESTIONS}, \
+         \"cells\": {}, \"requests\": {}, \"passes\": {ROUND_PASSES}, \
+         \"shared_ms\": {shared_ms:.1}, \"fresh_ms\": {fresh_ms:.1}, \"reuse_x\": {reuse_x:.2} }}",
+        kind.short_name(),
+        cells.len(),
+        requests.len()
     )
 }
 
@@ -604,10 +689,11 @@ fn main() {
         .map(|n| flush_plan_point(n, &prepared, served_questions))
         .join(",\n    ");
     let round_json = design_space_round(seed);
+    let sim_json = sim_round(seed);
     let kernel_json = kernel_64(seed, quick);
 
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"kernel_64\": {kernel_json}\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"sim_round\": {sim_json},\n  \"kernel_64\": {kernel_json}\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

@@ -4,6 +4,8 @@
 //! contract the LLM simulator's fuzzy parser recognizes — and are close to
 //! the published BatchER prompt templates the real GPT endpoints consumed.
 
+use std::fmt::Write;
+
 use er_core::LabeledPair;
 
 /// The task description heading every prompt (the `Desc` term of Eq. 2).
@@ -19,7 +21,8 @@ pub fn task_description(domain: &str) -> String {
 /// demonstrations and serialized questions.
 ///
 /// With a single question this is exactly standard prompting (Fig. 1a);
-/// with `b` questions it is batch prompting (Fig. 1b).
+/// with `b` questions it is batch prompting (Fig. 1b). Every line is
+/// written straight into the prompt, with no string of its own.
 pub fn build_batch_prompt(
     description: &str,
     demos: &[&LabeledPair],
@@ -32,27 +35,26 @@ pub fn build_batch_prompt(
         out.push_str("Demonstrations:\n");
         for (i, d) in demos.iter().enumerate() {
             let verdict = if d.label.is_match() { "yes" } else { "no" };
-            out.push_str(&format!(
-                "D{}: {} => {verdict}\n",
-                i + 1,
-                d.pair.serialize()
-            ));
+            let _ = write!(out, "D{}: ", i + 1);
+            d.pair.write_serialized(&mut out);
+            let _ = writeln!(out, " => {verdict}");
         }
         out.push('\n');
     }
     out.push_str("Questions:\n");
     for (i, q) in questions.iter().enumerate() {
-        out.push_str(&format!("Q{}: {q}\n", i + 1));
+        let _ = writeln!(out, "Q{}: {q}", i + 1);
     }
     out.push('\n');
     if questions.len() == 1 {
         out.push_str("Answer in the form \"Q1: yes\" or \"Q1: no\".");
     } else {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "For each of the {} questions, answer on its own line in the \
              form \"Qi: yes\" or \"Qi: no\".",
             questions.len()
-        ));
+        );
     }
     out
 }
@@ -76,6 +78,63 @@ mod tests {
             assert_eq!(demo.label.is_match(), parsed_demo.label);
         }
         assert!(parsed.task_description.contains("entity resolution"));
+    }
+
+    /// The rendering before lines were written in place: one `format!`
+    /// string per line and one `serialize()` string per demonstration.
+    fn reference_prompt(description: &str, demos: &[&LabeledPair], questions: &[String]) -> String {
+        let mut out = String::new();
+        out.push_str(description);
+        out.push_str("\n\n");
+        if !demos.is_empty() {
+            out.push_str("Demonstrations:\n");
+            for (i, d) in demos.iter().enumerate() {
+                let verdict = if d.label.is_match() { "yes" } else { "no" };
+                out.push_str(&format!(
+                    "D{}: {} => {verdict}\n",
+                    i + 1,
+                    d.pair.serialize()
+                ));
+            }
+            out.push('\n');
+        }
+        out.push_str("Questions:\n");
+        for (i, q) in questions.iter().enumerate() {
+            out.push_str(&format!("Q{}: {q}\n", i + 1));
+        }
+        out.push('\n');
+        if questions.len() == 1 {
+            out.push_str("Answer in the form \"Q1: yes\" or \"Q1: no\".");
+        } else {
+            out.push_str(&format!(
+                "For each of the {} questions, answer on its own line in the \
+                 form \"Qi: yes\" or \"Qi: no\".",
+                questions.len()
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn prompt_bytes_match_reference_rendering_on_every_dataset() {
+        for kind in DatasetKind::ALL {
+            let d = generate(kind, 3);
+            let desc = task_description(kind.short_name());
+            let pairs = d.pairs();
+            for (n_demos, n_questions) in [(0, 1), (8, 1), (0, 8), (8, 8), (12, 20)] {
+                let demos: Vec<&LabeledPair> = pairs.iter().take(n_demos).collect();
+                let questions: Vec<String> = pairs[n_demos..n_demos + n_questions]
+                    .iter()
+                    .map(|p| p.pair.serialize())
+                    .collect();
+                assert_eq!(
+                    build_batch_prompt(&desc, &demos, &questions),
+                    reference_prompt(&desc, &demos, &questions),
+                    "{} with {n_demos} demos, {n_questions} questions",
+                    kind.short_name()
+                );
+            }
+        }
     }
 
     #[test]

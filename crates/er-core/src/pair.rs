@@ -98,6 +98,12 @@ impl EntityPair {
     /// embedding — reuses one allocation.
     pub fn serialize_into(&self, out: &mut String) {
         out.clear();
+        self.write_serialized(out);
+    }
+
+    /// Appends [`EntityPair::serialize`]'s text to `out`, for a caller
+    /// building a larger text (a prompt) around it.
+    pub fn write_serialized(&self, out: &mut String) {
         write_pair(&self.a, &self.b, out);
     }
 }

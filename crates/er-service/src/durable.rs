@@ -39,9 +39,13 @@ use crate::telemetry::Telemetry;
 pub struct WalConfig {
     /// Log directory (created if missing).
     pub dir: PathBuf,
-    /// Fsync policy. [`SyncPolicy::Batched`] survives process kills with
-    /// near-zero overhead; [`SyncPolicy::Always`] also survives power
-    /// loss.
+    /// Fsync policy. Every policy survives process kills.
+    /// [`SyncPolicy::Batched`] also bounds what power loss can drop, at
+    /// the price of an fsync inline on every 32nd record: on the
+    /// benchmark's `serve_fresh` that is one fsync per 8 two-question
+    /// batches, 14–18% of the run's wall time (1,633 fsyncs of
+    /// 340–440 µs, 2-vCPU box). [`SyncPolicy::Always`] loses no completed
+    /// append to power loss.
     pub sync: SyncPolicy,
     /// Segment roll threshold in bytes.
     pub segment_bytes: u64,

@@ -6,8 +6,8 @@ use std::sync::{Mutex, PoisonError};
 use er_core::TokenCount;
 
 use crate::chat::{ChatRequest, ChatResponse, FinishReason, LlmError, Usage};
-use crate::engine::{call_rng, decide};
-use crate::parse::parse_prompt;
+use crate::engine::{call_rng, decide, ReadingMemo};
+use crate::parse::scan_prompt;
 use crate::pricing::PriceTable;
 use crate::respond::render_answers;
 use crate::tokenizer::count_tokens;
@@ -47,15 +47,19 @@ pub enum InjectedFault {
 ///
 /// Apart from an injected fault, an answer is a pure function of the
 /// request (seed, prompt text, model and temperature), so a single
-/// instance can serve concurrent callers. Faults are injected only
-/// through [`SimLlm::with_failure_schedule`]'s positional queue, the
-/// endpoint's one piece of state; usage is the caller's to count (every
-/// response carries its tokens and cost).
+/// instance can serve concurrent callers. The endpoint keeps two pieces
+/// of state: [`SimLlm::with_failure_schedule`]'s positional fault queue,
+/// the only way faults are injected, and a bounded memo of the pairs it
+/// has read (`engine::ReadingMemo`), which saves reading a pair twice and
+/// changes no answer. Usage is the caller's to count (every response
+/// carries its tokens and cost).
 #[derive(Debug, Default)]
 pub struct SimLlm {
     /// Deterministic per-call fault queue; `None` entries are healthy
     /// calls, an exhausted queue serves healthily forever.
     schedule: Mutex<VecDeque<Option<InjectedFault>>>,
+    /// Readings of the pair texts already answered or shown.
+    readings: ReadingMemo,
 }
 
 impl SimLlm {
@@ -73,7 +77,7 @@ impl SimLlm {
     where
         I: IntoIterator<Item = Option<InjectedFault>>,
     {
-        Self { schedule: Mutex::new(schedule.into_iter().collect()) }
+        Self { schedule: Mutex::new(schedule.into_iter().collect()), ..Self::default() }
     }
 }
 
@@ -103,7 +107,7 @@ impl ChatApi for SimLlm {
         // draw stays so every answer pinned in `tests/sim_golden.rs` holds.
         let _retired_draw = rng.next_u64();
 
-        let parsed = parse_prompt(&request.prompt);
+        let parsed = scan_prompt(&request.prompt);
 
         // Llama2 fails to produce usable output for multi-question prompts
         // (§VI-F); emulated as an empty completion the client cannot parse.
@@ -114,7 +118,7 @@ impl ChatApi for SimLlm {
         } else {
             // Temperature scales noise relative to the paper's 0.01 setting.
             let noise_scale = (request.temperature / 0.01).clamp(0.0, 100.0);
-            let decisions = decide(&parsed, &profile, noise_scale, &mut rng);
+            let decisions = decide(&parsed, &profile, noise_scale, &mut rng, &self.readings);
             render_answers(&decisions)
         };
 

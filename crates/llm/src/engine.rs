@@ -19,14 +19,23 @@
 //! stated answer, `sharpness_eff` grows with in-batch diversity (contrast
 //! effect) and `σ_eff` grows for single-question prompts (standard
 //! prompting's instability).
+//!
+//! A reading depends on the pair text alone — not on the model, the seed,
+//! the demonstration's label or the pair's place in the prompt — so
+//! `decide` reads through a `ReadingMemo` keyed by the raw pair text:
+//! a design-space pass asks the same questions in every cell and shows
+//! the same demonstrations to many batches, and each distinct pair is read
+//! once.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::fmt::Write;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use er_core::Rng;
 use text_sim::{fnv1a64, jaccard_sorted, levenshtein_ratio, normalize_into};
 
-use crate::parse::{ParsedAttr, ParsedPair, ParsedPrompt};
+use crate::parse::{parse_pair_text, ParsedAttr, ParsedPair, ScannedPrompt};
 use crate::profile::CapabilityProfile;
 
 /// One answered question.
@@ -44,19 +53,26 @@ pub struct Decision {
     pub copied: bool,
 }
 
-/// Answers every question in the parsed prompt.
+/// Answers every question in the scanned prompt.
 ///
 /// `noise_scale` multiplies the profile's σ (driven by temperature), and
 /// `rng` must be derived deterministically from the request seed so that
-/// identical requests produce identical responses.
-pub fn decide(
-    parsed: &ParsedPrompt<'_>,
+/// identical requests produce identical responses. Every pair is read
+/// through `memo`; what it remembers changes no answer.
+pub(crate) fn decide(
+    parsed: &ScannedPrompt<'_>,
     profile: &CapabilityProfile,
     noise_scale: f64,
     rng: &mut Rng,
+    memo: &ReadingMemo,
 ) -> Vec<Decision> {
-    let mut reader = Reader::default();
-    let features: Vec<PairFeatures> = parsed.questions.iter().map(|q| reader.pair(q)).collect();
+    let pairs = parsed
+        .questions
+        .iter()
+        .copied()
+        .chain(parsed.demos.iter().map(|d| d.0));
+    let readings = memo.read_all(pairs);
+    let (features, demo_readings) = readings.split_at(parsed.questions.len());
     let scores: Vec<f64> = features.iter().map(|f| f.score).collect();
 
     // Contrast effect: mutually diverse batches let the model calibrate by
@@ -77,10 +93,10 @@ pub fn decide(
         profile.noise_sigma * (1.0 + profile.similar_batch_noise * (1.0 - diversity)) * noise_scale
     };
 
-    let demo_features: Vec<(PairFeatures, bool)> = parsed
-        .demos
+    let demo_features: Vec<(&PairFeatures, bool)> = demo_readings
         .iter()
-        .map(|d| (reader.pair(&d.pair), d.label))
+        .zip(&parsed.demos)
+        .map(|(reading, &(_, label))| (&**reading, label))
         .collect();
 
     let mut decisions: Vec<Decision> = Vec::with_capacity(features.len());
@@ -113,10 +129,10 @@ pub fn decide(
         // (§VI-C: Cover ≈ Topk-question on accuracy).
         let mut best_k = 0.0f64;
         let mut rest_sum = 0.0f64;
-        for (df, label) in &demo_features {
+        for &(df, label) in &demo_features {
             let d = feat.distance(df);
             let k = (-(d / profile.demo_bandwidth).powi(2)).exp();
-            let signed = if *label { k } else { -k };
+            let signed = if label { k } else { -k };
             if signed.abs() > best_k.abs() {
                 rest_sum += best_k * 0.25;
                 best_k = signed;
@@ -143,19 +159,23 @@ pub fn decide(
 }
 
 /// The engine's latent reading of one pair: per-attribute similarities and
-/// an aggregate score.
+/// an aggregate score. It owns its attribute names, packed into one
+/// string, so it outlives the prompt it was read from and a memo entry is
+/// a handful of allocations, not one per name.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PairFeatures<'p> {
-    /// `(attribute name, similarity)` per aligned attribute; only an
-    /// unnamed attribute's `field{idx}` is not borrowed from the prompt.
-    pub per_attr: Vec<(Cow<'p, str>, f64)>,
+pub struct PairFeatures {
+    /// Every aligned attribute's name, concatenated in attribute order.
+    names: String,
+    /// Per aligned attribute: where its name ends in `names`, and its
+    /// similarity.
+    attrs: Vec<(usize, f64)>,
     /// Weighted aggregate in `[0, 1]`.
     pub score: f64,
-    /// `per_attr` indices by ascending name, each name's first only.
+    /// `attrs` indices by ascending name, each name's first only.
     name_order: Vec<usize>,
 }
 
-impl<'p> PairFeatures<'p> {
+impl PairFeatures {
     /// Reads a parsed pair into features. Attributes align by name when
     /// names parse on both sides, positionally otherwise.
     ///
@@ -165,8 +185,19 @@ impl<'p> PairFeatures<'p> {
     /// the behaviour the paper observes GPT exhibiting on Walmart-Amazon's
     /// `modelno` (§VI-B). Identifier-like values (single tokens mixing
     /// letters and digits) disagree hard when unequal.
-    pub fn of(pair: &ParsedPair<'p>) -> Self {
+    pub fn of(pair: &ParsedPair<'_>) -> Self {
         Reader::default().pair(pair)
+    }
+
+    /// `(attribute name, similarity)` per aligned attribute, in order; an
+    /// unnamed attribute reads `field{idx}`, an unparseable pair `text`.
+    pub fn per_attr(&self) -> impl Iterator<Item = (&str, f64)> {
+        (0..self.attrs.len()).map(|i| (self.name(i), self.attrs[i].1))
+    }
+
+    fn name(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.attrs[i - 1].0 };
+        &self.names[start..self.attrs[i].0]
     }
 
     /// Arity-normalized Euclidean distance between two feature readings,
@@ -182,8 +213,8 @@ impl<'p> PairFeatures<'p> {
                 (None, Some(_)) => Ordering::Greater,
                 (None, None) => break,
             };
-            let a = x.next_if(|_| order.is_le()).map_or(0.5, |(_, s)| *s);
-            let b = y.next_if(|_| order.is_ge()).map_or(0.5, |(_, s)| *s);
+            let a = x.next_if(|_| order.is_le()).map_or(0.5, |(_, s)| s);
+            let b = y.next_if(|_| order.is_ge()).map_or(0.5, |(_, s)| s);
             sum += (a - b) * (a - b);
             names += 1;
         }
@@ -191,21 +222,139 @@ impl<'p> PairFeatures<'p> {
     }
 
     /// `(name, similarity)` of each name's first occurrence, by name.
-    fn by_name(&self) -> impl Iterator<Item = &(Cow<'p, str>, f64)> {
-        self.name_order.iter().map(|&i| &self.per_attr[i])
+    fn by_name(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.name_order
+            .iter()
+            .map(|&i| (self.name(i), self.attrs[i].1))
     }
 
     /// Attribute the model cites in its rationale: the most similar one
     /// when answering yes, the least similar when answering no.
     pub fn extreme_attr(&self, answer: bool) -> Option<String> {
-        let iter = self.per_attr.iter();
+        let iter = self.per_attr();
         let chosen = if answer {
             iter.max_by(|a, b| a.1.total_cmp(&b.1))
         } else {
             iter.min_by(|a, b| a.1.total_cmp(&b.1))
         };
-        chosen.map(|(n, _)| n.to_string())
+        chosen.map(|(n, _)| n.to_owned())
     }
+}
+
+/// The most a [`ReadingMemo`] holds, in bytes of key text plus reading.
+/// One `offline_design_space` round reads 5,616 distinct pair texts
+/// (1.2 MB of text, 2.5 MB with their readings); a full memo is emptied
+/// rather than trimmed.
+const MEMO_MAX_BYTES: usize = 4 << 20;
+
+/// The most one entry may take: a longer pair text is read but not
+/// remembered, so no single prompt empties or pins the memo.
+const MEMO_MAX_ENTRY_BYTES: usize = MEMO_MAX_BYTES / 256;
+
+/// Readings of the pair texts already read, keyed by the full raw pair
+/// text — compared by equality, the hash only picks the bucket — and
+/// bounded by [`MEMO_MAX_BYTES`]. Demonstrations and questions share it,
+/// since a label is not part of a reading. One lock per call looks up,
+/// another inserts what the call read; reading happens outside both.
+#[derive(Default)]
+pub(crate) struct ReadingMemo {
+    table: Mutex<MemoTable>,
+}
+
+type Readings = HashMap<Box<str>, Arc<PairFeatures>>;
+
+#[derive(Default)]
+struct MemoTable {
+    readings: Readings,
+    /// [`footprint`] summed over `readings`.
+    bytes: usize,
+}
+
+impl std::fmt::Debug for ReadingMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let table = self.lock();
+        f.debug_struct("ReadingMemo")
+            .field("entries", &table.readings.len())
+            .field("bytes", &table.bytes)
+            .finish()
+    }
+}
+
+impl ReadingMemo {
+    /// The table is consistent after every insert or clear, so a
+    /// poisoned lock is safe to take.
+    fn lock(&self) -> MutexGuard<'_, MemoTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The reading of each raw pair text, in order: remembered ones looked
+    /// up, the rest parsed, read and then remembered.
+    fn read_all<'p>(&self, pairs: impl Iterator<Item = &'p str>) -> Vec<Arc<PairFeatures>> {
+        let pairs: Vec<&str> = pairs.collect();
+        let found: Vec<Option<Arc<PairFeatures>>> = {
+            let table = self.lock();
+            pairs
+                .iter()
+                .map(|&raw| table.readings.get(raw).cloned())
+                .collect()
+        };
+        let mut reader = Reader::default();
+        let mut fresh: Vec<(&str, Arc<PairFeatures>)> = Vec::new();
+        let readings = found
+            .into_iter()
+            .zip(&pairs)
+            .map(|(hit, &raw)| {
+                hit.unwrap_or_else(|| {
+                    let reading = Arc::new(reader.pair(&parse_pair_text(raw)));
+                    fresh.push((raw, Arc::clone(&reading)));
+                    reading
+                })
+            })
+            .collect();
+        if !fresh.is_empty() {
+            let mut table = self.lock();
+            let evicted: Vec<_> = fresh
+                .into_iter()
+                .filter_map(|(raw, reading)| table.insert(raw, reading))
+                .collect();
+            drop(table);
+            drop(evicted);
+        }
+        readings
+    }
+}
+
+impl MemoTable {
+    /// Remembers `reading` under `raw` unless the entry is over its limit
+    /// or already there. When it would pass the cap, every entry goes
+    /// first: returned, so the caller frees them after the lock.
+    fn insert(&mut self, raw: &str, reading: Arc<PairFeatures>) -> Option<Readings> {
+        let bytes = footprint(raw, &reading);
+        if bytes > MEMO_MAX_ENTRY_BYTES || self.readings.contains_key(raw) {
+            return None;
+        }
+        let evicted = (self.bytes + bytes > MEMO_MAX_BYTES).then(|| {
+            self.bytes = 0;
+            std::mem::take(&mut self.readings)
+        });
+        self.readings.insert(raw.into(), reading);
+        self.bytes += bytes;
+        evicted
+    }
+}
+
+/// Bytes an entry holds: its key text, its reading's names and vectors,
+/// and the fixed parts of the slot, the `Arc` and the reading.
+fn footprint(raw: &str, reading: &PairFeatures) -> usize {
+    use std::mem::size_of;
+    let fixed = size_of::<(Box<str>, Arc<PairFeatures>)>()
+        + 2 * size_of::<usize>()
+        + size_of::<PairFeatures>();
+    fixed
+        + raw.len()
+        + reading.names.capacity()
+        + reading.attrs.capacity() * size_of::<(usize, f64)>()
+        + reading.name_order.capacity() * size_of::<usize>()
 }
 
 /// The value named `name` (its first occurrence), else the one at `idx`.
@@ -249,6 +398,8 @@ const VARIANT_MARKERS: &[&str] = &[
 struct Reader {
     a: Value,
     b: Value,
+    /// The names of the pair being read, concatenated.
+    names: String,
 }
 
 #[derive(Debug, Default)]
@@ -291,39 +442,53 @@ impl Value {
 
 impl Reader {
     /// [`PairFeatures::of`] through this reader's buffers.
-    fn pair<'p>(&mut self, pair: &ParsedPair<'p>) -> PairFeatures<'p> {
-        let mut per_attr: Vec<(Cow<'p, str>, f64)> = Vec::with_capacity(pair.a.len().max(1));
+    fn pair(&mut self, pair: &ParsedPair<'_>) -> PairFeatures {
+        let mut names = std::mem::take(&mut self.names);
+        names.clear();
+        let mut sims: Vec<(usize, f64)> = Vec::with_capacity(pair.a.len().max(1));
         let mut conflict: f64 = 0.0;
         for (idx, &(name, va)) in pair.a.iter().enumerate() {
             let (sim, c) = lookup(&pair.b, name, idx).map_or((0.0, 0.0), |vb| self.attr(va, vb));
             conflict = conflict.max(c);
-            let name = match name {
-                "" => Cow::Owned(format!("field{idx}")),
-                _ => Cow::Borrowed(name),
-            };
-            per_attr.push((name, sim));
+            match name {
+                "" => {
+                    let _ = write!(names, "field{idx}");
+                }
+                _ => names.push_str(name),
+            }
+            sims.push((names.len(), sim));
         }
-        if per_attr.is_empty() {
+        if sims.is_empty() {
             // Nothing parseable: fall back to whole-text similarity of the
             // raw halves (an LLM would still read the characters).
             let sim = pair
                 .raw
                 .split_once("[SEP]")
                 .map_or(0.0, |(l, r)| self.attr(l, r).0);
-            per_attr.push((Cow::Borrowed("text"), sim));
+            names.push_str("text");
+            sims.push((names.len(), sim));
         }
         // The first attribute (title-like) carries double weight: in the
         // Magellan schemas it is by far the most discriminative.
-        let num = per_attr.iter().fold(per_attr[0].1, |num, (_, s)| num + s);
-        let base = num / (per_attr.len() + 1) as f64;
+        let num = sims.iter().fold(sims[0].1, |num, (_, s)| num + s);
+        let base = num / (sims.len() + 1) as f64;
         let score = (base - 0.9 * conflict).clamp(0.0, 1.0);
 
+        let mut features = PairFeatures {
+            names: names.as_str().to_owned(),
+            attrs: sims,
+            score,
+            name_order: Vec::new(),
+        };
+        self.names = names;
         // Ties broken by position, so the first of a repeated name leads
         // its run and survives the dedup.
-        let mut name_order: Vec<usize> = (0..per_attr.len()).collect();
-        name_order.sort_unstable_by(|&i, &j| per_attr[i].0.cmp(&per_attr[j].0).then(i.cmp(&j)));
-        name_order.dedup_by(|later, first| per_attr[*later].0 == per_attr[*first].0);
-        PairFeatures { per_attr, score, name_order }
+        let mut name_order: Vec<usize> = (0..features.attrs.len()).collect();
+        name_order
+            .sort_unstable_by(|&i, &j| features.name(i).cmp(features.name(j)).then(i.cmp(&j)));
+        name_order.dedup_by(|later, first| features.name(*later) == features.name(*first));
+        features.name_order = name_order;
+        features
     }
 
     /// Reads the raw values `va` and `vb` into `(similarity, conflict)`.
@@ -398,7 +563,7 @@ pub fn call_rng(seed: u64, prompt: &str) -> Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_prompt;
+    use crate::parse::{parse_prompt, scan_prompt};
     use crate::profile::ModelKind;
 
     fn quiet_profile() -> CapabilityProfile {
@@ -414,10 +579,14 @@ mod tests {
         call_rng(7, "test")
     }
 
+    fn memo() -> ReadingMemo {
+        ReadingMemo::default()
+    }
+
     #[test]
     fn identical_pair_answers_yes() {
-        let p = parse_prompt("Q1: title: iphone 13, id: 77 [SEP] title: iphone 13, id: 77");
-        let d = decide(&p, &quiet_profile(), 1.0, &mut rng());
+        let p = scan_prompt("Q1: title: iphone 13, id: 77 [SEP] title: iphone 13, id: 77");
+        let d = decide(&p, &quiet_profile(), 1.0, &mut rng(), &memo());
         assert_eq!(d.len(), 1);
         assert!(d[0].answer);
         assert!(!d[0].copied);
@@ -425,9 +594,8 @@ mod tests {
 
     #[test]
     fn disjoint_pair_answers_no() {
-        let p =
-            parse_prompt("Q1: title: lawn mower, id: 9 [SEP] title: quantum textbook, id: 4411");
-        let d = decide(&p, &quiet_profile(), 1.0, &mut rng());
+        let p = scan_prompt("Q1: title: lawn mower, id: 9 [SEP] title: quantum textbook, id: 4411");
+        let d = decide(&p, &quiet_profile(), 1.0, &mut rng(), &memo());
         assert!(!d[0].answer);
         assert!(d[0].decisive_attr.is_some());
     }
@@ -437,8 +605,8 @@ mod tests {
         // A borderline question: moderate similarity. Without demos, the
         // quiet model with threshold 0.5 sits near the boundary.
         let q = "Q1: title: acer aspire 5 laptop, id: a515 [SEP] title: acer aspire five, id: a515";
-        let base = parse_prompt(q);
-        let without = decide(&base, &quiet_profile(), 1.0, &mut rng());
+        let base = scan_prompt(q);
+        let without = decide(&base, &quiet_profile(), 1.0, &mut rng(), &memo());
 
         // Add a nearby matching demonstration (same textual pattern, label
         // yes): the kernel term must push the logit up.
@@ -446,10 +614,11 @@ mod tests {
             "D1: title: asus rog strix laptop, id: g713 [SEP] title: asus rog strix, id: g713 => yes\n{q}"
         );
         let with = decide(
-            &parse_prompt(&with_demo_prompt),
+            &scan_prompt(&with_demo_prompt),
             &quiet_profile(),
             1.0,
             &mut rng(),
+            &memo(),
         );
         assert!(with[0].confidence >= without[0].confidence || with[0].answer);
     }
@@ -463,8 +632,14 @@ mod tests {
         let no_prompt =
             format!("D1: title: widget beta, id: 2 [SEP] title: widget beta v2, id: 2x => no\n{q}");
         let profile = quiet_profile();
-        let yes = decide(&parse_prompt(&yes_prompt), &profile, 1.0, &mut rng());
-        let no = decide(&parse_prompt(&no_prompt), &profile, 1.0, &mut rng());
+        let yes = decide(
+            &scan_prompt(&yes_prompt),
+            &profile,
+            1.0,
+            &mut rng(),
+            &memo(),
+        );
+        let no = decide(&scan_prompt(&no_prompt), &profile, 1.0, &mut rng(), &memo());
         // Identical question, opposite demo labels: the yes-demo run must
         // not be less match-inclined than the no-demo run.
         let incline = |d: &Decision| {
@@ -486,20 +661,20 @@ mod tests {
             standard_extra_sigma: 0.0,
             ..ModelKind::Gpt35Turbo0301.profile()
         };
-        let p = parse_prompt(
+        let p = scan_prompt(
             "Q1: title: red chair, id: 5 [SEP] title: red chair, id: 5\n\
              Q2: title: red chair, id: 5 [SEP] title: red chair, id: 5",
         );
-        let d = decide(&p, &profile, 1.0, &mut rng());
+        let d = decide(&p, &profile, 1.0, &mut rng(), &memo());
         assert!(d[1].copied);
         assert_eq!(d[0].answer, d[1].answer);
     }
 
     #[test]
     fn noise_scale_zero_is_deterministic() {
-        let p = parse_prompt("Q1: title: a b c, id: 1 [SEP] title: a b d, id: 2");
-        let d1 = decide(&p, &quiet_profile(), 0.0, &mut call_rng(1, "x"));
-        let d2 = decide(&p, &quiet_profile(), 0.0, &mut call_rng(2, "y"));
+        let p = scan_prompt("Q1: title: a b c, id: 1 [SEP] title: a b d, id: 2");
+        let d1 = decide(&p, &quiet_profile(), 0.0, &mut call_rng(1, "x"), &memo());
+        let d2 = decide(&p, &quiet_profile(), 0.0, &mut call_rng(2, "y"), &memo());
         assert_eq!(d1[0].answer, d2[0].answer);
     }
 
@@ -519,10 +694,10 @@ mod tests {
              Q3: title: red car, id: 2 [SEP] title: blue boat, id: 9"
         );
         let flips = |prompt: &str, qidx: usize| {
-            let parsed = parse_prompt(prompt);
+            let parsed = scan_prompt(prompt);
             let mut yes = 0;
             for seed in 0..60u64 {
-                let d = decide(&parsed, &profile, 1.0, &mut call_rng(seed, prompt));
+                let d = decide(&parsed, &profile, 1.0, &mut call_rng(seed, prompt), &memo());
                 if d[qidx].answer {
                     yes += 1;
                 }
@@ -549,6 +724,134 @@ mod tests {
         let mut reader = Reader::default();
         assert_eq!(reader.attr("", ""), (0.5, 0.0));
         assert_eq!(reader.attr("x", ""), (0.0, 0.0));
+    }
+
+    /// Answers `prompt` as `decide` does inside a call: its own RNG, and
+    /// pairs read through `memo`.
+    fn answer(prompt: &str, memo: &ReadingMemo) -> Vec<Decision> {
+        let profile = ModelKind::Gpt35Turbo0301.profile();
+        decide(
+            &scan_prompt(prompt),
+            &profile,
+            1.0,
+            &mut call_rng(3, prompt),
+            memo,
+        )
+    }
+
+    /// `prompts` answered through one memo equal each answered through a
+    /// fresh one.
+    fn assert_shared_is_fresh(prompts: &[String], memo: &ReadingMemo) {
+        for prompt in prompts {
+            assert_eq!(
+                answer(prompt, memo),
+                answer(prompt, &ReadingMemo::default()),
+                "{prompt}"
+            );
+            assert!(memo.lock().bytes <= MEMO_MAX_BYTES);
+        }
+    }
+
+    fn entries(memo: &ReadingMemo) -> usize {
+        memo.lock().readings.len()
+    }
+
+    #[test]
+    fn demo_of_either_label_and_question_share_one_reading() {
+        let x = "title: acme widget 5, id: a5 [SEP] title: acme widget five, id: a5";
+        let y = "title: red lamp, id: 9 [SEP] title: red lamp, id: 9";
+        let prompts = [
+            format!("D1: {x} => yes\nQ1: {y}"),
+            format!("D1: {x} => no\nQ1: {y}"),
+            format!("Q1: {x}\nQ2: {y}"),
+            format!("D1: {y} => no\nQ1: {x}"),
+        ];
+        let memo = memo();
+        assert_shared_is_fresh(&prompts, &memo);
+        assert_eq!(entries(&memo), 2);
+        let table = memo.lock();
+        assert!(table.readings.contains_key(x) && table.readings.contains_key(y));
+    }
+
+    #[test]
+    fn pair_text_one_byte_apart_is_read_fresh() {
+        let x = "title: zen stone mp3 4gb, id: c31 [SEP] title: zen stone mp3 8gb, id: c32";
+        let mut bytes = x.as_bytes().to_vec();
+        *bytes.last_mut().unwrap() = b'1';
+        let x1 = String::from_utf8(bytes).unwrap();
+        let memo = memo();
+        assert_shared_is_fresh(&[format!("Q1: {x}"), format!("Q1: {x1}")], &memo);
+        assert_eq!(entries(&memo), 2);
+        let (a, b) = {
+            let table = memo.lock();
+            (
+                Arc::clone(&table.readings[x]),
+                Arc::clone(&table.readings[x1.as_str()]),
+            )
+        };
+        assert_ne!(
+            a.score, b.score,
+            "the last byte is a conflicting identifier"
+        );
+    }
+
+    /// A pair of `attrs` short attributes per side whose values carry `tag`.
+    fn wide_pair(attrs: usize, tag: usize) -> String {
+        let side = |s: usize| {
+            (0..attrs)
+                .map(|k| format!("a{k}: v{tag} {}", (k + s) % 7))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        format!("{} [SEP] {}", side(0), side(1))
+    }
+
+    #[test]
+    fn memo_stays_exact_and_bounded_past_its_cap() {
+        // About 20 kB an entry, so a few hundred fill the memo.
+        let probe = wide_pair(200, 0);
+        let one = footprint(&probe, &PairFeatures::of(&parse_pair_text(&probe)));
+        assert!(one <= MEMO_MAX_ENTRY_BYTES, "{one} bytes");
+        let to_fill = MEMO_MAX_BYTES / one + 1;
+        let memo = memo();
+        let mut peak = 0;
+        let mut cleared = false;
+        for i in 0..to_fill + 20 {
+            let prompt = format!(
+                "Q1: {}\nQ2: {}",
+                wide_pair(200, 2 * i),
+                wide_pair(200, 2 * i + 1)
+            );
+            assert_eq!(
+                answer(&prompt, &memo),
+                answer(&prompt, &ReadingMemo::default())
+            );
+            let n = entries(&memo);
+            cleared |= n < peak;
+            peak = peak.max(n);
+            assert!(memo.lock().bytes <= MEMO_MAX_BYTES);
+        }
+        assert!(
+            cleared,
+            "{} distinct pairs never filled the memo",
+            2 * (to_fill + 20)
+        );
+        // Early pairs were dropped with the rest; read again, they answer alike.
+        assert_shared_is_fresh(&[format!("Q1: {}", wide_pair(200, 0))], &memo);
+    }
+
+    #[test]
+    fn pair_over_the_entry_limit_is_answered_not_remembered() {
+        let big = wide_pair(1_000, 1);
+        let reading = PairFeatures::of(&parse_pair_text(&big));
+        assert!(footprint(&big, &reading) > MEMO_MAX_ENTRY_BYTES);
+        let small = "title: x, id: 1 [SEP] title: x, id: 1";
+        let memo = memo();
+        assert_shared_is_fresh(&[format!("D1: {small} => yes\nQ1: {big}")], &memo);
+        let table = memo.lock();
+        assert_eq!(table.readings.len(), 1);
+        assert!(table.readings.contains_key(small) && !table.readings.contains_key(big.as_str()));
+        assert_eq!(table.bytes, footprint(small, &table.readings[small]));
     }
 
     #[test]

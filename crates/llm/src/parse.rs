@@ -52,18 +52,29 @@ pub struct ParsedPrompt<'p> {
     pub questions: Vec<ParsedPair<'p>>,
 }
 
-/// Parses a full prompt into its structure. Never fails: unrecognizable
-/// content lands in `task_description`, mirroring how an LLM would simply
-/// read past it.
-pub fn parse_prompt(prompt: &str) -> ParsedPrompt<'_> {
-    let mut out = ParsedPrompt::default();
+/// A prompt's lines sorted into prose, demonstrations and questions, each
+/// pair still its raw text: [`parse_prompt`] without the attribute parse,
+/// for a reader that may already know a pair's reading.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(crate) struct ScannedPrompt<'p> {
+    /// Free text outside demonstration/question lines.
+    pub(crate) task_description: String,
+    /// Each demonstration's raw pair text and answer, in prompt order.
+    pub(crate) demos: Vec<(&'p str, bool)>,
+    /// Each question's raw pair text, in prompt order.
+    pub(crate) questions: Vec<&'p str>,
+}
+
+/// Sorts a prompt's lines. Never fails: unrecognizable content lands in
+/// `task_description`, mirroring how an LLM would simply read past it.
+pub(crate) fn scan_prompt(prompt: &str) -> ScannedPrompt<'_> {
+    let mut out = ScannedPrompt::default();
     for line in prompt.lines() {
         let trimmed = line.trim();
         if let Some(rest) = strip_tag(trimmed, 'D') {
             if let Some((pair_text, label_text)) = rest.rsplit_once("=>") {
                 if let Some(label) = parse_label(label_text) {
-                    out.demos
-                        .push(ParsedDemo { pair: parse_pair_text(pair_text.trim()), label });
+                    out.demos.push((pair_text.trim(), label));
                     continue;
                 }
             }
@@ -71,7 +82,7 @@ pub fn parse_prompt(prompt: &str) -> ParsedPrompt<'_> {
             // can look at, but carries no supervision; treat as prose.
             out.push_description(trimmed);
         } else if let Some(rest) = strip_tag(trimmed, 'Q') {
-            out.questions.push(parse_pair_text(rest.trim()));
+            out.questions.push(rest.trim());
         } else if !trimmed.is_empty() {
             out.push_description(trimmed);
         }
@@ -79,7 +90,26 @@ pub fn parse_prompt(prompt: &str) -> ParsedPrompt<'_> {
     out
 }
 
-impl ParsedPrompt<'_> {
+/// Parses a full prompt into its structure: `scan_prompt`, then every
+/// pair's attributes. Never fails.
+pub fn parse_prompt(prompt: &str) -> ParsedPrompt<'_> {
+    let scanned = scan_prompt(prompt);
+    ParsedPrompt {
+        task_description: scanned.task_description,
+        demos: scanned
+            .demos
+            .iter()
+            .map(|&(raw, label)| ParsedDemo { pair: parse_pair_text(raw), label })
+            .collect(),
+        questions: scanned
+            .questions
+            .iter()
+            .map(|raw| parse_pair_text(raw))
+            .collect(),
+    }
+}
+
+impl ScannedPrompt<'_> {
     fn push_description(&mut self, line: &str) {
         if !self.task_description.is_empty() {
             self.task_description.push('\n');
