@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps eleven kinds of dead weight from growing back: a vendored stand-in
+# Keeps twelve kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -20,7 +20,10 @@
 # `enabled: bool` field) in obs or in er-service's telemetry and flight
 # recorder, where every handle always records. And a pivot budget in the
 # metric index (`with_pivots`, `auto_pivots`, `MAX_PIVOTS`, `GateHint`):
-# it keeps one pivot. Offline, no dependencies beyond grep and sed.
+# it keeps one pivot. And a serving setting only tests set: `seed`,
+# `cache_enabled`, `max_retries`, `breaker_threshold` or `breaker_cooldown`
+# back on `ServiceConfig`, or arguments back on `Breaker::new`. Offline, no
+# dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,5 +144,19 @@ for hit in $(grep -rnowE 'with_pivots|auto_pivots|MAX_PIVOTS|GateHint' crates/*/
     fail=1
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index"
+# ServiceConfig keeps the settings a caller sets. The seed (42) and the
+# executor retries (2) are constants in service.rs, the breaker's
+# threshold (8) and cooldown (250 ms) constants in breaker.rs, and the
+# answer cache is always on: nothing but tests ever set them.
+for field in $(sed -n '/^pub struct ServiceConfig {/,/^}/p' crates/er-service/src/service.rs |
+    sed -n 's/^ *pub \(seed\|cache_enabled\|max_retries\|breaker_threshold\|breaker_cooldown\):.*/\1/p'); do
+    echo "FAIL: ServiceConfig grows ${field} back; it is a constant of the module that reads it" >&2
+    fail=1
+done
+if grep -qE 'pub fn new\( *[^) ]' crates/er-service/src/breaker.rs; then
+    echo "FAIL: Breaker::new takes arguments again; the threshold and cooldown are breaker.rs constants" >&2
+    fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new"
 exit "$fail"

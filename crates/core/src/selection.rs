@@ -161,10 +161,10 @@ const INDEX_MIN_ROWS: usize = 512;
 
 /// Row width from which the coverage sweep never indexes the questions:
 /// at Table VII's DBLP-Scholar split (5,741 questions against 17,225
-/// demos, 64-dim semantic rows) the blocked dense sweep took 1.5 s against
-/// the question index's 3.9 s with the AVX kernel (the planning bench's
-/// `kernel_64` block), and 5.9 s against 8.7 s in a build without it,
-/// while at 4-dim rows the two routes were within 20% of each other.
+/// demos, 64-dim semantic rows) the blocked dense sweep took 1,476 ms
+/// against the one-pivot question index's 2,525 ms with the AVX kernel
+/// (the committed `BENCH_planning.json`, `kernel_64` block), while at
+/// 4-dim rows the two routes were within 20% of each other.
 const SWEEP_MIN_DIM: usize = 16;
 
 /// Bytes of pool rows in one block of the dense coverage sweep: well

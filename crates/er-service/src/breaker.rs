@@ -1,14 +1,20 @@
-//! Circuit breaker over the LLM endpoint: after `threshold` consecutive
+//! Circuit breaker over the LLM endpoint: after [`THRESHOLD`] consecutive
 //! batches in which the endpoint produced nothing (no answers AND no
 //! billed calls — the signature of a dead transport, not of malformed
 //! output), the service stops reserving budget and routes batches
-//! straight to the logistic fallback for `cooldown`. One probe batch is
+//! straight to the logistic fallback for [`COOLDOWN`]. One probe batch is
 //! admitted per cooldown; its outcome closes or re-opens the circuit.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use obs::{Counter, Gauge};
+
+/// Consecutive dead-endpoint batches that open the circuit.
+pub const THRESHOLD: u32 = 8;
+
+/// How long an open circuit holds before it admits a probe batch.
+pub const COOLDOWN: Duration = Duration::from_millis(250);
 
 #[derive(Debug, Clone, Copy)]
 enum State {
@@ -30,23 +36,25 @@ const STATE_CLOSED: i64 = 0;
 const STATE_OPEN: i64 = 1;
 const STATE_HALF_OPEN: i64 = 2;
 
-/// See the module docs. `threshold` is at least 1 (`ErService::start`
-/// asserts it).
+/// See the module docs.
 #[derive(Debug)]
 pub struct Breaker {
-    threshold: u32,
-    cooldown: Duration,
     state: Mutex<State>,
     trips: Arc<Counter>,
     short_circuits: Arc<Counter>,
     state_gauge: Arc<Gauge>,
 }
 
+impl Default for Breaker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Breaker {
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
+    /// A closed breaker with detached metric handles.
+    pub fn new() -> Self {
         Self {
-            threshold,
-            cooldown,
             state: Mutex::new(State::Closed { consecutive_failures: 0 }),
             trips: Counter::detached(),
             short_circuits: Counter::detached(),
@@ -90,7 +98,7 @@ impl Breaker {
             State::HalfOpen { since } => {
                 // The probe's verdict normally resolves this state; if the
                 // probe was lost to a panic, admit another after cooldown.
-                if since.elapsed() >= self.cooldown {
+                if since.elapsed() >= COOLDOWN {
                     *state = State::HalfOpen { since: Instant::now() };
                     true
                 } else {
@@ -115,10 +123,10 @@ impl Breaker {
         let failures = match *state {
             State::Closed { consecutive_failures } => consecutive_failures + 1,
             // A failed probe re-opens immediately.
-            State::Open { .. } | State::HalfOpen { .. } => self.threshold,
+            State::Open { .. } | State::HalfOpen { .. } => THRESHOLD,
         };
-        if failures >= self.threshold {
-            *state = State::Open { until: Instant::now() + self.cooldown };
+        if failures >= THRESHOLD {
+            *state = State::Open { until: Instant::now() + COOLDOWN };
             self.trips.inc();
             self.state_gauge.set(STATE_OPEN);
         } else {
@@ -160,8 +168,8 @@ mod tests {
 
     #[test]
     fn trips_after_threshold_consecutive_failures() {
-        let b = Breaker::new(3, Duration::from_millis(20));
-        for _ in 0..2 {
+        let b = Breaker::new();
+        for _ in 1..THRESHOLD {
             assert!(b.allow());
             b.record_failure();
         }
@@ -175,8 +183,10 @@ mod tests {
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let b = Breaker::new(2, Duration::from_millis(20));
-        b.record_failure();
+        let b = Breaker::new();
+        for _ in 1..THRESHOLD {
+            b.record_failure();
+        }
         b.record_success();
         b.record_failure();
         assert_eq!(b.state_name(), "closed");
@@ -185,10 +195,12 @@ mod tests {
 
     #[test]
     fn probe_after_cooldown_closes_or_reopens() {
-        let b = Breaker::new(1, Duration::from_millis(5));
-        b.record_failure();
+        let b = Breaker::new();
+        for _ in 0..THRESHOLD {
+            b.record_failure();
+        }
         assert!(!b.allow());
-        std::thread::sleep(Duration::from_millis(8));
+        std::thread::sleep(COOLDOWN + Duration::from_millis(20));
         // First call after cooldown is the probe.
         assert!(b.allow());
         assert_eq!(b.state_name(), "half_open");
@@ -196,7 +208,7 @@ mod tests {
         assert!(!b.allow());
         b.record_failure();
         assert_eq!(b.state_name(), "open");
-        std::thread::sleep(Duration::from_millis(8));
+        std::thread::sleep(COOLDOWN + Duration::from_millis(20));
         assert!(b.allow());
         b.record_success();
         assert_eq!(b.state_name(), "closed");

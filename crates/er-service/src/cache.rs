@@ -4,9 +4,9 @@
 //! Repeated and symmetric questions are endemic in serving workloads
 //! (retries, the same hot pair queried by many users, `(a,b)` vs
 //! `(b,a)`), and every avoided LLM call is money saved — the cache is the
-//! cheapest lever in the whole cost model. Disabled mode is kept so the
-//! savings are measurable: the integration tests run the same workload
-//! with the cache off and compare ledgers.
+//! cheapest lever in the whole cost model. The service always runs it:
+//! a repeat costs no call and no spend (`tests/er_service.rs` asks every
+//! question three times and checks the last two passes are free).
 //!
 //! **Eviction** is exact LRU over a slab-backed intrusive list: every
 //! `get` promotes its entry to the front, inserts past capacity evict
@@ -103,7 +103,8 @@ pub struct AnswerCache {
 impl AnswerCache {
     /// A cache holding at most `capacity` entries (at least one). When
     /// `enabled` is false every lookup misses and inserts are dropped
-    /// (the counters still run, so `/stats` stays honest).
+    /// (the counters still run). The service always passes `true`; the
+    /// flag stays only while the benchmark's cache drill passes it.
     pub fn new(enabled: bool, capacity: usize) -> Self {
         Self {
             enabled,

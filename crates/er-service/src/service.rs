@@ -57,6 +57,14 @@ use crate::stats::{HealthReport, ServiceStats};
 use crate::sync::lock;
 use crate::telemetry::{FlushTrigger, Telemetry, SLO_LATENCY_US};
 
+/// Master determinism seed: the fallback's training, batch planning and
+/// LLM sampling all derive from it.
+const SEED: u64 = 42;
+
+/// Executor retries per batch (rate limits and unparseable output); the
+/// governor reserves `MAX_RETRIES + 1` attempts of every batch.
+const MAX_RETRIES: u32 = 2;
+
 /// Who produced a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecisionSource {
@@ -112,15 +120,9 @@ pub struct ServiceConfig {
     pub flush_deadline: Duration,
     /// Hard cap on total spend (API + labeling).
     pub budget: Money,
-    /// Master determinism seed (batch planning and LLM sampling).
-    pub seed: u64,
-    /// Answer-cache switch (disable to measure its savings).
-    pub cache_enabled: bool,
     /// Maximum answer-cache entries: a hard cap, least recently used
     /// entry evicted first (counted in `cache_evictions`).
     pub cache_capacity: usize,
-    /// Executor retries per batch.
-    pub max_retries: u32,
     /// LLM worker threads: batches in flight concurrently (workers only
     /// execute batches; planning runs on the dispatcher thread).
     pub workers: usize,
@@ -131,12 +133,6 @@ pub struct ServiceConfig {
     /// restart re-buys zero settled answers; `None` keeps all state in
     /// memory (the pre-durability behavior).
     pub wal: Option<WalConfig>,
-    /// Consecutive dead-endpoint batches (no answers, no billed calls)
-    /// before the circuit breaker opens and batches short-circuit to the
-    /// logistic fallback without reserving budget. Must be positive.
-    pub breaker_threshold: u32,
-    /// How long an open breaker holds before admitting a probe batch.
-    pub breaker_cooldown: Duration,
     /// Where the flight recorder writes anomaly debug bundles. `None`
     /// keeps bundles in memory only (still fetchable at
     /// `GET /debug/bundle`).
@@ -159,15 +155,10 @@ impl Default for ServiceConfig {
             batch_size: 8,
             flush_deadline: Duration::from_millis(25),
             budget: Money::from_dollars(1.0),
-            seed: 42,
-            cache_enabled: true,
             cache_capacity: 100_000,
-            max_retries: 2,
             workers: 2,
             domain: "Product".to_owned(),
             wal: None,
-            breaker_threshold: 8,
-            breaker_cooldown: Duration::from_millis(250),
             flight_dir: None,
             queue_capacity: 4096,
         }
@@ -369,10 +360,6 @@ impl ErService {
         assert!(!bootstrap.is_empty(), "bootstrap pool must be non-empty");
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.workers > 0, "worker count must be positive");
-        assert!(
-            config.breaker_threshold > 0,
-            "breaker threshold must be positive"
-        );
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
 
         let xs: Vec<Vec<f64>> = bootstrap.iter().map(|p| base_features(&p.pair)).collect();
@@ -380,7 +367,7 @@ impl ErService {
         let fallback = LogisticModel::train(
             &xs,
             &ys,
-            TrainConfig { seed: config.seed, ..TrainConfig::default() },
+            TrainConfig { seed: SEED, ..TrainConfig::default() },
         );
 
         // Serving accepts questions under arbitrary client schemas, which
@@ -390,7 +377,7 @@ impl ErService {
         // vector length is the schema arity.
         let plan_template = BatchPlanConfig {
             batch_size: config.batch_size,
-            seed: config.seed,
+            seed: SEED,
             extractor: ExtractorKind::Semantic,
             ..BatchPlanConfig::default()
         };
@@ -447,7 +434,7 @@ impl ErService {
             None => (None, None, Vec::new()),
         };
 
-        let cache = AnswerCache::new(config.cache_enabled, config.cache_capacity).with_metrics(
+        let cache = AnswerCache::new(true, config.cache_capacity).with_metrics(
             Arc::clone(&telemetry.cache_hits),
             Arc::clone(&telemetry.cache_misses),
             Arc::clone(&telemetry.cache_entries),
@@ -472,7 +459,7 @@ impl ErService {
                 Arc::clone(&telemetry.governor_reserved_micros),
             )
             .with_journal(durable.clone());
-        let breaker = Breaker::new(config.breaker_threshold, config.breaker_cooldown).with_metrics(
+        let breaker = Breaker::new().with_metrics(
             Arc::clone(&telemetry.breaker_trips),
             Arc::clone(&telemetry.breaker_short_circuits),
             Arc::clone(&telemetry.breaker_state),
@@ -1016,8 +1003,8 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<BatchJob>) {
 /// that is absent from `in_flight` and was answered by the LLM is already
 /// in the cache; read the other way round, a worker could complete
 /// between the two reads and the question would be found in neither.
-/// (A fallback answer is deliberately not cached, and a disabled or
-/// evicting cache forgets: those questions are new again.)
+/// (A fallback answer is deliberately not cached, and an evicting cache
+/// forgets: those questions are new again.)
 ///
 /// `coalesced` is called with how the waiter coalesced *before* the
 /// waiter can observe a decision — before the send, and under the
@@ -1124,9 +1111,7 @@ fn flush(
     // order, so a plan depends only on *what* is held, not on thread
     // scheduling.
     let fps: Vec<PairFingerprint> = held.keys().copied().collect();
-    let flush_seed = fps
-        .iter()
-        .fold(inner.config.seed, |acc, fp| acc.rotate_left(7) ^ fp.0);
+    let flush_seed = fps.iter().fold(SEED, |acc, fp| acc.rotate_left(7) ^ fp.0);
     let plan = {
         let questions: Vec<&EntityPair> = held.values().map(|q| &q.pair).collect();
         plan_with_prepared_pool(
@@ -1276,7 +1261,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     // yet paid for. The not-yet-labeled check, the reservation and the
     // marking happen under one lock so a concurrent job sharing a demo
     // cannot observe it as labeled while this reservation later fails.
-    let attempts = u64::from(config.max_retries) + 1;
+    let attempts = u64::from(MAX_RETRIES) + 1;
     let (granted, newly) = {
         let mut labeled = lock(&inner.labeled);
         let newly: Vec<usize> = job
@@ -1314,8 +1299,8 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         .map(|w| w.trace)
         .find(|&t| t != 0)
         .unwrap_or(0);
-    let executor = Executor::new(inner.api.as_ref(), config.model, config.max_retries)
-        .with_trace(primary_trace);
+    let executor =
+        Executor::new(inner.api.as_ref(), config.model, MAX_RETRIES).with_trace(primary_trace);
     let mut outcome = ExecutionOutcome::default();
     match executor.send(prompt, questions.len(), job.seed, &mut outcome) {
         Ok(()) => {}
@@ -1697,10 +1682,11 @@ mod tests {
         worker_unregisters(&in_flight, DecisionSource::Fallback);
         let (new, how, _rx) = look_up(&in_flight, &cache);
         assert_eq!((new, how), (true, None));
-        // Answered by the LLM with the cache switched off.
-        let (in_flight, cache) = (dispatched(), AnswerCache::new(false, 16));
+        // Answered by the LLM, then evicted from a full cache.
+        let (in_flight, cache) = (dispatched(), AnswerCache::new(true, 1));
         worker_fills_cache(&cache);
         worker_unregisters(&in_flight, DecisionSource::Llm);
+        cache.insert(PairFingerprint(FP.0 + 1), LABEL);
         let (new, how, _rx) = look_up(&in_flight, &cache);
         assert_eq!((new, how), (true, None));
     }

@@ -245,7 +245,7 @@ const MAX_IDLE_SOCKETS: usize = 16;
 ///
 /// Transport errors fail fast: one `complete` is one attempt. Retrying a
 /// rate limit or a malformed answer is the batch executor's job, priced
-/// by the governor's `max_retries + 1` projection; a dead endpoint is the
+/// by the governor's `MAX_RETRIES + 1` projection; a dead endpoint is the
 /// circuit breaker's.
 #[derive(Debug, Clone)]
 pub struct HttpChatClient {

@@ -3,13 +3,13 @@
 //! settled answers, and replay reconstructs exactly the state that was
 //! durable at any crash point (prefix consistency).
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use batcher::datagen::{generate, DatasetKind};
-use batcher::er_core::MatchLabel;
-use batcher::er_core::{EntityPair, Money, PairId, Record, RecordId, Schema};
+use batcher::er_core::{MatchLabel, Money};
 use batcher::er_service::durable::{encode, replay, DurableRecord};
 use batcher::er_service::{
     pair_fingerprint, DecisionSource, ErService, PairFingerprint, ServiceConfig, SyncPolicy,
@@ -18,51 +18,7 @@ use batcher::er_service::{
 use batcher::llm::SimLlm;
 use batcher::wal::testing::crash_at_offset;
 use batcher::wal::Wal;
-
-fn bootstrap() -> Vec<batcher::er_core::LabeledPair> {
-    generate(DatasetKind::Beer, 7).pairs()[..120].to_vec()
-}
-
-fn schema() -> Arc<Schema> {
-    Arc::new(Schema::new(["title", "brand", "price"]).unwrap())
-}
-
-/// Unambiguous questions (identical records or fully disjoint text), so
-/// answers are stable whatever batch they land in.
-fn questions(n: usize) -> Vec<EntityPair> {
-    let products = [
-        "hazy little thing ipa",
-        "guinness extra stout",
-        "pliny the elder",
-        "sierra nevada torpedo",
-        "blue moon belgian white",
-        "dogfish head 60 minute",
-        "stone delicious ipa",
-        "lagunitas daytime ale",
-    ];
-    (0..n)
-        .map(|i| {
-            let title = products[i % products.len()];
-            let left: Vec<String> = vec![
-                title.into(),
-                format!("brand{}", i % 5),
-                format!("{}.49", 3 + i % 7),
-            ];
-            let right: Vec<String> = if i % 2 == 0 {
-                left.clone()
-            } else {
-                vec![
-                    products[(i + 3) % products.len()].into(),
-                    format!("other{}", i % 4),
-                    "87.50".into(),
-                ]
-            };
-            let a = Arc::new(Record::new(RecordId::a(i as u32), schema(), left).unwrap());
-            let b = Arc::new(Record::new(RecordId::b(i as u32), schema(), right).unwrap());
-            EntityPair::new(PairId(i as u32), a, b).unwrap()
-        })
-        .collect()
-}
+use common::{assert_conserved, bootstrap, questions};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("er-durability-{tag}-{}", std::process::id()))
@@ -127,11 +83,7 @@ fn restart_without_rebuying_answers() {
     assert!(stats.cache_hits >= bank.len() as u64, "{stats:?}");
     // The replayed spend counts against the budget exactly once.
     assert_eq!(stats.spent_micros, spent_run1, "{stats:?}");
-    assert_eq!(
-        stats.remaining_micros + stats.spent_micros,
-        stats.budget_micros,
-        "replayed ledger broke conservation: {stats:?}"
-    );
+    assert_conserved(&stats);
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -197,11 +149,7 @@ fn sharded_build_log_restarts_without_rebuying_answers() {
     assert_eq!((stats.llm_answered, stats.fallback_answered), (0, 0));
     assert_eq!(stats.api_calls, batches as u64, "{stats:?}");
     assert_eq!(stats.spent_micros, spent, "{stats:?}");
-    assert_eq!(
-        stats.remaining_micros + stats.spent_micros,
-        stats.budget_micros,
-        "replayed ledger broke conservation: {stats:?}"
-    );
+    assert_conserved(&stats);
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
 }

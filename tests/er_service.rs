@@ -3,25 +3,22 @@
 //! hold policy for partial batches, admission control and the HTTP front
 //! end.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use batcher::datagen::{generate, DatasetKind};
-use batcher::er_core::{EntityPair, Money, PairId, Record, RecordId, Schema};
+use batcher::er_core::{EntityPair, Money};
 use batcher::er_service::{
-    pair_fingerprint, DecisionSource, ErService, HealthReport, MatchServer, PairFingerprint,
-    ServiceConfig, ServiceStats, SubmitOutcome,
+    pair_fingerprint, DecisionSource, ErService, HealthReport, MatchServer, ServiceConfig,
+    ServiceStats, SubmitOutcome,
 };
 use batcher::llm::{count_tokens, ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
-use batcher::llm_service::http::read_response;
 use batcher::llm_service::ServeOptions;
-
-/// Bootstrap pool for fallback training and demonstrations.
-fn bootstrap() -> Vec<batcher::er_core::LabeledPair> {
-    generate(DatasetKind::Beer, 7).pairs()[..120].to_vec()
-}
+use common::{bootstrap, get, hammer, pair, post_match, questions};
 
 /// A service with test-friendly latency and the given overrides.
 fn config() -> ServiceConfig {
@@ -33,83 +30,13 @@ fn config() -> ServiceConfig {
     }
 }
 
-fn schema() -> Arc<Schema> {
-    Arc::new(Schema::new(["title", "brand", "price"]).unwrap())
-}
-
-fn record(id: u32, left: bool, values: [&str; 3]) -> Arc<Record> {
-    let rid = if left {
-        RecordId::a(id)
-    } else {
-        RecordId::b(id)
-    };
-    Arc::new(
-        Record::new(
-            rid,
-            schema(),
-            values.iter().map(|s| s.to_string()).collect(),
-        )
-        .unwrap(),
-    )
-}
-
-/// Unambiguous questions: identical records (clear matches) and records
-/// with fully disjoint text (clear non-matches). The engine answers these
-/// robustly regardless of batch composition, which is what lets the
-/// concurrency test demand bitwise-identical decisions across runs.
-fn crafted_questions(n: usize) -> Vec<EntityPair> {
-    let products = [
-        "hazy little thing ipa",
-        "guinness extra stout",
-        "pliny the elder",
-        "sierra nevada torpedo",
-        "blue moon belgian white",
-        "dogfish head 60 minute",
-        "stone delicious ipa",
-        "lagunitas daytime ale",
-        "founders breakfast stout",
-        "bells two hearted ale",
-        "heady topper double ipa",
-        "allagash white ale",
-    ];
-    let brands = [
-        "sierra",
-        "guinness",
-        "russian river",
-        "stone",
-        "blue moon",
-        "dogfish",
-    ];
-    (0..n)
-        .map(|i| {
-            let title = products[i % products.len()];
-            let brand = brands[i % brands.len()];
-            let price = format!("{}.99", 3 + (i % 9));
-            let a = record(i as u32, true, [title, brand, &price]);
-            let b = if i % 2 == 0 {
-                // Clear match: identical content.
-                record(i as u32, false, [title, brand, &price])
-            } else {
-                // Clear non-match: entirely different product.
-                let other = products[(i + 5) % products.len()];
-                record(
-                    i as u32,
-                    false,
-                    [other, brands[(i + 3) % brands.len()], "87.50"],
-                )
-            };
-            EntityPair::new(PairId(i as u32), a, b).unwrap()
-        })
-        .collect()
-}
-
 #[test]
 fn cache_hits_are_identical_and_free() {
     let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
-    let questions = crafted_questions(12);
+    let bank = questions(12);
 
     // First pass: no hits possible.
-    let first: Vec<_> = questions.iter().map(|q| service.submit(q)).collect();
+    let first: Vec<_> = bank.iter().map(|q| service.submit(q)).collect();
     let after_first = service.ledger().snapshot();
     assert!(
         after_first.api_calls > 0,
@@ -118,7 +45,7 @@ fn cache_hits_are_identical_and_free() {
 
     // Second pass: every answer must come from the cache, unchanged, at
     // zero incremental API cost.
-    for (question, first_decision) in questions.iter().zip(&first) {
+    for (question, first_decision) in bank.iter().zip(&first) {
         let second = service.submit(question);
         assert_eq!(second.source, DecisionSource::Cache);
         assert_eq!(second.label, first_decision.label);
@@ -140,72 +67,45 @@ fn cache_hits_are_identical_and_free() {
     );
 }
 
+/// The cache is always on: N distinct questions asked one after another,
+/// then twice more, buy nothing on the repeats — no API call, no spend —
+/// and each repeat is a submit-time cache hit.
 #[test]
-fn duplicate_workload_costs_less_with_cache_than_without() {
-    // 8 unique questions, each asked three times, sequentially (so the
-    // flush-time dedupe cannot mask the cache's contribution).
-    let questions = crafted_questions(8);
-    let workload: Vec<&EntityPair> = std::iter::repeat_with(|| questions.iter())
-        .take(3)
-        .flatten()
-        .collect();
-
-    let run = |cache_enabled: bool| -> batcher::er_core::CostLedger {
-        let service = ErService::start(
-            Arc::new(SimLlm::new()),
-            bootstrap(),
-            ServiceConfig { cache_enabled, ..config() },
-        );
-        for q in &workload {
-            service.submit(q);
-        }
-        service.ledger().snapshot()
-    };
-
-    let with_cache = run(true);
-    let without_cache = run(false);
-    assert!(
-        with_cache.total() < without_cache.total(),
-        "cache did not save money: with {} vs without {}",
-        with_cache.total(),
-        without_cache.total()
+fn repeats_cost_nothing_and_count_two_hits_each() {
+    const N: u64 = 8;
+    let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
+    let bank = questions(N as usize);
+    for q in &bank {
+        service.submit(q);
+    }
+    let first = service.stats();
+    assert!(first.api_calls > 0, "first pass never reached the LLM");
+    assert_eq!(first.cache_hits, 0, "{first:?}");
+    for q in bank.iter().chain(&bank) {
+        assert_eq!(service.submit(q).source, DecisionSource::Cache);
+    }
+    let repeated = service.stats();
+    assert_eq!(repeated.api_calls, first.api_calls, "a repeat was bought");
+    assert_eq!(
+        repeated.spent_micros, first.spent_micros,
+        "a repeat was paid for"
     );
-    assert!(with_cache.api_calls < without_cache.api_calls);
+    assert_eq!(repeated.cache_hits, 2 * N, "{repeated:?}");
 }
 
 #[test]
 fn concurrent_clients_with_same_seed_are_deterministic() {
-    let questions = Arc::new(crafted_questions(24));
-    let run = || -> Vec<(PairFingerprint, batcher::er_core::MatchLabel)> {
+    let bank = Arc::new(questions(24));
+    let run = || {
         let service = Arc::new(ErService::start(
             Arc::new(SimLlm::new()),
             bootstrap(),
-            ServiceConfig { seed: 99, ..config() },
+            config(),
         ));
-        let mut decisions: Vec<(PairFingerprint, batcher::er_core::MatchLabel)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..4usize)
-                    .map(|client| {
-                        let service = Arc::clone(&service);
-                        let questions = Arc::clone(&questions);
-                        scope.spawn(move || {
-                            questions
-                                .iter()
-                                .skip(client)
-                                .step_by(4)
-                                .map(|q| {
-                                    let d = service.submit(q);
-                                    (d.fingerprint, d.label)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
+        let mut decisions: Vec<_> = hammer(&service, &bank, 4, 1)
+            .iter()
+            .map(|d| (d.fingerprint, d.label))
+            .collect();
         decisions.sort_by_key(|(fp, _)| *fp);
         decisions
     };
@@ -225,8 +125,8 @@ fn budget_exhaustion_degrades_to_logistic_fallback() {
         bootstrap(),
         ServiceConfig { budget: Money::from_micros(50), ..config() },
     );
-    let questions = crafted_questions(10);
-    for q in &questions {
+    let bank = questions(10);
+    for q in &bank {
         let decision = service.submit(q);
         assert_eq!(decision.source, DecisionSource::Fallback);
     }
@@ -247,8 +147,8 @@ fn budget_covers_some_batches_then_falls_back() {
         bootstrap(),
         ServiceConfig { budget: Money::from_micros(1_500), ..config() },
     );
-    let questions = crafted_questions(40);
-    let decisions: Vec<_> = questions.iter().map(|q| service.submit(q)).collect();
+    let bank = questions(40);
+    let decisions: Vec<_> = bank.iter().map(|q| service.submit(q)).collect();
     let llm = decisions
         .iter()
         .filter(|d| d.source == DecisionSource::Llm)
@@ -275,12 +175,11 @@ fn context_window_fallback_leaves_a_trace() {
     // the question's span say why.
     let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config());
     let title = "x y ".repeat(1_200);
-    let oversized = EntityPair::new(
-        PairId(0),
-        record(0, true, [&title, "founders", "12.99"]),
-        record(0, false, [&title, "founders", "12.99"]),
-    )
-    .unwrap();
+    let oversized = pair(
+        0,
+        [&title, "founders", "12.99"],
+        [&title, "founders", "12.99"],
+    );
     let decision = service.submit(&oversized);
     assert_eq!(decision.source, DecisionSource::Fallback);
     let stats = service.stats();
@@ -380,11 +279,11 @@ fn stats_count_every_event_and_agree_with_the_ledger() {
         bootstrap(),
         ServiceConfig { budget: Money::from_micros(1_500), ..config() },
     );
-    let questions = crafted_questions(40);
-    let first: Vec<_> = questions.iter().map(|q| service.submit(q)).collect();
+    let bank = questions(40);
+    let first: Vec<_> = bank.iter().map(|q| service.submit(q)).collect();
     let source = |s: DecisionSource| first.iter().filter(|d| d.source == s).count() as u64;
     assert!(source(DecisionSource::Llm) > 0 && source(DecisionSource::Fallback) > 0);
-    let bought = &questions[first
+    let bought = &bank[first
         .iter()
         .position(|d| d.source == DecisionSource::Llm)
         .unwrap()];
@@ -450,7 +349,7 @@ fn identical_questions_in_flight_share_one_llm_call() {
             ..config()
         },
     ));
-    let question = crafted_questions(1).remove(0);
+    let question = questions(1).remove(0);
 
     let decisions: Vec<_> = std::thread::scope(|scope| {
         let first = {
@@ -515,7 +414,7 @@ fn partial_batch_is_held_until_arrivals_go_quiet() {
         bootstrap(),
         ServiceConfig { flush_deadline: deadline, batch_size: 4, ..ServiceConfig::default() },
     );
-    let q = crafted_questions(3);
+    let q = questions(3);
     let started = Instant::now();
     let ask = |i: usize| (i, service.submit(&q[i]), started.elapsed());
     // Four submits trip the size trigger with exactly {q0, q1, q2, q2}:
@@ -593,7 +492,7 @@ fn lone_miss_leaves_at_half_the_deadline() {
         ServiceConfig { flush_deadline: deadline, batch_size: 8, ..ServiceConfig::default() },
     );
     let started = Instant::now();
-    let decision = service.submit(&crafted_questions(1)[0]);
+    let decision = service.submit(&questions(1)[0]);
     let at = started.elapsed();
     assert_eq!(decision.source, DecisionSource::Llm);
     assert!(at >= deadline / 2, "answered after {at:?}: did not wait");
@@ -634,7 +533,7 @@ fn a_slowing_trickle_still_shares_one_batch() {
             ..ServiceConfig::default()
         },
     );
-    let q = crafted_questions(4);
+    let q = questions(4);
     let started = Instant::now();
     let decisions: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = [0u64, 375, 650, 900]
@@ -665,25 +564,6 @@ fn a_slowing_trickle_still_shares_one_batch() {
 // HTTP front end
 // ---------------------------------------------------------------------
 
-fn post_match(addr: std::net::SocketAddr, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "POST /match HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-        body.len(),
-        body
-    )
-    .unwrap();
-    let (status, bytes) = read_response(&mut stream).unwrap();
-    (status, String::from_utf8(bytes).unwrap())
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\n\r\n").unwrap();
-    read_response(&mut stream).unwrap()
-}
-
 /// Admission control: with the queue at `queue_capacity`, non-blocking
 /// submits are shed with a retry hint (429 + `Retry-After` over HTTP),
 /// blocking submits degrade to the local fallback at once, `/healthz`
@@ -707,7 +587,7 @@ fn full_queue_sheds_and_degrades_without_losing_admitted_questions() {
     ));
     let server = MatchServer::start(Arc::clone(&service), ServeOptions::default()).unwrap();
     let addr = server.addr();
-    let q = crafted_questions(4);
+    let q = questions(4);
     let parked: Vec<_> = q[..2]
         .iter()
         .cloned()
@@ -764,7 +644,7 @@ fn full_queue_sheds_and_degrades_without_losing_admitted_questions() {
 
     // Blocking admission: an answer from the local matcher.
     assert_eq!(degraded.source, DecisionSource::Fallback);
-    let health: HealthReport = serde_json::from_slice(&health).unwrap();
+    let health: HealthReport = serde_json::from_str(&health).unwrap();
     assert!(health.backpressure, "{health:?}");
 
     // The admitted questions are served by the LLM once the deadline comes.
@@ -817,15 +697,15 @@ fn http_front_end_serves_match_stats_and_health() {
     let (_, second) = post_match(addr, body);
     assert!(second.contains(r#""source":"cache""#), "{second}");
 
-    let (status, stats_bytes) = get(addr, "/stats");
+    let (status, stats_json) = get(addr, "/stats");
     assert_eq!(status, 200);
-    let stats: ServiceStats = serde_json::from_slice(&stats_bytes).unwrap();
+    let stats: ServiceStats = serde_json::from_str(&stats_json).unwrap();
     assert!(stats.cache_hits >= 1);
     assert_eq!(stats.submitted, 2);
 
     let (status, health) = get(addr, "/healthz");
     assert_eq!(status, 200);
-    let health: HealthReport = serde_json::from_slice(&health).unwrap();
+    let health: HealthReport = serde_json::from_str(&health).unwrap();
     // No WAL configured: healthy, nothing recovered, breaker closed.
     assert_eq!(health.status, "serving");
     assert!(!health.wal_enabled);
@@ -900,9 +780,8 @@ fn http_front_end_serves_metrics_and_trace() {
     assert!(cached.contains(r#""source":"cache""#), "{cached}");
 
     // /metrics: valid Prometheus text with the core histogram families.
-    let (status, metrics) = get(addr, "/metrics");
+    let (status, text) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    let text = String::from_utf8(metrics).unwrap();
     let report = batcher::obs::lint(&text).unwrap_or_else(|issues| {
         panic!("/metrics fails promlint: {issues:?}");
     });
@@ -932,9 +811,8 @@ fn http_front_end_serves_metrics_and_trace() {
 
     // /trace: the span behind the first answer is visible, complete from
     // `submitted` to `answered`, and correlated by the echoed id.
-    let (status, trace) = get(addr, "/trace?n=8");
+    let (status, spans) = get(addr, "/trace?n=8");
     assert_eq!(status, 200);
-    let spans = String::from_utf8(trace).unwrap();
     assert!(
         spans.contains(&format!(r#""trace_id":{trace_id}"#)),
         "span {trace_id} not in {spans}"

@@ -4,83 +4,26 @@
 //! and WAL write failures must degrade — never stop — the service. In
 //! every scenario the governor's conservation laws keep holding.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use batcher::datagen::{generate, DatasetKind};
-use batcher::er_core::{EntityPair, PairId, Record, RecordId, Schema};
+use batcher::er_service::breaker::{COOLDOWN, THRESHOLD};
 use batcher::er_service::{
     DecisionSource, ErService, FaultSchedule, ServiceConfig, WalConfig, WalFault,
 };
 use batcher::llm::{ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
-
-fn bootstrap() -> Vec<batcher::er_core::LabeledPair> {
-    generate(DatasetKind::Beer, 7).pairs()[..120].to_vec()
-}
-
-fn schema() -> Arc<Schema> {
-    Arc::new(Schema::new(["title", "brand", "price"]).unwrap())
-}
-
-fn questions(n: usize) -> Vec<EntityPair> {
-    let products = [
-        "hazy little thing ipa",
-        "guinness extra stout",
-        "pliny the elder",
-        "sierra nevada torpedo",
-        "blue moon belgian white",
-        "dogfish head 60 minute",
-    ];
-    (0..n)
-        .map(|i| {
-            let title = products[i % products.len()];
-            let left: Vec<String> = vec![
-                title.into(),
-                format!("brand{}", i % 5),
-                format!("{}.49", 3 + i % 7),
-            ];
-            let right: Vec<String> = if i % 2 == 0 {
-                left.clone()
-            } else {
-                vec![
-                    products[(i + 3) % products.len()].into(),
-                    format!("other{}", i % 4),
-                    "87.50".into(),
-                ]
-            };
-            let a = Arc::new(Record::new(RecordId::a(i as u32), schema(), left).unwrap());
-            let b = Arc::new(Record::new(RecordId::b(i as u32), schema(), right).unwrap());
-            EntityPair::new(PairId(i as u32), a, b).unwrap()
-        })
-        .collect()
-}
+use common::{assert_conserved, bootstrap, questions};
 
 fn fast_config() -> ServiceConfig {
     ServiceConfig {
         flush_deadline: Duration::from_millis(3),
         batch_size: 4,
         workers: 2,
-        max_retries: 0,
         ..ServiceConfig::default()
     }
-}
-
-fn conservation(stats: &batcher::er_service::ServiceStats) {
-    assert!(stats.within_budget(), "overspent: {stats:?}");
-    assert_eq!(
-        stats.remaining_micros + stats.spent_micros,
-        stats.budget_micros,
-        "reservation leaked at quiesce: {stats:?}"
-    );
-    assert_eq!(
-        stats.submitted,
-        stats.cache_hits
-            + stats.coalesced_duplicates
-            + stats.llm_answered
-            + stats.fallback_answered,
-        "answer accounting leaked: {stats:?}"
-    );
 }
 
 /// A ChatApi that panics mid-call: the worker dies at the worst moment —
@@ -152,23 +95,16 @@ fn panicking_worker_refunds_its_reservation() {
     // The panic happened before any API spend; refunds mean the budget
     // is exactly whole again.
     assert_eq!(stats.api_micros, 0, "{stats:?}");
-    conservation(&stats);
+    assert_conserved(&stats);
 }
 
-/// An LLM outage trips the breaker: after `breaker_threshold` dead
+/// An LLM outage trips the breaker: after `breaker::THRESHOLD` dead
 /// batches everything short-circuits to the fallback without reserving
-/// budget, and no API spend ever lands.
+/// budget, and no API spend ever lands. Each submit below is a batch of
+/// its own, and the last ones land well inside the cooldown.
 #[test]
 fn outage_trips_breaker_and_degrades_to_fallback() {
-    let service = ErService::start(
-        Arc::new(OutageApi),
-        bootstrap(),
-        ServiceConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_secs(60), // never recovers in-test
-            ..fast_config()
-        },
-    );
+    let service = ErService::start(Arc::new(OutageApi), bootstrap(), fast_config());
     let bank = questions(24);
     let mut decisions = Vec::new();
     for q in &bank {
@@ -183,29 +119,25 @@ fn outage_trips_breaker_and_degrades_to_fallback() {
     assert_eq!(stats.breaker_state, 1, "breaker should be open: {stats:?}");
     assert_eq!(stats.api_micros, 0, "a dead endpoint billed: {stats:?}");
     assert_eq!(stats.llm_answered, 0, "{stats:?}");
-    conservation(&stats);
+    assert_conserved(&stats);
 }
 
 /// The breaker recovers: once the outage ends and the cooldown passes, a
 /// probe batch succeeds, the circuit closes, and LLM answers flow again.
+/// No answer of the outage was cached (fallback verdicts never are), so
+/// the same questions asked again reach the LLM afresh.
 #[test]
 fn breaker_recovers_after_cooldown() {
-    let cooldown = Duration::from_millis(50);
-    // One dead call: the breaker (threshold 1) opens on it, and every
-    // later batch — including the half-open probe — finds the endpoint
-    // healthy again.
+    // A transport error is not retried, so each dead batch is one dead
+    // call: the breaker opens on the last of them, and every later batch
+    // — including the half-open probe — finds the endpoint healthy again.
     let service = ErService::start(
-        Arc::new(ScheduledOutage::new(1)),
+        Arc::new(ScheduledOutage::new(u64::from(THRESHOLD))),
         bootstrap(),
-        ServiceConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: cooldown,
-            cache_enabled: false, // recovery must be visible as fresh LLM answers
-            ..fast_config()
-        },
+        fast_config(),
     );
-    let bank = questions(8);
-    // Phase 1: outage. The first dead batch opens the circuit.
+    let bank = questions(THRESHOLD as usize);
+    // Phase 1: outage. One submit at a time is one dead batch at a time.
     for q in &bank {
         service.submit(q);
     }
@@ -215,7 +147,7 @@ fn breaker_recovers_after_cooldown() {
 
     // Phase 2: the outage is over and the cooldown has passed; the next
     // batch is the half-open probe and it succeeds.
-    std::thread::sleep(cooldown + Duration::from_millis(20));
+    std::thread::sleep(COOLDOWN + Duration::from_millis(20));
     for q in &bank {
         service.submit(q);
     }
@@ -228,7 +160,7 @@ fn breaker_recovers_after_cooldown() {
         after.breaker_state, 0,
         "breaker should have re-closed: {after:?}"
     );
-    conservation(&after);
+    assert_conserved(&after);
 }
 
 /// WAL write failures degrade, never fail: with injected I/O errors on
@@ -254,7 +186,7 @@ fn wal_write_failure_degrades_but_keeps_serving() {
     let stats = service.stats();
     assert!(stats.llm_answered > 0, "service stopped serving: {stats:?}");
     assert!(stats.wal_append_errors >= 1, "no fault landed: {stats:?}");
-    conservation(&stats);
+    assert_conserved(&stats);
 
     let health = service.health();
     assert_eq!(health.status, "degraded", "{health:?}");

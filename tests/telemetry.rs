@@ -4,94 +4,17 @@
 //! a scraper hammering `/metrics`, `/stats` and `/trace` can never stall
 //! `submit`.
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use batcher::datagen::{generate, DatasetKind};
-use batcher::er_core::{EntityPair, Money, PairId, Record, RecordId, Schema};
-use batcher::er_service::{ErService, MatchDecision, ServiceConfig};
+use batcher::er_core::Money;
+use batcher::er_service::{ErService, ServiceConfig};
 use batcher::llm::SimLlm;
-
-fn bootstrap() -> Vec<batcher::er_core::LabeledPair> {
-    generate(DatasetKind::Beer, 7).pairs()[..120].to_vec()
-}
-
-fn schema() -> Arc<Schema> {
-    Arc::new(Schema::new(["title", "brand", "price"]).unwrap())
-}
-
-/// Unambiguous questions (identical records or fully disjoint text), so
-/// answers are stable whatever batch they land in.
-fn questions(n: usize) -> Vec<EntityPair> {
-    let products = [
-        "hazy little thing ipa",
-        "guinness extra stout",
-        "pliny the elder",
-        "sierra nevada torpedo",
-        "blue moon belgian white",
-        "dogfish head 60 minute",
-        "stone delicious ipa",
-        "lagunitas daytime ale",
-        "founders breakfast stout",
-        "bells two hearted ale",
-    ];
-    (0..n)
-        .map(|i| {
-            let title = products[i % products.len()];
-            let price = format!("{}.99", 2 + (i % 11));
-            let left: Vec<String> = vec![title.into(), format!("brand{}", i % 7), price.clone()];
-            let right: Vec<String> = if i % 2 == 0 {
-                left.clone()
-            } else {
-                vec![
-                    products[(i + 3) % products.len()].into(),
-                    format!("other{}", i % 5),
-                    "87.50".into(),
-                ]
-            };
-            let a = Arc::new(Record::new(RecordId::a(i as u32), schema(), left).unwrap());
-            let b = Arc::new(Record::new(RecordId::b(i as u32), schema(), right).unwrap());
-            EntityPair::new(PairId(i as u32), a, b).unwrap()
-        })
-        .collect()
-}
-
-/// Runs `clients` threads, each submitting every question of its stripe
-/// `rounds` times, and returns all decisions.
-fn hammer(
-    service: &Arc<ErService>,
-    bank: &Arc<Vec<EntityPair>>,
-    clients: usize,
-    rounds: usize,
-) -> Vec<MatchDecision> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let service = Arc::clone(service);
-                let bank = Arc::clone(bank);
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for round in 0..rounds {
-                        for q in bank
-                            .iter()
-                            .skip((client + round) % clients)
-                            .step_by(clients.max(1))
-                        {
-                            out.push(service.submit(q));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    })
-}
+use common::{assert_conserved, bootstrap, hammer, questions};
 
 /// Spans conserve under a duplicate-heavy concurrent workload: one span
 /// per submit, every span finished exactly once (terminal stage
@@ -172,7 +95,6 @@ fn spans_conserve_under_budget_exhaustion() {
             batch_size: 4,
             workers: 3,
             budget: Money::from_micros(2_000),
-            cache_enabled: false, // every submit exercises the queue
             ..ServiceConfig::default()
         },
     ));
@@ -217,7 +139,6 @@ fn coalesced_waiters_share_one_llm_trace_attributed_once() {
             flush_deadline: Duration::from_millis(50),
             batch_size: 8,
             workers: 1,
-            cache_enabled: false, // both submits must exercise the queue
             ..ServiceConfig::default()
         },
     ));
@@ -332,14 +253,7 @@ fn slow_scraper_cannot_stall_submit() {
     assert!(scrapes.load(Ordering::Relaxed) > 0, "scrapers never ran");
     let stats = service.stats();
     assert_eq!(decisions.len() as u64, stats.submitted);
-    assert_eq!(
-        stats.submitted,
-        stats.cache_hits
-            + stats.coalesced_duplicates
-            + stats.llm_answered
-            + stats.fallback_answered,
-        "scrape pressure corrupted answer accounting: {stats:?}"
-    );
+    assert_conserved(&stats);
     let trace = service.telemetry().trace();
     assert_eq!(trace.finished(), trace.opened());
     assert_eq!(trace.active_len(), 0);

@@ -5,39 +5,15 @@
 //! that killing the LLM endpoint trips the breaker and dumps a flight
 //! recorder bundle to disk.
 
-use std::io::Write as _;
-use std::net::TcpStream;
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use batcher::datagen::{generate, DatasetKind};
 use batcher::er_service::{ErService, MatchServer, ServiceConfig};
-use batcher::llm_service::http::read_response;
 use batcher::llm_service::{LlmServer, ServeOptions};
-
-fn bootstrap() -> Vec<batcher::er_core::LabeledPair> {
-    generate(DatasetKind::Beer, 7).pairs()[..120].to_vec()
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
-    let (status, bytes) = read_response(&mut stream).unwrap();
-    (status, String::from_utf8(bytes).unwrap())
-}
-
-fn post_match(addr: std::net::SocketAddr, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "POST /match HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-        body.len(),
-        body
-    )
-    .unwrap();
-    let (status, bytes) = read_response(&mut stream).unwrap();
-    (status, String::from_utf8(bytes).unwrap())
-}
+use common::{bootstrap, get, post_match};
 
 /// Scrape → exemplar → trace tree: the full latency-spike drill-down
 /// from the README, against a real llm-service over loopback.
@@ -141,9 +117,6 @@ fn llm_outage_trips_breaker_and_dumps_flight_bundle() {
             flush_deadline: Duration::from_millis(5),
             batch_size: 4,
             workers: 2,
-            cache_enabled: false,
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_secs(60), // never recovers in-test
             flight_dir: Some(dir.clone()),
             ..ServiceConfig::default()
         },
@@ -164,7 +137,8 @@ fn llm_outage_trips_breaker_and_dumps_flight_bundle() {
     );
 
     // Kill the endpoint: the handle's drop stops the listener. Dead
-    // batches now count toward the breaker threshold.
+    // batches now count toward the breaker threshold: the twelve
+    // questions left are asked one at a time, twelve dead batches.
     drop(llm);
     for q in &questions[4..] {
         service.submit(q);
