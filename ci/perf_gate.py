@@ -191,16 +191,33 @@ def gate_sim_round(cur):
        f"{cur['requests']} requests, shared {cur['shared_ms']:.1f} ms")
 
 
-# How much faster the dispatched 64-dim coverage sweep must run than the
+# How much faster the dispatched 64-dim lane sweep must run than the
 # bench's own scalar four-lane replica, on a CPU with AVX. The AVX tile
 # reads 2.7-3x on the reference box; a dispatch that stopped reaching it
 # reads about 1.
 KERNEL_X_MIN = 2.0
 
+# How much faster the planner's 64-dim coverage route must run than the
+# lane sweep it replaced, on a CPU with AVX-512F, where the route is the
+# dot-product tile. The committed full-mode run reads 3.68 at the offline
+# shape and 4.64 at Table VII's (3.8-5.1 over the quick and full runs on
+# the reference box); a route that stopped reaching the tile reads about 1.
+TILE_X_MIN = 2.5
+
 
 def gate_kernel_64(cur):
-    # Both sweeps run in one process on one input with equal hits (the
-    # bench asserts that), so the ratio needs no committed baseline.
+    # Which route `pairs_within` took on this CPU, said once: without
+    # AVX-512F neither this gate nor the embed parity suite, on the same
+    # runner, ran the dot-product tile, and the log should show it.
+    if cur["avx512f"]:
+        ok("kernel_64: coverage route on this CPU is the dot-product tile "
+           "(AVX-512F)")
+    else:
+        print("perf gate NOTE: kernel_64: no AVX-512F on this CPU, so the "
+              "coverage route is the lane sweep; the dot-product tile was "
+              "neither timed here nor run by the parity suite")
+    # All three routes run in one process on one input with equal hits
+    # (the bench asserts that), so the ratios need no committed baseline.
     for point in cur["points"]:
         shape = f"{point['questions']}x{point['pool']}"
         got = point["kernel_x"]
@@ -212,6 +229,17 @@ def gate_kernel_64(cur):
         floor = f"floor {KERNEL_X_MIN:.2f}" if cur["avx"] else "no AVX, not gated"
         ok(f"kernel_64 {shape}: kernel_x {got:.2f} ({floor}), "
            f"{point['hits']} hits")
+
+        got = point["tile_x"]
+        if cur["avx512f"] and got < TILE_X_MIN:
+            fail(f"kernel_64 {shape}: lane sweep {point['dispatched_ms']:.1f} ms "
+                 f"/ route {point['tile_ms']:.1f} ms = {got:.2f}x, below "
+                 f"{TILE_X_MIN:.2f}x on an AVX-512F host: coverage no longer "
+                 f"runs the dot-product tile")
+        floor = (f"floor {TILE_X_MIN:.2f}" if cur["avx512f"]
+                 else "no AVX-512F, not gated")
+        ok(f"kernel_64 {shape}: tile_x {got:.2f} ({floor}), "
+           f"{point['verified']} pairs verified on the lane kernel")
 
 
 GATES = {

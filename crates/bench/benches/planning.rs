@@ -44,20 +44,23 @@
 //! read from scratch), alternating, responses asserted equal. `reuse_x`
 //! (fresh / shared) is what the memo buys within one pass; CI gates it.
 //!
-//! And a **`kernel_64`** block: the covering sweep over 64-dim semantic
+//! And a **`kernel_64`** block: the coverage pairs of 64-dim semantic
 //! rows at the offline workload's shape (300 questions x 3,600 demos) and,
-//! in full mode, at Table VII's DBLP-Scholar shape (5,741 x 17,225), as
-//! the planner's blocked dense sweep runs it, timed on the dispatched
-//! kernel (AVX where the CPU has it) and on the bench's own scalar
-//! four-lane replica in the same run, hits asserted equal; plus the
-//! question-index route at the same shape. CI gates `kernel_x` (scalar /
-//! dispatched) on an AVX host.
+//! in full mode, at Table VII's DBLP-Scholar shape (5,741 x 17,225),
+//! timed in the same run on the planner's route (`pairs_within`: the
+//! dot-product tile where the CPU has AVX-512F, with its count of pairs
+//! verified on the lane kernel), on the lane sweep it replaced
+//! (`pairs_within_sweep`, AVX where the CPU has it) and on the bench's own
+//! scalar four-lane replica of that sweep, hits asserted equal; plus the
+//! question-index route at the same shape. CI gates `tile_x` (lane sweep
+//! / tile) on an AVX-512F host and `kernel_x` (scalar / lane sweep) on an
+//! AVX host.
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use embed::index::stats;
-use embed::matrix::scan_rows_within;
+use embed::matrix::{pairs_within, pairs_within_sweep, SWEEP_BLOCK_BYTES};
 use embed::PivotIndex;
 
 use batcher_core::batching::{
@@ -442,103 +445,98 @@ fn sq_euclidean_four_lanes(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Hits of one sweep: their count and an order-sensitive digest of the
-/// (question, demo) pairs, so two sweeps compare without holding millions
-/// of hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Hits of one sweep: their count and, per question, an order-sensitive
+/// digest of its demos, so two sweeps compare without holding millions of
+/// hits, whatever order they visit the questions in, and a sweep that
+/// hands one question its demos out of pool order differs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Hits {
     count: u64,
-    digest: u64,
+    digests: Vec<u64>,
 }
 
 impl Hits {
-    fn new() -> Self {
-        Self { count: 0, digest: 0 }
+    fn new(n_q: usize) -> Self {
+        Self { count: 0, digests: vec![0; n_q] }
     }
 
     fn push(&mut self, q: usize, d: usize) {
         self.count += 1;
-        let pair = ((q as u64) << 32) | d as u64;
-        self.digest = (self.digest ^ pair)
+        let digest = &mut self.digests[q];
+        *digest = (*digest ^ d as u64)
             .wrapping_mul(0x0000_0100_0000_01B3)
             .rotate_left(17);
     }
 }
 
-/// Bytes of pool rows per block of `selection::compute_coverage`'s dense
-/// sweep, which the sweeps below repeat.
-const SWEEP_BLOCK_BYTES: usize = 256 * 1024;
-
-/// One question against one block of pool rows, reporting each hit's row
-/// within the block.
-type BlockScan<'a> = dyn Fn(&[f64], &[f64], &mut dyn FnMut(usize)) + 'a;
-
-/// One `kernel_64` entry: the covering sweep of `n_q` questions against
+/// One `kernel_64` entry: the coverage pairs of `n_q` questions against
 /// `n_pool` demos of DBLP-Scholar's semantic features at the best design's
-/// threshold, as `selection::compute_coverage`'s dense route runs it (a
-/// cache block of pool rows at a time, one `scan_rows_within` per question
-/// and block), against the same sweep on [`sq_euclidean_four_lanes`]; best
-/// of `passes` each, hits equal. The entry also times the route the
-/// planner takes for narrow rows from `INDEX_MIN_ROWS` questions up — the
-/// questions indexed, one radius query per demo — which is what keeps
-/// 64-dim rows on the dense sweep at every size.
+/// threshold, best of `passes` each, hits equal in every pass:
+/// - *tile*: `pairs_within`, the planner's route (the dot-product tile on
+///   a CPU with AVX-512F), with its count of pairs verified on the lane
+///   kernel;
+/// - *dispatched*: `pairs_within_sweep`, the lane sweep the planner ran
+///   before the tile and still runs without AVX-512F (a cache block of
+///   pool rows at a time, one `scan_rows_within` per question and block);
+/// - *scalar*: the same blocked sweep on [`sq_euclidean_four_lanes`].
+///
+/// The entry also times the route the planner takes for narrow rows from
+/// `INDEX_MIN_ROWS` questions up — the questions indexed, one radius
+/// query per demo — which is what keeps 64-dim rows off the index at
+/// every size.
 fn kernel_point(questions: &FeatureSpace, pool: &FeatureSpace, passes: usize) -> String {
     let (n_q, n_pool) = (questions.len(), pool.len());
     let params = SelectionParams::default();
     let t = covering_threshold(questions, params);
     let t_sq = t * t;
-    let block_rows = SWEEP_BLOCK_BYTES / (KERNEL_DIM * std::mem::size_of::<f64>());
-    let blocked = |scan: &BlockScan<'_>| {
-        let mut hits = Hits::new();
-        for (b, block) in pool
-            .matrix()
-            .flat()
-            .chunks(block_rows * KERNEL_DIM)
-            .enumerate()
-        {
-            for q in 0..n_q {
-                scan(questions.vector(q), block, &mut |d| {
-                    hits.push(q, b * block_rows + d)
-                });
-            }
-        }
-        hits
+    let (qm, pm) = (questions.matrix(), pool.matrix());
+    let tile = || {
+        let mut hits = Hits::new(n_q);
+        let verified = pairs_within(qm, pm, t_sq, |q, d| hits.push(q, d));
+        (hits, verified)
     };
     let dispatched = || {
-        blocked(&|query, block, on_hit| {
-            scan_rows_within::<true>(KERNEL_DIM, query, block, t_sq, on_hit);
-        })
+        let mut hits = Hits::new(n_q);
+        pairs_within_sweep(qm, pm, t_sq, |q, d| hits.push(q, d));
+        (hits, 0)
     };
     let scalar = || {
-        blocked(&|query, block, on_hit| {
-            for (d, row) in block.chunks_exact(KERNEL_DIM).enumerate() {
-                if sq_euclidean_four_lanes(query, row) < t_sq {
-                    on_hit(d);
+        let block_rows = SWEEP_BLOCK_BYTES / (KERNEL_DIM * std::mem::size_of::<f64>());
+        let mut hits = Hits::new(n_q);
+        for (b, block) in pm.flat().chunks(block_rows * KERNEL_DIM).enumerate() {
+            for q in 0..n_q {
+                for (d, row) in block.chunks_exact(KERNEL_DIM).enumerate() {
+                    if sq_euclidean_four_lanes(questions.vector(q), row) < t_sq {
+                        hits.push(q, b * block_rows + d);
+                    }
                 }
             }
-        })
+        }
+        (hits, 0)
     };
-    let timed = |sweep: &dyn Fn() -> Hits| -> (f64, Hits) {
+    let timed = |sweep: &dyn Fn() -> (Hits, usize)| -> (f64, Hits, usize) {
         let started = Instant::now();
-        let hits = std::hint::black_box(sweep());
-        (started.elapsed().as_secs_f64() * 1e3, hits)
+        let (hits, verified) = std::hint::black_box(sweep());
+        (started.elapsed().as_secs_f64() * 1e3, hits, verified)
     };
-    let (mut dispatched_ms, mut scalar_ms) = (f64::INFINITY, f64::INFINITY);
-    let mut hits = None;
+    let (mut tile_ms, mut dispatched_ms, mut scalar_ms) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut hits: Option<Hits> = None;
+    let mut verified = 0;
     for _ in 0..passes {
-        let (ms, a) = timed(&dispatched);
+        let (ms, a, v) = timed(&tile);
+        tile_ms = tile_ms.min(ms);
+        verified = v;
+        let (ms, b, _) = timed(&dispatched);
         dispatched_ms = dispatched_ms.min(ms);
-        let (ms, b) = timed(&scalar);
+        let (ms, c, _) = timed(&scalar);
         scalar_ms = scalar_ms.min(ms);
-        assert_eq!(
-            a, b,
-            "kernel_64 {n_q}x{n_pool}: dispatched and scalar sweeps hit differently"
+        assert!(
+            a == b && b == c,
+            "kernel_64 {n_q}x{n_pool}: the tile, dispatched and scalar sweeps hit differently"
         );
-        assert_eq!(
-            *hits.get_or_insert(a),
-            a,
-            "kernel_64: hits differ between passes"
-        );
+        let first = hits.get_or_insert_with(|| a.clone());
+        assert_eq!(*first, a, "kernel_64: hits differ between passes");
     }
     let hits = hits.expect("at least one pass");
 
@@ -559,15 +557,19 @@ fn kernel_point(questions: &FeatureSpace, pool: &FeatureSpace, passes: usize) ->
     );
 
     let kernel_x = scalar_ms / dispatched_ms;
+    let tile_x = dispatched_ms / tile_ms;
     println!(
-        "kernel_64 {n_q}q x {n_pool}p: dispatched {dispatched_ms:.1} ms, scalar {scalar_ms:.1} ms \
+        "kernel_64 {n_q}q x {n_pool}p: tile {tile_ms:.1} ms ({verified} pairs verified), \
+         dispatched {dispatched_ms:.1} ms ({tile_x:.2}x), scalar {scalar_ms:.1} ms \
          ({kernel_x:.2}x), question index {index_ms:.1} ms, {} hits",
         hits.count
     );
     format!(
         "{{ \"questions\": {n_q}, \"pool\": {n_pool}, \"dim\": {KERNEL_DIM}, \"passes\": {passes}, \
-         \"dispatched_ms\": {dispatched_ms:.2}, \"scalar_ms\": {scalar_ms:.2}, \
-         \"kernel_x\": {kernel_x:.2}, \"index_route_ms\": {index_ms:.2}, \"hits\": {} }}",
+         \"tile_ms\": {tile_ms:.2}, \"verified\": {verified}, \
+         \"dispatched_ms\": {dispatched_ms:.2}, \"tile_x\": {tile_x:.2}, \
+         \"scalar_ms\": {scalar_ms:.2}, \"kernel_x\": {kernel_x:.2}, \
+         \"index_route_ms\": {index_ms:.2}, \"hits\": {} }}",
         hits.count
     )
 }
@@ -575,9 +577,10 @@ fn kernel_point(questions: &FeatureSpace, pool: &FeatureSpace, passes: usize) ->
 /// The `kernel_64` block: the offline workload's shape (300 questions
 /// against 3,600 demos) in both modes and, in full mode, Table VII's
 /// DBLP-Scholar split (5,741 against 17,225), whose semantic cell is most
-/// of that table's time. `avx` says whether this CPU has the instructions
-/// the dispatched kernel needs; without them it runs the scalar code and
-/// `kernel_x` reads about 1.
+/// of that table's time. `avx` and `avx512f` say whether this CPU has the
+/// instructions the lane sweep and the tile need; without them the sweep
+/// runs the scalar code and `kernel_x` reads about 1, and the planner's
+/// route is the sweep, so `tile_x` reads about 1.
 fn kernel_64(seed: u64, quick: bool) -> String {
     let dataset = datagen::generate(DatasetKind::DblpScholar, seed);
     let split = dataset
@@ -600,11 +603,14 @@ fn kernel_64(seed: u64, quick: bool) -> String {
         ));
     }
     #[cfg(target_arch = "x86_64")]
-    let avx = std::arch::is_x86_feature_detected!("avx");
+    let (avx, avx512f) = (
+        std::arch::is_x86_feature_detected!("avx"),
+        std::arch::is_x86_feature_detected!("avx512f"),
+    );
     #[cfg(not(target_arch = "x86_64"))]
-    let avx = false;
+    let (avx, avx512f) = (false, false);
     format!(
-        "{{ \"avx\": {avx}, \"points\": [\n      {}\n    ] }}",
+        "{{ \"avx\": {avx}, \"avx512f\": {avx512f}, \"points\": [\n      {}\n    ] }}",
         points.join(",\n      ")
     )
 }

@@ -7,7 +7,7 @@
 //! `select_nth_unstable` top-k instead of full sorts. Each batch's
 //! result is a pure function of the two spaces.
 
-use embed::matrix::scan_rows_within;
+use embed::matrix::{pairs_within, scan_rows_within};
 use embed::PivotIndex;
 use er_core::Rng;
 
@@ -161,16 +161,12 @@ const INDEX_MIN_ROWS: usize = 512;
 
 /// Row width from which the coverage sweep never indexes the questions:
 /// at Table VII's DBLP-Scholar split (5,741 questions against 17,225
-/// demos, 64-dim semantic rows) the blocked dense sweep took 1,476 ms
-/// against the one-pivot question index's 2,525 ms with the AVX kernel
-/// (the committed `BENCH_planning.json`, `kernel_64` block), while at
-/// 4-dim rows the two routes were within 20% of each other.
+/// demos, 64-dim semantic rows) `pairs_within` took 352 ms on its
+/// dot-product tile and 1,635 ms on the lane sweep without it, against
+/// the one-pivot question index's 2,927 ms (the committed
+/// `BENCH_planning.json`, `kernel_64` block), while at 4-dim rows the
+/// sweep and the index were within 20% of each other.
 const SWEEP_MIN_DIM: usize = 16;
-
-/// Bytes of pool rows in one block of the dense coverage sweep: well
-/// inside a core's L2 cache, where the block stays while every question
-/// sweeps it.
-const SWEEP_BLOCK_BYTES: usize = 256 * 1024;
 
 /// The order every nearest list and every top-k fold ranks by: ranking
 /// distance ascending, ties by pool index, and a NaN ranking distance —
@@ -344,13 +340,15 @@ pub(crate) fn topk_question(
 /// demo (the covering threshold is a *low* percentile, so triangle-bound
 /// pruning is deep at that size). Otherwise — every served flush, every
 /// design-space cell, and the semantic extractor's 64-dim rows at any size
-/// — the questions sweep the pool's flat buffer densely instead, a cache
-/// block of pool rows at a time: with a handful of questions the threshold
-/// is of the order of their own spread, a large share of the pool lies
-/// inside it, and an index query per pool demo pays pivot distances, a
-/// result vector and a sort to verify rows it could have scanned; with
-/// wide rows the pivot bounds prune too little to pay for themselves. Both
-/// routes run [`scan_rows_within`], whose `(a − b)²` does not depend on
+/// — every (question, demo) pair is compared by
+/// [`embed::matrix::pairs_within`], a cache block of pool rows at a time:
+/// with a handful of questions the threshold is of the order of their own
+/// spread, a large share of the pool lies inside it, and an index query
+/// per pool demo pays pivot distances, a result vector and a sort to
+/// verify rows it could have scanned; with wide rows the pivot bounds
+/// prune too little to pay for themselves, and a dot-product tile decides
+/// most pairs at a fraction of a distance's cost. Every verdict on either
+/// route is [`scan_rows_within`]'s, whose `(a − b)²` does not depend on
 /// which side is the query, so the verdict for a (demo, question) pair —
 /// and every plan — is the same on either.
 ///
@@ -385,20 +383,10 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
     let t_rank = questions.ranking_threshold(t);
     let mut by_question = Rows::new();
     if euclidean {
-        // Every question sweeps one block of pool rows while it sits in
-        // cache, so the pool leaves memory once per question set, not
-        // once per question; each question's hits still arrive in pool
-        // order.
-        let block_rows = (SWEEP_BLOCK_BYTES / (dim * std::mem::size_of::<f64>())).max(1);
         let mut covering: Vec<Vec<u32>> = vec![Vec::new(); n_q];
-        for (b, block) in pool.matrix().flat().chunks(block_rows * dim).enumerate() {
-            let first = (b * block_rows) as u32;
-            for (q, hits) in covering.iter_mut().enumerate() {
-                scan_rows_within::<true>(dim, questions.vector(q), block, t_rank, |d| {
-                    hits.push(first + d as u32);
-                });
-            }
-        }
+        pairs_within(questions.matrix(), pool.matrix(), t_rank, |q, d| {
+            covering[q].push(d as u32);
+        });
         for hits in covering {
             by_question.push_row(hits);
         }
@@ -636,6 +624,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embed::matrix::SWEEP_BLOCK_BYTES;
     use proptest::prelude::*;
 
     /// Questions at 0..6 on a line; pool demos at 0.2, 1.1, 3.9, 5.2, 40.
@@ -1183,8 +1172,9 @@ mod tests {
         );
     }
 
-    /// A pool several cache blocks long: the blocked sweep's hits keep
-    /// their pool indices across block boundaries, in order.
+    /// A pool several cache blocks long: the all-pairs route's hits keep
+    /// their pool indices across block boundaries, in order — on the
+    /// dot-product tile, where the CPU has it, hostile rows included.
     #[test]
     fn coverage_sweep_spans_cache_blocks() {
         for dim in [SWEEP_MIN_DIM + 1, 64] {

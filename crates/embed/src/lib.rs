@@ -87,7 +87,10 @@ impl Embedder {
     /// (the whole string when it has at most 3 characters) —
     /// the same feature strings, in the same order, as
     /// [`text_sim::word_tokens`] and [`text_sim::qgrams`] produce, hashed
-    /// in place instead of copied out one `String` each.
+    /// in place instead of copied out one `String` each. An ASCII string
+    /// longer than 3 characters has one byte per character, so its
+    /// windows are its 3-byte windows, hashed in one indexed loop; other
+    /// text walks its character boundaries.
     ///
     /// # Panics
     /// Panics unless `out.len() == dim`.
@@ -99,26 +102,40 @@ impl Embedder {
         for tok in norm.split_ascii_whitespace() {
             // Whole tokens are more discriminative than their constituent
             // grams, hence the double weight.
-            scatter(out, tok, 2.0);
+            scatter(out, fnv1a64(tok.as_bytes(), SEED), 2.0);
         }
-        // Window `i` runs from the start of character `i` to the start of
-        // character `i + Q`; the end offsets are the starts shifted by `Q`
-        // characters, then the end of the string. A string of at most `Q`
-        // characters has no shifted start left, so its only window is the
-        // whole string; the empty string has no start at all.
-        let starts = norm.char_indices().map(|(at, _)| at);
-        let ends = starts.clone().skip(Q).chain(std::iter::once(norm.len()));
-        for (start, end) in starts.zip(ends) {
-            scatter(out, &norm[start..end], 1.0);
+        if norm.len() > Q && norm.is_ascii() {
+            for window in norm.as_bytes().windows(Q) {
+                scatter(out, fnv1a64(window, SEED), 1.0);
+            }
+        } else {
+            // Window `i` runs from the start of character `i` to the start
+            // of character `i + Q`; the end offsets are the starts shifted
+            // by `Q` characters, then the end of the string. A string of at
+            // most `Q` characters has no shifted start left, so its only
+            // window is the whole string; the empty string has no start at
+            // all.
+            let starts = norm.char_indices().map(|(at, _)| at);
+            let ends = starts.clone().skip(Q).chain(std::iter::once(norm.len()));
+            for (start, end) in starts.zip(ends) {
+                scatter(out, fnv1a64(&norm.as_bytes()[start..end], SEED), 1.0);
+            }
         }
         l2_normalize(out);
     }
 }
 
-/// Adds a signed feature-hash contribution for one feature string.
-fn scatter(v: &mut [f64], feature: &str, weight: f64) {
-    let h = fnv1a64(feature.as_bytes(), SEED);
-    let idx = (h % v.len() as u64) as usize;
+/// Adds the signed feature-hash contribution of one feature, given its
+/// hash `h`.
+fn scatter(v: &mut [f64], h: u64, weight: f64) {
+    let dim = v.len() as u64;
+    // A power-of-two `dim` (the planner's 64, the default 256) takes the
+    // low bits, which is `h % dim` without a division.
+    let idx = if dim.is_power_of_two() {
+        h & (dim - 1)
+    } else {
+        h % dim
+    } as usize;
     // An independent high bit decides the sign, keeping hashed features
     // approximately unbiased (standard signed feature hashing).
     let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
@@ -140,10 +157,10 @@ mod tests {
     fn embed_reference(e: &Embedder, text: &str) -> Vec<f64> {
         let mut v = vec![0.0f64; e.config.dim];
         for tok in word_tokens(text) {
-            scatter(&mut v, &tok, 2.0);
+            scatter(&mut v, fnv1a64(tok.as_bytes(), SEED), 2.0);
         }
         for g in qgrams(text, Q) {
-            scatter(&mut v, &g, 1.0);
+            scatter(&mut v, fnv1a64(g.as_bytes(), SEED), 1.0);
         }
         l2_normalize(&mut v);
         v
@@ -153,9 +170,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every dimension the equivalence is claimed for.
+    /// Every dimension the equivalence is claimed for: powers of two,
+    /// which reduce a hash with a mask, and 63, which takes `%`.
     fn embedder_shapes() -> Vec<Embedder> {
-        [2, 64, 256]
+        [2, 63, 64, 256]
             .into_iter()
             .map(|dim| Embedder::new(EmbedderConfig { dim }))
             .collect()
@@ -164,7 +182,9 @@ mod tests {
     #[test]
     fn in_place_hashing_equals_owned_features_on_edge_strings() {
         // Empty, punctuation-only, fewer than / exactly / more than 3
-        // characters, multibyte characters at window edges.
+        // characters, ASCII of exactly 3 and 4 characters (the shortest
+        // strings the byte windows take), multibyte characters at window
+        // edges and mixed with ASCII.
         let texts = [
             "",
             "?!. ,",
@@ -172,14 +192,21 @@ mod tests {
             "ab",
             "abc",
             "abcd",
+            "a b",
+            "x y ",
+            "A-1.",
             "abcde",
             "abcdef",
+            "ab é",
+            "é ab",
+            "naïve café 42",
+            "x中y",
+            "iPhone™ 13",
             "é",
             "éß",
             "éßΩ",
             "éßΩ中",
             "中✓中✓中✓",
-            "a b",
             "  Title: iPhone-13, Brand: APPLE [SEP] title: iphone 13  ",
         ];
         for e in embedder_shapes() {
@@ -200,9 +227,13 @@ mod tests {
         /// Arbitrary Unicode, every shape: hashing slices of the one
         /// normalized buffer is bit-identical to hashing owned copies.
         #[test]
-        fn in_place_hashing_equals_owned_features(text in "\\PC{0,48}") {
+        fn in_place_hashing_equals_owned_features(
+            text in "\\PC{0,48}",
+            short in "[a-zA-Z0-9 .é中]{3,4}",
+        ) {
             for e in embedder_shapes() {
                 prop_assert_eq!(bits(&e.embed(&text)), bits(&embed_reference(&e, &text)));
+                prop_assert_eq!(bits(&e.embed(&short)), bits(&embed_reference(&e, &short)));
             }
         }
 

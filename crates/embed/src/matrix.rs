@@ -289,6 +289,386 @@ mod avx_scan {
     }
 }
 
+/// Bytes of pool rows in one block of the all-pairs routes: well inside a
+/// core's L2 cache, where the block stays while every question is
+/// compared with it.
+pub const SWEEP_BLOCK_BYTES: usize = 256 * 1024;
+
+/// Every (question, pool row) pair whose squared Euclidean distance is
+/// strictly below `t_sq`, with [`scan_rows_within::<true>`]'s verdict
+/// for the question as the query: `on_hit(q, d)` once per such pair,
+/// each question's hits in pool order. Returns how many pairs the
+/// lane-exact kernel decided.
+///
+/// From [`crate::vecmath::AVX_MIN_WIDTH`] up, on a CPU with AVX-512F,
+/// the pairs run through a dot-product tile instead: the
+/// question rows are transposed once, and each pool element, broadcast
+/// against eight questions at a time, feeds one fused multiply-add per
+/// question, so no horizontal sum is needed. The tile's
+/// `s̃ = ‖q‖² + ‖p‖² − 2·q·p`, from the cached norms, decides a pair
+/// only when it lies further from `t_sq` than a proven bound on its
+/// distance from the lane kernel's value (DESIGN.md §4.1, the covering
+/// kernel); the pairs inside that band, and every pair of a row whose
+/// squared norm is non-finite or above `1e300`, are decided by
+/// [`scan_rows_within::<true>`] itself, and counted. Elsewhere every pair
+/// is, through [`pairs_within_sweep`]. Either way each verdict is the
+/// lane kernel's.
+///
+/// # Panics
+/// Panics unless both matrices have the same nonzero width (a matrix
+/// with no rows has width 0 and matches any).
+pub fn pairs_within(
+    questions: &FeatureMatrix,
+    pool: &FeatureMatrix,
+    t_sq: f64,
+    on_hit: impl FnMut(usize, usize),
+) -> usize {
+    if questions.is_empty() || pool.is_empty() {
+        return 0;
+    }
+    assert_eq!(questions.dim, pool.dim, "question and pool widths differ");
+    assert!(questions.dim > 0, "zero-width rows have nothing to compare");
+    #[cfg(target_arch = "x86_64")]
+    if dot_tile::available(questions.dim) {
+        // SAFETY: `available` saw AVX-512F on this CPU, the one feature
+        // the tile is compiled for.
+        return unsafe { dot_tile::pairs_within(questions, pool, t_sq, on_hit) };
+    }
+    pairs_within_sweep(questions, pool, t_sq, on_hit);
+    questions.rows * pool.rows
+}
+
+/// [`pairs_within`] on [`scan_rows_within::<true>`] alone: every
+/// question scans one cache block of pool rows while it sits in cache,
+/// so the pool leaves memory once per question set, not once per
+/// question. The route on CPUs without AVX-512F and below the tile's
+/// width, and the reference the tile is tested against.
+///
+/// # Panics
+/// As [`pairs_within`].
+pub fn pairs_within_sweep(
+    questions: &FeatureMatrix,
+    pool: &FeatureMatrix,
+    t_sq: f64,
+    mut on_hit: impl FnMut(usize, usize),
+) {
+    if questions.is_empty() || pool.is_empty() {
+        return;
+    }
+    let dim = questions.dim;
+    assert_eq!(dim, pool.dim, "question and pool widths differ");
+    assert!(dim > 0, "zero-width rows have nothing to compare");
+    let block_rows = (SWEEP_BLOCK_BYTES / (dim * std::mem::size_of::<f64>())).max(1);
+    for (b, block) in pool.flat().chunks(block_rows * dim).enumerate() {
+        let first = b * block_rows;
+        for q in 0..questions.rows {
+            scan_rows_within::<true>(dim, questions.row(q), block, t_sq, |d| on_hit(q, first + d));
+        }
+    }
+}
+
+/// The dot-product tile behind [`pairs_within`], on AVX-512F registers.
+///
+/// **Shape.** Questions go into panels of [`PANEL`] (four registers of
+/// eight), stored dimension-major: element `k` of the panel's questions
+/// is one contiguous run of [`PANEL`] values, zero past the last
+/// question. A tile is [`ROWS`] pool rows against one panel: per
+/// dimension, four loads of the panel and one broadcast per pool row
+/// feed sixteen fused multiply-adds into sixteen accumulators, one per
+/// (row, register). Pool rows go in blocks of [`SWEEP_BLOCK_BYTES`];
+/// every panel sweeps a block while the block sits in cache, and the
+/// rows of a block in order, so each question meets the pool in order.
+///
+/// **Exactness.** Each accumulated `c = q·p` turns into
+/// `s̃ = fl(fl(‖q‖² + ‖p‖²) − 2c)` (one fused negative multiply-add:
+/// `2c` is exact), and with `e = fl(‖q‖² + ‖p‖²)` the lane kernel's
+/// value `s` satisfies `|s − s̃| ≤ coef·e + tiny`, where
+/// `coef = 4·(n + 4)·ε` for rows `n` wide and `tiny` is the smallest
+/// normal number (DESIGN.md §4.1 derives it). So `s̃ − t_sq` above the bound
+/// puts `s` above `t_sq` (no hit), `t_sq − s̃` above it puts `s` below
+/// (a hit), and anything else goes to the lane kernel. A squared norm
+/// that is NaN, infinite or above [`NORM_SQ_MAX`] is replaced by NaN,
+/// which makes every comparison of its pairs false: the whole row goes
+/// to the lane kernel, and no sum on the tile's side can overflow.
+#[cfg(target_arch = "x86_64")]
+mod dot_tile {
+    use std::arch::x86_64::{
+        __m512d, _mm512_add_epi64, _mm512_add_pd, _mm512_cmp_pd_mask, _mm512_fmadd_pd,
+        _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_maskz_compress_epi64, _mm512_set1_epi64,
+        _mm512_set1_pd, _mm512_setr_epi64, _mm512_setzero_pd, _mm512_storeu_si512, _mm512_sub_pd,
+        _CMP_GT_OQ,
+    };
+
+    use super::{scan_rows_within, FeatureMatrix, SWEEP_BLOCK_BYTES};
+
+    /// Questions per register.
+    const LANES: usize = 8;
+    /// Registers per panel.
+    const VECS: usize = 4;
+    /// Questions per panel.
+    const PANEL: usize = LANES * VECS;
+    /// Pool rows per tile.
+    const ROWS: usize = 4;
+    /// The largest squared norm the tile trusts: with both norms at most
+    /// this, no sum it or the lane kernel forms can overflow.
+    const NORM_SQ_MAX: f64 = 1e300;
+
+    /// True when rows of `width` take the tile: at least `vecmath`'s AVX
+    /// width, on a CPU with AVX-512F (checked at run time).
+    #[inline]
+    pub(super) fn available(width: usize) -> bool {
+        width >= crate::vecmath::AVX_MIN_WIDTH && std::arch::is_x86_feature_detected!("avx512f")
+    }
+
+    /// A squared norm the bound holds for, or NaN.
+    #[inline]
+    fn trusted(sq_norm: f64) -> f64 {
+        if sq_norm <= NORM_SQ_MAX {
+            sq_norm
+        } else {
+            f64::NAN
+        }
+    }
+
+    /// Loads eight values.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(eight: &[f64]) -> __m512d {
+        assert_eq!(eight.len(), LANES, "an AVX-512 load reads eight values");
+        // SAFETY: the assertion keeps the eight reads inside `eight`; an
+        // unaligned load has no alignment requirement.
+        unsafe { _mm512_loadu_pd(eight.as_ptr()) }
+    }
+
+    /// What every tile of one pass reads: the panels, the trusted norms
+    /// on both sides, the threshold and the bound's coefficient.
+    struct Sweep<'a> {
+        /// Panels, each `dim × PANEL`, dimension-major.
+        panels: Vec<f64>,
+        /// Trusted squared norms of the questions, `PANEL` per panel, 0
+        /// past the last question.
+        q_norms: Vec<f64>,
+        /// Trusted squared norms of the pool rows.
+        p_norms: Vec<f64>,
+        questions: &'a FeatureMatrix,
+        pool: &'a FeatureMatrix,
+        t_sq: f64,
+        coef: f64,
+        /// Pairs sent to the lane kernel.
+        verified: usize,
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn pairs_within<F: FnMut(usize, usize)>(
+        questions: &FeatureMatrix,
+        pool: &FeatureMatrix,
+        t_sq: f64,
+        mut on_hit: F,
+    ) -> usize {
+        let (dim, n_q) = (questions.dim, questions.rows);
+        assert!(
+            u32::try_from(n_q.max(pool.rows)).is_ok(),
+            "a packed hit holds each index in 32 bits"
+        );
+        let n_panels = n_q.div_ceil(PANEL);
+        let mut panels = vec![0.0f64; n_panels * dim * PANEL];
+        let mut q_norms = vec![0.0f64; n_panels * PANEL];
+        for (q, row) in questions.rows().enumerate() {
+            let base = q / PANEL * dim * PANEL + q % PANEL;
+            for (k, &x) in row.iter().enumerate() {
+                panels[base + k * PANEL] = x;
+            }
+            q_norms[q] = trusted(questions.sq_norms[q]);
+        }
+        let mut sweep = Sweep {
+            panels,
+            q_norms,
+            p_norms: pool.sq_norms.iter().map(|&n| trusted(n)).collect(),
+            questions,
+            pool,
+            t_sq,
+            coef: 4.0 * (dim as f64 + 4.0) * f64::EPSILON,
+            verified: 0,
+        };
+        let block_rows = (SWEEP_BLOCK_BYTES / (dim * std::mem::size_of::<f64>())).max(ROWS);
+        let mut start = 0;
+        while start < pool.rows {
+            let end = (start + block_rows).min(pool.rows);
+            for panel in 0..n_panels {
+                // The last panel runs only the registers it fills.
+                match (n_q - panel * PANEL).min(PANEL).div_ceil(LANES) {
+                    1 => sweep.block::<1, F>(panel, start..end, &mut on_hit),
+                    2 => sweep.block::<2, F>(panel, start..end, &mut on_hit),
+                    3 => sweep.block::<3, F>(panel, start..end, &mut on_hit),
+                    _ => sweep.block::<VECS, F>(panel, start..end, &mut on_hit),
+                }
+            }
+            start = end;
+        }
+        sweep.verified
+    }
+
+    impl Sweep<'_> {
+        /// One panel's first `V` registers against pool rows `rows`:
+        /// whole tiles of [`ROWS`], then the rest one row at a time.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn block<const V: usize, F: FnMut(usize, usize)>(
+            &mut self,
+            panel: usize,
+            rows: std::ops::Range<usize>,
+            on_hit: &mut F,
+        ) {
+            let q0 = panel * PANEL;
+            let norms = &self.q_norms[q0..q0 + PANEL];
+            let q_norms: [__m512d; V] =
+                std::array::from_fn(|v| load(&norms[v * LANES..(v + 1) * LANES]));
+            // Lanes past the last question hold no question.
+            let valid: [u8; V] = std::array::from_fn(|v| {
+                let filled = self.questions.rows - (q0 + v * LANES);
+                if filled >= LANES {
+                    u8::MAX
+                } else {
+                    (1u8 << filled) - 1
+                }
+            });
+            let mut d = rows.start;
+            while d + ROWS <= rows.end {
+                let acc = self.tile::<ROWS, V>(panel, d);
+                self.decide(q0, d, &q_norms, &valid, &acc, on_hit);
+                d += ROWS;
+            }
+            while d < rows.end {
+                let acc = self.tile::<1, V>(panel, d);
+                self.decide(q0, d, &q_norms, &valid, &acc, on_hit);
+                d += 1;
+            }
+        }
+
+        /// `q·p` for pool rows `first..first + R` against the panel's
+        /// first `8·V` questions, one register of eight questions per
+        /// (row, register).
+        #[inline(never)]
+        #[target_feature(enable = "avx512f")]
+        fn tile<const R: usize, const V: usize>(
+            &self,
+            panel: usize,
+            first: usize,
+        ) -> [[__m512d; V]; R] {
+            let dim = self.pool.dim;
+            let values = &self.panels[panel * dim * PANEL..(panel + 1) * dim * PANEL];
+            let rows = &self.pool.data[first * dim..(first + R) * dim];
+            let (values, rows) = (values.as_ptr(), rows.as_ptr());
+            let mut acc = [[_mm512_setzero_pd(); V]; R];
+            for k in 0..dim {
+                // SAFETY: `k < dim` and `v < V ≤ VECS`, so every read lies
+                // inside the panel (`dim × PANEL` values) or the `R` rows
+                // (`R × dim`) sliced above; unaligned loads have no
+                // alignment requirement.
+                unsafe {
+                    let column = values.add(k * PANEL);
+                    let q: [__m512d; V] =
+                        std::array::from_fn(|v| _mm512_loadu_pd(column.add(v * LANES)));
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let p = _mm512_set1_pd(*rows.add(r * dim + k));
+                        for (acc, &q) in acc.iter_mut().zip(&q) {
+                            *acc = _mm512_fmadd_pd(p, q, *acc);
+                        }
+                    }
+                }
+            }
+            acc
+        }
+
+        /// Turns a tile's dot products into verdicts: decided hits go to
+        /// `on_hit` at once, pairs in the band to the lane kernel first,
+        /// row by row so each question's hits stay in pool order.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn decide<const R: usize, const V: usize, F: FnMut(usize, usize)>(
+            &mut self,
+            q0: usize,
+            first: usize,
+            q_norms: &[__m512d; V],
+            valid: &[u8; V],
+            acc: &[[__m512d; V]; R],
+            on_hit: &mut F,
+        ) {
+            let t = _mm512_set1_pd(self.t_sq);
+            let coef = _mm512_set1_pd(self.coef);
+            let tiny = _mm512_set1_pd(f64::MIN_POSITIVE);
+            let two = _mm512_set1_pd(2.0);
+            let mut hits = [[0u8; V]; R];
+            let mut bands = [[0u8; V]; R];
+            let mut any = 0u8;
+            for r in 0..R {
+                let p_norm = _mm512_set1_pd(self.p_norms[first + r]);
+                for v in 0..V {
+                    let e = _mm512_add_pd(q_norms[v], p_norm);
+                    let s = _mm512_fnmadd_pd(two, acc[r][v], e);
+                    let bound = _mm512_fmadd_pd(coef, e, tiny);
+                    let miss = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(_mm512_sub_pd(s, t), bound);
+                    let hit = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(_mm512_sub_pd(t, s), bound);
+                    hits[r][v] = hit & valid[v];
+                    bands[r][v] = !(hit | miss) & valid[v];
+                    any |= hits[r][v] | bands[r][v];
+                }
+            }
+            if any == 0 {
+                return;
+            }
+            if bands.iter().flatten().all(|&b| b == 0) {
+                // Every verdict is decided: pack the hits as
+                // `d << 32 | q`, row by row, without a branch per hit.
+                let lane_ids = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+                let mut packed = [0u64; ROWS * PANEL + LANES];
+                let mut n = 0;
+                for (r, hits) in hits.iter().enumerate() {
+                    for (v, &hit) in hits.iter().enumerate() {
+                        let base = ((first + r) << 32 | (q0 + v * LANES)) as i64;
+                        let ids = _mm512_add_epi64(_mm512_set1_epi64(base), lane_ids);
+                        assert!(n + LANES <= packed.len());
+                        // SAFETY: the assertion keeps the eight writes
+                        // inside `packed`; an unaligned store has no
+                        // alignment requirement.
+                        unsafe {
+                            _mm512_storeu_si512(
+                                packed.as_mut_ptr().add(n).cast(),
+                                _mm512_maskz_compress_epi64(hit, ids),
+                            );
+                        }
+                        n += hit.count_ones() as usize;
+                    }
+                }
+                for &pair in &packed[..n] {
+                    on_hit(pair as u32 as usize, (pair >> 32) as usize);
+                }
+                return;
+            }
+            for r in 0..R {
+                let d = first + r;
+                for v in 0..V {
+                    let mut lanes = hits[r][v] | bands[r][v];
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        let q = q0 + v * LANES + lane;
+                        if hits[r][v] >> lane & 1 == 1 {
+                            on_hit(q, d);
+                            continue;
+                        }
+                        self.verified += 1;
+                        let (query, row) = (self.questions.row(q), self.pool.row(d));
+                        scan_rows_within::<true>(row.len(), query, row, self.t_sq, |_| {
+                            on_hit(q, d)
+                        });
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn scan_fixed<const D: usize, const STRICT: bool>(
     query: &[f64],
     rows_flat: &[f64],
@@ -496,6 +876,59 @@ mod tests {
                 prop_assert_eq!(&got, &want, "inclusive, t_sq {}", t_sq);
             }
         }
+    }
+
+    /// A pool several cache blocks long: both all-pairs routes keep each
+    /// hit's pool index across block boundaries, every question's hits in
+    /// pool order.
+    #[test]
+    fn pairs_span_cache_blocks() {
+        for dim in [17, 64] {
+            let block_rows = SWEEP_BLOCK_BYTES / (dim * std::mem::size_of::<f64>());
+            let n_pool = 2 * block_rows + 37;
+            let questions = FeatureMatrix::from_rows(sample(9, dim, 0.2));
+            let pool = FeatureMatrix::from_rows(sample(n_pool, dim, 0.7));
+            // The median distance from the first question: some of every
+            // block inside, some outside.
+            let mut first: Vec<f64> = pool
+                .rows()
+                .map(|row| sq_euclidean_distance(questions.row(0), row))
+                .collect();
+            let t_sq = *first.select_nth_unstable_by(n_pool / 2, f64::total_cmp).1;
+            let want: Vec<Vec<usize>> = questions
+                .rows()
+                .map(|q| {
+                    let mut hits = Vec::new();
+                    scan_rows_within::<true>(dim, q, pool.flat(), t_sq, |d| hits.push(d));
+                    hits
+                })
+                .collect();
+            let in_block =
+                |b: std::ops::Range<usize>| want[0].iter().filter(|d| b.contains(d)).count();
+            let (second, last) = (
+                in_block(block_rows..2 * block_rows),
+                in_block(2 * block_rows..n_pool),
+            );
+            assert!(second > 0 && second < block_rows, "dim {dim}: {second}");
+            assert!(last > 0 && last < 37, "dim {dim}: {last}");
+            let mut got = vec![Vec::new(); 9];
+            pairs_within(&questions, &pool, t_sq, |q, d| got[q].push(d));
+            assert_eq!(got, want, "dim {dim}: pairs_within");
+            let mut got = vec![Vec::new(); 9];
+            pairs_within_sweep(&questions, &pool, t_sq, |q, d| got[q].push(d));
+            assert_eq!(got, want, "dim {dim}: pairs_within_sweep");
+        }
+    }
+
+    #[test]
+    fn tile_runs_where_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            dot_tile::available(crate::vecmath::AVX_MIN_WIDTH),
+            std::arch::is_x86_feature_detected!("avx512f")
+        );
+        #[cfg(target_arch = "x86_64")]
+        assert!(!dot_tile::available(crate::vecmath::AVX_MIN_WIDTH - 1));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! sees (duplicate rows, zero-variance dimensions, near-collinear points,
 //! eps sitting exactly on a pairwise distance).
 
-use embed::matrix::scan_rows_within;
+use embed::matrix::{pairs_within, pairs_within_sweep, scan_rows_within};
 use embed::{FeatureMatrix, PivotIndex};
+use er_core::Rng;
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::ops::Range;
@@ -260,5 +261,154 @@ proptest! {
         got_pairs.sort_unstable();
         want_pairs.sort_unstable();
         prop_assert_eq!(got_pairs, want_pairs);
+    }
+}
+
+/// `n` rows for the coverage parity cases, each one of `centres`' rows
+/// (`dim` wide, three of them) jittered by up to `jitter` per value, with
+/// NaN, ±∞, ±0, subnormals and ±1e300 (whose squares overflow) mixed in
+/// at `hostile_per_16` values in 16. A small jitter makes near-duplicate
+/// pairs, whose distance is a small difference of large norms: the
+/// cancellation the tile's rounding bound has to cover.
+fn hostile_rows(
+    n: usize,
+    centres: &[f64],
+    jitter: f64,
+    hostile_per_16: usize,
+    rng: &mut Rng,
+) -> FeatureMatrix {
+    const HOSTILE: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        -2.5e-310,
+        1e300,
+        -1e300,
+    ];
+    let dim = centres.len() / 3;
+    let mut flat = Vec::with_capacity(n * dim);
+    for _ in 0..n {
+        let centre = &centres[rng.range(0..3) * dim..][..dim];
+        flat.extend(centre.iter().map(|&c| {
+            if rng.range(0..16) < hostile_per_16 {
+                HOSTILE[rng.range(0..HOSTILE.len())]
+            } else {
+                c + jitter * (rng.f64() * 2.0 - 1.0)
+            }
+        }));
+    }
+    FeatureMatrix::from_flat(flat, n, dim)
+}
+
+/// Every question's hits as the lane kernel decides them: one
+/// [`scan_rows_within`] per question over the whole pool, so each list is
+/// in pool order.
+fn brute_pairs(questions: &FeatureMatrix, pool: &FeatureMatrix, t_sq: f64) -> Vec<Vec<usize>> {
+    questions
+        .rows()
+        .map(|q| {
+            let mut hits = Vec::new();
+            scan_rows_within::<true>(pool.dim(), q, pool.flat(), t_sq, |d| hits.push(d));
+            hits
+        })
+        .collect()
+}
+
+/// `route`'s hits per question, in the order it reported them, and what
+/// it returned.
+fn routed_pairs<R>(
+    questions: &FeatureMatrix,
+    pool: &FeatureMatrix,
+    t_sq: f64,
+    route: impl Fn(&FeatureMatrix, &FeatureMatrix, f64, &mut dyn FnMut(usize, usize)) -> R,
+) -> (Vec<Vec<usize>>, R) {
+    let mut hits = vec![Vec::new(); questions.len()];
+    let returned = route(questions, pool, t_sq, &mut |q, d| hits[q].push(d));
+    (hits, returned)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The covering route — the dot-product tile where the CPU has
+    /// AVX-512F — and the lane sweep it falls back to, against one
+    /// `scan_rows_within::<true>` per question, at zero tolerance: the
+    /// same hits, each question's in pool order, at widths 16 to 257,
+    /// question counts that leave a partial register and panel, pool
+    /// counts that leave a partial tile, hostile values, and thresholds
+    /// on a pair's own lane value and one step either side of it, where
+    /// the tile cannot decide and must ask the lane kernel.
+    #[test]
+    fn covering_pairs_match_the_lane_kernel(
+        seed in any::<u64>(),
+        dim in 16usize..258,
+        n_q in 1usize..75,
+        n_pool in 1usize..23,
+        hostile_per_16 in 0usize..3,
+        jitter in 0usize..3,
+    ) {
+        let mut rng = Rng::from_seed(seed);
+        let centres: Vec<f64> = (0..3 * dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
+        let jitter = [1.0, 1e-3, 1e-9][jitter];
+        let questions = hostile_rows(n_q, &centres, jitter, hostile_per_16, &mut rng);
+        let pool = hostile_rows(n_pool, &centres, jitter, hostile_per_16, &mut rng);
+        let mut thresholds = vec![(0.0, false), (dim as f64 / 3.0, false), (f64::INFINITY, false), (f64::NAN, false)];
+        for _ in 0..8 {
+            let (q, d) = (rng.range(0..n_q), rng.range(0..n_pool));
+            let on_pair = embed::sq_euclidean_distance(questions.row(q), pool.row(d));
+            if on_pair.is_finite() {
+                thresholds.extend([(on_pair, true), (on_pair.next_up(), false), (on_pair.next_down(), false)]);
+            }
+        }
+        for (t_sq, on_pair) in thresholds {
+            let want = brute_pairs(&questions, &pool, t_sq);
+            let (tile, verified) = routed_pairs(&questions, &pool, t_sq, |a, b, t, f| pairs_within(a, b, t, f));
+            prop_assert_eq!(&tile, &want, "tile, t_sq {}", t_sq);
+            let (sweep, ()) = routed_pairs(&questions, &pool, t_sq, |a, b, t, f| pairs_within_sweep(a, b, t, f));
+            prop_assert_eq!(&sweep, &want, "sweep, t_sq {}", t_sq);
+            // A threshold on a pair's own lane value lies inside the tile's
+            // band for that pair: the lane kernel decides it.
+            if on_pair {
+                prop_assert!(verified >= 1, "t_sq {} on a pair, {} verified", t_sq, verified);
+            }
+        }
+    }
+}
+
+/// Rows of one width whose pairwise distances crowd a threshold: every
+/// pool row is a question row nudged by ±1 ulp in a few coordinates, so
+/// s̃ and the lane value (`sq_euclidean_distance`, the scan's own
+/// kernel) sit within rounding of each other and of
+/// `t_sq` set to one of them.
+#[test]
+fn crowded_thresholds_are_exact() {
+    let mut rng = Rng::from_seed(43);
+    for dim in [16, 17, 63, 64, 65, 257] {
+        let n_q = 37;
+        let centres: Vec<f64> = (0..3 * dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
+        let questions = hostile_rows(n_q, &centres, 1.0, 0, &mut rng);
+        let base = questions.row(5).to_vec();
+        let pool_rows: Vec<Vec<f64>> = (0..13)
+            .map(|i| {
+                let mut row = base.clone();
+                row[i % dim] = row[i % dim].next_up();
+                row[(3 * i + 1) % dim] = row[(3 * i + 1) % dim].next_down();
+                row
+            })
+            .collect();
+        let pool = FeatureMatrix::from_rows(pool_rows);
+        for d in 0..pool.len() {
+            let t_sq = embed::sq_euclidean_distance(questions.row(5), pool.row(d));
+            for t_sq in [t_sq, t_sq.next_up(), t_sq.next_down()] {
+                let want = brute_pairs(&questions, &pool, t_sq);
+                let (got, _) = routed_pairs(&questions, &pool, t_sq, |a, b, t, f| {
+                    pairs_within(a, b, t, f)
+                });
+                assert_eq!(got, want, "dim {dim} demo {d} t_sq {t_sq:e}");
+            }
+        }
     }
 }
