@@ -12,7 +12,9 @@
 //! within 10%.
 //!
 //! Runs in quick mode (small workload) under `cargo test` and in full
-//! mode (10k questions) under `cargo bench`, best of 3 in both; both
+//! mode (10k questions) under `cargo bench`, three passes of both paths
+//! in both, reporting the pass with the lowest `kernel_ms + Σ stage_ms`,
+//! so the two numbers the gate compares come from one pass; both
 //! write a `BENCH_planning.json` snapshot (path override:
 //! `BENCH_PLANNING_OUT`).
 //!
@@ -649,10 +651,11 @@ fn main() {
     };
 
     // Kernel path (the production configuration) and its stage-by-stage
-    // replay, best of three in both modes — the gate compares the two
-    // minima.
-    let mut kernel_ms = f64::INFINITY;
-    let mut stage_ms = [f64::INFINITY; 8];
+    // replay, three passes of both in both modes. Both numbers come from
+    // one pass, the one with the lowest `kernel_ms + Σ stage_ms`: the gate
+    // compares them, and minima taken from different passes drift apart
+    // whenever one side of one pass hits a slow spell.
+    let (mut kernel_ms, mut stage_ms) = (f64::INFINITY, [f64::INFINITY; 8]);
     let mut kernel_batches = 0usize;
     let mut kernel_labeled = 0usize;
     for _ in 0..3 {
@@ -662,18 +665,19 @@ fn main() {
         plan_question_batches(&questions[..1], &pool[..1], &config);
         let start = Instant::now();
         let plan = plan_question_batches(&questions, &pool, &config);
-        kernel_ms = kernel_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_partition(&plan.batches, questions.len());
         kernel_batches = plan.len();
         kernel_labeled = plan.labeled.len();
 
-        let (staged, ms) = staged_plan(&questions, &pool, &config);
+        let (staged, stages) = staged_plan(&questions, &pool, &config);
         assert_eq!(
             staged, plan,
             "staged replay differs from plan_question_batches"
         );
-        if ms.iter().sum::<f64>() < stage_ms.iter().sum::<f64>() {
-            stage_ms = ms;
+        let pass_ms = |kernel: f64, stages: &[f64; 8]| kernel + stages.iter().sum::<f64>();
+        if pass_ms(ms, &stages) < pass_ms(kernel_ms, &stage_ms) {
+            (kernel_ms, stage_ms) = (ms, stages);
         }
     }
     let stage_json: Vec<String> = STAGES

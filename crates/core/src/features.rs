@@ -12,10 +12,13 @@
 //! thresholds are squared once ([`FeatureSpace::ranking_threshold`]) and
 //! argmins/order statistics are unchanged.
 
+use std::borrow::Borrow;
+use std::cell::OnceCell;
+
 use embed::matrix::FeatureMatrix;
 use embed::{Embedder, EmbedderConfig};
 use er_core::EntityPair;
-use text_sim::{jaccard_normalized, levenshtein_ratio, normalize_into};
+use text_sim::{jaccard_normalized, levenshtein_ratio, push_normalized};
 
 /// Which feature extractor to use (Table VII's three variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,23 +85,33 @@ impl FeatureSpace {
     where
         I: IntoIterator<Item = &'p EntityPair>,
     {
-        // Rows go straight into the matrix's flat buffer, through one
-        // kernel whose scratch strings serve the whole sweep.
+        // Nothing reads this text again, so it is packed a block of pairs
+        // at a time: a block's text is still in cache when its rows read it.
         let mut pairs = pairs.into_iter();
-        let mut kernel = RowKernel::new(extractor);
-        let mut data: Vec<f64> = Vec::new();
-        let (mut rows, mut dim) = (0usize, 0usize);
-        if let Some(first) = pairs.next() {
-            kernel.push_row(first, &mut data);
-            (rows, dim) = (1, data.len());
-            data.reserve(pairs.size_hint().0 * dim);
-        }
-        for pair in pairs {
-            kernel.push_row(pair, &mut data);
-            rows += 1;
-            assert_eq!(data.len(), rows * dim, "ragged feature rows");
+        let (mut data, mut rows, mut dim) = (Vec::new(), 0, 0);
+        loop {
+            let block: Vec<&EntityPair> = pairs.by_ref().take(EXTRACT_BLOCK).collect();
+            if block.is_empty() {
+                break;
+            }
+            let text = PackedPairs::new(block);
+            let (block_data, block_dim) = text.rows(extractor);
+            assert!(rows == 0 || block_dim == dim, "ragged feature rows");
+            (rows, dim) = (rows + text.len(), block_dim);
+            data.extend_from_slice(&block_data);
         }
         Self { matrix: FeatureMatrix::from_flat(data, rows, dim), distance }
+    }
+
+    /// Extracts features for the pairs of `text`, reading the half of it
+    /// the extractor needs (and packing that half if no row has yet).
+    pub(crate) fn from_packed<P: Borrow<EntityPair>>(
+        text: &PackedPairs<P>,
+        extractor: ExtractorKind,
+        distance: DistanceKind,
+    ) -> Self {
+        let (data, dim) = text.rows(extractor);
+        Self { matrix: FeatureMatrix::from_flat(data, text.len(), dim), distance }
     }
 
     /// Builds a feature space from precomputed vectors (used by tests and
@@ -239,63 +252,172 @@ impl FeatureSpace {
 /// tractable on the largest benchmark (DBLP-Scholar).
 const SEMANTIC_DIM: usize = 64;
 
-/// The per-pair feature kernel and the scratch buffers it works in, so a
-/// sweep over many pairs allocates per sweep, not per attribute: the
-/// structure-aware extractors normalize the two sides of each attribute
-/// into the two strings (and Jaccard splits them into the token spans);
-/// the semantic extractor serializes the pair into one string and
-/// normalizes that into the other.
-struct RowKernel {
-    extractor: ExtractorKind,
-    embedder: Embedder,
-    a: String,
-    b: String,
-    spans: Vec<(usize, usize)>,
+/// Pairs a one-shot [`FeatureSpace::extract`] packs at a time: a few
+/// hundred bytes of text a pair, so a block's text stays in L2.
+const EXTRACT_BLOCK: usize = 256;
+
+/// A pair set's text, packed: each half is read from the records once,
+/// the first time a row asks for it, into one `String` with end offsets,
+/// and every later extractor of the set reads that contiguous copy
+/// instead of records scattered on the heap.
+///
+/// * The **values** half holds every attribute value normalized, in pair
+///   order and, within a pair, attribute by attribute with the left
+///   side's value before the right's. The structure-aware extractors
+///   read it: Levenshtein and Jaccard rows share one normalization of
+///   each value.
+/// * The **serialized** half holds each pair's serialization (Eq. 1).
+///   The semantic extractor embeds it, and the covering weights count
+///   its tokens.
+///
+/// Rows are the per-pair kernels' rows to the bit: the same normalized
+/// strings reach the same kernels in the same order, only from one
+/// buffer. The pairs are owned (`P = EntityPair`) where the text outlives
+/// the caller's pair set, as in the planner's memo, and borrowed
+/// (`P = &EntityPair`) where one extraction reads it and drops it.
+pub(crate) struct PackedPairs<P> {
+    pairs: Vec<P>,
+    values: OnceCell<PackedValues>,
+    serialized: OnceCell<PackedStrings>,
 }
 
-impl RowKernel {
-    fn new(extractor: ExtractorKind) -> Self {
-        let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM });
-        Self { extractor, embedder, a: String::new(), b: String::new(), spans: Vec::new() }
+impl<P: Borrow<EntityPair>> PackedPairs<P> {
+    /// Packs nothing yet: each half is built when first read.
+    pub(crate) fn new(pairs: Vec<P>) -> Self {
+        Self { pairs, values: OnceCell::new(), serialized: OnceCell::new() }
     }
 
-    /// Appends the feature row of `pair` to `out`.
-    fn push_row(&mut self, pair: &EntityPair, out: &mut Vec<f64>) {
-        match self.extractor {
+    /// The pairs, in order.
+    pub(crate) fn pairs(&self) -> &[P] {
+        &self.pairs
+    }
+
+    /// Number of pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The rows of `extractor`, flat, and their width, from the half of
+    /// the text it reads.
+    fn rows(&self, extractor: ExtractorKind) -> (Vec<f64>, usize) {
+        match extractor {
             ExtractorKind::LevenshteinRatio => {
-                self.push_structure(pair, |a, b, _| levenshtein_ratio(a, b), out)
+                self.values().rows(|a, b, _| levenshtein_ratio(a, b))
             }
-            ExtractorKind::Jaccard => self.push_structure(pair, jaccard_normalized, out),
-            ExtractorKind::Semantic => {
-                pair.serialize_into(&mut self.a);
-                let at = out.len();
-                out.resize(at + SEMANTIC_DIM, 0.0);
-                self.embedder
-                    .embed_into(&self.a, &mut self.b, &mut out[at..]);
-            }
+            ExtractorKind::Jaccard => self.values().rows(jaccard_normalized),
+            ExtractorKind::Semantic => semantic_rows(self.serialized()),
         }
     }
 
-    /// Structure-aware row: one similarity per aligned attribute
-    /// (Example 5: `v1 = [1, 0.73, 0.42]`), each scored once on the two
-    /// normalized values.
-    fn push_structure<F>(&mut self, pair: &EntityPair, sim: F, out: &mut Vec<f64>)
+    /// Prompt-token count of every pair's serialization, the weight a
+    /// demonstration adds to a batch's prompt.
+    pub(crate) fn token_weights(&self) -> Vec<f64> {
+        let serialized = self.serialized();
+        (0..serialized.len())
+            .map(|i| llm::count_tokens(serialized.get(i)) as f64)
+            .collect()
+    }
+
+    fn values(&self) -> &PackedValues {
+        self.values.get_or_init(|| {
+            let mut values = PackedStrings::default();
+            let mut pair_ends = Vec::with_capacity(self.pairs.len());
+            for pair in &self.pairs {
+                let pair = pair.borrow();
+                for (a, b) in pair.a().values().iter().zip(pair.b().values()) {
+                    values.push_with(|text| push_normalized(a, text));
+                    values.push_with(|text| push_normalized(b, text));
+                }
+                pair_ends.push(values.len());
+            }
+            PackedValues { values, pair_ends }
+        })
+    }
+
+    fn serialized(&self) -> &PackedStrings {
+        self.serialized.get_or_init(|| {
+            let mut serialized = PackedStrings::default();
+            for pair in &self.pairs {
+                serialized.push_with(|text| pair.borrow().write_serialized(text));
+            }
+            serialized
+        })
+    }
+}
+
+/// Strings end to end in one buffer: string `i` ends at `ends[i]` and
+/// starts where string `i - 1` ends.
+#[derive(Default)]
+struct PackedStrings {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl PackedStrings {
+    /// Appends one string, the text `write` appends to the buffer.
+    fn push_with(&mut self, write: impl FnOnce(&mut String)) {
+        write(&mut self.text);
+        self.ends.push(self.text.len());
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+/// The values half of [`PackedPairs`]: pair `i`'s normalized values are
+/// strings `pair_ends[i - 1]..pair_ends[i]`, two per attribute.
+struct PackedValues {
+    values: PackedStrings,
+    pair_ends: Vec<usize>,
+}
+
+impl PackedValues {
+    /// The structure-aware rows (Example 5: `v1 = [1, 0.73, 0.42]`), one
+    /// similarity per aligned attribute, flat, and their width.
+    fn rows<F>(&self, sim: F) -> (Vec<f64>, usize)
     where
         F: Fn(&str, &str, &mut Vec<(usize, usize)>) -> f64,
     {
-        for i in 0..pair.a().schema().arity() {
-            normalize_into(pair.a().value(i).unwrap_or(""), &mut self.a);
-            normalize_into(pair.b().value(i).unwrap_or(""), &mut self.b);
-            out.push(if self.a.is_empty() && self.b.is_empty() {
-                // Jointly missing: no evidence either way.
-                0.5
-            } else if self.a.is_empty() || self.b.is_empty() {
-                0.0
-            } else {
-                sim(&self.a, &self.b, &mut self.spans)
-            });
+        let dim = self.pair_ends.first().map_or(0, |&end| end / 2);
+        let mut data = Vec::with_capacity(self.values.len() / 2);
+        let mut spans = Vec::new();
+        let mut start = 0;
+        for &end in &self.pair_ends {
+            assert_eq!((end - start) / 2, dim, "ragged feature rows");
+            for i in (start..end).step_by(2) {
+                let (a, b) = (self.values.get(i), self.values.get(i + 1));
+                data.push(if a.is_empty() && b.is_empty() {
+                    // Jointly missing: no evidence either way.
+                    0.5
+                } else if a.is_empty() || b.is_empty() {
+                    0.0
+                } else {
+                    sim(a, b, &mut spans)
+                });
+            }
+            start = end;
         }
+        (data, dim)
     }
+}
+
+/// The semantic rows, flat: the embedding of each serialized pair, and
+/// their width (`SEMANTIC_DIM`, or 0 for no pairs).
+fn semantic_rows(serialized: &PackedStrings) -> (Vec<f64>, usize) {
+    let n = serialized.len();
+    let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM });
+    let mut norm = String::new();
+    let mut data = vec![0.0; n * SEMANTIC_DIM];
+    for (i, row) in data.chunks_exact_mut(SEMANTIC_DIM).enumerate() {
+        embedder.embed_into(serialized.get(i), &mut norm, row);
+    }
+    (data, if n == 0 { 0 } else { SEMANTIC_DIM })
 }
 
 #[cfg(test)]
@@ -445,6 +567,161 @@ mod tests {
         assert!(empty.is_empty());
         let single = FeatureSpace::from_vectors(vec![vec![1.0]], DistanceKind::Euclidean);
         assert_eq!(single.distance_percentile(8.0, 100, 1), 0.0);
+    }
+
+    /// The per-pair row logic the packed text replaced: each pair's values
+    /// normalized into two scratch strings per attribute, or its
+    /// serialization embedded, row by row.
+    fn reference_rows(pairs: &[EntityPair], extractor: ExtractorKind) -> Vec<f64> {
+        let embedder = Embedder::new(EmbedderConfig { dim: SEMANTIC_DIM });
+        let (mut a, mut b, mut spans) = (String::new(), String::new(), Vec::new());
+        let mut out = Vec::new();
+        for pair in pairs {
+            if extractor == ExtractorKind::Semantic {
+                pair.serialize_into(&mut a);
+                let at = out.len();
+                out.resize(at + SEMANTIC_DIM, 0.0);
+                embedder.embed_into(&a, &mut b, &mut out[at..]);
+                continue;
+            }
+            for i in 0..pair.a().schema().arity() {
+                text_sim::normalize_into(pair.a().value(i).unwrap_or(""), &mut a);
+                text_sim::normalize_into(pair.b().value(i).unwrap_or(""), &mut b);
+                out.push(if a.is_empty() && b.is_empty() {
+                    0.5
+                } else if a.is_empty() || b.is_empty() {
+                    0.0
+                } else if extractor == ExtractorKind::LevenshteinRatio {
+                    levenshtein_ratio(&a, &b)
+                } else {
+                    jaccard_normalized(&a, &b, &mut spans)
+                });
+            }
+        }
+        out
+    }
+
+    /// Values that stress normalization, the empty-value rules and both
+    /// Levenshtein paths.
+    const HOSTILE: [&str; 16] = [
+        "",
+        "   \t\n ",
+        "!!! ... ---",
+        "Crème Brûlée, café",
+        "日本語 テキスト 日本",
+        "a\u{A0}b\u{A0}\u{A0}c",
+        "x\u{85}y\u{0B}z",
+        "\u{0B}\u{85}\u{A0}",
+        "left [SEP] right",
+        "[SEP]",
+        "iPhone-13 (128GB)",
+        "the quick brown fox jumps over the lazy dog again and again and again",
+        "The Quick Brown Fox Jumps Over The Lazy Dog Again And Again And Again!",
+        "ééééééééééééééééééééééééééééééééééééééééééééééééééééééééééééééééééé",
+        "a",
+        "A",
+    ];
+
+    /// `n` pairs of `arity` attributes, values drawn from [`HOSTILE`] and
+    /// from concatenations of two of them, so equal, near-equal and
+    /// disjoint values meet on every attribute.
+    fn hostile_pairs(arity: usize, n: usize, seed: u64) -> Vec<EntityPair> {
+        use er_core::{PairId, Record, RecordId, Schema};
+        use std::sync::Arc;
+        let schema = Arc::new(Schema::new((0..arity).map(|i| format!("attr{i}"))).unwrap());
+        let mut rng = er_core::Rng::from_seed(seed);
+        let mut value = || match rng.range(0..3) {
+            0 => HOSTILE[rng.range(0..HOSTILE.len())].to_owned(),
+            1 => format!(
+                "{} {}",
+                HOSTILE[rng.range(0..HOSTILE.len())],
+                HOSTILE[rng.range(0..HOSTILE.len())]
+            ),
+            _ => HOSTILE[rng.range(0..HOSTILE.len())].to_uppercase(),
+        };
+        (0..n)
+            .map(|i| {
+                let mut record = |id| {
+                    let values = (0..arity).map(|_| value()).collect();
+                    Arc::new(Record::new(id, Arc::clone(&schema), values).unwrap())
+                };
+                let (a, b) = (record(RecordId::a(i as u32)), record(RecordId::b(i as u32)));
+                EntityPair::new(PairId(i as u32), a, b).unwrap()
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_rows_equal_per_pair_rows_to_the_bit() {
+        let mut dp_path = 0;
+        for (arity, seed) in [(1, 1), (1, 2), (3, 3), (8, 4), (8, 5)] {
+            // Past one block, so `extract` crosses a block seam.
+            let pairs = hostile_pairs(arity, EXTRACT_BLOCK + 45, seed);
+            let long = |v: &str| text_sim::normalize(v).chars().count() > 64;
+            dp_path += pairs
+                .iter()
+                .flat_map(|p| p.a().values().iter().zip(p.b().values()))
+                .filter(|(a, b)| long(a) && long(b))
+                .count();
+            // One packing serves all three extractors and the weights, in
+            // an order that builds the values half first; then a fresh
+            // packing per extractor, of owned pairs and (through
+            // `extract`) of borrowed ones.
+            let shared = PackedPairs::new(pairs.clone());
+            for extractor in ExtractorKind::ALL {
+                let expected = bits(&reference_rows(&pairs, extractor));
+                for text in [&shared, &PackedPairs::new(pairs.clone())] {
+                    let space = FeatureSpace::from_packed(text, extractor, DistanceKind::Euclidean);
+                    assert_eq!(space.len(), pairs.len());
+                    assert_eq!(
+                        bits(space.matrix().flat()),
+                        expected,
+                        "{extractor:?} rows, arity {arity}"
+                    );
+                }
+                let extracted = FeatureSpace::extract(&pairs, extractor, DistanceKind::Euclidean);
+                assert_eq!(bits(extracted.matrix().flat()), expected);
+            }
+            let weights: Vec<f64> = pairs
+                .iter()
+                .map(|p| llm::count_tokens(&p.serialize()) as f64)
+                .collect();
+            assert_eq!(bits(&shared.token_weights()), bits(&weights));
+        }
+        assert!(dp_path > 0, "no attribute took Levenshtein's DP path");
+    }
+
+    #[test]
+    fn packed_semantic_rows_take_mixed_arities() {
+        let mut pairs = hostile_pairs(1, 30, 6);
+        pairs.extend(hostile_pairs(8, 30, 7));
+        let text = PackedPairs::new(pairs.clone());
+        let space = FeatureSpace::from_packed(&text, ExtractorKind::Semantic, DistanceKind::Cosine);
+        assert_eq!(
+            bits(space.matrix().flat()),
+            bits(&reference_rows(&pairs, ExtractorKind::Semantic))
+        );
+        let weights: Vec<f64> = pairs
+            .iter()
+            .map(|p| llm::count_tokens(&p.serialize()) as f64)
+            .collect();
+        assert_eq!(bits(&text.token_weights()), bits(&weights));
+    }
+
+    #[test]
+    fn packed_empty_set_has_no_rows() {
+        let text = PackedPairs::new(Vec::<EntityPair>::new());
+        for extractor in ExtractorKind::ALL {
+            let space = FeatureSpace::from_packed(&text, extractor, DistanceKind::Euclidean);
+            assert!(space.is_empty());
+            let extracted = FeatureSpace::extract([], extractor, DistanceKind::Euclidean);
+            assert!(extracted.is_empty());
+        }
+        assert!(text.token_weights().is_empty());
     }
 
     #[test]

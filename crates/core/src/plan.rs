@@ -16,7 +16,7 @@ use er_core::{EntityPair, LabeledPair};
 use crate::batching::{
     batches_for_clustering, cluster_questions, BatchingStrategy, ClusteringKind,
 };
-use crate::features::{DistanceKind, ExtractorKind, FeatureSpace};
+use crate::features::{DistanceKind, ExtractorKind, FeatureSpace, PackedPairs};
 use crate::runner::RunConfig;
 use crate::selection::{
     cover_batches, fixed, topk_batch, topk_question, CoverSet, NearestDemos, SelectionParams,
@@ -170,12 +170,12 @@ impl PreparedPool {
         extractor: ExtractorKind,
         distance: DistanceKind,
     ) -> Self {
-        let pairs = || pool.iter().map(|p| &p.pair);
-        let space = FeatureSpace::extract(pairs(), extractor, distance);
+        let text = PackedPairs::new(pool.iter().map(|p| &p.pair).collect());
+        let space = FeatureSpace::from_packed(&text, extractor, distance);
         Self {
             len: pool.len(),
             space: Some(Arc::new(space)),
-            token_weights: pool_token_weights(pairs()).into(),
+            token_weights: text.token_weights().into(),
             extractor,
             distance,
         }
@@ -190,18 +190,6 @@ impl PreparedPool {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
-
-/// Prompt-token count of every pool demonstration, serialized through
-/// one reused buffer.
-fn pool_token_weights<'p>(pool: impl IntoIterator<Item = &'p EntityPair>) -> Vec<f64> {
-    let mut serialized = String::new();
-    pool.into_iter()
-        .map(|pair| {
-            pair.serialize_into(&mut serialized);
-            llm::count_tokens(&serialized) as f64
-        })
-        .collect()
 }
 
 /// The question set's pieces in one feature space, each built the first
@@ -274,16 +262,18 @@ impl QuestionPieces {
 /// pieces (the need-set union of the design cells planned against it so
 /// far) and the last question set's pieces, filled as cells ask.
 struct PoolMemo {
-    /// The pool the pieces were built from. Extractors and token counts
-    /// read only a pair's schema and values, so any pool whose pairs
-    /// compare equal — shared records or deep copies — may use them.
-    pool: Vec<EntityPair>,
+    /// The pool the pieces were built from, with its packed text, which
+    /// every extractor and the token weights read. Extractors and token
+    /// counts read only a pair's schema and values, so any pool whose
+    /// pairs compare equal — shared records or deep copies — may use
+    /// them.
+    pool: PackedPairs<EntityPair>,
     /// One feature space per (extractor, distance) asked for.
     spaces: Vec<((ExtractorKind, DistanceKind), Arc<FeatureSpace>)>,
     token_weights: Option<Arc<[f64]>>,
     /// The question set the question pieces were built from, compared as
-    /// the pool is.
-    questions: Vec<EntityPair>,
+    /// the pool is, with its packed text.
+    questions: PackedPairs<EntityPair>,
     /// Per (extractor, distance), the pieces of `questions`; those derived
     /// from a pool were derived from `pool`.
     question_pieces: Vec<((ExtractorKind, DistanceKind), QuestionPieces)>,
@@ -314,17 +304,18 @@ impl PoolMemo {
         needs: Needs,
     ) -> &'m mut PoolMemo {
         if needs.pool_features || needs.token_weights {
-            slot.take_if(|memo| !same_pairs(&memo.pool, pool.iter().map(|p| &p.pair)));
+            slot.take_if(|memo| !same_pairs(memo.pool.pairs(), pool.iter().map(|p| &p.pair)));
         }
         let memo = slot.get_or_insert_with(|| PoolMemo {
-            pool: pool.iter().map(|p| p.pair.clone()).collect(),
+            pool: PackedPairs::new(pool.iter().map(|p| p.pair.clone()).collect()),
             spaces: Vec::new(),
             token_weights: None,
-            questions: Vec::new(),
+            questions: PackedPairs::new(Vec::new()),
             question_pieces: Vec::new(),
         });
-        if needs.question_features && !same_pairs(&memo.questions, questions.iter().copied()) {
-            memo.questions = questions.iter().map(|&q| q.clone()).collect();
+        if needs.question_features && !same_pairs(memo.questions.pairs(), questions.iter().copied())
+        {
+            memo.questions = PackedPairs::new(questions.iter().map(|&q| q.clone()).collect());
             memo.question_pieces.clear();
         }
         memo
@@ -354,7 +345,7 @@ impl PoolMemo {
         if let Some((_, space)) = self.spaces.iter().find(|(k, _)| *k == key) {
             return Arc::clone(space);
         }
-        let space = Arc::new(FeatureSpace::extract(&self.pool, extractor, distance));
+        let space = Arc::new(FeatureSpace::from_packed(&self.pool, extractor, distance));
         self.spaces.push((key, Arc::clone(&space)));
         space
     }
@@ -363,7 +354,7 @@ impl PoolMemo {
         let pool = &self.pool;
         Arc::clone(
             self.token_weights
-                .get_or_insert_with(|| pool_token_weights(pool).into()),
+                .get_or_insert_with(|| pool.token_weights().into()),
         )
     }
 
@@ -376,7 +367,7 @@ impl PoolMemo {
         let at = match self.question_pieces.iter().position(|(k, _)| *k == key) {
             Some(at) => at,
             None => {
-                let space = FeatureSpace::extract(&self.questions, extractor, distance);
+                let space = FeatureSpace::from_packed(&self.questions, extractor, distance);
                 self.question_pieces.push((key, QuestionPieces::new(space)));
                 self.question_pieces.len() - 1
             }
@@ -409,9 +400,12 @@ thread_local! {
 /// their pairs in order (equal pairs, labels aside), with what the cells
 /// planned on them so far built:
 ///
-/// * of the pool, per (extractor, distance), its feature space, and its
-///   token weights;
-/// * of the questions, per (extractor, distance), their feature space;
+/// * of the pool, its packed text (`features::PackedPairs`: every value
+///   normalized once, every pair serialized once, each half when a cell
+///   first reads it); per (extractor, distance), its feature space; and
+///   its token weights;
+/// * of the questions, their packed text, and per (extractor, distance),
+///   their feature space;
 ///   each clustering, keyed by (algorithm, batch size, seed); each
 ///   covering phase 1, keyed by (percentile, seed) and held as the
 ///   threshold, the demonstration set and each question's covering
@@ -991,7 +985,7 @@ mod tests {
         for kind in DatasetKind::ALL {
             let d = generate(kind, 3);
             let pool: Vec<&LabeledPair> = d.pairs().iter().collect();
-            let weights = pool_token_weights(pool.iter().map(|p| &p.pair));
+            let weights = PackedPairs::new(pool.iter().map(|p| &p.pair).collect()).token_weights();
             assert_eq!(weights.len(), pool.len());
             for (p, w) in pool.iter().zip(weights) {
                 assert_eq!(w, llm::count_tokens(&p.pair.serialize()) as f64);

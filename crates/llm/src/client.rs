@@ -6,11 +6,11 @@ use std::sync::{Mutex, PoisonError};
 use er_core::TokenCount;
 
 use crate::chat::{ChatRequest, ChatResponse, FinishReason, LlmError, Usage};
-use crate::engine::{call_rng, decide, ReadingMemo};
+use crate::engine::{call_rng_from_hash, decide, ReadingMemo};
 use crate::parse::scan_prompt;
 use crate::pricing::PriceTable;
 use crate::respond::render_answers;
-use crate::tokenizer::count_tokens;
+use crate::tokenizer::{count_tokens, count_tokens_and_hash};
 
 /// A chat-completion endpoint.
 ///
@@ -91,7 +91,8 @@ impl ChatApi for SimLlm {
             .pop_front()
             .flatten();
         let profile = request.model.profile();
-        let prompt_tokens = count_tokens(&request.prompt);
+        // One read of the prompt gives its token count and its call seed.
+        let (prompt_tokens, call_seed) = count_tokens_and_hash(&request.prompt, request.seed);
         if prompt_tokens > profile.max_context_tokens {
             return Err(LlmError::ContextLengthExceeded {
                 prompt_tokens,
@@ -102,7 +103,7 @@ impl ChatApi for SimLlm {
             return Err(LlmError::RateLimited);
         }
 
-        let mut rng = call_rng(request.seed, &request.prompt);
+        let mut rng = call_rng_from_hash(call_seed);
         // A retired rate-limit check drew once here, before `decide`; the
         // draw stays so every answer pinned in `tests/sim_golden.rs` holds.
         let _retired_draw = rng.next_u64();

@@ -557,7 +557,14 @@ fn gaussian(rng: &mut Rng) -> f64 {
 /// Derives the per-call RNG from the request seed and the prompt text, so
 /// identical requests are reproducible while different prompts decorrelate.
 pub fn call_rng(seed: u64, prompt: &str) -> Rng {
-    Rng::from_seed(fnv1a64(prompt.as_bytes(), seed))
+    call_rng_from_hash(fnv1a64(prompt.as_bytes(), seed))
+}
+
+/// [`call_rng`] from the prompt's hash under the request seed, already
+/// taken (`fnv1a64(prompt, seed)`, as `tokenizer::count_tokens_and_hash`
+/// returns it).
+pub fn call_rng_from_hash(hash: u64) -> Rng {
+    Rng::from_seed(hash)
 }
 
 #[cfg(test)]

@@ -41,4 +41,4 @@ pub use client::{ChatApi, InjectedFault, SimLlm};
 pub use pricing::PriceTable;
 pub use profile::{CapabilityProfile, ModelKind};
 pub use respond::parse_answers;
-pub use tokenizer::{count_tokens, tokenize};
+pub use tokenizer::{count_tokens, count_tokens_and_hash, tokenize};

@@ -7,6 +7,8 @@
 //! prose lands near the familiar "~4 characters per token" ratio while the
 //! algorithm stays reproducible without a vocabulary file.
 
+use text_sim::Fnv1a64;
+
 /// Maximum characters per subword chunk.
 pub const MAX_SUBWORD_CHARS: usize = 4;
 
@@ -32,20 +34,67 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Number of tokens in `text`. Equivalent to `tokenize(text).len()` but
 /// allocation-free; this is the hot path of cost accounting.
 pub fn count_tokens(text: &str) -> u64 {
-    let mut count = 0u64;
-    let mut word_len = 0usize;
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            word_len += 1;
+    let mut counter = TokenCounter::default();
+    text.chars().for_each(|ch| counter.step(ch));
+    counter.finish()
+}
+
+/// [`count_tokens`] of `prompt` and [`text_sim::fnv1a64`] of its bytes
+/// under `seed`, from one read of the text: the simulator needs both of
+/// every prompt (its token count and its call seed). The loop walks the
+/// bytes, so the hash's multiply chain runs beside the count; an ASCII
+/// byte is a character of its own, and any other character is decoded
+/// where it starts and hashed whole.
+pub fn count_tokens_and_hash(prompt: &str, seed: u64) -> (u64, u64) {
+    let mut counter = TokenCounter::default();
+    let mut hash = Fnv1a64::new(seed);
+    let bytes = prompt.as_bytes();
+    let mut at = 0;
+    while let Some(&b) = bytes.get(at) {
+        if b.is_ascii() {
+            counter.step(char::from(b));
+            hash.write(&[b]);
+            at += 1;
             continue;
         }
-        count += chunks_of(word_len);
-        word_len = 0;
+        let ch = prompt[at..]
+            .chars()
+            .next()
+            .expect("`at` is a char boundary");
+        let end = at + ch.len_utf8();
+        counter.step(ch);
+        hash.write(&bytes[at..end]);
+        at = end;
+    }
+    (counter.finish(), hash.finish())
+}
+
+/// The token rule, one character at a time: a run of alphanumerics is a
+/// word of `chunks_of(len)` tokens, whitespace separates, and any other
+/// character is a token of its own.
+#[derive(Default)]
+struct TokenCounter {
+    count: u64,
+    word_len: usize,
+}
+
+impl TokenCounter {
+    #[inline]
+    fn step(&mut self, ch: char) {
+        if ch.is_alphanumeric() {
+            self.word_len += 1;
+            return;
+        }
+        self.count += chunks_of(self.word_len);
+        self.word_len = 0;
         if !ch.is_whitespace() {
-            count += 1;
+            self.count += 1;
         }
     }
-    count + chunks_of(word_len)
+
+    fn finish(self) -> u64 {
+        self.count + chunks_of(self.word_len)
+    }
 }
 
 fn chunks_of(len: usize) -> u64 {

@@ -93,7 +93,72 @@ fn render_request(pairs: &[String], r: &StreamRequest) -> ChatRequest {
     ChatRequest::new(models[r.model], prompt, r.seed)
 }
 
+/// Arbitrary Unicode: every scalar value can be drawn, and a third of the
+/// characters come from the few the token rule and UTF-8 decoding treat
+/// specially (ASCII controls, U+0085 and U+00A0 whitespace, multibyte
+/// letters).
+fn arb_unicode() -> impl Strategy<Value = String> {
+    const SPECIAL: [char; 8] = [
+        '\u{0B}', '\u{0C}', '\u{7F}', '\u{85}', '\u{A0}', 'é', '日', ' ',
+    ];
+    prop::collection::vec((0u32..3, 0u32..0x11_0000), 0..120).prop_map(|draws| {
+        draws
+            .into_iter()
+            .filter_map(|(kind, code)| match kind {
+                0 => Some(SPECIAL[code as usize % SPECIAL.len()]),
+                _ => char::from_u32(code),
+            })
+            .collect()
+    })
+}
+
+/// Prompts of any ASCII bytes, 0x00 through 0x7F.
+fn arb_ascii() -> impl Strategy<Value = String> {
+    prop::collection::vec(0u8..0x80, 0..200)
+        .prop_map(|bytes| String::from_utf8(bytes).expect("ASCII is UTF-8"))
+}
+
+fn assert_one_pass_read(prompt: &str, seed: u64) {
+    assert_eq!(
+        llm::count_tokens_and_hash(prompt, seed),
+        (
+            llm::count_tokens(prompt),
+            text_sim::fnv1a64(prompt.as_bytes(), seed)
+        ),
+        "one-pass read of {prompt:?} under seed {seed}"
+    );
+}
+
+/// The empty prompt and every one-character prompt of the ASCII range,
+/// plus one-character prompts past it, under a few seeds.
+#[test]
+fn one_pass_read_of_empty_and_single_character_prompts() {
+    let singles = (0u8..0x80)
+        .map(char::from)
+        .chain(['\u{85}', '\u{A0}', 'é', '日', '\u{10FFFF}']);
+    for seed in [0, 1, 42, u64::MAX] {
+        assert_one_pass_read("", seed);
+        for ch in singles.clone() {
+            assert_one_pass_read(ch.encode_utf8(&mut [0; 4]), seed);
+        }
+    }
+}
+
 proptest! {
+    /// One read of a prompt gives the token count and the hash that two
+    /// reads give, on any text.
+    #[test]
+    fn one_pass_read_equals_two_reads(text in arb_unicode(), seed in any::<u64>()) {
+        assert_one_pass_read(&text, seed);
+    }
+
+    /// The same on ASCII prompts: every byte value, the vertical tab,
+    /// form feed and DEL included.
+    #[test]
+    fn one_pass_read_equals_two_reads_on_ascii(text in arb_ascii(), seed in any::<u64>()) {
+        assert_one_pass_read(&text, seed);
+    }
+
     /// One simulator answering a stream, and then the same stream
     /// reversed, answers every request as a fresh simulator would: its
     /// memo of pair readings moves no content, finish reason, usage or

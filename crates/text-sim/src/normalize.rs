@@ -22,8 +22,9 @@ pub fn normalize_into(s: &str, out: &mut String) {
 }
 
 /// Appends the normalized form of `s` to `out`, leaving what `out`
-/// already holds untouched.
-pub(crate) fn push_normalized(s: &str, out: &mut String) {
+/// already holds untouched, so many values can be normalized into one
+/// buffer end to end.
+pub fn push_normalized(s: &str, out: &mut String) {
     let start = out.len();
     out.reserve(s.len());
     let mut last_was_space = true;
