@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps twelve kinds of dead weight from growing back: a vendored stand-in
+# Keeps fourteen kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -22,8 +22,14 @@
 # metric index (`with_pivots`, `auto_pivots`, `MAX_PIVOTS`, `GateHint`):
 # it keeps one pivot. And a serving setting only tests set: `seed`,
 # `cache_enabled`, `max_retries`, `breaker_threshold` or `breaker_cooldown`
-# back on `ServiceConfig`, or arguments back on `Breaker::new`. Offline, no
-# dependencies beyond grep and sed.
+# back on `ServiceConfig`, or arguments back on `Breaker::new`. And a second
+# structure featurizer: `levenshtein_ratio(` under crates/*/src outside
+# core's features.rs (the one loop that normalizes attribute values and
+# scores them), the simulator's own pair reading in llm's engine.rs and
+# the kernel's home in text-sim. And a second SplitMix64: its multiplier
+# outside er-core's rng.rs (`er_core::rng::splitmix64`) and er-service's
+# fingerprint.rs (a different mix, pinned by on-disk WAL fingerprints).
+# Offline, no dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -158,5 +164,29 @@ if grep -qE 'pub fn new\( *[^) ]' crates/er-service/src/breaker.rs; then
     fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new"
+# The baselines, the service's fallback and the planner read one
+# featurizer: `batcher_core::features::structure_rows` and the extractors
+# beside it.
+for file in $(grep -rlF 'levenshtein_ratio(' crates/*/src || true); do
+    case "$file" in
+    crates/core/src/features.rs | crates/llm/src/engine.rs | crates/text-sim/src/*) ;;
+    *)
+        echo "FAIL: ${file} scores attribute values itself; read batcher_core::features::structure_rows" >&2
+        fail=1
+        ;;
+    esac
+done
+
+# One SplitMix64 step, `er_core::rng::splitmix64`, for streams and hashes.
+for file in $(grep -rliE '0xbf58_?476d_?1ce4_?e5b9' crates/*/src || true); do
+    case "$file" in
+    crates/er-core/src/rng.rs | crates/er-service/src/fingerprint.rs) ;;
+    *)
+        echo "FAIL: ${file} hand-rolls a SplitMix64 step; call er_core::rng::splitmix64" >&2
+        fail=1
+        ;;
+    esac
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs)"
 exit "$fail"

@@ -104,6 +104,7 @@ def gate_planning(base, cur):
     gate_design_space_round(cur["design_space_round"])
     gate_sim_round(cur["sim_round"])
     gate_kernel_64(cur["kernel_64"])
+    gate_fnv1a64_3b(cur["fnv1a64_3b"])
 
 
 # How much a 2-question flush plan may cost against an 8-question one in
@@ -240,6 +241,29 @@ def gate_kernel_64(cur):
                  else "no AVX-512F, not gated")
         ok(f"kernel_64 {shape}: tile_x {got:.2f} ({floor}), "
            f"{point['verified']} pairs verified on the lane kernel")
+
+
+# How much slower `text_sim::fnv1a64` may run per call on 3-byte windows
+# than the bench's frozen copy of the seeded byte loop, both called the
+# way the embedder calls them, in the same run. Quick runs on the
+# reference box read 0.97-1.09. Mutants of text-sim read: `fnv1a64`
+# without `#[inline]` 2.97-3.90, no `#[inline]` in the file 3.78-3.86,
+# and its three pieces (seeding, writing, finishing) kept out of line
+# 5.74-5.92, the 6x slowdown that once passed every other gate.
+FNV_X_MAX = 2.0
+
+
+def gate_fnv1a64_3b(cur):
+    # Both loops hash the same windows in one process (the bench asserts
+    # they fill the same buckets), so the ratio needs no committed baseline.
+    got = cur["hash_x"]
+    if got > FNV_X_MAX:
+        fail(f"fnv1a64 on 3 bytes: {cur['hash_ns']:.2f} ns per call against "
+             f"the seeded byte loop's {cur['replica_ns']:.2f} ns = {got:.2f}x, "
+             f"above {FNV_X_MAX:.2f}x: the hash grew per-call work the "
+             f"embedder pays on every 3-byte window")
+    ok(f"fnv1a64 on 3 bytes: hash_x {got:.2f} (ceiling {FNV_X_MAX:.2f}), "
+       f"{cur['hash_ns']:.2f} ns per call")
 
 
 GATES = {

@@ -1,31 +1,16 @@
 //! Pair featurization for the PLM baseline simulators.
 
+use batcher_core::features::structure_rows;
+use er_core::rng::splitmix64;
 use er_core::EntityPair;
-use text_sim::{fnv1a64, jaccard_tokens, levenshtein_ratio, normalize};
+use text_sim::fnv1a64;
 
-/// Informative structure features of a pair: per attribute
+/// Informative structure features of one pair: its row of
+/// [`batcher_core::features::structure_rows`], per attribute
 /// `[levenshtein ratio, jaccard, missing-on-a, missing-on-b]`, plus a
 /// global aggregate similarity. Length = `4·m + 1`.
 pub fn base_features(pair: &EntityPair) -> Vec<f64> {
-    let m = pair.a().schema().arity();
-    let mut out = Vec::with_capacity(4 * m + 1);
-    let mut agg = 0.0;
-    for i in 0..m {
-        let va = normalize(pair.a().value(i).unwrap_or(""));
-        let vb = normalize(pair.b().value(i).unwrap_or(""));
-        let (lr, jac) = if va.is_empty() || vb.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (levenshtein_ratio(&va, &vb), jaccard_tokens(&va, &vb))
-        };
-        out.push(lr);
-        out.push(jac);
-        out.push(if va.is_empty() { 1.0 } else { 0.0 });
-        out.push(if vb.is_empty() { 1.0 } else { 0.0 });
-        agg += 0.5 * (lr + jac);
-    }
-    out.push(agg / m.max(1) as f64);
-    out
+    structure_rows([pair]).pop().expect("one pair, one row")
 }
 
 /// Featurization used by the simulated PLMs: [`base_features`] plus
@@ -40,12 +25,23 @@ pub fn base_features(pair: &EntityPair) -> Vec<f64> {
 /// learns to ignore them — which is exactly the sample-complexity curve of
 /// Figure 7.
 pub fn plm_features(pair: &EntityPair, ctx_dim: usize, model_seed: u64) -> Vec<f64> {
-    let mut out = base_features(pair);
-    let text = pair.serialize();
-    let base_hash = fnv1a64(text.as_bytes(), model_seed);
-    out.reserve(ctx_dim);
+    with_context(&base_features(pair), pair, ctx_dim, model_seed)
+}
+
+/// `base`, the structure row of `pair`, followed by the pair's `ctx_dim`
+/// contextual pseudo-dimensions under `model_seed`: its row of
+/// [`plm_features`].
+pub(crate) fn with_context(
+    base: &[f64],
+    pair: &EntityPair,
+    ctx_dim: usize,
+    model_seed: u64,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(base.len() + ctx_dim);
+    out.extend_from_slice(base);
+    let base_hash = fnv1a64(pair.serialize().as_bytes(), model_seed);
     for d in 0..ctx_dim {
-        let h = splitmix(base_hash ^ (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let h = splitmix64(&mut (base_hash ^ (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         // Map to roughly N(0, 0.3²) via a cheap uniform sum.
         let u1 = (h & 0xFFFF_FFFF) as f64 / u32::MAX as f64;
         let u2 = (h >> 32) as f64 / u32::MAX as f64;
@@ -54,65 +50,10 @@ pub fn plm_features(pair: &EntityPair, ctx_dim: usize, model_seed: u64) -> Vec<f
     out
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use datagen::{generate, DatasetKind};
-
-    #[test]
-    fn base_feature_length() {
-        let d = generate(DatasetKind::Beer, 1);
-        let m = d.schema().arity();
-        let f = base_features(&d.pairs()[0].pair);
-        assert_eq!(f.len(), 4 * m + 1);
-        for &x in &f {
-            assert!((0.0..=1.0).contains(&x), "feature out of range: {x}");
-        }
-    }
-
-    #[test]
-    fn identical_pair_scores_high() {
-        let d = generate(DatasetKind::FodorsZagats, 1);
-        // Construct a self-pair from an existing record.
-        let p = &d.pairs()[0].pair;
-        let self_pair = er_core::EntityPair::new(
-            er_core::PairId(0),
-            std::sync::Arc::new(p.a().clone()),
-            std::sync::Arc::new(p.a().clone()),
-        )
-        .unwrap();
-        let f = base_features(&self_pair);
-        let agg = f[f.len() - 1];
-        assert!(agg > 0.95, "self-pair aggregate {agg}");
-    }
-
-    #[test]
-    fn matches_separate_from_negatives_on_average() {
-        let d = generate(DatasetKind::DblpAcm, 2);
-        let mut pos = 0.0;
-        let mut pos_n = 0;
-        let mut neg = 0.0;
-        let mut neg_n = 0;
-        for p in d.pairs().iter().take(1500) {
-            let f = base_features(&p.pair);
-            let agg = f[f.len() - 1];
-            if p.label.is_match() {
-                pos += agg;
-                pos_n += 1;
-            } else {
-                neg += agg;
-                neg_n += 1;
-            }
-        }
-        assert!(pos / pos_n as f64 > neg / neg_n as f64 + 0.1);
-    }
 
     #[test]
     fn plm_features_extend_base() {

@@ -8,8 +8,9 @@
 //! * [`manual_prompt`] — the **ManualPrompt** baseline (Narayan et al.):
 //!   standard one-question-per-call prompting with hand-designed
 //!   demonstrations, evaluated for Table V.
-//! * [`features`] / [`logistic`] — the shared featurizer and the SGD
-//!   logistic-regression trainer underpinning the PLM simulators.
+//! * [`features`] / [`logistic`] — the PLM simulators' features (core's
+//!   structure rows plus hashed context dimensions) and the SGD
+//!   logistic-regression trainer underpinning them.
 
 pub mod features;
 pub mod logistic;
@@ -17,4 +18,4 @@ pub mod manual_prompt;
 pub mod plm;
 
 pub use manual_prompt::{ManualPrompt, ManualPromptOutcome};
-pub use plm::{PlmKind, PlmMatcher, TrainOutcome};
+pub use plm::{LearningCurves, PlmKind, PlmMatcher, TrainOutcome};

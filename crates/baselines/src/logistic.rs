@@ -1,6 +1,6 @@
 //! L2-regularized logistic regression trained with mini-batch SGD.
 
-use er_core::Rng;
+use er_core::{BinaryConfusion, MatchLabel, Rng};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -107,21 +107,11 @@ impl LogisticModel {
 }
 
 fn f1_at(probs: &[f64], ys: &[bool], t: f64) -> f64 {
-    let (mut tp, mut fp, mut fn_) = (0u64, 0u64, 0u64);
+    let mut confusion = BinaryConfusion::new();
     for (&p, &y) in probs.iter().zip(ys) {
-        match (y, p >= t) {
-            (true, true) => tp += 1,
-            (false, true) => fp += 1,
-            (true, false) => fn_ += 1,
-            (false, false) => {}
-        }
+        confusion.observe(MatchLabel::from_bool(y), MatchLabel::from_bool(p >= t));
     }
-    if tp == 0 {
-        return 0.0;
-    }
-    let precision = tp as f64 / (tp + fp) as f64;
-    let recall = tp as f64 / (tp + fn_) as f64;
-    2.0 * precision * recall / (precision + recall)
+    confusion.f1()
 }
 
 fn sigmoid(x: f64) -> f64 {

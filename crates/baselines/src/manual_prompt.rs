@@ -8,11 +8,10 @@
 //! hardest-looking (most similar) non-match, which is what the published
 //! prompts qualitatively contain.
 
+use batcher_core::features::structure_rows;
 use batcher_core::{ExecutionOutcome, Executor};
 use er_core::{BinaryConfusion, CostLedger, LabeledPair, MatchLabel};
 use llm::{ChatApi, LlmError, ModelKind};
-
-use crate::features::base_features;
 
 /// Configuration of the ManualPrompt baseline.
 #[derive(Debug, Clone, Copy)]
@@ -85,9 +84,9 @@ impl ManualPrompt {
 fn expert_demos<'p>(pool: &[&'p LabeledPair], k: usize) -> Vec<&'p LabeledPair> {
     let mut matches: Vec<(&LabeledPair, f64)> = Vec::new();
     let mut non_matches: Vec<(&LabeledPair, f64)> = Vec::new();
-    for p in pool {
-        let f = base_features(&p.pair);
-        let agg = f[f.len() - 1];
+    let rows = structure_rows(pool.iter().map(|p| &p.pair));
+    for (p, row) in pool.iter().zip(rows) {
+        let agg = row[row.len() - 1];
         if p.label.is_match() {
             matches.push((p, agg));
         } else {

@@ -6,11 +6,13 @@
 //! reproduce Figure 7's shape: all three need hundreds to thousands of
 //! labeled pairs to approach BatchER, with RobEM the most label-efficient
 //! (its contribution is robustness to data imbalance) and JointBERT the
-//! hungriest.
+//! hungriest. A split's structure rows are built once for every kind and
+//! every point of its curves ([`LearningCurves`]).
 
-use er_core::{BinaryConfusion, LabeledPair};
+use batcher_core::features::structure_rows;
+use er_core::{BinaryConfusion, LabeledPair, MatchLabel};
 
-use crate::features::plm_features;
+use crate::features::with_context;
 use crate::logistic::{LogisticModel, TrainConfig};
 
 /// The three PLM baselines of §VI-A.
@@ -71,13 +73,10 @@ impl std::fmt::Display for PlmKind {
     }
 }
 
-/// A trained PLM baseline.
+/// A fine-tuned PLM baseline.
 #[derive(Debug)]
 pub struct PlmMatcher {
-    kind: PlmKind,
     model: LogisticModel,
-    ctx_dim: usize,
-    model_seed: u64,
 }
 
 /// Result of a train + evaluate run.
@@ -90,55 +89,23 @@ pub struct TrainOutcome {
 }
 
 impl PlmMatcher {
-    /// Fine-tunes the baseline on `train` (optionally tuning its decision
-    /// threshold on `valid`).
-    ///
-    /// # Panics
-    /// Panics when `train` is empty.
-    pub fn train(kind: PlmKind, train: &[&LabeledPair], valid: &[&LabeledPair]) -> Self {
-        assert!(!train.is_empty(), "PLM fine-tuning requires labeled pairs");
-        let (ctx_dim, config, tune) = kind.profile();
-        let model_seed = config.seed;
-        let xs: Vec<Vec<f64>> = train
-            .iter()
-            .map(|p| plm_features(&p.pair, ctx_dim, model_seed))
-            .collect();
-        let ys: Vec<bool> = train.iter().map(|p| p.label.is_match()).collect();
-        let mut model = LogisticModel::train(&xs, &ys, config);
-        if tune && !valid.is_empty() {
-            let vxs: Vec<Vec<f64>> = valid
-                .iter()
-                .map(|p| plm_features(&p.pair, ctx_dim, model_seed))
-                .collect();
-            let vys: Vec<bool> = valid.iter().map(|p| p.label.is_match()).collect();
-            model.tune_threshold(&vxs, &vys);
-        }
-        Self { kind, model, ctx_dim, model_seed }
-    }
-
-    /// Which baseline this is.
-    pub fn kind(&self) -> PlmKind {
-        self.kind
-    }
-
-    /// Predicts a single pair.
-    pub fn predict(&self, pair: &LabeledPair) -> bool {
-        self.model
-            .predict(&plm_features(&pair.pair, self.ctx_dim, self.model_seed))
-    }
-
-    /// Evaluates on a test set.
-    pub fn evaluate(&self, test: &[&LabeledPair]) -> BinaryConfusion {
+    /// Confusion counts of the matcher's decisions on rows `xs` labeled `ys`.
+    fn evaluate(&self, xs: &[Vec<f64>], ys: &[bool]) -> BinaryConfusion {
         let mut confusion = BinaryConfusion::new();
-        for pair in test {
-            let predicted = er_core::MatchLabel::from_bool(self.predict(pair));
-            confusion.observe(pair.label, predicted);
+        for (x, &y) in xs.iter().zip(ys) {
+            confusion.observe(
+                MatchLabel::from_bool(y),
+                MatchLabel::from_bool(self.model.predict(x)),
+            );
         }
         confusion
     }
 
     /// Trains on the first `train_size` pairs of `train` and evaluates on
     /// `test` — one point of a Figure 7 learning curve.
+    ///
+    /// # Panics
+    /// Panics when no training pair is used.
     pub fn learning_curve_point(
         kind: PlmKind,
         train: &[&LabeledPair],
@@ -146,9 +113,78 @@ impl PlmMatcher {
         test: &[&LabeledPair],
         train_size: usize,
     ) -> TrainOutcome {
-        let used = &train[..train_size.min(train.len())];
-        let matcher = Self::train(kind, used, valid);
-        TrainOutcome { confusion: matcher.evaluate(test), train_size: used.len() }
+        LearningCurves::new(train, valid, test, &[train_size]).curve(kind)[0]
+    }
+}
+
+/// A split's structure rows, built once for the Figure 7 learning curves
+/// of every PLM kind.
+pub struct LearningCurves<'p> {
+    sizes: Vec<usize>,
+    /// The train pairs up to the largest size, the valid pairs and the
+    /// test pairs, each set with its structure rows.
+    sets: [(&'p [&'p LabeledPair], Vec<Vec<f64>>); 3],
+}
+
+impl<'p> LearningCurves<'p> {
+    /// The rows of a split whose curves have a point at each of `sizes`
+    /// training pairs; a size beyond `train` uses all of it.
+    pub fn new(
+        train: &'p [&'p LabeledPair],
+        valid: &'p [&'p LabeledPair],
+        test: &'p [&'p LabeledPair],
+        sizes: &[usize],
+    ) -> Self {
+        let sizes: Vec<usize> = sizes.iter().map(|&s| s.min(train.len())).collect();
+        let largest = sizes.iter().copied().max().unwrap_or(0);
+        let sets = [&train[..largest], valid, test]
+            .map(|pairs| (pairs, structure_rows(pairs.iter().map(|p| &p.pair))));
+        Self { sizes, sets }
+    }
+
+    /// `kind`'s learning curve, one outcome per size: fine-tuned on that
+    /// many train pairs, its threshold tuned on the valid pairs if its
+    /// profile tunes one, evaluated on the test pairs.
+    ///
+    /// # Panics
+    /// Panics when a size uses no training pair.
+    pub fn curve(&self, kind: PlmKind) -> Vec<TrainOutcome> {
+        let (ctx_dim, config, tune) = kind.profile();
+        // A set's PLM rows and labels. One set's rows are held at a time:
+        // every point is trained before the valid rows are built, and
+        // tuned before the test rows are.
+        let rows = |(pairs, base): &(&[&LabeledPair], Vec<Vec<f64>>)| -> (Vec<_>, Vec<_>) {
+            let row = |(p, base): (&&LabeledPair, &Vec<f64>)| {
+                (
+                    with_context(base, &p.pair, ctx_dim, config.seed),
+                    p.label.is_match(),
+                )
+            };
+            pairs.iter().zip(base).map(row).unzip()
+        };
+        let [train, valid, test] = &self.sets;
+        let (xs, ys) = rows(train);
+        let mut matchers: Vec<PlmMatcher> = self
+            .sizes
+            .iter()
+            .map(|&n| {
+                assert!(n > 0, "PLM fine-tuning requires labeled pairs");
+                PlmMatcher { model: LogisticModel::train(&xs[..n], &ys[..n], config) }
+            })
+            .collect();
+        drop(xs);
+        if tune && !valid.0.is_empty() {
+            let (xs, ys) = rows(valid);
+            for matcher in &mut matchers {
+                matcher.model.tune_threshold(&xs, &ys);
+            }
+        }
+        let (xs, ys) = rows(test);
+        matchers
+            .iter()
+            .zip(&self.sizes)
+            .map(|(m, &train_size)| TrainOutcome { confusion: m.evaluate(&xs, &ys), train_size })
+            .collect()
     }
 }
 
@@ -202,14 +238,55 @@ mod tests {
         );
     }
 
+    /// A point as it was trained before rows were cached: every pair
+    /// featurized on its own by `plm_features`, for training, threshold
+    /// tuning and each prediction.
+    fn per_pair_point(
+        kind: PlmKind,
+        train: &[&LabeledPair],
+        valid: &[&LabeledPair],
+        test: &[&LabeledPair],
+    ) -> BinaryConfusion {
+        let (ctx_dim, config, tune) = kind.profile();
+        let x = |p: &LabeledPair| crate::features::plm_features(&p.pair, ctx_dim, config.seed);
+        let rows = |set: &[&LabeledPair]| -> (Vec<_>, Vec<_>) {
+            set.iter().map(|p| (x(p), p.label.is_match())).unzip()
+        };
+        let (xs, ys) = rows(train);
+        let mut model = LogisticModel::train(&xs, &ys, config);
+        if tune && !valid.is_empty() {
+            let (xs, ys) = rows(valid);
+            model.tune_threshold(&xs, &ys);
+        }
+        let mut confusion = BinaryConfusion::new();
+        for p in test {
+            confusion.observe(p.label, MatchLabel::from_bool(model.predict(&x(p))));
+        }
+        confusion
+    }
+
     #[test]
-    fn evaluation_counts_every_pair() {
+    fn cached_curve_matches_one_point_runs_and_per_pair_rows() {
         let (pairs, ()) = split(DatasetKind::Beer);
-        let train: Vec<&LabeledPair> = pairs[..300].iter().collect();
-        let test: Vec<&LabeledPair> = pairs[300..].iter().collect();
-        let matcher = PlmMatcher::train(PlmKind::Ditto, &train, &[]);
-        let confusion = matcher.evaluate(&test);
-        assert_eq!(confusion.total() as usize, test.len());
+        let train: Vec<&LabeledPair> = pairs[..200].iter().collect();
+        let valid: Vec<&LabeledPair> = pairs[200..260].iter().collect();
+        let test: Vec<&LabeledPair> = pairs[260..360].iter().collect();
+        // Sizes out of order, and one past the train split.
+        let sizes = [100, 30, 500];
+        let curves = LearningCurves::new(&train, &valid, &test, &sizes);
+        for kind in PlmKind::ALL {
+            let curve = curves.curve(kind);
+            assert_eq!(curve.len(), sizes.len());
+            for (outcome, &size) in curve.iter().zip(&sizes) {
+                let point = PlmMatcher::learning_curve_point(kind, &train, &valid, &test, size);
+                let used = size.min(train.len());
+                assert_eq!((outcome.train_size, point.train_size), (used, used));
+                assert_eq!(outcome.confusion.total() as usize, test.len());
+                assert_eq!(outcome.confusion, point.confusion, "{kind} at {size}");
+                let reference = per_pair_point(kind, &train[..used], &valid, &test);
+                assert_eq!(outcome.confusion, reference, "{kind} at {size}");
+            }
+        }
     }
 
     #[test]
@@ -221,6 +298,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "labeled pairs")]
     fn empty_training_panics() {
-        let _ = PlmMatcher::train(PlmKind::Ditto, &[], &[]);
+        let _ = PlmMatcher::learning_curve_point(PlmKind::Ditto, &[], &[], &[], 10);
     }
 }

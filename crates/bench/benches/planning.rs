@@ -57,6 +57,12 @@
 //! question-index route at the same shape. CI gates `tile_x` (lane sweep
 //! / tile) on an AVX-512F host and `kernel_x` (scalar / lane sweep) on an
 //! AVX host.
+//!
+//! And a **`fnv1a64_3b`** block, the same in both modes: ns per call of
+//! `text_sim::fnv1a64` on 3-byte windows, called as the embedder calls it,
+//! against the bench's frozen copy of the seeded byte loop. The embedder
+//! pays the hash on every window, and no other gate sees its per-call
+//! cost; CI gates `hash_x` (hash / replica).
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -617,6 +623,60 @@ fn kernel_64(seed: u64, quick: bool) -> String {
     )
 }
 
+// ---------------------------------------------------------------------
+// The seeded hash's per-call cost on the embedder's 3-byte windows
+// ---------------------------------------------------------------------
+
+/// `text_sim::fnv1a64` as the seeded byte loop it was when this block was
+/// written, frozen here: the per-call cost the hash is held to.
+fn fnv1a64_replica(bytes: &[u8], seed: u64) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The `fnv1a64_3b` block: ns per call of `text_sim::fnv1a64` and of
+/// [`fnv1a64_replica`] on the 2²⁰ 3-byte windows of an ASCII text, called
+/// as the embedder calls it (a constant seed, each hash picking one of 64
+/// buckets), each the best of `ROUND_PASSES` alternating passes, buckets
+/// asserted equal. `hash_x` (hash / replica) reads about 1; a hash that no
+/// longer inlines into its caller's window loop reads more.
+fn fnv1a64_3b() -> String {
+    const SEED: u64 = 0x5EED;
+    let text: Vec<u8> = (0..(1 << 20) + 2)
+        .map(|i| b"etaoin shrdlu"[i % 13])
+        .collect();
+    fn pass(text: &[u8], hash: impl Fn(&[u8], u64) -> u64) -> (f64, [u64; 64]) {
+        let text = std::hint::black_box(text);
+        let mut buckets = [0u64; 64];
+        let started = Instant::now();
+        for window in text.windows(3) {
+            buckets[(hash(window, SEED) & 63) as usize] += 1;
+        }
+        let ns = started.elapsed().as_secs_f64() * 1e9 / (text.len() - 2) as f64;
+        (ns, std::hint::black_box(buckets))
+    }
+    let (mut hash_ns, mut replica_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUND_PASSES {
+        let (ns, hashed) = pass(&text, text_sim::fnv1a64);
+        hash_ns = hash_ns.min(ns);
+        let (ns, replicated) = pass(&text, fnv1a64_replica);
+        replica_ns = replica_ns.min(ns);
+        assert_eq!(hashed, replicated, "fnv1a64 differs from its replica");
+    }
+    let hash_x = hash_ns / replica_ns;
+    println!(
+        "fnv1a64 on 3 bytes: {hash_ns:.2} ns per call, replica {replica_ns:.2} ns ({hash_x:.2}x)"
+    );
+    format!(
+        "{{ \"calls\": {}, \"passes\": {ROUND_PASSES}, \"hash_ns\": {hash_ns:.3}, \
+         \"replica_ns\": {replica_ns:.3}, \"hash_x\": {hash_x:.2} }}",
+        text.len() - 2
+    )
+}
+
 fn assert_partition(batches: &[Vec<usize>], n: usize) {
     let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
     seen.sort_unstable();
@@ -701,9 +761,10 @@ fn main() {
     let round_json = design_space_round(seed);
     let sim_json = sim_round(seed);
     let kernel_json = kernel_64(seed, quick);
+    let fnv_json = fnv1a64_3b();
 
     let json = format!(
-        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"sim_round\": {sim_json},\n  \"kernel_64\": {kernel_json}\n}}\n",
+        "{{\n  \"bench\": \"planning_end_to_end\",\n  \"mode\": \"{}\",\n  \"questions\": {},\n  \"pool\": {},\n  \"batch_size\": {},\n  \"kernel_ms\": {:.2},\n  \"stage_ms\": {{ {stage_json} }},\n  \"kernel_batches\": {},\n  \"kernel_labeled\": {},\n  \"flush_plan\": [\n    {flush_json}\n  ],\n  \"design_space_round\": {round_json},\n  \"sim_round\": {sim_json},\n  \"kernel_64\": {kernel_json},\n  \"fnv1a64_3b\": {fnv_json}\n}}\n",
         if quick { "quick" } else { "full" },
         n_questions,
         n_pool,

@@ -3,7 +3,7 @@
 //! prints rows in the paper's layout; `repro_all [table…]` runs them.
 //! Stdout is the only record of the measured results.
 
-use baselines::{ManualPrompt, PlmKind, PlmMatcher};
+use baselines::{LearningCurves, ManualPrompt, PlmKind};
 use batcher_core::{BatchingStrategy, ExtractorKind, RunConfig, SelectionStrategy};
 use er_core::{Dataset, F1Summary, Money};
 use llm::{ModelKind, SimLlm};
@@ -163,16 +163,10 @@ pub fn figure7(datasets: &[Dataset]) {
             print!("{s:>9}");
         }
         println!();
+        let curves = LearningCurves::new(&split.train, &split.valid, &split.test, &sizes);
         for kind in PlmKind::ALL {
             print!("{:<10}", kind.name());
-            for &s in &sizes {
-                let outcome = PlmMatcher::learning_curve_point(
-                    kind,
-                    &split.train,
-                    &split.valid,
-                    &split.test,
-                    s,
-                );
+            for outcome in curves.curve(kind) {
                 print!("{:>9.2}", outcome.confusion.scores().f1);
             }
             println!();

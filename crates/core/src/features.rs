@@ -247,6 +247,43 @@ impl FeatureSpace {
     }
 }
 
+/// The structure rows of `pairs`, the baseline matchers' features, read
+/// from the values half the planner's Levenshtein and Jaccard rows read:
+/// per attribute `[lr, jaccard, missing-on-a, missing-on-b]`, then the
+/// mean of `(lr + jaccard) / 2`, so `4·m + 1` for `m` attributes (rows of
+/// different schemas differ in length). An attribute empty on either side
+/// scores `(0, 0)`; the planner scores two empty values 0.5.
+pub fn structure_rows<'p>(pairs: impl IntoIterator<Item = &'p EntityPair>) -> Vec<Vec<f64>> {
+    let text = PackedPairs::new(pairs.into_iter().collect::<Vec<_>>());
+    let PackedValues { values, pair_ends } = text.values();
+    let mut spans = Vec::new();
+    let mut start = 0;
+    pair_ends
+        .iter()
+        .map(|&end| {
+            let arity = (end - start) / 2;
+            let mut row = Vec::with_capacity(4 * arity + 1);
+            let mut agg = 0.0;
+            for i in (start..end).step_by(2) {
+                let (a, b) = (values.get(i), values.get(i + 1));
+                let (lr, jac) = if a.is_empty() || b.is_empty() {
+                    (0.0, 0.0)
+                } else {
+                    (
+                        levenshtein_ratio(a, b),
+                        jaccard_normalized(a, b, &mut spans),
+                    )
+                };
+                row.extend([lr, jac, f64::from(a.is_empty()), f64::from(b.is_empty())]);
+                agg += 0.5 * (lr + jac);
+            }
+            row.push(agg / arity.max(1) as f64);
+            start = end;
+            row
+        })
+        .collect()
+}
+
 /// Dimension of the semantic extractor's embedding — enough for lexical
 /// clustering while keeping the pool×questions covering distance sweep
 /// tractable on the largest benchmark (DBLP-Scholar).
@@ -424,6 +461,7 @@ fn semantic_rows(serialized: &PackedStrings) -> (Vec<f64>, usize) {
 mod tests {
     use super::*;
     use datagen::{generate, DatasetKind};
+    use std::sync::Arc;
 
     fn pairs() -> Vec<er_core::LabeledPair> {
         generate(DatasetKind::Beer, 5).pairs().to_vec()
@@ -439,11 +477,19 @@ mod tests {
         );
         assert_eq!(space.len(), ps.len());
         assert_eq!(space.vector(0).len(), 4); // Beer has 4 attributes
-        for v in space.matrix().rows() {
+        let rows = structure_rows(ps.iter().map(|p| &p.pair));
+        assert!(rows.iter().all(|row| row.len() == 4 * 4 + 1));
+        for v in space.matrix().rows().chain(rows.iter().map(Vec::as_slice)) {
             for &x in v {
                 assert!((0.0..=1.0).contains(&x));
             }
         }
+        // A record paired with itself agrees on every attribute it has.
+        let a = ps[0].pair.a();
+        let self_pair =
+            EntityPair::new(er_core::PairId(0), Arc::new(a.clone()), Arc::new(a.clone())).unwrap();
+        let row = &structure_rows([&self_pair])[0];
+        assert!(row[row.len() - 1] > 0.95, "self-pair aggregate {row:?}");
     }
 
     #[test]
@@ -484,7 +530,13 @@ mod tests {
             .filter(|(_, p)| !p.label.is_match())
             .map(|(i, _)| i)
             .collect();
-        assert!(mean(match_idx) > mean(non_idx) + 0.1);
+        assert!(mean(match_idx.clone()) > mean(non_idx.clone()) + 0.1);
+        // So do the structure rows' aggregates.
+        let rows = structure_rows(ps.iter().map(|p| &p.pair));
+        let aggregate = |idx: Vec<usize>| {
+            idx.iter().map(|&i| rows[i][rows[i].len() - 1]).sum::<f64>() / idx.len() as f64
+        };
+        assert!(aggregate(match_idx) > aggregate(non_idx) + 0.1);
     }
 
     #[test]
@@ -627,7 +679,6 @@ mod tests {
     /// disjoint values meet on every attribute.
     fn hostile_pairs(arity: usize, n: usize, seed: u64) -> Vec<EntityPair> {
         use er_core::{PairId, Record, RecordId, Schema};
-        use std::sync::Arc;
         let schema = Arc::new(Schema::new((0..arity).map(|i| format!("attr{i}"))).unwrap());
         let mut rng = er_core::Rng::from_seed(seed);
         let mut value = || match rng.range(0..3) {
@@ -695,6 +746,60 @@ mod tests {
         assert!(dp_path > 0, "no attribute took Levenshtein's DP path");
     }
 
+    /// The baselines' featurizer before it read the values half: each
+    /// value normalized on its own, and again inside `jaccard_tokens`.
+    fn reference_structure_row(pair: &EntityPair) -> Vec<f64> {
+        let m = pair.a().schema().arity();
+        let mut out = Vec::with_capacity(4 * m + 1);
+        let mut agg = 0.0;
+        for i in 0..m {
+            let va = text_sim::normalize(pair.a().value(i).unwrap_or(""));
+            let vb = text_sim::normalize(pair.b().value(i).unwrap_or(""));
+            let (lr, jac) = if va.is_empty() || vb.is_empty() {
+                (0.0, 0.0)
+            } else {
+                (
+                    levenshtein_ratio(&va, &vb),
+                    text_sim::jaccard_tokens(&va, &vb),
+                )
+            };
+            out.push(lr);
+            out.push(jac);
+            out.push(if va.is_empty() { 1.0 } else { 0.0 });
+            out.push(if vb.is_empty() { 1.0 } else { 0.0 });
+            agg += 0.5 * (lr + jac);
+        }
+        out.push(agg / m.max(1) as f64);
+        out
+    }
+
+    #[test]
+    fn structure_rows_equal_the_per_pair_featurizer_to_the_bit() {
+        let same_rows = |pairs: &[EntityPair]| {
+            let rows = structure_rows(pairs);
+            assert_eq!(rows.len(), pairs.len());
+            for (row, pair) in rows.iter().zip(pairs) {
+                assert_eq!(bits(row), bits(&reference_structure_row(pair)));
+            }
+        };
+        for (arity, seed) in [(1, 1), (3, 3), (8, 4)] {
+            same_rows(&hostile_pairs(arity, 300, seed));
+        }
+        // Schemas interleaved pair by pair: each row has its own pair's
+        // length.
+        let sets = [
+            hostile_pairs(1, 30, 6),
+            hostile_pairs(8, 30, 7),
+            hostile_pairs(3, 30, 8),
+        ];
+        let mixed: Vec<EntityPair> = (0..30)
+            .flat_map(|i| sets.iter().map(move |set| set[i].clone()))
+            .collect();
+        same_rows(&mixed);
+        let lens: Vec<usize> = structure_rows(&mixed[..3]).iter().map(Vec::len).collect();
+        assert_eq!(lens, [5, 33, 13]);
+    }
+
     #[test]
     fn packed_semantic_rows_take_mixed_arities() {
         let mut pairs = hostile_pairs(1, 30, 6);
@@ -722,6 +827,7 @@ mod tests {
             assert!(extracted.is_empty());
         }
         assert!(text.token_weights().is_empty());
+        assert!(structure_rows([]).is_empty());
     }
 
     #[test]

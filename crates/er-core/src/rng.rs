@@ -35,11 +35,7 @@ impl Rng {
     /// The next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform in `[0, 1)`: the top 53 bits scaled by 2⁻⁵³.
@@ -83,9 +79,22 @@ impl Rng {
     }
 }
 
+/// One SplitMix64 step: advances `state` and returns the step's 64 bits.
+/// [`Rng::next_u64`] is this step on the generator's state; a caller that
+/// derives bits from a hash rather than drawing a stream calls it on a
+/// state of its own.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::Rng;
+    use super::{splitmix64, Rng};
 
     /// The first draws of seed 42, as the vendored `rand` stand-in printed
     /// them before this type replaced it.
@@ -103,6 +112,17 @@ mod tests {
             rng.uniform(f64::EPSILON..1.0).to_bits(),
             0x3fd5_c16e_1dc2_cf61
         );
+    }
+
+    /// The step a stream takes is the step on a state of one's own.
+    #[test]
+    fn stream_draws_are_splitmix_steps() {
+        let mut rng = Rng::from_seed(42);
+        let mut state = 42;
+        splitmix64(&mut state);
+        for _ in 0..100 {
+            assert_eq!(rng.next_u64(), splitmix64(&mut state));
+        }
     }
 
     /// What the three retired in-place loops (`gen_range(0..=i)` from the

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use baselines::features::base_features;
 use baselines::logistic::{LogisticModel, TrainConfig};
+use batcher_core::features::structure_rows;
 use batcher_core::{
     build_batch_prompt, plan_with_prepared_pool, task_description, BatchPlanConfig, Bill,
     DistanceKind, ExecutionOutcome, Executor, ExtractorKind, PreparedPool,
@@ -362,7 +363,7 @@ impl ErService {
         assert!(config.workers > 0, "worker count must be positive");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
 
-        let xs: Vec<Vec<f64>> = bootstrap.iter().map(|p| base_features(&p.pair)).collect();
+        let xs = structure_rows(bootstrap.iter().map(|p| &p.pair));
         let ys: Vec<bool> = bootstrap.iter().map(|p| p.label.is_match()).collect();
         let fallback = LogisticModel::train(
             &xs,
