@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps fourteen kinds of dead weight from growing back: a vendored stand-in
+# Keeps fifteen kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -29,6 +29,8 @@
 # the kernel's home in text-sim. And a second SplitMix64: its multiplier
 # outside er-core's rng.rs (`er_core::rng::splitmix64`) and er-service's
 # fingerprint.rs (a different mix, pinned by on-disk WAL fingerprints).
+# And a second copy of the planner's stages under crates/bench (a bench
+# reads a plan's own `stages`).
 # Offline, no dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -188,5 +190,13 @@ for file in $(grep -rliE '0xbf58_?476d_?1ce4_?e5b9' crates/*/src || true); do
     esac
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs)"
+# A bench that calls the planner's stages itself replays a path the
+# planner may not take; the plan reports its own (`stages`).
+for hit in $(grep -rnoE '\b(cluster_questions|batches_for_clustering|covering_with_coverage)\(' \
+    crates/bench | cut -d: -f1,2 || true); do
+    echo "FAIL: ${hit} replays a planner stage; read the plan's own stages (QuestionBatchPlan::stages)" >&2
+    fail=1
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench"
 exit "$fail"

@@ -78,27 +78,29 @@ def gate_replay(base, cur):
        f"({spike['shed_rate_pct']:.1f}%)")
 
 
-# How far the planning bench's stage breakdown may sit from `kernel_ms`.
+# How much of `kernel_ms` may go to no stage of the plan.
 STAGE_ENVELOPE = 0.10
 
 
 def gate_planning(base, cur):
-    # The per-stage breakdown replays the kernel path through public
-    # functions; if its parts stop summing to the whole, a stage was
-    # added to the planner that the breakdown does not see (or the
-    # replay does work the planner no longer does).
+    # `stage_ms` is what the timed call's own plan reports of each stage
+    # that ran, so the gap is time inside that one call that no stage
+    # claims: memo lookups, pair comparisons, clones. If it grows, the
+    # planner does work outside its stages (a new stage nobody timed, or
+    # bookkeeping that scales with the input).
     stages = cur["stage_ms"]
     expected = set(base["stage_ms"])
     if set(stages) != expected:
         fail(f"stage_ms names {sorted(stages)} != committed {sorted(expected)}")
     total = sum(stages.values())
-    gap = abs(total - cur["kernel_ms"]) / cur["kernel_ms"]
+    gap = (cur["kernel_ms"] - total) / cur["kernel_ms"]
     if gap > STAGE_ENVELOPE:
-        fail(f"stages sum to {total:.2f} ms vs kernel_ms "
-             f"{cur['kernel_ms']:.2f} ms (gap {gap:.1%} > "
-             f"{STAGE_ENVELOPE:.0%})")
-    ok(f"stages sum to {total:.2f} ms of kernel_ms {cur['kernel_ms']:.2f} ms "
-       f"(gap {gap:.1%})")
+        fail(f"stages claim {total:.2f} ms of kernel_ms "
+             f"{cur['kernel_ms']:.2f} ms: {gap:.1%} of the call is in no "
+             f"stage (memo lookups, pair comparisons, clones), above "
+             f"{STAGE_ENVELOPE:.0%}")
+    ok(f"stages claim {total:.2f} ms of kernel_ms {cur['kernel_ms']:.2f} ms "
+       f"(unclaimed {gap:.1%})")
 
     gate_flush_plan(base["flush_plan"], cur["flush_plan"])
     gate_design_space_round(cur["design_space_round"])

@@ -1,22 +1,19 @@
 //! End-to-end planning benchmark of the kernel layer.
 //!
-//! Measures one full plan pass — feature extraction → percentile
-//! threshold → DBSCAN → diversity batches → covering selection — on a
-//! synthetic workload through `batcher_core::plan_question_batches`, the
-//! production path (`kernel_ms`), plus a **per-stage breakdown**
-//! (`stage_ms`): the same plan replayed stage by stage through the
-//! crates' public functions (pool features, token weights, question
-//! features, the covering threshold, clustering with its ε percentile,
-//! batching, the coverage sweep, the two-phase cover), asserted equal to
-//! the plan the production path makes and gated to sum to `kernel_ms`
-//! within 10%.
+//! Measures one full plan pass — feature extraction → DBSCAN → diversity
+//! batches → covering selection — on a synthetic workload through
+//! `batcher_core::plan_question_batches`, the production path
+//! (`kernel_ms`), plus a **per-stage breakdown** (`stage_ms`): the stage
+//! times that same call reports in its plan's `stages`, each stage that
+//! ran (pool features, token weights, question features, clustering,
+//! batching, covering's phase 1, the per-batch selection). CI gates the
+//! time inside the call that no stage claims — memo lookups, pair
+//! comparisons, clones — to 10% of `kernel_ms`.
 //!
 //! Runs in quick mode (small workload) under `cargo test` and in full
-//! mode (10k questions) under `cargo bench`, three passes of both paths
-//! in both, reporting the pass with the lowest `kernel_ms + Σ stage_ms`,
-//! so the two numbers the gate compares come from one pass; both
-//! write a `BENCH_planning.json` snapshot (path override:
-//! `BENCH_PLANNING_OUT`).
+//! mode (10k questions) under `cargo bench`, three passes in both,
+//! reporting the fastest with its own stages; both write a
+//! `BENCH_planning.json` snapshot (path override: `BENCH_PLANNING_OUT`).
 //!
 //! And a **`flush_plan`** block, the same in both modes: the plan a served
 //! flush runs — `plan_with_prepared_pool` of 2, 3, 4 and 8 questions
@@ -71,106 +68,17 @@ use embed::index::stats;
 use embed::matrix::{pairs_within, pairs_within_sweep, SWEEP_BLOCK_BYTES};
 use embed::PivotIndex;
 
-use batcher_core::batching::{
-    batches_for_clustering, cluster_questions, BatchingStrategy, ClusteringKind,
-};
+use batcher_core::batching::{BatchingStrategy, ClusteringKind};
 use batcher_core::plan::{
     plan_question_batches, plan_with_prepared_pool, BatchPlanConfig, PreparedPool,
-    QuestionBatchPlan,
+    QuestionBatchPlan, StageTime,
 };
-use batcher_core::selection::{
-    compute_coverage, covering_threshold, covering_with_coverage, SelectionParams,
-    SelectionStrategy,
-};
+use batcher_core::selection::{covering_threshold, SelectionParams, SelectionStrategy};
 use batcher_core::{run_on_split, DistanceKind, ExtractorKind, FeatureSpace, RunConfig};
 use bench::synth::synth_pairs;
 use datagen::DatasetKind;
 use er_core::{Dataset, EntityPair, LabeledPair};
 use llm::{ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
-
-// ---------------------------------------------------------------------
-// Per-stage breakdown of the kernel path
-// ---------------------------------------------------------------------
-
-/// Stage names of the kernel path's breakdown, in pipeline order.
-const STAGES: [&str; 8] = [
-    "features_pool",
-    "token_weights",
-    "features_q",
-    "threshold",
-    "cluster",
-    "batching",
-    "coverage",
-    "cover",
-];
-
-/// One plan pass of the best design (diversity + covering, DBSCAN),
-/// replayed stage by stage through the crates' public functions. Returns
-/// the plan and the wall time of each of [`STAGES`], milliseconds.
-fn staged_plan(
-    questions: &[&EntityPair],
-    pool: &[&LabeledPair],
-    config: &BatchPlanConfig,
-) -> (QuestionBatchPlan, [f64; 8]) {
-    fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
-        let started = Instant::now();
-        let value = f();
-        *slot = started.elapsed().as_secs_f64() * 1e3;
-        value
-    }
-    let mut ms = [0.0f64; 8];
-    let [features_pool, token_weights, features_q, threshold, cluster, batching, coverage, cover] =
-        &mut ms;
-
-    let pool_space = timed(features_pool, || {
-        FeatureSpace::extract(
-            pool.iter().map(|p| &p.pair),
-            config.extractor,
-            config.distance,
-        )
-    });
-    let weights: Vec<f64> = timed(token_weights, || {
-        let mut serialized = String::new();
-        pool.iter()
-            .map(|p| {
-                p.pair.serialize_into(&mut serialized);
-                llm::count_tokens(&serialized) as f64
-            })
-            .collect()
-    });
-    let q_space = timed(features_q, || {
-        FeatureSpace::extract(questions.iter().copied(), config.extractor, config.distance)
-    });
-    let params = SelectionParams {
-        k: config.k,
-        cover_percentile: config.cover_percentile,
-        seed: config.seed,
-    };
-    let t = timed(threshold, || covering_threshold(&q_space, params));
-    let clusters = timed(cluster, || {
-        cluster_questions(&q_space, config.clustering, config.batch_size, config.seed)
-    });
-    let batches = timed(batching, || {
-        batches_for_clustering(
-            q_space.len(),
-            Some(&clusters),
-            config.batching,
-            config.batch_size,
-            config.seed,
-        )
-    });
-    let covered = timed(coverage, || compute_coverage(&q_space, &pool_space, t));
-    let selection = timed(cover, || {
-        covering_with_coverage(&q_space, &pool_space, &batches, &covered, t, |d| weights[d])
-    });
-    let plan = QuestionBatchPlan {
-        batches,
-        demos_per_batch: selection.per_batch,
-        labeled: selection.labeled,
-        threshold: selection.threshold,
-    };
-    (plan, ms)
-}
 
 // ---------------------------------------------------------------------
 // The served flush's plan
@@ -710,42 +618,32 @@ fn main() {
         seed,
     };
 
-    // Kernel path (the production configuration) and its stage-by-stage
-    // replay, three passes of both in both modes. Both numbers come from
-    // one pass, the one with the lowest `kernel_ms + Σ stage_ms`: the gate
-    // compares them, and minima taken from different passes drift apart
-    // whenever one side of one pass hits a slow spell.
-    let (mut kernel_ms, mut stage_ms) = (f64::INFINITY, [f64::INFINITY; 8]);
-    let mut kernel_batches = 0usize;
-    let mut kernel_labeled = 0usize;
+    // Kernel path (the production configuration), three passes in both
+    // modes; the fastest is reported with the stage times its own plan
+    // carries, so the gate compares the call with its own parts.
+    let mut fastest: Option<(f64, QuestionBatchPlan)> = None;
     for _ in 0..3 {
-        // A plan on another pool first: `plan_question_batches` remembers
-        // the last pool's features, and every timed pass featurizes its
-        // pool, as the stage replay does.
+        // A plan on another pool and question set first:
+        // `plan_question_batches` remembers the last ones' pieces, and
+        // every timed pass builds all of its own.
         plan_question_batches(&questions[..1], &pool[..1], &config);
         let start = Instant::now();
         let plan = plan_question_batches(&questions, &pool, &config);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_partition(&plan.batches, questions.len());
-        kernel_batches = plan.len();
-        kernel_labeled = plan.labeled.len();
-
-        let (staged, stages) = staged_plan(&questions, &pool, &config);
-        assert_eq!(
-            staged, plan,
-            "staged replay differs from plan_question_batches"
-        );
-        let pass_ms = |kernel: f64, stages: &[f64; 8]| kernel + stages.iter().sum::<f64>();
-        if pass_ms(ms, &stages) < pass_ms(kernel_ms, &stage_ms) {
-            (kernel_ms, stage_ms) = (ms, stages);
+        if fastest.as_ref().is_none_or(|(best, _)| ms < *best) {
+            fastest = Some((ms, plan));
         }
     }
-    let stage_json: Vec<String> = STAGES
-        .iter()
-        .zip(stage_ms)
-        .map(|(name, ms)| format!("\"{name}\": {ms:.2}"))
-        .collect();
+    let (kernel_ms, plan) = fastest.expect("three passes ran");
+    let mut stage_json = Vec::new();
+    for (stage, time) in plan.stages.named() {
+        if let StageTime::Ran(took) = time {
+            stage_json.push(format!("\"{stage}\": {:.2}", took.as_secs_f64() * 1e3));
+        }
+    }
     let stage_json = stage_json.join(", ");
+    let (kernel_batches, kernel_labeled) = (plan.len(), plan.labeled.len());
 
     let served = datagen::generate(datagen::DatasetKind::DblpScholar, seed);
     let (served_pool, served_questions) = served.pairs().split_at(FLUSH_POOL);

@@ -44,8 +44,8 @@ pub use cover::{greedy_unit_cover, greedy_weighted_cover, CoverTable, Rows};
 pub use executor::{ExecutionOutcome, Executor};
 pub use features::{DistanceKind, ExtractorKind, FeatureSpace};
 pub use plan::{
-    plan_question_batches, plan_with_prepared_pool, BatchPlanConfig, PreparedPool,
-    QuestionBatchPlan,
+    plan_question_batches, plan_with_prepared_pool, BatchPlanConfig, PlanStages, PreparedPool,
+    QuestionBatchPlan, StageTime,
 };
 pub use prompt::{build_batch_prompt, task_description};
 pub use runner::{run, run_design_space_cell, run_on_split, RunConfig, RunResult};

@@ -9,6 +9,7 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cluster::Clustering;
 use er_core::{EntityPair, LabeledPair};
@@ -71,8 +72,9 @@ impl BatchPlanConfig {
 }
 
 /// The output of planning: batches over the question slice plus the
-/// demonstrations chosen for each batch from the pool slice.
-#[derive(Debug, Clone, PartialEq)]
+/// demonstrations chosen for each batch from the pool slice, and the time
+/// each planning stage took.
+#[derive(Debug, Clone)]
 pub struct QuestionBatchPlan {
     /// Question indices per batch; the batches partition `0..questions.len()`.
     pub batches: Vec<Vec<usize>>,
@@ -83,6 +85,20 @@ pub struct QuestionBatchPlan {
     pub labeled: Vec<usize>,
     /// The covering threshold actually used, when covering selection ran.
     pub threshold: Option<f64>,
+    /// How each planning stage went on this call: its time when it ran.
+    /// Not part of what the plan asks for, so `==` ignores it.
+    pub stages: PlanStages,
+}
+
+/// Plans that ask for the same batches, demonstrations, labels and
+/// threshold are equal, however long each took.
+impl PartialEq for QuestionBatchPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.batches == other.batches
+            && self.demos_per_batch == other.demos_per_batch
+            && self.labeled == other.labeled
+            && self.threshold == other.threshold
+    }
 }
 
 impl QuestionBatchPlan {
@@ -95,6 +111,85 @@ impl QuestionBatchPlan {
     pub fn is_empty(&self) -> bool {
         self.batches.is_empty()
     }
+}
+
+/// How one planning stage went on one call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StageTime {
+    /// The design cell reads nothing the stage builds.
+    #[default]
+    NotNeeded,
+    /// Built before the call: in the memo of [`plan_question_batches`],
+    /// or by [`PreparedPool::prepare`].
+    Served,
+    /// Run by the call, for this long.
+    Ran(Duration),
+}
+
+/// How each of the planner's stages went on one call, in pipeline order
+/// (BatchER §IV: featurize, cluster, batch, then cover). A call's time
+/// outside every stage — memo lookups, pair comparisons, clones — is no
+/// stage's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanStages {
+    /// The pool's feature space.
+    pub(crate) features_pool: StageTime,
+    /// The pool's per-demonstration token counts, covering's weights.
+    pub(crate) token_weights: StageTime,
+    /// The questions' feature space.
+    pub(crate) features_q: StageTime,
+    /// Clustering the questions, for similarity and diversity batches.
+    pub(crate) cluster: StageTime,
+    /// Grouping the questions into batches.
+    pub(crate) batching: StageTime,
+    /// Covering's phase 1: the threshold, the top-down walk, and when the
+    /// walk finds no row, the coverage sweep and the greedy.
+    pub(crate) cover_set: StageTime,
+    /// Every question's nearest pool demonstrations, for top-k selection.
+    pub(crate) nearest: StageTime,
+    /// Each batch's demonstrations, from the pieces above.
+    pub(crate) select: StageTime,
+}
+
+impl PlanStages {
+    /// Every stage with its name, in pipeline order.
+    pub fn named(&self) -> [(&'static str, StageTime); 8] {
+        [
+            ("features_pool", self.features_pool),
+            ("token_weights", self.token_weights),
+            ("features_q", self.features_q),
+            ("cluster", self.cluster),
+            ("batching", self.batching),
+            ("cover_set", self.cover_set),
+            ("nearest", self.nearest),
+            ("select", self.select),
+        ]
+    }
+}
+
+/// Runs `build`, its time in `stage`.
+fn timed<T>(stage: &mut StageTime, build: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let built = build();
+    *stage = StageTime::Ran(started.elapsed());
+    built
+}
+
+/// The piece under `key` in `pieces`, served when it is there, else built
+/// by `build` as `stage` and kept.
+fn find_or_build<K: PartialEq, V>(
+    stage: &mut StageTime,
+    pieces: &mut Vec<(K, Arc<V>)>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> Arc<V> {
+    if let Some((_, piece)) = pieces.iter().find(|(k, _)| *k == key) {
+        *stage = StageTime::Served;
+        return Arc::clone(piece);
+    }
+    let piece = Arc::new(timed(stage, build));
+    pieces.push((key, Arc::clone(&piece)));
+    piece
 }
 
 /// What a planning pass reads, as a function of the design cell: the
@@ -221,40 +316,19 @@ impl QuestionPieces {
         }
     }
 
-    fn clustering(
+    fn nearest(
         &mut self,
-        kind: ClusteringKind,
-        batch_size: usize,
-        seed: u64,
-    ) -> Arc<Clustering> {
-        let key = (kind, batch_size, seed);
-        if let Some((_, clustering)) = self.clusterings.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(clustering);
-        }
-        let clustering = Arc::new(cluster_questions(&self.space, kind, batch_size, seed));
-        self.clusterings.push((key, Arc::clone(&clustering)));
-        clustering
-    }
-
-    fn cover(&mut self, pool: &FeatureSpace, params: SelectionParams) -> Arc<CoverSet> {
-        let key = (params.cover_percentile.to_bits(), params.seed);
-        if let Some((_, set)) = self.covers.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(set);
-        }
-        let set = Arc::new(CoverSet::build(&self.space, pool, params));
-        self.covers.push((key, Arc::clone(&set)));
-        set
-    }
-
-    fn nearest(&mut self, pool: &FeatureSpace, k: usize) -> Arc<NearestDemos> {
+        pool: &FeatureSpace,
+        k: usize,
+        stage: &mut StageTime,
+    ) -> Arc<NearestDemos> {
         let held = self.nearest.as_ref().filter(|n| n.k() >= k.min(pool.len()));
         if let Some(nearest) = held {
+            *stage = StageTime::Served;
             return Arc::clone(nearest);
         }
-        Arc::clone(
-            self.nearest
-                .insert(Arc::new(NearestDemos::of(&self.space, pool, k))),
-        )
+        let nearest = timed(stage, || NearestDemos::of(&self.space, pool, k));
+        Arc::clone(self.nearest.insert(Arc::new(nearest)))
     }
 }
 
@@ -321,53 +395,56 @@ impl PoolMemo {
         memo
     }
 
-    /// The pool pieces `needs` names, as a [`PreparedPool`] of `len`
+    /// The pool pieces `config` reads, as a [`PreparedPool`] of `len`
     /// demonstrations sharing them. `len` is the planned pool's, which is
-    /// the memo's only when `needs` reads a pool piece.
+    /// the memo's only when `config` reads a pool piece.
     fn prepared(
         &mut self,
         len: usize,
-        extractor: ExtractorKind,
-        distance: DistanceKind,
-        needs: Needs,
+        config: &BatchPlanConfig,
+        stages: &mut PlanStages,
     ) -> PreparedPool {
-        let space = needs.pool_features.then(|| self.space(extractor, distance));
-        let token_weights = if needs.token_weights {
-            self.token_weights()
-        } else {
-            Arc::default()
+        let (extractor, distance, needs) = (config.extractor, config.distance, Needs::of(config));
+        let space = needs.pool_features.then(|| {
+            find_or_build(
+                &mut stages.features_pool,
+                &mut self.spaces,
+                (extractor, distance),
+                || FeatureSpace::from_packed(&self.pool, extractor, distance),
+            )
+        });
+        let token_weights = match &self.token_weights {
+            _ if !needs.token_weights => Arc::default(),
+            Some(weights) => {
+                stages.token_weights = StageTime::Served;
+                Arc::clone(weights)
+            }
+            None => {
+                let weights: Arc<[f64]> = timed(&mut stages.token_weights, || {
+                    self.pool.token_weights().into()
+                });
+                Arc::clone(self.token_weights.insert(weights))
+            }
         };
         PreparedPool { len, space, token_weights, extractor, distance }
     }
 
-    fn space(&mut self, extractor: ExtractorKind, distance: DistanceKind) -> Arc<FeatureSpace> {
-        let key = (extractor, distance);
-        if let Some((_, space)) = self.spaces.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(space);
-        }
-        let space = Arc::new(FeatureSpace::from_packed(&self.pool, extractor, distance));
-        self.spaces.push((key, Arc::clone(&space)));
-        space
-    }
-
-    fn token_weights(&mut self) -> Arc<[f64]> {
-        let pool = &self.pool;
-        Arc::clone(
-            self.token_weights
-                .get_or_insert_with(|| pool.token_weights().into()),
-        )
-    }
-
     fn question_pieces(
         &mut self,
-        extractor: ExtractorKind,
-        distance: DistanceKind,
+        config: &BatchPlanConfig,
+        stage: &mut StageTime,
     ) -> &mut QuestionPieces {
+        let (extractor, distance) = (config.extractor, config.distance);
         let key = (extractor, distance);
         let at = match self.question_pieces.iter().position(|(k, _)| *k == key) {
-            Some(at) => at,
+            Some(at) => {
+                *stage = StageTime::Served;
+                at
+            }
             None => {
-                let space = FeatureSpace::from_packed(&self.questions, extractor, distance);
+                let space = timed(stage, || {
+                    FeatureSpace::from_packed(&self.questions, extractor, distance)
+                });
                 self.question_pieces.push((key, QuestionPieces::new(space)));
                 self.question_pieces.len() - 1
             }
@@ -439,38 +516,51 @@ pub fn plan_question_batches(
             extractor: config.extractor,
             distance: config.distance,
         };
-        return plan_with_pieces(questions.len(), &bare, None, config);
+        return plan_with_pieces(questions.len(), &bare, None, config, PlanStages::default());
     }
     LAST_POOL.with_borrow_mut(|slot| {
+        let mut stages = PlanStages::default();
         let memo = PoolMemo::for_plan(slot, pool, questions, needs);
-        let prepared = memo.prepared(pool.len(), config.extractor, config.distance, needs);
-        let pieces = memo.question_pieces(config.extractor, config.distance);
-        plan_with_pieces(questions.len(), &prepared, Some(pieces), config)
+        let prepared = memo.prepared(pool.len(), config, &mut stages);
+        let pieces = memo.question_pieces(config, &mut stages.features_q);
+        plan_with_pieces(questions.len(), &prepared, Some(pieces), config, stages)
     })
 }
 
 /// Like [`plan_question_batches`], but against a pool featurized once
 /// via [`PreparedPool::prepare`]. The prepared pool's extractor and
-/// distance govern question featurization.
+/// distance govern question featurization, and the plan reports the pool
+/// pieces the cell reads as served.
 pub fn plan_with_prepared_pool(
     questions: &[&EntityPair],
     pool: &PreparedPool,
     config: &BatchPlanConfig,
 ) -> QuestionBatchPlan {
-    let mut pieces = (!questions.is_empty() && Needs::of(config).question_features).then(|| {
-        let space = FeatureSpace::extract(questions.iter().copied(), pool.extractor, pool.distance);
-        QuestionPieces::new(space)
+    let needs = Needs::of(config);
+    let mut stages = PlanStages::default();
+    if needs.pool_features {
+        stages.features_pool = StageTime::Served;
+    }
+    if needs.token_weights {
+        stages.token_weights = StageTime::Served;
+    }
+    let mut pieces = (!questions.is_empty() && needs.question_features).then(|| {
+        QuestionPieces::new(timed(&mut stages.features_q, || {
+            FeatureSpace::extract(questions.iter().copied(), pool.extractor, pool.distance)
+        }))
     });
-    plan_with_pieces(questions.len(), pool, pieces.as_mut(), config)
+    plan_with_pieces(questions.len(), pool, pieces.as_mut(), config, stages)
 }
 
 /// The plan of `n` questions, from the pool's pieces and the question
-/// set's (`None` exactly when the cell reads no question feature).
+/// set's (`None` exactly when the cell reads no question feature), with
+/// `stages` as the pieces' lookups left them.
 fn plan_with_pieces(
     n: usize,
     pool: &PreparedPool,
     mut pieces: Option<&mut QuestionPieces>,
     config: &BatchPlanConfig,
+    mut stages: PlanStages,
 ) -> QuestionBatchPlan {
     if n == 0 {
         return QuestionBatchPlan {
@@ -478,20 +568,26 @@ fn plan_with_pieces(
             demos_per_batch: Vec::new(),
             labeled: Vec::new(),
             threshold: None,
+            stages: PlanStages::default(),
         };
     }
     const MISSING: &str = "question pieces are built for every strategy that reads them";
     let clusters = (config.batching != BatchingStrategy::Random).then(|| {
         let pieces = pieces.as_deref_mut().expect(MISSING);
-        pieces.clustering(config.clustering, config.batch_size, config.seed)
+        let key = (config.clustering, config.batch_size, config.seed);
+        find_or_build(&mut stages.cluster, &mut pieces.clusterings, key, || {
+            cluster_questions(&pieces.space, key.0, key.1, key.2)
+        })
     });
-    let batches = batches_for_clustering(
-        n,
-        clusters.as_deref(),
-        config.batching,
-        config.batch_size,
-        config.seed,
-    );
+    let batches = timed(&mut stages.batching, || {
+        batches_for_clustering(
+            n,
+            clusters.as_deref(),
+            config.batching,
+            config.batch_size,
+            config.seed,
+        )
+    });
 
     if pool.is_empty() {
         let demos_per_batch = vec![Vec::new(); batches.len()];
@@ -500,6 +596,7 @@ fn plan_with_pieces(
             demos_per_batch,
             labeled: Vec::new(),
             threshold: None,
+            stages,
         };
     }
 
@@ -510,25 +607,35 @@ fn plan_with_pieces(
     };
     assert!(params.k > 0, "k must be positive");
     let SelectionPlan { per_batch, labeled, threshold } = match config.selection {
-        SelectionStrategy::Fixed => fixed(pool.len(), batches.len(), params),
-        SelectionStrategy::TopKBatch => {
-            let nearest = pieces.expect(MISSING).nearest(pool.space(), params.k);
-            topk_batch(&nearest, &batches, params.k)
-        }
-        SelectionStrategy::TopKQuestion => {
-            let nearest = pieces.expect(MISSING).nearest(pool.space(), params.k);
-            topk_question(&nearest, &batches, params.k)
+        SelectionStrategy::Fixed => timed(&mut stages.select, || {
+            fixed(pool.len(), batches.len(), params)
+        }),
+        SelectionStrategy::TopKBatch | SelectionStrategy::TopKQuestion => {
+            let nearest =
+                pieces
+                    .expect(MISSING)
+                    .nearest(pool.space(), params.k, &mut stages.nearest);
+            let fold = match config.selection {
+                SelectionStrategy::TopKBatch => topk_batch,
+                _ => topk_question,
+            };
+            timed(&mut stages.select, || fold(&nearest, &batches, params.k))
         }
         SelectionStrategy::Covering => {
             let pieces = pieces.expect(MISSING);
-            let set = pieces.cover(pool.space(), params);
-            cover_batches(&pieces.space, pool.space(), &batches, &set, |d| {
-                pool.token_weights[d]
+            let key = (params.cover_percentile.to_bits(), params.seed);
+            let set = find_or_build(&mut stages.cover_set, &mut pieces.covers, key, || {
+                CoverSet::build(&pieces.space, pool.space(), params)
+            });
+            timed(&mut stages.select, || {
+                cover_batches(&pieces.space, pool.space(), &batches, &set, |d| {
+                    pool.token_weights[d]
+                })
             })
         }
     };
 
-    QuestionBatchPlan { batches, demos_per_batch: per_batch, labeled, threshold }
+    QuestionBatchPlan { batches, demos_per_batch: per_batch, labeled, threshold, stages }
 }
 
 #[cfg(test)]
@@ -715,20 +822,9 @@ mod tests {
     ) -> PreparedPool {
         let needs = Needs::of(config);
         LAST_POOL.with_borrow_mut(|slot| {
-            PoolMemo::for_plan(slot, pool, questions, needs).prepared(
-                pool.len(),
-                config.extractor,
-                config.distance,
-                needs,
-            )
+            let memo = PoolMemo::for_plan(slot, pool, questions, needs);
+            memo.prepared(pool.len(), config, &mut PlanStages::default())
         })
-    }
-
-    fn space_of(prepared: &PreparedPool) -> &Arc<FeatureSpace> {
-        prepared
-            .space
-            .as_ref()
-            .expect("a cell that reads pool features")
     }
 
     /// What the memo holds for the questions of a plan of `config` on
@@ -750,7 +846,7 @@ mod tests {
         );
         LAST_POOL.with_borrow_mut(|slot| {
             let memo = PoolMemo::for_plan(slot, pool, questions, needs);
-            let pieces = memo.question_pieces(config.extractor, config.distance);
+            let pieces = memo.question_pieces(config, &mut StageTime::default());
             let clustering_key = (config.clustering, config.batch_size, config.seed);
             let cover_key = (config.cover_percentile.to_bits(), config.seed);
             Held {
@@ -782,11 +878,24 @@ mod tests {
         })
     }
 
-    /// Two LR covering cells on one split read one feature space and one
-    /// weight vector, though a Jaccard cell ran between them; the cells of
-    /// one split share its question pieces: the space, the clustering of
-    /// similarity and diversity batches, the covering phase 1 and the
-    /// nearest lists both top-k strategies fold.
+    /// A plan's stages in pipeline order, a letter each: `r`an, `s`erved
+    /// or `-` not needed (features_pool, token_weights, features_q,
+    /// cluster, batching, cover_set, nearest, select).
+    fn stages(plan: &QuestionBatchPlan) -> String {
+        let letter = |(_, time): &(&str, StageTime)| match time {
+            StageTime::Ran(_) => 'r',
+            StageTime::Served => 's',
+            StageTime::NotNeeded => '-',
+        };
+        plan.stages.named().iter().map(letter).collect()
+    }
+
+    /// The cells of one split share its pieces, as the plans report: two
+    /// LR covering cells read one pool feature space and one weight
+    /// vector, though a Jaccard cell ran between them; similarity and
+    /// diversity batches read one clustering, covering cells one phase 1,
+    /// both top-k strategies one set of nearest lists. Other keys are
+    /// other pieces.
     #[test]
     fn cells_on_one_pool_share_its_pieces() {
         let (pool, questions) = fixtures();
@@ -794,60 +903,33 @@ mod tests {
         let p: Vec<&LabeledPair> = pool.iter().collect();
         let best = BatchPlanConfig::default();
         assert_eq!(best.extractor, ExtractorKind::LevenshteinRatio);
-        plan_question_batches(&q, &p, &best);
-        let first = remembered(&q, &p, &best);
-        let best_held = held(&q, &p, &best);
-
+        let cell = |batching, selection| BatchPlanConfig { batching, selection, ..best };
+        use BatchingStrategy::{Diversity, Random, Similarity};
+        use SelectionStrategy::{Covering, Fixed, TopKBatch, TopKQuestion};
         let jaccard = BatchPlanConfig { extractor: ExtractorKind::Jaccard, ..best };
-        plan_question_batches(&q, &p, &jaccard);
-        assert!(!Arc::ptr_eq(
-            space_of(&remembered(&q, &p, &jaccard)),
-            space_of(&first)
-        ));
-        assert!(!Arc::ptr_eq(
-            &held(&q, &p, &jaccard).space,
-            &best_held.space
-        ));
-
-        let random = BatchPlanConfig { batching: BatchingStrategy::Random, ..best };
-        plan_question_batches(&q, &p, &random);
-        let second = remembered(&q, &p, &random);
-        assert!(Arc::ptr_eq(space_of(&first), space_of(&second)));
-        assert!(Arc::ptr_eq(&first.token_weights, &second.token_weights));
-        assert_eq!(first.token_weights.len(), p.len());
-        let random_held = held(&q, &p, &random);
-        assert!(Arc::ptr_eq(&random_held.space, &best_held.space));
-        let cover = |h: &Held| Arc::clone(h.cover.as_ref().expect("a covering cell"));
-        assert!(Arc::ptr_eq(&cover(&random_held), &cover(&best_held)));
-
-        let similar = BatchPlanConfig { batching: BatchingStrategy::Similarity, ..best };
-        plan_question_batches(&q, &p, &similar);
-        let clustering = |h: &Held| Arc::clone(h.clustering.as_ref().expect("a clustered cell"));
-        assert!(Arc::ptr_eq(
-            &clustering(&held(&q, &p, &similar)),
-            &clustering(&best_held)
-        ));
-
-        let topk_batch = BatchPlanConfig { selection: SelectionStrategy::TopKBatch, ..best };
-        let topk_question =
-            BatchPlanConfig { selection: SelectionStrategy::TopKQuestion, ..random };
-        plan_question_batches(&q, &p, &topk_batch);
-        plan_question_batches(&q, &p, &topk_question);
-        let nearest = |h: &Held| Arc::clone(h.nearest.as_ref().expect("a top-k cell"));
-        assert!(Arc::ptr_eq(
-            &nearest(&held(&q, &p, &topk_batch)),
-            &nearest(&held(&q, &p, &topk_question))
-        ));
-        // Other keys are other pieces.
-        let seeded = BatchPlanConfig { seed: 7, ..best };
-        plan_question_batches(&q, &p, &seeded);
-        let seeded_held = held(&q, &p, &seeded);
-        assert!(Arc::ptr_eq(&seeded_held.space, &best_held.space));
-        assert!(!Arc::ptr_eq(
-            &clustering(&seeded_held),
-            &clustering(&best_held)
-        ));
-        assert!(!Arc::ptr_eq(&cover(&seeded_held), &cover(&best_held)));
+        // Another split first, so the first cell builds every piece.
+        plan_question_batches(&q[..1], &p[..1], &best);
+        for (config, want) in [
+            (best, "rrrrrr-r"),
+            (jaccard, "rsrrrr-r"),
+            (cell(Random, Covering), "sss-rs-r"),
+            (cell(Similarity, Covering), "ssssrs-r"),
+            (cell(Diversity, TopKBatch), "s-ssr-rr"),
+            (cell(Random, TopKQuestion), "s-s-r-sr"),
+            (cell(Diversity, Fixed), "--ssr--r"),
+            (BatchPlanConfig { seed: 7, ..best }, "sssrrr-r"),
+            (
+                BatchPlanConfig { cover_percentile: 20.0, ..best },
+                "ssssrr-r",
+            ),
+            (
+                BatchPlanConfig { k: 4, ..cell(Random, TopKBatch) },
+                "s-s-r-sr",
+            ),
+        ] {
+            let plan = plan_question_batches(&q, &p, &config);
+            assert_eq!(stages(&plan), want, "{config:?}");
+        }
     }
 
     /// A different pool — one pair replaced, or the pool before last — is
@@ -869,28 +951,15 @@ mod tests {
             let fresh = PreparedPool::prepare(pool, config.extractor, config.distance);
             let plan = plan_question_batches(q, pool, &config);
             assert_eq!(plan, plan_with_prepared_pool(q, &fresh, &config));
-            plan
+            stages(&plan)
         };
         let plan = |pool: &[&LabeledPair]| plan_on(&q, pool);
 
-        plan(&a);
-        let a_first = remembered(&q, &a, &config);
-        plan(&replaced);
-        let after_replaced = remembered(&q, &replaced, &config);
-        assert!(!Arc::ptr_eq(space_of(&a_first), space_of(&after_replaced)));
-
-        // A → B → A: each step rebuilds.
-        plan(&a);
-        let a_again = remembered(&q, &a, &config);
-        plan(&b);
-        let b_pieces = remembered(&q, &b, &config);
-        plan(&a);
-        let a_third = remembered(&q, &a, &config);
-        let spaces = [&a_first, &after_replaced, &a_again, &b_pieces, &a_third].map(space_of);
-        for (i, x) in spaces.iter().enumerate() {
-            for y in &spaces[i + 1..] {
-                assert!(!Arc::ptr_eq(x, y));
-            }
+        // Another split first; then A → replaced → A → B → A: each step
+        // rebuilds every piece.
+        plan_question_batches(&q[..1], &a[..1], &config);
+        for pool in [&a, &replaced, &a, &b, &a] {
+            assert_eq!(plan(pool), "rrrrrr-r");
         }
 
         // Deep-copied records compare equal: a hit, and the same plan.
@@ -901,60 +970,71 @@ mod tests {
         let copies: Vec<LabeledPair> = pool.iter().map(deep_copy).collect();
         let copied: Vec<&LabeledPair> = copies.iter().collect();
         assert!(!std::ptr::eq(copied[0].pair.a(), a[0].pair.a()));
-        assert_eq!(plan(&copied), plan(&a));
-        assert!(Arc::ptr_eq(
-            space_of(&remembered(&q, &copied, &config)),
-            space_of(&a_third)
-        ));
+        assert_eq!(plan(&copied), "ssssrs-r");
 
         // A fixed-selection cell on another pool reads and replaces none
         // of the pool's pieces.
         let fixed = BatchPlanConfig { selection: SelectionStrategy::Fixed, ..config };
         plan_question_batches(&q, &b, &fixed);
-        assert!(Arc::ptr_eq(
-            space_of(&remembered(&q, &a, &config)),
-            space_of(&a_third)
-        ));
+        assert_eq!(plan(&a), "ssssrs-r");
 
         // The question set: one question replaced is a miss for every
-        // question piece and keeps the pool's.
-        let q_first = held(&q, &a, &config);
+        // question piece and keeps the pool's; A → B → A rebuilds each
+        // time; deep-copied questions hit.
         let mut q_replaced = q.clone();
         q_replaced[5] = &pool[0].pair;
-        plan_on(&q_replaced, &a);
-        let after = held(&q_replaced, &a, &config);
-        assert!(!Arc::ptr_eq(&after.space, &q_first.space));
-        assert!(!Arc::ptr_eq(
-            after.clustering.as_ref().unwrap(),
-            q_first.clustering.as_ref().unwrap()
-        ));
-        assert!(!Arc::ptr_eq(
-            after.cover.as_ref().unwrap(),
-            q_first.cover.as_ref().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            space_of(&remembered(&q_replaced, &a, &config)),
-            space_of(&a_third)
-        ));
-
-        // Questions A → B → A: each step rebuilds, and plans as fresh.
         let q_b: Vec<&EntityPair> = q.iter().rev().copied().collect();
-        let mut sets = Vec::new();
-        for set in [&q, &q_b, &q] {
-            plan_on(set, &a);
-            sets.push(held(set, &a, &config).space);
+        for set in [&q_replaced, &q, &q_b, &q] {
+            assert_eq!(plan_on(set, &a), "ssrrrr-r");
         }
-        for (i, x) in sets.iter().enumerate() {
-            for y in &sets[i + 1..] {
-                assert!(!Arc::ptr_eq(x, y));
-            }
-        }
-
-        // Deep-copied questions: a hit.
         let q_copies: Vec<LabeledPair> = questions.iter().map(deep_copy).collect();
         let q_copied: Vec<&EntityPair> = q_copies.iter().map(|p| &p.pair).collect();
-        assert_eq!(plan_on(&q_copied, &a), plan_on(&q, &a));
-        assert!(Arc::ptr_eq(&held(&q_copied, &a, &config).space, &sets[2]));
+        assert_eq!(plan_on(&q_copied, &a), "ssssrs-r");
+    }
+
+    /// A plan's stages sum to no more than the call; a prepared pool
+    /// serves the pool's pieces and the questions' run on every call; and
+    /// plans that ask for the same thing are equal whatever their times.
+    #[test]
+    fn plans_report_their_stages() {
+        let (pool, questions) = fixtures();
+        let q: Vec<&EntityPair> = questions.iter().map(|p| &p.pair).collect();
+        let p: Vec<&LabeledPair> = pool.iter().collect();
+        let config = BatchPlanConfig::default();
+        plan_question_batches(&q[..1], &p[..1], &config);
+        let started = Instant::now();
+        let first = plan_question_batches(&q, &p, &config);
+        let call = started.elapsed();
+        let ran: Duration = first
+            .stages
+            .named()
+            .iter()
+            .map(|(_, time)| match time {
+                StageTime::Ran(took) => *took,
+                _ => Duration::ZERO,
+            })
+            .sum();
+        assert!(ran <= call, "{:?} > {call:?}", first.stages);
+        assert_eq!(stages(&first), "rrrrrr-r");
+
+        let prepared = PreparedPool::prepare(&p, config.extractor, config.distance);
+        let flush = plan_with_prepared_pool(&q, &prepared, &config);
+        assert_eq!(stages(&flush), "ssrrrr-r");
+        let standard = BatchPlanConfig::from_run_config(&RunConfig::standard_prompting());
+        assert_eq!(
+            stages(&plan_question_batches(&q, &p, &standard)),
+            "----r--r"
+        );
+        assert_eq!(
+            stages(&plan_with_prepared_pool(&q, &prepared, &standard)),
+            "----r--r"
+        );
+
+        let again = plan_question_batches(&q, &p, &config);
+        assert_eq!(stages(&again), "ssssrs-r");
+        assert_ne!(first.stages, again.stages);
+        assert_eq!(first, again);
+        assert_eq!(first, flush);
     }
 
     #[test]

@@ -485,27 +485,6 @@ fn top_down(
     None
 }
 
-/// The covering strategy downstream of coverage computation: phase-1
-/// greedy demonstration-set generation, the phase-2 per-batch weighted
-/// cover, and the nearest-demo fallback for uncoverable batches.
-/// `coverage` must satisfy the [`compute_coverage`] contract for the same
-/// `questions`/`pool`/`t` — the output is a pure function of it, whatever
-/// the order inside a row.
-pub fn covering_with_coverage<W>(
-    questions: &FeatureSpace,
-    pool: &FeatureSpace,
-    batches: &[Vec<usize>],
-    coverage: &CoverTable,
-    t: f64,
-    demo_tokens: W,
-) -> SelectionPlan
-where
-    W: Fn(usize) -> f64,
-{
-    let set = CoverSet::from_coverage(coverage, t);
-    cover_batches(questions, pool, batches, &set, demo_tokens)
-}
-
 /// Covering's phase 1 as phase 2 reads it: the threshold, the
 /// demonstration set covering every question, and each question's
 /// covering members of that set — not the whole [`CoverTable`], which
@@ -626,6 +605,26 @@ mod tests {
     use super::*;
     use embed::matrix::SWEEP_BLOCK_BYTES;
     use proptest::prelude::*;
+
+    /// The covering strategy from a whole coverage table: phase 1's greedy
+    /// over `coverage`, then phase 2. It is the reference for
+    /// [`CoverSet::build`], whose walk skips the table when one row covers
+    /// every question. `coverage` must satisfy the [`compute_coverage`]
+    /// contract for the same `questions`/`pool`/`t`.
+    fn covering_with_coverage<W>(
+        questions: &FeatureSpace,
+        pool: &FeatureSpace,
+        batches: &[Vec<usize>],
+        coverage: &CoverTable,
+        t: f64,
+        demo_tokens: W,
+    ) -> SelectionPlan
+    where
+        W: Fn(usize) -> f64,
+    {
+        let set = CoverSet::from_coverage(coverage, t);
+        cover_batches(questions, pool, batches, &set, demo_tokens)
+    }
 
     /// Questions at 0..6 on a line; pool demos at 0.2, 1.1, 3.9, 5.2, 40.
     fn spaces() -> (FeatureSpace, FeatureSpace) {

@@ -643,8 +643,6 @@ fn stats_of(inner: &Inner) -> ServiceStats {
         plans,
         plan_full: plans,
         plan_incremental: 0,
-        plan_last_us: tel.plan_last_us.get() as u64,
-        plan_avg_us: plan_wall.mean(),
         plan_p50_us: plan_wall.quantile(0.5),
         plan_p99_us: plan_wall.quantile(0.99),
         answer_p50_us: answer.quantile(0.5),
@@ -1124,7 +1122,7 @@ fn flush(
     let plan_us = u64::try_from(plan_started.elapsed().as_micros()).unwrap_or(u64::MAX);
     tel.plans.inc();
     tel.plan_wall_us.record(plan_us);
-    tel.plan_last_us.set(plan_us as i64);
+    tel.record_plan_stages(&plan.stages);
 
     for (bi, batch) in plan.batches.iter().enumerate() {
         if !urgent && batch.len() < inner.config.batch_size {

@@ -37,16 +37,8 @@ pub struct ServiceStats {
     /// `benchmark/` reads it; leaves with the benchmark-only follow-up
     /// that drops that read (ROADMAP item 1).
     pub plan_incremental: u64,
-    /// Wall time of the most recent planning pass, microseconds — the
-    /// kernel layer's speedup, observable online.
-    pub plan_last_us: u64,
-    /// Mean planning wall time across all passes, microseconds.
-    ///
-    /// Deprecated alias: kept for wire compatibility, now derived from
-    /// the plan-wall-time histogram (a running mean hides the tail —
-    /// prefer [`ServiceStats::plan_p50_us`] / [`ServiceStats::plan_p99_us`]).
-    pub plan_avg_us: u64,
-    /// Median planning wall time, microseconds (histogram-backed).
+    /// Median planning wall time, microseconds (histogram-backed; each
+    /// stage's time is the `er_plan_stage_us` family on `/metrics`).
     #[serde(default)]
     pub plan_p50_us: u64,
     /// 99th-percentile planning wall time, microseconds.
@@ -217,8 +209,6 @@ mod tests {
             plans: 2,
             plan_full: 2,
             plan_incremental: 0,
-            plan_last_us: 180,
-            plan_avg_us: 210,
             plan_p50_us: 190,
             plan_p99_us: 240,
             answer_p50_us: 2_100,
@@ -347,7 +337,9 @@ mod tests {
     /// a dashboard stored back then still load, the fields that left
     /// with sharding, leases and the incremental planner (`shards`,
     /// `lease_refills`, `plan_last_inserted`, `plan_last_retired`) are
-    /// ignored, as are `index_query_p50_us`/`_p99_us` (a per-query
+    /// ignored, as are `plan_last_us` and `plan_avg_us` (one pass's time
+    /// and a mean, both left for `plan_p50_us`, `plan_p99_us` and the
+    /// per-stage histograms), as are `index_query_p50_us`/`_p99_us` (a per-query
     /// stopwatch that only ever read 0) and `index_builds`,
     /// `index_queries`, `index_pruned_bp` (process-wide index counters
     /// the service no longer copies), and everything that stayed keeps
@@ -362,6 +354,7 @@ mod tests {
         let stats: ServiceStats = serde_json::from_str(STATS).unwrap();
         let kept = STATS
             .replace(r#""plan_last_inserted":2,"plan_last_retired":1,"#, "")
+            .replace(r#""plan_last_us":731,"plan_avg_us":346,"#, "")
             .replace(
                 r#""index_builds":98,"index_queries":29129,"index_pruned_bp":4028,"#,
                 "",

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use batcher_core::{PlanStages, StageTime};
 use llm_service::ConnMetrics;
 use obs::{Counter, Gauge, Histogram, Registry, Slo, SloStatus, TraceLog};
 
@@ -43,10 +44,10 @@ pub(crate) enum FlushTrigger {
 /// Every metric handle the service records into, plus the trace log.
 ///
 /// Histogram families exposed at `/metrics` (all microseconds unless the
-/// name says otherwise): queue wait, plan wall time, planner lock hold,
-/// per-call LLM latency, governor reserve/settle, end-to-end answer
-/// latency (`source` label), per-batch spend (micro-dollars) and prompt
-/// tokens.
+/// name says otherwise): queue wait, plan wall time, plan stage time
+/// (`stage` label), planner lock hold, per-call LLM latency, governor
+/// reserve/settle, end-to-end answer latency (`source` label), per-batch
+/// spend (micro-dollars) and prompt tokens.
 #[derive(Debug)]
 pub struct Telemetry {
     pub(crate) registry: Registry,
@@ -76,7 +77,6 @@ pub struct Telemetry {
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) cache_entries: Arc<Gauge>,
     pub(crate) governor_reserved_micros: Arc<Gauge>,
-    pub(crate) plan_last_us: Arc<Gauge>,
     pub(crate) breaker_state: Arc<Gauge>,
     pub(crate) slo_burn_milli: [Arc<Gauge>; 6],
     pub(crate) slo_fast_burn: [Arc<Gauge>; 3],
@@ -88,6 +88,7 @@ pub struct Telemetry {
     // Histograms.
     pub(crate) queue_wait_us: Arc<Histogram>,
     pub(crate) plan_wall_us: Arc<Histogram>,
+    plan_stage_us: [Arc<Histogram>; 8],
     pub(crate) planner_lock_hold_us: Arc<Histogram>,
     pub(crate) llm_call_us: Arc<Histogram>,
     pub(crate) governor_reserve_us: Arc<Histogram>,
@@ -221,11 +222,6 @@ impl Telemetry {
             "Budget committed to in-flight reservations, micro-dollars.",
             &[],
         );
-        let plan_last_us = registry.gauge(
-            "er_plan_last_us",
-            "Wall time of the most recent planning pass, microseconds.",
-            &[],
-        );
         let breaker_state = registry.gauge(
             "er_breaker_state",
             "LLM circuit breaker state: 0 closed, 1 open, 2 half-open.",
@@ -283,6 +279,13 @@ impl Telemetry {
             "Planning pass wall time, microseconds.",
             &[],
         );
+        let plan_stage_us = PlanStages::default().named().map(|(stage, _)| {
+            registry.histogram(
+                "er_plan_stage_us",
+                "Time of one planning stage in a pass that ran it, microseconds, by stage (features_pool and token_weights are the prepared pool's and never run on a flush).",
+                &[("stage", stage)],
+            )
+        });
         let planner_lock_hold_us = registry.histogram(
             "er_planner_lock_hold_us",
             "Time one flush spends merging drained questions into the held set, planning and dispatching, microseconds (the name predates the single-owner planner: there is no lock).",
@@ -357,7 +360,6 @@ impl Telemetry {
             queue_depth,
             cache_entries,
             governor_reserved_micros,
-            plan_last_us,
             breaker_state,
             slo_burn_milli,
             slo_fast_burn,
@@ -367,6 +369,7 @@ impl Telemetry {
             recovery_open_reservations,
             queue_wait_us,
             plan_wall_us,
+            plan_stage_us,
             planner_lock_hold_us,
             llm_call_us,
             governor_reserve_us,
@@ -386,6 +389,15 @@ impl Telemetry {
     /// Counts one drain of the coalescing queue under its trigger.
     pub(crate) fn count_flush(&self, trigger: FlushTrigger) {
         self.flushes[trigger as usize].inc();
+    }
+
+    /// Records the time of every stage a plan ran.
+    pub(crate) fn record_plan_stages(&self, stages: &PlanStages) {
+        for ((_, time), histogram) in stages.named().into_iter().zip(&self.plan_stage_us) {
+            if let StageTime::Ran(took) = time {
+                histogram.record(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
+            }
+        }
     }
 
     /// The three SLO engines paired with their names, in gauge order.
