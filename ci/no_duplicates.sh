@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Keeps fifteen kinds of dead weight from growing back: a vendored stand-in
+# Keeps sixteen kinds of dead weight from growing back: a vendored stand-in
 # nothing depends on, a crate only the facade re-exports, a bench CI never
 # runs, a second copy of the seeded FNV-1a hash (`text_sim::fnv1a64` is
 # the one; its offset basis is the fingerprint of a copy), a
@@ -30,7 +30,9 @@
 # outside er-core's rng.rs (`er_core::rng::splitmix64`) and er-service's
 # fingerprint.rs (a different mix, pinned by on-disk WAL fingerprints).
 # And a second copy of the planner's stages under crates/bench (a bench
-# reads a plan's own `stages`).
+# reads a plan's own `stages`). And a recorded pair stream in the metric
+# index (`PairSweep`, `replay_close_pairs`): at min_pts = 3 DBSCAN unions
+# every close pair as the sweep finds it, so nothing is replayed.
 # Offline, no dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -198,5 +200,12 @@ for hit in $(grep -rnoE '\b(cluster_questions|batches_for_clustering|covering_wi
     fail=1
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench"
+# DBSCAN runs in one pass over `PivotIndex::for_close_pairs`; a recorded
+# verdict stream and its replay were the second pass (DESIGN.md §8).
+for hit in $(grep -rnowE 'PairSweep|replay_close_pairs' crates/*/src | cut -d: -f1,2 || true); do
+    echo "FAIL: ${hit} records or replays a pair sweep; DBSCAN is one pass over PivotIndex::for_close_pairs" >&2
+    fail=1
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench; no recorded pair sweep in crates/*/src"
 exit "$fail"

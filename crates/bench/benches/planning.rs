@@ -463,7 +463,7 @@ fn kernel_point(questions: &FeatureSpace, pool: &FeatureSpace, passes: usize) ->
     let mut within = Vec::new();
     let mut indexed = 0u64;
     for d in 0..n_pool {
-        index.within_into(pool.vector(d), t, true, &mut within);
+        index.within_into(pool.vector(d), t, &mut within);
         indexed += within.len() as u64;
     }
     let index_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -4,24 +4,29 @@
 //! One semantics, two entry points:
 //!
 //! * [`dbscan`] — the reference implementation over `&[Vec<f64>]` with a
-//!   pluggable distance function and brute-force O(n) region queries;
-//!   the tests compare the production path against it.
+//!   pluggable distance function, any `min_pts` and brute-force O(n)
+//!   region queries; the tests compare the production path against it.
 //! * [`dbscan_matrix`] — the production path over a contiguous
-//!   [`FeatureMatrix`] (Euclidean metric): an allocation-free
-//!   **union-find** over the symmetric pair sweep of the exact metric
-//!   index ([`embed::index`]) — a one-pivot key window in front of the
-//!   same threshold-scan kernel, so every ε-verdict is the one a
+//!   [`FeatureMatrix`] (Euclidean metric) at [`MIN_PTS`]: one
+//!   **union-find** pass over the symmetric pair sweep of the exact
+//!   metric index ([`embed::index`]) — a one-pivot key window in front
+//!   of the same threshold-scan kernel, so every ε-verdict is the one a
 //!   brute-force scan would reach.
 //!
-//! Both produce identical clusterings (the expansion's output is
-//! order-free — see [`dbscan_matrix`] — which the tests pin).
+//! Both produce identical clusterings at [`MIN_PTS`], which the tests
+//! pin.
 
 use embed::index::PivotIndex;
 use embed::matrix::FeatureMatrix;
 
 use crate::Clustering;
 
-/// DBSCAN parameters.
+/// `min_pts` of the production path: a point with two others within ε
+/// is a core point. A point that is not core then has at most one
+/// neighbour, which is what lets [`dbscan_matrix`] run in one pass.
+pub const MIN_PTS: usize = 3;
+
+/// DBSCAN parameters of the reference [`dbscan`].
 #[derive(Debug, Clone, Copy)]
 pub struct DbscanParams {
     /// Neighborhood radius ε.
@@ -52,41 +57,30 @@ where
     })
 }
 
-/// DBSCAN over a contiguous feature matrix under the Euclidean metric,
-/// as union-find over the metric index's symmetric pair sweep. Produces
-/// the same clustering as `dbscan(points, params, euclidean)`, pairs
-/// exactly at ε included.
+/// DBSCAN at [`MIN_PTS`] over a contiguous feature matrix under the
+/// Euclidean metric, in one union-find pass over the metric index's
+/// symmetric pair sweep. Produces the same clustering as
+/// `dbscan(points, DbscanParams { eps, min_pts: MIN_PTS }, euclidean)`,
+/// pairs exactly at ε included.
 ///
-/// Equivalent to BFS expansion because the expansion's output is
-/// order-free under the hood:
+/// Every close pair adds to both degrees and is unioned. At
+/// `MIN_PTS = 3` a point that is not core has at most one neighbour, so
+/// it never links two points: the core points of a component are
+/// ε-connected through core points alone, and each non-core member
+/// hangs off the one core point it neighbours, so it is a border point
+/// of that cluster and of no other. A non-core point whose one neighbour
+/// is not core either forms a component of two without a core. Hence:
 ///
-/// * core points cluster by ε-connectivity (a pure union-find problem);
-/// * cluster ids follow founding order, and a cluster is always founded
-///   by its minimum-id core point (any earlier core would have founded
-///   it first), so ids are the rank of each component's min core id;
-/// * a border point joins the **earliest-founded** cluster among its
-///   core neighbors — clusters expand one at a time in founding order,
-///   and whichever reaches the border first keeps it;
-/// * leftovers become singleton clusters in id order.
-///
-/// Each unordered within-ε pair is visited twice (a counting pass to
-/// decide core-ness, then a union/attach pass replayed from the recorded
-/// verdict bits), which costs the distance work of one symmetric sweep
-/// but touches no per-point allocation at all.
-pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering {
+/// * a component holding a core point is one cluster, numbered in
+///   founding order — the order of its smallest core id, since a BFS
+///   expansion founds each cluster from its minimum-id core point;
+/// * every point of a component without a core point is noise, a
+///   singleton numbered after the clusters in id order.
+pub fn dbscan_matrix(matrix: &FeatureMatrix, eps: f64) -> Clustering {
+    const _: () = assert!(MIN_PTS <= 3, "the one-pass rule needs non-core degree ≤ 1");
     let index = PivotIndex::build(matrix);
     let n = index.len();
-    let min_pts = params.min_pts;
-
-    // Pass 1: neighbor counts (self excluded here, included by `+ 1`),
-    // recording the verdict stream for the replay pass.
-    let mut counts = vec![0u32; n];
-    let sweep = index.close_pairs(params.eps, &mut counts);
-    let core: Vec<bool> = counts.iter().map(|&c| c as usize + 1 >= min_pts).collect();
-
-    // Pass 2: union core pairs, record border→core adjacencies. A border
-    // point has fewer than `min_pts` neighbors in total, so its core
-    // list is tiny by definition.
+    let mut degrees = vec![0u32; n];
     let mut parent: Vec<u32> = (0..n as u32).collect();
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
@@ -96,58 +90,40 @@ pub fn dbscan_matrix(matrix: &FeatureMatrix, params: DbscanParams) -> Clustering
         }
         x
     }
-    let mut border: Vec<(u32, u32)> = Vec::new();
-    index.replay_close_pairs(&sweep, &mut |a, b| {
-        match (core[a as usize], core[b as usize]) {
-            (true, true) => {
-                let ra = find(&mut parent, a);
-                let rb = find(&mut parent, b);
-                if ra != rb {
-                    // Smaller root id wins — any deterministic rule works,
-                    // the component is what matters.
-                    if ra < rb {
-                        parent[rb as usize] = ra;
-                    } else {
-                        parent[ra as usize] = rb;
-                    }
-                }
-            }
-            (true, false) => border.push((b, a)),
-            (false, true) => border.push((a, b)),
-            (false, false) => {}
-        }
+    index.for_close_pairs(eps, |a, b| {
+        degrees[a as usize] += 1;
+        degrees[b as usize] += 1;
+        // Smaller root id wins — any deterministic rule works, the
+        // component is what matters.
+        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        parent[ra.max(rb) as usize] = ra.min(rb);
     });
 
-    // Labels: cores first (founding order = min-core-id order), then
-    // borders (earliest-founded cluster among core neighbors), then
-    // singletons in id order.
+    // Clusters in founding order, then singletons in id order.
     const UNSET: usize = usize::MAX;
-    let mut labels = vec![UNSET; n];
     let mut cluster_of_root = vec![UNSET; n];
     let mut next_cluster = 0usize;
-    for i in 0..n {
-        if core[i] {
+    for (i, &degree) in degrees.iter().enumerate() {
+        if degree as usize + 1 >= MIN_PTS {
             let root = find(&mut parent, i as u32) as usize;
             if cluster_of_root[root] == UNSET {
                 cluster_of_root[root] = next_cluster;
                 next_cluster += 1;
             }
-            labels[i] = cluster_of_root[root];
         }
     }
-    for &(b, c) in &border {
-        let label = labels[c as usize];
-        if labels[b as usize] == UNSET || label < labels[b as usize] {
-            labels[b as usize] = label;
-        }
+    let mut assignment = Vec::with_capacity(n);
+    for i in 0..n {
+        let root = find(&mut parent, i as u32) as usize;
+        assignment.push(match cluster_of_root[root] {
+            UNSET => {
+                next_cluster += 1;
+                next_cluster - 1
+            }
+            cluster => cluster,
+        });
     }
-    for label in labels.iter_mut() {
-        if *label == UNSET {
-            *label = next_cluster;
-            next_cluster += 1;
-        }
-    }
-    Clustering { assignment: labels, n_clusters: next_cluster }
+    Clustering { assignment, n_clusters: next_cluster }
 }
 
 /// The expansion behind [`dbscan`]: BFS from each unvisited core point,
@@ -270,11 +246,11 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let params = DbscanParams { eps: 0.5, min_pts: 3 };
+        let params = DbscanParams { eps: 0.5, min_pts: MIN_PTS };
         let c = dbscan(&[], params, euclidean);
         assert_eq!(c.n_clusters, 0);
         assert!(c.assignment.is_empty());
-        let m = dbscan_matrix(&FeatureMatrix::from_rows(vec![]), params);
+        let m = dbscan_matrix(&FeatureMatrix::from_rows(vec![]), 0.5);
         assert_eq!(m.n_clusters, 0);
     }
 
@@ -311,6 +287,48 @@ mod tests {
         }
     }
 
+    /// Clusters `points` at ε = 0.5 and [`MIN_PTS`] on both paths and
+    /// asserts each gives exactly `want`. A labeller that numbered every
+    /// union component as a cluster fails each case below, by
+    /// membership or by numbering: a component without a core point is
+    /// noise, and its singletons come after every cluster.
+    fn assert_one_pass(points: &[f64], want: &[usize]) {
+        let rows: Vec<Vec<f64>> = points.iter().map(|&x| vec![x]).collect();
+        let params = DbscanParams { eps: 0.5, min_pts: MIN_PTS };
+        let reference = dbscan(&rows, params, euclidean);
+        let matrix = dbscan_matrix(&FeatureMatrix::from_rows(rows), 0.5);
+        assert_eq!(reference.assignment, want, "reference");
+        assert_eq!(matrix, reference, "matrix path");
+    }
+
+    #[test]
+    fn a_close_pair_without_a_core_is_two_singletons() {
+        // 0 and 1 are each other's only neighbour (degree 1): noise. The
+        // chain 2..=4 is a cluster, numbered first.
+        assert_one_pass(&[0.0, 0.3, 10.0, 10.4, 10.8], &[1, 2, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_degree_one_point_joins_its_core_neighbour() {
+        // 0 is a loner; 1 and 3 have one neighbour each, the core point 2
+        // (degree 2), whose cluster they join. The cluster is numbered
+        // before the loner.
+        assert_one_pass(&[-50.0, 0.0, 0.4, 0.8], &[1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_degree_two_bridge_is_core_and_merges_two_blobs() {
+        // 0 and 1 are a close pair without a core. The bridge 5 (at 0.65)
+        // neighbours only 4 (at 0.2) and 6 (at 1.1): degree 2, so core,
+        // and both blobs are one cluster.
+        let points = [-40.0, -40.3, 0.0, 0.1, 0.2, 0.65, 1.1, 1.2, 1.3];
+        assert_one_pass(&points, &[1, 2, 0, 0, 0, 0, 0, 0, 0]);
+        // One more point to be core, and the bridge only borders a blob.
+        let rows: Vec<Vec<f64>> = points.iter().map(|&x| vec![x]).collect();
+        let c = dbscan(&rows, DbscanParams { eps: 0.5, min_pts: 4 }, euclidean);
+        assert_ne!(c.assignment[2], c.assignment[8]);
+    }
+
     /// Deterministic pseudo-random points: three latent blobs plus a
     /// scatter of loners, the shape where pivot pruning has to work.
     fn scattered(n: usize, dim: usize) -> Vec<Vec<f64>> {
@@ -337,15 +355,9 @@ mod tests {
             let pts = scattered(n, dim);
             let matrix = FeatureMatrix::from_rows(pts.clone());
             for eps in [0.2, 0.7, 1.5, 4.0] {
-                for min_pts in [1usize, 3, 6] {
-                    let params = DbscanParams { eps, min_pts };
-                    let brute = dbscan(&pts, params, euclidean);
-                    let fast = dbscan_matrix(&matrix, params);
-                    assert_eq!(
-                        brute, fast,
-                        "n={n} dim={dim} eps={eps} min_pts={min_pts} diverged"
-                    );
-                }
+                let brute = dbscan(&pts, DbscanParams { eps, min_pts: MIN_PTS }, euclidean);
+                let fast = dbscan_matrix(&matrix, eps);
+                assert_eq!(brute, fast, "n={n} dim={dim} eps={eps} diverged");
             }
         }
     }
@@ -354,29 +366,26 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The matrix path — the union-find over the pair sweep — against
-        /// the brute-force reference, on the shapes a scattered fixture
-        /// never hits: coordinates and ε are multiples of 0.5, so
-        /// duplicate rows are common and many pairs sit **exactly** at ε
-        /// with exactly representable distances (0.5 apart on an axis,
-        /// 3-4-5 triangles), and `min_pts` spans everything-is-core (1),
-        /// pair-is-core (2), and nothing-is-core (n + 1).
+        /// the brute-force reference at [`MIN_PTS`], on the shapes a
+        /// scattered fixture never hits: coordinates and ε are multiples
+        /// of 0.5, so duplicate rows are common and many pairs sit
+        /// **exactly** at ε with exactly representable distances (0.5
+        /// apart on an axis, 3-4-5 triangles), and sparse grids leave
+        /// close pairs and chains without a core point.
         #[test]
         fn matrix_path_matches_brute_force_on_grids(
             cells in prop::collection::vec(0u8..6, 1..120),
             dim in 1usize..4,
             eps_steps in 1u8..6,
-            min_pts_pick in 0usize..4,
         ) {
             let pts: Vec<Vec<f64>> = cells
                 .chunks_exact(dim)
                 .map(|c| c.iter().map(|&v| f64::from(v) * 0.5).collect())
                 .collect();
-            let n = pts.len();
-            let min_pts = [1, 2, 3, n + 1][min_pts_pick];
-            let params = DbscanParams { eps: f64::from(eps_steps) * 0.5, min_pts };
+            let eps = f64::from(eps_steps) * 0.5;
             let matrix = FeatureMatrix::from_rows(pts.clone());
-            let brute = dbscan(&pts, params, euclidean);
-            prop_assert_eq!(&dbscan_matrix(&matrix, params), &brute);
+            let brute = dbscan(&pts, DbscanParams { eps, min_pts: MIN_PTS }, euclidean);
+            prop_assert_eq!(&dbscan_matrix(&matrix, eps), &brute);
         }
     }
 }

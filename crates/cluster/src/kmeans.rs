@@ -5,8 +5,7 @@
 //! loop — scores centroids with the dot trick
 //! (`argmin ‖x − c‖² = argmin ‖c‖² − 2·x·c`, the `‖x‖²` term being
 //! constant per point); the update step accumulates centroid sums in
-//! input order. The slice front end ([`kmeans`]) packs its input into a
-//! matrix and delegates.
+//! input order.
 
 use embed::matrix::FeatureMatrix;
 use embed::vecmath::dot;
@@ -29,12 +28,6 @@ impl Default for KMeansParams {
     fn default() -> Self {
         Self { k: 8, max_iters: 50, seed: 42 }
     }
-}
-
-/// Runs K-Means over per-point vectors (packs into a [`FeatureMatrix`]
-/// and calls [`kmeans_matrix`]).
-pub fn kmeans(points: &[Vec<f64>], params: KMeansParams) -> Clustering {
-    kmeans_matrix(&FeatureMatrix::from_rows(points.to_vec()), params)
 }
 
 /// Runs K-Means (Lloyd's algorithm, kmeans++ seeding, Euclidean metric)
@@ -206,7 +199,7 @@ fn compact(assignment: Vec<usize>, k: usize) -> Clustering {
 mod tests {
     use super::*;
 
-    fn blobs() -> Vec<Vec<f64>> {
+    fn blobs() -> FeatureMatrix {
         let mut pts = Vec::new();
         for i in 0..10 {
             pts.push(vec![i as f64 * 0.1, 0.0]);
@@ -214,12 +207,12 @@ mod tests {
         for i in 0..10 {
             pts.push(vec![50.0 + i as f64 * 0.1, 50.0]);
         }
-        pts
+        FeatureMatrix::from_rows(pts)
     }
 
     #[test]
     fn two_blobs_two_clusters() {
-        let c = kmeans(&blobs(), KMeansParams { k: 2, max_iters: 100, seed: 1 });
+        let c = kmeans_matrix(&blobs(), KMeansParams { k: 2, max_iters: 100, seed: 1 });
         assert!(c.is_consistent());
         assert_eq!(c.n_clusters, 2);
         assert!(c.assignment[..10].iter().all(|&x| x == c.assignment[0]));
@@ -229,29 +222,29 @@ mod tests {
 
     #[test]
     fn k_clamped_to_n() {
-        let pts = vec![vec![0.0], vec![1.0]];
-        let c = kmeans(&pts, KMeansParams { k: 10, max_iters: 10, seed: 3 });
+        let pts = FeatureMatrix::from_rows(vec![vec![0.0], vec![1.0]]);
+        let c = kmeans_matrix(&pts, KMeansParams { k: 10, max_iters: 10, seed: 3 });
         assert!(c.is_consistent());
         assert!(c.n_clusters <= 2);
     }
 
     #[test]
     fn deterministic_in_seed() {
-        let a = kmeans(&blobs(), KMeansParams { k: 4, max_iters: 50, seed: 9 });
-        let b = kmeans(&blobs(), KMeansParams { k: 4, max_iters: 50, seed: 9 });
+        let a = kmeans_matrix(&blobs(), KMeansParams { k: 4, max_iters: 50, seed: 9 });
+        let b = kmeans_matrix(&blobs(), KMeansParams { k: 4, max_iters: 50, seed: 9 });
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_input() {
-        let c = kmeans(&[], KMeansParams::default());
+        let c = kmeans_matrix(&FeatureMatrix::from_rows(vec![]), KMeansParams::default());
         assert_eq!(c.n_clusters, 0);
     }
 
     #[test]
     fn identical_points_collapse() {
-        let pts = vec![vec![5.0, 5.0]; 12];
-        let c = kmeans(&pts, KMeansParams { k: 3, max_iters: 20, seed: 7 });
+        let pts = FeatureMatrix::from_rows(vec![vec![5.0, 5.0]; 12]);
+        let c = kmeans_matrix(&pts, KMeansParams { k: 3, max_iters: 20, seed: 7 });
         assert!(c.is_consistent());
         // All points identical: ids must be valid whatever the cluster count.
         assert_eq!(c.assignment.len(), 12);
@@ -259,7 +252,7 @@ mod tests {
 
     #[test]
     fn k_one_groups_everything() {
-        let c = kmeans(&blobs(), KMeansParams { k: 1, max_iters: 10, seed: 2 });
+        let c = kmeans_matrix(&blobs(), KMeansParams { k: 1, max_iters: 10, seed: 2 });
         assert_eq!(c.n_clusters, 1);
         assert!(c.assignment.iter().all(|&x| x == 0));
     }

@@ -3,21 +3,22 @@
 //! The BatchER question-batching framework (§III, Fig. 3) clusters question
 //! feature vectors before grouping them into batches. The paper uses
 //! DBSCAN (its footnote: "the algorithm achieves the best performance");
-//! K-Means is provided for the ablation bench.
+//! K-Means backs that footnote in the ablation bench.
 //!
-//! Both algorithms accept either `&[Vec<f64>]` (reference slice front
-//! ends) or a contiguous [`embed::FeatureMatrix`] ([`dbscan_matrix`],
-//! [`kmeans_matrix`] — the production kernel paths: a pair sweep over
-//! one pivot's key windows, dot-trick assignment), and return a
-//! [`Clustering`]: a cluster id per point, where DBSCAN noise points each
-//! form a singleton cluster (the batcher must still query every question,
-//! so no point may be dropped).
+//! Both run over a contiguous [`embed::FeatureMatrix`]:
+//! [`dbscan_matrix`] at `min_pts` = [`MIN_PTS`] is one union-find pass
+//! over the metric index's pair sweep, and [`kmeans_matrix`] assigns
+//! with the dot trick. [`dbscan`] is the brute-force reference over
+//! `&[Vec<f64>]`, at any `min_pts`, that the tests hold the matrix path
+//! to. Each returns a [`Clustering`]: a cluster id per point, where
+//! DBSCAN noise points each form a singleton cluster (the batcher must
+//! still query every question, so no point may be dropped).
 
 pub mod dbscan;
 pub mod kmeans;
 
-pub use dbscan::{dbscan, dbscan_matrix, DbscanParams};
-pub use kmeans::{kmeans, kmeans_matrix, KMeansParams};
+pub use dbscan::{dbscan, dbscan_matrix, DbscanParams, MIN_PTS};
+pub use kmeans::{kmeans_matrix, KMeansParams};
 
 /// A clustering result: `assignment[i]` is the cluster id of point `i`;
 /// ids are dense in `0..n_clusters`.

@@ -1,7 +1,7 @@
 //! Question batching (§III): random, similarity-based and diversity-based
 //! strategies over clustered questions.
 
-use cluster::{dbscan_matrix, kmeans_matrix, Clustering, DbscanParams, KMeansParams};
+use cluster::{dbscan_matrix, kmeans_matrix, Clustering, KMeansParams};
 use er_core::Rng;
 
 use crate::features::FeatureSpace;
@@ -49,9 +49,10 @@ pub enum ClusteringKind {
     KMeans,
 }
 
-/// `min_pts` of the DBSCAN batching stage: a question with two others
-/// within ε is a core point.
-pub const DBSCAN_MIN_PTS: usize = 3;
+/// `min_pts` of the DBSCAN batching stage, the `cluster` crate's
+/// [`cluster::MIN_PTS`]: a question with two others within ε is a core
+/// point.
+pub const DBSCAN_MIN_PTS: usize = cluster::MIN_PTS;
 
 /// Percentile of pairwise question distances defining the DBSCAN ε.
 pub const DBSCAN_EPS_PERCENTILE: f64 = 15.0;
@@ -128,10 +129,7 @@ pub fn cluster_questions(
             // Clustering always runs Euclidean over the contiguous matrix
             // (pivot-pruned region queries); only ε derives from the
             // space's configured distance.
-            dbscan_matrix(
-                space.matrix(),
-                DbscanParams { eps, min_pts: DBSCAN_MIN_PTS },
-            )
+            dbscan_matrix(space.matrix(), eps)
         }
         ClusteringKind::KMeans => {
             let k = space.len().div_ceil(batch_size).max(1);

@@ -375,7 +375,7 @@ pub fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -
         let mut by_demo = Rows::new();
         let mut hits: Vec<u32> = Vec::new();
         for d in 0..pool.len() {
-            index.within_into(pool.matrix().row(d), t, true, &mut hits);
+            index.within_into(pool.matrix().row(d), t, &mut hits);
             by_demo.push_row(hits.iter().copied());
         }
         return CoverTable::from_candidate_rows(by_demo, n_q);

@@ -82,73 +82,6 @@ pub fn stats() -> IndexStats {
     }
 }
 
-/// A recorded symmetric pair sweep: one verdict bit per candidate slot
-/// in the sweep's deterministic window layout. The layout is a pure
-/// function of the index geometry and `eps` — never of pruning
-/// decisions — so pruned candidates simply keep their zero bit.
-/// Replaying re-derives the same windows and word-skips straight to
-/// the set bits; no distance is recomputed and no pruning check is
-/// re-evaluated.
-#[derive(Debug, Clone)]
-pub struct PairSweep {
-    eps: f64,
-    bits: Vec<u64>,
-    n_bits: usize,
-    pairs: usize,
-}
-
-impl PairSweep {
-    /// Number of close pairs the sweep found.
-    pub fn close_pair_count(&self) -> usize {
-        self.pairs
-    }
-
-    /// Reserves a `len`-bit all-zero window at the end of the stream,
-    /// returning its base bit position.
-    fn open_window(&mut self, len: usize) -> usize {
-        let base = self.n_bits;
-        self.n_bits += len;
-        let words = self.n_bits.div_ceil(64);
-        if words > self.bits.len() {
-            self.bits.resize(words, 0);
-        }
-        base
-    }
-
-    /// Marks absolute bit `at` as a close pair.
-    fn set_hit(&mut self, at: usize) {
-        self.bits[at >> 6] |= 1u64 << (at & 63);
-        self.pairs += 1;
-    }
-
-    /// Visits each set bit of the `len`-bit window based at absolute
-    /// bit `base`, as an offset within the window, skipping zero words
-    /// whole. Out-of-range words read as zero (the caller's cursor
-    /// check reports the drift).
-    fn visit_hits(&self, base: usize, len: usize, f: &mut dyn FnMut(usize)) {
-        if len == 0 {
-            return;
-        }
-        let end = base + len;
-        let first = base >> 6;
-        let last = (end - 1) >> 6;
-        for w in first..=last {
-            let mut word = self.bits.get(w).copied().unwrap_or(0);
-            if w == first {
-                word &= !0u64 << (base & 63);
-            }
-            if w == last && end & 63 != 0 {
-                word &= (1u64 << (end & 63)) - 1;
-            }
-            while word != 0 {
-                let bit = (w << 6) + word.trailing_zeros() as usize;
-                f(bit - base);
-                word &= word - 1;
-            }
-        }
-    }
-}
-
 /// The one-pivot index: an exact metric index over feature rows whose
 /// result sets are bit-identical to the brute-force reference kernels.
 /// See the module docs for structure and guarantees.
@@ -280,13 +213,9 @@ impl PivotIndex {
 
 /// One row's radius verdict via the reference kernel ([`scan_rows_within`]
 /// dispatches per dimension, so this is bit-identical to the full scan).
-fn row_within(dim: usize, query: &[f64], row: &[f64], t_sq: f64, strict: bool) -> bool {
+fn row_within<const STRICT: bool>(dim: usize, query: &[f64], row: &[f64], t_sq: f64) -> bool {
     let mut hit = false;
-    if strict {
-        scan_rows_within::<true>(dim, query, row, t_sq, |_| hit = true);
-    } else {
-        scan_rows_within::<false>(dim, query, row, t_sq, |_| hit = true);
-    }
+    scan_rows_within::<STRICT>(dim, query, row, t_sq, |_| hit = true);
     hit
 }
 
@@ -316,15 +245,15 @@ impl PivotIndex {
         self.len() == 0
     }
 
-    /// Ids within `eps` of `query` (`< eps` when `strict`, else `≤ eps`),
-    /// ascending — the verdict per row is exactly [`scan_rows_within`]'s
-    /// with threshold `eps²`.
-    pub fn within_into(&self, query: &[f64], eps: f64, strict: bool, out: &mut Vec<u32>) {
+    /// Ids strictly within `eps` of `query` (`< eps`), ascending — the
+    /// verdict per row is exactly [`scan_rows_within`]'s with threshold
+    /// `eps²`.
+    pub fn within_into(&self, query: &[f64], eps: f64, out: &mut Vec<u32>) {
         out.clear();
         let t_sq = eps * eps;
         if self.dim == 0 {
             // All rows are empty vectors at distance 0.
-            if (strict && 0.0 < t_sq) || (!strict && 0.0 <= t_sq) {
+            if 0.0 < t_sq {
                 out.extend(0..self.len() as u32);
             }
             note_query(self.len(), self.len());
@@ -341,18 +270,12 @@ impl PivotIndex {
             let hi = self.keys.partition_point(|&v| v <= key + pad);
             verified += hi - lo;
             let run = &self.perm[lo * self.dim..hi * self.dim];
-            if strict {
-                scan_rows_within::<true>(self.dim, query, run, t_sq, |k| {
-                    out.push(self.order[lo + k]);
-                });
-            } else {
-                scan_rows_within::<false>(self.dim, query, run, t_sq, |k| {
-                    out.push(self.order[lo + k]);
-                });
-            }
+            scan_rows_within::<true>(self.dim, query, run, t_sq, |k| {
+                out.push(self.order[lo + k]);
+            });
         }
         for (oi, &id) in self.over_ids.iter().enumerate() {
-            if row_within(self.dim, query, self.over_row(oi), t_sq, strict) {
+            if row_within::<true>(self.dim, query, self.over_row(oi), t_sq) {
                 out.push(id);
             }
         }
@@ -462,153 +385,61 @@ impl PivotIndex {
         note_query(self.len(), verified);
     }
 
-    /// One symmetric sweep over all pairs within `eps` (inclusive),
-    /// adding 1 to `degrees[a]`/`degrees[b]` per close pair and recording
-    /// verdicts for [`PivotIndex::replay_close_pairs`]. `degrees.len()`
-    /// must equal [`PivotIndex::len`].
-    pub fn close_pairs(&self, eps: f64, degrees: &mut [u32]) -> PairSweep {
-        assert_eq!(degrees.len(), self.len(), "degree buffer mismatch");
-        let mut sweep = PairSweep { eps, bits: Vec::new(), n_bits: 0, pairs: 0 };
-        let verified = self.sweep_record(eps, &mut sweep, &mut |a, b| {
-            degrees[a as usize] += 1;
-            degrees[b as usize] += 1;
-        });
-        let n = self.len() as u64;
+    /// Calls `on_pair(a, b)`, `a < b`, once per unordered pair of rows
+    /// within `eps` (inclusive), in one symmetric sweep: each sorted row
+    /// against the later rows of its key window, verified by the
+    /// reference kernel in one streaming call, then each overflow row
+    /// against every row before it in the sweep, linearly. Books one
+    /// query of `n(n − 1)/2` candidates.
+    pub fn for_close_pairs(&self, eps: f64, mut on_pair: impl FnMut(u32, u32)) {
+        let n = self.len();
         let potential = n * n.saturating_sub(1) / 2;
-        QUERIES.fetch_add(1, Ordering::Relaxed);
-        CANDIDATES.fetch_add(potential, Ordering::Relaxed);
-        PRUNED.fetch_add(potential.saturating_sub(verified as u64), Ordering::Relaxed);
-        sweep
-    }
-
-    /// Re-emits every close pair `(a, b)`, `a < b`, of the recorded
-    /// stream, without recomputing any distance. `sweep` must have been
-    /// recorded by this index.
-    pub fn replay_close_pairs(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32)) {
-        let cursor = self.sweep_replay(sweep, visit);
-        assert_eq!(
-            cursor, sweep.n_bits,
-            "sweep was recorded by a different index"
-        );
-    }
-
-    /// Records one symmetric sweep into `sweep`: per left-hand row, one
-    /// bit window per candidate section (see
-    /// [`PivotIndex::sweep_replay`] for the exact layout), hits
-    /// verified by the reference kernel in one streaming call per key
-    /// window. Calls `on_hit(min_id, max_id)` per close pair; returns the
-    /// number of rows fully verified.
-    fn sweep_record<F: FnMut(u32, u32)>(
-        &self,
-        eps: f64,
-        sweep: &mut PairSweep,
-        on_hit: &mut F,
-    ) -> usize {
         let t_sq = eps * eps;
-        let mut verified = 0usize;
         if self.dim == 0 {
             // Every pair of empty rows sits at distance 0.
-            let n = self.len();
-            let hit0 = 0.0 <= t_sq;
-            for a in 0..n {
-                let base = sweep.open_window(n - a - 1);
-                for b in a + 1..n {
-                    verified += 1;
-                    if hit0 {
-                        sweep.set_hit(base + (b - a - 1));
-                        on_hit(a as u32, b as u32);
+            if 0.0 <= t_sq {
+                for a in 0..n as u32 {
+                    for b in a + 1..n as u32 {
+                        on_pair(a, b);
                     }
                 }
             }
-            return verified;
+            note_query(potential, potential);
+            return;
         }
         let pad = eps + self.slack;
         let seg = self.order.len();
+        let mut verified = 0usize;
 
         // Segment × segment: ascending key order, window bounded above
-        // (symmetry covers the lower half), verified in one streaming
-        // kernel call over the gathered contiguous rows.
+        // (symmetry covers the lower half).
         for a_pos in 0..seg {
             let a_id = self.order[a_pos];
             let hi = self.window_end(a_pos, pad);
-            let base = sweep.open_window(hi - a_pos - 1);
             verified += hi - a_pos - 1;
             let run = &self.perm[(a_pos + 1) * self.dim..hi * self.dim];
             scan_rows_within::<false>(self.dim, self.seg_row(a_pos), run, t_sq, |k| {
                 let b_id = self.order[a_pos + 1 + k];
-                sweep.set_hit(base + k);
-                on_hit(a_id.min(b_id), a_id.max(b_id));
+                on_pair(a_id.min(b_id), a_id.max(b_id));
             });
         }
 
-        // Overflow × everything: no bound available, verify linearly;
-        // one window per section keeps the replay offset maps O(1).
+        // Overflow × (segment, earlier overflow): no bound available.
         for (oi, &o_id) in self.over_ids.iter().enumerate() {
             let o_row = self.over_row(oi);
-            let base = sweep.open_window(seg);
+            verified += seg + oi;
             for (pos, &s_id) in self.order.iter().enumerate() {
-                verified += 1;
-                if row_within(self.dim, o_row, self.seg_row(pos), t_sq, false) {
-                    sweep.set_hit(base + pos);
-                    on_hit(s_id.min(o_id), s_id.max(o_id));
+                if row_within::<false>(self.dim, o_row, self.seg_row(pos), t_sq) {
+                    on_pair(s_id.min(o_id), s_id.max(o_id));
                 }
             }
-            let base = sweep.open_window(oi);
-            for oj in 0..oi {
-                let u_id = self.over_ids[oj];
-                verified += 1;
-                if row_within(self.dim, o_row, self.over_row(oj), t_sq, false) {
-                    sweep.set_hit(base + oj);
-                    on_hit(u_id.min(o_id), u_id.max(o_id));
+            for (oj, &u_id) in self.over_ids[..oi].iter().enumerate() {
+                if row_within::<false>(self.dim, o_row, self.over_row(oj), t_sq) {
+                    on_pair(u_id.min(o_id), u_id.max(o_id));
                 }
             }
         }
-        verified
-    }
-
-    /// Re-derives [`PivotIndex::sweep_record`]'s window layout — per
-    /// left-hand row: its key window (segment rows), then for overflow
-    /// rows one bit per segment position and per earlier overflow (for
-    /// `dim == 0`, one bit per later row) — and emits the recorded set
-    /// bits through `visit`. No distance or pruning work. Returns the
-    /// total bits walked, which the caller checks against the recording.
-    fn sweep_replay(&self, sweep: &PairSweep, visit: &mut dyn FnMut(u32, u32)) -> usize {
-        let mut cursor = 0usize;
-        if self.dim == 0 {
-            let n = self.len();
-            for a in 0..n {
-                let len = n - a - 1;
-                sweep.visit_hits(cursor, len, &mut |off| {
-                    visit(a as u32, (a + 1 + off) as u32);
-                });
-                cursor += len;
-            }
-            return cursor;
-        }
-        let pad = sweep.eps + self.slack;
-        let seg = self.order.len();
-        for a_pos in 0..seg {
-            let a_id = self.order[a_pos];
-            let len = self.window_end(a_pos, pad) - a_pos - 1;
-            sweep.visit_hits(cursor, len, &mut |off| {
-                let b_id = self.order[a_pos + 1 + off];
-                visit(a_id.min(b_id), a_id.max(b_id));
-            });
-            cursor += len;
-        }
-        for (oi, &o_id) in self.over_ids.iter().enumerate() {
-            sweep.visit_hits(cursor, seg, &mut |off| {
-                let s_id = self.order[off];
-                visit(s_id.min(o_id), s_id.max(o_id));
-            });
-            cursor += seg;
-            sweep.visit_hits(cursor, oi, &mut |off| {
-                let u_id = self.over_ids[off];
-                visit(u_id.min(o_id), u_id.max(o_id));
-            });
-            cursor += oi;
-        }
-        cursor
+        note_query(potential, verified);
     }
 }
 
@@ -621,6 +452,19 @@ fn note_query(potential: usize, verified: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// The index counters are process-wide: a test that reads their exact
+    /// delta holds [`alone`], every other index test holds [`shared`].
+    static COUNTERS: RwLock<()> = RwLock::new(());
+
+    fn shared() -> RwLockReadGuard<'static, ()> {
+        COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn alone() -> RwLockWriteGuard<'static, ()> {
+        COUNTERS.write().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// Deterministic scattered fixture.
     fn scattered(n: usize, dim: usize, seed: u64) -> FeatureMatrix {
@@ -631,13 +475,9 @@ mod tests {
         FeatureMatrix::from_rows(rows)
     }
 
-    fn brute_within(m: &FeatureMatrix, query: &[f64], eps: f64, strict: bool) -> Vec<u32> {
+    fn brute_within(m: &FeatureMatrix, query: &[f64], eps: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        if strict {
-            scan_rows_within::<true>(m.dim(), query, m.flat(), eps * eps, |i| out.push(i as u32));
-        } else {
-            scan_rows_within::<false>(m.dim(), query, m.flat(), eps * eps, |i| out.push(i as u32));
-        }
+        scan_rows_within::<true>(m.dim(), query, m.flat(), eps * eps, |i| out.push(i as u32));
         out
     }
 
@@ -657,18 +497,57 @@ mod tests {
     fn check_all_queries(m: &FeatureMatrix, index: &PivotIndex, eps: f64) {
         let mut got = Vec::new();
         for i in 0..m.len() {
-            for strict in [false, true] {
-                index.within_into(m.row(i), eps, strict, &mut got);
-                assert_eq!(got, brute_within(m, m.row(i), eps, strict), "query {i}");
-            }
+            index.within_into(m.row(i), eps, &mut got);
+            assert_eq!(got, brute_within(m, m.row(i), eps), "query {i}");
             let mut near = Vec::new();
             index.nearest_into(m.row(i), 3, &mut near);
             assert_eq!(near, brute_nearest(m, m.row(i), 3), "nearest {i}");
         }
     }
 
+    /// Asserts that one sweep of a fresh index over `m` reports exactly
+    /// the pairs `a < b` the reference kernel puts within `eps`
+    /// (inclusive), once each, and books one query of `n(n − 1)/2`
+    /// candidates of which no close pair was pruned. Returns the
+    /// sweep's counter delta; the caller holds [`alone`].
+    fn check_close_pairs(m: &FeatureMatrix, eps: f64) -> IndexStats {
+        let mut want = Vec::new();
+        for a in 0..m.len() {
+            // Empty rows leave the kernel no buffer to stream; every pair
+            // of them sits at distance 0.
+            if m.dim() == 0 {
+                want.extend((a + 1..m.len()).map(|b| (a as u32, b as u32)));
+                continue;
+            }
+            scan_rows_within::<false>(m.dim(), m.row(a), m.flat(), eps * eps, |b| {
+                if b > a {
+                    want.push((a as u32, b as u32));
+                }
+            });
+        }
+        let index = PivotIndex::build(m);
+        let before = stats();
+        let mut pairs = Vec::new();
+        index.for_close_pairs(eps, |a, b| pairs.push((a, b)));
+        let delta = stats().delta_since(&before);
+        pairs.sort_unstable();
+        assert_eq!(pairs, want, "eps {eps}");
+        let n = m.len() as u64;
+        let candidates = n * n.saturating_sub(1) / 2;
+        assert_eq!(
+            (delta.builds, delta.queries, delta.candidates),
+            (0, 1, candidates)
+        );
+        assert!(
+            delta.pruned <= candidates - want.len() as u64,
+            "a close pair was pruned"
+        );
+        delta
+    }
+
     #[test]
     fn queries_match_brute_force() {
+        let _counters = shared();
         for dim in [1, 2, 3, 5, 7, 8, 16] {
             let m = scattered(90, dim, 7 + dim as u64);
             let index = PivotIndex::build(&m);
@@ -677,60 +556,44 @@ mod tests {
     }
 
     #[test]
-    fn close_pairs_and_replay_match_brute_force() {
+    fn close_pairs_match_brute_force() {
+        let _counters = alone();
         let m = scattered(80, 4, 11);
-        let eps = 1.2;
-        let index = PivotIndex::build(&m);
-        let mut degrees = vec![0u32; m.len()];
-        let sweep = index.close_pairs(eps, &mut degrees);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        index.replay_close_pairs(&sweep, &mut |a, b| pairs.push((a, b)));
-        pairs.sort_unstable();
-        let mut expect: Vec<(u32, u32)> = Vec::new();
-        let mut expect_deg = vec![0u32; m.len()];
-        for a in 0..m.len() {
-            for b in a + 1..m.len() {
-                if row_within(m.dim(), m.row(a), m.row(b), eps * eps, false) {
-                    expect.push((a as u32, b as u32));
-                    expect_deg[a] += 1;
-                    expect_deg[b] += 1;
-                }
-            }
-        }
-        assert_eq!(pairs, expect);
-        assert_eq!(degrees, expect_deg);
-        assert_eq!(sweep.close_pair_count(), expect.len());
+        check_close_pairs(&m, 1.2);
+        let delta = check_close_pairs(&m, 0.4);
+        assert!(
+            delta.pruned > 0,
+            "a 0.4 radius over scattered data must prune"
+        );
     }
 
     #[test]
     fn empty_matrix_builds_and_answers() {
+        let _counters = alone();
         let m = FeatureMatrix::from_rows(vec![]);
         let index = PivotIndex::build(&m);
         assert_eq!(index.len(), m.len());
         assert!(index.is_empty());
         let mut out = Vec::new();
-        index.within_into(&[], 1.0, false, &mut out);
+        index.within_into(&[], 1.0, &mut out);
         assert!(out.is_empty());
         let mut near = Vec::new();
         index.nearest_into(&[], 2, &mut near);
         assert!(near.is_empty());
-        let sweep = index.close_pairs(1.0, &mut []);
-        assert_eq!(sweep.close_pair_count(), 0);
+        check_close_pairs(&m, 1.0);
     }
 
     #[test]
     fn single_row_and_identical_rows() {
+        let _counters = alone();
         let single = FeatureMatrix::from_rows(vec![vec![1.0, 2.0]]);
         let index = PivotIndex::build(&single);
         assert_eq!(index.len(), single.len());
         let mut out = Vec::new();
-        index.within_into(&[1.0, 2.0], 0.5, false, &mut out);
+        index.within_into(&[1.0, 2.0], 0.5, &mut out);
         assert_eq!(out, vec![0]);
-        index.within_into(&[1.0, 2.0], 0.0, true, &mut out);
-        assert!(
-            out.is_empty(),
-            "strict zero radius must exclude the exact match"
-        );
+        index.within_into(&[1.0, 2.0], 0.0, &mut out);
+        assert!(out.is_empty(), "a zero radius must exclude the exact match");
 
         // All-identical rows: zero pivot spread puts every key at 0,
         // and every pair is a close pair.
@@ -738,32 +601,32 @@ mod tests {
         let index = PivotIndex::build(&same);
         assert_eq!(index.len(), same.len());
         check_all_queries(&same, &index, 0.25);
-        let mut degrees = vec![0u32; 9];
-        let sweep = index.close_pairs(0.1, &mut degrees);
-        assert_eq!(sweep.close_pair_count(), 9 * 8 / 2);
-        assert!(degrees.iter().all(|&d| d == 8));
+        let delta = check_close_pairs(&same, 0.1);
+        assert_eq!(delta.pruned, 0, "all 9 · 8 / 2 pairs are close");
     }
 
     #[test]
     fn zero_dimensional_rows() {
+        let _counters = alone();
         let m = FeatureMatrix::from_rows(vec![vec![]; 5]);
         let index = PivotIndex::build(&m);
         assert_eq!(index.len(), m.len());
         let mut out = Vec::new();
-        index.within_into(&[], 0.5, false, &mut out);
+        index.within_into(&[], 0.5, &mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        index.within_into(&[], 0.0, true, &mut out);
+        index.within_into(&[], 0.0, &mut out);
         assert!(out.is_empty());
         let mut near = Vec::new();
         index.nearest_into(&[], 3, &mut near);
         assert_eq!(near, vec![(0.0, 0), (0.0, 1), (0.0, 2)]);
-        let mut degrees = vec![0u32; 5];
-        let sweep = index.close_pairs(0.0, &mut degrees);
-        assert_eq!(sweep.close_pair_count(), 10, "d = 0 ≤ eps = 0 everywhere");
+        // d = 0 ≤ eps = 0 for all ten pairs.
+        let delta = check_close_pairs(&m, 0.0);
+        assert_eq!(delta.pruned, 0);
     }
 
     #[test]
     fn non_finite_rows_degrade_but_stay_exact() {
+        let _counters = alone();
         let mut rows = scattered(40, 3, 21).to_rows();
         rows[7] = vec![f64::NAN, 0.0, 0.0];
         rows[13] = vec![f64::INFINITY, 1.0, -1.0];
@@ -772,11 +635,12 @@ mod tests {
         let index = PivotIndex::build(&m);
         assert_eq!(index.len(), m.len());
         check_all_queries(&m, &index, 1.3);
-        // Non-finite queries: no hits (NaN/inf never satisfies ≤ eps²),
+        check_close_pairs(&m, 1.3);
+        // Non-finite queries: no hits (NaN/inf never satisfies < eps²),
         // nearest degrades to the brute ranking.
         let mut out = Vec::new();
-        index.within_into(&rows[7], 2.0, false, &mut out);
-        assert_eq!(out, brute_within(&m, &rows[7], 2.0, false));
+        index.within_into(&rows[7], 2.0, &mut out);
+        assert_eq!(out, brute_within(&m, &rows[7], 2.0));
         assert!(out.is_empty());
         let mut near = Vec::new();
         index.nearest_into(&rows[13], 4, &mut near);
@@ -785,6 +649,7 @@ mod tests {
 
     #[test]
     fn huge_magnitudes_overflow_to_linear_verification() {
+        let _counters = alone();
         // Coordinates whose squared norms overflow the dot trick: the
         // window key would be garbage, so these rows must bypass it.
         let mut rows = scattered(30, 2, 17).to_rows();
@@ -793,23 +658,24 @@ mod tests {
         let m = FeatureMatrix::from_rows(rows);
         let index = PivotIndex::build(&m);
         check_all_queries(&m, &index, 0.7);
+        check_close_pairs(&m, 0.7);
     }
 
     #[test]
     fn stats_count_builds_and_pruning() {
+        let _counters = alone();
         let before = stats();
         let m = scattered(300, 8, 77);
         let index = PivotIndex::build(&m);
         let mut out = Vec::new();
         for i in 0..50 {
-            index.within_into(m.row(i), 0.4, false, &mut out);
+            index.within_into(m.row(i), 0.4, &mut out);
         }
-        // Counters are process-global and other tests run concurrently,
-        // so only lower bounds are stable.
         let delta = stats().delta_since(&before);
-        assert!(delta.builds >= 1);
-        assert!(delta.queries >= 50);
-        assert!(delta.candidates >= 50 * 300);
+        assert_eq!(
+            (delta.builds, delta.queries, delta.candidates),
+            (1, 50, 50 * 300)
+        );
         assert!(
             delta.pruned > 0,
             "a 0.4 radius over scattered data must prune"
@@ -818,6 +684,7 @@ mod tests {
 
     #[test]
     fn nearest_ties_resolve_by_id_like_brute_force() {
+        let _counters = shared();
         // Duplicate rows force (value, id) ties.
         let mut rows = vec![vec![0.5, 0.5]; 6];
         rows.extend(scattered(20, 2, 31).to_rows());

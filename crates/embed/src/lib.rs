@@ -18,7 +18,7 @@ pub mod index;
 pub mod matrix;
 pub mod vecmath;
 
-pub use index::{IndexStats, PairSweep, PivotIndex};
+pub use index::{IndexStats, PivotIndex};
 pub use matrix::FeatureMatrix;
 pub use vecmath::{
     cosine_distance, cosine_similarity, dot, euclidean_distance, l2_normalize,

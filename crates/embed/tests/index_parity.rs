@@ -6,12 +6,26 @@
 //! sees (duplicate rows, zero-variance dimensions, near-collinear points,
 //! eps sitting exactly on a pairwise distance).
 
+use embed::index::{stats, IndexStats};
 use embed::matrix::{pairs_within, pairs_within_sweep, scan_rows_within};
 use embed::{FeatureMatrix, PivotIndex};
 use er_core::Rng;
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::ops::Range;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The index counters are process-wide: the case that reads their exact
+/// delta holds [`alone`], every other index case holds [`shared`].
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    COUNTERS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A row width and a flat value stream for it. Four cases in six take
 /// a fixed-dim kernel's width, `1..=max_small`, over `values` uniform
@@ -57,16 +71,37 @@ fn into_rows(flat: &[f64], dim: usize) -> Vec<Vec<f64>> {
     flat.chunks_exact(dim).map(<[f64]>::to_vec).collect()
 }
 
-/// Reference region query: the scan kernel with threshold `eps²`. This
-/// is the exact arithmetic the index contracts to reproduce.
-fn brute_within(m: &FeatureMatrix, query: &[f64], eps: f64, strict: bool) -> Vec<u32> {
+/// Reference region query: the strict scan kernel with threshold `eps²`.
+/// This is the exact arithmetic the index contracts to reproduce.
+fn brute_within(m: &FeatureMatrix, query: &[f64], eps: f64) -> Vec<u32> {
     let mut out = Vec::new();
-    if strict {
-        scan_rows_within::<true>(m.dim(), query, m.flat(), eps * eps, |k| out.push(k as u32));
-    } else {
-        scan_rows_within::<false>(m.dim(), query, m.flat(), eps * eps, |k| out.push(k as u32));
+    scan_rows_within::<true>(m.dim(), query, m.flat(), eps * eps, |k| out.push(k as u32));
+    out
+}
+
+/// Reference close pairs: every `(a, b)`, `a < b`, the inclusive scan
+/// kernel puts within `eps` — one scan per row over the whole matrix.
+fn brute_close_pairs(m: &FeatureMatrix, eps: f64) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for a in 0..m.len() {
+        scan_rows_within::<false>(m.dim(), m.row(a), m.flat(), eps * eps, |b| {
+            if b > a {
+                out.push((a as u32, b as u32));
+            }
+        });
     }
     out
+}
+
+/// `index.for_close_pairs(eps)`'s pairs, sorted, and the counter delta
+/// the sweep booked.
+fn swept_pairs(index: &PivotIndex, eps: f64) -> (Vec<(u32, u32)>, IndexStats) {
+    let before = stats();
+    let mut pairs = Vec::new();
+    index.for_close_pairs(eps, |a, b| pairs.push((a, b)));
+    let delta = stats().delta_since(&before);
+    pairs.sort_unstable();
+    (pairs, delta)
 }
 
 /// Reference top-k: full `sq_dists_to_all` + `(total_cmp, id)` sort head.
@@ -79,9 +114,8 @@ fn brute_nearest(m: &FeatureMatrix, query: &[f64], k: usize) -> Vec<(f64, u32)> 
     pairs
 }
 
-/// Asserts full parity (both strictness flavours of `within_into`,
-/// `nearest_into` at several k) between `index` and brute force over the
-/// matrix of all stored rows.
+/// Asserts full parity (`within_into`, `nearest_into` at several k)
+/// between `index` and brute force over the matrix of all stored rows.
 fn assert_query_parity(
     index: &PivotIndex,
     all: &FeatureMatrix,
@@ -89,11 +123,8 @@ fn assert_query_parity(
     eps: f64,
 ) -> Result<(), String> {
     let mut got = Vec::new();
-    for strict in [false, true] {
-        index.within_into(query, eps, strict, &mut got);
-        let want = brute_within(all, query, eps, strict);
-        prop_assert_eq!(&got, &want, "within strict={} eps={}", strict, eps);
-    }
+    index.within_into(query, eps, &mut got);
+    prop_assert_eq!(&got, &brute_within(all, query, eps), "within eps={}", eps);
     let mut knn = Vec::new();
     for k in [0usize, 1, 3, all.len() + 2] {
         index.nearest_into(query, k, &mut knn);
@@ -114,6 +145,7 @@ proptest! {
         case in MatrixCase { max_small: 12, values: 12..640 },
         eps in 0.05f64..3.0,
     ) {
+        let _counters = shared();
         let (dim, flat) = case;
         let rows = into_rows(&flat, dim);
         if rows.len() < 2 {
@@ -129,14 +161,16 @@ proptest! {
     }
 
     /// eps placed exactly on a realized pairwise distance: the boundary
-    /// row's verdict must flip between strict and non-strict exactly as
-    /// the reference kernel decides, with no tolerance band.
+    /// row's verdict in the strict region query and in the inclusive pair
+    /// sweep must be exactly the reference kernel's, with no tolerance
+    /// band.
     #[test]
     fn boundary_eps_is_exact(
         flat in prop::collection::vec(-4.0f64..4.0, 12..320),
         dim in 1usize..9,
         pick in any::<u32>(),
     ) {
+        let _counters = shared();
         let rows = into_rows(&flat, dim);
         if rows.len() < 2 {
             return Ok(());
@@ -147,14 +181,10 @@ proptest! {
         // eps exactly at the distance from rows[q] to rows[other].
         let eps = embed::sq_euclidean_distance(&rows[q], &rows[other]).sqrt();
         let index = PivotIndex::build(&m);
-        let (mut strict_ids, mut loose_ids) = (Vec::new(), Vec::new());
-        index.within_into(&rows[q], eps, true, &mut strict_ids);
-        index.within_into(&rows[q], eps, false, &mut loose_ids);
-        prop_assert_eq!(&strict_ids, &brute_within(&m, &rows[q], eps, true));
-        prop_assert_eq!(&loose_ids, &brute_within(&m, &rows[q], eps, false));
-        // The strict ball is a subset of the inclusive ball; every
-        // excess id sits exactly on the boundary per the kernel.
-        prop_assert!(strict_ids.iter().all(|id| loose_ids.contains(id)));
+        let mut ids = Vec::new();
+        index.within_into(&rows[q], eps, &mut ids);
+        prop_assert_eq!(&ids, &brute_within(&m, &rows[q], eps));
+        prop_assert_eq!(swept_pairs(&index, eps).0, brute_close_pairs(&m, eps));
     }
 
     /// Duplicate rows and zero-variance (constant) dimensions: ids of
@@ -165,6 +195,7 @@ proptest! {
         dim in 1usize..7,
         eps in 0.05f64..3.0,
     ) {
+        let _counters = shared();
         let base = into_rows(&flat, dim);
         if base.is_empty() {
             return Ok(());
@@ -183,7 +214,7 @@ proptest! {
         let index = PivotIndex::build(&m);
         assert_query_parity(&index, &m, &query, eps)?;
         let mut hits = Vec::new();
-        index.within_into(&query, eps, false, &mut hits);
+        index.within_into(&query, eps, &mut hits);
         // Clones share identical coordinates, so membership is pairwise.
         for pair in 0..base.len() {
             let (a, b) = (2 * pair as u32, 2 * pair as u32 + 1);
@@ -202,6 +233,7 @@ proptest! {
         noise in prop::collection::vec(-1e-9f64..1e-9, 200),
         eps in 0.05f64..2.0,
     ) {
+        let _counters = shared();
         let dim = origin.len();
         let rows: Vec<Vec<f64>> = ts
             .iter()
@@ -222,8 +254,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `close_pairs` degrees and the replayed pair stream match the O(n²)
-    /// reference (scan kernel per row, inclusive threshold, a < b).
+    /// `for_close_pairs` reports exactly the O(n²) reference's pairs,
+    /// once each as `a < b`, and books one query of `n(n − 1)/2`
+    /// candidates, pruning none of the close pairs.
     #[test]
     fn close_pairs_match_pairwise_brute(
         case in MatrixCase { max_small: 6, values: 16..320 },
@@ -235,32 +268,16 @@ proptest! {
             return Ok(());
         }
         let eps = widened(eps, dim, 6);
-        let m = FeatureMatrix::from_rows(rows.clone());
+        let m = FeatureMatrix::from_rows(rows);
         let index = PivotIndex::build(&m);
-        let mut degrees = vec![0u32; index.len()];
-        let sweep = index.close_pairs(eps, &mut degrees);
-        let mut want_pairs = Vec::new();
-        let mut want_deg = vec![0u32; rows.len()];
-        for i in 0..rows.len() {
-            let mut hits = Vec::new();
-            scan_rows_within::<false>(dim, &rows[i], m.flat(), eps * eps, |k| {
-                hits.push(k);
-            });
-            for j in hits {
-                if j > i {
-                    want_pairs.push((i as u32, j as u32));
-                    want_deg[i] += 1;
-                    want_deg[j] += 1;
-                }
-            }
-        }
-        prop_assert_eq!(sweep.close_pair_count(), want_pairs.len());
-        prop_assert_eq!(&degrees, &want_deg);
-        let mut got_pairs = Vec::new();
-        index.replay_close_pairs(&sweep, &mut |a, b| got_pairs.push((a, b)));
-        got_pairs.sort_unstable();
-        want_pairs.sort_unstable();
-        prop_assert_eq!(got_pairs, want_pairs);
+        let want = brute_close_pairs(&m, eps);
+        let _counters = alone();
+        let (pairs, delta) = swept_pairs(&index, eps);
+        prop_assert_eq!(&pairs, &want);
+        let n = m.len() as u64;
+        let candidates = n * (n - 1) / 2;
+        prop_assert_eq!((delta.builds, delta.queries, delta.candidates), (0, 1, candidates));
+        prop_assert!(delta.pruned <= candidates - want.len() as u64, "a close pair was pruned");
     }
 }
 
