@@ -1592,6 +1592,36 @@ mod tests {
         }
     }
 
+    /// The shutdown route: once the service is stopping, a submit is
+    /// answered by the local matcher on the spot. A caller holding a
+    /// handle cannot get there (`Drop` takes the last one), so the test
+    /// sets the flag itself.
+    #[test]
+    fn a_submit_after_shutdown_began_is_answered_locally() {
+        let pool = datagen::generate(datagen::DatasetKind::Beer, 7).pairs()[..120].to_vec();
+        let question = pool[0].pair.clone();
+        let service =
+            ErService::start(Arc::new(llm::SimLlm::new()), pool, ServiceConfig::default());
+        lock(&service.inner.queue).stopping = true;
+        let decision = service.submit(&question);
+        assert_eq!(decision.source, DecisionSource::Fallback);
+        let span = service
+            .telemetry()
+            .trace()
+            .find(decision.trace_id)
+            .expect("span retained");
+        let stages: Vec<(&str, Option<&str>)> = span
+            .events
+            .iter()
+            .map(|e| (e.stage, e.detail.as_deref()))
+            .collect();
+        assert_eq!(
+            stages,
+            [("submitted", None), ("answered", Some("fallback"))]
+        );
+        assert_eq!(service.flight().events_json(), "[]");
+    }
+
     const FP: PairFingerprint = PairFingerprint(7);
     const LABEL: MatchLabel = MatchLabel::Matching;
 

@@ -12,12 +12,14 @@ use std::time::{Duration, Instant};
 
 use batcher::datagen::{generate, DatasetKind};
 use batcher::er_core::{EntityPair, Money};
+use batcher::er_service::breaker::THRESHOLD;
 use batcher::er_service::{
-    pair_fingerprint, DecisionSource, ErService, HealthReport, MatchServer, ServiceConfig,
-    ServiceStats, SubmitOutcome,
+    pair_fingerprint, DecisionSource, ErService, HealthReport, MatchDecision, MatchServer,
+    ServiceConfig, ServiceStats, SubmitOutcome,
 };
 use batcher::llm::{count_tokens, ChatApi, ChatRequest, ChatResponse, LlmError, SimLlm};
 use batcher::llm_service::ServeOptions;
+use batcher::obs::Span;
 use common::{bootstrap, get, hammer, pair, post_match, questions};
 
 /// A service with test-friendly latency and the given overrides.
@@ -839,4 +841,555 @@ fn http_front_end_symmetric_pairs_share_the_cache_entry() {
     // Same canonical fingerprint on both answers.
     let fp = |s: &str| s.split(r#""fingerprint":""#).nth(1).unwrap()[..16].to_string();
     assert_eq!(fp(&first), fp(&second));
+}
+
+// ---------------------------------------------------------------------
+// Decision routes
+// ---------------------------------------------------------------------
+
+/// What one decision route left behind: the source of the decision
+/// (`None` for a shed), the stages of the span of the question that took
+/// the route — each with its detail as `stage:detail`, but `llm_shared`,
+/// whose detail is another span's id — and the kinds of every flight
+/// event the service recorded, oldest first.
+#[derive(Debug)]
+struct Taken {
+    source: Option<DecisionSource>,
+    stages: Vec<String>,
+    events: Vec<String>,
+}
+
+fn taken(service: &ErService, source: Option<DecisionSource>, span: &Span) -> Taken {
+    let stages = span
+        .events
+        .iter()
+        .map(|e| match &e.detail {
+            Some(detail) if e.stage != "llm_shared" => format!("{}:{detail}", e.stage),
+            _ => e.stage.to_owned(),
+        })
+        .collect();
+    let json = service.flight().events_json();
+    let mut events: Vec<String> = json
+        .split(r#""kind":""#)
+        .skip(1)
+        .map(|rest| rest[..rest.find('"').unwrap()].to_owned())
+        .collect();
+    events.reverse();
+    Taken { source, stages, events }
+}
+
+/// The route `decision` took.
+fn decided(service: &ErService, decision: MatchDecision) -> Taken {
+    let span = service.telemetry().trace().find(decision.trace_id);
+    taken(
+        service,
+        Some(decision.source),
+        &span.expect("span retained"),
+    )
+}
+
+/// The route the one coalesced decision among `decisions` took.
+fn coalesced(service: &ErService, decisions: &[MatchDecision]) -> Taken {
+    let mut routes: Vec<Taken> = decisions
+        .iter()
+        .map(|&d| decided(service, d))
+        .filter(|t| t.stages.iter().any(|s| s.starts_with("coalesced")))
+        .collect();
+    assert_eq!(routes.len(), 1, "one coalesced decision: {routes:?}");
+    routes.pop().unwrap()
+}
+
+/// A service whose misses leave when arrivals go quiet: half of
+/// `deadline_ms` after a lone one, in batches of up to eight.
+fn quiet(api: impl ChatApi + 'static, deadline_ms: u64) -> ErService {
+    let config = ServiceConfig {
+        flush_deadline: Duration::from_millis(deadline_ms),
+        batch_size: 8,
+        ..ServiceConfig::default()
+    };
+    ErService::start(Arc::new(api), bootstrap(), config)
+}
+
+/// An endpoint that bills every call and answers nothing in it.
+struct Garbled(SimLlm);
+
+impl ChatApi for Garbled {
+    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        let mut response = self.0.complete(request)?;
+        response.content.clear();
+        Ok(response)
+    }
+}
+
+/// A dead endpoint: every call is a transport failure.
+struct Dead;
+
+impl ChatApi for Dead {
+    fn complete(&self, _request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        Err(LlmError::Transport("connection refused".into()))
+    }
+}
+
+/// An endpoint whose every call panics the worker that makes it.
+struct Panicking;
+
+impl ChatApi for Panicking {
+    fn complete(&self, _request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        panic!("injected mid-call panic");
+    }
+}
+
+fn route_cache_hit() -> Taken {
+    let service = quiet(SimLlm::new(), 10);
+    let q = &questions(1)[0];
+    service.submit(q);
+    decided(&service, service.submit(q))
+}
+
+fn route_llm() -> Taken {
+    let service = quiet(SimLlm::new(), 10);
+    decided(&service, service.submit(&questions(1)[0]))
+}
+
+/// Two identical questions drained by one flush.
+fn route_coalesced_duplicate() -> Taken {
+    let service = quiet(SimLlm::new(), 200);
+    let (q, barrier) = (&questions(1)[0], Barrier::new(2));
+    let both: Vec<MatchDecision> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service.submit(q)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    coalesced(&service, &both)
+}
+
+/// A size-triggered flush holds a partial batch of one question (asked
+/// twice); a third copy arrives while it is held.
+fn route_coalesced_held() -> Taken {
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig {
+            flush_deadline: Duration::from_millis(300),
+            batch_size: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let (q, barrier) = (&questions(1)[0], Barrier::new(2));
+    std::thread::scope(|scope| {
+        let first: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service.submit(q)
+                })
+            })
+            .collect();
+        wait_until("the first flush has planned", || service.stats().plans == 1);
+        let late = service.submit(q);
+        for handle in first {
+            handle.join().unwrap();
+        }
+        coalesced(&service, &[late])
+    })
+}
+
+/// A copy of a question arrives while the question's batch is asking the
+/// (slow) endpoint.
+fn route_coalesced_in_flight() -> Taken {
+    let service = quiet(
+        SlowApi { llm: SimLlm::new(), delay: Duration::from_millis(300) },
+        100,
+    );
+    let q = &questions(1)[0];
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| service.submit(q));
+        wait_until("the question is dispatched", || {
+            service.stats().batches_flushed == 1
+        });
+        let late = service.submit(q);
+        first.join().unwrap();
+        coalesced(&service, &[late])
+    })
+}
+
+/// A copy of a question enters the queue while the question is in
+/// flight and is drained after its answer filled the cache.
+fn route_coalesced_cache() -> Taken {
+    let service = quiet(
+        SlowApi { llm: SimLlm::new(), delay: Duration::from_millis(50) },
+        400,
+    );
+    let q = &questions(1)[0];
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| service.submit(q));
+        wait_until("the question is dispatched", || {
+            service.stats().batches_flushed == 1
+        });
+        let late = service.submit(q);
+        first.join().unwrap();
+        coalesced(&service, &[late])
+    })
+}
+
+fn route_unparsed() -> Taken {
+    let service = quiet(Garbled(SimLlm::new()), 10);
+    decided(&service, service.submit(&questions(1)[0]))
+}
+
+fn route_endpoint_dead() -> Taken {
+    let service = quiet(Dead, 10);
+    decided(&service, service.submit(&questions(1)[0]))
+}
+
+fn route_budget_denied() -> Taken {
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig { budget: Money::from_micros(50), ..config() },
+    );
+    decided(&service, service.submit(&questions(1)[0]))
+}
+
+/// `breaker::THRESHOLD` dead batches, one question each, open the
+/// circuit; the next batch is short-circuited.
+fn route_breaker_open() -> Taken {
+    let service = quiet(Dead, 4);
+    let bank = questions(THRESHOLD as usize + 1);
+    let (last, dead) = bank.split_last().unwrap();
+    for q in dead {
+        service.submit(q);
+    }
+    decided(&service, service.submit(last))
+}
+
+/// A question that alone outgrows the model profile's window.
+fn route_context_overflow_by_profile() -> Taken {
+    let service = quiet(SimLlm::new(), 10);
+    let title = "x y ".repeat(1_200);
+    let oversized = pair(
+        0,
+        [&title, "founders", "12.99"],
+        [&title, "founders", "12.99"],
+    );
+    decided(&service, service.submit(&oversized))
+}
+
+/// Eight questions, one batch, which the endpoint refuses for length.
+fn route_context_overflow_by_endpoint() -> Taken {
+    let service = ErService::start(
+        Arc::new(NarrowWindow(SimLlm::new())),
+        bootstrap(),
+        ServiceConfig {
+            flush_deadline: Duration::from_millis(200),
+            batch_size: 16,
+            ..ServiceConfig::default()
+        },
+    );
+    let dataset = generate(DatasetKind::Beer, 7);
+    let barrier = Barrier::new(8);
+    let decisions: Vec<MatchDecision> = std::thread::scope(|scope| {
+        let handles: Vec<_> = dataset.pairs()[200..208]
+            .iter()
+            .map(|p| {
+                let (service, barrier) = (&service, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    service.submit(&p.pair)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(service.stats().batches_flushed, 1);
+    decided(&service, decisions[0])
+}
+
+fn route_worker_panic() -> Taken {
+    let service = quiet(Panicking, 10);
+    decided(&service, service.submit(&questions(1)[0]))
+}
+
+/// A question that meets a full queue (one parked submit fills a
+/// `queue_capacity` of one), asked through `try_submit` or, with
+/// `blocking`, through `submit`.
+fn shed(blocking: bool) -> Taken {
+    let service = ErService::start(
+        Arc::new(SimLlm::new()),
+        bootstrap(),
+        ServiceConfig {
+            flush_deadline: Duration::from_millis(300),
+            batch_size: 8,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let q = questions(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| service.submit(&q[0]));
+        wait_until("one submit is parked", || {
+            service.stats().queue_depth_peak == 1
+        });
+        if blocking {
+            return decided(&service, service.submit(&q[1]));
+        }
+        let outcome = service.try_submit(&q[1]);
+        assert!(matches!(outcome, SubmitOutcome::Shed { .. }), "{outcome:?}");
+        let spans = service
+            .telemetry()
+            .trace()
+            .by_key(pair_fingerprint(&q[1]).0);
+        assert_eq!(spans.len(), 1);
+        taken(&service, None, &spans[0])
+    })
+}
+
+fn route_shed() -> Taken {
+    shed(false)
+}
+
+fn route_fallback_shed() -> Taken {
+    shed(true)
+}
+
+/// One decision route: how to drive a question down it, and what the
+/// question's decision, span and the flight log must then say.
+struct Route {
+    name: &'static str,
+    drive: fn() -> Taken,
+    source: Option<DecisionSource>,
+    stages: &'static [&'static str],
+    events: &'static [&'static str],
+}
+
+/// Every route a question can take from `submit` to its decision (the
+/// shutdown route, which no caller holding a handle can reach, is pinned
+/// by `service.rs`'s own tests): which source answered, which stages the
+/// question's span passed and which flight event explains a batch
+/// fallback.
+#[test]
+fn every_decision_route_leaves_its_source_stages_and_events() {
+    use DecisionSource::{Cache, Fallback, Llm};
+    let routes = [
+        Route {
+            name: "cache hit",
+            drive: route_cache_hit,
+            source: Some(Cache),
+            stages: &["submitted", "answered:cache"],
+            events: &[],
+        },
+        Route {
+            name: "coalesced as held",
+            drive: route_coalesced_held,
+            source: Some(Llm),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "coalesced:held",
+                "planned",
+                "dispatched",
+                "llm_called",
+                "llm_shared",
+                "settled",
+                "answered:llm",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "coalesced as duplicate",
+            drive: route_coalesced_duplicate,
+            source: Some(Llm),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "coalesced:duplicate",
+                "planned",
+                "dispatched",
+                "llm_called",
+                "llm_shared",
+                "settled",
+                "answered:llm",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "coalesced as in_flight",
+            drive: route_coalesced_in_flight,
+            source: Some(Llm),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "coalesced:in_flight",
+                "llm_called",
+                "llm_shared",
+                "settled",
+                "answered:llm",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "coalesced as cache",
+            drive: route_coalesced_cache,
+            source: Some(Cache),
+            stages: &["submitted", "enqueued", "coalesced:cache", "answered:cache"],
+            events: &[],
+        },
+        Route {
+            name: "LLM answer",
+            drive: route_llm,
+            source: Some(Llm),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "llm_called",
+                "settled",
+                "answered:llm",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "unparseable answer",
+            drive: route_unparsed,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "dead endpoint",
+            drive: route_endpoint_dead,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "budget denied",
+            drive: route_budget_denied,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &["budget_denied"],
+        },
+        Route {
+            name: "breaker open",
+            drive: route_breaker_open,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "breaker_short_circuit",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &["breaker_open", "breaker_short_circuit"],
+        },
+        Route {
+            name: "context overflow by the profile",
+            drive: route_context_overflow_by_profile,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "context_overflow",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &["context_overflow"],
+        },
+        Route {
+            name: "context overflow by the endpoint",
+            drive: route_context_overflow_by_endpoint,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "context_overflow",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &["context_overflow"],
+        },
+        Route {
+            name: "worker panic",
+            drive: route_worker_panic,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "planned",
+                "dispatched",
+                "answered:fallback",
+            ],
+            events: &[],
+        },
+        Route {
+            name: "try_submit shed",
+            drive: route_shed,
+            source: None,
+            stages: &["submitted", "shed:queue_full"],
+            events: &[],
+        },
+        Route {
+            name: "blocking-submit shed",
+            drive: route_fallback_shed,
+            source: Some(Fallback),
+            stages: &["submitted", "answered:fallback_shed"],
+            events: &[],
+        },
+    ];
+    let wrong: Vec<String> = routes
+        .iter()
+        .filter_map(|route| {
+            let got = (route.drive)();
+            let right = got.source == route.source
+                && got.stages == route.stages
+                && got.events == route.events;
+            (!right).then(|| {
+                format!(
+                    "{}: expected {:?} {:?} {:?}, got {got:?}",
+                    route.name, route.source, route.stages, route.events
+                )
+            })
+        })
+        .collect();
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
