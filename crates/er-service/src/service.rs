@@ -1279,6 +1279,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     tel.slo_budget.record(granted.is_some());
     let Some(guard) = granted else {
         // Over budget: answer locally, free of charge.
+        stamp_waiters(inner, job, "budget_denied");
         inner.flight.event(
             "budget_denied",
             format!("batch of {} answered by fallback", job.questions.len()),
@@ -1404,7 +1405,12 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
                 MatchDecision { label, source: DecisionSource::Llm, fingerprint: *fp, trace_id: 0 }
             }
             // No parseable answer after retries: conservative local call.
-            None => fallback_decision(inner, *fp, pair),
+            None => {
+                for w in senders {
+                    tel.trace.stamp(w.trace, "unparsed");
+                }
+                fallback_decision(inner, *fp, pair)
+            }
         };
         resolve_question(inner, *fp, decision, senders, primary_trace);
     }

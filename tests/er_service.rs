@@ -1264,6 +1264,7 @@ fn every_decision_route_leaves_its_source_stages_and_events() {
                 "enqueued",
                 "planned",
                 "dispatched",
+                "unparsed",
                 "fallback",
                 "settled",
                 "answered:fallback",
@@ -1279,6 +1280,7 @@ fn every_decision_route_leaves_its_source_stages_and_events() {
                 "enqueued",
                 "planned",
                 "dispatched",
+                "unparsed",
                 "fallback",
                 "settled",
                 "answered:fallback",
@@ -1294,6 +1296,7 @@ fn every_decision_route_leaves_its_source_stages_and_events() {
                 "enqueued",
                 "planned",
                 "dispatched",
+                "budget_denied",
                 "fallback",
                 "settled",
                 "answered:fallback",
