@@ -1,26 +1,50 @@
 //! The online entity-matching service.
 //!
 //! Request flow (one `are these two records the same?` question):
+//! `submit` looks the pair up in the answer cache, else queues it (or
+//! sheds it at `queue_capacity`). The dispatcher drains the queue when
+//! `batch_size` questions wait or arrivals have gone quiet (at the latest
+//! one flush deadline after the oldest), dedupes by fingerprint —
+//! attaching to identical held or in-flight questions —, plans diversity
+//! batches and demos over everything held, from scratch
+//! (`batcher_core::plan_with_prepared_pool`), dispatches the full batches
+//! and holds a partial one for the next flush. A worker then asks the
+//! circuit breaker, the context window and the cost governor before the
+//! LLM call, and any of them can send the whole batch to the logistic
+//! fallback instead.
+//!
+//! Every route ends in one place, `submit`'s `decided` step, which
+//! records the answer's latency under its source, the SLO signals and the
+//! span's terminal `answered` stage with the route as its detail; a batch
+//! fallback has one typed reason (`Fallback`), which is both a span stage
+//! on every waiter and a flight event:
 //!
 //! ```text
-//! submit(pair)
-//!   ├─ answer cache hit ──────────────────────────────▶ MatchDecision (Cache)
-//!   ├─ queue at `queue_capacity` ─▶ shed (429) / local fallback
-//!   └─ miss ─▶ coalescing queue ─▶ dispatcher drain
-//!                (batch_size reached, or arrivals gone quiet — at the
-//!                 latest one flush deadline after the oldest)
-//!                  │ plan, on the dispatcher thread: dedupe by
-//!                  │ fingerprint, attach to identical held or in-flight
-//!                  │ questions, then diversity batches + demos over
-//!                  │ everything held, from scratch
-//!                  │ (batcher_core::plan_with_prepared_pool); full
-//!                  │ batches go, a partial one is held for the next flush
-//!                  ▼
-//!              worker pool ─▶ cost governor reserve
-//!                  ├─ granted: LLM batch call ─▶ answers ─▶ cache fill
-//!                  │                                        (Llm)
-//!                  └─ denied (budget): logistic fallback ─▶ (Fallback)
+//! route                       span stage (detail)       flight event           source
+//! cache hit                   answered (cache)          -                      Cache
+//! coalesced into a question   coalesced (held,          -                      that question's
+//!   held, in this flush or      duplicate, in_flight)
+//!   in flight
+//! answered into the cache     coalesced (cache)         -                      Cache
+//!   while queued
+//! LLM answer                  llm_called [llm_shared]   -                      Llm
+//! breaker open                breaker_short_circuit     breaker_short_circuit  Fallback
+//! prompt over the window      context_overflow          context_overflow       Fallback
+//!   (profile or endpoint)
+//! budget denied               budget_denied             budget_denied          Fallback
+//! no parseable answer         unparsed                  -                      Fallback
+//!   (garbled or dead endpoint)
+//! worker or plan panic        answered (fallback)       -                      Fallback
+//! queue full, try_submit      shed (queue_full)         -                      none: 429
+//! queue full, submit          answered (fallback_shed)  -                      Fallback
+//! shutdown                    answered (fallback)       -                      Fallback
 //! ```
+//!
+//! A batched question's span reads `submitted`, `enqueued`, `planned`,
+//! `dispatched`, then its route's stage, `llm_called` or `fallback`,
+//! `settled` and `answered`; a coalesced one carries `coalesced` right
+//! after `enqueued` (and skips `planned`/`dispatched` when it attached in
+//! flight or was answered from the cache).
 //!
 //! There is one of each: one queue, one dispatcher thread — which is
 //! also the planner, and the only owner of the questions it holds —, one
@@ -393,7 +417,7 @@ impl ErService {
         // Recovery replay runs to completion here, before any thread
         // starts or the HTTP front end can bind — externally the service
         // is never observable mid-recovery.
-        let (durable, recovery, recovered_answers) = match &config.wal {
+        let (durable, recovery, recovered_answers, recovery_violated) = match &config.wal {
             Some(wal_config) => {
                 let (log, replayed) =
                     DurableLog::open(wal_config, &telemetry).unwrap_or_else(|e| {
@@ -405,34 +429,20 @@ impl ErService {
                 // The same conservation rules the stress suite asserts,
                 // applied to the replayed history. Violations mean a
                 // corrupt or foreign log; surface them loudly — and leave
-                // a flight-recorder bundle behind, since a service that
-                // starts from corrupt history is exactly the situation a
-                // debug artifact exists for.
+                // a flight-recorder bundle behind once the service is
+                // assembled, since a service that starts from corrupt
+                // history is exactly the situation a debug artifact
+                // exists for.
                 let violations = replayed.report.conservation_violations(config.budget);
                 for violation in &violations {
                     eprintln!("er-service: recovery conservation violation: {violation}");
                     flight.event("recovery_violation", violation.clone());
                 }
-                if !violations.is_empty() && flight.should_trigger("recovery_violation") {
-                    // The pipeline is not assembled yet, so this bundle
-                    // holds what exists at this point: the violations and
-                    // the recovery report.
-                    let listed: Vec<String> = violations
-                        .iter()
-                        .map(|v| format!("\"{}\"", obs::json_escape(v)))
-                        .collect();
-                    let bundle = format!(
-                        "{{\"reason\":\"recovery_violation\",\"violations\":[{}],\"records_replayed\":{},\"open_reservations\":{}}}",
-                        listed.join(","),
-                        replayed.report.records_replayed,
-                        replayed.report.open_reservations
-                    );
-                    flight.write_bundle("recovery_violation", &bundle);
-                }
                 debug_assert!(violations.is_empty(), "recovery violated conservation");
-                (Some(log), Some(replayed.report), replayed.answers)
+                let violated = !violations.is_empty();
+                (Some(log), Some(replayed.report), replayed.answers, violated)
             }
-            None => (None, None, Vec::new()),
+            None => (None, None, Vec::new(), false),
         };
 
         let cache = AnswerCache::new(true, config.cache_capacity).with_metrics(
@@ -486,6 +496,9 @@ impl ErService {
             flight,
             config,
         });
+        if recovery_violated {
+            dump_bundle(&inner, "recovery_violation");
+        }
 
         let (work_tx, work_rx) = channel::<BatchJob>();
         let work_rx = Arc::new(Mutex::new(work_rx));
@@ -634,9 +647,10 @@ fn stats_of(inner: &Inner) -> ServiceStats {
     let recovery = inner.recovery.clone().unwrap_or_default();
     let plans = tel.plans.get();
     let plan_wall = tel.plan_wall_us.snapshot();
-    let mut answer = tel.answer_cache_us.snapshot();
-    answer.merge(&tel.answer_llm_us.snapshot());
-    answer.merge(&tel.answer_fallback_us.snapshot());
+    let mut answer = tel.answer_us[0].snapshot();
+    for source in &tel.answer_us[1..] {
+        answer.merge(&source.snapshot());
+    }
     let lock_hold = tel.planner_lock_hold_us.snapshot();
     ServiceStats {
         submitted: tel.submitted.get(),
@@ -720,15 +734,6 @@ fn health_of(inner: &Inner) -> HealthReport {
     }
 }
 
-/// Records the per-answer SLO signals (latency, availability).
-fn record_answer_slos(inner: &Inner, latency: Duration, source: DecisionSource) {
-    let tel = &inner.telemetry;
-    let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-    tel.slo_latency.record(latency_us <= SLO_LATENCY_US);
-    tel.slo_availability
-        .record(source != DecisionSource::Fallback);
-}
-
 /// Assembles the self-contained debug bundle: what happened (reason +
 /// recent events), what the system looked like (stats, health, SLO
 /// windows, snapshots), and what was in flight (recent spans).
@@ -746,10 +751,15 @@ fn assemble_bundle(inner: &Inner, reason: &str) -> String {
     )
 }
 
-/// Records an anomaly event and, unless the reason fired recently, dumps
-/// a debug bundle to the flight directory.
+/// Records an anomaly event and dumps a bundle for it.
 fn trigger_bundle(inner: &Inner, reason: &'static str, detail: String) {
     inner.flight.event(reason, detail);
+    dump_bundle(inner, reason);
+}
+
+/// Unless `reason` fired recently, writes the debug bundle to the flight
+/// directory; the events that explain it are already in the flight log.
+fn dump_bundle(inner: &Inner, reason: &'static str) {
     if inner.flight.should_trigger(reason) {
         let bundle = assemble_bundle(inner, reason);
         inner.flight.write_bundle(reason, &bundle);
@@ -812,37 +822,32 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
     let started = Instant::now();
     let fp = pair_fingerprint(pair);
     let trace = tel.trace.begin(fp.0, "submitted");
-    if let Some(label) = inner.cache.get(fp) {
+    // Every decision is recorded here, whichever route produced it: its
+    // source's latency histogram, the per-answer SLO signals (latency,
+    // availability) and the span's terminal stage, whose detail names
+    // the route.
+    let decided = |decision: MatchDecision, detail: &str| {
         let latency = started.elapsed();
-        tel.answer_cache_us
-            .record_duration_us_with_exemplar(latency, trace);
-        record_answer_slos(inner, latency, DecisionSource::Cache);
-        tel.trace
-            .finish(trace, "answered", Some("cache".to_owned()));
-        return SubmitOutcome::Decided(MatchDecision {
-            label,
-            source: DecisionSource::Cache,
-            fingerprint: fp,
-            trace_id: trace,
-        });
-    }
-
-    let answer_via_local = |detail: &str| {
-        let decision = fallback_decision(inner, fp, pair);
-        let latency = started.elapsed();
-        tel.answer_fallback_us
-            .record_duration_us_with_exemplar(latency, trace);
-        record_answer_slos(inner, latency, DecisionSource::Fallback);
+        tel.answer_us[decision.source as usize].record_duration_us_with_exemplar(latency, trace);
+        let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        tel.slo_latency.record(latency_us <= SLO_LATENCY_US);
+        tel.slo_availability
+            .record(decision.source != DecisionSource::Fallback);
         tel.trace.finish(trace, "answered", Some(detail.to_owned()));
         SubmitOutcome::Decided(MatchDecision { trace_id: trace, ..decision })
     };
+    if let Some(label) = inner.cache.get(fp) {
+        let source = DecisionSource::Cache;
+        let hit = MatchDecision { label, source, fingerprint: fp, trace_id: 0 };
+        return decided(hit, "cache");
+    }
 
     let (tx, rx): (Sender<MatchDecision>, Receiver<MatchDecision>) = channel();
     {
         let mut queue = lock(&inner.queue);
         if queue.stopping {
             drop(queue);
-            return answer_via_local("fallback");
+            return decided(fallback_decision(inner, fp, pair), "fallback");
         }
         if queue.pending.len() >= inner.config.queue_capacity {
             // Admission control: the queue is saturated. Shedding here —
@@ -851,7 +856,7 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
             drop(queue);
             tel.shed.inc();
             if block_on_shed {
-                return answer_via_local("fallback_shed");
+                return decided(fallback_decision(inner, fp, pair), "fallback_shed");
             }
             // One flush deadline is the longest the queue can need to
             // drain a generation — the honest retry hint.
@@ -886,22 +891,7 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
     let decision = rx
         .recv()
         .unwrap_or_else(|_| fallback_decision(inner, fp, pair));
-    let latency = started.elapsed();
-    match decision.source {
-        DecisionSource::Cache => tel
-            .answer_cache_us
-            .record_duration_us_with_exemplar(latency, trace),
-        DecisionSource::Llm => tel
-            .answer_llm_us
-            .record_duration_us_with_exemplar(latency, trace),
-        DecisionSource::Fallback => tel
-            .answer_fallback_us
-            .record_duration_us_with_exemplar(latency, trace),
-    }
-    record_answer_slos(inner, latency, decision.source);
-    tel.trace
-        .finish(trace, "answered", Some(decision.source.name().to_owned()));
-    SubmitOutcome::Decided(MatchDecision { trace_id: trace, ..decision })
+    decided(decision, decision.source.name())
 }
 
 // ---------------------------------------------------------------------
@@ -1192,16 +1182,6 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<Receiver<BatchJob>>) {
     }
 }
 
-/// Stamps `stage` on the span of every waiter of `job`: why the batch
-/// they ride took the path it did.
-fn stamp_waiters(inner: &Inner, job: &BatchJob, stage: &'static str) {
-    for (_, _, senders) in &job.questions {
-        for w in senders {
-            inner.telemetry.trace.stamp(w.trace, stage);
-        }
-    }
-}
-
 fn execute_job(inner: &Inner, job: &BatchJob) {
     let config = &inner.config;
     let tel = &inner.telemetry;
@@ -1227,12 +1207,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     // batches short-circuit straight to the logistic fallback — no
     // reservation, no retries — until a cooldown-spaced probe succeeds.
     if !inner.breaker.allow() {
-        stamp_waiters(inner, job, "breaker_short_circuit");
-        inner.flight.event(
-            "breaker_short_circuit",
-            format!("batch of {} routed to fallback", job.questions.len()),
-        );
-        answer_via_fallback(inner, job);
+        fall_back(inner, job, Fallback::BreakerOpen);
         return;
     }
     let demos: Vec<&LabeledPair> = job.demo_indices.iter().map(|&d| &inner.pool[d]).collect();
@@ -1251,7 +1226,8 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     // and demos the reservation below does not cover).
     if !bill.fits_context() {
         let window = config.model.profile().max_context_tokens;
-        answer_context_overflow(inner, job, bill.prompt_tokens.get(), window);
+        let tokens = bill.prompt_tokens.get();
+        fall_back(inner, job, Fallback::ContextOverflow { tokens, window });
         return;
     }
 
@@ -1279,12 +1255,7 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     tel.slo_budget.record(granted.is_some());
     let Some(guard) = granted else {
         // Over budget: answer locally, free of charge.
-        stamp_waiters(inner, job, "budget_denied");
-        inner.flight.event(
-            "budget_denied",
-            format!("batch of {} answered by fallback", job.questions.len()),
-        );
-        answer_via_fallback(inner, job);
+        fall_back(inner, job, Fallback::BudgetDenied);
         return;
     };
 
@@ -1312,12 +1283,12 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         // reserved meanwhile without them is not charged), and the
         // reservation is refunded. The endpoint is alive: the breaker
         // hears nothing.
-        Err(LlmError::ContextLengthExceeded { prompt_tokens, limit })
+        Err(LlmError::ContextLengthExceeded { prompt_tokens: tokens, limit: window })
             if outcome.ledger.api_calls == 0 =>
         {
             lock(&inner.labeled).retain(|d| !newly.contains(d));
             drop(guard);
-            answer_context_overflow(inner, job, prompt_tokens, limit);
+            fall_back(inner, job, Fallback::ContextOverflow { tokens, window });
             return;
         }
         Err(_) => outcome.answers.resize(questions.len(), None),
@@ -1405,25 +1376,23 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
                 MatchDecision { label, source: DecisionSource::Llm, fingerprint: *fp, trace_id: 0 }
             }
             // No parseable answer after retries: conservative local call.
-            None => {
-                for w in senders {
-                    tel.trace.stamp(w.trace, "unparsed");
-                }
-                fallback_decision(inner, *fp, pair)
-            }
+            None => fallback_decision(inner, *fp, pair),
         };
-        resolve_question(inner, *fp, decision, senders, primary_trace);
+        let why = (decision.source == DecisionSource::Fallback).then_some("unparsed");
+        resolve_question(inner, *fp, decision, why, senders, primary_trace);
     }
 }
 
 /// Delivers a decision to a question's own waiters plus any waiters that
 /// attached to its in-flight entry from later flushes, and unregisters
-/// the question. Stamps each waiter's span with how the answer was
-/// produced and its settlement; the terminal stage stays with `submit`.
+/// the question. Stamps each waiter's span with why a fallback answered
+/// (`why`), how the answer was produced and its settlement; the terminal
+/// stage stays with `submit`.
 fn resolve_question(
     inner: &Inner,
     fp: PairFingerprint,
     decision: MatchDecision,
+    why: Option<&'static str>,
     senders: &[Waiter],
     primary_trace: u64,
 ) {
@@ -1434,6 +1403,9 @@ fn resolve_question(
     };
     let attached = lock(&inner.in_flight).remove(&fp).unwrap_or_default();
     for waiter in senders.iter().chain(&attached) {
+        if let Some(why) = why {
+            inner.telemetry.trace.stamp(waiter.trace, why);
+        }
         inner.telemetry.trace.stamp(waiter.trace, stage);
         // Coalesced waiters rode an LLM call another trace paid for:
         // point their span at the primary, which owns the downstream
@@ -1452,25 +1424,41 @@ fn resolve_question(
     }
 }
 
-/// Answers a batch whose prompt of `tokens` exceeds the `window` with the
-/// logistic fallback, and says why on its spans and in the flight log.
-fn answer_context_overflow(inner: &Inner, job: &BatchJob, tokens: u64, window: u64) {
-    stamp_waiters(inner, job, "context_overflow");
-    inner.flight.event(
-        "context_overflow",
-        format!(
-            "batch of {} answered by fallback: prompt of {tokens} tokens over the {window}-token window",
-            job.questions.len()
-        ),
-    );
-    answer_via_fallback(inner, job);
+/// Why a dispatched batch is answered by the logistic fallback rather
+/// than the LLM.
+enum Fallback {
+    /// The circuit breaker is open: no reservation, no call.
+    BreakerOpen,
+    /// The prompt of `tokens` is over the `window`: the model profile's,
+    /// before anything is reserved, or the endpoint's, which refused it.
+    ContextOverflow { tokens: u64, window: u64 },
+    /// The governor denied the batch's reservation.
+    BudgetDenied,
 }
 
-/// Answers every question of a batch with the logistic fallback.
-fn answer_via_fallback(inner: &Inner, job: &BatchJob) {
+/// Answers every question of `job` with the logistic fallback, and says
+/// why: one flight event, and a stage of the same name on every waiter's
+/// span.
+fn fall_back(inner: &Inner, job: &BatchJob, why: Fallback) {
+    let batch = format!("batch of {}", job.questions.len());
+    let (stage, detail) = match why {
+        Fallback::BreakerOpen => (
+            "breaker_short_circuit",
+            format!("{batch} routed to fallback"),
+        ),
+        Fallback::ContextOverflow { tokens, window } => {
+            let over = format!("prompt of {tokens} tokens over the {window}-token window");
+            (
+                "context_overflow",
+                format!("{batch} answered by fallback: {over}"),
+            )
+        }
+        Fallback::BudgetDenied => ("budget_denied", format!("{batch} answered by fallback")),
+    };
+    inner.flight.event(stage, detail);
     for (fp, pair, senders) in &job.questions {
         let decision = fallback_decision(inner, *fp, pair);
-        resolve_question(inner, *fp, decision, senders, 0);
+        resolve_question(inner, *fp, decision, Some(stage), senders, 0);
     }
 }
 

@@ -13,6 +13,8 @@ use batcher_core::{PlanStages, StageTime};
 use llm_service::ConnMetrics;
 use obs::{Counter, Gauge, Histogram, Registry, Slo, SloStatus, TraceLog};
 
+use crate::service::DecisionSource;
+
 /// Latency objective: this fraction of answers must beat the latency
 /// threshold ([`SLO_LATENCY_US`]).
 pub const SLO_LATENCY_OBJECTIVE: f64 = 0.95;
@@ -93,9 +95,8 @@ pub struct Telemetry {
     pub(crate) llm_call_us: Arc<Histogram>,
     pub(crate) governor_reserve_us: Arc<Histogram>,
     pub(crate) governor_settle_us: Arc<Histogram>,
-    pub(crate) answer_cache_us: Arc<Histogram>,
-    pub(crate) answer_llm_us: Arc<Histogram>,
-    pub(crate) answer_fallback_us: Arc<Histogram>,
+    /// End-to-end answer latency, indexed by [`DecisionSource`].
+    pub(crate) answer_us: [Arc<Histogram>; 3],
     pub(crate) batch_spend_micros: Arc<Histogram>,
     pub(crate) batch_prompt_tokens: Arc<Histogram>,
 
@@ -309,21 +310,18 @@ impl Telemetry {
         // Exemplar-armed: the top buckets carry the trace id of the last
         // sample that landed there, so a latency spike on a dashboard
         // links straight to its `/trace?id=` span tree.
-        let answer_cache_us = registry.histogram_with_exemplars(
-            "er_answer_us",
-            "End-to-end submit-to-answer latency, microseconds, by source.",
-            &[("source", "cache")],
-        );
-        let answer_llm_us = registry.histogram_with_exemplars(
-            "er_answer_us",
-            "End-to-end submit-to-answer latency, microseconds, by source.",
-            &[("source", "llm")],
-        );
-        let answer_fallback_us = registry.histogram_with_exemplars(
-            "er_answer_us",
-            "End-to-end submit-to-answer latency, microseconds, by source.",
-            &[("source", "fallback")],
-        );
+        let answer_us = [
+            DecisionSource::Cache,
+            DecisionSource::Llm,
+            DecisionSource::Fallback,
+        ]
+        .map(|source| {
+            registry.histogram_with_exemplars(
+                "er_answer_us",
+                "End-to-end submit-to-answer latency, microseconds, by source.",
+                &[("source", source.name())],
+            )
+        });
         let batch_spend_micros = registry.histogram(
             "er_batch_spend_micros",
             "Settled spend per executed batch, micro-dollars.",
@@ -374,9 +372,7 @@ impl Telemetry {
             llm_call_us,
             governor_reserve_us,
             governor_settle_us,
-            answer_cache_us,
-            answer_llm_us,
-            answer_fallback_us,
+            answer_us,
             batch_spend_micros,
             batch_prompt_tokens,
             http,
@@ -482,7 +478,7 @@ mod tests {
         let t = Telemetry::new();
         t.submitted.inc();
         t.queue_wait_us.record(120);
-        t.answer_llm_us.record(4_000);
+        t.answer_us[DecisionSource::Llm as usize].record(4_000);
         t.plan_wall_us.record(90);
         let text = t.registry().render_prometheus();
         for family in [
@@ -524,7 +520,7 @@ mod tests {
     #[test]
     fn answer_histograms_carry_exemplars() {
         let t = Telemetry::new();
-        t.answer_llm_us.record_with_exemplar(5_000, 91);
+        t.answer_us[DecisionSource::Llm as usize].record_with_exemplar(5_000, 91);
         let text = t.render_prometheus();
         assert!(text.contains(r#"# {trace_id="91"} 5000"#), "{text}");
         obs::lint(&text).expect("exemplar render is lint-clean");

@@ -1038,6 +1038,42 @@ fn route_coalesced_cache() -> Taken {
     })
 }
 
+/// A copy of an oversized question attaches to the question's batch
+/// while the batch waits for the one worker, which is busy with a slow
+/// call: the copy learns why the batch fell back, too.
+fn route_coalesced_onto_a_fallback() -> Taken {
+    let service = ErService::start(
+        Arc::new(SlowApi { llm: SimLlm::new(), delay: Duration::from_millis(300) }),
+        bootstrap(),
+        ServiceConfig {
+            flush_deadline: Duration::from_millis(100),
+            batch_size: 8,
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let title = "x y ".repeat(1_200);
+    let oversized = pair(
+        0,
+        [&title, "founders", "12.99"],
+        [&title, "founders", "12.99"],
+    );
+    let slow = &questions(1)[0];
+    std::thread::scope(|scope| {
+        scope.spawn(|| service.submit(slow));
+        wait_until("the slow batch is dispatched", || {
+            service.stats().batches_flushed == 1
+        });
+        let first = scope.spawn(|| service.submit(&oversized));
+        wait_until("the oversized batch is dispatched", || {
+            service.stats().batches_flushed == 2
+        });
+        let late = service.submit(&oversized);
+        first.join().unwrap();
+        coalesced(&service, &[late])
+    })
+}
+
 fn route_unparsed() -> Taken {
     let service = quiet(Garbled(SimLlm::new()), 10);
     decided(&service, service.submit(&questions(1)[0]))
@@ -1239,6 +1275,21 @@ fn every_decision_route_leaves_its_source_stages_and_events() {
             source: Some(Cache),
             stages: &["submitted", "enqueued", "coalesced:cache", "answered:cache"],
             events: &[],
+        },
+        Route {
+            name: "coalesced onto a batch that falls back",
+            drive: route_coalesced_onto_a_fallback,
+            source: Some(Fallback),
+            stages: &[
+                "submitted",
+                "enqueued",
+                "coalesced:in_flight",
+                "context_overflow",
+                "fallback",
+                "settled",
+                "answered:fallback",
+            ],
+            events: &["context_overflow"],
         },
         Route {
             name: "LLM answer",
