@@ -154,6 +154,71 @@ fn sharded_build_log_restarts_without_rebuying_answers() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A log whose replayed spend is over the budget the service restarts
+/// under (a budget lowered across a restart, or a foreign log) is input
+/// from disk, not a bug: the service says so — stderr, a flight event and
+/// a `recovery_violation` bundle in the one bundle format — and serves.
+/// The replayed spend counts in full, so a new miss buys nothing.
+#[test]
+fn restart_under_a_lower_budget_bundles_the_violation_and_buys_nothing() {
+    let (dir, flight_dir) = (temp_dir("over-budget"), temp_dir("over-budget-flight"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&flight_dir);
+    let bank = questions(24);
+    let (bought, fresh) = bank.split_at(12);
+    let spent = {
+        let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), service_config(&dir));
+        for q in bought {
+            service.submit(q);
+        }
+        service.stats().spent_micros
+    };
+    assert!(spent > 0, "run 1 bought nothing");
+
+    let config = ServiceConfig {
+        budget: Money::from_micros(spent / 2),
+        flight_dir: Some(flight_dir.clone()),
+        ..service_config(&dir)
+    };
+    let service = ErService::start(Arc::new(SimLlm::new()), bootstrap(), config);
+    let bundles: Vec<PathBuf> = std::fs::read_dir(&flight_dir)
+        .expect("the flight directory was written")
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            name.starts_with("bundle-") && name.ends_with("-recovery_violation.json")
+        })
+        .collect();
+    assert_eq!(bundles.len(), 1, "{bundles:?}");
+    let body = std::fs::read_to_string(&bundles[0]).unwrap();
+    let health = service.health();
+    for needle in [
+        r#""reason":"recovery_violation""#.to_owned(),
+        r#""kind":"recovery_violation""#.to_owned(),
+        format!("exceeds budget {}", Money::from_micros(spent / 2)),
+        format!(
+            r#""recovery_records_replayed":{}"#,
+            health.recovery_records_replayed
+        ),
+        format!(r#""spent_micros":{spent}"#),
+    ] {
+        assert!(body.contains(&needle), "missing {needle} in {body}");
+    }
+
+    for q in bought {
+        assert_eq!(service.submit(q).source, DecisionSource::Cache);
+    }
+    for q in fresh {
+        assert_eq!(service.submit(q).source, DecisionSource::Fallback);
+    }
+    let stats = service.stats();
+    assert_eq!(stats.spent_micros, spent, "a miss was bought: {stats:?}");
+    assert_eq!(stats.llm_answered, 0, "{stats:?}");
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&flight_dir).unwrap();
+}
+
 /// Expected replay state after a prefix of the history.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Expected {
