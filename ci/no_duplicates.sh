@@ -32,7 +32,11 @@
 # And a second copy of the planner's stages under crates/bench (a bench
 # reads a plan's own `stages`). And a recorded pair stream in the metric
 # index (`PairSweep`, `replay_close_pairs`): at min_pts = 3 DBSCAN unions
-# every close pair as the sweep finds it, so nothing is replayed.
+# every close pair as the sweep finds it, so nothing is replayed. And a
+# second decision path in the serving core (`answer_via_fallback`,
+# `answer_context_overflow`, `stamp_waiters`, `record_answer_slos`,
+# `answer_cache_us`/`answer_llm_us`/`answer_fallback_us`): submit records
+# every answer in one step and a batch fallback is one typed reason.
 # Offline, no dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -207,5 +211,14 @@ for hit in $(grep -rnowE 'PairSweep|replay_close_pairs' crates/*/src | cut -d: -
     fail=1
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench; no recorded pair sweep in crates/*/src"
+# The serving core has one decision path: `submit_inner`'s `decided` step
+# records every answer (into `Telemetry::answer_us[source]`), and
+# `fall_back` answers every batch fallback from one typed reason.
+for hit in $(grep -rnoE '\b(answer_via_fallback|answer_context_overflow|stamp_waiters|record_answer_slos|answer_(cache|llm|fallback)_us)\b' \
+    crates/er-service/src | cut -d: -f1,2 || true); do
+    echo "FAIL: ${hit} grows a second decision path back; record answers in submit's decided step and route batch fallbacks through fall_back" >&2
+    fail=1
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench; no recorded pair sweep in crates/*/src; one decision path in er-service"
 exit "$fail"

@@ -1,50 +1,31 @@
 //! The online entity-matching service.
 //!
-//! Request flow (one `are these two records the same?` question):
-//! `submit` looks the pair up in the answer cache, else queues it (or
-//! sheds it at `queue_capacity`). The dispatcher drains the queue when
-//! `batch_size` questions wait or arrivals have gone quiet (at the latest
-//! one flush deadline after the oldest), dedupes by fingerprint —
-//! attaching to identical held or in-flight questions —, plans diversity
-//! batches and demos over everything held, from scratch
-//! (`batcher_core::plan_with_prepared_pool`), dispatches the full batches
-//! and holds a partial one for the next flush. A worker then asks the
-//! circuit breaker, the context window and the cost governor before the
-//! LLM call, and any of them can send the whole batch to the logistic
-//! fallback instead.
-//!
-//! Every route ends in one place, `submit`'s `decided` step, which
-//! records the answer's latency under its source, the SLO signals and the
-//! span's terminal `answered` stage with the route as its detail; a batch
-//! fallback has one typed reason (`Fallback`), which is both a span stage
-//! on every waiter and a flight event:
+//! A question `submit` cannot answer from the cache is queued (or shed
+//! at `queue_capacity`); the dispatcher drains the queue at `batch_size`
+//! or once arrivals go quiet, dedupes by fingerprint, plans diversity
+//! batches over everything held (`batcher_core::plan_with_prepared_pool`)
+//! and hands full batches to the workers, which ask the breaker, the
+//! context window and the cost governor before the LLM call. Every route
+//! ends in `submit`'s one `decided` step (latency under its source, SLO
+//! signals, the terminal `answered` stage naming the route), and a batch
+//! fallback is one `Fallback` reason, a span stage and a flight event:
 //!
 //! ```text
-//! route                       span stage (detail)       flight event           source
-//! cache hit                   answered (cache)          -                      Cache
-//! coalesced into a question   coalesced (held,          -                      that question's
-//!   held, in this flush or      duplicate, in_flight)
-//!   in flight
-//! answered into the cache     coalesced (cache)         -                      Cache
-//!   while queued
-//! LLM answer                  llm_called [llm_shared]   -                      Llm
-//! breaker open                breaker_short_circuit     breaker_short_circuit  Fallback
-//! prompt over the window      context_overflow          context_overflow       Fallback
-//!   (profile or endpoint)
-//! budget denied               budget_denied             budget_denied          Fallback
-//! no parseable answer         unparsed                  -                      Fallback
-//!   (garbled or dead endpoint)
-//! worker or plan panic        answered (fallback)       -                      Fallback
-//! queue full, try_submit      shed (queue_full)         -                      none: 429
-//! queue full, submit          answered (fallback_shed)  -                      Fallback
-//! shutdown                    answered (fallback)       -                      Fallback
+//! route                         span stage (detail)      flight event           source
+//! cache hit                     answered (cache)         -                      Cache
+//! coalesced: held, duplicate,   coalesced (how)          -                      the question's
+//!   in_flight / cache                                                           / Cache
+//! LLM answer                    llm_called               -                      Llm
+//! breaker open                  breaker_short_circuit    breaker_short_circuit  Fallback
+//! over the window (profile      context_overflow         context_overflow       Fallback
+//!   or endpoint)
+//! budget denied                 budget_denied            budget_denied          Fallback
+//! no parseable answer           unparsed                 -                      Fallback
+//! worker or plan panic          answered (fallback)      -                      Fallback
+//! queue full: try_submit/submit shed (queue_full) /      -                      - (429) / Fallback
+//!                               answered (fallback_shed)
+//! shutdown                      answered (fallback)      -                      Fallback
 //! ```
-//!
-//! A batched question's span reads `submitted`, `enqueued`, `planned`,
-//! `dispatched`, then its route's stage, `llm_called` or `fallback`,
-//! `settled` and `answered`; a coalesced one carries `coalesced` right
-//! after `enqueued` (and skips `planned`/`dispatched` when it attached in
-//! flight or was answered from the cache).
 //!
 //! There is one of each: one queue, one dispatcher thread — which is
 //! also the planner, and the only owner of the questions it holds —, one
@@ -426,15 +407,11 @@ impl ErService {
                             wal_config.dir.display()
                         )
                     });
-                // The same conservation rules the stress suite asserts,
-                // applied to the replayed history. Violations mean a
-                // corrupt or foreign log, or a budget lowered across the
-                // restart — input from disk, not a bug, so the service
-                // serves on (the replayed spend counts in full): surface
-                // them loudly, and leave a flight-recorder bundle behind
-                // once the service is assembled, since a service that
-                // starts from such a history is exactly the situation a
-                // debug artifact exists for.
+                // The conservation rules the stress suite asserts, on the
+                // replayed history. A violation (a corrupt or foreign log,
+                // a budget lowered across restarts) is input from disk:
+                // serve on, the replayed spend counting in full, but say
+                // so loudly and leave a bundle once the service exists.
                 let violations = replayed.report.conservation_violations(config.budget);
                 for violation in &violations {
                     eprintln!("er-service: recovery conservation violation: {violation}");
@@ -823,10 +800,8 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
     let started = Instant::now();
     let fp = pair_fingerprint(pair);
     let trace = tel.trace.begin(fp.0, "submitted");
-    // Every decision is recorded here, whichever route produced it: its
-    // source's latency histogram, the per-answer SLO signals (latency,
-    // availability) and the span's terminal stage, whose detail names
-    // the route.
+    // Every route's decision is recorded here: latency under its source,
+    // both SLO signals, and the terminal stage naming the route.
     let decided = |decision: MatchDecision, detail: &str| {
         let latency = started.elapsed();
         tel.answer_us[decision.source as usize].record_duration_us_with_exemplar(latency, trace);
@@ -1587,10 +1562,8 @@ mod tests {
         }
     }
 
-    /// The shutdown route: once the service is stopping, a submit is
-    /// answered by the local matcher on the spot. A caller holding a
-    /// handle cannot get there (`Drop` takes the last one), so the test
-    /// sets the flag itself.
+    /// The shutdown route, which no caller holding a handle can reach
+    /// (`Drop` takes the last one): a submit is answered locally.
     #[test]
     fn a_submit_after_shutdown_began_is_answered_locally() {
         let pool = datagen::generate(datagen::DatasetKind::Beer, 7).pairs()[..120].to_vec();
