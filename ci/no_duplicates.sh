@@ -37,6 +37,8 @@
 # `answer_context_overflow`, `stamp_waiters`, `record_answer_slos`,
 # `answer_cache_us`/`answer_llm_us`/`answer_fallback_us`): submit records
 # every answer in one step and a batch fallback is one typed reason.
+# And a state no route reaches in the serving core: a `cache_filled`
+# stage, a shutdown flush trigger, or a forced fsync on the durable log.
 # Offline, no dependencies beyond grep and sed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -220,5 +222,19 @@ for hit in $(grep -rnoE '\b(answer_via_fallback|answer_context_overflow|stamp_wa
     fail=1
 done
 
-[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench; no recorded pair sweep in crates/*/src; one decision path in er-service"
+# The serving core keeps only states a route reaches. A worker resolves
+# LLM and fallback answers, never a cache one; `Drop` holds the only
+# handle, so nothing is queued or held when the dispatcher stops and no
+# flush has shutdown for a trigger; appends fsync by `SyncPolicy`, and
+# nothing calls a forced sync.
+for hit in $( {
+    grep -rnoHE 'cache_filled|FlushTrigger::Shutdown' crates/er-service/src
+    grep -noHE '^ *Shutdown\b|"shutdown"' crates/er-service/src/telemetry.rs
+    grep -noHE '\bfn sync\b' crates/er-service/src/durable.rs
+} | cut -d: -f1,2 || true); do
+    echo "FAIL: ${hit} grows an unreachable serving state back (a cache_filled stage, a shutdown flush trigger or a forced fsync)" >&2
+    fail=1
+done
+
+[ "$fail" -eq 0 ] && echo "OK: every vendor/* crate has a dependent; no crate hangs off the facade alone; CI runs every [[bench]]; one FNV-1a under crates/*/src; every pub with_* builder has an outside caller; no xorshift outside split.rs and features.rs; no batch priced outside the bill; no model call outside the one send path; no CPU-specific code outside embed's vecmath.rs and matrix.rs; no telemetry off switch in obs or er-service's telemetry and flight recorder; one pivot in the metric index; ServiceConfig without settings only tests set, and an argument-less Breaker::new; one structure featurizer (core's features.rs) and one SplitMix64 (er-core's rng.rs); no planner stage replayed under crates/bench; no recorded pair sweep in crates/*/src; one decision path in er-service; no unreachable serving state (cache_filled, shutdown flush trigger, forced fsync)"
 exit "$fail"

@@ -496,11 +496,6 @@ impl DurableLog {
     pub fn status(&self) -> WalStatus {
         self.wal.status()
     }
-
-    /// Forces an fsync (used by tests and shutdown paths).
-    pub fn sync(&self) -> Result<(), WalError> {
-        self.wal.sync()
-    }
 }
 
 #[cfg(test)]

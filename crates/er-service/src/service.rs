@@ -24,7 +24,6 @@
 //! worker or plan panic          answered (fallback)      -                      Fallback
 //! queue full: try_submit/submit shed (queue_full) /      -                      - (429) / Fallback
 //!                               answered (fallback_shed)
-//! shutdown                      answered (fallback)      -                      Fallback
 //! ```
 //!
 //! There is one of each: one queue, one dispatcher thread — which is
@@ -314,8 +313,7 @@ struct Inner {
     flight: FlightRecorder,
 }
 
-/// The running service. Cloneable via `Arc`; dropping the last handle
-/// flushes the queue and joins every thread.
+/// The running service. Dropping it joins the dispatcher and the workers.
 pub struct ErService {
     inner: Arc<Inner>,
     dispatcher: Option<std::thread::JoinHandle<()>>,
@@ -748,9 +746,8 @@ impl Drop for ErService {
     fn drop(&mut self) {
         lock(&self.inner.queue).stopping = true;
         self.inner.queue_cond.notify_all();
-        // The dispatcher flushes what the queue and its held set still
-        // hold and returns; that drops the only job sender, and each
-        // worker exits once the channel is empty.
+        // The dispatcher returns at once (nothing can be waiting), and
+        // each worker exits once it has no job left.
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
@@ -821,10 +818,6 @@ fn submit_inner(inner: &Inner, pair: &EntityPair, block_on_shed: bool) -> Submit
     let (tx, rx): (Sender<MatchDecision>, Receiver<MatchDecision>) = channel();
     {
         let mut queue = lock(&inner.queue);
-        if queue.stopping {
-            drop(queue);
-            return decided(fallback_decision(inner, fp, pair), "fallback");
-        }
         if queue.pending.len() >= inner.config.queue_capacity {
             // Admission control: the queue is saturated. Shedding here —
             // before the question consumes a queue slot, a planning pass
@@ -891,7 +884,11 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<BatchJob>) {
             let mut queue = lock(&inner.queue);
             let trigger = loop {
                 if queue.stopping {
-                    break FlushTrigger::Shutdown;
+                    // `Drop` sets this with the only handle, and `submit`
+                    // borrows that handle until its question is answered:
+                    // nothing is pending or held. Returning drops the only
+                    // job sender, which is what stops the workers.
+                    return;
                 }
                 let now = Instant::now();
                 // Everything waiting, held or pending, leaves together.
@@ -928,11 +925,6 @@ fn dispatcher_loop(inner: &Inner, work_tx: Sender<BatchJob>) {
                     }
                 }
             };
-            if queue.stopping && queue.pending.is_empty() && held.is_empty() {
-                // Everything admitted is planned and dispatched; returning
-                // drops the only job sender, which is what stops the workers.
-                return;
-            }
             queue.arrivals = None;
             inner.telemetry.queue_depth.set(0);
             (std::mem::take(&mut queue.pending), trigger)
@@ -1004,10 +996,10 @@ fn attach_if_bought(
 /// dispatcher thread only, never under the queue lock.
 ///
 /// Dispatch policy: full batches always dispatch; a partial batch
-/// dispatches only on an `urgent` flush (arrivals gone quiet, the flush
-/// deadline, or shutdown) and is otherwise *held* for the next flush —
-/// the paper's batch economics improve when a straggler waits (bounded
-/// by the flush deadline) for co-batched traffic instead of flying alone.
+/// dispatches only on an `urgent` flush (arrivals gone quiet or the flush
+/// deadline) and is otherwise *held* for the next flush — the paper's
+/// batch economics improve when a straggler waits (bounded by the flush
+/// deadline) for co-batched traffic instead of flying alone.
 fn flush(
     inner: &Inner,
     held: &mut BTreeMap<PairFingerprint, HeldQuestion>,
@@ -1235,17 +1227,16 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
         return;
     };
 
-    // The first traced waiter's id rides the batch's LLM calls as the
-    // propagated traceparent: one batch, one downstream trace, no matter
-    // how many coalesced waiters share the call. Everyone else's span
-    // gets an `llm_shared` reference to this primary at resolution.
+    // The first waiter's id rides the batch's LLM calls as the propagated
+    // traceparent: one batch, one downstream trace, no matter how many
+    // coalesced waiters share the call. Everyone else's span gets an
+    // `llm_shared` reference to this primary at resolution.
     let primary_trace = job
         .questions
-        .iter()
-        .flat_map(|(_, _, senders)| senders.iter())
-        .map(|w| w.trace)
-        .find(|&t| t != 0)
-        .unwrap_or(0);
+        .first()
+        .and_then(|(_, _, senders)| senders.first())
+        .expect("a planned batch is a non-empty set of held questions, each with its first waiter")
+        .trace;
     let executor =
         Executor::new(inner.api.as_ref(), config.model, MAX_RETRIES).with_trace(primary_trace);
     let mut outcome = ExecutionOutcome::default();
@@ -1345,57 +1336,69 @@ fn execute_job(inner: &Inner, job: &BatchJob) {
     }
 
     for (slot, (fp, pair, senders)) in job.questions.iter().enumerate() {
-        let decision = match outcome.answers.get(slot).copied().flatten() {
+        let answer = match outcome.answers.get(slot).copied().flatten() {
             Some(label) => {
                 tel.llm_answered.inc();
                 inner.cache.insert(*fp, label);
-                MatchDecision { label, source: DecisionSource::Llm, fingerprint: *fp, trace_id: 0 }
+                Answer::Llm { label, primary_trace }
             }
             // No parseable answer after retries: conservative local call.
-            None => fallback_decision(inner, *fp, pair),
+            None => Answer::Fallback { why: "unparsed" },
         };
-        let why = (decision.source == DecisionSource::Fallback).then_some("unparsed");
-        resolve_question(inner, *fp, decision, why, senders, primary_trace);
+        resolve_question(inner, *fp, pair, senders, answer);
     }
 }
 
-/// Delivers a decision to a question's own waiters plus any waiters that
+/// What a worker answers one question with.
+enum Answer {
+    /// The LLM's label, from the batch call that `primary_trace` carried.
+    Llm {
+        label: MatchLabel,
+        primary_trace: u64,
+    },
+    /// The logistic fallback's label; `why` is the span stage naming the
+    /// reason.
+    Fallback { why: &'static str },
+}
+
+/// Delivers `answer` to a question's own waiters plus any waiters that
 /// attached to its in-flight entry from later flushes, and unregisters
-/// the question. Stamps each waiter's span with why a fallback answered
-/// (`why`), how the answer was produced and its settlement; the terminal
+/// the question. Stamps each waiter's span with how the answer was
+/// produced (a fallback's reason first) and its settlement; the terminal
 /// stage stays with `submit`.
 fn resolve_question(
     inner: &Inner,
     fp: PairFingerprint,
-    decision: MatchDecision,
-    why: Option<&'static str>,
+    pair: &EntityPair,
     senders: &[Waiter],
-    primary_trace: u64,
+    answer: Answer,
 ) {
-    let stage = match decision.source {
-        DecisionSource::Llm => "llm_called",
-        DecisionSource::Fallback => "fallback",
-        DecisionSource::Cache => "cache_filled",
+    let trace = &inner.telemetry.trace;
+    let decision = match answer {
+        Answer::Llm { label, .. } => {
+            MatchDecision { label, source: DecisionSource::Llm, fingerprint: fp, trace_id: 0 }
+        }
+        Answer::Fallback { .. } => fallback_decision(inner, fp, pair),
     };
     let attached = lock(&inner.in_flight).remove(&fp).unwrap_or_default();
     for waiter in senders.iter().chain(&attached) {
-        if let Some(why) = why {
-            inner.telemetry.trace.stamp(waiter.trace, why);
+        match answer {
+            Answer::Llm { primary_trace, .. } => {
+                trace.stamp(waiter.trace, "llm_called");
+                // Coalesced waiters rode an LLM call another trace paid
+                // for: point their span at the primary, which owns the
+                // downstream child spans (each child is attributed
+                // exactly once).
+                if waiter.trace != primary_trace {
+                    trace.stamp_with(waiter.trace, "llm_shared", primary_trace.to_string());
+                }
+            }
+            Answer::Fallback { why } => {
+                trace.stamp(waiter.trace, why);
+                trace.stamp(waiter.trace, "fallback");
+            }
         }
-        inner.telemetry.trace.stamp(waiter.trace, stage);
-        // Coalesced waiters rode an LLM call another trace paid for:
-        // point their span at the primary, which owns the downstream
-        // child spans (each child is attributed exactly once).
-        if decision.source == DecisionSource::Llm
-            && primary_trace != 0
-            && waiter.trace != primary_trace
-        {
-            inner
-                .telemetry
-                .trace
-                .stamp_with(waiter.trace, "llm_shared", primary_trace.to_string());
-        }
-        inner.telemetry.trace.stamp(waiter.trace, "settled");
+        trace.stamp(waiter.trace, "settled");
         let _ = waiter.tx.send(decision);
     }
 }
@@ -1433,8 +1436,7 @@ fn fall_back(inner: &Inner, job: &BatchJob, why: Fallback) {
     };
     inner.flight.event(stage, detail);
     for (fp, pair, senders) in &job.questions {
-        let decision = fallback_decision(inner, *fp, pair);
-        resolve_question(inner, *fp, decision, Some(stage), senders, 0);
+        resolve_question(inner, *fp, pair, senders, Answer::Fallback { why: stage });
     }
 }
 
@@ -1560,34 +1562,6 @@ mod tests {
             let (held, pending) = (Arrivals::of(held.iter().copied()), Arrivals::of(pending.iter().copied()));
             prop_assert_eq!(held.into_iter().chain(pending).reduce(Arrivals::followed_by), all);
         }
-    }
-
-    /// The shutdown route, which no caller holding a handle can reach
-    /// (`Drop` takes the last one): a submit is answered locally.
-    #[test]
-    fn a_submit_after_shutdown_began_is_answered_locally() {
-        let pool = datagen::generate(datagen::DatasetKind::Beer, 7).pairs()[..120].to_vec();
-        let question = pool[0].pair.clone();
-        let service =
-            ErService::start(Arc::new(llm::SimLlm::new()), pool, ServiceConfig::default());
-        lock(&service.inner.queue).stopping = true;
-        let decision = service.submit(&question);
-        assert_eq!(decision.source, DecisionSource::Fallback);
-        let span = service
-            .telemetry()
-            .trace()
-            .find(decision.trace_id)
-            .expect("span retained");
-        let stages: Vec<(&str, Option<&str>)> = span
-            .events
-            .iter()
-            .map(|e| (e.stage, e.detail.as_deref()))
-            .collect();
-        assert_eq!(
-            stages,
-            [("submitted", None), ("answered", Some("fallback"))]
-        );
-        assert_eq!(service.flight().events_json(), "[]");
     }
 
     const FP: PairFingerprint = PairFingerprint(7);

@@ -31,11 +31,11 @@ pub struct ServiceStats {
     pub plans: u64,
     /// Equal to [`ServiceStats::plans`]. Kept because `benchmark/` reads
     /// it; leaves together with `plan_incremental` once the benchmark
-    /// drops that read (ROADMAP item 1).
+    /// drops that read (ROADMAP item 9a).
     pub plan_full: u64,
     /// Always 0: there is no incremental planner. Kept because
     /// `benchmark/` reads it; leaves with the benchmark-only follow-up
-    /// that drops that read (ROADMAP item 1).
+    /// that drops that read (ROADMAP item 9a).
     pub plan_incremental: u64,
     /// Median planning wall time, microseconds (histogram-backed; each
     /// stage's time is the `er_plan_stage_us` family on `/metrics`).

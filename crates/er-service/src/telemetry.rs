@@ -30,7 +30,7 @@ pub const SLO_BUDGET_OBJECTIVE: f64 = 0.90;
 pub const TRACE_CAPACITY: usize = 1024;
 
 /// Why the dispatcher drained the coalescing queue: the `trigger` label
-/// of `er_flushes_total`, in the order its four counters are registered.
+/// of `er_flushes_total`, in the order its three counters are registered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlushTrigger {
     /// `batch_size` questions were pending.
@@ -39,8 +39,6 @@ pub(crate) enum FlushTrigger {
     Quiet,
     /// The oldest question had waited out `flush_deadline`.
     Deadline,
-    /// The service is stopping.
-    Shutdown,
 }
 
 /// Every metric handle the service records into, plus the trace log.
@@ -61,7 +59,7 @@ pub struct Telemetry {
     pub(crate) llm_answered: Arc<Counter>,
     pub(crate) fallback_answered: Arc<Counter>,
     pub(crate) batches_flushed: Arc<Counter>,
-    flushes: [Arc<Counter>; 4],
+    flushes: [Arc<Counter>; 3],
     pub(crate) retries: Arc<Counter>,
     pub(crate) plans: Arc<Counter>,
     pub(crate) shed: Arc<Counter>,
@@ -141,10 +139,10 @@ impl Telemetry {
             "Batches dispatched out of the coalescing queue.",
             &[],
         );
-        let flushes = ["size", "quiet", "deadline", "shutdown"].map(|trigger| {
+        let flushes = ["size", "quiet", "deadline"].map(|trigger| {
             registry.counter(
                 "er_flushes_total",
-                "Drains of the coalescing queue, by what triggered them: batch_size pending, arrivals gone quiet before the flush deadline, the flush deadline itself, or shutdown.",
+                "Drains of the coalescing queue, by what triggered them: batch_size pending, arrivals gone quiet before the flush deadline, or the flush deadline itself.",
                 &[("trigger", trigger)],
             )
         });

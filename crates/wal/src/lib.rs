@@ -334,15 +334,6 @@ impl Wal {
         Ok(w.base_offset + w.seg_bytes)
     }
 
-    /// Forces an fsync of the current segment.
-    pub fn sync(&self) -> Result<(), WalError> {
-        let mut w = self.lock();
-        if w.wedged {
-            return Err(WalError::Wedged);
-        }
-        sync_writer(&mut w)
-    }
-
     /// Current write-path status.
     pub fn status(&self) -> WalStatus {
         let w = self.lock();

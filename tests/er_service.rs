@@ -506,12 +506,17 @@ fn lone_miss_leaves_at_half_the_deadline() {
         "{stats:?}"
     );
     let metrics = service.render_metrics();
-    for line in [
-        r#"er_flushes_total{trigger="quiet"} 1"#,
-        r#"er_flushes_total{trigger="deadline"} 0"#,
-        r#"er_flushes_total{trigger="size"} 0"#,
+    for (series, rendered) in [
+        (r#"er_flushes_total{trigger="quiet"} 1"#, true),
+        (r#"er_flushes_total{trigger="deadline"} 0"#, true),
+        (r#"er_flushes_total{trigger="size"} 0"#, true),
+        (r#"er_flushes_total{trigger="shutdown"}"#, false),
     ] {
-        assert!(metrics.contains(line), "missing `{line}` in:\n{metrics}");
+        assert_eq!(
+            metrics.contains(series),
+            rendered,
+            "`{series}` rendered: {rendered} expected, in:\n{metrics}"
+        );
     }
 }
 
